@@ -8,9 +8,8 @@ operating characteristics across replicates.
 """
 
 from .borrow import (
-    GridDensity,
-    GridSupportError,
     MapConfig,
+    NormalMixture,
     StudySummary,
     effect_posterior,
     estimate_map,
@@ -94,9 +93,8 @@ __all__ = [
     "stratify",
     "estimate_psm",
     "estimate_psw",
-    "GridDensity",
-    "GridSupportError",
     "MapConfig",
+    "NormalMixture",
     "StudySummary",
     "map_prior",
     "robustify",

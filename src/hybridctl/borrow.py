@@ -4,13 +4,14 @@ The meta-analytic predictive (MAP) prior for the concurrent control
 mean comes from a normal hierarchy over historical study means with a
 half-normal prior on the between-study SD tau. Everything is done by
 deterministic quadrature: the study-mean location integrates out
-analytically under a flat prior, tau is handled on a grid, and the
-resulting predictive density lives on a theta grid. Robustification
-mixes in a unit-information vague normal with weight omega, posterior
-updates multiply in the concurrent-control likelihood pointwise, and
-the treatment-effect posterior convolves the control posterior with the
-normal treated-arm likelihood exactly (each grid atom convolves in
-closed form).
+analytically under a flat prior and tau is integrated by quadrature,
+so the predictive prior is an exact normal mixture with one component
+per tau node. Robustification appends a unit-information vague normal
+component with weight omega, the concurrent-control update is conjugate
+per component (each reweighted by its marginal likelihood), and the
+treatment-effect posterior convolves each component with the normal
+treated-arm likelihood in closed form; credible-interval ends come from
+Newton's method on the mixture CDF.
 
 Power-prior borrowing discounts the historical likelihood precision by
 a factor alpha; the stratified variants split the pooled sample by
@@ -41,8 +42,7 @@ from .regress import wald_decision
 from .trialdata import TrialDataset
 
 __all__ = [
-    "GridSupportError",
-    "GridDensity",
+    "NormalMixture",
     "StudySummary",
     "MapConfig",
     "SINGLE_POOL_TAU_MULT",
@@ -69,60 +69,38 @@ TAU_LADDER = {"L": 10.0, "M": 1.0, "S": 0.1, "XS": 0.01}
 SINGLE_POOL_TAU_MULT = 0.25
 
 
-class GridSupportError(ValueError):
-    """A grid density update lost its mass off the ends of the grid."""
-
-
 # ---------------------------------------------------------------------------
-# Grid densities
+# Normal mixtures
 # ---------------------------------------------------------------------------
-
-
-def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
-    w = np.empty_like(grid)
-    w[1:-1] = (grid[2:] - grid[:-2]) / 2.0
-    w[0] = (grid[1] - grid[0]) / 2.0
-    w[-1] = (grid[-1] - grid[-2]) / 2.0
-    return w
 
 
 @dataclass(frozen=True)
-class GridDensity:
-    """Probability mass on an increasing grid of effect values."""
+class NormalMixture:
+    """Finite mixture of normals: aligned weights, means and SDs."""
 
-    theta_grid: np.ndarray
-    mass: np.ndarray
+    weights: np.ndarray
+    means: np.ndarray
+    sds: np.ndarray
 
     def __post_init__(self) -> None:
-        g, m = self.theta_grid, self.mass
-        if g.ndim != 1 or g.shape != m.shape or g.size < 2:
-            raise ValueError("grid and mass must be 1-d arrays of equal length >= 2")
-        if not np.all(np.diff(g) > 0):
-            raise ValueError("theta grid must be strictly increasing")
-        if np.any(m < 0) or abs(float(m.sum()) - 1.0) > 1e-10:
-            raise ValueError("mass must be non-negative and sum to 1")
+        w, m, s = self.weights, self.means, self.sds
+        if w.ndim != 1 or w.size < 1 or m.shape != w.shape or s.shape != w.shape:
+            raise ValueError("weights, means and sds must be 1-d arrays of equal length >= 1")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(s)) and np.all(s > 0)):
+            raise ValueError("component means must be finite and SDs positive")
+        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-10:
+            raise ValueError("weights must be non-negative and sum to 1")
 
     @staticmethod
-    def from_density(grid: np.ndarray, density: np.ndarray) -> "GridDensity":
-        mass = density * _trapezoid_weights(grid)
-        total = mass.sum()
-        if not np.isfinite(total) or total <= 0:
-            raise GridSupportError("density has no mass on the grid; widen the theta grid")
-        return GridDensity(theta_grid=grid, mass=mass / total)
-
-    @staticmethod
-    def normal(grid: np.ndarray, mean: float, sd: float) -> "GridDensity":
-        if sd <= 0:
-            raise ValueError("sd must be positive")
-        logd = -0.5 * ((grid - mean) / sd) ** 2
-        return GridDensity.from_density(grid, np.exp(logd - logd.max()))
+    def normal(mean: float, sd: float) -> "NormalMixture":
+        return NormalMixture(np.ones(1), np.array([float(mean)]), np.array([float(sd)]))
 
     def mean(self) -> float:
-        return float(self.mass @ self.theta_grid)
+        return float(self.weights @ self.means)
 
     def var(self) -> float:
         mu = self.mean()
-        return float(self.mass @ (self.theta_grid - mu) ** 2)
+        return float(self.weights @ (self.sds**2 + (self.means - mu) ** 2))
 
     def sd(self) -> float:
         return math.sqrt(max(self.var(), 0.0))
@@ -164,7 +142,6 @@ class MapConfig:
     vague_mean: float | None = None
     vague_sd: float | None = None
     alpha: float = 0.05
-    n_theta: int = 4001
     n_tau: int = 201
 
     def __post_init__(self) -> None:
@@ -190,19 +167,26 @@ def empirical_tau_scale(studies: list[StudySummary]) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
+    w = np.empty_like(grid)
+    w[1:-1] = (grid[2:] - grid[:-2]) / 2.0
+    w[0] = (grid[1] - grid[0]) / 2.0
+    w[-1] = (grid[-1] - grid[-2]) / 2.0
+    return w
+
+
 def map_prior(
     studies: list[StudySummary],
     tau_scale: float,
-    theta_grid: np.ndarray | None = None,
-    n_theta: int = 4001,
     n_tau: int = 201,
-) -> GridDensity:
-    """Meta-analytic predictive prior for a new study mean, on a grid.
+) -> NormalMixture:
+    """Meta-analytic predictive prior for a new study mean.
 
     For each tau on a grid the location parameter integrates out under a
     flat prior, giving a normal predictive with the profiled marginal
     likelihood of tau; the half-normal(tau_scale) prior then weights the
-    tau grid. ``tau_scale = 0`` collapses to fixed-effect pooling.
+    tau grid, so the prior is a normal mixture with one component per
+    tau node. ``tau_scale = 0`` collapses to fixed-effect pooling.
     """
     if tau_scale < 0 or not np.isfinite(tau_scale):
         raise ValueError("tau_scale must be finite and non-negative")
@@ -210,12 +194,6 @@ def map_prior(
     ses = np.array([s.se for s in studies], dtype=float)
     if means.size == 0:
         raise ValueError("need at least one study")
-
-    prec0 = 1.0 / ses**2
-    pooled = float((means * prec0).sum() / prec0.sum())
-    if theta_grid is None:
-        half = 10.0 * (float(ses.max()) + tau_scale)
-        theta_grid = np.linspace(pooled - half, pooled + half, n_theta)
 
     if tau_scale == 0.0:
         taus = np.zeros(1)
@@ -235,49 +213,83 @@ def map_prior(
     if means.size > 1:
         quad = ((means[None, :] - mu_hat[:, None]) ** 2 * prec).sum(axis=1)
         log_w = log_w - 0.5 * (np.log(v).sum(axis=1) + np.log(pressum) + quad)
-    log_w -= log_w.max()
-    w_tau = np.exp(log_w)
-    w_tau /= w_tau.sum()
-
-    pred_var = v_mu + taus**2
-    diff = theta_grid[None, :] - mu_hat[:, None]
-    log_comp = -0.5 * (diff * diff) / pred_var[:, None] - 0.5 * np.log(pred_var)[:, None]
-    density = np.exp(log_comp - log_comp.max()).T @ w_tau
-    return GridDensity.from_density(theta_grid, density)
+    w_tau = np.exp(log_w - log_w.max())
+    return NormalMixture(w_tau / w_tau.sum(), mu_hat, np.sqrt(v_mu + taus**2))
 
 
-def robustify(prior: GridDensity, omega: float, vague_mean: float, vague_sd: float) -> GridDensity:
-    """Mix a vague normal into the prior with weight ``omega``."""
+def robustify(
+    prior: NormalMixture, omega: float, vague_mean: float, vague_sd: float
+) -> NormalMixture:
+    """Append a vague normal component with weight ``omega``."""
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
-    vague = GridDensity.normal(prior.theta_grid, vague_mean, vague_sd)
-    mass = (1.0 - omega) * prior.mass + omega * vague.mass
-    return GridDensity(theta_grid=prior.theta_grid, mass=mass / mass.sum())
+    return NormalMixture(
+        np.append((1.0 - omega) * prior.weights, omega),
+        np.append(prior.means, vague_mean),
+        np.append(prior.sds, vague_sd),
+    )
 
 
-def posterior_update(prior: GridDensity, data_mean: float, data_se: float) -> GridDensity:
-    """Multiply a normal likelihood into a grid prior and renormalize."""
+def posterior_update(prior: NormalMixture, data_mean: float, data_se: float) -> NormalMixture:
+    """Conjugate normal update of every component.
+
+    Each component is reweighted by its marginal likelihood of the data,
+    N(data_mean; m_k, s_k^2 + data_se^2).
+    """
     if not (np.isfinite(data_mean) and np.isfinite(data_se) and data_se > 0):
         raise ValueError("need a finite data mean and positive se")
+    var = prior.sds**2
+    marg_var = var + data_se**2
     with np.errstate(divide="ignore"):
-        log_post = np.log(prior.mass) - 0.5 * ((prior.theta_grid - data_mean) / data_se) ** 2
-    top = log_post.max()
-    if not np.isfinite(top):
-        raise GridSupportError(
-            "posterior mass underflowed; the likelihood lies outside the grid support, "
-            "widen the theta grid"
+        log_w = (
+            np.log(prior.weights)
+            - 0.5 * (data_mean - prior.means) ** 2 / marg_var
+            - 0.5 * np.log(marg_var)
         )
-    mass = np.exp(log_post - top)
-    mass /= mass.sum()
-    if mass[0] + mass[-1] > 0.5:
-        raise GridSupportError(
-            "posterior mass concentrates at the grid boundary; widen the theta grid"
-        )
-    return GridDensity(theta_grid=prior.theta_grid, mass=mass)
+    w = np.exp(log_w - log_w.max())
+    post_var = var * data_se**2 / marg_var
+    post_mean = (prior.means * data_se**2 + data_mean * var) / marg_var
+    return NormalMixture(w / w.sum(), post_mean, np.sqrt(post_var))
+
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _mixture_quantile(
+    w: np.ndarray, mu: np.ndarray, sd: np.ndarray, q: float, mean: float, total_sd: float
+) -> float:
+    """The q-quantile of a normal mixture by bracketed Newton on its CDF.
+
+    Cantelli's inequality puts the quantile within k total SDs of the
+    mean, k = sqrt(1/min(q, 1-q) - 1), which gives the starting bracket;
+    the mixture density is the derivative, and a Newton step that leaves
+    the bracket is replaced by bisection.
+    """
+    k = math.sqrt(1.0 / min(q, 1.0 - q) - 1.0)
+    lo, hi = mean - k * total_sd, mean + k * total_sd
+    x = mean + float(ndtri(q)) * total_sd
+    tol = 1e-12 * total_sd
+    for _ in range(100):
+        z = (x - mu) / sd
+        f = float(w @ ndtr(z)) - q
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        dens = float(w @ (np.exp(-0.5 * z * z) / sd)) * _INV_SQRT_2PI
+        step = f / dens if dens > 0.0 else math.inf
+        if abs(step) < tol:
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if hi - lo < tol:
+                return x
+    return x
 
 
 def effect_posterior(
-    control_posterior: GridDensity,
+    control_posterior: NormalMixture,
     treated_mean: float,
     treated_se: float,
     alpha: float = 0.05,
@@ -287,39 +299,21 @@ def effect_posterior(
     """Posterior of treated mean minus control mean.
 
     The treated arm contributes an exact normal, so the difference is a
-    normal mixture over the control grid atoms: moments are exact and
-    the central credible interval comes from bisecting the mixture CDF.
-    Rejection means the interval excludes zero.
+    normal mixture with one component per control component: moments are
+    exact and each end of the central credible interval is a quantile of
+    the mixture (:func:`_mixture_quantile`). Rejection means the interval
+    excludes zero.
     """
     if treated_se <= 0 or not np.isfinite(treated_se):
         raise ValueError("treated se must be positive and finite")
-    mean_c = control_posterior.mean()
-    var_c = control_posterior.var()
-    est = treated_mean - mean_c
-    sd = math.sqrt(treated_se**2 + var_c)
+    est = treated_mean - control_posterior.mean()
+    sd = math.sqrt(treated_se**2 + control_posterior.var())
 
-    keep = control_posterior.mass > 1e-15
-    atoms = control_posterior.theta_grid[keep]
-    w = control_posterior.mass[keep]
-    shift = treated_mean - atoms
-
-    def cdf(d: float) -> float:
-        return float(w @ ndtr((d - shift) / treated_se))
-
-    def invert(q: float) -> float:
-        lo, hi = est - 12.0 * sd, est + 12.0 * sd
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if cdf(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-11 * max(sd, 1e-12):
-                break
-        return 0.5 * (lo + hi)
-
-    lo_q = invert(alpha / 2.0)
-    hi_q = invert(1.0 - alpha / 2.0)
+    w = control_posterior.weights
+    mu = treated_mean - control_posterior.means
+    comp_sd = np.sqrt(control_posterior.sds**2 + treated_se**2)
+    lo_q = _mixture_quantile(w, mu, comp_sd, alpha / 2.0, est, sd)
+    hi_q = _mixture_quantile(w, mu, comp_sd, 1.0 - alpha / 2.0, est, sd)
     return EffectEstimate(
         method_id=method_id,
         covset_id=covset,
@@ -385,23 +379,6 @@ def _resolve_tau_scale(cfg: MapConfig, studies: list[StudySummary]) -> tuple[flo
     return TAU_LADDER[label] * empirical_tau_scale(studies), label
 
 
-def _theta_grid_for(
-    studies: list[StudySummary],
-    tau_scale: float,
-    data_mean: float,
-    data_se: float,
-    vague_mean: float,
-    vague_sd: float,
-    n_theta: int,
-) -> np.ndarray:
-    lows = [data_mean - 10.0 * data_se, vague_mean - 6.0 * vague_sd]
-    highs = [data_mean + 10.0 * data_se, vague_mean + 6.0 * vague_sd]
-    for s in studies:
-        lows.append(s.mean - 10.0 * (s.se + tau_scale))
-        highs.append(s.mean + 10.0 * (s.se + tau_scale))
-    return np.linspace(min(lows), max(highs), n_theta)
-
-
 def estimate_map(
     dataset: TrialDataset,
     cfg: MapConfig,
@@ -437,20 +414,14 @@ def estimate_map(
         flags.append("map:no_studies_forced_omega1")
         vague_mean = cfg.vague_mean if cfg.vague_mean is not None else c_mean
         vague_sd = cfg.vague_sd if cfg.vague_sd is not None else unit_sd
-        grid = np.linspace(
-            min(c_mean - 10 * c_se, vague_mean - 6 * vague_sd),
-            max(c_mean + 10 * c_se, vague_mean + 6 * vague_sd),
-            cfg.n_theta,
-        )
-        prior = GridDensity.normal(grid, vague_mean, vague_sd)
+        prior = NormalMixture.normal(vague_mean, vague_sd)
         tau_scale = 0.0
         prior_raw_sd = vague_sd
     else:
         tau_scale, _ = _resolve_tau_scale(cfg, studies)
         vague_mean = cfg.vague_mean if cfg.vague_mean is not None else _pooled_mean(studies)
         vague_sd = cfg.vague_sd if cfg.vague_sd is not None else unit_sd
-        grid = _theta_grid_for(studies, tau_scale, c_mean, c_se, vague_mean, vague_sd, cfg.n_theta)
-        raw_prior = map_prior(studies, tau_scale, theta_grid=grid, n_tau=cfg.n_tau)
+        raw_prior = map_prior(studies, tau_scale, n_tau=cfg.n_tau)
         prior_raw_sd = raw_prior.sd()
         prior = robustify(raw_prior, omega, vague_mean, vague_sd)
 

@@ -11,6 +11,7 @@ or stratify the pooled sample by concurrent-score quantiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -78,12 +79,20 @@ class PsFit:
     def is_concurrent(self) -> np.ndarray:
         return self.sample.trial == 0
 
+    @cached_property
+    def _id_order(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.sample.ids, kind="stable")
+        return order, self.sample.ids[order]
+
     def positions(self, ids: np.ndarray) -> np.ndarray:
-        lookup = {int(s): i for i, s in enumerate(self.sample.ids)}
-        try:
-            return np.array([lookup[int(s)] for s in ids], dtype=int)
-        except KeyError as exc:
-            raise ValueError(f"subject id {exc.args[0]} is not in the fitted sample")
+        """Sample rows of subject ids (the last row if an id repeats)."""
+        order, sorted_ids = self._id_order
+        ids = np.asarray(ids, dtype=sorted_ids.dtype)
+        at = np.searchsorted(sorted_ids, ids, side="right") - 1
+        missing = (at < 0) | (sorted_ids[at] != ids)
+        if missing.any():
+            raise ValueError(f"subject id {int(ids[missing][0])} is not in the fitted sample")
+        return order[at]
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 from hybridctl.borrow import (
-    GridDensity,
     MapConfig,
+    NormalMixture,
     estimate_map,
     posterior_update,
     power_prior_update,
@@ -44,6 +44,9 @@ from hybridctl.trialdata import build_replicate, preset, preset_n_total
 
 REPS = int(os.environ.get("HYBRIDCTL_ACCEPTANCE_REPS", "2000"))
 SEED = 20260825  # matches configs/full_grid.yaml
+
+# full-size simulation: `pytest -m "not acceptance"` runs the unit tests alone
+pytestmark = pytest.mark.acceptance
 
 # Method cells each criterion reads, keyed by grid arm. Benchmarks
 # (unadj.rc / unadj.fc) are always injected by expand_cells.
@@ -302,10 +305,7 @@ def test_c13_conjugate_posterior_identities():
         s0 = rng.uniform(0.2, 2.0)
         ybar = rng.uniform(-3, 3)
         se = rng.uniform(0.05, 1.5)
-        lo = min(m0 - 8 * s0, ybar - 8 * se)
-        hi = max(m0 + 8 * s0, ybar + 8 * se)
-        grid = np.linspace(lo, hi, 6001)
-        post = posterior_update(GridDensity.normal(grid, m0, s0), ybar, se)
+        post = posterior_update(NormalMixture.normal(m0, s0), ybar, se)
         prec = 1 / s0**2 + 1 / se**2
         mean_cf = (m0 / s0**2 + ybar / se**2) / prec
         sd_cf = math.sqrt(1 / prec)

@@ -7,9 +7,8 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 from hybridctl.borrow import (
-    GridDensity,
-    GridSupportError,
     MapConfig,
+    NormalMixture,
     SINGLE_POOL_TAU_MULT,
     StudySummary,
     TAU_LADDER,
@@ -35,36 +34,48 @@ def dataset(name="single-moderate", seed=0, n=1200):
     return build_replicate(preset(name), n, np.random.default_rng(seed))
 
 
-def wide_grid(lo=-8.0, hi=8.0, n=4001):
-    return np.linspace(lo, hi, n)
+def mixture(weights, means, sds):
+    return NormalMixture(np.asarray(weights, dtype=float), np.asarray(means, dtype=float),
+                         np.asarray(sds, dtype=float))
 
 
-class TestGridDensity:
+def bisect_quantile(mix, q):
+    """Plain bisection on the mixture CDF: the slow reference for Newton."""
+    lo, hi = mix.mean() - 50.0 * mix.sd(), mix.mean() + 50.0 * mix.sd()
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(mix.weights @ norm.cdf(mid, mix.means, mix.sds)) < q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestNormalMixture:
     def test_normal_moments(self):
-        d = GridDensity.normal(wide_grid(), 1.3, 0.7)
-        assert d.mean() == pytest.approx(1.3, abs=1e-8)
-        assert d.sd() == pytest.approx(0.7, rel=1e-6)
-        assert d.mass.sum() == pytest.approx(1.0, abs=1e-12)
+        d = NormalMixture.normal(1.3, 0.7)
+        assert d.mean() == 1.3
+        assert d.sd() == pytest.approx(0.7, rel=1e-15)
+        assert d.weights.sum() == 1.0
 
-    def test_from_density_normalizes(self):
-        g = wide_grid(-2, 2, 401)
-        d = GridDensity.from_density(g, np.ones_like(g))
-        assert d.mass.sum() == pytest.approx(1.0, abs=1e-12)
-        assert d.mean() == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_density_raises(self):
-        g = wide_grid(-1, 1, 101)
-        with pytest.raises(GridSupportError, match="no mass"):
-            GridDensity.from_density(g, np.zeros_like(g))
+    def test_mixture_moments(self):
+        d = mixture([0.7, 0.3], [0.0, 3.0], [0.2, 0.4])
+        want_mean = 0.3 * 3.0
+        want_var = 0.7 * (0.04 + want_mean**2) + 0.3 * (0.16 + (3.0 - want_mean) ** 2)
+        assert d.mean() == pytest.approx(want_mean, abs=1e-15)
+        assert d.var() == pytest.approx(want_var, rel=1e-14)
 
     def test_validation(self):
-        g = np.array([0.0, 1.0, 0.5])
-        with pytest.raises(ValueError, match="increasing"):
-            GridDensity(theta_grid=g, mass=np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match="equal length"):
+            mixture([0.5, 0.5], [0.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="sum to 1"):
-            GridDensity(theta_grid=np.array([0.0, 1.0]), mass=np.array([0.9, 0.2]))
-        with pytest.raises(ValueError):
-            GridDensity.normal(wide_grid(), 0.0, 0.0)
+            mixture([0.9, 0.2], [0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="sum to 1"):
+            mixture([1.5, -0.5], [0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="SDs positive"):
+            NormalMixture.normal(0.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            NormalMixture.normal(math.nan, 1.0)
 
 
 class TestMapPrior:
@@ -148,97 +159,100 @@ class TestEmpiricalTauScale:
 
 class TestRobustify:
     def test_omega_zero_keeps_prior(self):
-        prior = GridDensity.normal(wide_grid(), 0.5, 0.4)
+        prior = mixture([0.6, 0.4], [0.5, 1.0], [0.4, 0.3])
         out = robustify(prior, 0.0, 0.0, 2.0)
-        np.testing.assert_allclose(out.mass, prior.mass, atol=1e-15)
+        np.testing.assert_array_equal(out.weights, [0.6, 0.4, 0.0])
+        assert out.mean() == prior.mean()
+        assert out.var() == pytest.approx(prior.var(), rel=1e-15)
 
     def test_omega_one_is_pure_vague(self):
-        prior = GridDensity.normal(wide_grid(), 0.5, 0.4)
+        prior = NormalMixture.normal(0.5, 0.4)
         out = robustify(prior, 1.0, -1.0, 2.0)
-        vague = GridDensity.normal(prior.theta_grid, -1.0, 2.0)
-        np.testing.assert_allclose(out.mass, vague.mass, atol=1e-15)
+        np.testing.assert_array_equal(out.weights, [0.0, 1.0])
+        assert out.mean() == -1.0
+        assert out.sd() == 2.0
 
     def test_mixture_mean_is_linear(self):
-        prior = GridDensity.normal(wide_grid(), 0.5, 0.4)
+        prior = NormalMixture.normal(0.5, 0.4)
         out = robustify(prior, 0.3, -1.0, 2.0)
-        vague = GridDensity.normal(prior.theta_grid, -1.0, 2.0)
-        want = 0.7 * prior.mean() + 0.3 * vague.mean()
-        assert out.mean() == pytest.approx(want, abs=1e-12)
+        want_mean = 0.7 * 0.5 + 0.3 * -1.0
+        want_var = 0.7 * (0.16 + 0.25) + 0.3 * (4.0 + 1.0) - want_mean**2
+        assert out.mean() == pytest.approx(want_mean, abs=1e-15)
+        assert out.var() == pytest.approx(want_var, rel=1e-14)
 
     def test_bad_omega_rejected(self):
-        prior = GridDensity.normal(wide_grid(), 0.0, 1.0)
+        prior = NormalMixture.normal(0.0, 1.0)
         with pytest.raises(ValueError):
             robustify(prior, 1.5, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            robustify(prior, 0.5, 0.0, 0.0)
 
 
 class TestPosteriorUpdate:
     def test_conjugate_normal_case(self):
-        prior = GridDensity.normal(wide_grid(), 0.0, 1.0)
-        post = posterior_update(prior, 1.0, 1.0)
-        assert post.mean() == pytest.approx(0.5, abs=1e-6)
-        assert post.sd() == pytest.approx(math.sqrt(0.5), rel=1e-6)
+        post = posterior_update(NormalMixture.normal(0.0, 1.0), 1.0, 1.0)
+        assert post.mean() == pytest.approx(0.5, abs=1e-12)
+        assert post.sd() == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_flat_prior_returns_likelihood(self):
-        g = wide_grid(-6, 6, 4001)
-        prior = GridDensity.from_density(g, np.ones_like(g))
-        post = posterior_update(prior, 0.8, 0.3)
+        # a normal prior 3e4 data SEs wide moves the mean by under 1e-9
+        post = posterior_update(NormalMixture.normal(0.0, 1e4), 0.8, 0.3)
         assert post.mean() == pytest.approx(0.8, abs=1e-6)
-        assert post.sd() == pytest.approx(0.3, rel=1e-5)
+        assert post.sd() == pytest.approx(0.3, rel=1e-6)
 
     def test_bimodal_prior_reweights_analytically(self):
         # two-component normal prior has a closed-form posterior mixture
-        g = np.linspace(-4, 14, 9001)
-        dens = 0.5 * norm.pdf(g, 0.0, 0.5) + 0.5 * norm.pdf(g, 10.0, 0.5)
-        prior = GridDensity.from_density(g, dens)
+        prior = mixture([0.5, 0.5], [0.0, 10.0], [0.5, 0.5])
         post = posterior_update(prior, 0.0, 0.5)
         lw = np.array([norm.logpdf(0.0, 0.0, math.sqrt(0.5)),
                        norm.logpdf(0.0, 10.0, math.sqrt(0.5))])
         wts = np.exp(lw - lw.max())
         wts /= wts.sum()
-        comp_means = np.array([0.0, 5.0])  # each component shrinks halfway
         assert wts[1] < 1e-3
-        assert post.mean() == pytest.approx(float(wts @ comp_means), abs=1e-3)
+        np.testing.assert_allclose(post.weights, wts, rtol=1e-12, atol=1e-300)
+        # each component shrinks halfway, to the same SD
+        np.testing.assert_allclose(post.means, [0.0, 5.0], atol=1e-12)
+        np.testing.assert_allclose(post.sds, [math.sqrt(0.125)] * 2, rtol=1e-12)
+        assert post.mean() == pytest.approx(float(wts @ [0.0, 5.0]), abs=1e-12)
 
-    def test_boundary_concentration_raises(self):
-        prior = GridDensity.normal(np.linspace(-3, 3, 1001), 0.0, 1.0)
-        with pytest.raises(GridSupportError, match="boundary"):
-            posterior_update(prior, 50.0, 0.1)
+    def test_zero_weight_component_stays_zero(self):
+        prior = robustify(NormalMixture.normal(0.0, 0.5), 1.0, 2.0, 3.0)
+        post = posterior_update(prior, 0.4, 0.2)
+        assert post.weights[0] == 0.0
+        assert post.weights[1] == 1.0
 
     def test_bad_data_rejected(self):
-        prior = GridDensity.normal(wide_grid(), 0.0, 1.0)
+        prior = NormalMixture.normal(0.0, 1.0)
         with pytest.raises(ValueError):
             posterior_update(prior, 0.0, 0.0)
         with pytest.raises(ValueError):
             posterior_update(prior, math.nan, 1.0)
 
 
+def bimodal_control():
+    return mixture([0.7, 0.3], [0.0, 3.0], [0.2, 0.4])
+
+
 class TestEffectPosterior:
     def test_normal_control_gives_normal_difference(self):
-        control = GridDensity.normal(np.linspace(-3, 5, 4001), 1.0, 0.3)
-        got = effect_posterior(control, 2.0, 0.4, method_id="MAP")
-        assert got.estimate == pytest.approx(1.0, abs=1e-6)
-        assert got.se == pytest.approx(0.5, rel=1e-6)
+        got = effect_posterior(NormalMixture.normal(1.0, 0.3), 2.0, 0.4, method_id="MAP")
+        assert got.estimate == pytest.approx(1.0, abs=1e-12)
+        assert got.se == pytest.approx(0.5, rel=1e-12)
         half = float(ndtri(0.975)) * 0.5
-        assert got.interval[0] == pytest.approx(1.0 - half, abs=1e-5)
-        assert got.interval[1] == pytest.approx(1.0 + half, abs=1e-5)
+        assert got.interval[0] == pytest.approx(1.0 - half, abs=1e-11)
+        assert got.interval[1] == pytest.approx(1.0 + half, abs=1e-11)
         assert got.reject is True
         assert got.method_id == "MAP"
 
     def test_point_mass_control_shifts_treated_normal(self):
-        g = np.linspace(-1, 2, 4001)  # 0.5 is a grid point
-        control = GridDensity.normal(g, 0.5, 1e-9)
-        got = effect_posterior(control, 1.2, 0.3)
+        got = effect_posterior(NormalMixture.normal(0.5, 1e-9), 1.2, 0.3)
         assert got.estimate == pytest.approx(0.7, abs=1e-12)
         assert got.se == pytest.approx(0.3, rel=1e-12)
         half = float(ndtri(0.975)) * 0.3
-        assert got.interval[0] == pytest.approx(0.7 - half, abs=1e-8)
+        assert got.interval[0] == pytest.approx(0.7 - half, abs=1e-11)
 
     def test_bimodal_control_matches_analytic_mixture(self):
-        g = np.linspace(-2, 5, 8001)
-        dens = 0.7 * norm.pdf(g, 0.0, 0.2) + 0.3 * norm.pdf(g, 3.0, 0.4)
-        control = GridDensity.from_density(g, dens)
-        got = effect_posterior(control, 1.0, 0.5)
-
+        got = effect_posterior(bimodal_control(), 1.0, 0.5)
         s1, s2 = math.sqrt(0.25 + 0.04), math.sqrt(0.25 + 0.16)
 
         def cdf(d):
@@ -246,27 +260,47 @@ class TestEffectPosterior:
 
         want_mean = 0.7 * 1.0 + 0.3 * (-2.0)
         want_var = 0.7 * (s1**2 + 1.0) + 0.3 * (s2**2 + 4.0) - want_mean**2
-        assert got.estimate == pytest.approx(want_mean, abs=1e-4)
-        assert got.se == pytest.approx(math.sqrt(want_var), rel=1e-4)
-        lo = brentq(lambda d: cdf(d) - 0.025, -10, 10, xtol=1e-12)
-        hi = brentq(lambda d: cdf(d) - 0.975, -10, 10, xtol=1e-12)
-        assert got.interval[0] == pytest.approx(lo, abs=5e-4)
-        assert got.interval[1] == pytest.approx(hi, abs=5e-4)
+        assert got.estimate == pytest.approx(want_mean, abs=1e-12)
+        assert got.se == pytest.approx(math.sqrt(want_var), rel=1e-12)
+        lo = brentq(lambda d: cdf(d) - 0.025, -10, 10, xtol=1e-14)
+        hi = brentq(lambda d: cdf(d) - 0.975, -10, 10, xtol=1e-14)
+        assert got.interval[0] == pytest.approx(lo, abs=1e-10)
+        assert got.interval[1] == pytest.approx(hi, abs=1e-10)
 
     def test_monte_carlo_cross_check(self):
         # same bimodal setup, verified by simulation instead of algebra
-        g = np.linspace(-2, 5, 8001)
-        dens = 0.7 * norm.pdf(g, 0.0, 0.2) + 0.3 * norm.pdf(g, 3.0, 0.4)
-        control = GridDensity.from_density(g, dens)
+        control = bimodal_control()
         got = effect_posterior(control, 1.0, 0.5)
         rng = np.random.default_rng(99)
-        draws = rng.normal(1.0, 0.5, size=10**6) - rng.choice(g, size=10**6, p=control.mass)
+        comp = rng.choice(2, size=10**6, p=control.weights)
+        theta = rng.normal(control.means[comp], control.sds[comp])
+        draws = rng.normal(1.0, 0.5, size=10**6) - theta
         assert got.estimate == pytest.approx(float(draws.mean()), abs=0.01)
         assert got.interval[0] == pytest.approx(float(np.quantile(draws, 0.025)), abs=0.02)
         assert got.interval[1] == pytest.approx(float(np.quantile(draws, 0.975)), abs=0.02)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.001])
+    @pytest.mark.parametrize(
+        "control",
+        [
+            bimodal_control(),
+            # the 97.5 % point of the effect sits in the gap between modes
+            mixture([0.97, 0.03], [0.0, 10.0], [0.1, 0.1]),
+            mixture([0.02, 0.96, 0.02], [-30.0, 0.0, 30.0], [0.05, 1.0, 0.05]),
+            NormalMixture.normal(-2.0, 1e-6),
+        ],
+    )
+    def test_newton_ends_match_plain_bisection(self, control, alpha):
+        got = effect_posterior(control, 0.5, 0.3, alpha=alpha)
+        effect = mixture(control.weights, 0.5 - control.means,
+                         np.sqrt(control.sds**2 + 0.09))
+        assert got.interval[0] == pytest.approx(
+            bisect_quantile(effect, alpha / 2), abs=1e-10 * got.se)
+        assert got.interval[1] == pytest.approx(
+            bisect_quantile(effect, 1 - alpha / 2), abs=1e-10 * got.se)
+
     def test_bad_treated_se_rejected(self):
-        control = GridDensity.normal(wide_grid(), 0.0, 1.0)
+        control = NormalMixture.normal(0.0, 1.0)
         with pytest.raises(ValueError):
             effect_posterior(control, 1.0, 0.0)
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,26 @@ def small_scenario(methods, reps=4, n_total=400, seed=11, covsets=(1,), name="sm
         covsets=covsets,
         cells=expand_cells(methods, covsets),
     )
+
+
+def test_scipy_optimize_stays_unloaded():
+    # scipy.optimize adds about a quarter second to every start of the
+    # program; neither the import nor a MAP fit may reach for it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import sys, hybridctl.harness\n"
+        "before = 'scipy.optimize' in sys.modules\n"
+        "import numpy as np\n"
+        "from hybridctl.borrow import MapConfig, estimate_map\n"
+        "from hybridctl.trialdata import build_replicate, preset\n"
+        "ds = build_replicate(preset('single-moderate'), 400, np.random.default_rng(0))\n"
+        "estimate_map(ds, MapConfig(omega=0.5))\n"
+        "print(before, 'scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["False", "False"]
 
 
 class TestExpandCells:
