@@ -58,7 +58,6 @@ from .trialdata import (
     GenCoefficients,
     PRESETS,
     SubjectGroup,
-    SubjectRecord,
     TrialDataset,
     build_replicate,
     load_subjects_csv,
@@ -72,7 +71,6 @@ __all__ = [
     "GenCoefficients",
     "PRESETS",
     "SubjectGroup",
-    "SubjectRecord",
     "TrialDataset",
     "build_replicate",
     "load_subjects_csv",

@@ -27,18 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .metrics import EffectEstimate
-from .propensity import (
-    DEFAULT_CALIPER_MULT,
-    MatchSet,
-    PsFit,
-    WeightSet,
-    estimate_ps,
-    ipw_weights,
-    match_nearest,
-    stratify,
-)
-from .regress import wald_decision
+from .metrics import ALPHA, EffectEstimate, wald_estimate
+from .propensity import DEFAULT_N_STRATA, MatchSet, PsFit, WeightSet, stratify
 from .trialdata import TrialDataset
 
 __all__ = [
@@ -67,6 +57,9 @@ TAU_LADDER = {"L": 10.0, "M": 1.0, "S": 0.1, "XS": 0.01}
 # Label-less default for a single historical pool, as a fraction of that
 # pool's standard error (see _resolve_tau_scale).
 SINGLE_POOL_TAU_MULT = 0.25
+
+# Quadrature nodes over the between-study SD tau in map_prior.
+N_TAU = 201
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +124,14 @@ class MapConfig:
     ``omega`` is the vague-component weight (1 disables borrowing).
     ``tau_scale`` fixes the half-normal scale directly; when None it is
     the empirical scale times the ladder multiplier for
-    ``tau_ladder_label``. Vague-component location and SD default to the
-    precision-weighted pooled study mean and the unit-information SD
+    ``tau_ladder_label``. The vague component sits at the
+    precision-weighted pooled study mean with the unit-information SD
     (pooled historical outcome SD).
     """
 
     omega: float
     tau_scale: float | None = None
     tau_ladder_label: str | None = None
-    vague_mean: float | None = None
-    vague_sd: float | None = None
-    alpha: float = 0.05
-    n_tau: int = 201
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.omega <= 1.0:
@@ -175,16 +164,12 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def map_prior(
-    studies: list[StudySummary],
-    tau_scale: float,
-    n_tau: int = 201,
-) -> NormalMixture:
+def map_prior(studies: list[StudySummary], tau_scale: float) -> NormalMixture:
     """Meta-analytic predictive prior for a new study mean.
 
-    For each tau on a grid the location parameter integrates out under a
-    flat prior, giving a normal predictive with the profiled marginal
-    likelihood of tau; the half-normal(tau_scale) prior then weights the
+    For each tau on an ``N_TAU``-node grid the location parameter
+    integrates out under a flat prior, giving a normal predictive with
+    the profiled marginal likelihood of tau; the half-normal(tau_scale) prior then weights the
     tau grid, so the prior is a normal mixture with one component per
     tau node. ``tau_scale = 0`` collapses to fixed-effect pooling.
     """
@@ -200,12 +185,12 @@ def map_prior(
         log_w = np.zeros(1)
     else:
         taus = np.concatenate(
-            [[0.0], np.geomspace(tau_scale * 1e-3, tau_scale * 10.0, n_tau - 1)]
+            [[0.0], np.geomspace(tau_scale * 1e-3, tau_scale * 10.0, N_TAU - 1)]
         )
         # half-normal prior density and trapezoid quadrature in tau
         log_w = -0.5 * (taus / tau_scale) ** 2 + np.log(_trapezoid_weights(taus))
 
-    v = ses[None, :] ** 2 + taus[:, None] ** 2  # (n_tau, k)
+    v = ses[None, :] ** 2 + taus[:, None] ** 2  # (tau nodes, k)
     prec = 1.0 / v
     pressum = prec.sum(axis=1)
     mu_hat = (means[None, :] * prec).sum(axis=1) / pressum
@@ -217,16 +202,14 @@ def map_prior(
     return NormalMixture(w_tau / w_tau.sum(), mu_hat, np.sqrt(v_mu + taus**2))
 
 
-def robustify(
-    prior: NormalMixture, omega: float, vague_mean: float, vague_sd: float
-) -> NormalMixture:
-    """Append a vague normal component with weight ``omega``."""
+def robustify(prior: NormalMixture, omega: float, mean: float, sd: float) -> NormalMixture:
+    """Append a vague normal component N(``mean``, ``sd``) with weight ``omega``."""
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
     return NormalMixture(
         np.append((1.0 - omega) * prior.weights, omega),
-        np.append(prior.means, vague_mean),
-        np.append(prior.sds, vague_sd),
+        np.append(prior.means, mean),
+        np.append(prior.sds, sd),
     )
 
 
@@ -292,7 +275,7 @@ def effect_posterior(
     control_posterior: NormalMixture,
     treated_mean: float,
     treated_se: float,
-    alpha: float = 0.05,
+    alpha: float = ALPHA,
     method_id: str = "",
     covset: int | None = None,
 ) -> EffectEstimate:
@@ -412,23 +395,17 @@ def estimate_map(
     if not studies:
         omega = 1.0
         flags.append("map:no_studies_forced_omega1")
-        vague_mean = cfg.vague_mean if cfg.vague_mean is not None else c_mean
-        vague_sd = cfg.vague_sd if cfg.vague_sd is not None else unit_sd
-        prior = NormalMixture.normal(vague_mean, vague_sd)
+        prior = NormalMixture.normal(c_mean, unit_sd)
         tau_scale = 0.0
-        prior_raw_sd = vague_sd
+        prior_raw_sd = unit_sd
     else:
         tau_scale, _ = _resolve_tau_scale(cfg, studies)
-        vague_mean = cfg.vague_mean if cfg.vague_mean is not None else _pooled_mean(studies)
-        vague_sd = cfg.vague_sd if cfg.vague_sd is not None else unit_sd
-        raw_prior = map_prior(studies, tau_scale, n_tau=cfg.n_tau)
+        raw_prior = map_prior(studies, tau_scale)
         prior_raw_sd = raw_prior.sd()
-        prior = robustify(raw_prior, omega, vague_mean, vague_sd)
+        prior = robustify(raw_prior, omega, _pooled_mean(studies), unit_sd)
 
     posterior = posterior_update(prior, c_mean, c_se)
-    est = effect_posterior(
-        posterior, t_mean, t_se, alpha=cfg.alpha, method_id=method_id, covset=covset
-    )
+    est = effect_posterior(posterior, t_mean, t_se, method_id=method_id, covset=covset)
     prior_var = prior.var()
     est.flags = tuple(flags)
     est.diagnostics = {
@@ -496,32 +473,19 @@ def estimate_psm_map(
     dataset: TrialDataset,
     covset: int,
     cfg: MapConfig,
-    psfit: PsFit | None = None,
-    matchsets: list[MatchSet] | None = None,
-    caliper_mult: float = DEFAULT_CALIPER_MULT,
-    caliper_units: str = "sd",
-    rng: np.random.Generator | None = None,
+    psfit: PsFit,
+    matchsets: list[MatchSet],
 ) -> EffectEstimate:
     """MAP borrowing from per-trial matched historical summaries.
 
-    Each historical pool is matched separately against all reduced
-    concurrent subjects; pools with under two distinct matches are
-    dropped (flagged), and if every pool drops out omega is forced to 1.
+    ``matchsets[j - 1]`` matches historical pool j separately against all
+    reduced concurrent subjects; pools with under two distinct matches
+    are dropped (flagged), and if every pool drops out omega is forced
+    to 1.
     """
-    if psfit is None:
-        psfit = estimate_ps(dataset, covset)
-    conc_ids = dataset.reduced_concurrent.ids
     flags = []
     studies = []
-    for j, pool in enumerate(dataset.historical, start=1):
-        ms = (
-            matchsets[j - 1]
-            if matchsets is not None
-            else match_nearest(
-                psfit, conc_ids, pool.ids, caliper_mult=caliper_mult,
-                caliper_units=caliper_units, rng=rng,
-            )
-        )
+    for j, ms in enumerate(matchsets, start=1):
         summary = matched_study_summary(ms, psfit)
         if summary is None:
             flags.append(f"psm_map:pool{j}_unmatched_dropped")
@@ -537,14 +501,10 @@ def estimate_psw_map(
     dataset: TrialDataset,
     covset: int,
     cfg: MapConfig,
-    psfit: PsFit | None = None,
-    weightset: WeightSet | None = None,
+    psfit: PsFit,
+    weightset: WeightSet,
 ) -> EffectEstimate:
     """MAP borrowing from per-trial weighted historical summaries."""
-    if psfit is None:
-        psfit = estimate_ps(dataset, covset)
-    if weightset is None:
-        weightset = ipw_weights(psfit)
     sample = psfit.sample
     flags = []
     studies = []
@@ -622,10 +582,9 @@ def _default_total_borrow(dataset: TrialDataset) -> float:
 def estimate_pss_pp(
     dataset: TrialDataset,
     covset: int,
-    n_strata: int = 5,
+    psfit: PsFit,
+    n_strata: int = DEFAULT_N_STRATA,
     total_borrow: float | None = None,
-    psfit: PsFit | None = None,
-    alpha: float = 0.05,
 ) -> EffectEstimate:
     """Stratified power-prior borrowing.
 
@@ -637,8 +596,6 @@ def estimate_pss_pp(
     discounted historical likelihood; stratum effects are combined with
     concurrent-share weights and their variances with squared weights.
     """
-    if psfit is None:
-        psfit = estimate_ps(dataset, covset)
     if total_borrow is None:
         total_borrow = _default_total_borrow(dataset)
     if total_borrow < 0:
@@ -668,19 +625,9 @@ def estimate_pss_pp(
 
     w = np.asarray(weights)
     est = float(w @ np.asarray(effects))
-    var = float((w * w) @ np.asarray(variances))
-    se = math.sqrt(var)
-    dec = wald_decision(est, se, alpha)
-    half = float(ndtri(1.0 - alpha / 2.0)) * se
-    return EffectEstimate(
-        method_id="PSS+PP",
-        covset_id=covset,
-        estimate=est,
-        se=se,
-        reject=dec.reject,
-        interval=(est - half, est + half),
-        var_for_essr=var,
-        flags=tuple(flags),
+    se = math.sqrt(float((w * w) @ np.asarray(variances)))
+    return wald_estimate(
+        "PSS+PP", covset, est, se, flags=tuple(flags),
         diagnostics={
             "total_borrow": float(total_borrow),
             "n_strata_effective": float(len(strata)),
@@ -692,10 +639,9 @@ def estimate_pss_pp(
 def estimate_pss_cl(
     dataset: TrialDataset,
     covset: int,
-    n_strata: int = 5,
+    psfit: PsFit,
+    n_strata: int = DEFAULT_N_STRATA,
     total_borrow: float | None = None,
-    psfit: PsFit | None = None,
-    alpha: float = 0.05,
 ) -> EffectEstimate:
     """Stratified composite-likelihood borrowing.
 
@@ -706,8 +652,6 @@ def estimate_pss_cl(
     with linear (not squared) concurrent-share weights, which is what
     makes the method markedly conservative.
     """
-    if psfit is None:
-        psfit = estimate_ps(dataset, covset)
     if total_borrow is None:
         total_borrow = _default_total_borrow(dataset)
     if total_borrow < 0:
@@ -742,19 +686,9 @@ def estimate_pss_cl(
 
     w = np.asarray(weights)
     est = float(w @ np.asarray(effects))
-    var = float(w @ np.asarray(variances))
-    se = math.sqrt(var)
-    dec = wald_decision(est, se, alpha)
-    half = float(ndtri(1.0 - alpha / 2.0)) * se
-    return EffectEstimate(
-        method_id="PSS+CL",
-        covset_id=covset,
-        estimate=est,
-        se=se,
-        reject=dec.reject,
-        interval=(est - half, est + half),
-        var_for_essr=var,
-        flags=tuple(flags),
+    se = math.sqrt(float(w @ np.asarray(variances)))
+    return wald_estimate(
+        "PSS+CL", covset, est, se, flags=tuple(flags),
         diagnostics={
             "total_borrow": float(total_borrow),
             "n_strata_effective": float(len(strata)),

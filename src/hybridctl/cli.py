@@ -86,19 +86,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(harness.render_summary_table(rows, style="plain"))
     print(f"\nwrote raw.csv, summary.csv, diagnostics.json to {args.out}")
 
-    n_rows = sum(len(r.replicate_rows) * len(r.scenario.cells) for r in results)
-    n_failed = sum(
-        sum(e.failed for rows_ in r.replicate_rows for e in rows_) for r in results
-    )
-    fraction = n_failed / n_rows if n_rows else 0.0
-    if fraction > cfg.failure_threshold:
+    failing = [r for r in results if r.failure_fraction > cfg.failure_threshold]
+    for r in failing:
         print(
-            f"method failure fraction {fraction:.4f} exceeds threshold "
-            f"{cfg.failure_threshold:.4f}",
+            f"scenario {r.scenario.scenario_id}: method failure fraction "
+            f"{r.failure_fraction:.4f} exceeds threshold {cfg.failure_threshold:.4f}",
             file=sys.stderr,
         )
-        return EXIT_FAILURES
-    return EXIT_OK
+    return EXIT_FAILURES if failing else EXIT_OK
 
 
 def _cmd_presets(_: argparse.Namespace) -> int:
@@ -129,10 +124,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ConfigError("--methods is empty")
-    try:
-        cells = harness.expand_cells(methods, (args.covset,), where="--methods")
-    except ConfigError:
-        raise
+    cells = harness.expand_cells(methods, (args.covset,), where="--methods")
     name = os.path.basename(args.data)
     rows = harness.evaluate_cells(dataset, cells, name, args.seed, 0)
     width = max(len(harness.cell_label(e)) for e in rows)

@@ -17,6 +17,7 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -35,6 +36,7 @@ from .mixed import estimate_mm
 from .propensity import (
     COVSETS,
     DEFAULT_CALIPER_MULT,
+    DEFAULT_N_STRATA,
     DEFAULT_WEIGHT_BOUNDS,
     estimate_ps,
     estimate_psm,
@@ -48,6 +50,8 @@ from .trialdata import GenCoefficients, PRESETS, TrialDataset, build_replicate, 
 __all__ = [
     "ConfigError",
     "Cell",
+    "MethodSpec",
+    "METHODS",
     "ScenarioConfig",
     "RunConfig",
     "ScenarioResult",
@@ -92,18 +96,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Cell:
-    """One result column: a method with a covariate set and hyper label."""
+    """One result column: a method with a covariate set and hyper label.
+
+    ``opts`` holds the method's options fully resolved by its ``METHODS``
+    entry, so evaluation applies no defaults of its own.
+    """
 
     method_id: str
     covset: int | None
     hyperparam: str
     opts: tuple[tuple[str, object], ...] = ()
 
-    def opt(self, key: str, default=None):
-        for k, v in self.opts:
-            if k == key:
-                return v
-        return default
+    @property
+    def key(self) -> tuple[str, int | None, str]:
+        return (self.method_id, self.covset, self.hyperparam)
+
+    def opt(self, key: str):
+        return dict(self.opts)[key]
 
 
 @dataclass(frozen=True)
@@ -133,32 +142,51 @@ class ScenarioResult:
     failure_fraction: float
 
 
-# Option keys each method accepts in a config entry.
-_METHOD_KEYS: dict[str, set[str]] = {
-    "unadj.rc": set(),
-    "unadj.fc": set(),
-    "PSM": {"covsets", "caliper_mult", "caliper_units"},
-    "PSW": {"covsets", "weight_bounds"},
-    "MAP": {"omega", "omegas", "tau_ladder", "tau_scale"},
-    "PSM+MAP": {"covsets", "omega", "omegas", "tau_ladder", "tau_scale",
-                "caliper_mult", "caliper_units"},
-    "PSW+MAP": {"covsets", "omega", "omegas", "tau_ladder", "tau_scale", "weight_bounds"},
-    "PSS+PP": {"covsets", "n_strata", "total_borrow"},
-    "PSS+CL": {"covsets", "n_strata", "total_borrow"},
-    "MM": {"covsets", "reml"},
-    "MM.nc": {"reml"},
-}
+# ---------------------------------------------------------------------------
+# Methods
+# ---------------------------------------------------------------------------
 
-_NO_COVSET = {"unadj.rc", "unadj.fc", "MAP", "MM.nc"}
+# One option variant of a config entry: hyperparameter label parts and
+# resolved (key, value) options.
+Variant = tuple[list[str], list[tuple[str, object]]]
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):g}"
 
 
-def _map_family_cells(
-    method_id: str, entry: dict, covsets: tuple[int, ...], where: str
-) -> list[Cell]:
+def _is_number(x: object) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _caliper(entry: dict, where: str) -> list[Variant]:
+    mult = entry.get("caliper_mult", DEFAULT_CALIPER_MULT)
+    units = entry.get("caliper_units", "sd")
+    if not _is_number(mult) or mult < 0:
+        raise ConfigError(f"{where}.caliper_mult: expected a non-negative number")
+    if units not in ("sd", "raw"):
+        raise ConfigError(f"{where}.caliper_units: expected 'sd' or 'raw'")
+    parts = []
+    if mult != DEFAULT_CALIPER_MULT or units != "sd":
+        parts.append(f"caliper={_fmt(mult)}:{units}")
+    return [(parts, [("caliper", (float(mult), units))])]
+
+
+def _weight_bounds(entry: dict, where: str) -> list[Variant]:
+    bounds = entry.get("weight_bounds", list(DEFAULT_WEIGHT_BOUNDS))
+    if not (
+        isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_number, bounds))
+        and 0 < bounds[0] < bounds[1]
+    ):
+        raise ConfigError(f"{where}.weight_bounds: expected [lower, upper] with 0 < lower < upper")
+    parts = []
+    if tuple(bounds) != DEFAULT_WEIGHT_BOUNDS:
+        parts.append(f"bounds={_fmt(bounds[0])}:{_fmt(bounds[1])}")
+    return [(parts, [("weight_bounds", (float(bounds[0]), float(bounds[1])))])]
+
+
+def _map(entry: dict, where: str) -> list[Variant]:
+    """One variant per omega and tau-ladder label, each with its MapConfig."""
     if "omega" in entry and "omegas" in entry:
         raise ConfigError(f"{where}: give either omega or omegas, not both")
     if "tau_ladder" in entry and "tau_scale" in entry:
@@ -177,126 +205,158 @@ def _map_family_cells(
                     f"(expected one of {sorted(TAU_LADDER)})"
                 )
     tau_scale = entry.get("tau_scale")
-    if tau_scale is not None and (not isinstance(tau_scale, (int, float)) or tau_scale < 0):
+    if tau_scale is not None and (not _is_number(tau_scale) or tau_scale < 0):
         raise ConfigError(f"{where}.tau_scale: expected a non-negative number")
 
-    cells = []
+    variants = []
     for omega in omegas:
-        if not isinstance(omega, (int, float)) or not 0 <= omega <= 1:
+        if not _is_number(omega) or not 0 <= omega <= 1:
             raise ConfigError(f"{where}: omega {omega!r} outside [0, 1]")
         for tau_label in tau_labels or [None]:
             parts = [f"omega={_fmt(omega)}"]
-            opts: list[tuple[str, object]] = [("omega", float(omega))]
             if tau_label is not None:
                 parts.append(f"tau={tau_label}")
-                opts.append(("tau_label", tau_label))
             if tau_scale is not None:
                 parts.append(f"tau={_fmt(tau_scale)}")
-                opts.append(("tau_scale", float(tau_scale)))
-            for key in ("caliper_mult", "caliper_units", "weight_bounds"):
-                if key in entry:
-                    opts.append((key, entry[key]))
-            hyper = ",".join(parts)
-            if method_id == "MAP":
-                cells.append(Cell(method_id, None, hyper, tuple(opts)))
-            else:
-                cells.extend(Cell(method_id, cs, hyper, tuple(opts)) for cs in covsets)
-    return cells
+            cfg = MapConfig(
+                omega=float(omega),
+                tau_scale=None if tau_scale is None else float(tau_scale),
+                tau_ladder_label=tau_label,
+            )
+            variants.append((parts, [("map", cfg)]))
+    return variants
+
+
+def _strata(entry: dict, where: str) -> list[Variant]:
+    n_strata = entry.get("n_strata", DEFAULT_N_STRATA)
+    if not isinstance(n_strata, int) or n_strata < 2:
+        raise ConfigError(f"{where}.n_strata: expected an integer >= 2")
+    total_borrow = entry.get("total_borrow")
+    if total_borrow is not None and (not _is_number(total_borrow) or total_borrow < 0):
+        raise ConfigError(f"{where}.total_borrow: expected a non-negative number")
+    parts = []
+    if n_strata != DEFAULT_N_STRATA:
+        parts.append(f"strata={n_strata}")
+    if total_borrow is not None:
+        parts.append(f"borrow={_fmt(total_borrow)}")
+        total_borrow = float(total_borrow)
+    return [(parts, [("n_strata", n_strata), ("total_borrow", total_borrow)])]
+
+
+def _reml(entry: dict, where: str) -> list[Variant]:
+    reml = entry.get("reml", True)
+    if not isinstance(reml, bool):
+        raise ConfigError(f"{where}.reml: expected true or false")
+    return [([] if reml else ["ml"], [("reml", reml)])]
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """Everything a method id means to the harness.
+
+    ``keys`` are the config keys an entry may set besides ``method_id``
+    (and ``covsets`` when ``covset`` is true, i.e. the method runs once
+    per covariate set). Each of ``parsers`` validates its options of an
+    entry and returns their variants; an entry expands to every
+    combination of them. ``evaluate`` runs one cell on a replicate.
+    """
+
+    keys: frozenset[str]
+    covset: bool
+    parsers: tuple[Callable[[dict, str], list[Variant]], ...]
+    evaluate: Callable[[Cell, _ReplicateCaches], EffectEstimate]
+
+
+_CALIPER_KEYS = frozenset({"caliper_mult", "caliper_units"})
+_BOUNDS_KEYS = frozenset({"weight_bounds"})
+_MAP_KEYS = frozenset({"omega", "omegas", "tau_ladder", "tau_scale"})
+_STRATA_KEYS = frozenset({"n_strata", "total_borrow"})
+_REML_KEYS = frozenset({"reml"})
+
+# The evaluators look each estimator up as a module global when they
+# run, so a wrapper installed on this module's names sees every call.
+METHODS: dict[str, MethodSpec] = {
+    "unadj.rc": MethodSpec(frozenset(), False, (), lambda cell, c:
+        unadjusted_effect(c.dataset.reduced_concurrent, "unadj.rc")),
+    "unadj.fc": MethodSpec(frozenset(), False, (), lambda cell, c:
+        unadjusted_effect(c.dataset.full_concurrent, "unadj.fc")),
+    "PSM": MethodSpec(_CALIPER_KEYS, True, (_caliper,), lambda cell, c:
+        estimate_psm(c.dataset, cell.covset, c.psfit(cell.covset),
+                     c.matchset(cell.covset, cell.opt("caliper")))),
+    "PSW": MethodSpec(_BOUNDS_KEYS, True, (_weight_bounds,), lambda cell, c:
+        estimate_psw(c.dataset, cell.covset, c.psfit(cell.covset),
+                     c.weightset(cell.covset, cell.opt("weight_bounds")))),
+    "MAP": MethodSpec(_MAP_KEYS, False, (_map,), lambda cell, c:
+        estimate_map(c.dataset, cell.opt("map"))),
+    "PSM+MAP": MethodSpec(_MAP_KEYS | _CALIPER_KEYS, True, (_map, _caliper), lambda cell, c:
+        estimate_psm_map(c.dataset, cell.covset, cell.opt("map"), c.psfit(cell.covset),
+                         c.trial_matchsets(cell.covset, cell.opt("caliper")))),
+    "PSW+MAP": MethodSpec(_MAP_KEYS | _BOUNDS_KEYS, True, (_map, _weight_bounds), lambda cell, c:
+        estimate_psw_map(c.dataset, cell.covset, cell.opt("map"), c.psfit(cell.covset),
+                         c.weightset(cell.covset, cell.opt("weight_bounds")))),
+    "PSS+PP": MethodSpec(_STRATA_KEYS, True, (_strata,), lambda cell, c:
+        estimate_pss_pp(c.dataset, cell.covset, c.psfit(cell.covset),
+                        cell.opt("n_strata"), cell.opt("total_borrow"))),
+    "PSS+CL": MethodSpec(_STRATA_KEYS, True, (_strata,), lambda cell, c:
+        estimate_pss_cl(c.dataset, cell.covset, c.psfit(cell.covset),
+                        cell.opt("n_strata"), cell.opt("total_borrow"))),
+    "MM": MethodSpec(_REML_KEYS, True, (_reml,), lambda cell, c:
+        estimate_mm(c.dataset, cell.covset, cell.opt("reml"))),
+    "MM.nc": MethodSpec(_REML_KEYS, False, (_reml,), lambda cell, c:
+        estimate_mm(c.dataset, None, cell.opt("reml"))),
+}
+
+# The two unadjusted benchmarks lead every cell list: every other
+# method's effective sample size is reported relative to unadj.rc.
+_BENCHMARK_CELLS = (Cell("unadj.rc", None, ""), Cell("unadj.fc", None, ""))
+
+
+def _parse_covsets(covsets: object, where: str) -> tuple[int, ...]:
+    if not isinstance(covsets, list) or not covsets or any(c not in COVSETS for c in covsets):
+        raise ConfigError(f"{where}: expected a non-empty subset of {list(COVSETS)}")
+    return tuple(int(c) for c in covsets)
 
 
 def expand_cells(
-    methods: list[dict], covsets: tuple[int, ...], where: str = "methods"
+    methods: list, covsets: tuple[int, ...], where: str = "methods"
 ) -> tuple[Cell, ...]:
     """Turn config method entries into concrete cells.
 
     The two unadjusted benchmarks are always present (injected up front
-    when the config omits them) because every other method's effective
-    sample size is reported relative to the reduced-concurrent fit.
+    when the config omits them). Two entries that expand to the same
+    (method, covset, hyperparam) cell are a config error.
     """
-    cells: list[Cell] = [
-        Cell("unadj.rc", None, ""),
-        Cell("unadj.fc", None, ""),
-    ]
+    cells: list[Cell] = list(_BENCHMARK_CELLS)
+    seen = {c.key for c in cells}
     for i, raw in enumerate(methods):
         here = f"{where}[{i}]"
         entry = {"method_id": raw} if isinstance(raw, str) else dict(raw or {})
         if "method_id" not in entry:
             raise ConfigError(f"{here}: missing method_id")
         method_id = entry.pop("method_id")
-        if method_id not in _METHOD_KEYS:
+        spec = METHODS.get(method_id)
+        if spec is None:
             raise ConfigError(
-                f"{here}: unknown method {method_id!r} "
-                f"(expected one of {sorted(_METHOD_KEYS)})"
+                f"{here}: unknown method {method_id!r} (expected one of {sorted(METHODS)})"
             )
-        unknown = set(entry) - _METHOD_KEYS[method_id]
+        unknown = set(entry) - spec.keys - ({"covsets"} if spec.covset else set())
         if unknown:
-            raise ConfigError(
-                f"{here}: unknown key(s) {sorted(unknown)} for method {method_id}"
-            )
-        own_covsets = entry.get("covsets", list(covsets))
-        if (
-            not isinstance(own_covsets, list)
-            or not own_covsets
-            or any(c not in COVSETS for c in own_covsets)
-        ):
-            raise ConfigError(f"{here}.covsets: expected a non-empty subset of {list(COVSETS)}")
-        own_covsets = tuple(int(c) for c in own_covsets)
-
-        if method_id in ("unadj.rc", "unadj.fc"):
-            continue  # injected above
-        if method_id in ("MAP", "PSM+MAP", "PSW+MAP"):
-            cells.extend(_map_family_cells(method_id, entry, own_covsets, here))
-            continue
-        if method_id in ("PSS+PP", "PSS+CL"):
-            n_strata = entry.get("n_strata", 5)
-            if not isinstance(n_strata, int) or n_strata < 2:
-                raise ConfigError(f"{here}.n_strata: expected an integer >= 2")
-            total_borrow = entry.get("total_borrow")
-            if total_borrow is not None and (
-                not isinstance(total_borrow, (int, float)) or total_borrow < 0
-            ):
-                raise ConfigError(f"{here}.total_borrow: expected a non-negative number")
-            parts = []
-            opts: list[tuple[str, object]] = [("n_strata", n_strata)]
-            if n_strata != 5:
-                parts.append(f"strata={n_strata}")
-            if total_borrow is not None:
-                parts.append(f"borrow={_fmt(total_borrow)}")
-                opts.append(("total_borrow", float(total_borrow)))
-            hyper = ",".join(parts)
-            cells.extend(Cell(method_id, cs, hyper, tuple(opts)) for cs in own_covsets)
-            continue
-        if method_id == "PSM":
-            mult = entry.get("caliper_mult", DEFAULT_CALIPER_MULT)
-            units = entry.get("caliper_units", "sd")
-            if units not in ("sd", "raw"):
-                raise ConfigError(f"{here}.caliper_units: expected 'sd' or 'raw'")
-            opts = [("caliper_mult", float(mult)), ("caliper_units", units)]
-            hyper = ""
-            if mult != DEFAULT_CALIPER_MULT or units != "sd":
-                hyper = f"caliper={_fmt(mult)}:{units}"
-            cells.extend(Cell("PSM", cs, hyper, tuple(opts)) for cs in own_covsets)
-            continue
-        if method_id == "PSW":
-            bounds = entry.get("weight_bounds", list(DEFAULT_WEIGHT_BOUNDS))
-            if not (isinstance(bounds, list) and len(bounds) == 2 and 0 < bounds[0] < bounds[1]):
-                raise ConfigError(f"{here}.weight_bounds: expected [lower, upper] with 0 < lower < upper")
-            opts = [("weight_bounds", (float(bounds[0]), float(bounds[1])))]
-            hyper = ""
-            if tuple(bounds) != DEFAULT_WEIGHT_BOUNDS:
-                hyper = f"bounds={_fmt(bounds[0])}:{_fmt(bounds[1])}"
-            cells.extend(Cell("PSW", cs, hyper, tuple(opts)) for cs in own_covsets)
-            continue
-        # MM / MM.nc
-        reml = entry.get("reml", True)
-        if not isinstance(reml, bool):
-            raise ConfigError(f"{here}.reml: expected true or false")
-        opts = [("reml", reml)]
-        hyper = "" if reml else "ml"
-        if method_id == "MM":
-            cells.extend(Cell("MM", cs, hyper, tuple(opts)) for cs in own_covsets)
-        else:
-            cells.append(Cell("MM.nc", None, hyper, tuple(opts)))
+            raise ConfigError(f"{here}: unknown key(s) {sorted(unknown)} for method {method_id}")
+        own_covsets: tuple[int | None, ...] = (None,)
+        if spec.covset:
+            own_covsets = _parse_covsets(entry.get("covsets", list(covsets)), f"{here}.covsets")
+        variants: list[Variant] = [([], [])]
+        for parse in spec.parsers:
+            variants = [(p + q, o + r) for p, o in variants for q, r in parse(entry, here)]
+        for parts, opts in variants:
+            for cs in own_covsets:
+                cell = Cell(method_id, cs, ",".join(parts), tuple(opts))
+                if cell.key in seen:
+                    if cell in _BENCHMARK_CELLS:
+                        continue
+                    raise ConfigError(f"{here}: duplicate cell {cell.key}")
+                seen.add(cell.key)
+                cells.append(cell)
     return tuple(cells)
 
 
@@ -368,18 +428,12 @@ def _parse_scenario(raw: dict, defaults: dict, where: str) -> ScenarioConfig:
     if not isinstance(master_seed, int):
         raise ConfigError(f"{where}.master_seed: expected an integer")
 
-    covsets = raw.get("covsets", [1, 2, 3])
-    if (
-        not isinstance(covsets, list)
-        or not covsets
-        or any(c not in COVSETS for c in covsets)
-    ):
-        raise ConfigError(f"{where}.covsets: expected a non-empty subset of {list(COVSETS)}")
+    covsets = _parse_covsets(raw.get("covsets", list(COVSETS)), f"{where}.covsets")
 
     methods = raw.get("methods")
     if not isinstance(methods, list) or not methods:
         raise ConfigError(f"{where}.methods: required non-empty list")
-    cells = expand_cells(methods, tuple(int(c) for c in covsets), f"{where}.methods")
+    cells = expand_cells(methods, covsets, f"{where}.methods")
 
     return ScenarioConfig(
         scenario_id=sid,
@@ -388,7 +442,7 @@ def _parse_scenario(raw: dict, defaults: dict, where: str) -> ScenarioConfig:
         theta_true=float(theta),
         replicates=int(replicates),
         master_seed=int(master_seed),
-        covsets=tuple(int(c) for c in covsets),
+        covsets=covsets,
         cells=cells,
     )
 
@@ -485,7 +539,6 @@ class _ReplicateCaches:
         self.replicate = replicate
         self.psfits: dict = {}
         self.matches: dict = {}
-        self.trial_matches: dict = {}
         self.weights: dict = {}
 
     def psfit(self, covset: int):
@@ -493,97 +546,34 @@ class _ReplicateCaches:
             self.psfits[covset] = estimate_ps(self.dataset, covset)
         return self.psfits[covset]
 
-    def matchset(self, covset: int, mult: float, units: str):
-        key = (covset, mult, units)
+    def _match(self, covset: int, caliper: tuple[float, str], label: str, pools):
+        """Match the reduced concurrent trial to ``pools``, with its own seeded stream."""
+        key = (label, caliper)
         if key not in self.matches:
-            rng = replicate_rng(self.seed, self.sid, self.replicate, f"match:c{covset}")
-            hist = self.dataset.historical_all()
+            rng = replicate_rng(self.seed, self.sid, self.replicate, label)
             self.matches[key] = match_nearest(
-                self.psfit(covset), self.dataset.reduced_concurrent.ids, hist.ids,
-                caliper_mult=mult, caliper_units=units, rng=rng,
+                self.psfit(covset), self.dataset.reduced_concurrent.ids,
+                np.concatenate([pool.ids for pool in pools]),
+                caliper_mult=caliper[0], caliper_units=caliper[1], rng=rng,
             )
         return self.matches[key]
 
-    def trial_matchsets(self, covset: int, mult: float, units: str):
-        key = (covset, mult, units)
-        if key not in self.trial_matches:
-            sets = []
-            for j, pool in enumerate(self.dataset.historical, start=1):
-                rng = replicate_rng(
-                    self.seed, self.sid, self.replicate, f"match:c{covset}:trial{j}"
-                )
-                sets.append(
-                    match_nearest(
-                        self.psfit(covset), self.dataset.reduced_concurrent.ids, pool.ids,
-                        caliper_mult=mult, caliper_units=units, rng=rng,
-                    )
-                )
-            self.trial_matches[key] = sets
-        return self.trial_matches[key]
+    def matchset(self, covset: int, caliper: tuple[float, str]):
+        """Matches against all historical pools together."""
+        return self._match(covset, caliper, f"match:c{covset}", self.dataset.historical)
+
+    def trial_matchsets(self, covset: int, caliper: tuple[float, str]):
+        """Matches against each historical pool separately."""
+        return [
+            self._match(covset, caliper, f"match:c{covset}:trial{j}", [pool])
+            for j, pool in enumerate(self.dataset.historical, start=1)
+        ]
 
     def weightset(self, covset: int, bounds: tuple[float, float]):
         key = (covset, bounds)
         if key not in self.weights:
             self.weights[key] = ipw_weights(self.psfit(covset), bounds=bounds)
         return self.weights[key]
-
-
-def _map_config(cell: Cell) -> MapConfig:
-    return MapConfig(
-        omega=float(cell.opt("omega", 0.5)),
-        tau_scale=cell.opt("tau_scale"),
-        tau_ladder_label=cell.opt("tau_label"),
-    )
-
-
-def _evaluate_cell(cell: Cell, caches: _ReplicateCaches) -> EffectEstimate:
-    ds = caches.dataset
-    mid = cell.method_id
-    if mid == "unadj.rc":
-        return unadjusted_effect(ds.reduced_concurrent, "unadj.rc")
-    if mid == "unadj.fc":
-        return unadjusted_effect(ds.full_concurrent, "unadj.fc")
-    if mid == "PSM":
-        mult = float(cell.opt("caliper_mult", DEFAULT_CALIPER_MULT))
-        units = str(cell.opt("caliper_units", "sd"))
-        return estimate_psm(
-            ds, cell.covset, psfit=caches.psfit(cell.covset),
-            matchset=caches.matchset(cell.covset, mult, units),
-        )
-    if mid == "PSW":
-        bounds = tuple(cell.opt("weight_bounds", DEFAULT_WEIGHT_BOUNDS))
-        return estimate_psw(
-            ds, cell.covset, psfit=caches.psfit(cell.covset),
-            weightset=caches.weightset(cell.covset, bounds),
-        )
-    if mid == "MAP":
-        return estimate_map(ds, _map_config(cell))
-    if mid == "PSM+MAP":
-        mult = float(cell.opt("caliper_mult", DEFAULT_CALIPER_MULT))
-        units = str(cell.opt("caliper_units", "sd"))
-        return estimate_psm_map(
-            ds, cell.covset, _map_config(cell), psfit=caches.psfit(cell.covset),
-            matchsets=caches.trial_matchsets(cell.covset, mult, units),
-        )
-    if mid == "PSW+MAP":
-        bounds = tuple(cell.opt("weight_bounds", DEFAULT_WEIGHT_BOUNDS))
-        return estimate_psw_map(
-            ds, cell.covset, _map_config(cell), psfit=caches.psfit(cell.covset),
-            weightset=caches.weightset(cell.covset, bounds),
-        )
-    if mid == "PSS+PP":
-        return estimate_pss_pp(
-            ds, cell.covset, n_strata=int(cell.opt("n_strata", 5)),
-            total_borrow=cell.opt("total_borrow"), psfit=caches.psfit(cell.covset),
-        )
-    if mid == "PSS+CL":
-        return estimate_pss_cl(
-            ds, cell.covset, n_strata=int(cell.opt("n_strata", 5)),
-            total_borrow=cell.opt("total_borrow"), psfit=caches.psfit(cell.covset),
-        )
-    if mid in ("MM", "MM.nc"):
-        return estimate_mm(ds, cell.covset, reml=bool(cell.opt("reml", True)))
-    raise ValueError(f"unknown method {mid!r}")
 
 
 def _failed_estimate(cell: Cell, exc: Exception) -> EffectEstimate:
@@ -614,9 +604,11 @@ def evaluate_cells(
     rows: list[EffectEstimate] = []
     for cell in cells:
         try:
-            est = _evaluate_cell(cell, caches)
+            est = METHODS[cell.method_id].evaluate(cell, caches)
             est.hyperparam = cell.hyperparam
-        except Exception as exc:  # failures must not abort the replicate
+        except ValueError as exc:
+            # the expected numerical failures (separation, singular designs,
+            # degenerate data) all raise ValueError; anything else is a bug
             est = _failed_estimate(cell, exc)
         rows.append(est)
 

@@ -10,24 +10,30 @@ variant is reported alongside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.special import ndtri
+
+from .regress import wald_decision
 
 __all__ = [
+    "ALPHA",
     "EffectEstimate",
     "SummaryRow",
-    "SummaryAccumulator",
+    "wald_estimate",
     "bias",
     "rel_bias_pct",
     "reject_rate",
     "essr",
     "summarize",
-    "merge_accumulators",
 ]
 
 UNADJ_RC_KEY = ("unadj.rc", None, "")
+
+# Two-sided level of every test and credible interval the estimators report.
+ALPHA = 0.05
 
 
 @dataclass
@@ -57,15 +63,29 @@ class EffectEstimate:
     def key(self) -> tuple[str, int | None, str]:
         return (self.method_id, self.covset_id, self.hyperparam)
 
-    def with_labels(
-        self, method_id: str | None = None, hyperparam: str | None = None
-    ) -> "EffectEstimate":
-        out = self
-        if method_id is not None:
-            out = replace(out, method_id=method_id)
-        if hyperparam is not None:
-            out = replace(out, hyperparam=hyperparam)
-        return out
+
+def wald_estimate(
+    method_id: str,
+    covset: int | None,
+    est: float,
+    se: float,
+    flags: tuple[str, ...] = (),
+    diagnostics: dict | None = None,
+) -> EffectEstimate:
+    """Normal-reference result: Wald test and central interval at level ``ALPHA``."""
+    dec = wald_decision(est, se, ALPHA)
+    half = float(ndtri(1.0 - ALPHA / 2.0)) * se
+    return EffectEstimate(
+        method_id=method_id,
+        covset_id=covset,
+        estimate=est,
+        se=se,
+        reject=dec.reject,
+        interval=(est - half, est + half),
+        var_for_essr=se * se,
+        flags=flags,
+        diagnostics=diagnostics or {},
+    )
 
 
 @dataclass(frozen=True)
@@ -197,103 +217,3 @@ def summarize(
             )
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# Mergeable partial summaries (for splitting work across workers)
-# ---------------------------------------------------------------------------
-
-
-class SummaryAccumulator:
-    """Mergeable running sums equivalent to :func:`summarize`.
-
-    Partial accumulators built on disjoint replicate subsets can be
-    merged; finalizing then reproduces the one-shot summary up to float
-    round-off in the sums.
-    """
-
-    _FIELDS = ("n_used", "n_failed", "s_est", "s_est2", "s_se", "n_reject", "s_essr", "n_essr")
-
-    def __init__(self) -> None:
-        self.order: list[tuple] = []
-        self.cells: dict[tuple, dict] = {}
-
-    def _cell(self, key: tuple) -> dict:
-        if key not in self.cells:
-            self.order.append(key)
-            self.cells[key] = {f: 0 for f in self._FIELDS}
-        return self.cells[key]
-
-    def add_replicate(self, rows: Sequence[EffectEstimate]) -> None:
-        for est in rows:
-            cell = self._cell(est.key)
-            if est.failed or not np.isfinite(est.estimate):
-                cell["n_failed"] += 1
-                continue
-            cell["n_used"] += 1
-            cell["s_est"] += est.estimate
-            cell["s_est2"] += est.estimate * est.estimate
-            cell["s_se"] += est.se
-            cell["n_reject"] += bool(est.reject)
-            if est.essr_pct is not None:
-                cell["s_essr"] += est.essr_pct
-                cell["n_essr"] += 1
-
-    def merge(self, other: "SummaryAccumulator") -> "SummaryAccumulator":
-        out = SummaryAccumulator()
-        for acc in (self, other):
-            for key in acc.order:
-                cell = out._cell(key)
-                for f in self._FIELDS:
-                    cell[f] += acc.cells[key][f]
-        return out
-
-    @staticmethod
-    def _var(n: int, s: float, s2: float) -> float | None:
-        if n < 2:
-            return None
-        return max(s2 - s * s / n, 0.0) / (n - 1)
-
-    def finalize(self, theta_true: float, scenario_id: str) -> list[SummaryRow]:
-        rc_var = None
-        if UNADJ_RC_KEY in self.cells:
-            c = self.cells[UNADJ_RC_KEY]
-            rc_var = self._var(c["n_used"], c["s_est"], c["s_est2"])
-        out = []
-        for key in self.order:
-            c = self.cells[key]
-            n = c["n_used"]
-            if n == 0:
-                out.append(
-                    SummaryRow(scenario_id, key[0], key[1], key[2], float("nan"), None,
-                               float("nan"), float("nan"), None, None, 0, c["n_failed"]))
-                continue
-            b = c["s_est"] / n - theta_true
-            own_var = self._var(n, c["s_est"], c["s_est2"])
-            emp = None
-            if rc_var is not None and own_var is not None and own_var > 0:
-                emp = (rc_var / own_var - 1.0) * 100.0
-            out.append(
-                SummaryRow(
-                    scenario_id=scenario_id,
-                    method_id=key[0],
-                    covset_id=key[1],
-                    hyperparam=key[2],
-                    bias=b,
-                    rel_bias_pct=rel_bias_pct(b, theta_true),
-                    reject_rate=c["n_reject"] / n,
-                    mean_se=c["s_se"] / n,
-                    essr_pct=(c["s_essr"] / c["n_essr"]) if c["n_essr"] else None,
-                    essr_empirical_pct=emp,
-                    n_used=n,
-                    n_failed=c["n_failed"],
-                )
-            )
-        return out
-
-
-def merge_accumulators(parts: Iterable[SummaryAccumulator]) -> SummaryAccumulator:
-    merged = SummaryAccumulator()
-    for part in parts:
-        merged = merged.merge(part)
-    return merged

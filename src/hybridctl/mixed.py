@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import ndtri
 
-from .metrics import EffectEstimate
+from .metrics import EffectEstimate, wald_estimate
 from .propensity import covset_columns
-from .regress import SingularDesignError, wald_decision
+from .regress import SingularDesignError
 from .trialdata import SubjectGroup, TrialDataset
 
 __all__ = [
@@ -231,12 +230,7 @@ def _stack_for_mm(dataset: TrialDataset, covset: int | None) -> tuple[np.ndarray
     return merged.y, X, merged.trial, tuple(labels)
 
 
-def estimate_mm(
-    dataset: TrialDataset,
-    covset: int | None,
-    alpha: float = 0.05,
-    reml: bool = True,
-) -> EffectEstimate:
+def estimate_mm(dataset: TrialDataset, covset: int | None, reml: bool = True) -> EffectEstimate:
     """Treatment effect from the trial-level random-intercept model.
 
     Pools the reduced concurrent trial with every historical pool and
@@ -246,18 +240,8 @@ def estimate_mm(
     """
     y, X, trial, labels = _stack_for_mm(dataset, covset)
     fit = fit_lmm(y, X, trial, labels=labels, reml=reml)
-    est = float(fit.coef[1])
-    se = fit.se(1)
-    dec = wald_decision(est, se, alpha)
-    half = float(ndtri(1.0 - alpha / 2.0)) * se
-    return EffectEstimate(
-        method_id="MM" if covset is not None else "MM.nc",
-        covset_id=covset,
-        estimate=est,
-        se=se,
-        reject=dec.reject,
-        interval=(est - half, est + half),
-        var_for_essr=se * se,
+    return wald_estimate(
+        "MM" if covset is not None else "MM.nc", covset, float(fit.coef[1]), fit.se(1),
         flags=fit.flags,
         diagnostics={
             "lambda_hat": fit.lambda_hat,

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
-from .metrics import EffectEstimate
-from .regress import fit_ols, fit_logistic, sandwich_cov, sandwich_se, wald_decision
+from .metrics import EffectEstimate, wald_estimate
+from .regress import fit_ols, fit_logistic, sandwich_cov, sandwich_se
 from .trialdata import SubjectGroup, TrialDataset
 
 __all__ = [
@@ -39,6 +38,7 @@ COVSETS = (1, 2, 3)
 
 DEFAULT_CALIPER_MULT = 0.2
 DEFAULT_WEIGHT_BOUNDS = (0.05, 20.0)
+DEFAULT_N_STRATA = 5
 
 
 def covset_columns(covset: int, n_cols: int) -> tuple[int, ...]:
@@ -221,9 +221,7 @@ def ipw_weights(
     )
 
 
-def stratify(
-    psfit: PsFit, n_strata: int = 5, concurrent_ids: np.ndarray | None = None
-) -> np.ndarray:
+def stratify(psfit: PsFit, n_strata: int = DEFAULT_N_STRATA) -> np.ndarray:
     """Assign every pooled subject a stratum by concurrent-score quantiles.
 
     Cut points are the 1/n .. (n-1)/n quantiles of the concurrent
@@ -232,11 +230,7 @@ def stratify(
     """
     if n_strata < 2:
         raise ValueError("need at least two strata")
-    conc_mask = (
-        psfit.is_concurrent
-        if concurrent_ids is None
-        else np.isin(np.arange(len(psfit.sample)), psfit.positions(np.asarray(concurrent_ids)))
-    )
+    conc_mask = psfit.is_concurrent
     conc_ps = psfit.ps[conc_mask]
     if np.unique(conc_ps).size < n_strata:
         raise ValueError(
@@ -254,49 +248,16 @@ def stratify(
 # ---------------------------------------------------------------------------
 
 
-def _wald_estimate(
-    method_id: str,
-    covset: int | None,
-    est: float,
-    se: float,
-    alpha: float,
-    flags: tuple[str, ...] = (),
-    diagnostics: dict | None = None,
-) -> EffectEstimate:
-    dec = wald_decision(est, se, alpha)
-    half = float(ndtri(1.0 - alpha / 2.0)) * se
-    return EffectEstimate(
-        method_id=method_id,
-        covset_id=covset,
-        estimate=est,
-        se=se,
-        reject=dec.reject,
-        interval=(est - half, est + half),
-        var_for_essr=se * se,
-        flags=flags,
-        diagnostics=diagnostics or {},
-    )
-
-
-def unadjusted_effect(
-    group: SubjectGroup, method_id: str, alpha: float = 0.05
-) -> EffectEstimate:
+def unadjusted_effect(group: SubjectGroup, method_id: str) -> EffectEstimate:
     """Plain OLS of outcome on treatment within one trial, model-based SE."""
     X = np.column_stack([np.ones(len(group)), group.z.astype(float)])
     fit = fit_ols(X, group.y, design_info=("intercept", "treated"))
     se = float(np.sqrt(fit.cov_model[1, 1]))
-    return _wald_estimate(method_id, None, float(fit.coef[1]), se, alpha)
+    return wald_estimate(method_id, None, float(fit.coef[1]), se)
 
 
 def estimate_psm(
-    dataset: TrialDataset,
-    covset: int,
-    psfit: PsFit | None = None,
-    matchset: MatchSet | None = None,
-    caliper_mult: float = DEFAULT_CALIPER_MULT,
-    caliper_units: str = "sd",
-    rng: np.random.Generator | None = None,
-    alpha: float = 0.05,
+    dataset: TrialDataset, covset: int, psfit: PsFit, matchset: MatchSet
 ) -> EffectEstimate:
     """Matching estimator: OLS on the concurrent trial plus matched controls.
 
@@ -311,17 +272,9 @@ def estimate_psm(
     flagged. With an empty match set the estimate falls back to the
     unadjusted reduced-concurrent fit, flagged.
     """
-    if psfit is None:
-        psfit = estimate_ps(dataset, covset)
     red = dataset.reduced_concurrent
-    if matchset is None:
-        hist = dataset.historical_all()
-        matchset = match_nearest(
-            psfit, red.ids, hist.ids, caliper_mult=caliper_mult,
-            caliper_units=caliper_units, rng=rng,
-        )
     if not matchset.pairs:
-        est = unadjusted_effect(red, "PSM", alpha)
+        est = unadjusted_effect(red, "PSM")
         est.covset_id = covset
         est.flags = ("psm:no_matches_concurrent_only",)
         return est
@@ -341,8 +294,8 @@ def estimate_psm(
     if not var > 0:
         var = v_subject
         flags = ("psm:twoway_var_nonpositive",)
-    return _wald_estimate(
-        "PSM", covset, float(fit.coef[1]), float(np.sqrt(var)), alpha, flags=flags,
+    return wald_estimate(
+        "PSM", covset, float(fit.coef[1]), float(np.sqrt(var)), flags=flags,
         diagnostics={
             "n_pairs": float(len(matchset.pairs)),
             "n_unmatched": float(len(matchset.unmatched_concurrent)),
@@ -352,12 +305,7 @@ def estimate_psm(
 
 
 def estimate_psw(
-    dataset: TrialDataset,
-    covset: int,
-    psfit: PsFit | None = None,
-    weightset: WeightSet | None = None,
-    bounds: tuple[float, float] = DEFAULT_WEIGHT_BOUNDS,
-    alpha: float = 0.05,
+    dataset: TrialDataset, covset: int, psfit: PsFit, weightset: WeightSet
 ) -> EffectEstimate:
     """Weighting estimator: WLS of outcome on treatment, robust SE.
 
@@ -366,15 +314,11 @@ def estimate_psw(
     subject the estimate falls back to the unadjusted reduced-concurrent
     fit, flagged.
     """
-    if psfit is None:
-        psfit = estimate_ps(dataset, covset)
-    if weightset is None:
-        weightset = ipw_weights(psfit, bounds=bounds)
     sample = psfit.sample
     keep = weightset.weights > 0
     hist_kept = int(np.sum(keep & ~psfit.is_concurrent))
     if hist_kept == 0:
-        est = unadjusted_effect(dataset.reduced_concurrent, "PSW", alpha)
+        est = unadjusted_effect(dataset.reduced_concurrent, "PSW")
         est.covset_id = covset
         est.flags = ("psw:all_historical_trimmed_concurrent_only",)
         return est
@@ -384,8 +328,8 @@ def estimate_psw(
     X = np.column_stack([np.ones(y.size), z])
     fit = fit_ols(X, y, weights=w, design_info=("intercept", "treated"))
     se = sandwich_se(fit, 1)
-    return _wald_estimate(
-        "PSW", covset, float(fit.coef[1]), se, alpha,
+    return wald_estimate(
+        "PSW", covset, float(fit.coef[1]), se,
         diagnostics={
             "n_hist_kept": float(hist_kept),
             "n_trimmed": float(len(weightset.trimmed_ids)),

@@ -10,10 +10,7 @@ The reduced (2:1) concurrent design drops a uniform random half of the
 concurrent controls; the dropped information is what borrowing methods
 try to recover from the historical pools.
 
-Also provides small utilities for building case-study style datasets
-from an existing outcome vector (a correlated synthetic covariate and a
-propensity-biased subsampler) and a CSV ingestion path for external
-subject-level data.
+External subject-level data enters through a CSV reader.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ N_COVARIATES = 6
 
 __all__ = [
     "N_COVARIATES",
-    "SubjectRecord",
     "SubjectGroup",
     "TrialDataset",
     "GenCoefficients",
@@ -41,8 +37,6 @@ __all__ = [
     "assign_trials_multi",
     "gen_outcomes",
     "build_replicate",
-    "make_correlated_covariate",
-    "ps_biased_split",
     "load_subjects_csv",
 ]
 
@@ -50,17 +44,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Core containers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubjectRecord:
-    """Single-subject view of one :class:`SubjectGroup` row."""
-
-    id: int
-    x: np.ndarray
-    z: int
-    trial: int
-    y: float
 
 
 @dataclass(frozen=True)
@@ -92,15 +75,6 @@ class SubjectGroup:
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
-
-    def record(self, i: int) -> SubjectRecord:
-        return SubjectRecord(
-            id=int(self.ids[i]),
-            x=self.x[i].copy(),
-            z=int(self.z[i]),
-            trial=int(self.trial[i]),
-            y=float(self.y[i]),
-        )
 
     def take(self, index: np.ndarray) -> "SubjectGroup":
         return SubjectGroup(
@@ -392,75 +366,6 @@ def build_replicate(
         reduced_concurrent=reduced_concurrent,
         historical=pools,
     )
-
-
-# ---------------------------------------------------------------------------
-# Case-study style utilities
-# ---------------------------------------------------------------------------
-
-
-def make_correlated_covariate(
-    y: np.ndarray, rho: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Synthesize a covariate with target correlation ``rho`` to ``y``.
-
-    Returns rho * standardize(y) + sqrt(1 - rho^2) * w with w standard
-    normal, so the population correlation with y is exactly rho.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.size < 3:
-        raise ValueError("need at least three observations")
-    if not -1.0 < rho < 1.0:
-        raise ValueError("rho must lie strictly inside (-1, 1)")
-    sd = y.std(ddof=1)
-    if sd == 0:
-        raise ValueError("outcome vector has zero variance")
-    ystd = (y - y.mean()) / sd
-    return rho * ystd + np.sqrt(1.0 - rho * rho) * rng.standard_normal(y.size)
-
-
-def ps_biased_split(
-    ps: np.ndarray,
-    n_target: int,
-    rng: np.random.Generator,
-    p_hi: float = 0.65,
-    p_lo: float = 0.35,
-) -> np.ndarray:
-    """Select ``n_target`` subjects with acceptance biased by propensity score.
-
-    Subjects are visited in a shuffled order; each is accepted with
-    probability ``p_hi`` when its score is above the mean score and
-    ``p_lo`` otherwise, cycling through the remaining subjects until
-    exactly ``n_target`` are accepted. Returns a boolean selection mask.
-    """
-    ps = np.asarray(ps, dtype=float)
-    n = ps.size
-    if not 0 < n_target < n:
-        raise ValueError("n_target must be strictly between 0 and len(ps)")
-    for p, name in ((p_hi, "p_hi"), (p_lo, "p_lo")):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name} must be a probability")
-    cutoff = ps.mean()
-    accept_p = np.where(ps > cutoff, p_hi, p_lo)
-    if np.all(accept_p == 0):
-        raise ValueError("acceptance probabilities are identically zero")
-    order = rng.permutation(n)
-    selected = np.zeros(n, dtype=bool)
-    n_selected = 0
-    while n_selected < n_target:
-        progressed = False
-        for i in order:
-            if selected[i]:
-                continue
-            if rng.random() < accept_p[i]:
-                selected[i] = True
-                n_selected += 1
-                progressed = True
-                if n_selected == n_target:
-                    break
-        if not progressed and not np.any(accept_p[~selected] > 0):
-            raise ValueError("remaining subjects all have zero acceptance probability")
-    return selected
 
 
 # ---------------------------------------------------------------------------

@@ -303,8 +303,8 @@ def estimate_map(
     if not studies:
         omega = 1.0
         flags.append("map:no_studies_forced_omega1")
-        vague_mean = cfg.vague_mean if cfg.vague_mean is not None else c_mean
-        vague_sd = cfg.vague_sd if cfg.vague_sd is not None else unit_sd
+        vague_mean = c_mean
+        vague_sd = unit_sd
         grid = _widen(np.linspace(
             min(c_mean - 10 * c_se, vague_mean - 6 * vague_sd),
             max(c_mean + 10 * c_se, vague_mean + 6 * vague_sd),
@@ -315,19 +315,19 @@ def estimate_map(
         prior_raw_sd = vague_sd
     else:
         tau_scale, _ = _resolve_tau_scale(cfg, studies)
-        vague_mean = cfg.vague_mean if cfg.vague_mean is not None else _pooled_mean(studies)
-        vague_sd = cfg.vague_sd if cfg.vague_sd is not None else unit_sd
+        vague_mean = _pooled_mean(studies)
+        vague_sd = unit_sd
         grid = _widen(
             _theta_grid_for(studies, tau_scale, c_mean, c_se, vague_mean, vague_sd, n_theta),
             support,
         )
-        raw_prior = map_prior(studies, tau_scale, theta_grid=grid, n_tau=cfg.n_tau)
+        raw_prior = map_prior(studies, tau_scale, theta_grid=grid, n_tau=201)
         prior_raw_sd = raw_prior.sd()
         prior = robustify(raw_prior, omega, vague_mean, vague_sd)
 
     posterior = posterior_update(prior, c_mean, c_se)
     est = effect_posterior(
-        posterior, t_mean, t_se, alpha=cfg.alpha, method_id=method_id, covset=covset
+        posterior, t_mean, t_se, alpha=0.05, method_id=method_id, covset=covset
     )
     prior_var = prior.var()
     est.flags = tuple(flags)

@@ -26,7 +26,9 @@ from hybridctl.borrow import (
     robustify,
     weighted_study_summary,
 )
-from hybridctl.propensity import MatchSet, PsFit, estimate_ps, match_nearest, stratify, unadjusted_effect
+from hybridctl.propensity import (
+    MatchSet, PsFit, estimate_ps, ipw_weights, match_nearest, stratify, unadjusted_effect,
+)
 from hybridctl.trialdata import SubjectGroup, TrialDataset, build_replicate, preset
 
 
@@ -478,7 +480,8 @@ class TestMapCombinations:
 
     def test_psw_map_smoke(self):
         ds = dataset(seed=10)
-        got = estimate_psw_map(ds, 2, MapConfig(omega=0.5))
+        psfit = estimate_ps(ds, 2)
+        got = estimate_psw_map(ds, 2, MapConfig(omega=0.5), psfit, ipw_weights(psfit))
         assert got.method_id == "PSW+MAP"
         assert got.covset_id == 2
         assert got.diagnostics["n_studies"] == 1.0

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -7,13 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hybridctl import cli
+from hybridctl import cli, harness
 from hybridctl.harness import (
+    METHODS,
     ConfigError,
     ScenarioConfig,
     apply_overrides,
     cell_label,
+    evaluate_cells,
     expand_cells,
     load_config,
     read_summary_csv,
@@ -92,7 +96,7 @@ class TestExpandCells:
         (cell,) = [c for c in cells if c.method_id == "PSM+MAP"]
         assert cell.hyperparam == "omega=0.5,tau=XS"
         assert cell.covset == 2
-        assert cell.opt("tau_label") == "XS"
+        assert cell.opt("map").tau_ladder_label == "XS"
 
     def test_tau_scale_label(self):
         cells = expand_cells([{"method_id": "MAP", "tau_scale": 0.3}], (1,))
@@ -128,6 +132,40 @@ class TestExpandCells:
         cells = expand_cells(["PSM", "PSW", "MM"], (1,))
         assert all(c.hyperparam == "" for c in cells)
 
+    def test_map_family_caliper_gets_its_own_cell(self):
+        sc = small_scenario([
+            {"method_id": "PSM+MAP", "omega": 0.5, "caliper_mult": 0.05},
+            {"method_id": "PSM+MAP", "omega": 0.5, "caliper_mult": 0.5},
+        ], reps=2, n_total=300)
+        by_key = {r.key: r for r in run_scenario(sc).summary}
+        for hyper in ("omega=0.5,caliper=0.05:sd", "omega=0.5,caliper=0.5:sd"):
+            assert by_key[("PSM+MAP", 1, hyper)].n_used == 2
+
+    def test_map_family_weight_bounds_validated_and_labelled(self):
+        with pytest.raises(ConfigError, match="weight_bounds"):
+            expand_cells([{"method_id": "PSW+MAP", "weight_bounds": [20, 0.05]}], (1,))
+        cells = expand_cells([{"method_id": "PSW+MAP", "weight_bounds": [0.1, 10]}], (1,))
+        assert cells[-1].hyperparam == "omega=0.5,bounds=0.1:10"
+
+    def test_map_family_caliper_units_validated(self):
+        with pytest.raises(ConfigError, match="caliper_units"):
+            expand_cells([{"method_id": "PSM+MAP", "caliper_units": "bogus"}], (1,))
+
+    def test_duplicate_cells_rejected(self):
+        with pytest.raises(ConfigError, match=r"methods\[1\].*duplicate cell"):
+            expand_cells(["PSM", {"method_id": "PSM", "caliper_mult": 0.2}], (1,))
+        with pytest.raises(ConfigError, match="duplicate cell"):
+            expand_cells([{"method_id": "MAP", "omegas": [0.5, 0.5]}], (1,))
+        # listing a benchmark that is always injected is not a duplicate
+        assert len(expand_cells(["unadj.rc", "unadj.fc", "unadj.rc"], (1,))) == 2
+
+    def test_readme_lists_every_methods_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for method_id, spec in METHODS.items():
+            keys = sorted(spec.keys | ({"covsets"} if spec.covset else set()))
+            row = f"| `{method_id}` | " + (", ".join(f"`{k}`" for k in keys) or "none") + " |"
+            assert row in readme
+
     def test_errors_name_the_entry(self):
         with pytest.raises(ConfigError, match=r"methods\[0\].*unknown method"):
             expand_cells(["PSX"], (1,))
@@ -145,6 +183,8 @@ class TestExpandCells:
             expand_cells([{"method_id": "PSS+PP", "n_strata": 1}], (1,))
         with pytest.raises(ConfigError, match="outside"):
             expand_cells([{"method_id": "MAP", "omega": 1.2}], (1,))
+        with pytest.raises(ConfigError, match="outside"):
+            expand_cells([{"method_id": "MAP", "omega": True}], (1,))
 
 
 GOOD_CONFIG = """
@@ -282,6 +322,15 @@ class TestRunReplicate:
             rb = next(r for r in b if r.method_id == mid)
             assert (ra.estimate, ra.se) == (rb.estimate, rb.se)
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(harness, "estimate_psm", broken)
+        sc = small_scenario(["PSM"], n_total=300)
+        with pytest.raises(TypeError, match="bug"):
+            run_replicate(sc, 0)
+
     def test_essr_filled_against_benchmark(self):
         rows = run_replicate(small_scenario(["PSM", "MAP"], n_total=300), 1)
         rc = next(r for r in rows if r.method_id == "unadj.rc")
@@ -289,6 +338,43 @@ class TestRunReplicate:
         for r in rows:
             if r.method_id in ("PSM", "MAP") and not r.failed:
                 assert r.essr_pct is not None
+
+
+# Methods with non-default options too, so the shared propensity, match and
+# weight caches hold several entries per covariate set.
+INDEPENDENCE_METHODS = [
+    "PSM", {"method_id": "PSM", "caliper_mult": 0.1},
+    "PSW", {"method_id": "PSW", "weight_bounds": [0.1, 10]},
+    {"method_id": "MAP", "omegas": [0.2, 1.0]},
+    {"method_id": "PSM+MAP", "omega": 0.5},
+    {"method_id": "PSM+MAP", "omega": 0.5, "caliper_mult": 0.1},
+    {"method_id": "PSW+MAP", "omega": 0.5},
+    "PSS+PP", "PSS+CL", "MM", "MM.nc",
+]
+
+
+@functools.cache
+def independence_reference():
+    ds = build_replicate(preset("multi-moderate"), 800, np.random.default_rng(21))
+    cells = expand_cells(INDEPENDENCE_METHODS, (1, 3))
+    return ds, cells, evaluate_cells(ds, cells, "indep", 5, 0)
+
+
+def row_signature(est):
+    return repr((est.key, est.estimate, est.se, est.reject, est.interval, est.flags,
+                 est.diagnostics, est.failed))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_cell_rows_do_not_depend_on_the_other_cells(data):
+    ds, cells, want = independence_reference()
+    picked = data.draw(st.lists(st.sampled_from(range(len(cells))), unique=True, min_size=1))
+    rows = evaluate_cells(ds, tuple(cells[i] for i in picked), "indep", 5, 0)
+    with_benchmark = 0 in picked  # unadj.rc leads the cell list
+    for i, row in zip(picked, rows):
+        assert row_signature(row) == row_signature(want[i])
+        assert row.essr_pct == (want[i].essr_pct if with_benchmark else None)
 
 
 class TestRunScenario:
@@ -483,6 +569,24 @@ class TestCli:
         assert code == 3
         assert "exceeds threshold" in capsys.readouterr().err
 
+    def test_failure_threshold_applies_per_scenario(self, tmp_path, capsys):
+        # flat-outcomes fails a third of its rows; the clean scenario's 22
+        # cells would dilute a fraction pooled over both below 0.05
+        clean = (
+            "  - scenario_id: clean\n    preset: single-moderate\n    covsets: [1, 2, 3]\n"
+            "    methods: [{method_id: MAP, omegas: [0.2, 0.5, 0.8, 1.0]}, PSM, PSW,\n"
+            "              PSS+PP, PSS+CL, MM, MM.nc]\n"
+        )
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(FAILING_CONFIG + clean)
+        out = tmp_path / "r"
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert "scenario flat-outcomes: method failure fraction" in capsys.readouterr().err
+        diag = json.loads((out / "diagnostics.json").read_text())
+        fractions = {s["scenario_id"]: s["failure_fraction"] for s in diag["scenarios"]}
+        assert fractions["clean"] == 0.0 and fractions["flat-outcomes"] > 0.05
+
     def test_table_missing_summary_is_config_error(self, tmp_path, capsys):
         assert cli.main(["table", "--in", str(tmp_path)]) == 2
 
@@ -492,10 +596,9 @@ class TestCli:
         with open(path, "w") as fh:
             fh.write("id,trial,z,y," + ",".join(f"x{j+1}" for j in range(6)) + "\n")
             for group in (ds.full_concurrent, *ds.historical):
-                for i in range(len(group)):
-                    rec = group.record(i)
-                    xs = ",".join("%.10g" % v for v in rec.x)
-                    fh.write(f"{rec.id},{rec.trial},{rec.z},{rec.y:.10g},{xs}\n")
+                for i, x, z, t, y in zip(group.ids, group.x, group.z, group.trial, group.y):
+                    xs = ",".join("%.10g" % v for v in x)
+                    fh.write(f"{i},{t},{z},{y:.10g},{xs}\n")
         code = cli.main(["analyze", "--data", str(path),
                          "--methods", "unadj.rc,PSM,MAP", "--covset", "1"])
         assert code == 0

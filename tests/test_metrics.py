@@ -5,14 +5,13 @@ import pytest
 
 from hybridctl.metrics import (
     EffectEstimate,
-    SummaryAccumulator,
     UNADJ_RC_KEY,
     bias,
     essr,
-    merge_accumulators,
     reject_rate,
     rel_bias_pct,
     summarize,
+    wald_estimate,
 )
 
 
@@ -59,13 +58,15 @@ class TestScalars:
             bias([], 0.0)
 
 
-class TestEffectEstimate:
-    def test_key_and_relabel(self):
-        e = est(method="MAP", covset=2, hp="omega=0.5")
-        assert e.key == ("MAP", 2, "omega=0.5")
-        e2 = e.with_labels(method_id="PSM+MAP", hyperparam="omega=0.8")
-        assert e2.key == ("PSM+MAP", 2, "omega=0.8")
-        assert e.key == ("MAP", 2, "omega=0.5")  # original untouched
+class TestWaldEstimate:
+    def test_interval_decision_and_essr_variance(self):
+        e = wald_estimate("m", 2, 0.5, 0.2, flags=("f",), diagnostics={"d": 1.0})
+        z = 1.959963984540054
+        assert e.interval == pytest.approx((0.5 - z * 0.2, 0.5 + z * 0.2), rel=1e-14)
+        assert e.reject  # |0.5 / 0.2| = 2.5 > z
+        assert e.var_for_essr == 0.2 * 0.2
+        assert (e.key, e.flags, e.diagnostics) == (("m", 2, ""), ("f",), {"d": 1.0})
+        assert not wald_estimate("m", None, 0.39, 0.2).reject  # 1.95 < z
 
 
 class TestSummarize:
@@ -148,66 +149,3 @@ class TestSummarize:
         reps = [[est(method=UNADJ_RC_KEY[0]), est(method="m")]]
         rows = summarize(reps, 0.5, "s")
         assert all(r.essr_empirical_pct is None for r in rows)
-
-
-def random_replicates(n, seed):
-    rng = np.random.default_rng(seed)
-    reps = []
-    for _ in range(n):
-        rows = [est(method=UNADJ_RC_KEY[0], estimate=float(rng.normal(0.5, 0.3)))]
-        for m, hp in (("MAP", "omega=0.5"), ("PSM", ""), ("PSS+PP", "")):
-            failed = rng.random() < 0.1
-            rows.append(
-                est(method=m, covset=1, hp=hp,
-                    estimate=float("nan") if failed else float(rng.normal(0.5, 0.2)),
-                    se=float(rng.uniform(0.05, 0.3)),
-                    reject=bool(rng.random() < 0.4),
-                    essr_pct=None if rng.random() < 0.2 else float(rng.normal(40, 15)),
-                    failed=failed)
-            )
-        reps.append(rows)
-    return reps
-
-
-def assert_rows_match(a, b, tol=1e-10):
-    assert [r.key for r in a] == [r.key for r in b]
-    for ra, rb in zip(a, b):
-        for f in ("bias", "reject_rate", "mean_se"):
-            va, vb = getattr(ra, f), getattr(rb, f)
-            if isinstance(va, float) and math.isnan(va):
-                assert math.isnan(vb)
-            else:
-                assert va == pytest.approx(vb, rel=tol, abs=tol)
-        for f in ("essr_pct", "essr_empirical_pct", "rel_bias_pct"):
-            va, vb = getattr(ra, f), getattr(rb, f)
-            if va is None:
-                assert vb is None
-            else:
-                assert va == pytest.approx(vb, rel=1e-8)
-        assert (ra.n_used, ra.n_failed) == (rb.n_used, rb.n_failed)
-
-
-class TestAccumulator:
-    def test_matches_one_shot_summary(self):
-        reps = random_replicates(60, seed=2)
-        acc = SummaryAccumulator()
-        for rows in reps:
-            acc.add_replicate(rows)
-        assert_rows_match(acc.finalize(0.5, "s"), summarize(reps, 0.5, "s"))
-
-    def test_split_and_merge_equals_whole(self):
-        reps = random_replicates(45, seed=3)
-        whole = SummaryAccumulator()
-        for rows in reps:
-            whole.add_replicate(rows)
-        parts = []
-        for chunk in (reps[:10], reps[10:27], reps[27:]):
-            p = SummaryAccumulator()
-            for rows in chunk:
-                p.add_replicate(rows)
-            parts.append(p)
-        merged = merge_accumulators(parts)
-        assert_rows_match(merged.finalize(0.5, "s"), whole.finalize(0.5, "s"))
-
-    def test_empty_merge_is_empty(self):
-        assert merge_accumulators([]).finalize(0.0, "s") == []

@@ -293,6 +293,14 @@ class TestStratify:
             stratify(fit, n_strata=1)
 
 
+def psm_inputs(ds, covset, seed):
+    """Propensity fit and a default-caliper match against all pooled controls."""
+    psfit = estimate_ps(ds, covset)
+    matchset = match_nearest(psfit, ds.reduced_concurrent.ids, ds.historical_all().ids,
+                             rng=np.random.default_rng(seed))
+    return psfit, matchset
+
+
 class TestEstimatePsm:
     def test_empty_matchset_falls_back_to_unadjusted(self):
         ds = dataset(seed=41)
@@ -318,8 +326,8 @@ class TestEstimatePsm:
             reduced_concurrent=shift(ds.reduced_concurrent, 10_000),
             historical=tuple(shift(p, 10_000) for p in ds.historical),
         )
-        a = estimate_psm(ds, 1, rng=np.random.default_rng(7))
-        b = estimate_psm(shifted, 1, rng=np.random.default_rng(7))
+        a = estimate_psm(ds, 1, *psm_inputs(ds, 1, 7))
+        b = estimate_psm(shifted, 1, *psm_inputs(shifted, 1, 7))
         assert a.estimate == b.estimate
         assert a.se == b.se
         assert a.diagnostics == b.diagnostics
@@ -367,7 +375,7 @@ class TestEstimatePsm:
 
     def test_reused_controls_shrink_cluster_count(self):
         ds = dataset("single-severe", seed=43)
-        got = estimate_psm(ds, 1, rng=np.random.default_rng(1))
+        got = estimate_psm(ds, 1, *psm_inputs(ds, 1, 1))
         assert got.diagnostics["n_unique_matched"] <= got.diagnostics["n_pairs"]
         assert got.diagnostics["n_pairs"] > 0
         assert np.isfinite(got.se) and got.se > 0
@@ -376,7 +384,7 @@ class TestEstimatePsm:
         # severe selection biases the historical controls; matching keeps
         # the estimate finite and produces a denser control arm
         ds = dataset("single-severe", seed=44)
-        got = estimate_psm(ds, 1, rng=np.random.default_rng(2))
+        got = estimate_psm(ds, 1, *psm_inputs(ds, 1, 2))
         n_treated = int(ds.reduced_concurrent.z.sum())
         assert got.diagnostics["n_pairs"] <= len(ds.reduced_concurrent)
         assert got.method_id == "PSM"
@@ -422,7 +430,8 @@ class TestEstimatePsw:
 
     def test_diagnostics_report_trimming(self):
         ds = dataset("single-severe", seed=54)
-        got = estimate_psw(ds, 1)
+        psfit = estimate_ps(ds, 1)
+        got = estimate_psw(ds, 1, psfit, ipw_weights(psfit))
         assert got.diagnostics["n_hist_kept"] > 0
         assert got.diagnostics["n_hist_kept"] + got.diagnostics["n_trimmed"] == len(
             ds.historical_all()

@@ -14,10 +14,8 @@ from hybridctl.trialdata import (
     gen_covariates,
     gen_outcomes,
     load_subjects_csv,
-    make_correlated_covariate,
     preset,
     preset_n_total,
-    ps_biased_split,
     trial_probabilities_multi,
     trial_probabilities_single,
 )
@@ -215,62 +213,6 @@ class TestBuildReplicate:
             controls.append(ds.full_concurrent.controls().y)
         ks = stats.ks_2samp(np.concatenate(treated), np.concatenate(controls))
         assert ks.pvalue > 0.001
-
-
-class TestCorrelatedCovariate:
-    def test_rho_zero_independent(self):
-        y = rng_(1).standard_normal(10_000)
-        x = make_correlated_covariate(y, 0.0, rng_(2))
-        assert abs(np.corrcoef(x, y)[0, 1]) < 0.05
-
-    def test_high_rho(self):
-        y = rng_(3).standard_normal(10_000)
-        x = make_correlated_covariate(y, 0.99, rng_(4))
-        assert abs(np.corrcoef(x, y)[0, 1] - 0.99) < 0.01
-
-    def test_case_study_size(self):
-        y = rng_(5).standard_normal(1892)
-        x = make_correlated_covariate(y, 0.5, rng_(6))
-        assert abs(np.corrcoef(x, y)[0, 1] - 0.5) < 0.05
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError, match="zero variance"):
-            make_correlated_covariate(np.ones(10), 0.5, rng_())
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            make_correlated_covariate(np.array([1.0, 2.0]), 0.5, rng_())
-
-
-class TestPsBiasedSplit:
-    def test_exact_count(self):
-        ps = rng_(1).uniform(0.1, 0.9, size=1892)
-        sel = ps_biased_split(ps, 600, rng_(2))
-        assert sel.sum() == 600
-
-    def test_certain_acceptance_takes_shuffle_prefix(self):
-        ps = rng_(3).uniform(size=50)
-        seed = 4
-        sel = ps_biased_split(ps, 10, rng_(seed), p_hi=1.0, p_lo=1.0)
-        order = np.random.default_rng(seed).permutation(50)
-        expected = np.zeros(50, dtype=bool)
-        expected[order[:10]] = True
-        np.testing.assert_array_equal(sel, expected)
-
-    def test_selected_scores_higher_across_seeds(self):
-        ps = rng_(5).uniform(size=1892)
-        wins = 0
-        for seed in range(100):
-            sel = ps_biased_split(ps, 600, rng_(1000 + seed))
-            wins += ps[sel].mean() > ps[~sel].mean()
-        assert wins >= 99
-
-    def test_bad_target_rejected(self):
-        ps = np.linspace(0.1, 0.9, 10)
-        with pytest.raises(ValueError):
-            ps_biased_split(ps, 0, rng_())
-        with pytest.raises(ValueError):
-            ps_biased_split(ps, 10, rng_())
 
 
 class TestSubjectsCsv:
