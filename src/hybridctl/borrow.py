@@ -320,11 +320,11 @@ def power_prior_update(
         raise ValueError("alpha_discount must lie in [0, 1]")
     if ext_se <= 0:
         raise ValueError("external se must be positive")
+    if not 0.0 < prior_se <= math.inf:
+        raise ValueError("prior se must be positive (math.inf for a flat prior)")
     if alpha_discount == 0.0:
         return float(prior_mean), float(prior_se)
     p0 = 0.0 if math.isinf(prior_se) else 1.0 / (prior_se * prior_se)
-    if p0 < 0 or (p0 == 0 and alpha_discount == 0):
-        raise ValueError("degenerate update: flat prior with zero discount")
     pe = alpha_discount / (ext_se * ext_se)
     prec = p0 + pe
     mean = (p0 * prior_mean + pe * ext_mean) / prec

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .regress import wald_decision
+from .regress import ALPHA, wald_decision
 
 __all__ = [
     "ALPHA",
@@ -31,9 +31,6 @@ __all__ = [
 ]
 
 UNADJ_RC_KEY = ("unadj.rc", None, "")
-
-# Two-sided level of every test and credible interval the estimators report.
-ALPHA = 0.05
 
 
 @dataclass

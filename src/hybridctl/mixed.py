@@ -5,8 +5,11 @@ group with its own intercept deviation: y = X beta + b_g + e with
 b_g ~ N(0, sigma_b^2) and e ~ N(0, sigma^2). Writing lambda for the
 variance ratio sigma_b^2 / sigma^2, everything profiles down to a
 one-dimensional criterion in lambda because the group covariance
-(I + lambda 11') inverts in closed form. The criterion is minimized by
-a grid scan followed by golden-section refinement on log lambda.
+(I + lambda 11') inverts in closed form: the whitened normal equations
+are X'X - sum_g c_g u_g u_g' with c_g = lambda / (1 + lambda n_g) and
+u_g the column sums of group g. The criterion is evaluated on whole
+vectors of lambda at once (one batched Cholesky) and minimized by a
+grid scan followed by grids that zoom in on the best point.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .metrics import EffectEstimate, wald_estimate
 from .propensity import covset_columns
@@ -32,19 +34,18 @@ __all__ = [
 ]
 
 LOG_LAMBDA_SPAN = 12.0
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class GroupStats:
-    """Per-group sufficient statistics for the profiled criterion."""
+    """Sufficient statistics for the profiled criterion, stacked over G groups."""
 
-    n: int
-    xtx: np.ndarray
-    xty: np.ndarray
-    x_colsum: np.ndarray
-    y_sum: float
-    y_sq: float
+    n: np.ndarray  # (G,) group sizes
+    U: np.ndarray  # (G, p) column sums of X per group
+    y_sum: np.ndarray  # (G,) outcome sums per group
+    xtx: np.ndarray  # (p, p)
+    xty: np.ndarray  # (p,)
+    yty: float
 
 
 @dataclass(frozen=True)
@@ -65,78 +66,71 @@ class LmmFit:
         return math.sqrt(self.cov[index, index])
 
 
-def group_stats(X: np.ndarray, y: np.ndarray, groups: np.ndarray) -> list[GroupStats]:
+def group_stats(X: np.ndarray, y: np.ndarray, groups: np.ndarray) -> GroupStats:
     _, inverse = np.unique(groups, return_inverse=True)
-    stats = []
-    for g in range(inverse.max() + 1):
-        mask = inverse == g
-        Xg, yg = X[mask], y[mask]
-        stats.append(
-            GroupStats(
-                n=int(mask.sum()),
-                xtx=Xg.T @ Xg,
-                xty=Xg.T @ yg,
-                x_colsum=Xg.sum(axis=0),
-                y_sum=float(yg.sum()),
-                y_sq=float(yg @ yg),
-            )
-        )
-    return stats
+    onehot = (inverse == np.arange(inverse.max() + 1)[:, None]).astype(float)
+    return GroupStats(
+        n=np.bincount(inverse),
+        U=onehot @ X,
+        y_sum=onehot @ y,
+        xtx=X.T @ X,
+        xty=X.T @ y,
+        yty=float(y @ y),
+    )
 
 
-def _assemble(stats: list[GroupStats], lam: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Whitened normal equations and residual pieces at a given lambda."""
-    p = stats[0].xtx.shape[0]
-    A = np.zeros((p, p))
-    b = np.zeros(p)
-    q = 0.0
-    log_extra = 0.0
-    for st in stats:
-        c = lam / (1.0 + lam * st.n)
-        A += st.xtx - c * np.outer(st.x_colsum, st.x_colsum)
-        b += st.xty - c * st.y_sum * st.x_colsum
-        q += st.y_sq - c * st.y_sum**2
-        log_extra += math.log1p(lam * st.n)
-    return A, b, q, log_extra
+def _profile(stats: GroupStats, lam: np.ndarray, reml: bool):
+    """GLS fit and criterion at every lambda of a 1-d array.
 
-
-def profiled_criterion(stats: list[GroupStats], lam: float, reml: bool = True) -> float:
-    """Minus twice the profiled (restricted) log-likelihood, up to a constant."""
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
-    n = sum(st.n for st in stats)
-    p = stats[0].xtx.shape[0]
-    A, b, q, log_extra = _assemble(stats, lam)
+    Returns the criterion (L,), the Cholesky factors of the whitened
+    X'V^-1 X (L, p, p), the coefficients (L, p) and the residual variance
+    estimates (L,); V = I + lambda ZZ' is the covariance over sigma^2.
+    """
+    n = int(stats.n.sum())
+    p = stats.xtx.shape[0]
+    c = lam[:, None] / (1.0 + lam[:, None] * stats.n)
+    A = stats.xtx - np.einsum("lg,gi,gj->lij", c, stats.U, stats.U)
+    b = stats.xty - (c * stats.y_sum) @ stats.U
     try:
-        chol = cho_factor(A, lower=True)
-    except LinAlgError as exc:
+        chol = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
         raise SingularDesignError("whitened design is singular") from exc
-    beta = cho_solve(chol, b)
-    rss = q - float(b @ beta)
+    beta = np.linalg.solve(A, b[..., None])[..., 0]
+    rss = stats.yty - c @ stats.y_sum**2 - np.einsum("li,li->l", b, beta)
     dof = n - p if reml else n
-    if rss <= 0 or dof <= 0:
+    if np.any(rss <= 0) or dof <= 0:
         raise SingularDesignError("no residual variation left to profile")
-    crit = dof * math.log(rss / dof) + log_extra
+    sigma2 = rss / dof
+    crit = dof * np.log(sigma2) + np.log1p(lam[:, None] * stats.n).sum(axis=1)
     if reml:
-        crit += 2.0 * float(np.log(np.diag(chol[0])).sum())
-    return crit
+        crit += 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return crit, chol, beta, sigma2
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-8) -> float:
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def profiled_criterion(stats: GroupStats, lam, reml: bool = True):
+    """Minus twice the profiled (restricted) log-likelihood, up to a constant.
+
+    A scalar lambda gives a float, an array of lambdas an array of the
+    same shape.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0):
+        raise ValueError("lambda must be non-negative")
+    crit = _profile(stats, lam.reshape(-1), reml)[0].reshape(lam.shape)
+    return float(crit) if crit.ndim == 0 else crit
+
+
+def _zoom(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Minimize f on [lo, hi] by 25-point grids, each spanning the
+    neighbours of the previous grid's best point, until that span is
+    below tol. Returns the best point and its value."""
+    while True:
+        x = np.linspace(lo, hi, 25)
+        values = f(x)
+        k = int(values.argmin())
+        lo, hi = x[max(k - 1, 0)], x[min(k + 1, x.size - 1)]
+        if hi - lo <= tol:
+            return float(x[k]), float(values[k])
 
 
 def fit_lmm(
@@ -148,10 +142,11 @@ def fit_lmm(
 ) -> LmmFit:
     """Fit the random-intercept model by profiled (RE)ML.
 
-    The variance ratio is scanned on {0} union a log-spaced grid over
-    [e^-12, e^12], then the bracketing interval around the grid minimum
-    is refined by golden section on the log scale. A minimum at the
-    upper edge widens the span once and flags the fit.
+    The variance ratio is scanned on {0} union 25 log-spaced points over
+    [e^-12, e^12]; a minimum at the upper edge widens the span once, to
+    e^18, and flags the fit. Zooming grids then refine the minimum on the
+    log scale between the best point's grid neighbours, or on [0, lambda_1]
+    when lambda = 0 is best, and lambda = 0 is kept if no point beats it.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -160,18 +155,17 @@ def fit_lmm(
     if labels is None:
         labels = tuple(f"b{j}" for j in range(X.shape[1]))
     stats = group_stats(X, y, groups)
-    if len(stats) < 2:
+    if stats.n.size < 2:
         raise ValueError("need at least two groups to separate the intercept variance")
 
-    def crit(lam: float) -> float:
+    def crit(lam):
         return profiled_criterion(stats, lam, reml=reml)
 
     flags: list[str] = []
     span = LOG_LAMBDA_SPAN
     for attempt in range(2):
-        log_grid = np.linspace(-span, span, 25)
-        lams = np.concatenate([[0.0], np.exp(log_grid)])
-        values = np.array([crit(l) for l in lams])
+        lams = np.concatenate([[0.0], np.exp(np.linspace(-span, span, 25))])
+        values = crit(lams)
         k = int(values.argmin())
         if k == lams.size - 1 and attempt == 0:
             span = 1.5 * LOG_LAMBDA_SPAN
@@ -181,37 +175,31 @@ def fit_lmm(
 
     if k == 0:
         # boundary minimum at lambda = 0; refine against the smallest grid point
-        lam_hat = _golden_section(lambda t: crit(t), 0.0, lams[1], tol=1e-10)
-        if crit(0.0) <= crit(lam_hat):
+        lam_hat, best = _zoom(crit, 0.0, lams[1], tol=1e-10)
+        if values[0] <= best:
             lam_hat = 0.0
     else:
-        lo = math.log(lams[max(k - 1, 1)]) if k > 1 else math.log(lams[1]) - 2.0
+        lo = math.log(lams[k - 1]) if k > 1 else math.log(lams[1]) - 2.0
         hi = math.log(lams[min(k + 1, lams.size - 1)])
-        t_hat = _golden_section(lambda t: crit(math.exp(t)), lo, hi)
+        t_hat, best = _zoom(lambda t: crit(np.exp(t)), lo, hi, tol=1e-8)
         lam_hat = math.exp(t_hat)
-        if crit(0.0) < crit(lam_hat):
+        if values[0] < best:
             lam_hat = 0.0
 
-    n = y.size
-    p = X.shape[1]
-    A, b, q, _ = _assemble(stats, lam_hat)
-    chol = cho_factor(A, lower=True)
-    beta = cho_solve(chol, b)
-    rss = q - float(b @ beta)
-    dof = n - p if reml else n
-    sigma2 = rss / dof
-    cov = sigma2 * cho_solve(chol, np.eye(p))
+    crit_hat, chol, beta, sigma2_hat = _profile(stats, np.array([lam_hat]), reml)
+    sigma2 = float(sigma2_hat[0])
+    chol_inv = np.linalg.inv(chol[0])
     return LmmFit(
-        coef=beta,
-        cov=cov,
+        coef=beta[0],
+        cov=sigma2 * (chol_inv.T @ chol_inv),
         labels=labels,
         lambda_hat=float(lam_hat),
-        sigma2=float(sigma2),
+        sigma2=sigma2,
         sigma_b2=float(lam_hat * sigma2),
         reml=reml,
-        criterion_value=crit(lam_hat),
-        n_obs=n,
-        n_groups=len(stats),
+        criterion_value=float(crit_hat[0]),
+        n_obs=y.size,
+        n_groups=stats.n.size,
         flags=tuple(flags),
     )
 

@@ -16,6 +16,7 @@ import scipy.linalg
 from scipy.special import expit, ndtr, ndtri
 
 __all__ = [
+    "ALPHA",
     "SingularDesignError",
     "SeparationError",
     "FitResult",
@@ -26,6 +27,9 @@ __all__ = [
     "sandwich_se",
     "wald_decision",
 ]
+
+# Two-sided level of every test and credible interval the estimators report.
+ALPHA = 0.05
 
 
 class SingularDesignError(ValueError):
@@ -252,7 +256,7 @@ def sandwich_se(
     return float(np.sqrt(cov[target_index, target_index]))
 
 
-def wald_decision(estimate: float, se: float, alpha: float = 0.05) -> WaldDecision:
+def wald_decision(estimate: float, se: float, alpha: float = ALPHA) -> WaldDecision:
     """Two-sided normal-reference Wald test; strict inequality at the boundary."""
     if not np.isfinite(se) or se <= 0:
         raise ValueError("standard error must be positive and finite")

@@ -339,6 +339,12 @@ class TestPowerPrior:
         with pytest.raises(ValueError):
             power_prior_update(0.0, 1.0, 1.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("prior_se", [0.0, -1.0, math.nan, -math.inf])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_degenerate_prior_se_rejected(self, prior_se, alpha):
+        with pytest.raises(ValueError, match="prior se"):
+            power_prior_update(0.0, prior_se, 1.0, 1.0, alpha)
+
 
 class TestEstimateMap:
     def test_omega_one_tracks_unadjusted(self):

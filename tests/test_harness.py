@@ -606,5 +606,24 @@ class TestCli:
         assert "unadj.rc" in out and "PSM [c1]" in out and "MAP(omega=0.5)" in out
         assert "estimate=" in out and "reject=" in out
 
+    def test_analyze_binary_outcomes_reports_failed_cell(self, tmp_path, capsys):
+        # every concurrent control has y = 0, so each propensity stratum's
+        # control mean has SE 0 and the power-prior update must refuse it
+        rng = np.random.default_rng(9)
+        path = tmp_path / "binary.csv"
+        with open(path, "w") as fh:
+            fh.write("trial,z,y,x1,x2\n")
+            for i in range(150):
+                trial, z = (0, 1) if i < 50 else (0, 0) if i < 75 else (1, 0)
+                y = 0 if (trial, z) == (0, 0) else int(rng.integers(2))
+                fh.write(f"{trial},{z},{y},{rng.normal():.6f},{rng.normal():.6f}\n")
+        code = cli.main(["analyze", "--data", str(path),
+                         "--methods", "PSS+PP,PSS+CL,MAP,MM"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        pss_pp = [line for line in lines if line.startswith("PSS+PP [c1]")]
+        assert len(pss_pp) == 1
+        assert pss_pp[0].split(maxsplit=2)[2].startswith("failed: error:ValueError:")
+
     def test_analyze_missing_file_is_config_error(self, tmp_path, capsys):
         assert cli.main(["analyze", "--data", str(tmp_path / "nope.csv")]) == 2

@@ -17,6 +17,56 @@ def simulate(n_groups, per_group, sigma_b, sigma, seed, slope=0.7):
     return y, X, groups
 
 
+def dense_criterion(y, X, groups, lam, reml):
+    """Profiled criterion from the dense covariance V = I + lambda ZZ'."""
+    n, p = X.shape
+    Z = (groups[:, None] == np.unique(groups)[None, :]).astype(float)
+    V = np.eye(n) + lam * Z @ Z.T
+    Vinv_X = np.linalg.solve(V, X)
+    Vinv_y = np.linalg.solve(V, y)
+    xtvx = X.T @ Vinv_X
+    beta = np.linalg.solve(xtvx, X.T @ Vinv_y)
+    r = y - X @ beta
+    rss = r @ np.linalg.solve(V, r)
+    logdet_v = np.linalg.slogdet(V)[1]
+    if not reml:
+        return n * np.log(rss / n) + logdet_v
+    return (n - p) * np.log(rss / (n - p)) + logdet_v + np.linalg.slogdet(xtvx)[1]
+
+
+class TestProfiledCriterion:
+    # C17's design: 15 observations in three groups of five
+    rng = np.random.default_rng(20260825 + 17)
+    x = rng.normal(size=15)
+    groups = np.repeat([0, 1, 2], 5)
+    y = 0.5 + 0.7 * x + np.array([0.9, -0.4, 0.6])[groups] + 0.4 * rng.normal(size=15)
+    X = np.column_stack([np.ones(15), x])
+    lams = [0.0, 1e-4, 0.1, 1.0, 10.0, 1e4]
+
+    @pytest.mark.parametrize("reml", [True, False])
+    @pytest.mark.parametrize("lam", lams)
+    def test_matches_dense_covariance(self, lam, reml):
+        got = profiled_criterion(group_stats(self.X, self.y, self.groups), lam, reml=reml)
+        want = dense_criterion(self.y, self.X, self.groups, lam, reml)
+        assert isinstance(got, float)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("reml", [True, False])
+    def test_array_matches_scalar_calls(self, reml):
+        stats = group_stats(self.X, self.y, self.groups)
+        lams = np.array(self.lams)
+        got = profiled_criterion(stats, lams, reml=reml)
+        assert got.shape == lams.shape
+        want = [profiled_criterion(stats, lam, reml=reml) for lam in lams]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        grid = profiled_criterion(stats, lams.reshape(2, 3), reml=reml)
+        np.testing.assert_array_equal(grid.reshape(-1), got)
+
+    def test_any_negative_lambda_rejected(self):
+        with pytest.raises(ValueError):
+            profiled_criterion(group_stats(self.X, self.y, self.groups), np.array([1.0, -0.1]))
+
+
 class TestFitLmm:
     def test_beats_dense_lambda_scan(self):
         # oracle: brute-force the profiled criterion on a dense grid; the
@@ -25,7 +75,7 @@ class TestFitLmm:
         fit = fit_lmm(y, X, groups)
         stats = group_stats(X, y, groups)
         lams = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 20001)])
-        scan = min(profiled_criterion(stats, l) for l in lams)
+        scan = profiled_criterion(stats, lams).min()
         assert fit.criterion_value <= scan + 1e-7
 
     def test_no_group_effect_collapses_to_ols(self):
