@@ -37,7 +37,6 @@ from .mixed import LmmFit, estimate_mm, fit_lmm
 from .propensity import (
     MatchSet,
     PsFit,
-    WeightSet,
     estimate_ps,
     estimate_psm,
     estimate_psw,
@@ -84,7 +83,6 @@ __all__ = [
     "wald_decision",
     "PsFit",
     "MatchSet",
-    "WeightSet",
     "estimate_ps",
     "match_nearest",
     "ipw_weights",

@@ -16,7 +16,8 @@ Newton's method on the mixture CDF.
 Power-prior borrowing discounts the historical likelihood precision by
 a factor alpha; the stratified variants split the pooled sample by
 concurrent propensity-score quantiles and borrow a fixed total number
-of effective historical subjects spread over strata.
+of effective historical subjects spread over strata in proportion to
+their historical counts.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .metrics import ALPHA, EffectEstimate, wald_estimate
-from .propensity import DEFAULT_N_STRATA, MatchSet, PsFit, WeightSet, stratify
+from .propensity import DEFAULT_N_STRATA, MatchSet, PsFit, stratify
 from .trialdata import TrialDataset
 
 __all__ = [
@@ -106,11 +107,10 @@ class NormalMixture:
 
 @dataclass(frozen=True)
 class StudySummary:
-    """Mean, standard error, and effective size of one historical study."""
+    """Mean and standard error of one historical study."""
 
     mean: float
     se: float
-    n_effective: int
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.mean) and np.isfinite(self.se) and self.se > 0):
@@ -304,7 +304,6 @@ def effect_posterior(
         se=sd,
         reject=bool(lo_q > 0.0 or hi_q < 0.0),
         interval=(lo_q, hi_q),
-        var_for_essr=sd * sd,
     )
 
 
@@ -336,11 +335,11 @@ def power_prior_update(
 # ---------------------------------------------------------------------------
 
 
-def _mean_se(y: np.ndarray) -> tuple[float, float, int]:
+def _mean_se(y: np.ndarray) -> tuple[float, float]:
     n = y.size
     if n < 2:
         raise ValueError("need at least two observations for a mean and se")
-    return float(y.mean()), float(y.std(ddof=1) / math.sqrt(n)), n
+    return float(y.mean()), float(y.std(ddof=1) / math.sqrt(n))
 
 
 def _pooled_mean(studies: list[StudySummary]) -> float:
@@ -349,17 +348,16 @@ def _pooled_mean(studies: list[StudySummary]) -> float:
     return float((means * prec).sum() / prec.sum())
 
 
-def _resolve_tau_scale(cfg: MapConfig, studies: list[StudySummary]) -> tuple[float, str]:
+def _resolve_tau_scale(cfg: MapConfig, studies: list[StudySummary]) -> float:
     if cfg.tau_scale is not None:
-        return float(cfg.tau_scale), "fixed"
+        return float(cfg.tau_scale)
     if cfg.tau_ladder_label is None and len(studies) == 1:
         # A single pool leaves the between-study spread unidentified and
         # its standard error overstates any plausible spread, so the
         # label-less default borrows more aggressively. The multiplier
         # was calibrated once against the simulation grid and is frozen.
-        return SINGLE_POOL_TAU_MULT * studies[0].se, "default"
-    label = cfg.tau_ladder_label or "M"
-    return TAU_LADDER[label] * empirical_tau_scale(studies), label
+        return SINGLE_POOL_TAU_MULT * studies[0].se
+    return TAU_LADDER[cfg.tau_ladder_label or "M"] * empirical_tau_scale(studies)
 
 
 def estimate_map(
@@ -380,12 +378,9 @@ def estimate_map(
     the vague component.
     """
     red = dataset.reduced_concurrent
-    treated = red.treated()
-    controls = red.controls()
-    t_mean, t_se, _ = _mean_se(treated.y)
-    c_mean, c_se, _ = _mean_se(controls.y)
-    hist_y = dataset.historical_all().y
-    unit_sd = float(np.std(hist_y, ddof=1))
+    t_mean, t_se = _mean_se(red.y[red.z == 1])
+    c_mean, c_se = _mean_se(red.y[red.z == 0])
+    unit_sd = float(np.std(dataset.pooled.y[len(red):], ddof=1))
 
     flags = list(extra_flags)
     if studies is None:
@@ -399,7 +394,7 @@ def estimate_map(
         tau_scale = 0.0
         prior_raw_sd = unit_sd
     else:
-        tau_scale, _ = _resolve_tau_scale(cfg, studies)
+        tau_scale = _resolve_tau_scale(cfg, studies)
         raw_prior = map_prior(studies, tau_scale)
         prior_raw_sd = raw_prior.sd()
         prior = robustify(raw_prior, omega, _pooled_mean(studies), unit_sd)
@@ -429,14 +424,11 @@ def matched_study_summary(
     shrinks it. Returns None when fewer than two distinct subjects are
     matched.
     """
-    if not matchset.pairs:
-        return None
-    ids = np.array([h for _, h in matchset.pairs])
-    uniq, counts = np.unique(ids, return_counts=True)
+    uniq, counts = np.unique(matchset.hist_rows, return_counts=True)
     u = uniq.size
     if u < 2:
         return None
-    y_u = psfit.sample.y[psfit.positions(uniq)]
+    y_u = psfit.sample.y[uniq]
     m = counts.sum()
     mean = float((counts * y_u).sum() / m)
     # u/(u-1) degrees-of-freedom factor: with every subject matched once
@@ -444,7 +436,7 @@ def matched_study_summary(
     se = float(np.sqrt(((counts * (y_u - mean)) ** 2).sum() * u / (u - 1)) / m)
     if se <= 0:
         return None
-    return StudySummary(mean=mean, se=se, n_effective=int(u))
+    return StudySummary(mean=mean, se=se)
 
 
 def weighted_study_summary(
@@ -466,7 +458,7 @@ def weighted_study_summary(
     se = float(np.sqrt((w * w * (y - mean) ** 2).sum() * n_eff / (n_eff - 1)) / total)
     if se <= 0:
         return None
-    return StudySummary(mean=mean, se=se, n_effective=max(int(round(n_eff)), 2))
+    return StudySummary(mean=mean, se=se)
 
 
 def estimate_psm_map(
@@ -502,7 +494,7 @@ def estimate_psw_map(
     covset: int,
     cfg: MapConfig,
     psfit: PsFit,
-    weightset: WeightSet,
+    weights: np.ndarray,
 ) -> EffectEstimate:
     """MAP borrowing from per-trial weighted historical summaries."""
     sample = psfit.sample
@@ -510,7 +502,7 @@ def estimate_psw_map(
     studies = []
     for j in range(1, dataset.k_historical + 1):
         mask = sample.trial == j
-        summary = weighted_study_summary(sample.y[mask], weightset.weights[mask])
+        summary = weighted_study_summary(sample.y[mask], weights[mask])
         if summary is None:
             flags.append(f"psw_map:pool{j}_trimmed_dropped")
         else:
@@ -590,8 +582,11 @@ def estimate_pss_pp(
 
     ``total_borrow`` effective historical subjects (default: the number
     needed to restore 1:1 in the reduced concurrent trial) are allocated
-    across strata proportionally to historical stratum counts, giving a
-    per-stratum discount alpha_s = min(1, allocated / available). Each
+    across strata proportionally to historical stratum counts. The
+    discount allocated / available is therefore the same in every
+    stratum with at least two historical subjects:
+    alpha = min(1, total_borrow / n_hist), n_hist the historical
+    subjects inside the concurrent score range; other strata get 0. Each
     stratum updates its concurrent-control likelihood with the
     discounted historical likelihood; stratum effects are combined with
     concurrent-share weights and their variances with squared weights.
@@ -609,12 +604,12 @@ def estimate_pss_pp(
     weights = []
     alphas = []
     for st in strata:
-        t_mean, t_se, _ = _mean_se(st.t_y)
-        c_mean, c_se, _ = _mean_se(st.c_y)
+        t_mean, t_se = _mean_se(st.t_y)
+        c_mean, c_se = _mean_se(st.c_y)
         if st.h_y.size >= 2 and n_hist_total > 0 and total_borrow > 0:
-            h_mean, h_se, n_h = _mean_se(st.h_y)
+            h_mean, h_se = _mean_se(st.h_y)
             allocated = total_borrow * st.h_y.size / n_hist_total
-            a_s = min(1.0, allocated / n_h)
+            a_s = min(1.0, allocated / st.h_y.size)
         else:
             h_mean, h_se, a_s = 0.0, 1.0, 0.0
         p_mean, p_se = power_prior_update(c_mean, c_se, h_mean, h_se, a_s)
@@ -647,10 +642,13 @@ def estimate_pss_cl(
 
     Per stratum the control estimate is the count-weighted mean of
     concurrent and discounted historical controls with standard error
-    sigma_s / sqrt(n_cs + eta_s * n_hs), sigma_s the pooled within-
-    stratum control SD. The overall variance combines stratum variances
-    with linear (not squared) concurrent-share weights, which is what
-    makes the method markedly conservative.
+    sigma_s / sqrt(n_cs + eta * n_hs), sigma_s the pooled within-
+    stratum control SD. ``total_borrow`` is allocated as in
+    :func:`estimate_pss_pp`, so the discount eta = min(1, total_borrow /
+    n_hist) is the same in every stratum with at least two historical
+    subjects (0 in the others). The overall variance combines stratum
+    variances with linear (not squared) concurrent-share weights, which
+    is what makes the method markedly conservative.
     """
     if total_borrow is None:
         total_borrow = _default_total_borrow(dataset)
@@ -664,7 +662,7 @@ def estimate_pss_cl(
     variances = []
     weights = []
     for st in strata:
-        t_mean, t_se, _ = _mean_se(st.t_y)
+        t_mean, t_se = _mean_se(st.t_y)
         n_c = st.c_y.size
         n_h = st.h_y.size
         c_mean = float(st.c_y.mean())

@@ -546,27 +546,29 @@ class _ReplicateCaches:
             self.psfits[covset] = estimate_ps(self.dataset, covset)
         return self.psfits[covset]
 
-    def _match(self, covset: int, caliper: tuple[float, str], label: str, pools):
-        """Match the reduced concurrent trial to ``pools``, with its own seeded stream."""
+    def _match(self, covset: int, caliper: tuple[float, str], label: str, hist_mask):
+        """Match the reduced concurrent trial to the pooled rows in
+        ``hist_mask``, with its own seeded stream."""
         key = (label, caliper)
         if key not in self.matches:
             rng = replicate_rng(self.seed, self.sid, self.replicate, label)
             self.matches[key] = match_nearest(
-                self.psfit(covset), self.dataset.reduced_concurrent.ids,
-                np.concatenate([pool.ids for pool in pools]),
+                self.psfit(covset), np.flatnonzero(hist_mask),
                 caliper_mult=caliper[0], caliper_units=caliper[1], rng=rng,
             )
         return self.matches[key]
 
     def matchset(self, covset: int, caliper: tuple[float, str]):
         """Matches against all historical pools together."""
-        return self._match(covset, caliper, f"match:c{covset}", self.dataset.historical)
+        trial = self.dataset.pooled.trial
+        return self._match(covset, caliper, f"match:c{covset}", trial > 0)
 
     def trial_matchsets(self, covset: int, caliper: tuple[float, str]):
         """Matches against each historical pool separately."""
+        trial = self.dataset.pooled.trial
         return [
-            self._match(covset, caliper, f"match:c{covset}:trial{j}", [pool])
-            for j, pool in enumerate(self.dataset.historical, start=1)
+            self._match(covset, caliper, f"match:c{covset}:trial{j}", trial == j)
+            for j in range(1, self.dataset.k_historical + 1)
         ]
 
     def weightset(self, covset: int, bounds: tuple[float, float]):
@@ -585,7 +587,6 @@ def _failed_estimate(cell: Cell, exc: Exception) -> EffectEstimate:
         se=float("nan"),
         reject=False,
         interval=(float("nan"), float("nan")),
-        var_for_essr=float("nan"),
         hyperparam=cell.hyperparam,
         flags=(reason,),
         failed=True,
@@ -613,11 +614,11 @@ def evaluate_cells(
         rows.append(est)
 
     rc = next((r for r in rows if r.method_id == "unadj.rc" and not r.failed), None)
-    if rc is not None and rc.var_for_essr > 0:
+    if rc is not None and rc.se * rc.se > 0:
         for est in rows:
-            if est is rc or est.failed or not est.var_for_essr > 0:
+            if est is rc or est.failed or not est.se * est.se > 0:
                 continue
-            est.essr_pct = essr(rc.var_for_essr, est.var_for_essr)
+            est.essr_pct = essr(rc.se * rc.se, est.se * est.se)
     return rows
 
 

@@ -37,10 +37,10 @@ UNADJ_RC_KEY = ("unadj.rc", None, "")
 class EffectEstimate:
     """One method's result on one replicate.
 
-    ``var_for_essr`` is the squared reported standard error used in the
-    ESSR ratio; ``essr_pct`` is filled in by the harness once the
-    replicate's no-borrowing benchmark is known. Failed evaluations keep
-    a row (``failed=True``) with NaN numerics and an explanatory flag.
+    ``essr_pct`` is filled in by the harness from the squared standard
+    errors once the replicate's no-borrowing benchmark is known. Failed
+    evaluations keep a row (``failed=True``) with NaN numerics and an
+    explanatory flag.
     """
 
     method_id: str
@@ -49,7 +49,6 @@ class EffectEstimate:
     se: float
     reject: bool
     interval: tuple[float, float]
-    var_for_essr: float
     hyperparam: str = ""
     flags: tuple[str, ...] = ()
     diagnostics: dict = field(default_factory=dict)
@@ -79,7 +78,6 @@ def wald_estimate(
         se=se,
         reject=dec.reject,
         interval=(est - half, est + half),
-        var_for_essr=se * se,
         flags=flags,
         diagnostics=diagnostics or {},
     )

@@ -22,7 +22,7 @@ import numpy as np
 from .metrics import EffectEstimate, wald_estimate
 from .propensity import covset_columns
 from .regress import SingularDesignError
-from .trialdata import SubjectGroup, TrialDataset
+from .trialdata import TrialDataset
 
 __all__ = [
     "GroupStats",
@@ -205,17 +205,16 @@ def fit_lmm(
 
 
 def _stack_for_mm(dataset: TrialDataset, covset: int | None) -> tuple[np.ndarray, ...]:
-    parts = [dataset.reduced_concurrent, *dataset.historical]
-    merged = SubjectGroup.concat(parts)
-    cols: list[np.ndarray] = [np.ones(len(merged)), merged.z.astype(float)]
+    pooled = dataset.pooled
+    cols: list[np.ndarray] = [np.ones(len(pooled)), pooled.z.astype(float)]
     labels = ["const", "z"]
     if covset is not None:
-        sel = covset_columns(covset, merged.x.shape[1])
+        sel = covset_columns(covset, pooled.x.shape[1])
         for c in sel:
-            cols.append(merged.x[:, c])
+            cols.append(pooled.x[:, c])
             labels.append(f"x{c + 1}")
     X = np.column_stack(cols)
-    return merged.y, X, merged.trial, tuple(labels)
+    return pooled.y, X, pooled.trial, tuple(labels)
 
 
 def estimate_mm(dataset: TrialDataset, covset: int | None, reml: bool = True) -> EffectEstimate:

@@ -11,7 +11,6 @@ or stratify the pooled sample by concurrent-score quantiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "covset_columns",
     "PsFit",
     "MatchSet",
-    "WeightSet",
     "estimate_ps",
     "match_nearest",
     "ipw_weights",
@@ -65,86 +63,53 @@ def covset_columns(covset: int, n_cols: int) -> tuple[int, ...]:
 class PsFit:
     """Fitted propensity scores on the pooled analysis sample.
 
-    ``sample`` stacks the reduced concurrent subjects and all historical
-    pools in that order; ``ps`` and ``logit_ps`` align with its rows.
+    ``sample`` is the dataset's ``pooled`` sample (the reduced
+    concurrent trial, then every historical pool) and ``ps`` aligns with
+    its rows.
     """
 
     sample: SubjectGroup
     ps: np.ndarray
-    logit_ps: np.ndarray
-    model_spec: int
     fit: object
 
     @property
     def is_concurrent(self) -> np.ndarray:
         return self.sample.trial == 0
 
-    @cached_property
-    def _id_order(self) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(self.sample.ids, kind="stable")
-        return order, self.sample.ids[order]
-
-    def positions(self, ids: np.ndarray) -> np.ndarray:
-        """Sample rows of subject ids (the last row if an id repeats)."""
-        order, sorted_ids = self._id_order
-        ids = np.asarray(ids, dtype=sorted_ids.dtype)
-        at = np.searchsorted(sorted_ids, ids, side="right") - 1
-        missing = (at < 0) | (sorted_ids[at] != ids)
-        if missing.any():
-            raise ValueError(f"subject id {int(ids[missing][0])} is not in the fitted sample")
-        return order[at]
-
 
 @dataclass(frozen=True)
 class MatchSet:
-    """Pairs of (concurrent id, matched historical id) plus the unmatched."""
+    """Matched pairs as aligned sample rows: concurrent and historical."""
 
-    pairs: tuple[tuple[int, int], ...]
-    unmatched_concurrent: tuple[int, ...]
+    conc_rows: np.ndarray
+    hist_rows: np.ndarray
     caliper: float
-
-
-@dataclass(frozen=True)
-class WeightSet:
-    """Weights aligned with a PsFit sample; trimmed historical rows get 0."""
-
-    weights: np.ndarray
-    trimmed_ids: tuple[int, ...]
-    bounds: tuple[float, float]
 
 
 def estimate_ps(dataset: TrialDataset, covset: int) -> PsFit:
     """Fit the concurrent-membership logistic model on the pooled sample."""
-    pooled = SubjectGroup.concat([dataset.reduced_concurrent, *dataset.historical])
+    pooled = dataset.pooled
     cols = covset_columns(covset, pooled.x.shape[1])
     X = np.column_stack([np.ones(len(pooled)), pooled.x[:, cols]])
-    t = (pooled.trial == 0).astype(float)
-    fit = fit_logistic(X, t)
-    return PsFit(
-        sample=pooled,
-        ps=fit.fitted,
-        logit_ps=X @ fit.coef,
-        model_spec=covset,
-        fit=fit,
-    )
+    fit = fit_logistic(X, (pooled.trial == 0).astype(float))
+    return PsFit(sample=pooled, ps=fit.fitted, fit=fit)
 
 
 def match_nearest(
     psfit: PsFit,
-    concurrent_ids: np.ndarray,
-    historical_ids: np.ndarray,
+    historical_rows: np.ndarray,
     caliper_mult: float = DEFAULT_CALIPER_MULT,
     rng: np.random.Generator | None = None,
     caliper_units: str = "sd",
 ) -> MatchSet:
     """1:1 nearest-neighbor matching with replacement under a caliper.
 
-    Every concurrent subject is matched to the historical candidate with
-    the closest propensity score; pairs farther apart than the caliper
-    (``caliper_mult`` times the pooled-score SD, or raw score units when
-    ``caliper_units='raw'``) are discarded and the subject left
-    unmatched. Distance ties go to the candidate drawn earliest in a
-    seeded shuffle, which makes reruns reproducible.
+    Every concurrent row of the sample is matched to the candidate among
+    ``historical_rows`` with the closest propensity score; pairs farther
+    apart than the caliper (``caliper_mult`` times the pooled-score SD,
+    or raw score units when ``caliper_units='raw'``) are discarded and
+    the subject left unmatched. Distance ties go to the candidate drawn
+    earliest in a seeded shuffle, which makes reruns reproducible.
     """
     if caliper_units not in ("sd", "raw"):
         raise ValueError("caliper_units must be 'sd' or 'raw'")
@@ -153,18 +118,16 @@ def match_nearest(
     scale = float(np.std(psfit.ps, ddof=1)) if caliper_units == "sd" else 1.0
     caliper = caliper_mult * scale
 
-    c_pos = psfit.positions(np.asarray(concurrent_ids))
-    h_pos = psfit.positions(np.asarray(historical_ids))
-    if h_pos.size == 0:
-        return MatchSet(pairs=(), unmatched_concurrent=tuple(int(s) for s in concurrent_ids),
-                        caliper=caliper)
-    ps_c = psfit.ps[c_pos]
-    ps_h = psfit.ps[h_pos]
+    c_rows = np.flatnonzero(psfit.is_concurrent)
+    h_rows = np.asarray(historical_rows, dtype=np.intp)
+    if h_rows.size == 0:
+        return MatchSet(c_rows[:0], h_rows, caliper)
+    ps_c = psfit.ps[c_rows]
 
-    order = rng.permutation(h_pos.size) if rng is not None else np.arange(h_pos.size)
-    sort_in_shuffled = np.argsort(ps_h[order], kind="stable")
-    sorted_ps = ps_h[order][sort_in_shuffled]
-    sorted_ids = np.asarray(historical_ids)[order][sort_in_shuffled]
+    shuffled = h_rows[rng.permutation(h_rows.size)] if rng is not None else h_rows
+    sort_in_shuffled = np.argsort(psfit.ps[shuffled], kind="stable")
+    sorted_rows = shuffled[sort_in_shuffled]
+    sorted_ps = psfit.ps[sorted_rows]
     priority = sort_in_shuffled  # position in the shuffle; lower wins ties
 
     m = sorted_ps.size
@@ -184,26 +147,19 @@ def match_nearest(
         (dist_right == dist_left) & (priority[rep_right] < priority[rep_left])
     )
     chosen = np.where(take_right, rep_right, rep_left)
-    dist = np.where(take_right, dist_right, dist_left)
-
-    pairs = []
-    unmatched = []
-    for cid, rep, d in zip(np.asarray(concurrent_ids), chosen, dist):
-        if d <= caliper:
-            pairs.append((int(cid), int(sorted_ids[rep])))
-        else:
-            unmatched.append(int(cid))
-    return MatchSet(pairs=tuple(pairs), unmatched_concurrent=tuple(unmatched), caliper=caliper)
+    within = np.where(take_right, dist_right, dist_left) <= caliper
+    return MatchSet(c_rows[within], sorted_rows[chosen[within]], caliper)
 
 
 def ipw_weights(
     psfit: PsFit, bounds: tuple[float, float] = DEFAULT_WEIGHT_BOUNDS
-) -> WeightSet:
-    """Odds weights ps/(1-ps) for historical subjects, 1 for concurrent.
+) -> np.ndarray:
+    """Odds weights ps/(1-ps) for historical rows, 1 for concurrent rows.
 
     Historical weights falling outside ``bounds`` are trimmed (set to
-    zero and recorded), which drops score regions with essentially no
-    concurrent support on either side.
+    zero), which drops score regions with essentially no concurrent
+    support on either side. Every other weight is at least the lower
+    bound, so a historical row is trimmed exactly when its weight is 0.
     """
     lo, hi = bounds
     if not 0 < lo < hi:
@@ -212,13 +168,8 @@ def ipw_weights(
     with np.errstate(divide="ignore", over="ignore"):
         odds = psfit.ps / (1.0 - psfit.ps)
     weights = np.where(conc, 1.0, odds)
-    trimmed = ~conc & ((odds < lo) | (odds > hi) | ~np.isfinite(odds))
-    weights[trimmed] = 0.0
-    return WeightSet(
-        weights=weights,
-        trimmed_ids=tuple(int(s) for s in psfit.sample.ids[trimmed]),
-        bounds=(lo, hi),
-    )
+    weights[~conc & ((odds < lo) | (odds > hi) | ~np.isfinite(odds))] = 0.0
+    return weights
 
 
 def stratify(psfit: PsFit, n_strata: int = DEFAULT_N_STRATA) -> np.ndarray:
@@ -273,18 +224,18 @@ def estimate_psm(
     unadjusted reduced-concurrent fit, flagged.
     """
     red = dataset.reduced_concurrent
-    if not matchset.pairs:
+    n_pairs = matchset.hist_rows.size
+    if n_pairs == 0:
         est = unadjusted_effect(red, "PSM")
         est.covset_id = covset
         est.flags = ("psm:no_matches_concurrent_only",)
         return est
 
-    matched_ids = np.array([h for _, h in matchset.pairs])
-    pos = psfit.positions(matched_ids)
-    y = np.concatenate([red.y, psfit.sample.y[pos]])
-    z = np.concatenate([red.z.astype(float), np.zeros(matched_ids.size)])
-    subject_clusters = np.concatenate([red.ids, matched_ids])
-    pair_clusters = np.concatenate([red.ids, [c for c, _ in matchset.pairs]])
+    ids = psfit.sample.ids
+    y = np.concatenate([red.y, psfit.sample.y[matchset.hist_rows]])
+    z = np.concatenate([red.z.astype(float), np.zeros(n_pairs)])
+    subject_clusters = np.concatenate([red.ids, ids[matchset.hist_rows]])
+    pair_clusters = np.concatenate([red.ids, ids[matchset.conc_rows]])
     X = np.column_stack([np.ones(y.size), z])
     fit = fit_ols(X, y, design_info=("intercept", "treated"))
     v_pair = sandwich_cov(fit, clusters=pair_clusters)[1, 1]
@@ -297,26 +248,27 @@ def estimate_psm(
     return wald_estimate(
         "PSM", covset, float(fit.coef[1]), float(np.sqrt(var)), flags=flags,
         diagnostics={
-            "n_pairs": float(len(matchset.pairs)),
-            "n_unmatched": float(len(matchset.unmatched_concurrent)),
-            "n_unique_matched": float(np.unique(matched_ids).size),
+            "n_pairs": float(n_pairs),
+            "n_unmatched": float(len(red) - n_pairs),
+            "n_unique_matched": float(np.unique(matchset.hist_rows).size),
         },
     )
 
 
 def estimate_psw(
-    dataset: TrialDataset, covset: int, psfit: PsFit, weightset: WeightSet
+    dataset: TrialDataset, covset: int, psfit: PsFit, weights: np.ndarray
 ) -> EffectEstimate:
     """Weighting estimator: WLS of outcome on treatment, robust SE.
 
     Concurrent subjects keep weight 1; retained historical controls get
-    the trimmed odds weights. If trimming removes every historical
-    subject the estimate falls back to the unadjusted reduced-concurrent
-    fit, flagged.
+    the trimmed odds weights of :func:`ipw_weights`. If trimming removes
+    every historical subject the estimate falls back to the unadjusted
+    reduced-concurrent fit, flagged.
     """
     sample = psfit.sample
-    keep = weightset.weights > 0
-    hist_kept = int(np.sum(keep & ~psfit.is_concurrent))
+    hist = ~psfit.is_concurrent
+    keep = weights > 0
+    hist_kept = int(np.sum(keep & hist))
     if hist_kept == 0:
         est = unadjusted_effect(dataset.reduced_concurrent, "PSW")
         est.covset_id = covset
@@ -324,15 +276,14 @@ def estimate_psw(
         return est
     y = sample.y[keep]
     z = sample.z[keep].astype(float)
-    w = weightset.weights[keep]
     X = np.column_stack([np.ones(y.size), z])
-    fit = fit_ols(X, y, weights=w, design_info=("intercept", "treated"))
+    fit = fit_ols(X, y, weights=weights[keep], design_info=("intercept", "treated"))
     se = sandwich_se(fit, 1)
     return wald_estimate(
         "PSW", covset, float(fit.coef[1]), se,
         diagnostics={
             "n_hist_kept": float(hist_kept),
-            "n_trimmed": float(len(weightset.trimmed_ids)),
-            "hist_weight_sum": float(np.sum(weightset.weights[~psfit.is_concurrent])),
+            "n_trimmed": float(np.sum(hist & (weights == 0))),
+            "hist_weight_sum": float(np.sum(weights[hist])),
         },
     )

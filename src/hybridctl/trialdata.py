@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -85,16 +86,6 @@ class SubjectGroup:
             y=self.y[index],
         )
 
-    @property
-    def treated_mask(self) -> np.ndarray:
-        return self.z == 1
-
-    def treated(self) -> "SubjectGroup":
-        return self.take(np.flatnonzero(self.treated_mask))
-
-    def controls(self) -> "SubjectGroup":
-        return self.take(np.flatnonzero(~self.treated_mask))
-
     @staticmethod
     def concat(groups: "list[SubjectGroup] | tuple[SubjectGroup, ...]") -> "SubjectGroup":
         if not groups:
@@ -115,7 +106,12 @@ class TrialDataset:
     ``full_concurrent`` is the 1:1 randomized concurrent trial,
     ``reduced_concurrent`` the same trial after dropping half of its
     controls (the 2:1 hybrid design), and ``historical`` the k control
-    pools (all subjects untreated).
+    pools (all subjects untreated). Concurrent subjects carry trial
+    label 0 and pool j's subjects label j.
+
+    ``pooled`` is the analysis sample every borrowing estimator works
+    on: the reduced concurrent trial followed by pools 1..k. Estimators
+    address subjects by their row in it.
     """
 
     full_concurrent: SubjectGroup
@@ -125,7 +121,12 @@ class TrialDataset:
     def __post_init__(self) -> None:
         if len(self.historical) == 0:
             raise ValueError("dataset needs at least one historical pool")
+        for name in ("full_concurrent", "reduced_concurrent"):
+            if not np.all(getattr(self, name).trial == 0):
+                raise ValueError(f"{name} needs trial label 0 on every subject")
         for j, pool in enumerate(self.historical, start=1):
+            if not np.all(pool.trial == j):
+                raise ValueError(f"historical pool {j} needs trial label {j} on every subject")
             if len(pool) and not np.all(pool.z == 0):
                 raise ValueError(f"historical pool {j} contains treated subjects")
 
@@ -133,8 +134,9 @@ class TrialDataset:
     def k_historical(self) -> int:
         return len(self.historical)
 
-    def historical_all(self) -> SubjectGroup:
-        return SubjectGroup.concat(list(self.historical))
+    @cached_property
+    def pooled(self) -> SubjectGroup:
+        return SubjectGroup.concat([self.reduced_concurrent, *self.historical])
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +150,9 @@ class GenCoefficients:
 
     ``beta0``/``beta`` are the selection-model coefficients: a scalar and
     a (6,) vector for the single historical pool (logistic model of
-    being historical), or a (k,) vector and (k, 6) matrix for k pools
-    (multinomial-logit relative to the concurrent trial).
+    being concurrent, P(concurrent) = expit(beta0 + x . beta)), or a (k,)
+    vector and (k, 6) matrix for k pools (multinomial-logit relative to
+    the concurrent trial).
     """
 
     alpha0: float

@@ -239,7 +239,6 @@ def effect_posterior(
         se=sd,
         reject=bool(lo_q > 0.0 or hi_q < 0.0),
         interval=(lo_q, hi_q),
-        var_for_essr=sd * sd,
     )
 
 
@@ -288,12 +287,9 @@ def estimate_map(
     the vague component.
     """
     red = dataset.reduced_concurrent
-    treated = red.treated()
-    controls = red.controls()
-    t_mean, t_se, _ = _mean_se(treated.y)
-    c_mean, c_se, _ = _mean_se(controls.y)
-    hist_y = dataset.historical_all().y
-    unit_sd = float(np.std(hist_y, ddof=1))
+    t_mean, t_se = _mean_se(red.y[red.z == 1])
+    c_mean, c_se = _mean_se(red.y[red.z == 0])
+    unit_sd = float(np.std(dataset.pooled.y[len(red):], ddof=1))
 
     flags = list(extra_flags)
     if studies is None:
@@ -314,7 +310,7 @@ def estimate_map(
         tau_scale = 0.0
         prior_raw_sd = vague_sd
     else:
-        tau_scale, _ = _resolve_tau_scale(cfg, studies)
+        tau_scale = _resolve_tau_scale(cfg, studies)
         vague_mean = _pooled_mean(studies)
         vague_sd = unit_sd
         grid = _widen(

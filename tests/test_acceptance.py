@@ -388,29 +388,27 @@ def test_c16_matching_and_trimming_audit():
     weight_viol = 0
     for r in range(200):
         ds = build_replicate(coeffs, 1200, replicate_rng(SEED, "audit", r, "data"))
-        hist_ids = ds.historical_all().ids
-        hist_set = set(int(i) for i in hist_ids)
+        hist_rows = np.flatnonzero(ds.pooled.trial > 0)
+        hist_set = set(hist_rows.tolist())
         for covset in (1, 3):
             psfit = estimate_ps(ds, covset)
             ms = match_nearest(
                 psfit,
-                ds.reduced_concurrent.ids,
-                hist_ids,
+                hist_rows,
                 rng=replicate_rng(SEED, "audit", r, f"match:c{covset}"),
             )
-            for cid, hid in ms.pairs:
-                if hid not in hist_set:
+            for pc, ph in zip(ms.conc_rows, ms.hist_rows):
+                if int(ph) not in hist_set or not psfit.is_concurrent[pc]:
                     caliper_viol += 1
                     continue
-                pc, ph = psfit.positions(np.array([cid, hid]))
                 if abs(psfit.ps[pc] - psfit.ps[ph]) > ms.caliper + 1e-12:
                     caliper_viol += 1
-            ws = ipw_weights(psfit)
+            weights = ipw_weights(psfit)
             conc = psfit.is_concurrent
-            if not np.all(ws.weights[conc] == 1.0):
+            if not np.all(weights[conc] == 1.0):
                 weight_viol += 1
-            kept = ~conc & (ws.weights > 0)
-            w = ws.weights[kept]
+            kept = ~conc & (weights > 0)
+            w = weights[kept]
             if w.size and (w.min() < 0.05 or w.max() > 20.0):
                 weight_viol += 1
     emit(

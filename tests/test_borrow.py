@@ -83,9 +83,9 @@ class TestNormalMixture:
 class TestMapPrior:
     def test_zero_tau_collapses_to_fixed_effect_pooling(self):
         studies = [
-            StudySummary(0.2, 0.10, 100),
-            StudySummary(0.5, 0.20, 25),
-            StudySummary(-0.1, 0.25, 16),
+            StudySummary(0.2, 0.10),
+            StudySummary(0.5, 0.20),
+            StudySummary(-0.1, 0.25),
         ]
         prior = map_prior(studies, 0.0)
         prec = np.array([1 / s.se**2 for s in studies])
@@ -94,7 +94,7 @@ class TestMapPrior:
         assert prior.sd() == pytest.approx(1 / math.sqrt(prec.sum()), rel=1e-6)
 
     def test_three_equal_studies_pool_as_root_three(self):
-        studies = [StudySummary(0.0, 0.2, 25)] * 3
+        studies = [StudySummary(0.0, 0.2)] * 3
         prior = map_prior(studies, 1e-9)
         assert prior.sd() == pytest.approx(0.2 / math.sqrt(3), rel=5e-3)
 
@@ -123,16 +123,16 @@ class TestMapPrior:
         oracle_mean = e_mu
         oracle_var = float((w * TAU**2).sum() + (w * (MU - e_mu) ** 2).sum())
 
-        studies = [StudySummary(float(m), se, 25) for m in means]
+        studies = [StudySummary(float(m), se) for m in means]
         prior = map_prior(studies, tau_scale)
         assert prior.mean() == pytest.approx(oracle_mean, abs=1e-4)
         assert prior.sd() == pytest.approx(math.sqrt(oracle_var), rel=1e-3)
 
     def test_prior_sd_non_decreasing_in_tau_ladder(self):
         studies = [
-            StudySummary(0.0, 0.25, 16),
-            StudySummary(0.4, 0.25, 16),
-            StudySummary(1.0, 0.25, 16),
+            StudySummary(0.0, 0.25),
+            StudySummary(0.4, 0.25),
+            StudySummary(1.0, 0.25),
         ]
         scale = empirical_tau_scale(studies)
         sds = [map_prior(studies, TAU_LADDER[l] * scale).sd() for l in ("XS", "S", "M", "L")]
@@ -143,15 +143,15 @@ class TestMapPrior:
         with pytest.raises(ValueError):
             map_prior([], 1.0)
         with pytest.raises(ValueError):
-            map_prior([StudySummary(0.0, 1.0, 10)], -0.5)
+            map_prior([StudySummary(0.0, 1.0)], -0.5)
 
 
 class TestEmpiricalTauScale:
     def test_single_study_uses_its_se(self):
-        assert empirical_tau_scale([StudySummary(0.3, 0.17, 30)]) == 0.17
+        assert empirical_tau_scale([StudySummary(0.3, 0.17)]) == 0.17
 
     def test_multiple_studies_use_sd_of_means(self):
-        studies = [StudySummary(m, 0.5, 10) for m in (0.0, 0.4, 1.0)]
+        studies = [StudySummary(m, 0.5) for m in (0.0, 0.4, 1.0)]
         want = float(np.std([0.0, 0.4, 1.0], ddof=1))
         assert empirical_tau_scale(studies) == pytest.approx(want, rel=1e-12)
 
@@ -400,7 +400,7 @@ class TestEstimateMap:
         with pytest.raises(ValueError):
             MapConfig(omega=0.5, tau_scale=-1.0)
         with pytest.raises(ValueError):
-            StudySummary(0.0, 0.0, 10)
+            StudySummary(0.0, 0.0)
 
 
 class TestStudySummaries:
@@ -412,14 +412,11 @@ class TestStudySummaries:
             ids=np.arange(n), x=np.zeros((n, 1)), z=np.zeros(n, dtype=int),
             trial=np.ones(n, dtype=int), y=y,
         )
-        fit = PsFit(sample=sample, ps=np.full(n, 0.5), logit_ps=np.zeros(n),
-                    model_spec=1, fit=None)
-        ms = MatchSet(pairs=tuple((1000 + i, i) for i in range(n)),
-                      unmatched_concurrent=(), caliper=0.1)
+        fit = PsFit(sample=sample, ps=np.full(n, 0.5), fit=None)
+        ms = MatchSet(conc_rows=1000 + np.arange(n), hist_rows=np.arange(n), caliper=0.1)
         got = matched_study_summary(ms, fit)
         assert got.mean == pytest.approx(float(y.mean()), rel=1e-12)
         assert got.se == pytest.approx(float(y.std(ddof=1) / math.sqrt(n)), rel=1e-12)
-        assert got.n_effective == n
 
     def test_matched_duplication_widens_se(self):
         rng = np.random.default_rng(6)
@@ -429,12 +426,10 @@ class TestStudySummaries:
             ids=np.arange(n), x=np.zeros((n, 1)), z=np.zeros(n, dtype=int),
             trial=np.ones(n, dtype=int), y=y,
         )
-        fit = PsFit(sample=sample, ps=np.full(n, 0.5), logit_ps=np.zeros(n),
-                    model_spec=1, fit=None)
-        once = MatchSet(pairs=tuple((100 + i, i) for i in range(n)),
-                        unmatched_concurrent=(), caliper=0.1)
-        dup = MatchSet(pairs=once.pairs + tuple((200 + i, 0) for i in range(n)),
-                       unmatched_concurrent=(), caliper=0.1)
+        fit = PsFit(sample=sample, ps=np.full(n, 0.5), fit=None)
+        once = MatchSet(conc_rows=100 + np.arange(n), hist_rows=np.arange(n), caliper=0.1)
+        dup = MatchSet(conc_rows=np.r_[once.conc_rows, 200 + np.arange(n)],
+                       hist_rows=np.r_[once.hist_rows, np.zeros(n, dtype=int)], caliper=0.1)
         # re-using subject 0 for half the pairs must not shrink the SE the
         # way n independent extra controls would
         assert matched_study_summary(dup, fit).se > matched_study_summary(once, fit).se / math.sqrt(2)
@@ -444,10 +439,10 @@ class TestStudySummaries:
             ids=np.arange(3), x=np.zeros((3, 1)), z=np.zeros(3, dtype=int),
             trial=np.ones(3, dtype=int), y=np.array([1.0, 2.0, 3.0]),
         )
-        fit = PsFit(sample=sample, ps=np.full(3, 0.5), logit_ps=np.zeros(3),
-                    model_spec=1, fit=None)
-        assert matched_study_summary(MatchSet((), (), 0.1), fit) is None
-        one = MatchSet(pairs=((10, 0), (11, 0)), unmatched_concurrent=(), caliper=0.1)
+        fit = PsFit(sample=sample, ps=np.full(3, 0.5), fit=None)
+        none = np.zeros(0, dtype=int)
+        assert matched_study_summary(MatchSet(none, none, 0.1), fit) is None
+        one = MatchSet(conc_rows=np.array([10, 11]), hist_rows=np.array([0, 0]), caliper=0.1)
         assert matched_study_summary(one, fit) is None
 
     def test_weighted_unit_weights_reduce_to_plain_se(self):
@@ -456,7 +451,6 @@ class TestStudySummaries:
         got = weighted_study_summary(y, np.ones(25))
         assert got.mean == pytest.approx(float(y.mean()), rel=1e-12)
         assert got.se == pytest.approx(float(y.std(ddof=1) / 5.0), rel=1e-12)
-        assert got.n_effective == 25
 
     def test_weighted_zero_weights_are_dropped(self):
         y = np.array([1.0, 2.0, 3.0, 100.0])
@@ -472,12 +466,13 @@ class TestMapCombinations:
     def test_psm_map_drops_unmatchable_pool(self):
         ds = dataset("multi-moderate", seed=9, n=1600)
         psfit = estimate_ps(ds, 1)
-        conc_ids = ds.reduced_concurrent.ids
         real = [
-            match_nearest(psfit, conc_ids, pool.ids, rng=np.random.default_rng(3))
-            for pool in ds.historical
+            match_nearest(psfit, np.flatnonzero(psfit.sample.trial == j),
+                          rng=np.random.default_rng(3))
+            for j in range(1, ds.k_historical + 1)
         ]
-        real[1] = MatchSet(pairs=(), unmatched_concurrent=(), caliper=0.0)
+        none = np.zeros(0, dtype=int)
+        real[1] = MatchSet(conc_rows=none, hist_rows=none, caliper=0.0)
         got = estimate_psm_map(ds, 1, MapConfig(omega=0.5), psfit=psfit, matchsets=real)
         assert got.flags == ("psm_map:pool2_unmatched_dropped",)
         assert got.diagnostics["n_studies"] == 2.0
@@ -512,8 +507,7 @@ def synthetic_pss_inputs(frac_treated_low=1.0, seed=13):
         y=rng.normal(size=n),
     )
     ps = np.r_[ps_c, ps_h]
-    fit = PsFit(sample=sample, ps=ps, logit_ps=np.log(ps / (1 - ps)),
-                model_spec=1, fit=None)
+    fit = PsFit(sample=sample, ps=ps, fit=None)
     conc = sample.take(np.arange(100))
     hist = sample.take(np.arange(100, 160))
     ds = TrialDataset(full_concurrent=conc, reduced_concurrent=conc, historical=(hist,))
@@ -572,8 +566,7 @@ class TestStratifiedBorrowing:
         )
         ds2 = TrialDataset(full_concurrent=ds.full_concurrent,
                            reduced_concurrent=reduced, historical=pools)
-        psfit2 = PsFit(sample=new_sample, ps=psfit.ps, logit_ps=psfit.logit_ps,
-                       model_spec=1, fit=psfit.fit)
+        psfit2 = PsFit(sample=new_sample, ps=psfit.ps, fit=psfit.fit)
         tb = float(((labels >= 0) & ~conc).sum())
         pp = estimate_pss_pp(ds2, 1, psfit=psfit2, total_borrow=tb)
         cl = estimate_pss_cl(ds2, 1, psfit=psfit2, total_borrow=tb)

@@ -30,7 +30,7 @@ from hybridctl.harness import (
     write_summary_csv,
 )
 from hybridctl.metrics import SummaryRow
-from hybridctl.trialdata import build_replicate, preset
+from hybridctl.trialdata import SubjectGroup, TrialDataset, build_replicate, preset
 
 RAW_HEADER = "scenario_id,replicate,method_id,covset,hyperparam,estimate,se,reject,essr_pct,flags"
 SUMMARY_HEADER = (
@@ -71,6 +71,22 @@ def test_scipy_optimize_stays_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry breaks `from hybridctl import *`
+    import importlib
+    import pkgutil
+
+    import hybridctl
+
+    modules = [hybridctl] + [
+        importlib.import_module(f"hybridctl.{m.name}") for m in pkgutil.iter_modules(hybridctl.__path__)
+    ]
+    exporting = [mod for mod in modules if hasattr(mod, "__all__")]
+    assert len(exporting) >= 8
+    for mod in exporting:
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == [], mod.__name__
 
 
 class TestExpandCells:
@@ -375,6 +391,29 @@ def test_cell_rows_do_not_depend_on_the_other_cells(data):
     for i, row in zip(picked, rows):
         assert row_signature(row) == row_signature(want[i])
         assert row.essr_pct == (want[i].essr_pct if with_benchmark else None)
+
+
+def test_rows_do_not_depend_on_subject_id_order():
+    # Reversing the ids (id -> n - 1 - id) keeps every row where it is;
+    # estimators address subjects by row, so only the order of PSM's
+    # cluster sums may move the last bits.
+    n = 800
+    ds = build_replicate(preset("multi-moderate"), n, np.random.default_rng(22))
+
+    def reverse(g):
+        return SubjectGroup(ids=n - 1 - g.ids, x=g.x, z=g.z, trial=g.trial, y=g.y)
+
+    rev = TrialDataset(reverse(ds.full_concurrent), reverse(ds.reduced_concurrent),
+                       tuple(reverse(p) for p in ds.historical))
+    cells = expand_cells(sorted(METHODS), (1, 3))
+    want = evaluate_cells(ds, cells, "order", 5, 0)
+    got = evaluate_cells(rev, cells, "order", 5, 0)
+    assert {r.method_id for r in want} == set(METHODS) and len(METHODS) == 11
+    for a, b in zip(want, got, strict=True):
+        assert not a.failed, a.flags
+        assert b.estimate == pytest.approx(a.estimate, rel=1e-12, abs=0)
+        assert b.se == pytest.approx(a.se, rel=1e-12, abs=0)
+        assert (b.reject, b.flags) == (a.reject, a.flags)
 
 
 class TestRunScenario:

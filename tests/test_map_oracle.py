@@ -32,7 +32,7 @@ DATASETS = (("single-moderate", 1), ("single-severe", 2), ("multi-severe", 3))
 TOL_SD = 1e-6
 
 
-def all_fits(ds, covset, psfit, matchsets, weightset):
+def all_fits(ds, covset, psfit, matchsets, weights):
     """Every MAP-family fit of one dataset, through ``borrow.estimate_map``."""
     out = [borrow.estimate_map(ds, MapConfig(omega=0.5), studies=[])]
     for omega in OMEGAS:
@@ -42,7 +42,7 @@ def all_fits(ds, covset, psfit, matchsets, weightset):
             out.append(borrow.estimate_psm_map(ds, covset, cfg, psfit=psfit,
                                                matchsets=matchsets))
             out.append(borrow.estimate_psw_map(ds, covset, cfg, psfit=psfit,
-                                               weightset=weightset))
+                                               weights=weights))
     return out
 
 
@@ -53,9 +53,9 @@ def fit_inputs():
         ds = build_replicate(preset(name), preset_n_total(name), np.random.default_rng(40 + i))
         psfit = estimate_ps(ds, covset)
         matchsets = [
-            match_nearest(psfit, ds.reduced_concurrent.ids, pool.ids,
+            match_nearest(psfit, np.flatnonzero(psfit.sample.trial == j),
                           rng=np.random.default_rng(50 + i))
-            for pool in ds.historical
+            for j in range(1, ds.k_historical + 1)
         ]
         inputs.append((ds, covset, psfit, matchsets, ipw_weights(psfit)))
     return inputs

@@ -24,7 +24,6 @@ def est(method="m", covset=None, hp="", estimate=0.5, se=0.1, reject=False,
         se=se,
         reject=reject,
         interval=(estimate - 0.2, estimate + 0.2),
-        var_for_essr=se * se,
         hyperparam=hp,
         essr_pct=essr_pct,
         failed=failed,
@@ -64,7 +63,7 @@ class TestWaldEstimate:
         z = 1.959963984540054
         assert e.interval == pytest.approx((0.5 - z * 0.2, 0.5 + z * 0.2), rel=1e-14)
         assert e.reject  # |0.5 / 0.2| = 2.5 > z
-        assert e.var_for_essr == 0.2 * 0.2
+        assert e.se * e.se == 0.2 * 0.2
         assert (e.key, e.flags, e.diagnostics) == (("m", 2, ""), ("f",), {"d": 1.0})
         assert not wald_estimate("m", None, 0.39, 0.2).reject  # 1.95 < z
 

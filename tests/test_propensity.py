@@ -4,7 +4,6 @@ import pytest
 from hybridctl.propensity import (
     MatchSet,
     PsFit,
-    WeightSet,
     covset_columns,
     estimate_ps,
     estimate_psm,
@@ -36,16 +35,14 @@ def make_psfit(ps_conc, ps_hist):
         trial=np.r_[np.zeros(ps_conc.size, dtype=int), np.ones(ps_hist.size, dtype=int)],
         y=np.zeros(n),
     )
-    ps = np.r_[ps_conc, ps_hist]
-    with np.errstate(divide="ignore"):
-        logit = np.log(ps) - np.log1p(-ps)
-    return PsFit(sample=group, ps=ps, logit_ps=logit, model_spec=1, fit=None)
+    return PsFit(sample=group, ps=np.r_[ps_conc, ps_hist], fit=None)
 
 
 def hand_built_match(y_conc, z_conc, y_hist):
-    """Reduced concurrent trial (ids 0..) and one historical pool (ids
-    continuing after it) with prescribed outcomes, plus a PsFit over them;
-    scores and covariates are filler since the match set is supplied."""
+    """Reduced concurrent trial (ids and rows 0..) and one historical pool
+    (continuing after it) with prescribed outcomes, plus a PsFit over
+    them; scores and covariates are filler since the match set is
+    supplied."""
     n_c, n_h = len(y_conc), len(y_hist)
     conc = SubjectGroup(
         ids=np.arange(n_c), x=np.zeros((n_c, 1)), z=np.asarray(z_conc),
@@ -56,9 +53,7 @@ def hand_built_match(y_conc, z_conc, y_hist):
         trial=np.ones(n_h, dtype=int), y=np.asarray(y_hist, dtype=float),
     )
     ds = TrialDataset(full_concurrent=conc, reduced_concurrent=conc, historical=(hist,))
-    psfit = make_psfit(np.full(n_c, 0.5), np.full(n_h, 0.5))
-    psfit.sample = SubjectGroup.concat([conc, hist])
-    return ds, psfit
+    return ds, PsFit(sample=ds.pooled, ps=np.full(n_c + n_h, 0.5), fit=None)
 
 
 def dataset(name="single-moderate", seed=0, n=1200):
@@ -113,7 +108,6 @@ class TestEstimatePs:
     def test_covset3_uses_three_covariates(self):
         fit = estimate_ps(dataset(seed=3), 3)
         assert fit.fit.coef.shape == (4,)  # intercept + x1..x3
-        assert fit.model_spec == 3
 
     def test_sample_stacks_reduced_then_historical(self):
         ds = dataset(seed=4)
@@ -122,23 +116,29 @@ class TestEstimatePs:
         np.testing.assert_array_equal(fit.sample.ids[:nr], ds.reduced_concurrent.ids)
         assert np.all(fit.sample.trial[nr:] > 0)
         assert fit.is_concurrent.sum() == nr
-
-    def test_positions_rejects_unknown_id(self):
-        fit = estimate_ps(dataset(seed=5), 1)
-        with pytest.raises(ValueError, match="not in the fitted sample"):
-            fit.positions(np.array([10 ** 9]))
+        assert fit.sample is ds.pooled
 
 
-def brute_nearest(ps_c, ps_h, hist_ids, caliper):
+def brute_nearest(ps_c, ps_h, hist_rows, caliper):
     pairs, unmatched = [], []
     for i, p in enumerate(ps_c):
         d = np.abs(ps_h - p)
         j = int(np.argmin(d))
         if d[j] <= caliper:
-            pairs.append((i, int(hist_ids[j])))
+            pairs.append((i, int(hist_rows[j])))
         else:
             unmatched.append(i)
     return pairs, unmatched
+
+
+def pairs_of(ms):
+    """(concurrent row, historical row) pairs of a match set."""
+    return [(int(c), int(h)) for c, h in zip(ms.conc_rows, ms.hist_rows)]
+
+
+def unmatched_of(ms, fit):
+    """Concurrent rows left without a match."""
+    return np.setdiff1d(np.flatnonzero(fit.is_concurrent), ms.conc_rows).tolist()
 
 
 class TestMatchNearest:
@@ -147,12 +147,11 @@ class TestMatchNearest:
         ps_c = rng.uniform(0.1, 0.9, size=20)
         ps_h = rng.uniform(0.05, 0.95, size=40)
         fit = make_psfit(ps_c, ps_h)
-        hist_ids = fit.sample.ids[20:]
-        got = match_nearest(fit, fit.sample.ids[:20], hist_ids,
-                            caliper_mult=1.0, caliper_units="raw")
-        want_pairs, want_unmatched = brute_nearest(ps_c, ps_h, hist_ids, 1.0)
-        assert list(got.pairs) == [(c, h) for c, h in want_pairs]
-        assert got.unmatched_concurrent == ()
+        hist_rows = np.arange(20, 60)
+        got = match_nearest(fit, hist_rows, caliper_mult=1.0, caliper_units="raw")
+        want_pairs, want_unmatched = brute_nearest(ps_c, ps_h, hist_rows, 1.0)
+        assert pairs_of(got) == [(c, h) for c, h in want_pairs]
+        assert unmatched_of(got, fit) == []
 
     def test_caliper_excludes_far_pairs(self):
         rng = np.random.default_rng(22)
@@ -160,26 +159,24 @@ class TestMatchNearest:
         ps_h = rng.uniform(0.05, 0.95, size=15)
         cal = 0.01
         fit = make_psfit(ps_c, ps_h)
-        hist_ids = fit.sample.ids[25:]
-        got = match_nearest(fit, fit.sample.ids[:25], hist_ids,
-                            caliper_mult=cal, caliper_units="raw")
-        want_pairs, want_unmatched = brute_nearest(ps_c, ps_h, hist_ids, cal)
-        assert list(got.pairs) == want_pairs
-        assert list(got.unmatched_concurrent) == want_unmatched
-        assert got.unmatched_concurrent  # the tight caliper must actually bite
+        hist_rows = np.arange(25, 40)
+        got = match_nearest(fit, hist_rows, caliper_mult=cal, caliper_units="raw")
+        want_pairs, want_unmatched = brute_nearest(ps_c, ps_h, hist_rows, cal)
+        assert pairs_of(got) == want_pairs
+        assert unmatched_of(got, fit) == want_unmatched
+        assert unmatched_of(got, fit)  # the tight caliper must actually bite
 
     def test_zero_caliper_keeps_exact_ties_only(self):
         fit = make_psfit([0.3, 0.6], [0.3, 0.5])
-        got = match_nearest(fit, fit.sample.ids[:2], fit.sample.ids[2:],
-                            caliper_mult=0.0, caliper_units="raw")
-        assert got.pairs == ((0, 2),)
-        assert got.unmatched_concurrent == (1,)
+        got = match_nearest(fit, np.arange(2, 4), caliper_mult=0.0, caliper_units="raw")
+        assert pairs_of(got) == [(0, 2)]
+        assert unmatched_of(got, fit) == [1]
 
     def test_empty_historical_leaves_all_unmatched(self):
         fit = make_psfit([0.4, 0.5], [])
-        got = match_nearest(fit, fit.sample.ids[:2], fit.sample.ids[2:])
-        assert got.pairs == ()
-        assert got.unmatched_concurrent == (0, 1)
+        got = match_nearest(fit, np.arange(2, 2))
+        assert pairs_of(got) == []
+        assert unmatched_of(got, fit) == [0, 1]
 
     def test_sd_caliper_equals_rescaled_raw_caliper(self):
         rng = np.random.default_rng(23)
@@ -187,66 +184,65 @@ class TestMatchNearest:
         ps_h = rng.uniform(0.1, 0.9, size=30)
         fit = make_psfit(ps_c, ps_h)
         sd = float(np.std(fit.ps, ddof=1))
-        a = match_nearest(fit, fit.sample.ids[:30], fit.sample.ids[30:],
-                          caliper_mult=0.2, caliper_units="sd")
-        b = match_nearest(fit, fit.sample.ids[:30], fit.sample.ids[30:],
-                          caliper_mult=0.2 * sd, caliper_units="raw")
-        assert a.pairs == b.pairs
-        assert a.unmatched_concurrent == b.unmatched_concurrent
+        a = match_nearest(fit, np.arange(30, 60), caliper_mult=0.2, caliper_units="sd")
+        b = match_nearest(fit, np.arange(30, 60), caliper_mult=0.2 * sd, caliper_units="raw")
+        assert pairs_of(a) == pairs_of(b)
+        assert unmatched_of(a, fit) == unmatched_of(b, fit)
         assert a.caliper == pytest.approx(b.caliper, rel=1e-12)
 
     def test_tie_break_follows_seeded_shuffle(self):
         fit = make_psfit([0.5], [0.5, 0.5, 0.5])
-        hist_ids = fit.sample.ids[1:]
+        hist_rows = np.arange(1, 4)
         for seed in range(5):
-            expected = hist_ids[np.random.default_rng(seed).permutation(3)][0]
-            got = match_nearest(fit, fit.sample.ids[:1], hist_ids,
-                                rng=np.random.default_rng(seed))
-            assert got.pairs == ((0, int(expected)),)
+            expected = hist_rows[np.random.default_rng(seed).permutation(3)][0]
+            got = match_nearest(fit, hist_rows, rng=np.random.default_rng(seed))
+            assert pairs_of(got) == [(0, int(expected))]
 
     def test_without_rng_earliest_candidate_wins_ties(self):
         fit = make_psfit([0.5], [0.5, 0.5, 0.5])
-        got = match_nearest(fit, fit.sample.ids[:1], fit.sample.ids[1:])
-        assert got.pairs == ((0, 1),)
+        got = match_nearest(fit, np.arange(1, 4))
+        assert pairs_of(got) == [(0, 1)]
 
     def test_negative_caliper_rejected(self):
         fit = make_psfit([0.5], [0.5])
         with pytest.raises(ValueError, match="non-negative"):
-            match_nearest(fit, fit.sample.ids[:1], fit.sample.ids[1:],
-                          caliper_mult=-0.1)
+            match_nearest(fit, np.arange(1, 2), caliper_mult=-0.1)
         with pytest.raises(ValueError, match="caliper_units"):
-            match_nearest(fit, fit.sample.ids[:1], fit.sample.ids[1:],
-                          caliper_units="logit")
+            match_nearest(fit, np.arange(1, 2), caliper_units="logit")
+
+
+def trimmed_rows(fit, w):
+    return np.flatnonzero(~fit.is_concurrent & (w == 0)).tolist()
 
 
 class TestIpwWeights:
     def test_odds_values(self):
         fit = make_psfit([0.9, 0.1], [0.5, 2.0 / 3.0, 0.2])
-        ws = ipw_weights(fit)
-        np.testing.assert_allclose(ws.weights[:2], 1.0)  # concurrent stay 1
-        assert ws.weights[2] == pytest.approx(1.0, abs=1e-12)
-        assert ws.weights[3] == pytest.approx(2.0, rel=1e-12)
-        assert ws.weights[4] == pytest.approx(0.25, rel=1e-12)
-        assert ws.trimmed_ids == ()
+        w = ipw_weights(fit)
+        np.testing.assert_allclose(w[:2], 1.0)  # concurrent stay 1
+        assert w[2] == pytest.approx(1.0, abs=1e-12)
+        assert w[3] == pytest.approx(2.0, rel=1e-12)
+        assert w[4] == pytest.approx(0.25, rel=1e-12)
+        assert trimmed_rows(fit, w) == []
 
     def test_bounds_trim_historical_only(self):
         # odds: 0.05 (on the bound, kept), 0.04 (below, dropped),
         # 20 (on the bound, kept), 25 (above, dropped)
         ps = [0.05 / 1.05, 0.04 / 1.04, 20.0 / 21.0, 25.0 / 26.0]
         fit = make_psfit([0.01], ps)
-        ws = ipw_weights(fit)
-        assert ws.weights[0] == 1.0
-        assert ws.weights[1] == pytest.approx(0.05, rel=1e-9)
-        assert ws.weights[2] == 0.0
-        assert ws.weights[3] == pytest.approx(20.0, rel=1e-9)
-        assert ws.weights[4] == 0.0
-        assert ws.trimmed_ids == (2, 4)
+        w = ipw_weights(fit)
+        assert w[0] == 1.0
+        assert w[1] == pytest.approx(0.05, rel=1e-9)
+        assert w[2] == 0.0
+        assert w[3] == pytest.approx(20.0, rel=1e-9)
+        assert w[4] == 0.0
+        assert trimmed_rows(fit, w) == [2, 4]
 
     def test_degenerate_score_one_is_trimmed(self):
         fit = make_psfit([0.5], [1.0])
-        ws = ipw_weights(fit)
-        assert ws.weights[1] == 0.0
-        assert ws.trimmed_ids == (1,)
+        w = ipw_weights(fit)
+        assert w[1] == 0.0
+        assert trimmed_rows(fit, w) == [1]
 
     def test_bad_bounds_rejected(self):
         fit = make_psfit([0.5], [0.5])
@@ -296,17 +292,21 @@ class TestStratify:
 def psm_inputs(ds, covset, seed):
     """Propensity fit and a default-caliper match against all pooled controls."""
     psfit = estimate_ps(ds, covset)
-    matchset = match_nearest(psfit, ds.reduced_concurrent.ids, ds.historical_all().ids,
+    matchset = match_nearest(psfit, np.flatnonzero(~psfit.is_concurrent),
                              rng=np.random.default_rng(seed))
     return psfit, matchset
+
+
+def match_set(pairs):
+    """MatchSet of (concurrent row, historical row) pairs."""
+    conc, hist = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return MatchSet(conc, hist, 0.1)
 
 
 class TestEstimatePsm:
     def test_empty_matchset_falls_back_to_unadjusted(self):
         ds = dataset(seed=41)
-        empty = MatchSet(pairs=(),
-                         unmatched_concurrent=tuple(int(s) for s in ds.reduced_concurrent.ids),
-                         caliper=0.0)
+        empty = match_set(())
         psfit = estimate_ps(ds, 1)
         got = estimate_psm(ds, 1, psfit=psfit, matchset=empty)
         ref = unadjusted_effect(ds.reduced_concurrent, "PSM")
@@ -333,13 +333,13 @@ class TestEstimatePsm:
         assert a.diagnostics == b.diagnostics
 
     def test_twoway_variance_over_pairs_and_subjects(self):
-        # four treated and two concurrent controls (ids 0-5), each matched to
-        # one of historical ids 6-10; id 9 is re-used by subjects 3 and 4
+        # four treated and two concurrent controls (rows and ids 0-5), each
+        # matched to one of historical rows 6-10; row 9 is re-used by rows 3 and 4
         y_conc = [1.2, -0.3, 0.8, 2.1, 0.4, -1.0]
         y_hist = [0.5, 1.7, -0.6, 0.9, 0.1]
         pairs = ((0, 6), (1, 7), (2, 8), (3, 9), (4, 9), (5, 10))
         ds, psfit = hand_built_match(y_conc, [1, 1, 1, 1, 0, 0], y_hist)
-        got = estimate_psm(ds, 1, psfit=psfit, matchset=MatchSet(pairs, (), 0.1))
+        got = estimate_psm(ds, 1, psfit=psfit, matchset=match_set(pairs))
 
         y = np.r_[y_conc, [y_hist[h - 6] for _, h in pairs]]
         X = np.column_stack([np.ones(12), np.r_[1, 1, 1, 1, 0, 0, np.zeros(6)]])
@@ -365,7 +365,7 @@ class TestEstimatePsm:
         y = [1.0, -1.0, 2.0, -2.0]
         pairs = ((0, 4), (1, 5), (2, 6), (3, 7))
         ds, psfit = hand_built_match(y, [1, 1, 1, 1], y)
-        got = estimate_psm(ds, 1, psfit=psfit, matchset=MatchSet(pairs, (), 0.1))
+        got = estimate_psm(ds, 1, psfit=psfit, matchset=match_set(pairs))
 
         X = np.column_stack([np.ones(8), [1, 1, 1, 1, 0, 0, 0, 0]])
         fit = fit_ols(X, np.r_[y, y])
@@ -397,8 +397,7 @@ class TestEstimatePsw:
         ds = dataset(seed=51)
         psfit = estimate_ps(ds, 1)
         n = len(psfit.sample)
-        unit = WeightSet(weights=np.ones(n), trimmed_ids=(), bounds=(0.05, 20.0))
-        got = estimate_psw(ds, 1, psfit=psfit, weightset=unit)
+        got = estimate_psw(ds, 1, psfit=psfit, weights=np.ones(n))
         X = np.column_stack([np.ones(n), psfit.sample.z.astype(float)])
         fit = fit_ols(X, psfit.sample.y)
         assert got.estimate == pytest.approx(float(fit.coef[1]), abs=1e-12)
@@ -408,9 +407,7 @@ class TestEstimatePsw:
         ds = dataset(seed=52)
         psfit = estimate_ps(ds, 1)
         w = np.where(psfit.is_concurrent, 1.0, 0.0)
-        trimmed = tuple(int(s) for s in psfit.sample.ids[~psfit.is_concurrent])
-        ws = WeightSet(weights=w, trimmed_ids=trimmed, bounds=(0.05, 20.0))
-        got = estimate_psw(ds, 1, psfit=psfit, weightset=ws)
+        got = estimate_psw(ds, 1, psfit=psfit, weights=w)
         ref = unadjusted_effect(ds.reduced_concurrent, "PSW")
         assert got.flags == ("psw:all_historical_trimmed_concurrent_only",)
         assert got.estimate == ref.estimate
@@ -419,11 +416,11 @@ class TestEstimatePsw:
     def test_weighting_restores_covariate_balance(self):
         ds = dataset("single-severe", seed=53)
         psfit = estimate_ps(ds, 1)
-        ws = ipw_weights(psfit)
+        w = ipw_weights(psfit)
         conc = psfit.is_concurrent
         x1 = psfit.sample.x[:, 0]
         before = x1[conc].mean() - x1[~conc].mean()
-        after = x1[conc].mean() - np.average(x1[~conc], weights=ws.weights[~conc])
+        after = x1[conc].mean() - np.average(x1[~conc], weights=w[~conc])
         assert abs(before) > 0.3
         assert abs(after) < 0.1
         assert abs(after) < abs(before) / 3
@@ -433,6 +430,6 @@ class TestEstimatePsw:
         psfit = estimate_ps(ds, 1)
         got = estimate_psw(ds, 1, psfit, ipw_weights(psfit))
         assert got.diagnostics["n_hist_kept"] > 0
-        assert got.diagnostics["n_hist_kept"] + got.diagnostics["n_trimmed"] == len(
-            ds.historical_all()
+        assert got.diagnostics["n_hist_kept"] + got.diagnostics["n_trimmed"] == sum(
+            len(pool) for pool in ds.historical
         )

@@ -164,19 +164,18 @@ class TestBuildReplicate:
 
     def test_reduced_controls_are_half(self):
         ds = build_replicate(preset("single-severe").with_theta(0.0), 1200, rng_(3))
-        m_full = len(ds.full_concurrent.controls())
-        assert len(ds.reduced_concurrent.controls()) == m_full // 2
+        m_full = int((ds.full_concurrent.z == 0).sum())
+        assert int((ds.reduced_concurrent.z == 0).sum()) == m_full // 2
 
     def test_treated_sets_identical(self):
         ds = build_replicate(preset("single-moderate"), 1200, rng_(4))
-        np.testing.assert_array_equal(
-            ds.full_concurrent.treated().ids, ds.reduced_concurrent.treated().ids
-        )
+        full, red = ds.full_concurrent, ds.reduced_concurrent
+        np.testing.assert_array_equal(full.ids[full.z == 1], red.ids[red.z == 1])
 
     def test_reduced_controls_subset_of_full(self):
         ds = build_replicate(preset("multi-severe"), 1600, rng_(5))
-        full = set(ds.full_concurrent.controls().ids.tolist())
-        red = set(ds.reduced_concurrent.controls().ids.tolist())
+        full = set(ds.full_concurrent.ids[ds.full_concurrent.z == 0].tolist())
+        red = set(ds.reduced_concurrent.ids[ds.reduced_concurrent.z == 0].tolist())
         assert red <= full
 
     def test_historical_untreated(self):
@@ -209,10 +208,38 @@ class TestBuildReplicate:
         r = rng_(11)
         for _ in range(50):
             ds = build_replicate(c, 1200, r)
-            treated.append(ds.full_concurrent.treated().y)
-            controls.append(ds.full_concurrent.controls().y)
+            full = ds.full_concurrent
+            treated.append(full.y[full.z == 1])
+            controls.append(full.y[full.z == 0])
         ks = stats.ks_2samp(np.concatenate(treated), np.concatenate(controls))
         assert ks.pvalue > 0.001
+
+
+class TestTrialDataset:
+    def test_pooled_stacks_reduced_then_pools(self):
+        ds = build_replicate(preset("multi-moderate"), 1600, rng_(8))
+        pooled = ds.pooled
+        parts = [ds.reduced_concurrent, *ds.historical]
+        np.testing.assert_array_equal(pooled.ids, np.concatenate([g.ids for g in parts]))
+        np.testing.assert_array_equal(pooled.trial, np.repeat(range(4), [len(g) for g in parts]))
+        assert ds.pooled is pooled
+
+    def test_mislabelled_groups_rejected(self):
+        ds = build_replicate(preset("multi-moderate"), 1600, rng_(9))
+
+        def relabel(g, label):
+            return SubjectGroup(ids=g.ids, x=g.x, z=g.z, trial=np.full(len(g), label), y=g.y)
+
+        pools = list(ds.historical)
+        pools[1] = relabel(pools[1], 3)
+        with pytest.raises(ValueError, match="historical pool 2 needs trial label 2"):
+            TrialDataset(ds.full_concurrent, ds.reduced_concurrent, tuple(pools))
+        with pytest.raises(ValueError, match="historical pool 1 needs trial label 1"):
+            TrialDataset(ds.full_concurrent, ds.reduced_concurrent, ds.historical[::-1])
+        with pytest.raises(ValueError, match="reduced_concurrent needs trial label 0"):
+            TrialDataset(ds.full_concurrent, relabel(ds.reduced_concurrent, 1), ds.historical)
+        with pytest.raises(ValueError, match="full_concurrent needs trial label 0"):
+            TrialDataset(relabel(ds.full_concurrent, 2), ds.reduced_concurrent, ds.historical)
 
 
 class TestSubjectsCsv:
