@@ -276,8 +276,6 @@ def effect_posterior(
     treated_mean: float,
     treated_se: float,
     alpha: float = ALPHA,
-    method_id: str = "",
-    covset: int | None = None,
 ) -> EffectEstimate:
     """Posterior of treated mean minus control mean.
 
@@ -298,8 +296,6 @@ def effect_posterior(
     lo_q = _mixture_quantile(w, mu, comp_sd, alpha / 2.0, est, sd)
     hi_q = _mixture_quantile(w, mu, comp_sd, 1.0 - alpha / 2.0, est, sd)
     return EffectEstimate(
-        method_id=method_id,
-        covset_id=covset,
         estimate=est,
         se=sd,
         reject=bool(lo_q > 0.0 or hi_q < 0.0),
@@ -364,8 +360,6 @@ def estimate_map(
     dataset: TrialDataset,
     cfg: MapConfig,
     studies: list[StudySummary] | None = None,
-    method_id: str = "MAP",
-    covset: int | None = None,
     extra_flags: tuple[str, ...] = (),
 ) -> EffectEstimate:
     """Robust MAP borrowing for the concurrent control arm.
@@ -400,7 +394,7 @@ def estimate_map(
         prior = robustify(raw_prior, omega, _pooled_mean(studies), unit_sd)
 
     posterior = posterior_update(prior, c_mean, c_se)
-    est = effect_posterior(posterior, t_mean, t_se, method_id=method_id, covset=covset)
+    est = effect_posterior(posterior, t_mean, t_se)
     prior_var = prior.var()
     est.flags = tuple(flags)
     est.diagnostics = {
@@ -462,11 +456,7 @@ def weighted_study_summary(
 
 
 def estimate_psm_map(
-    dataset: TrialDataset,
-    covset: int,
-    cfg: MapConfig,
-    psfit: PsFit,
-    matchsets: list[MatchSet],
+    dataset: TrialDataset, cfg: MapConfig, psfit: PsFit, matchsets: list[MatchSet]
 ) -> EffectEstimate:
     """MAP borrowing from per-trial matched historical summaries.
 
@@ -483,18 +473,11 @@ def estimate_psm_map(
             flags.append(f"psm_map:pool{j}_unmatched_dropped")
         else:
             studies.append(summary)
-    return estimate_map(
-        dataset, cfg, studies=studies, method_id="PSM+MAP", covset=covset,
-        extra_flags=tuple(flags),
-    )
+    return estimate_map(dataset, cfg, studies=studies, extra_flags=tuple(flags))
 
 
 def estimate_psw_map(
-    dataset: TrialDataset,
-    covset: int,
-    cfg: MapConfig,
-    psfit: PsFit,
-    weights: np.ndarray,
+    dataset: TrialDataset, cfg: MapConfig, psfit: PsFit, weights: np.ndarray
 ) -> EffectEstimate:
     """MAP borrowing from per-trial weighted historical summaries."""
     sample = psfit.sample
@@ -507,10 +490,7 @@ def estimate_psw_map(
             flags.append(f"psw_map:pool{j}_trimmed_dropped")
         else:
             studies.append(summary)
-    return estimate_map(
-        dataset, cfg, studies=studies, method_id="PSW+MAP", covset=covset,
-        extra_flags=tuple(flags),
-    )
+    return estimate_map(dataset, cfg, studies=studies, extra_flags=tuple(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +553,6 @@ def _default_total_borrow(dataset: TrialDataset) -> float:
 
 def estimate_pss_pp(
     dataset: TrialDataset,
-    covset: int,
     psfit: PsFit,
     n_strata: int = DEFAULT_N_STRATA,
     total_borrow: float | None = None,
@@ -622,7 +601,7 @@ def estimate_pss_pp(
     est = float(w @ np.asarray(effects))
     se = math.sqrt(float((w * w) @ np.asarray(variances)))
     return wald_estimate(
-        "PSS+PP", covset, est, se, flags=tuple(flags),
+        est, se, flags=tuple(flags),
         diagnostics={
             "total_borrow": float(total_borrow),
             "n_strata_effective": float(len(strata)),
@@ -633,7 +612,6 @@ def estimate_pss_pp(
 
 def estimate_pss_cl(
     dataset: TrialDataset,
-    covset: int,
     psfit: PsFit,
     n_strata: int = DEFAULT_N_STRATA,
     total_borrow: float | None = None,
@@ -686,7 +664,7 @@ def estimate_pss_cl(
     est = float(w @ np.asarray(effects))
     se = math.sqrt(float(w @ np.asarray(variances)))
     return wald_estimate(
-        "PSS+CL", covset, est, se, flags=tuple(flags),
+        est, se, flags=tuple(flags),
         diagnostics={
             "total_borrow": float(total_borrow),
             "n_strata_effective": float(len(strata)),

@@ -127,9 +127,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     cells = harness.expand_cells(methods, (args.covset,), where="--methods")
     name = os.path.basename(args.data)
     rows = harness.evaluate_cells(dataset, cells, name, args.seed, 0)
-    width = max(len(harness.cell_label(e)) for e in rows)
-    for est in rows:
-        label = harness.cell_label(est).ljust(width)
+    width = max(len(harness.cell_label(c.key)) for c in cells)
+    for cell, est in zip(cells, rows):
+        label = harness.cell_label(cell.key).ljust(width)
         if est.failed:
             print(f"{label}  failed: {';'.join(est.flags)}")
             continue

@@ -155,8 +155,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):g}"
 
 
+# YAML's true/false load as bool, a subclass of int; no numeric field takes one.
 def _is_number(x: object) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _has_bool(x: object) -> bool:
+    return isinstance(x, bool) or (isinstance(x, list) and any(map(_has_bool, x)))
 
 
 def _caliper(entry: dict, where: str) -> list[Variant]:
@@ -229,7 +238,7 @@ def _map(entry: dict, where: str) -> list[Variant]:
 
 def _strata(entry: dict, where: str) -> list[Variant]:
     n_strata = entry.get("n_strata", DEFAULT_N_STRATA)
-    if not isinstance(n_strata, int) or n_strata < 2:
+    if not _is_int(n_strata) or n_strata < 2:
         raise ConfigError(f"{where}.n_strata: expected an integer >= 2")
     total_borrow = entry.get("total_borrow")
     if total_borrow is not None and (not _is_number(total_borrow) or total_borrow < 0):
@@ -277,28 +286,28 @@ _REML_KEYS = frozenset({"reml"})
 # run, so a wrapper installed on this module's names sees every call.
 METHODS: dict[str, MethodSpec] = {
     "unadj.rc": MethodSpec(frozenset(), False, (), lambda cell, c:
-        unadjusted_effect(c.dataset.reduced_concurrent, "unadj.rc")),
+        unadjusted_effect(c.dataset.reduced_concurrent)),
     "unadj.fc": MethodSpec(frozenset(), False, (), lambda cell, c:
-        unadjusted_effect(c.dataset.full_concurrent, "unadj.fc")),
+        unadjusted_effect(c.dataset.full_concurrent)),
     "PSM": MethodSpec(_CALIPER_KEYS, True, (_caliper,), lambda cell, c:
-        estimate_psm(c.dataset, cell.covset, c.psfit(cell.covset),
+        estimate_psm(c.dataset, c.psfit(cell.covset),
                      c.matchset(cell.covset, cell.opt("caliper")))),
     "PSW": MethodSpec(_BOUNDS_KEYS, True, (_weight_bounds,), lambda cell, c:
-        estimate_psw(c.dataset, cell.covset, c.psfit(cell.covset),
+        estimate_psw(c.dataset, c.psfit(cell.covset),
                      c.weightset(cell.covset, cell.opt("weight_bounds")))),
     "MAP": MethodSpec(_MAP_KEYS, False, (_map,), lambda cell, c:
         estimate_map(c.dataset, cell.opt("map"))),
     "PSM+MAP": MethodSpec(_MAP_KEYS | _CALIPER_KEYS, True, (_map, _caliper), lambda cell, c:
-        estimate_psm_map(c.dataset, cell.covset, cell.opt("map"), c.psfit(cell.covset),
+        estimate_psm_map(c.dataset, cell.opt("map"), c.psfit(cell.covset),
                          c.trial_matchsets(cell.covset, cell.opt("caliper")))),
     "PSW+MAP": MethodSpec(_MAP_KEYS | _BOUNDS_KEYS, True, (_map, _weight_bounds), lambda cell, c:
-        estimate_psw_map(c.dataset, cell.covset, cell.opt("map"), c.psfit(cell.covset),
+        estimate_psw_map(c.dataset, cell.opt("map"), c.psfit(cell.covset),
                          c.weightset(cell.covset, cell.opt("weight_bounds")))),
     "PSS+PP": MethodSpec(_STRATA_KEYS, True, (_strata,), lambda cell, c:
-        estimate_pss_pp(c.dataset, cell.covset, c.psfit(cell.covset),
+        estimate_pss_pp(c.dataset, c.psfit(cell.covset),
                         cell.opt("n_strata"), cell.opt("total_borrow"))),
     "PSS+CL": MethodSpec(_STRATA_KEYS, True, (_strata,), lambda cell, c:
-        estimate_pss_cl(c.dataset, cell.covset, c.psfit(cell.covset),
+        estimate_pss_cl(c.dataset, c.psfit(cell.covset),
                         cell.opt("n_strata"), cell.opt("total_borrow"))),
     "MM": MethodSpec(_REML_KEYS, True, (_reml,), lambda cell, c:
         estimate_mm(c.dataset, cell.covset, cell.opt("reml"))),
@@ -312,7 +321,9 @@ _BENCHMARK_CELLS = (Cell("unadj.rc", None, ""), Cell("unadj.fc", None, ""))
 
 
 def _parse_covsets(covsets: object, where: str) -> tuple[int, ...]:
-    if not isinstance(covsets, list) or not covsets or any(c not in COVSETS for c in covsets):
+    if not isinstance(covsets, list) or not covsets or not all(
+        _is_int(c) and c in COVSETS for c in covsets
+    ):
         raise ConfigError(f"{where}: expected a non-empty subset of {list(COVSETS)}")
     return tuple(int(c) for c in covsets)
 
@@ -368,6 +379,9 @@ def _parse_coefficients(raw: dict, where: str) -> GenCoefficients:
     missing = {"alpha0", "alpha", "theta_treat", "beta0", "beta"} - set(raw)
     if missing:
         raise ConfigError(f"{where}: missing coefficient key(s) {sorted(missing)}")
+    for key, value in raw.items():
+        if _has_bool(value):
+            raise ConfigError(f"{where}.{key}: expected numbers, not true/false")
     try:
         return GenCoefficients(
             alpha0=float(raw["alpha0"]),
@@ -375,7 +389,7 @@ def _parse_coefficients(raw: dict, where: str) -> GenCoefficients:
             theta_treat=float(raw["theta_treat"]),
             beta0=(
                 float(raw["beta0"])
-                if isinstance(raw["beta0"], (int, float))
+                if _is_number(raw["beta0"])
                 else np.asarray(raw["beta0"], dtype=float)
             ),
             beta=np.asarray(raw["beta"], dtype=float),
@@ -412,20 +426,20 @@ def _parse_scenario(raw: dict, defaults: dict, where: str) -> ScenarioConfig:
         if "n_total" not in raw:
             raise ConfigError(f"{where}.n_total: required with explicit coefficients")
         n_total = raw["n_total"]
-    if not isinstance(n_total, int) or n_total < 4:
+    if not _is_int(n_total) or n_total < 4:
         raise ConfigError(f"{where}.n_total: expected an integer >= 4")
 
     theta = raw.get("theta_treat", coeffs.theta_treat)
-    if not isinstance(theta, (int, float)):
+    if not _is_number(theta):
         raise ConfigError(f"{where}.theta_treat: expected a number")
     coeffs = coeffs.with_theta(float(theta))
 
     replicates = raw.get("replicates", defaults["replicates"])
-    if not isinstance(replicates, int) or replicates < 1:
+    if not _is_int(replicates) or replicates < 1:
         raise ConfigError(f"{where}.replicates: expected an integer >= 1")
 
     master_seed = raw.get("master_seed", defaults["master_seed"])
-    if not isinstance(master_seed, int):
+    if not _is_int(master_seed):
         raise ConfigError(f"{where}.master_seed: expected an integer")
 
     covsets = _parse_covsets(raw.get("covsets", list(COVSETS)), f"{where}.covsets")
@@ -463,13 +477,13 @@ def load_config(path: str) -> RunConfig:
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"{path}: unknown top-level key(s) {sorted(unknown)}")
-    if "master_seed" not in raw or not isinstance(raw["master_seed"], int):
+    if not _is_int(raw.get("master_seed")):
         raise ConfigError(f"{path}: master_seed: required integer")
     replicates = raw.get("replicates", 2000)
-    if not isinstance(replicates, int) or replicates < 1:
+    if not _is_int(replicates) or replicates < 1:
         raise ConfigError(f"{path}: replicates: expected an integer >= 1")
     threshold = raw.get("failure_threshold", DEFAULT_FAILURE_THRESHOLD)
-    if not isinstance(threshold, (int, float)) or not 0 <= threshold <= 1:
+    if not _is_number(threshold) or not 0 <= threshold <= 1:
         raise ConfigError(f"{path}: failure_threshold: expected a number in [0, 1]")
     scen_raw = raw.get("scenarios")
     if not isinstance(scen_raw, list) or not scen_raw:
@@ -578,19 +592,11 @@ class _ReplicateCaches:
         return self.weights[key]
 
 
-def _failed_estimate(cell: Cell, exc: Exception) -> EffectEstimate:
+def _failed_estimate(exc: Exception) -> EffectEstimate:
     reason = f"error:{type(exc).__name__}:{str(exc)[:120]}"
-    return EffectEstimate(
-        method_id=cell.method_id,
-        covset_id=cell.covset,
-        estimate=float("nan"),
-        se=float("nan"),
-        reject=False,
-        interval=(float("nan"), float("nan")),
-        hyperparam=cell.hyperparam,
-        flags=(reason,),
-        failed=True,
-    )
+    nan = float("nan")
+    return EffectEstimate(estimate=nan, se=nan, reject=False, interval=(nan, nan),
+                          flags=(reason,), failed=True)
 
 
 def evaluate_cells(
@@ -600,21 +606,24 @@ def evaluate_cells(
     master_seed: int,
     replicate: int,
 ) -> list[EffectEstimate]:
-    """Run every cell on one dataset; failures become flagged rows."""
+    """Run every cell on one dataset; failures become flagged rows.
+
+    ``rows[i]`` is the estimate of ``cells[i]``: the estimators return
+    unlabelled results, and a row's label is its cell's.
+    """
     caches = _ReplicateCaches(dataset, scenario_id, master_seed, replicate)
     rows: list[EffectEstimate] = []
     for cell in cells:
         try:
             est = METHODS[cell.method_id].evaluate(cell, caches)
-            est.hyperparam = cell.hyperparam
         except ValueError as exc:
             # the expected numerical failures (separation, singular designs,
             # degenerate data) all raise ValueError; anything else is a bug
-            est = _failed_estimate(cell, exc)
+            est = _failed_estimate(exc)
         rows.append(est)
 
-    rc = next((r for r in rows if r.method_id == "unadj.rc" and not r.failed), None)
-    if rc is not None and rc.se * rc.se > 0:
+    rc = next((r for c, r in zip(cells, rows) if c.method_id == "unadj.rc"), None)
+    if rc is not None and not rc.failed and rc.se * rc.se > 0:
         for est in rows:
             if est is rc or est.failed or not est.se * est.se > 0:
                 continue
@@ -654,16 +663,17 @@ def run_scenario(scenario: ScenarioConfig, workers: int = 1) -> ScenarioResult:
                                   [lo for lo, _ in chunks], [hi for _, hi in chunks]))
         per_rep = [rows for part in parts for rows in part]
 
-    summary = summarize(per_rep, scenario.theta_true, scenario.scenario_id)
+    summary = summarize([c.key for c in scenario.cells], per_rep, scenario.theta_true,
+                        scenario.scenario_id)
     flag_counts: Counter[str] = Counter()
     n_rows = 0
     n_failed = 0
     for rows in per_rep:
-        for est in rows:
+        for cell, est in zip(scenario.cells, rows):
             n_rows += 1
             n_failed += est.failed
             for f in est.flags:
-                flag_counts[f"{est.method_id}|{f}"] += 1
+                flag_counts[f"{cell.method_id}|{f}"] += 1
     return ScenarioResult(
         scenario=scenario,
         summary=summary,
@@ -691,13 +701,13 @@ def write_raw_csv(path: str, results: list[ScenarioResult]) -> None:
         for result in results:
             sid = result.scenario.scenario_id
             for r, rows in enumerate(result.replicate_rows):
-                for est in rows:
+                for cell, est in zip(result.scenario.cells, rows):
                     writer.writerow([
                         sid,
                         r,
-                        est.method_id,
-                        "" if est.covset_id is None else est.covset_id,
-                        est.hyperparam,
+                        cell.method_id,
+                        "" if cell.covset is None else cell.covset,
+                        cell.hyperparam,
                         _num(est.estimate),
                         _num(est.se),
                         int(est.reject),
@@ -779,13 +789,14 @@ def write_diagnostics(path: str, results: list[ScenarioResult], threshold: float
         fh.write("\n")
 
 
-def cell_label(row: SummaryRow | EffectEstimate) -> str:
-    """Readable label for a method cell, e.g. ``MAP(omega=0.2)`` or ``PSM [c3]``."""
-    label = row.method_id
-    if row.hyperparam:
-        label += f"({row.hyperparam})"
-    if row.covset_id is not None:
-        label += f" [c{row.covset_id}]"
+def cell_label(key: tuple[str, int | None, str]) -> str:
+    """Readable label for a cell key, e.g. ``MAP(omega=0.2)`` or ``PSM [c3]``."""
+    method_id, covset, hyperparam = key
+    label = method_id
+    if hyperparam:
+        label += f"({hyperparam})"
+    if covset is not None:
+        label += f" [c{covset}]"
     return label
 
 
@@ -808,7 +819,7 @@ def render_summary_table(rows: list[SummaryRow], style: str = "plain") -> str:
         table = [header]
         for r in rows:
             table.append([
-                r.scenario_id, cell_label(r), _fmt_cell(r.bias), _fmt_cell(r.rel_bias_pct, 1),
+                r.scenario_id, cell_label(r.key), _fmt_cell(r.bias), _fmt_cell(r.rel_bias_pct, 1),
                 _fmt_cell(r.reject_rate), _fmt_cell(r.mean_se), _fmt_cell(r.essr_pct, 1),
                 _fmt_cell(r.essr_empirical_pct, 1), str(r.n_used), str(r.n_failed),
             ])
@@ -825,7 +836,7 @@ def render_summary_table(rows: list[SummaryRow], style: str = "plain") -> str:
     groups: dict[str, dict[str, dict]] = {}
     for r in rows:
         arm = "null" if r.scenario_id.endswith("-null") else "alt"
-        groups.setdefault(base(r.scenario_id), {}).setdefault(arm, {})[cell_label(r)] = r
+        groups.setdefault(base(r.scenario_id), {}).setdefault(arm, {})[cell_label(r.key)] = r
 
     blocks = []
     for gname, arms in groups.items():

@@ -1,5 +1,10 @@
 """Per-replicate estimate records and operating-characteristic summaries.
 
+An ``EffectEstimate`` is what an estimator computes on one replicate;
+it carries no method label. The harness fixes each cell's label
+(method id, covariate set, hyperparameter label) and lines estimates
+up with it, so ``summarize`` takes the labels as its ``keys``.
+
 Bias, rejection rate, and the effective sample size ratio (ESSR). The
 primary ESSR is computed per replicate from the squared standard errors
 of a method and of the unadjusted reduced-concurrent benchmark on the
@@ -10,7 +15,7 @@ variant is reported alongside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +40,7 @@ UNADJ_RC_KEY = ("unadj.rc", None, "")
 
 @dataclass
 class EffectEstimate:
-    """One method's result on one replicate.
+    """One method's result on one replicate, without its cell label.
 
     ``essr_pct`` is filled in by the harness from the squared standard
     errors once the replicate's no-borrowing benchmark is known. Failed
@@ -43,26 +48,17 @@ class EffectEstimate:
     explanatory flag.
     """
 
-    method_id: str
-    covset_id: int | None
     estimate: float
     se: float
     reject: bool
     interval: tuple[float, float]
-    hyperparam: str = ""
     flags: tuple[str, ...] = ()
     diagnostics: dict = field(default_factory=dict)
     essr_pct: float | None = None
     failed: bool = False
 
-    @property
-    def key(self) -> tuple[str, int | None, str]:
-        return (self.method_id, self.covset_id, self.hyperparam)
-
 
 def wald_estimate(
-    method_id: str,
-    covset: int | None,
     est: float,
     se: float,
     flags: tuple[str, ...] = (),
@@ -72,8 +68,6 @@ def wald_estimate(
     dec = wald_decision(est, se, ALPHA)
     half = float(ndtri(1.0 - ALPHA / 2.0)) * se
     return EffectEstimate(
-        method_id=method_id,
-        covset_id=covset,
         estimate=est,
         se=se,
         reject=dec.reject,
@@ -138,77 +132,67 @@ def _empirical_var(vals: Sequence[float]) -> float | None:
 
 
 def summarize(
+    keys: Sequence[tuple[str, int | None, str]],
     per_replicate: Sequence[Sequence[EffectEstimate]],
     theta_true: float,
     scenario_id: str,
 ) -> list[SummaryRow]:
     """Aggregate replicate-level rows into one summary row per method cell.
 
-    Cells are keyed by (method_id, covset_id, hyperparam) and appear in
-    first-seen order. Sums use ``math.fsum`` so the result does not
-    depend on replicate ordering. The empirical ESSR compares
+    ``keys`` are the cells' (method_id, covset_id, hyperparam) labels;
+    ``per_replicate[r][i]`` is cell ``keys[i]`` on replicate r, and the
+    rows come out in ``keys`` order. Sums use ``math.fsum`` so the result
+    does not depend on replicate ordering. The empirical ESSR compares
     across-replicate estimate variances against the unadjusted
-    reduced-concurrent cell, each over its own non-failed replicates.
+    reduced-concurrent cell (``UNADJ_RC_KEY``), each over its own
+    non-failed replicates.
     """
-    order: list[tuple] = []
-    cells: dict[tuple, dict] = {}
+    used: list[list[EffectEstimate]] = [[] for _ in keys]
+    n_failed = [0] * len(keys)
     for rows in per_replicate:
-        for est in rows:
-            key = est.key
-            if key not in cells:
-                order.append(key)
-                cells[key] = {"used": [], "failed": 0}
+        if len(rows) != len(keys):
+            raise ValueError(f"replicate has {len(rows)} rows for {len(keys)} cells")
+        for i, est in enumerate(rows):
             if est.failed or not np.isfinite(est.estimate):
-                cells[key]["failed"] += 1
+                n_failed[i] += 1
             else:
-                cells[key]["used"].append(est)
+                used[i].append(est)
 
     rc_var = None
-    if UNADJ_RC_KEY in cells:
-        rc_var = _empirical_var([e.estimate for e in cells[UNADJ_RC_KEY]["used"]])
+    if UNADJ_RC_KEY in keys:
+        rc_var = _empirical_var([e.estimate for e in used[keys.index(UNADJ_RC_KEY)]])
 
     out = []
-    for key in order:
-        used = cells[key]["used"]
-        n_failed = cells[key]["failed"]
-        if not used:
-            out.append(
-                SummaryRow(
-                    scenario_id=scenario_id,
-                    method_id=key[0],
-                    covset_id=key[1],
-                    hyperparam=key[2],
-                    bias=float("nan"),
-                    rel_bias_pct=None,
-                    reject_rate=float("nan"),
-                    mean_se=float("nan"),
-                    essr_pct=None,
-                    essr_empirical_pct=None,
-                    n_used=0,
-                    n_failed=n_failed,
-                )
-            )
-            continue
-        b = bias([e.estimate for e in used], theta_true)
-        essr_vals = [e.essr_pct for e in used if e.essr_pct is not None]
-        own_var = _empirical_var([e.estimate for e in used])
-        emp = None
-        if rc_var is not None and own_var is not None and own_var > 0:
-            emp = (rc_var / own_var - 1.0) * 100.0
-        out.append(
-            SummaryRow(
-                scenario_id=scenario_id,
-                method_id=key[0],
-                covset_id=key[1],
-                hyperparam=key[2],
+    for (method_id, covset, hyperparam), cell_used, cell_failed in zip(keys, used, n_failed):
+        row = SummaryRow(
+            scenario_id=scenario_id,
+            method_id=method_id,
+            covset_id=covset,
+            hyperparam=hyperparam,
+            bias=float("nan"),
+            rel_bias_pct=None,
+            reject_rate=float("nan"),
+            mean_se=float("nan"),
+            essr_pct=None,
+            essr_empirical_pct=None,
+            n_used=len(cell_used),
+            n_failed=cell_failed,
+        )
+        if cell_used:
+            b = bias([e.estimate for e in cell_used], theta_true)
+            essr_vals = [e.essr_pct for e in cell_used if e.essr_pct is not None]
+            own_var = _empirical_var([e.estimate for e in cell_used])
+            emp = None
+            if rc_var is not None and own_var is not None and own_var > 0:
+                emp = (rc_var / own_var - 1.0) * 100.0
+            row = replace(
+                row,
                 bias=b,
                 rel_bias_pct=rel_bias_pct(b, theta_true),
-                reject_rate=reject_rate([e.reject for e in used]),
-                mean_se=math.fsum(e.se for e in used) / len(used),
+                reject_rate=reject_rate([e.reject for e in cell_used]),
+                mean_se=math.fsum(e.se for e in cell_used) / len(cell_used),
                 essr_pct=(math.fsum(essr_vals) / len(essr_vals)) if essr_vals else None,
                 essr_empirical_pct=emp,
-                n_used=len(used),
-                n_failed=n_failed,
             )
-        )
+        out.append(row)
     return out

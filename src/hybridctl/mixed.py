@@ -52,13 +52,11 @@ class GroupStats:
 class LmmFit:
     coef: np.ndarray
     cov: np.ndarray
-    labels: tuple[str, ...]
     lambda_hat: float
     sigma2: float
     sigma_b2: float
     reml: bool
     criterion_value: float
-    n_obs: int
     n_groups: int
     flags: tuple[str, ...] = ()
 
@@ -137,7 +135,6 @@ def fit_lmm(
     y: np.ndarray,
     X: np.ndarray,
     groups: np.ndarray,
-    labels: tuple[str, ...] | None = None,
     reml: bool = True,
 ) -> LmmFit:
     """Fit the random-intercept model by profiled (RE)ML.
@@ -152,8 +149,6 @@ def fit_lmm(
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size or groups.shape != y.shape:
         raise ValueError("y, X, and groups must have matching first dimensions")
-    if labels is None:
-        labels = tuple(f"b{j}" for j in range(X.shape[1]))
     stats = group_stats(X, y, groups)
     if stats.n.size < 2:
         raise ValueError("need at least two groups to separate the intercept variance")
@@ -192,13 +187,11 @@ def fit_lmm(
     return LmmFit(
         coef=beta[0],
         cov=sigma2 * (chol_inv.T @ chol_inv),
-        labels=labels,
         lambda_hat=float(lam_hat),
         sigma2=sigma2,
         sigma_b2=float(lam_hat * sigma2),
         reml=reml,
         criterion_value=float(crit_hat[0]),
-        n_obs=y.size,
         n_groups=stats.n.size,
         flags=tuple(flags),
     )
@@ -207,14 +200,9 @@ def fit_lmm(
 def _stack_for_mm(dataset: TrialDataset, covset: int | None) -> tuple[np.ndarray, ...]:
     pooled = dataset.pooled
     cols: list[np.ndarray] = [np.ones(len(pooled)), pooled.z.astype(float)]
-    labels = ["const", "z"]
     if covset is not None:
-        sel = covset_columns(covset, pooled.x.shape[1])
-        for c in sel:
-            cols.append(pooled.x[:, c])
-            labels.append(f"x{c + 1}")
-    X = np.column_stack(cols)
-    return pooled.y, X, pooled.trial, tuple(labels)
+        cols.extend(pooled.x[:, c] for c in covset_columns(covset, pooled.x.shape[1]))
+    return pooled.y, np.column_stack(cols), pooled.trial
 
 
 def estimate_mm(dataset: TrialDataset, covset: int | None, reml: bool = True) -> EffectEstimate:
@@ -222,13 +210,13 @@ def estimate_mm(dataset: TrialDataset, covset: int | None, reml: bool = True) ->
 
     Pools the reduced concurrent trial with every historical pool and
     lets each trial carry its own intercept deviation; covariates enter
-    as fixed effects when a covariate set is given ("MM"), otherwise the
-    model is intercept plus treatment only ("MM.nc").
+    as fixed effects when a covariate set is given, otherwise the model
+    is intercept plus treatment only.
     """
-    y, X, trial, labels = _stack_for_mm(dataset, covset)
-    fit = fit_lmm(y, X, trial, labels=labels, reml=reml)
+    y, X, trial = _stack_for_mm(dataset, covset)
+    fit = fit_lmm(y, X, trial, reml=reml)
     return wald_estimate(
-        "MM" if covset is not None else "MM.nc", covset, float(fit.coef[1]), fit.se(1),
+        float(fit.coef[1]), fit.se(1),
         flags=fit.flags,
         diagnostics={
             "lambda_hat": fit.lambda_hat,

@@ -199,17 +199,15 @@ def stratify(psfit: PsFit, n_strata: int = DEFAULT_N_STRATA) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def unadjusted_effect(group: SubjectGroup, method_id: str) -> EffectEstimate:
+def unadjusted_effect(group: SubjectGroup) -> EffectEstimate:
     """Plain OLS of outcome on treatment within one trial, model-based SE."""
     X = np.column_stack([np.ones(len(group)), group.z.astype(float)])
     fit = fit_ols(X, group.y, design_info=("intercept", "treated"))
     se = float(np.sqrt(fit.cov_model[1, 1]))
-    return wald_estimate(method_id, None, float(fit.coef[1]), se)
+    return wald_estimate(float(fit.coef[1]), se)
 
 
-def estimate_psm(
-    dataset: TrialDataset, covset: int, psfit: PsFit, matchset: MatchSet
-) -> EffectEstimate:
+def estimate_psm(dataset: TrialDataset, psfit: PsFit, matchset: MatchSet) -> EffectEstimate:
     """Matching estimator: OLS on the concurrent trial plus matched controls.
 
     Matched historical subjects enter the control arm once per pair (so
@@ -226,8 +224,7 @@ def estimate_psm(
     red = dataset.reduced_concurrent
     n_pairs = matchset.hist_rows.size
     if n_pairs == 0:
-        est = unadjusted_effect(red, "PSM")
-        est.covset_id = covset
+        est = unadjusted_effect(red)
         est.flags = ("psm:no_matches_concurrent_only",)
         return est
 
@@ -246,7 +243,7 @@ def estimate_psm(
         var = v_subject
         flags = ("psm:twoway_var_nonpositive",)
     return wald_estimate(
-        "PSM", covset, float(fit.coef[1]), float(np.sqrt(var)), flags=flags,
+        float(fit.coef[1]), float(np.sqrt(var)), flags=flags,
         diagnostics={
             "n_pairs": float(n_pairs),
             "n_unmatched": float(len(red) - n_pairs),
@@ -255,9 +252,7 @@ def estimate_psm(
     )
 
 
-def estimate_psw(
-    dataset: TrialDataset, covset: int, psfit: PsFit, weights: np.ndarray
-) -> EffectEstimate:
+def estimate_psw(dataset: TrialDataset, psfit: PsFit, weights: np.ndarray) -> EffectEstimate:
     """Weighting estimator: WLS of outcome on treatment, robust SE.
 
     Concurrent subjects keep weight 1; retained historical controls get
@@ -270,8 +265,7 @@ def estimate_psw(
     keep = weights > 0
     hist_kept = int(np.sum(keep & hist))
     if hist_kept == 0:
-        est = unadjusted_effect(dataset.reduced_concurrent, "PSW")
-        est.covset_id = covset
+        est = unadjusted_effect(dataset.reduced_concurrent)
         est.flags = ("psw:all_historical_trimmed_concurrent_only",)
         return est
     y = sample.y[keep]
@@ -280,7 +274,7 @@ def estimate_psw(
     fit = fit_ols(X, y, weights=weights[keep], design_info=("intercept", "treated"))
     se = sandwich_se(fit, 1)
     return wald_estimate(
-        "PSW", covset, float(fit.coef[1]), se,
+        float(fit.coef[1]), se,
         diagnostics={
             "n_hist_kept": float(hist_kept),
             "n_trimmed": float(np.sum(hist & (weights == 0))),

@@ -382,6 +382,8 @@ def load_subjects_csv(path: str) -> TrialDataset:
     Expected columns: ``trial`` (0 = concurrent, 1..k = historical pool),
     ``z`` (0/1; must be 0 for historical subjects), ``y``, covariates
     ``x1..xp`` (p >= 1, consecutively numbered), and optionally ``id``.
+    A non-finite ``y`` or covariate (nan, inf) is an error naming the
+    column and the first line that holds one.
     The concurrent trial is analyzed as-is, so the full and reduced
     designs coincide for external data.
     """
@@ -412,6 +414,10 @@ def load_subjects_csv(path: str) -> TrialDataset:
     z = np.array([int(r["z"]) for r in rows])
     y = np.array([float(r["y"]) for r in rows])
     x = np.array([[float(r[c]) for c in xcols] for r in rows])
+    bad = np.argwhere(~np.isfinite(np.column_stack([y, x])))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: line {i + 2}: column '{(['y'] + xcols)[j]}' is not finite")
 
     if np.any((z != 0) & (z != 1)):
         raise ValueError(f"{path}: column 'z' must be 0/1")

@@ -193,8 +193,6 @@ def effect_posterior(
     treated_mean: float,
     treated_se: float,
     alpha: float = 0.05,
-    method_id: str = "",
-    covset: int | None = None,
 ) -> EffectEstimate:
     """Posterior of treated mean minus control mean.
 
@@ -233,8 +231,6 @@ def effect_posterior(
     lo_q = invert(alpha / 2.0)
     hi_q = invert(1.0 - alpha / 2.0)
     return EffectEstimate(
-        method_id=method_id,
-        covset_id=covset,
         estimate=est,
         se=sd,
         reject=bool(lo_q > 0.0 or hi_q < 0.0),
@@ -271,8 +267,6 @@ def estimate_map(
     dataset: TrialDataset,
     cfg: MapConfig,
     studies: list[StudySummary] | None = None,
-    method_id: str = "MAP",
-    covset: int | None = None,
     extra_flags: tuple[str, ...] = (),
     n_theta: int = N_THETA,
     support: float = 1.0,
@@ -322,9 +316,7 @@ def estimate_map(
         prior = robustify(raw_prior, omega, vague_mean, vague_sd)
 
     posterior = posterior_update(prior, c_mean, c_se)
-    est = effect_posterior(
-        posterior, t_mean, t_se, alpha=0.05, method_id=method_id, covset=covset
-    )
+    est = effect_posterior(posterior, t_mean, t_se, alpha=0.05)
     prior_var = prior.var()
     est.flags = tuple(flags)
     est.diagnostics = {

@@ -237,14 +237,13 @@ def bimodal_control():
 
 class TestEffectPosterior:
     def test_normal_control_gives_normal_difference(self):
-        got = effect_posterior(NormalMixture.normal(1.0, 0.3), 2.0, 0.4, method_id="MAP")
+        got = effect_posterior(NormalMixture.normal(1.0, 0.3), 2.0, 0.4)
         assert got.estimate == pytest.approx(1.0, abs=1e-12)
         assert got.se == pytest.approx(0.5, rel=1e-12)
         half = float(ndtri(0.975)) * 0.5
         assert got.interval[0] == pytest.approx(1.0 - half, abs=1e-11)
         assert got.interval[1] == pytest.approx(1.0 + half, abs=1e-11)
         assert got.reject is True
-        assert got.method_id == "MAP"
 
     def test_point_mass_control_shifts_treated_normal(self):
         got = effect_posterior(NormalMixture.normal(0.5, 1e-9), 1.2, 0.3)
@@ -350,7 +349,7 @@ class TestEstimateMap:
     def test_omega_one_tracks_unadjusted(self):
         ds = dataset(seed=77)
         got = estimate_map(ds, MapConfig(omega=1.0))
-        ref = unadjusted_effect(ds.reduced_concurrent, "unadj.rc")
+        ref = unadjusted_effect(ds.reduced_concurrent)
         assert got.estimate == pytest.approx(ref.estimate, abs=0.02)
         assert got.se == pytest.approx(ref.se, rel=0.05)
         # the vague component carries one unit-information subject
@@ -389,7 +388,7 @@ class TestEstimateMap:
         got = estimate_map(ds, MapConfig(omega=0.2), studies=[])
         assert "map:no_studies_forced_omega1" in got.flags
         assert got.diagnostics["n_studies"] == 0.0
-        ref = unadjusted_effect(ds.reduced_concurrent, "unadj.rc")
+        ref = unadjusted_effect(ds.reduced_concurrent)
         assert got.estimate == pytest.approx(ref.estimate, abs=0.05)
 
     def test_config_validation(self):
@@ -473,18 +472,14 @@ class TestMapCombinations:
         ]
         none = np.zeros(0, dtype=int)
         real[1] = MatchSet(conc_rows=none, hist_rows=none, caliper=0.0)
-        got = estimate_psm_map(ds, 1, MapConfig(omega=0.5), psfit=psfit, matchsets=real)
+        got = estimate_psm_map(ds, MapConfig(omega=0.5), psfit=psfit, matchsets=real)
         assert got.flags == ("psm_map:pool2_unmatched_dropped",)
         assert got.diagnostics["n_studies"] == 2.0
-        assert got.method_id == "PSM+MAP"
-        assert got.covset_id == 1
 
     def test_psw_map_smoke(self):
         ds = dataset(seed=10)
         psfit = estimate_ps(ds, 2)
-        got = estimate_psw_map(ds, 2, MapConfig(omega=0.5), psfit, ipw_weights(psfit))
-        assert got.method_id == "PSW+MAP"
-        assert got.covset_id == 2
+        got = estimate_psw_map(ds, MapConfig(omega=0.5), psfit, ipw_weights(psfit))
         assert got.diagnostics["n_studies"] == 1.0
         assert np.isfinite(got.se) and got.se > 0
 
@@ -518,8 +513,8 @@ class TestStratifiedBorrowing:
     def test_zero_borrow_equals_stratum_weighted_unadjusted(self):
         ds = dataset(seed=14)
         psfit = estimate_ps(ds, 1)
-        pp = estimate_pss_pp(ds, 1, psfit=psfit, total_borrow=0.0)
-        cl = estimate_pss_cl(ds, 1, psfit=psfit, total_borrow=0.0)
+        pp = estimate_pss_pp(ds, psfit=psfit, total_borrow=0.0)
+        cl = estimate_pss_cl(ds, psfit=psfit, total_borrow=0.0)
         assert pp.flags == () and cl.flags == ()
 
         labels = stratify(psfit)
@@ -568,28 +563,28 @@ class TestStratifiedBorrowing:
                            reduced_concurrent=reduced, historical=pools)
         psfit2 = PsFit(sample=new_sample, ps=psfit.ps, fit=psfit.fit)
         tb = float(((labels >= 0) & ~conc).sum())
-        pp = estimate_pss_pp(ds2, 1, psfit=psfit2, total_borrow=tb)
-        cl = estimate_pss_cl(ds2, 1, psfit=psfit2, total_borrow=tb)
+        pp = estimate_pss_pp(ds2, psfit=psfit2, total_borrow=tb)
+        cl = estimate_pss_cl(ds2, psfit=psfit2, total_borrow=tb)
         assert pp.flags == () and cl.flags == ()
         assert pp.diagnostics["mean_alpha"] == pytest.approx(1.0, abs=1e-12)
         assert pp.estimate == pytest.approx(cl.estimate, abs=1e-10)
 
     def test_invalid_stratum_merges_into_neighbor(self):
         ds, fit = synthetic_pss_inputs(frac_treated_low=1.0)
-        got = estimate_pss_pp(ds, 1, psfit=fit, total_borrow=10.0)
+        got = estimate_pss_pp(ds, psfit=fit, total_borrow=10.0)
         assert "pss:merged_stratum_0" in got.flags
         assert got.diagnostics["n_strata_effective"] == 4.0
 
     def test_borrowing_moves_toward_historical(self):
         ds, fit = synthetic_pss_inputs(frac_treated_low=0.5, seed=16)
-        none = estimate_pss_pp(ds, 1, psfit=fit, total_borrow=0.0)
-        lots = estimate_pss_pp(ds, 1, psfit=fit, total_borrow=60.0)
+        none = estimate_pss_pp(ds, psfit=fit, total_borrow=0.0)
+        lots = estimate_pss_pp(ds, psfit=fit, total_borrow=60.0)
         assert lots.se < none.se
         assert lots.diagnostics["mean_alpha"] > 0.5
 
     def test_negative_borrow_rejected(self):
         ds, fit = synthetic_pss_inputs(frac_treated_low=0.5, seed=17)
         with pytest.raises(ValueError):
-            estimate_pss_pp(ds, 1, psfit=fit, total_borrow=-1.0)
+            estimate_pss_pp(ds, psfit=fit, total_borrow=-1.0)
         with pytest.raises(ValueError):
-            estimate_pss_cl(ds, 1, psfit=fit, total_borrow=-1.0)
+            estimate_pss_cl(ds, psfit=fit, total_borrow=-1.0)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from hybridctl import cli, harness
@@ -51,6 +52,11 @@ def small_scenario(methods, reps=4, n_total=400, seed=11, covsets=(1,), name="sm
         covsets=covsets,
         cells=expand_cells(methods, covsets),
     )
+
+
+def by_key(cells, rows):
+    """A replicate's rows keyed by their cells' labels."""
+    return {c.key: r for c, r in zip(cells, rows, strict=True)}
 
 
 def test_scipy_optimize_stays_unloaded():
@@ -254,6 +260,38 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(str(p))
 
+    @pytest.mark.parametrize(
+        "top,scenario,field",
+        [
+            ({"master_seed": True}, {}, ": master_seed"),
+            ({"replicates": True}, {}, ": replicates"),
+            ({"failure_threshold": True}, {}, ": failure_threshold"),
+            ({}, {"master_seed": True}, r"scenarios\[0\]\.master_seed"),
+            ({}, {"replicates": True}, r"scenarios\[0\]\.replicates"),
+            ({}, {"theta_treat": True}, r"scenarios\[0\]\.theta_treat"),
+            ({}, {"covsets": [True]}, r"scenarios\[0\]\.covsets"),
+            ({}, {"coefficients": {"beta0": True}}, r"coefficients\.beta0"),
+            ({}, {"coefficients": {"alpha": [0.2] * 5 + [True]}}, r"coefficients\.alpha"),
+        ],
+        ids=["master_seed", "replicates", "failure_threshold", "scenario.master_seed",
+             "scenario.replicates", "theta_treat", "covsets", "beta0", "alpha"],
+    )
+    def test_booleans_rejected(self, tmp_path, top, scenario, field):
+        # YAML true loads as a bool, which Python counts as the integer 1
+        scen = {"scenario_id": "demo", "preset": "single-moderate", "covsets": [1],
+                "methods": ["PSM"]}
+        if "coefficients" in scenario:
+            coeffs = {"alpha0": 1.0, "alpha": [0.2] * 6, "theta_treat": 0.3,
+                      "beta0": -0.7, "beta": [0.3] * 6}
+            del scen["preset"]
+            scen.update(n_total=300, coefficients=dict(coeffs, **scenario["coefficients"]))
+        else:
+            scen.update(scenario)
+        p = tmp_path / "bool.yaml"
+        p.write_text(yaml.safe_dump(dict({"master_seed": 5, "scenarios": [scen]}, **top)))
+        with pytest.raises(ConfigError, match=field):
+            load_config(str(p))
+
     def test_missing_master_seed(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text("scenarios: [{scenario_id: a, preset: single-moderate, methods: [PSM]}]\n")
@@ -328,15 +366,16 @@ class TestRunReplicate:
         sc = small_scenario(["PSM", "MAP", "PSS+PP"], n_total=300)
         a = run_replicate(sc, 2)
         b = run_replicate(sc, 2)
-        assert [(r.key, r.estimate, r.se) for r in a] == [(r.key, r.estimate, r.se) for r in b]
+        assert len(a) == len(sc.cells)
+        assert [(r.estimate, r.se) for r in a] == [(r.estimate, r.se) for r in b]
 
     def test_benchmark_rows_do_not_depend_on_method_list(self):
-        a = run_replicate(small_scenario(["PSM"], n_total=300), 0)
-        b = run_replicate(small_scenario(["PSM", "MAP", "PSW", "MM"], n_total=300), 0)
-        for mid in ("unadj.rc", "unadj.fc", "PSM"):
-            ra = next(r for r in a if r.method_id == mid)
-            rb = next(r for r in b if r.method_id == mid)
-            assert (ra.estimate, ra.se) == (rb.estimate, rb.se)
+        sa = small_scenario(["PSM"], n_total=300)
+        sb = small_scenario(["PSM", "MAP", "PSW", "MM"], n_total=300)
+        a = by_key(sa.cells, run_replicate(sa, 0))
+        b = by_key(sb.cells, run_replicate(sb, 0))
+        for key in (("unadj.rc", None, ""), ("unadj.fc", None, ""), ("PSM", 1, "")):
+            assert (a[key].estimate, a[key].se) == (b[key].estimate, b[key].se)
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -348,11 +387,11 @@ class TestRunReplicate:
             run_replicate(sc, 0)
 
     def test_essr_filled_against_benchmark(self):
-        rows = run_replicate(small_scenario(["PSM", "MAP"], n_total=300), 1)
-        rc = next(r for r in rows if r.method_id == "unadj.rc")
-        assert rc.essr_pct is None
-        for r in rows:
-            if r.method_id in ("PSM", "MAP") and not r.failed:
+        sc = small_scenario(["PSM", "MAP"], n_total=300)
+        rows = run_replicate(sc, 1)
+        assert by_key(sc.cells, rows)[("unadj.rc", None, "")].essr_pct is None
+        for c, r in zip(sc.cells, rows):
+            if c.method_id in ("PSM", "MAP") and not r.failed:
                 assert r.essr_pct is not None
 
 
@@ -377,7 +416,7 @@ def independence_reference():
 
 
 def row_signature(est):
-    return repr((est.key, est.estimate, est.se, est.reject, est.interval, est.flags,
+    return repr((est.estimate, est.se, est.reject, est.interval, est.flags,
                  est.diagnostics, est.failed))
 
 
@@ -408,7 +447,7 @@ def test_rows_do_not_depend_on_subject_id_order():
     cells = expand_cells(sorted(METHODS), (1, 3))
     want = evaluate_cells(ds, cells, "order", 5, 0)
     got = evaluate_cells(rev, cells, "order", 5, 0)
-    assert {r.method_id for r in want} == set(METHODS) and len(METHODS) == 11
+    assert {c.method_id for c in cells} == set(METHODS) and len(METHODS) == 11
     for a, b in zip(want, got, strict=True):
         assert not a.failed, a.flags
         assert b.estimate == pytest.approx(a.estimate, rel=1e-12, abs=0)
@@ -454,9 +493,8 @@ class TestRunScenario:
         res = run_scenario(sc)
         wins = 0
         for rows in res.replicate_rows:
-            rc = next(r for r in rows if r.method_id == "unadj.rc")
-            fc = next(r for r in rows if r.method_id == "unadj.fc")
-            wins += fc.se < rc.se
+            row = by_key(sc.cells, rows)
+            wins += row[("unadj.fc", None, "")].se < row[("unadj.rc", None, "")].se
         assert wins >= 28
 
 
@@ -516,10 +554,9 @@ def summary_row(scenario_id, method="MAP", hyper="omega=0.5", covset=None,
 
 class TestRendering:
     def test_cell_label_variants(self):
-        assert cell_label(summary_row("s", "MAP", "omega=0.2")) == "MAP(omega=0.2)"
-        assert cell_label(summary_row("s", "PSM", "", covset=3)) == "PSM [c3]"
-        assert cell_label(summary_row("s", "PSM+MAP", "omega=0.5", covset=1)) == \
-            "PSM+MAP(omega=0.5) [c1]"
+        assert cell_label(("MAP", None, "omega=0.2")) == "MAP(omega=0.2)"
+        assert cell_label(("PSM", 3, "")) == "PSM [c3]"
+        assert cell_label(("PSM+MAP", 1, "omega=0.5")) == "PSM+MAP(omega=0.5) [c1]"
 
     def test_plain_table(self):
         text = render_summary_table([summary_row("demo")], style="plain")
@@ -663,6 +700,22 @@ class TestCli:
         pss_pp = [line for line in lines if line.startswith("PSS+PP [c1]")]
         assert len(pss_pp) == 1
         assert pss_pp[0].split(maxsplit=2)[2].startswith("failed: error:ValueError:")
+
+    @pytest.mark.parametrize("column,value", [("y", "nan"), ("x2", "inf"), ("x1", "-inf")])
+    def test_analyze_rejects_non_finite_values(self, tmp_path, capsys, column, value):
+        rng = np.random.default_rng(10)
+        path = tmp_path / "subjects.csv"
+        with open(path, "w") as fh:
+            fh.write("trial,z,y,x1,x2\n")
+            for i in range(120):
+                trial, z = (0, i % 2) if i < 60 else (1, 0)
+                row = {c: f"{rng.normal():.6f}" for c in ("y", "x1", "x2")}
+                if i in (70, 90):
+                    row[column] = value
+                fh.write(f"{trial},{z},{row['y']},{row['x1']},{row['x2']}\n")
+        assert cli.main(["analyze", "--data", str(path), "--methods", "PSM"]) == 2
+        err = capsys.readouterr().err
+        assert f"line 72: column '{column}' is not finite" in err
 
     def test_analyze_missing_file_is_config_error(self, tmp_path, capsys):
         assert cli.main(["analyze", "--data", str(tmp_path / "nope.csv")]) == 2

@@ -32,17 +32,15 @@ DATASETS = (("single-moderate", 1), ("single-severe", 2), ("multi-severe", 3))
 TOL_SD = 1e-6
 
 
-def all_fits(ds, covset, psfit, matchsets, weights):
+def all_fits(ds, psfit, matchsets, weights):
     """Every MAP-family fit of one dataset, through ``borrow.estimate_map``."""
     out = [borrow.estimate_map(ds, MapConfig(omega=0.5), studies=[])]
     for omega in OMEGAS:
         for label in TAU_LABELS:
             cfg = MapConfig(omega=omega, tau_ladder_label=label)
             out.append(borrow.estimate_map(ds, cfg))
-            out.append(borrow.estimate_psm_map(ds, covset, cfg, psfit=psfit,
-                                               matchsets=matchsets))
-            out.append(borrow.estimate_psw_map(ds, covset, cfg, psfit=psfit,
-                                               weights=weights))
+            out.append(borrow.estimate_psm_map(ds, cfg, psfit=psfit, matchsets=matchsets))
+            out.append(borrow.estimate_psw_map(ds, cfg, psfit=psfit, weights=weights))
     return out
 
 
@@ -57,7 +55,7 @@ def fit_inputs():
                           rng=np.random.default_rng(50 + i))
             for j in range(1, ds.k_historical + 1)
         ]
-        inputs.append((ds, covset, psfit, matchsets, ipw_weights(psfit)))
+        inputs.append((ds, psfit, matchsets, ipw_weights(psfit)))
     return inputs
 
 
@@ -78,7 +76,7 @@ def check_decisions(pairs):
     """Equal reject decisions wherever every interval end is clear of 0."""
     decided = 0
     for a, b in pairs:
-        assert (a.method_id, a.flags) == (b.method_id, b.flags)
+        assert a.flags == b.flags
         if min(abs(e) for e in (*a.interval, *b.interval)) > TOL_SD * a.se:
             decided += 1
             assert a.reject == b.reject, (a, b)

@@ -308,10 +308,9 @@ class TestEstimatePsm:
         ds = dataset(seed=41)
         empty = match_set(())
         psfit = estimate_ps(ds, 1)
-        got = estimate_psm(ds, 1, psfit=psfit, matchset=empty)
-        ref = unadjusted_effect(ds.reduced_concurrent, "PSM")
+        got = estimate_psm(ds, psfit=psfit, matchset=empty)
+        ref = unadjusted_effect(ds.reduced_concurrent)
         assert got.flags == ("psm:no_matches_concurrent_only",)
-        assert got.covset_id == 1
         assert got.estimate == ref.estimate
         assert got.se == ref.se
 
@@ -326,8 +325,8 @@ class TestEstimatePsm:
             reduced_concurrent=shift(ds.reduced_concurrent, 10_000),
             historical=tuple(shift(p, 10_000) for p in ds.historical),
         )
-        a = estimate_psm(ds, 1, *psm_inputs(ds, 1, 7))
-        b = estimate_psm(shifted, 1, *psm_inputs(shifted, 1, 7))
+        a = estimate_psm(ds, *psm_inputs(ds, 1, 7))
+        b = estimate_psm(shifted, *psm_inputs(shifted, 1, 7))
         assert a.estimate == b.estimate
         assert a.se == b.se
         assert a.diagnostics == b.diagnostics
@@ -339,7 +338,7 @@ class TestEstimatePsm:
         y_hist = [0.5, 1.7, -0.6, 0.9, 0.1]
         pairs = ((0, 6), (1, 7), (2, 8), (3, 9), (4, 9), (5, 10))
         ds, psfit = hand_built_match(y_conc, [1, 1, 1, 1, 0, 0], y_hist)
-        got = estimate_psm(ds, 1, psfit=psfit, matchset=match_set(pairs))
+        got = estimate_psm(ds, psfit=psfit, matchset=match_set(pairs))
 
         y = np.r_[y_conc, [y_hist[h - 6] for _, h in pairs]]
         X = np.column_stack([np.ones(12), np.r_[1, 1, 1, 1, 0, 0, np.zeros(6)]])
@@ -365,7 +364,7 @@ class TestEstimatePsm:
         y = [1.0, -1.0, 2.0, -2.0]
         pairs = ((0, 4), (1, 5), (2, 6), (3, 7))
         ds, psfit = hand_built_match(y, [1, 1, 1, 1], y)
-        got = estimate_psm(ds, 1, psfit=psfit, matchset=match_set(pairs))
+        got = estimate_psm(ds, psfit=psfit, matchset=match_set(pairs))
 
         X = np.column_stack([np.ones(8), [1, 1, 1, 1, 0, 0, 0, 0]])
         fit = fit_ols(X, np.r_[y, y])
@@ -375,7 +374,7 @@ class TestEstimatePsm:
 
     def test_reused_controls_shrink_cluster_count(self):
         ds = dataset("single-severe", seed=43)
-        got = estimate_psm(ds, 1, *psm_inputs(ds, 1, 1))
+        got = estimate_psm(ds, *psm_inputs(ds, 1, 1))
         assert got.diagnostics["n_unique_matched"] <= got.diagnostics["n_pairs"]
         assert got.diagnostics["n_pairs"] > 0
         assert np.isfinite(got.se) and got.se > 0
@@ -384,10 +383,9 @@ class TestEstimatePsm:
         # severe selection biases the historical controls; matching keeps
         # the estimate finite and produces a denser control arm
         ds = dataset("single-severe", seed=44)
-        got = estimate_psm(ds, 1, *psm_inputs(ds, 1, 2))
+        got = estimate_psm(ds, *psm_inputs(ds, 1, 2))
         n_treated = int(ds.reduced_concurrent.z.sum())
         assert got.diagnostics["n_pairs"] <= len(ds.reduced_concurrent)
-        assert got.method_id == "PSM"
         assert got.reject in (True, False)
         assert n_treated > 0
 
@@ -397,7 +395,7 @@ class TestEstimatePsw:
         ds = dataset(seed=51)
         psfit = estimate_ps(ds, 1)
         n = len(psfit.sample)
-        got = estimate_psw(ds, 1, psfit=psfit, weights=np.ones(n))
+        got = estimate_psw(ds, psfit=psfit, weights=np.ones(n))
         X = np.column_stack([np.ones(n), psfit.sample.z.astype(float)])
         fit = fit_ols(X, psfit.sample.y)
         assert got.estimate == pytest.approx(float(fit.coef[1]), abs=1e-12)
@@ -407,8 +405,8 @@ class TestEstimatePsw:
         ds = dataset(seed=52)
         psfit = estimate_ps(ds, 1)
         w = np.where(psfit.is_concurrent, 1.0, 0.0)
-        got = estimate_psw(ds, 1, psfit=psfit, weights=w)
-        ref = unadjusted_effect(ds.reduced_concurrent, "PSW")
+        got = estimate_psw(ds, psfit=psfit, weights=w)
+        ref = unadjusted_effect(ds.reduced_concurrent)
         assert got.flags == ("psw:all_historical_trimmed_concurrent_only",)
         assert got.estimate == ref.estimate
         assert got.se == ref.se
@@ -428,7 +426,7 @@ class TestEstimatePsw:
     def test_diagnostics_report_trimming(self):
         ds = dataset("single-severe", seed=54)
         psfit = estimate_ps(ds, 1)
-        got = estimate_psw(ds, 1, psfit, ipw_weights(psfit))
+        got = estimate_psw(ds, psfit, ipw_weights(psfit))
         assert got.diagnostics["n_hist_kept"] > 0
         assert got.diagnostics["n_hist_kept"] + got.diagnostics["n_trimmed"] == sum(
             len(pool) for pool in ds.historical
