@@ -11,6 +11,7 @@ from .borrow import (
     MapConfig,
     NormalMixture,
     StudySummary,
+    build_strata,
     effect_posterior,
     estimate_map,
     estimate_psm_map,
@@ -97,6 +98,7 @@ __all__ = [
     "posterior_update",
     "effect_posterior",
     "power_prior_update",
+    "build_strata",
     "estimate_map",
     "estimate_psm_map",
     "estimate_psw_map",

@@ -14,10 +14,14 @@ treated-arm likelihood in closed form; credible-interval ends come from
 Newton's method on the mixture CDF.
 
 Power-prior borrowing discounts the historical likelihood precision by
-a factor alpha; the stratified variants split the pooled sample by
-concurrent propensity-score quantiles and borrow a fixed total number
-of effective historical subjects spread over strata in proportion to
-their historical counts.
+a factor alpha. The two stratified estimators share one front end:
+strata of the pooled sample by concurrent propensity-score quantiles,
+built once per replicate by :func:`build_strata`, and a total number of
+borrowed subjects spread over the strata in proportion to their
+historical counts, which comes to one discount
+min(1, total_borrow / n_hist). They differ only in how a stratum's
+borrowed controls enter: a power prior (PSS+PP) or a composite
+likelihood (PSS+CL).
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ __all__ = [
     "estimate_map",
     "estimate_psm_map",
     "estimate_psw_map",
+    "Strata",
+    "build_strata",
     "estimate_pss_pp",
     "estimate_pss_cl",
 ]
@@ -498,175 +504,131 @@ def estimate_psw_map(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Stratum:
-    t_y: np.ndarray
-    c_y: np.ndarray
-    h_y: np.ndarray
-    n_conc: int
+@dataclass(frozen=True)
+class Strata:
+    """Merged strata, each as (concurrent treated, concurrent control,
+    historical) outcomes, and the merge flags."""
+
+    arms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    flags: tuple[str, ...]
 
 
-def _build_strata(
-    dataset: TrialDataset, psfit: PsFit, n_strata: int
-) -> tuple[list[_Stratum], list[str]]:
+def build_strata(psfit: PsFit, n_strata: int = DEFAULT_N_STRATA) -> Strata:
+    """Split the pooled sample into :func:`stratify` strata, then merge.
+
+    A stratum with under two concurrent treated or control subjects joins
+    its left neighbour (the first its right one), the neighbour's
+    outcomes first, flagged with its index at the time. Raises
+    ``ValueError`` when no stratum has both concurrent arms populated.
+    """
     labels = stratify(psfit, n_strata=n_strata)
     sample = psfit.sample
     conc = sample.trial == 0
+    arms: list[tuple[np.ndarray, ...]] = []
     flags: list[str] = []
-    strata: list[_Stratum] = []
+    leading = None  # invalid leading strata, waiting for the next one
     for s in range(n_strata):
         mask = labels == s
-        t_y = sample.y[mask & conc & (sample.z == 1)]
-        c_y = sample.y[mask & conc & (sample.z == 0)]
-        h_y = sample.y[mask & ~conc]
-        strata.append(_Stratum(t_y=t_y, c_y=c_y, h_y=h_y, n_conc=int((mask & conc).sum())))
-
-    def invalid(st: _Stratum) -> bool:
-        return st.t_y.size < 2 or st.c_y.size < 2
-
-    merged = True
-    while merged and len(strata) > 1:
-        merged = False
-        for i, st in enumerate(strata):
-            if invalid(st):
-                j = i - 1 if i > 0 else i + 1
-                nb = strata[j]
-                strata[j] = _Stratum(
-                    t_y=np.concatenate([nb.t_y, st.t_y]),
-                    c_y=np.concatenate([nb.c_y, st.c_y]),
-                    h_y=np.concatenate([nb.h_y, st.h_y]),
-                    n_conc=nb.n_conc + st.n_conc,
-                )
-                del strata[i]
-                flags.append(f"pss:merged_stratum_{i}")
-                merged = True
-                break
-    if len(strata) == 1 and invalid(strata[0]):
-        raise ValueError("cannot form any stratum with both concurrent arms populated")
-    return strata, flags
+        st = (sample.y[mask & conc & (sample.z == 1)], sample.y[mask & conc & (sample.z == 0)],
+              sample.y[mask & ~conc])
+        if leading is not None:
+            st, leading = tuple(map(np.concatenate, zip(st, leading))), None
+        if st[0].size >= 2 and st[1].size >= 2:
+            arms.append(st)
+        elif arms:
+            flags.append(f"pss:merged_stratum_{len(arms)}")
+            arms[-1] = tuple(map(np.concatenate, zip(arms[-1], st)))
+        elif s < n_strata - 1:
+            flags.append("pss:merged_stratum_0")
+            leading = st
+        else:
+            raise ValueError("cannot form any stratum with both concurrent arms populated")
+    return Strata(arms=tuple(arms), flags=tuple(flags))
 
 
-def _default_total_borrow(dataset: TrialDataset) -> float:
-    red = dataset.reduced_concurrent
-    return float(max(int(red.z.sum()) - int((red.z == 0).sum()), 0))
-
-
-def estimate_pss_pp(
-    dataset: TrialDataset,
-    psfit: PsFit,
-    n_strata: int = DEFAULT_N_STRATA,
-    total_borrow: float | None = None,
-) -> EffectEstimate:
-    """Stratified power-prior borrowing.
-
-    ``total_borrow`` effective historical subjects (default: the number
-    needed to restore 1:1 in the reduced concurrent trial) are allocated
-    across strata proportionally to historical stratum counts. The
-    discount allocated / available is therefore the same in every
-    stratum with at least two historical subjects:
-    alpha = min(1, total_borrow / n_hist), n_hist the historical
-    subjects inside the concurrent score range; other strata get 0. Each
-    stratum updates its concurrent-control likelihood with the
-    discounted historical likelihood; stratum effects are combined with
-    concurrent-share weights and their variances with squared weights.
-    """
+def _borrow_shares(strata: Strata, total_borrow: float | None) -> tuple[float, list, np.ndarray]:
+    """Resolve ``total_borrow``; return it, the stratum discounts and concurrent shares."""
+    n_treated = sum(t.size for t, _, _ in strata.arms)
+    n_control = sum(c.size for _, c, _ in strata.arms)
+    n_hist = sum(h.size for _, _, h in strata.arms)
     if total_borrow is None:
-        total_borrow = _default_total_borrow(dataset)
+        total_borrow = float(max(n_treated - n_control, 0))
     if total_borrow < 0:
         raise ValueError("total_borrow must be non-negative")
-    strata, flags = _build_strata(dataset, psfit, n_strata)
-    n_hist_total = sum(st.h_y.size for st in strata)
-    n_conc_total = sum(st.n_conc for st in strata)
+    discount = min(1.0, total_borrow / n_hist) if n_hist else 0.0
+    discounts = [discount if h.size >= 2 else 0.0 for _, _, h in strata.arms]
+    n_conc = np.array([t.size + c.size for t, c, _ in strata.arms])
+    return total_borrow, discounts, n_conc / (n_treated + n_control)
 
-    effects = []
-    variances = []
-    weights = []
-    alphas = []
-    for st in strata:
-        t_mean, t_se = _mean_se(st.t_y)
-        c_mean, c_se = _mean_se(st.c_y)
-        if st.h_y.size >= 2 and n_hist_total > 0 and total_borrow > 0:
-            h_mean, h_se = _mean_se(st.h_y)
-            allocated = total_borrow * st.h_y.size / n_hist_total
-            a_s = min(1.0, allocated / st.h_y.size)
-        else:
-            h_mean, h_se, a_s = 0.0, 1.0, 0.0
+
+def estimate_pss_pp(strata: Strata, total_borrow: float | None = None) -> EffectEstimate:
+    """Stratified power-prior borrowing on :func:`build_strata` strata.
+
+    Each stratum updates its concurrent-control likelihood with its
+    historical likelihood discounted by the one discount
+    alpha = min(1, total_borrow / n_hist) (0 in strata with under two
+    historical subjects); ``total_borrow`` defaults to the number that
+    restores 1:1 in the concurrent trial. Stratum effects are combined
+    with concurrent-share weights and their variances with squared ones.
+    """
+    total_borrow, alphas, w = _borrow_shares(strata, total_borrow)
+    effects, variances = [], []
+    for (t_y, c_y, h_y), a_s in zip(strata.arms, alphas):
+        t_mean, t_se = _mean_se(t_y)
+        c_mean, c_se = _mean_se(c_y)
+        h_mean, h_se = _mean_se(h_y) if a_s > 0 else (0.0, 1.0)
         p_mean, p_se = power_prior_update(c_mean, c_se, h_mean, h_se, a_s)
         effects.append(t_mean - p_mean)
         variances.append(t_se * t_se + p_se * p_se)
-        weights.append(st.n_conc / n_conc_total)
-        alphas.append(a_s)
 
-    w = np.asarray(weights)
     est = float(w @ np.asarray(effects))
     se = math.sqrt(float((w * w) @ np.asarray(variances)))
     return wald_estimate(
-        est, se, flags=tuple(flags),
+        est, se, flags=strata.flags,
         diagnostics={
             "total_borrow": float(total_borrow),
-            "n_strata_effective": float(len(strata)),
+            "n_strata_effective": float(len(strata.arms)),
             "mean_alpha": float(np.mean(alphas)),
         },
     )
 
 
-def estimate_pss_cl(
-    dataset: TrialDataset,
-    psfit: PsFit,
-    n_strata: int = DEFAULT_N_STRATA,
-    total_borrow: float | None = None,
-) -> EffectEstimate:
+def estimate_pss_cl(strata: Strata, total_borrow: float | None = None) -> EffectEstimate:
     """Stratified composite-likelihood borrowing.
 
     Per stratum the control estimate is the count-weighted mean of
     concurrent and discounted historical controls with standard error
     sigma_s / sqrt(n_cs + eta * n_hs), sigma_s the pooled within-
-    stratum control SD. ``total_borrow`` is allocated as in
-    :func:`estimate_pss_pp`, so the discount eta = min(1, total_borrow /
-    n_hist) is the same in every stratum with at least two historical
-    subjects (0 in the others). The overall variance combines stratum
+    stratum control SD and eta the discount alpha of
+    :func:`estimate_pss_pp`. The overall variance combines stratum
     variances with linear (not squared) concurrent-share weights, which
     is what makes the method markedly conservative.
     """
-    if total_borrow is None:
-        total_borrow = _default_total_borrow(dataset)
-    if total_borrow < 0:
-        raise ValueError("total_borrow must be non-negative")
-    strata, flags = _build_strata(dataset, psfit, n_strata)
-    n_hist_total = sum(st.h_y.size for st in strata)
-    n_conc_total = sum(st.n_conc for st in strata)
-
-    effects = []
-    variances = []
-    weights = []
-    for st in strata:
-        t_mean, t_se = _mean_se(st.t_y)
-        n_c = st.c_y.size
-        n_h = st.h_y.size
-        c_mean = float(st.c_y.mean())
-        if n_h >= 2 and n_hist_total > 0 and total_borrow > 0:
-            allocated = total_borrow * n_h / n_hist_total
-            eta = min(1.0, allocated / n_h)
-            h_mean = float(st.h_y.mean())
-            ss = float(((st.c_y - c_mean) ** 2).sum() + ((st.h_y - h_mean) ** 2).sum())
+    total_borrow, etas, w = _borrow_shares(strata, total_borrow)
+    effects, variances = [], []
+    for (t_y, c_y, h_y), eta in zip(strata.arms, etas):
+        t_mean, t_se = _mean_se(t_y)
+        n_c, n_h = c_y.size, h_y.size
+        c_mean = float(c_y.mean())
+        if eta > 0:
+            h_mean = float(h_y.mean())
+            ss = float(((c_y - c_mean) ** 2).sum() + ((h_y - h_mean) ** 2).sum())
             sigma = math.sqrt(ss / (n_c + n_h - 2))
         else:
-            eta, h_mean = 0.0, 0.0
-            sigma = float(st.c_y.std(ddof=1))
+            h_mean = 0.0
+            sigma = float(c_y.std(ddof=1))
         denom = n_c + eta * n_h
         ctrl_est = (n_c * c_mean + eta * n_h * h_mean) / denom
         ctrl_se = sigma / math.sqrt(denom)
         effects.append(t_mean - ctrl_est)
         variances.append(t_se * t_se + ctrl_se * ctrl_se)
-        weights.append(st.n_conc / n_conc_total)
 
-    w = np.asarray(weights)
     est = float(w @ np.asarray(effects))
     se = math.sqrt(float(w @ np.asarray(variances)))
     return wald_estimate(
-        est, se, flags=tuple(flags),
+        est, se, flags=strata.flags,
         diagnostics={
             "total_borrow": float(total_borrow),
-            "n_strata_effective": float(len(strata)),
+            "n_strata_effective": float(len(strata.arms)),
         },
     )

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,6 +26,7 @@ import yaml
 from .borrow import (
     MapConfig,
     TAU_LADDER,
+    build_strata,
     estimate_map,
     estimate_psm_map,
     estimate_pss_cl,
@@ -155,9 +157,10 @@ def _fmt(x: float) -> str:
     return f"{float(x):g}"
 
 
-# YAML's true/false load as bool, a subclass of int; no numeric field takes one.
+# YAML loads true/false as bools (ints) and .nan/.inf as floats; no numeric field
+# takes them, nor an integer too large for a float.
 def _is_number(x: object) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return math.isfinite(x) if isinstance(x, float) else _is_int(x) and abs(x) <= sys.float_info.max
 
 
 def _is_int(x: object) -> bool:
@@ -304,11 +307,9 @@ METHODS: dict[str, MethodSpec] = {
         estimate_psw_map(c.dataset, cell.opt("map"), c.psfit(cell.covset),
                          c.weightset(cell.covset, cell.opt("weight_bounds")))),
     "PSS+PP": MethodSpec(_STRATA_KEYS, True, (_strata,), lambda cell, c:
-        estimate_pss_pp(c.dataset, c.psfit(cell.covset),
-                        cell.opt("n_strata"), cell.opt("total_borrow"))),
+        estimate_pss_pp(c.strata(cell.covset, cell.opt("n_strata")), cell.opt("total_borrow"))),
     "PSS+CL": MethodSpec(_STRATA_KEYS, True, (_strata,), lambda cell, c:
-        estimate_pss_cl(c.dataset, c.psfit(cell.covset),
-                        cell.opt("n_strata"), cell.opt("total_borrow"))),
+        estimate_pss_cl(c.strata(cell.covset, cell.opt("n_strata")), cell.opt("total_borrow"))),
     "MM": MethodSpec(_REML_KEYS, True, (_reml,), lambda cell, c:
         estimate_mm(c.dataset, cell.covset, cell.opt("reml"))),
     "MM.nc": MethodSpec(_REML_KEYS, False, (_reml,), lambda cell, c:
@@ -383,7 +384,7 @@ def _parse_coefficients(raw: dict, where: str) -> GenCoefficients:
         if _has_bool(value):
             raise ConfigError(f"{where}.{key}: expected numbers, not true/false")
     try:
-        return GenCoefficients(
+        coeffs = GenCoefficients(
             alpha0=float(raw["alpha0"]),
             alpha=np.asarray(raw["alpha"], dtype=float),
             theta_treat=float(raw["theta_treat"]),
@@ -397,6 +398,10 @@ def _parse_coefficients(raw: dict, where: str) -> GenCoefficients:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    for key in raw:
+        if not np.all(np.isfinite(getattr(coeffs, key))):
+            raise ConfigError(f"{where}.{key}: expected finite numbers")
+    return coeffs
 
 
 def _parse_scenario(raw: dict, defaults: dict, where: str) -> ScenarioConfig:
@@ -544,33 +549,29 @@ def replicate_rng(
 
 
 class _ReplicateCaches:
-    """Shared propensity fits and match/weight sets across a replicate's cells."""
+    """Inputs shared across a replicate's cells, each built once: propensity
+    fits, match sets, weight sets and strata."""
 
     def __init__(self, dataset: TrialDataset, sid: str, seed: int, replicate: int):
-        self.dataset = dataset
-        self.sid = sid
-        self.seed = seed
-        self.replicate = replicate
-        self.psfits: dict = {}
-        self.matches: dict = {}
-        self.weights: dict = {}
+        self.dataset, self.sid, self.seed, self.replicate = dataset, sid, seed, replicate
+        self.memo: dict = {}
+
+    def _memo(self, key: tuple, build: Callable[[], object]):
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
 
     def psfit(self, covset: int):
-        if covset not in self.psfits:
-            self.psfits[covset] = estimate_ps(self.dataset, covset)
-        return self.psfits[covset]
+        return self._memo(("ps", covset), lambda: estimate_ps(self.dataset, covset))
 
     def _match(self, covset: int, caliper: tuple[float, str], label: str, hist_mask):
         """Match the reduced concurrent trial to the pooled rows in
         ``hist_mask``, with its own seeded stream."""
-        key = (label, caliper)
-        if key not in self.matches:
-            rng = replicate_rng(self.seed, self.sid, self.replicate, label)
-            self.matches[key] = match_nearest(
-                self.psfit(covset), np.flatnonzero(hist_mask),
-                caliper_mult=caliper[0], caliper_units=caliper[1], rng=rng,
-            )
-        return self.matches[key]
+        return self._memo((label, caliper), lambda: match_nearest(
+            self.psfit(covset), np.flatnonzero(hist_mask),
+            caliper_mult=caliper[0], caliper_units=caliper[1],
+            rng=replicate_rng(self.seed, self.sid, self.replicate, label),
+        ))
 
     def matchset(self, covset: int, caliper: tuple[float, str]):
         """Matches against all historical pools together."""
@@ -586,10 +587,12 @@ class _ReplicateCaches:
         ]
 
     def weightset(self, covset: int, bounds: tuple[float, float]):
-        key = (covset, bounds)
-        if key not in self.weights:
-            self.weights[key] = ipw_weights(self.psfit(covset), bounds=bounds)
-        return self.weights[key]
+        return self._memo(("weights", covset, bounds),
+                          lambda: ipw_weights(self.psfit(covset), bounds=bounds))
+
+    def strata(self, covset: int, n_strata: int):
+        return self._memo(("strata", covset, n_strata),
+                          lambda: build_strata(self.psfit(covset), n_strata))
 
 
 def _failed_estimate(exc: Exception) -> EffectEstimate:

@@ -70,7 +70,6 @@ class PsFit:
 
     sample: SubjectGroup
     ps: np.ndarray
-    fit: object
 
     @property
     def is_concurrent(self) -> np.ndarray:
@@ -91,8 +90,7 @@ def estimate_ps(dataset: TrialDataset, covset: int) -> PsFit:
     pooled = dataset.pooled
     cols = covset_columns(covset, pooled.x.shape[1])
     X = np.column_stack([np.ones(len(pooled)), pooled.x[:, cols]])
-    fit = fit_logistic(X, (pooled.trial == 0).astype(float))
-    return PsFit(sample=pooled, ps=fit.fitted, fit=fit)
+    return PsFit(sample=pooled, ps=fit_logistic(X, (pooled.trial == 0).astype(float)).fitted)
 
 
 def match_nearest(

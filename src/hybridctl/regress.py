@@ -31,6 +31,11 @@ __all__ = [
 # Two-sided level of every test and credible interval the estimators report.
 ALPHA = 0.05
 
+# Newton budget, step tolerance and divergence bound of fit_logistic.
+LOGISTIC_MAX_ITER = 100
+LOGISTIC_TOL = 1e-8
+LOGISTIC_MAX_COEF = 1e3
+
 
 class SingularDesignError(ValueError):
     """Design matrix is rank deficient."""
@@ -140,21 +145,15 @@ def _bernoulli_loglik(eta: np.ndarray, t: np.ndarray, w: np.ndarray) -> float:
     return float(w @ (t * eta - np.logaddexp(0.0, eta)))
 
 
-def fit_logistic(
-    X: np.ndarray,
-    t: np.ndarray,
-    weights: np.ndarray | None = None,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-    max_coef: float = 1e3,
-) -> FitResult:
+def fit_logistic(X: np.ndarray, t: np.ndarray) -> FitResult:
     """Logistic regression by Newton steps with step halving.
 
     Convergence is declared when the largest coefficient step falls
-    below ``tol``. Separation raises :class:`SeparationError`, detected
-    either by the coefficient sup-norm exceeding ``max_coef`` or by the
-    iteration budget running out while every observation is classified
-    perfectly (the likelihood plateaus at zero as the slope diverges).
+    below ``LOGISTIC_TOL``. Separation raises :class:`SeparationError`,
+    detected either by the coefficient sup-norm exceeding
+    ``LOGISTIC_MAX_COEF`` or by the iteration budget running out while
+    every observation is classified perfectly (the likelihood plateaus
+    at zero as the slope diverges).
     """
     X = np.asarray(X, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -163,11 +162,9 @@ def fit_logistic(
         raise ValueError("label length does not match design rows")
     if not np.all((t == 0) | (t == 1)):
         raise ValueError("labels must be 0/1")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (n,) or np.any(w < 0):
-        raise ValueError("weights must be non-negative, one per row")
-    if not (np.any((t == 1) & (w > 0)) and np.any((t == 0) & (w > 0))):
-        raise ValueError("both outcome classes must be present with positive weight")
+    w = np.ones(n)
+    if not (np.any(t == 1) and np.any(t == 0)):
+        raise ValueError("both outcome classes must be present")
     labels = _labels(p, design_info=None)
     _check_full_rank(X * np.sqrt(w)[:, None], labels)
 
@@ -175,7 +172,7 @@ def fit_logistic(
     ll = _bernoulli_loglik(X @ coef, t, w)
     H = None
     converged = False
-    for _ in range(max_iter):
+    for _ in range(LOGISTIC_MAX_ITER):
         eta = X @ coef
         mu = expit(eta)
         irls_w = np.clip(w * mu * (1.0 - mu), 1e-10, None)
@@ -195,19 +192,18 @@ def fit_logistic(
             new_coef = coef + scale * step
             new_ll = _bernoulli_loglik(X @ new_coef, t, w)
         coef, ll = new_coef, new_ll
-        if np.max(np.abs(coef)) > max_coef:
+        if np.max(np.abs(coef)) > LOGISTIC_MAX_COEF:
             raise SeparationError(
                 "logistic fit diverged (coefficient magnitude exceeds "
-                f"{max_coef:g}); data are likely separated"
+                f"{LOGISTIC_MAX_COEF:g}); data are likely separated"
             )
-        if np.max(np.abs(scale * step)) < tol:
+        if np.max(np.abs(scale * step)) < LOGISTIC_TOL:
             converged = True
             break
     eta = X @ coef
     mu = expit(eta)
     if not converged:
-        active = w > 0
-        if np.all(np.abs(t[active] - mu[active]) < 1e-3):
+        if np.all(np.abs(t - mu) < 1e-3):
             raise SeparationError(
                 "logistic fit did not converge and classifies every "
                 "observation perfectly; data are likely separated"
@@ -222,7 +218,6 @@ def fit_logistic(
         residuals=t - mu,
         design_info=labels,
         design=X,
-        weights=None if weights is None else w,
     )
 
 

@@ -16,6 +16,7 @@ External subject-level data enters through a CSV reader.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -381,7 +382,9 @@ def load_subjects_csv(path: str) -> TrialDataset:
 
     Expected columns: ``trial`` (0 = concurrent, 1..k = historical pool),
     ``z`` (0/1; must be 0 for historical subjects), ``y``, covariates
-    ``x1..xp`` (p >= 1, consecutively numbered), and optionally ``id``.
+    ``x1..xp`` (p >= 1), and optionally ``id``. The ``x<k>`` columns
+    must be exactly x1..xp; a gap or a stray number is an error naming
+    the missing column.
     A non-finite ``y`` or covariate (nan, inf) is an error naming the
     column and the first line that holds one.
     The concurrent trial is analyzed as-is, so the full and reduced
@@ -395,11 +398,13 @@ def load_subjects_csv(path: str) -> TrialDataset:
         for required in ("trial", "z", "y"):
             if required not in cols:
                 raise ValueError(f"{path}: missing required column '{required}'")
-        xcols = []
-        while f"x{len(xcols) + 1}" in cols:
-            xcols.append(f"x{len(xcols) + 1}")
-        if not xcols:
+        found = [c for c in cols if re.fullmatch(r"x\d+", c)]
+        if not found:
             raise ValueError(f"{path}: no covariate columns x1..xp found")
+        xcols = [f"x{j}" for j in range(1, len(found) + 1)]
+        gap = next((c for c in xcols if c not in found), None)
+        if gap is not None:
+            raise ValueError(f"{path}: covariates must be x1..{xcols[-1]}; '{gap}' is missing")
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: no subject rows")

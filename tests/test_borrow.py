@@ -12,6 +12,7 @@ from hybridctl.borrow import (
     SINGLE_POOL_TAU_MULT,
     StudySummary,
     TAU_LADDER,
+    build_strata,
     effect_posterior,
     empirical_tau_scale,
     estimate_map,
@@ -29,7 +30,7 @@ from hybridctl.borrow import (
 from hybridctl.propensity import (
     MatchSet, PsFit, estimate_ps, ipw_weights, match_nearest, stratify, unadjusted_effect,
 )
-from hybridctl.trialdata import SubjectGroup, TrialDataset, build_replicate, preset
+from hybridctl.trialdata import SubjectGroup, build_replicate, preset
 
 
 def dataset(name="single-moderate", seed=0, n=1200):
@@ -411,7 +412,7 @@ class TestStudySummaries:
             ids=np.arange(n), x=np.zeros((n, 1)), z=np.zeros(n, dtype=int),
             trial=np.ones(n, dtype=int), y=y,
         )
-        fit = PsFit(sample=sample, ps=np.full(n, 0.5), fit=None)
+        fit = PsFit(sample=sample, ps=np.full(n, 0.5))
         ms = MatchSet(conc_rows=1000 + np.arange(n), hist_rows=np.arange(n), caliper=0.1)
         got = matched_study_summary(ms, fit)
         assert got.mean == pytest.approx(float(y.mean()), rel=1e-12)
@@ -425,7 +426,7 @@ class TestStudySummaries:
             ids=np.arange(n), x=np.zeros((n, 1)), z=np.zeros(n, dtype=int),
             trial=np.ones(n, dtype=int), y=y,
         )
-        fit = PsFit(sample=sample, ps=np.full(n, 0.5), fit=None)
+        fit = PsFit(sample=sample, ps=np.full(n, 0.5))
         once = MatchSet(conc_rows=100 + np.arange(n), hist_rows=np.arange(n), caliper=0.1)
         dup = MatchSet(conc_rows=np.r_[once.conc_rows, 200 + np.arange(n)],
                        hist_rows=np.r_[once.hist_rows, np.zeros(n, dtype=int)], caliper=0.1)
@@ -438,7 +439,7 @@ class TestStudySummaries:
             ids=np.arange(3), x=np.zeros((3, 1)), z=np.zeros(3, dtype=int),
             trial=np.ones(3, dtype=int), y=np.array([1.0, 2.0, 3.0]),
         )
-        fit = PsFit(sample=sample, ps=np.full(3, 0.5), fit=None)
+        fit = PsFit(sample=sample, ps=np.full(3, 0.5))
         none = np.zeros(0, dtype=int)
         assert matched_study_summary(MatchSet(none, none, 0.1), fit) is None
         one = MatchSet(conc_rows=np.array([10, 11]), hist_rows=np.array([0, 0]), caliper=0.1)
@@ -484,14 +485,17 @@ class TestMapCombinations:
         assert np.isfinite(got.se) and got.se > 0
 
 
-def synthetic_pss_inputs(frac_treated_low=1.0, seed=13):
-    """Hand-built strata: 100 concurrent on a ps ladder plus historical."""
+def synthetic_pss_inputs(frac_treated_low=1.0, seed=13, z=None):
+    """Hand-built strata: 100 concurrent on a ps ladder plus historical.
+
+    The five default strata hold 20 concurrent subjects each; ``z``
+    overrides their treatment indicators."""
     rng = np.random.default_rng(seed)
     ps_c = np.linspace(0.2, 0.8, 100)
-    z = np.zeros(100, dtype=int)
-    n_low = int(20 * frac_treated_low)
-    z[:n_low] = 1
-    z[20::2] = 1
+    if z is None:
+        z = np.zeros(100, dtype=int)
+        z[:int(20 * frac_treated_low)] = 1
+        z[20::2] = 1
     ps_h = rng.uniform(0.25, 0.75, size=60)
     n = 160
     sample = SubjectGroup(
@@ -501,20 +505,29 @@ def synthetic_pss_inputs(frac_treated_low=1.0, seed=13):
         trial=np.r_[np.zeros(100, dtype=int), np.ones(60, dtype=int)],
         y=rng.normal(size=n),
     )
-    ps = np.r_[ps_c, ps_h]
-    fit = PsFit(sample=sample, ps=ps, fit=None)
-    conc = sample.take(np.arange(100))
-    hist = sample.take(np.arange(100, 160))
-    ds = TrialDataset(full_concurrent=conc, reduced_concurrent=conc, historical=(hist,))
-    return ds, fit
+    return PsFit(sample=sample, ps=np.r_[ps_c, ps_h])
+
+
+def raw_strata(fit):
+    """Unmerged (treated, control, historical) outcomes of each default stratum."""
+    labels, s = stratify(fit), fit.sample
+    conc = s.trial == 0
+    return [(s.y[(labels == k) & conc & (s.z == 1)], s.y[(labels == k) & conc & (s.z == 0)],
+             s.y[(labels == k) & ~conc]) for k in range(5)]
+
+
+def stratum_z(*n_treated):
+    """Treatment indicators giving the k-th stratum its first n_treated[k] subjects treated."""
+    return np.concatenate([np.arange(20) < k for k in n_treated]).astype(int)
 
 
 class TestStratifiedBorrowing:
     def test_zero_borrow_equals_stratum_weighted_unadjusted(self):
         ds = dataset(seed=14)
         psfit = estimate_ps(ds, 1)
-        pp = estimate_pss_pp(ds, psfit=psfit, total_borrow=0.0)
-        cl = estimate_pss_cl(ds, psfit=psfit, total_borrow=0.0)
+        strata = build_strata(psfit)
+        pp = estimate_pss_pp(strata, total_borrow=0.0)
+        cl = estimate_pss_cl(strata, total_borrow=0.0)
         assert pp.flags == () and cl.flags == ()
 
         labels = stratify(psfit)
@@ -553,38 +566,93 @@ class TestStratifiedBorrowing:
                     y[mask] = (y[mask] - mu) / y[mask].std(ddof=1) + mu
         new_sample = SubjectGroup(ids=sample.ids, x=sample.x, z=sample.z,
                                   trial=sample.trial, y=y)
-        nr = len(ds.reduced_concurrent)
-        reduced = new_sample.take(np.arange(nr))
-        pools = tuple(
-            new_sample.take(np.flatnonzero(new_sample.trial == j))
-            for j in range(1, ds.k_historical + 1)
-        )
-        ds2 = TrialDataset(full_concurrent=ds.full_concurrent,
-                           reduced_concurrent=reduced, historical=pools)
-        psfit2 = PsFit(sample=new_sample, ps=psfit.ps, fit=psfit.fit)
+        psfit2 = PsFit(sample=new_sample, ps=psfit.ps)
         tb = float(((labels >= 0) & ~conc).sum())
-        pp = estimate_pss_pp(ds2, psfit=psfit2, total_borrow=tb)
-        cl = estimate_pss_cl(ds2, psfit=psfit2, total_borrow=tb)
+        strata = build_strata(psfit2)
+        pp = estimate_pss_pp(strata, total_borrow=tb)
+        cl = estimate_pss_cl(strata, total_borrow=tb)
         assert pp.flags == () and cl.flags == ()
         assert pp.diagnostics["mean_alpha"] == pytest.approx(1.0, abs=1e-12)
         assert pp.estimate == pytest.approx(cl.estimate, abs=1e-10)
 
     def test_invalid_stratum_merges_into_neighbor(self):
-        ds, fit = synthetic_pss_inputs(frac_treated_low=1.0)
-        got = estimate_pss_pp(ds, psfit=fit, total_borrow=10.0)
+        fit = synthetic_pss_inputs(frac_treated_low=1.0)
+        got = estimate_pss_pp(build_strata(fit), total_borrow=10.0)
         assert "pss:merged_stratum_0" in got.flags
         assert got.diagnostics["n_strata_effective"] == 4.0
 
     def test_borrowing_moves_toward_historical(self):
-        ds, fit = synthetic_pss_inputs(frac_treated_low=0.5, seed=16)
-        none = estimate_pss_pp(ds, psfit=fit, total_borrow=0.0)
-        lots = estimate_pss_pp(ds, psfit=fit, total_borrow=60.0)
+        fit = synthetic_pss_inputs(frac_treated_low=0.5, seed=16)
+        strata = build_strata(fit)
+        none = estimate_pss_pp(strata, total_borrow=0.0)
+        lots = estimate_pss_pp(strata, total_borrow=60.0)
         assert lots.se < none.se
         assert lots.diagnostics["mean_alpha"] > 0.5
 
     def test_negative_borrow_rejected(self):
-        ds, fit = synthetic_pss_inputs(frac_treated_low=0.5, seed=17)
+        fit = synthetic_pss_inputs(frac_treated_low=0.5, seed=17)
+        strata = build_strata(fit)
         with pytest.raises(ValueError):
-            estimate_pss_pp(ds, psfit=fit, total_borrow=-1.0)
+            estimate_pss_pp(strata, total_borrow=-1.0)
         with pytest.raises(ValueError):
-            estimate_pss_cl(ds, psfit=fit, total_borrow=-1.0)
+            estimate_pss_cl(strata, total_borrow=-1.0)
+
+
+class TestBuildStrata:
+    # ``expected``: (estimate, se) of PSS+PP and PSS+CL at total_borrow = 10,
+    # then at the default, pinned to 1e-12 (the discount's rounding may move
+    # the last bits)
+    @pytest.mark.parametrize(
+        "n_treated,flags,kept,expected",
+        [
+            # stratum 0 has no controls, nor does its merge with stratum 1
+            ((20, 20, 10, 10, 10), ("pss:merged_stratum_0",) * 2, [(2, 1, 0), (3,), (4,)],
+             [(0.07381498720930733, 0.22595085362256545),
+              (0.13939757563183863, 0.34451899961643273),
+              (0.009996004153612945, 0.16531147962622034),
+              (0.04928749085635367, 0.2881555352273195)]),
+            # strata 2 and 3 each have one subject in one arm
+            ((10, 10, 19, 1, 10), ("pss:merged_stratum_2",) * 2, [(0,), (1, 2, 3), (4,)],
+             [(0.050438792011665026, 0.19198992111358984),
+              (0.02407046966299576, 0.3336178904982921),
+              (0.04639182789788973, 0.19797351381932995),
+              (0.04639182789788973, 0.3438771305589796)]),
+            # the last stratum has no treated subject
+            ((10, 10, 10, 10, 0), ("pss:merged_stratum_4",), [(0,), (1,), (2,), (3, 4)],
+             [(-0.23537257123217498, 0.18531288967327292),
+              (-0.20804278243407293, 0.37436129961533354),
+              (-0.19762310661781282, 0.20520364720896198),
+              (-0.19762310661781282, 0.4250780555782496)]),
+        ],
+        ids=["leading-twice", "adjacent", "last"],
+    )
+    def test_merges(self, n_treated, flags, kept, expected):
+        fit = synthetic_pss_inputs(z=stratum_z(*n_treated))
+        raw = raw_strata(fit)
+        strata = build_strata(fit)
+        assert strata.flags == flags
+        assert len(strata.arms) == len(kept)
+        for arms, parts in zip(strata.arms, kept):
+            for got, want in zip(arms, zip(*(raw[k] for k in parts))):
+                # neighbour first: the merged arrays concatenate in this order
+                np.testing.assert_array_equal(got, np.concatenate(want))
+        n_t, n_c = sum(n_treated), 100 - sum(n_treated)
+        got = [f(strata, tb) for tb in (10.0, None) for f in (estimate_pss_pp, estimate_pss_cl)]
+        for est, (estimate, se) in zip(got, expected):
+            assert est.flags == flags
+            assert est.estimate == pytest.approx(estimate, rel=1e-12)
+            assert est.se == pytest.approx(se, rel=1e-12)
+        assert got[2].diagnostics["total_borrow"] == max(n_t - n_c, 0)
+
+    def test_all_strata_invalid(self):
+        fit = synthetic_pss_inputs(z=stratum_z(20, 20, 20, 20, 19))
+        with pytest.raises(ValueError, match="cannot form any stratum"):
+            build_strata(fit)
+
+    def test_one_discount(self):
+        fit = synthetic_pss_inputs(frac_treated_low=0.5, seed=16)
+        strata = build_strata(fit)
+        n_hist = sum(h.size for _, _, h in strata.arms)
+        got = estimate_pss_pp(strata, total_borrow=12.0)
+        discounts = [12.0 / n_hist if h.size >= 2 else 0.0 for _, _, h in strata.arms]
+        assert got.diagnostics["mean_alpha"] == pytest.approx(np.mean(discounts), rel=1e-15)

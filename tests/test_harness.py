@@ -11,7 +11,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from hybridctl import cli, harness
+from hybridctl import borrow, cli, harness
 from hybridctl.harness import (
     METHODS,
     ConfigError,
@@ -31,6 +31,7 @@ from hybridctl.harness import (
     write_summary_csv,
 )
 from hybridctl.metrics import SummaryRow
+from hybridctl.propensity import stratify
 from hybridctl.trialdata import SubjectGroup, TrialDataset, build_replicate, preset
 
 RAW_HEADER = "scenario_id,replicate,method_id,covset,hyperparam,estimate,se,reject,essr_pct,flags"
@@ -221,6 +222,23 @@ scenarios:
 """
 
 
+def write_demo_config(tmp_path, top, scenario):
+    """A one-scenario config with ``top`` and ``scenario`` overriding its
+    entries; ``scenario["coefficients"]`` overrides explicit coefficients."""
+    scen = {"scenario_id": "demo", "preset": "single-moderate", "covsets": [1],
+            "methods": ["PSM"]}
+    if "coefficients" in scenario:
+        coeffs = {"alpha0": 1.0, "alpha": [0.2] * 6, "theta_treat": 0.3,
+                  "beta0": -0.7, "beta": [0.3] * 6}
+        del scen["preset"]
+        scen.update(n_total=300, coefficients=dict(coeffs, **scenario["coefficients"]))
+    else:
+        scen.update(scenario)
+    p = tmp_path / "demo.yaml"
+    p.write_text(yaml.safe_dump(dict({"master_seed": 5, "scenarios": [scen]}, **top)))
+    return str(p)
+
+
 class TestLoadConfig:
     def test_shipped_quick_config(self):
         cfg = load_config("configs/quick.yaml")
@@ -278,19 +296,40 @@ class TestLoadConfig:
     )
     def test_booleans_rejected(self, tmp_path, top, scenario, field):
         # YAML true loads as a bool, which Python counts as the integer 1
-        scen = {"scenario_id": "demo", "preset": "single-moderate", "covsets": [1],
-                "methods": ["PSM"]}
-        if "coefficients" in scenario:
-            coeffs = {"alpha0": 1.0, "alpha": [0.2] * 6, "theta_treat": 0.3,
-                      "beta0": -0.7, "beta": [0.3] * 6}
-            del scen["preset"]
-            scen.update(n_total=300, coefficients=dict(coeffs, **scenario["coefficients"]))
-        else:
-            scen.update(scenario)
-        p = tmp_path / "bool.yaml"
-        p.write_text(yaml.safe_dump(dict({"master_seed": 5, "scenarios": [scen]}, **top)))
         with pytest.raises(ConfigError, match=field):
-            load_config(str(p))
+            load_config(write_demo_config(tmp_path, top, scenario))
+
+    @pytest.mark.parametrize(
+        "top,scenario,field",
+        [
+            ({"failure_threshold": math.nan}, {}, ": failure_threshold"),
+            ({}, {"theta_treat": math.nan}, r"scenarios\[0\]\.theta_treat"),
+            ({}, {"methods": [{"method_id": "MAP", "tau_scale": math.nan}]},
+             r"methods\[0\]\.tau_scale"),
+            ({}, {"methods": [{"method_id": "MAP", "omega": math.nan}]}, r"methods\[0\].*omega"),
+            ({}, {"methods": [{"method_id": "PSM", "caliper_mult": math.nan}]},
+             r"methods\[0\]\.caliper_mult"),
+            ({}, {"methods": [{"method_id": "PSW", "weight_bounds": [0.05, math.inf]}]},
+             r"methods\[0\]\.weight_bounds"),
+            ({}, {"methods": [{"method_id": "PSS+PP", "total_borrow": math.inf}]},
+             r"methods\[0\]\.total_borrow"),
+            ({}, {"methods": [{"method_id": "PSS+PP", "total_borrow": 10**400}]},
+             r"methods\[0\]\.total_borrow"),
+            ({}, {"coefficients": {"sigma_e": math.nan}}, r"coefficients\.sigma_e"),
+            ({}, {"coefficients": {"theta_treat": -math.inf}}, r"coefficients\.theta_treat"),
+            ({}, {"coefficients": {"beta0": math.nan}}, r"coefficients\.beta0"),
+            ({}, {"coefficients": {"alpha": [0.2] * 5 + [math.nan]}}, r"coefficients\.alpha"),
+            ({}, {"coefficients": {"beta": [0.3] * 5 + [math.inf]}}, r"coefficients\.beta"),
+        ],
+        ids=["failure_threshold", "theta_treat", "tau_scale", "omega", "caliper_mult",
+             "weight_bounds", "total_borrow", "total_borrow_int", "sigma_e",
+             "coefficients.theta_treat", "beta0", "alpha", "beta"],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, top, scenario, field):
+        # YAML .nan and .inf load as floats; an integer past the float range
+        # cannot become one
+        with pytest.raises(ConfigError, match=field):
+            load_config(write_demo_config(tmp_path, top, scenario))
 
     def test_missing_master_seed(self, tmp_path):
         p = tmp_path / "bad.yaml"
@@ -386,6 +425,21 @@ class TestRunReplicate:
         with pytest.raises(TypeError, match="bug"):
             run_replicate(sc, 0)
 
+    def test_strata_built_once_per_covset(self, monkeypatch):
+        calls = []
+
+        def counting(psfit, n_strata):
+            calls.append(n_strata)
+            return stratify(psfit, n_strata)
+
+        monkeypatch.setattr(borrow, "stratify", counting)
+        sc = small_scenario(["PSS+PP", "PSS+CL"], covsets=(1, 3))
+        for replicate in range(2):
+            calls.clear()
+            rows = run_replicate(sc, replicate)
+            assert not any(r.failed for r in rows)
+            assert calls == [5, 5]
+
     def test_essr_filled_against_benchmark(self):
         sc = small_scenario(["PSM", "MAP"], n_total=300)
         rows = run_replicate(sc, 1)
@@ -395,8 +449,8 @@ class TestRunReplicate:
                 assert r.essr_pct is not None
 
 
-# Methods with non-default options too, so the shared propensity, match and
-# weight caches hold several entries per covariate set.
+# Methods with non-default options too, so the shared propensity, match,
+# weight and strata caches hold several entries per covariate set.
 INDEPENDENCE_METHODS = [
     "PSM", {"method_id": "PSM", "caliper_mult": 0.1},
     "PSW", {"method_id": "PSW", "weight_bounds": [0.1, 10]},
@@ -404,7 +458,8 @@ INDEPENDENCE_METHODS = [
     {"method_id": "PSM+MAP", "omega": 0.5},
     {"method_id": "PSM+MAP", "omega": 0.5, "caliper_mult": 0.1},
     {"method_id": "PSW+MAP", "omega": 0.5},
-    "PSS+PP", "PSS+CL", "MM", "MM.nc",
+    "PSS+PP", "PSS+CL", {"method_id": "PSS+PP", "n_strata": 4},
+    {"method_id": "PSS+CL", "n_strata": 4, "total_borrow": 50}, "MM", "MM.nc",
 ]
 
 
@@ -716,6 +771,21 @@ class TestCli:
         assert cli.main(["analyze", "--data", str(path), "--methods", "PSM"]) == 2
         err = capsys.readouterr().err
         assert f"line 72: column '{column}' is not finite" in err
+
+    @pytest.mark.parametrize("columns,gap", [
+        (["x1", "x2", "x7", "x4", "x5", "x6"], "x3"),
+        (["x1", "x2", "x3", "x4", "x5", "x0"], "x6"),
+    ])
+    def test_analyze_rejects_covariate_numbering_gap(self, tmp_path, capsys, columns, gap):
+        ds = build_replicate(preset("single-severe"), 300, np.random.default_rng(8))
+        path = tmp_path / "subjects.csv"
+        with open(path, "w") as fh:
+            fh.write("trial,z,y," + ",".join(columns) + "\n")
+            for group in (ds.full_concurrent, *ds.historical):
+                for x, z, t, y in zip(group.x, group.z, group.trial, group.y):
+                    fh.write(f"{t},{z},{y:.10g}," + ",".join("%.10g" % v for v in x) + "\n")
+        assert cli.main(["analyze", "--data", str(path), "--covset", "1"]) == 2
+        assert f"'{gap}' is missing" in capsys.readouterr().err
 
     def test_analyze_missing_file_is_config_error(self, tmp_path, capsys):
         assert cli.main(["analyze", "--data", str(tmp_path / "nope.csv")]) == 2

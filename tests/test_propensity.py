@@ -13,7 +13,7 @@ from hybridctl.propensity import (
     stratify,
     unadjusted_effect,
 )
-from hybridctl.regress import fit_ols, sandwich_cov, sandwich_se
+from hybridctl.regress import fit_logistic, fit_ols, sandwich_cov, sandwich_se
 from hybridctl.trialdata import (
     GenCoefficients,
     SubjectGroup,
@@ -35,7 +35,7 @@ def make_psfit(ps_conc, ps_hist):
         trial=np.r_[np.zeros(ps_conc.size, dtype=int), np.ones(ps_hist.size, dtype=int)],
         y=np.zeros(n),
     )
-    return PsFit(sample=group, ps=np.r_[ps_conc, ps_hist], fit=None)
+    return PsFit(sample=group, ps=np.r_[ps_conc, ps_hist])
 
 
 def hand_built_match(y_conc, z_conc, y_hist):
@@ -53,7 +53,7 @@ def hand_built_match(y_conc, z_conc, y_hist):
         trial=np.ones(n_h, dtype=int), y=np.asarray(y_hist, dtype=float),
     )
     ds = TrialDataset(full_concurrent=conc, reduced_concurrent=conc, historical=(hist,))
-    return ds, PsFit(sample=ds.pooled, ps=np.full(n_c + n_h, 0.5), fit=None)
+    return ds, PsFit(sample=ds.pooled, ps=np.full(n_c + n_h, 0.5))
 
 
 def dataset(name="single-moderate", seed=0, n=1200):
@@ -86,6 +86,13 @@ class TestCovsetColumns:
             covset_columns(3, 2)
 
 
+def membership_logit(ds, cols):
+    """Logistic fit of concurrent membership on an intercept and columns ``cols``."""
+    pooled = ds.pooled
+    X = np.column_stack([np.ones(len(pooled)), pooled.x[:, list(cols)]])
+    return fit_logistic(X, (pooled.trial == 0).astype(float))
+
+
 class TestEstimatePs:
     def test_null_selection_scores_carry_little_signal(self):
         # with no covariate effect on membership, in-sample AUC stays near
@@ -102,12 +109,16 @@ class TestEstimatePs:
         ds = dataset("single-severe", seed=11)
         fit = estimate_ps(ds, 1)
         assert rank_auc(fit.ps, fit.is_concurrent.astype(float)) > 0.70
-        z = fit.fit.coef[1:] / np.sqrt(np.diag(fit.fit.cov_model))[1:]
+        logit = membership_logit(ds, range(6))
+        np.testing.assert_array_equal(logit.fitted, fit.ps)
+        z = logit.coef[1:] / np.sqrt(np.diag(logit.cov_model))[1:]
         assert np.all(np.abs(z) > 2)
 
     def test_covset3_uses_three_covariates(self):
-        fit = estimate_ps(dataset(seed=3), 3)
-        assert fit.fit.coef.shape == (4,)  # intercept + x1..x3
+        ds = dataset(seed=3)
+        logit = membership_logit(ds, range(3))
+        assert logit.coef.shape == (4,)  # intercept + x1..x3
+        np.testing.assert_array_equal(logit.fitted, estimate_ps(ds, 3).ps)
 
     def test_sample_stacks_reduced_then_historical(self):
         ds = dataset(seed=4)

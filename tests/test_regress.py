@@ -109,18 +109,6 @@ class TestLogistic:
         with pytest.raises(SeparationError):
             fit_logistic(X, t)
 
-    def test_weighted_fit_equals_duplicated_rows(self):
-        X = design(25, 2, 13)
-        t = (rng_(14).random(25) < 0.5).astype(float)
-        if t.min() == t.max():  # pragma: no cover - seed guard
-            t[0] = 1 - t[0]
-        w = np.array([2.0] * 10 + [1.0] * 15)
-        fit_w = fit_logistic(X, t, weights=w)
-        X2 = np.vstack([X, X[:10]])
-        t2 = np.concatenate([t, t[:10]])
-        fit_d = fit_logistic(X2, t2)
-        np.testing.assert_allclose(fit_w.coef, fit_d.coef, atol=1e-7)
-
 
 class TestSandwich:
     def test_agrees_with_model_se_when_homoskedastic(self):
