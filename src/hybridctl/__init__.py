@@ -52,7 +52,6 @@ from .regress import (
     fit_logistic,
     fit_ols,
     sandwich_se,
-    wald_decision,
 )
 from .trialdata import (
     GenCoefficients,
@@ -81,7 +80,6 @@ __all__ = [
     "fit_logistic",
     "fit_ols",
     "sandwich_se",
-    "wald_decision",
     "PsFit",
     "MatchSet",
     "estimate_ps",

@@ -79,10 +79,29 @@ _MASK64 = (1 << 64) - 1
 RAW_HEADER = (
     "scenario_id,replicate,method_id,covset,hyperparam,estimate,se,reject,essr_pct,flags"
 )
-SUMMARY_HEADER = (
-    "scenario_id,method_id,covset,hyperparam,bias,rel_bias_pct,type1_or_power,"
-    "mean_se,essr_pct,essr_empirical_pct,n_used,n_failed"
+
+
+def _optional(parse: Callable[[str], object]) -> Callable[[str], object]:
+    return lambda text: None if text == "" else parse(text)
+
+
+# summary.csv in column order: (column, SummaryRow field, parser of its text).
+# The header, the writer and the reader all follow this one table.
+_SUMMARY_COLUMNS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
+    ("scenario_id", "scenario_id", str),
+    ("method_id", "method_id", str),
+    ("covset", "covset_id", _optional(int)),
+    ("hyperparam", "hyperparam", str),
+    ("bias", "bias", float),
+    ("rel_bias_pct", "rel_bias_pct", _optional(float)),
+    ("type1_or_power", "reject_rate", float),
+    ("mean_se", "mean_se", float),
+    ("essr_pct", "essr_pct", _optional(float)),
+    ("essr_empirical_pct", "essr_empirical_pct", _optional(float)),
+    ("n_used", "n_used", int),
+    ("n_failed", "n_failed", int),
 )
+SUMMARY_HEADER = ",".join(column for column, _, _ in _SUMMARY_COLUMNS)
 
 DEFAULT_FAILURE_THRESHOLD = 0.05
 
@@ -550,7 +569,9 @@ def replicate_rng(
 
 class _ReplicateCaches:
     """Inputs shared across a replicate's cells, each built once: propensity
-    fits, match sets, weight sets and strata."""
+    fits, match sets, weight sets and strata. A build that fails with a
+    ``ValueError`` (the expected numerical failures) is not retried: every
+    later lookup raises the same error again."""
 
     def __init__(self, dataset: TrialDataset, sid: str, seed: int, replicate: int):
         self.dataset, self.sid, self.seed, self.replicate = dataset, sid, seed, replicate
@@ -558,7 +579,12 @@ class _ReplicateCaches:
 
     def _memo(self, key: tuple, build: Callable[[], object]):
         if key not in self.memo:
-            self.memo[key] = build()
+            try:
+                self.memo[key] = build()
+            except ValueError as exc:
+                self.memo[key] = exc
+        if isinstance(self.memo[key], ValueError):
+            raise self.memo[key]
         return self.memo[key]
 
     def psfit(self, covset: int):
@@ -720,55 +746,27 @@ def write_raw_csv(path: str, results: list[ScenarioResult]) -> None:
 
 
 def write_summary_csv(path: str, results: list[ScenarioResult]) -> None:
+    """None is written as an empty field, floats as %.10g, ints and strings as they are."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER.split(","))
         for result in results:
             for row in result.summary:
-                writer.writerow([
-                    row.scenario_id,
-                    row.method_id,
-                    "" if row.covset_id is None else row.covset_id,
-                    row.hyperparam,
-                    _num(row.bias),
-                    _num(row.rel_bias_pct),
-                    _num(row.reject_rate),
-                    _num(row.mean_se),
-                    _num(row.essr_pct),
-                    _num(row.essr_empirical_pct),
-                    row.n_used,
-                    row.n_failed,
-                ])
+                values = (getattr(row, field) for _, field, _ in _SUMMARY_COLUMNS)
+                writer.writerow([_num(v) if v is None or isinstance(v, float) else v
+                                 for v in values])
 
 
 def read_summary_csv(path: str) -> list[SummaryRow]:
-    def opt(v: str) -> float | None:
-        return None if v == "" else float(v)
-
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         got = ",".join(reader.fieldnames or [])
         if got != SUMMARY_HEADER:
             raise ValueError(f"{path}: unexpected header {got!r}")
-        for rec in reader:
-            rows.append(
-                SummaryRow(
-                    scenario_id=rec["scenario_id"],
-                    method_id=rec["method_id"],
-                    covset_id=None if rec["covset"] == "" else int(rec["covset"]),
-                    hyperparam=rec["hyperparam"],
-                    bias=float(rec["bias"]),
-                    rel_bias_pct=opt(rec["rel_bias_pct"]),
-                    reject_rate=float(rec["type1_or_power"]),
-                    mean_se=float(rec["mean_se"]),
-                    essr_pct=opt(rec["essr_pct"]),
-                    essr_empirical_pct=opt(rec["essr_empirical_pct"]),
-                    n_used=int(rec["n_used"]),
-                    n_failed=int(rec["n_failed"]),
-                )
-            )
-    return rows
+        return [
+            SummaryRow(**{field: parse(rec[column]) for column, field, parse in _SUMMARY_COLUMNS})
+            for rec in reader
+        ]
 
 
 def write_diagnostics(path: str, results: list[ScenarioResult], threshold: float) -> None:

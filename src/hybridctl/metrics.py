@@ -21,8 +21,6 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .regress import ALPHA, wald_decision
-
 __all__ = [
     "ALPHA",
     "EffectEstimate",
@@ -34,6 +32,9 @@ __all__ = [
     "essr",
     "summarize",
 ]
+
+# Two-sided level of every test and credible interval the estimators report.
+ALPHA = 0.05
 
 UNADJ_RC_KEY = ("unadj.rc", None, "")
 
@@ -64,13 +65,17 @@ def wald_estimate(
     flags: tuple[str, ...] = (),
     diagnostics: dict | None = None,
 ) -> EffectEstimate:
-    """Normal-reference result: Wald test and central interval at level ``ALPHA``."""
-    dec = wald_decision(est, se, ALPHA)
-    half = float(ndtri(1.0 - ALPHA / 2.0)) * se
+    """Normal-reference result: two-sided Wald test and central interval at
+    level ``ALPHA``. The test is strict: ``|est / se|`` equal to the
+    critical value does not reject."""
+    if not np.isfinite(se) or se <= 0:
+        raise ValueError("standard error must be positive and finite")
+    crit = float(ndtri(1.0 - ALPHA / 2.0))
+    half = crit * se
     return EffectEstimate(
         estimate=est,
         se=se,
-        reject=dec.reject,
+        reject=bool(abs(est / se) > crit),
         interval=(est - half, est + half),
         flags=flags,
         diagnostics=diagnostics or {},

@@ -2,9 +2,9 @@
 
 Weighted least squares via the normal equations, logistic regression by
 iteratively reweighted least squares with step halving, heteroskedastic
-(HC0) and cluster-robust sandwich covariances, and normal-reference
-Wald decisions. Kept self-contained so every estimator in the package
-runs through the same numerics.
+(HC0) and cluster-robust sandwich covariances. Kept self-contained so
+every estimator in the package runs through the same numerics; the
+Wald test on their standard errors is ``metrics.wald_estimate``.
 """
 
 from __future__ import annotations
@@ -13,23 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import expit, ndtr, ndtri
+from scipy.special import expit
 
 __all__ = [
-    "ALPHA",
     "SingularDesignError",
     "SeparationError",
     "FitResult",
-    "WaldDecision",
     "fit_ols",
     "fit_logistic",
     "sandwich_cov",
     "sandwich_se",
-    "wald_decision",
 ]
-
-# Two-sided level of every test and credible interval the estimators report.
-ALPHA = 0.05
 
 # Newton budget, step tolerance and divergence bound of fit_logistic.
 LOGISTIC_MAX_ITER = 100
@@ -61,13 +55,6 @@ class FitResult:
     design_info: tuple[str, ...]
     design: np.ndarray
     weights: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class WaldDecision:
-    reject: bool
-    z: float
-    p: float
 
 
 def _labels(p: int, design_info) -> tuple[str, ...]:
@@ -250,14 +237,3 @@ def sandwich_se(
     cov = sandwich_cov(fit, clusters=clusters)
     return float(np.sqrt(cov[target_index, target_index]))
 
-
-def wald_decision(estimate: float, se: float, alpha: float = ALPHA) -> WaldDecision:
-    """Two-sided normal-reference Wald test; strict inequality at the boundary."""
-    if not np.isfinite(se) or se <= 0:
-        raise ValueError("standard error must be positive and finite")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    z = float(estimate / se)
-    p = float(2.0 * ndtr(-abs(z)))
-    crit = float(ndtri(1.0 - alpha / 2.0))
-    return WaldDecision(reject=abs(z) > crit, z=z, p=p)

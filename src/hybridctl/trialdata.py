@@ -2,10 +2,11 @@
 
 A replicate starts from ``n`` subjects with six independent standard
 normal covariates. Trial membership (one concurrent randomized trial
-plus one or three historical control pools) follows a logistic or
-multinomial-logit selection model on the covariates, the concurrent
-trial is randomized 1:1 by exact permutation, and outcomes follow a
-linear model with an additive treatment effect and unit-variance noise.
+plus k >= 1 historical control pools) follows one multinomial-logit
+selection model on the covariates, of which the single pool's logistic
+model is the k = 1 case. The concurrent trial is randomized 1:1 by
+exact permutation, and outcomes follow a linear model with an additive
+treatment effect and unit-variance noise.
 The reduced (2:1) concurrent design drops a uniform random half of the
 concurrent controls; the dropped information is what borrowing methods
 try to recover from the historical pools.
@@ -33,10 +34,8 @@ __all__ = [
     "preset",
     "preset_n_total",
     "gen_covariates",
-    "trial_probabilities_single",
-    "trial_probabilities_multi",
-    "assign_trials_single",
-    "assign_trials_multi",
+    "trial_probabilities",
+    "assign_trials",
     "gen_outcomes",
     "build_replicate",
     "load_subjects_csv",
@@ -150,10 +149,11 @@ class GenCoefficients:
     """Coefficients of the outcome and trial-membership models.
 
     ``beta0``/``beta`` are the selection-model coefficients: a scalar and
-    a (6,) vector for the single historical pool (logistic model of
-    being concurrent, P(concurrent) = expit(beta0 + x . beta)), or a (k,)
-    vector and (k, 6) matrix for k pools (multinomial-logit relative to
-    the concurrent trial).
+    a (6,) vector for a single historical pool (logistic model of being
+    concurrent, P(concurrent) = expit(beta0 + x . beta)), or a (k,)
+    vector and (k, 6) matrix for k >= 1 pools (each pool's log-odds
+    against the concurrent trial). ``membership`` gives both forms as
+    the latter.
     """
 
     alpha0: float
@@ -172,17 +172,26 @@ class GenCoefficients:
             raise ValueError("alpha must have one entry per covariate")
         if self.sigma_e < 0:
             raise ValueError("sigma_e must be non-negative")
-        k = self.k_historical
-        if k == 1:
+        if np.ndim(self.beta0) == 0:
             if self.beta.shape != (N_COVARIATES,):
                 raise ValueError("beta must be a 6-vector when beta0 is scalar")
-        else:
-            if self.beta.shape != (k, N_COVARIATES):
-                raise ValueError("beta must be (k, 6) when beta0 is a k-vector")
+        elif np.ndim(self.beta0) != 1 or self.k_historical < 1:
+            raise ValueError("beta0 must be a scalar or a non-empty vector")
+        elif self.beta.shape != (self.k_historical, N_COVARIATES):
+            raise ValueError("beta must be (k, 6) when beta0 is a k-vector")
 
     @property
     def k_historical(self) -> int:
         return 1 if np.ndim(self.beta0) == 0 else int(np.shape(self.beta0)[0])
+
+    @property
+    def membership(self) -> tuple[np.ndarray, np.ndarray]:
+        """(k,) intercepts and (k, 6) slopes of each pool's log-odds
+        against the concurrent trial; the single-pool form models the
+        concurrent trial's log-odds, hence the sign flip."""
+        if np.ndim(self.beta0) == 0:
+            return -np.array([self.beta0], dtype=float), -self.beta[None, :]
+        return self.beta0, self.beta
 
     def with_theta(self, theta: float) -> "GenCoefficients":
         return replace(self, theta_treat=float(theta))
@@ -261,19 +270,7 @@ def gen_covariates(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((n, N_COVARIATES))
 
 
-def trial_probabilities_single(X: np.ndarray, beta0: float, beta: np.ndarray) -> np.ndarray:
-    """P(concurrent) under the logistic membership model, one value per row."""
-    lin = beta0 + X @ np.asarray(beta, dtype=float)
-    # expit computed stably in both tails
-    out = np.empty_like(lin)
-    pos = lin >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-lin[pos]))
-    enl = np.exp(lin[~pos])
-    out[~pos] = enl / (1.0 + enl)
-    return out
-
-
-def trial_probabilities_multi(
+def trial_probabilities(
     X: np.ndarray, beta0: np.ndarray, beta: np.ndarray
 ) -> np.ndarray:
     """Membership probabilities (n, k+1); column 0 is the concurrent trial.
@@ -293,19 +290,11 @@ def trial_probabilities_multi(
     return probs
 
 
-def assign_trials_single(
-    X: np.ndarray, beta0: float, beta: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample trial labels (0 concurrent, 1 historical) for each subject."""
-    p_conc = trial_probabilities_single(X, beta0, beta)
-    return np.where(rng.random(X.shape[0]) < p_conc, 0, 1)
-
-
-def assign_trials_multi(
+def assign_trials(
     X: np.ndarray, beta0: np.ndarray, beta: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Sample trial labels 0..k from the multinomial-logit model."""
-    probs = trial_probabilities_multi(X, beta0, beta)
+    probs = trial_probabilities(X, beta0, beta)
     cum = np.cumsum(probs, axis=1)
     u = rng.random(X.shape[0])
     labels = (u[:, None] >= cum).sum(axis=1)
@@ -334,13 +323,8 @@ def build_replicate(
     Historical subjects are always untreated.
     """
     k = coeffs.k_historical
-    if k not in (1, 3):
-        raise ValueError(f"unsupported number of historical pools: {k} (expected 1 or 3)")
     X = gen_covariates(n_total, rng)
-    if k == 1:
-        labels = assign_trials_single(X, float(coeffs.beta0), coeffs.beta, rng)
-    else:
-        labels = assign_trials_multi(X, coeffs.beta0, coeffs.beta, rng)
+    labels = assign_trials(X, *coeffs.membership, rng)
 
     conc_idx = np.flatnonzero(labels == 0)
     n_conc = conc_idx.size

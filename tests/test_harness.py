@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -31,7 +32,7 @@ from hybridctl.harness import (
     write_summary_csv,
 )
 from hybridctl.metrics import SummaryRow
-from hybridctl.propensity import stratify
+from hybridctl.propensity import estimate_ps, stratify
 from hybridctl.trialdata import SubjectGroup, TrialDataset, build_replicate, preset
 
 RAW_HEADER = "scenario_id,replicate,method_id,covset,hyperparam,estimate,se,reject,essr_pct,flags"
@@ -440,6 +441,37 @@ class TestRunReplicate:
             assert not any(r.failed for r in rows)
             assert calls == [5, 5]
 
+    def test_failed_shared_input_is_not_rebuilt(self, monkeypatch):
+        # historical x1 lies entirely below the concurrent x1, so the
+        # covset-1 propensity fit separates; the six cells that need it
+        # fail with that one error, and the fit is attempted once
+        ds = build_replicate(preset("single-moderate"), 400, np.random.default_rng(3))
+
+        def shift(g, sign):
+            x = g.x.copy()
+            x[:, 0] = sign * (np.abs(x[:, 0]) + 0.5)
+            return SubjectGroup(ids=g.ids, x=x, z=g.z, trial=g.trial, y=g.y)
+
+        ds = TrialDataset(shift(ds.full_concurrent, 1), shift(ds.reduced_concurrent, 1),
+                          (shift(ds.historical[0], -1),))
+        calls = []
+
+        def counting(dataset, covset):
+            calls.append(covset)
+            return estimate_ps(dataset, covset)
+
+        monkeypatch.setattr(harness, "estimate_ps", counting)
+        methods = ["PSM", "PSW", "PSS+PP", "PSS+CL", {"method_id": "PSM+MAP", "omega": 0.5},
+                   {"method_id": "PSW+MAP", "omega": 0.5}]
+        cells = expand_cells(methods, (1,))
+        rows = evaluate_cells(ds, cells, "sep", 5, 0)
+        assert calls == [1]
+        borrowers = rows[2:]  # after unadj.rc and unadj.fc
+        assert len(borrowers) == len(methods)
+        assert all(r.failed for r in borrowers)
+        assert len({r.flags for r in borrowers}) == 1
+        assert borrowers[0].flags[0].startswith("error:SeparationError:")
+
     def test_essr_filled_against_benchmark(self):
         sc = small_scenario(["PSM", "MAP"], n_total=300)
         rows = run_replicate(sc, 1)
@@ -567,18 +599,32 @@ class TestCsvIo:
         assert len(lines) == 1 + 3 * len(results[0].scenario.cells)
 
     def test_summary_roundtrip(self, tmp_path, results):
+        # an alternative and a null (theta = 0) scenario: together their rows
+        # hold every field both set and None
+        sc = small_scenario(["PSM"], reps=3, n_total=300, name="null")
+        null = run_scenario(dataclasses.replace(sc, coeffs=sc.coeffs.with_theta(0.0),
+                                                theta_true=0.0))
+        both = results + [null]
         path = tmp_path / "summary.csv"
-        write_summary_csv(str(path), results)
+        write_summary_csv(str(path), both)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == SUMMARY_HEADER
         back = read_summary_csv(str(path))
-        want = results[0].summary
-        assert [r.key for r in back] == [r.key for r in want]
+        want = [row for r in both for row in r.summary]
+        assert len(back) == len(want)
         for rb, rw in zip(back, want):
-            assert rb.bias == pytest.approx(rw.bias, rel=1e-9)
-            assert rb.mean_se == pytest.approx(rw.mean_se, rel=1e-9)
-            assert rb.reject_rate == pytest.approx(rw.reject_rate, rel=1e-9)
-            assert (rb.n_used, rb.n_failed) == (rw.n_used, rw.n_failed)
+            for f in dataclasses.fields(SummaryRow):
+                v = getattr(rw, f.name)
+                # floats are written to 10 significant digits
+                assert getattr(rb, f.name) == (float("%.10g" % v) if isinstance(v, float) else v)
+        rows = {(r.scenario_id, r.key): r for r in back}
+        assert rows[("small", ("unadj.rc", None, ""))].essr_pct is None
+        assert rows[("null", ("PSM", 1, ""))].rel_bias_pct is None
+        assert rows[("small", ("PSM", 1, ""))].rel_bias_pct is not None
+
+        again = tmp_path / "again.csv"
+        write_summary_csv(str(again), [dataclasses.replace(null, summary=back)])
+        assert again.read_bytes() == path.read_bytes()
 
     def test_reader_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "summary.csv"
@@ -679,6 +725,26 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["table", "--in", str(out), "--style", "plain"]) == 0
         assert "PSM [c1]" in capsys.readouterr().out
+
+    def test_two_pool_coefficients_run_every_method(self, tmp_path, capsys):
+        beta = "[" + ", ".join(["[0.1, 0.1, 0.1, 0.1, 0.1, 0.1]", "[0, 0, 0, 0, 0, 0]"]) + "]"
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(
+            "master_seed: 8\nreplicates: 2\nscenarios:\n"
+            "  - scenario_id: two-pools\n    n_total: 800\n    covsets: [1, 3]\n"
+            f"    methods: {sorted(METHODS)}\n"
+            "    coefficients:\n      alpha0: 1.0\n      alpha: [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]\n"
+            f"      theta_treat: 0.5\n      beta0: [0.1, -0.2]\n      beta: {beta}\n"
+        )
+        (scenario,) = load_config(str(cfg)).scenarios
+        assert scenario.coeffs.k_historical == 2
+        assert {c.method_id for c in scenario.cells} == set(METHODS)
+        out = tmp_path / "r"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        raw = (out / "raw.csv").read_text().splitlines()
+        assert len(raw) == 1 + 2 * len(scenario.cells)
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["scenarios"][0]["failure_fraction"] == 0.0
 
     def test_run_unknown_scenario_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, ndtri
 
+from hybridctl.metrics import wald_estimate
 from hybridctl.regress import (
     SeparationError,
     SingularDesignError,
@@ -9,7 +10,6 @@ from hybridctl.regress import (
     fit_ols,
     sandwich_cov,
     sandwich_se,
-    wald_decision,
 )
 
 
@@ -156,22 +156,29 @@ class TestSandwich:
 
 
 class TestWaldDecision:
+    """The two-sided Wald test every frequentist estimator reports, at
+    level 0.05, on its estimate and standard error."""
+
     def test_zero_estimate(self):
-        d = wald_decision(0.0, 1.0)
+        d = wald_estimate(0.0, 1.0)
         assert not d.reject
-        assert d.p == pytest.approx(1.0)
+        assert d.interval == (-float(ndtri(0.975)), float(ndtri(0.975)))
 
     def test_boundary_is_strict(self):
         crit = float(ndtri(0.975))
-        d = wald_decision(crit, 1.0)
-        assert not d.reject
+        assert not wald_estimate(crit, 1.0).reject
+        assert not wald_estimate(-crit, 1.0).reject
+        assert wald_estimate(np.nextafter(crit, np.inf), 1.0).reject
 
     def test_normal_cdf_oracle(self):
-        d = wald_decision(0.5, 0.2)
-        assert d.z == pytest.approx(2.5)
-        assert d.p == pytest.approx(0.01242, abs=5e-5)
+        d = wald_estimate(0.5, 0.2)
         assert d.reject
+        assert (d.estimate, d.se) == (0.5, 0.2)
+        half = 1.959963984540054 * 0.2
+        assert d.interval == pytest.approx((0.5 - half, 0.5 + half), rel=1e-15)
+        assert not wald_estimate(0.3, 0.2).reject
 
     def test_bad_se_rejected(self):
-        with pytest.raises(ValueError):
-            wald_decision(1.0, 0.0)
+        for se in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="standard error"):
+                wald_estimate(1.0, se)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import expit
 
 from hybridctl.trialdata import (
     GenCoefficients,
@@ -8,21 +9,25 @@ from hybridctl.trialdata import (
     PRESETS,
     SubjectGroup,
     TrialDataset,
-    assign_trials_multi,
-    assign_trials_single,
+    assign_trials,
     build_replicate,
     gen_covariates,
     gen_outcomes,
     load_subjects_csv,
     preset,
     preset_n_total,
-    trial_probabilities_multi,
-    trial_probabilities_single,
+    trial_probabilities,
 )
 
 
 def rng_(seed=0):
     return np.random.default_rng(seed)
+
+
+def single(beta0, beta):
+    """The membership model of one pool given in the single-pool form."""
+    return GenCoefficients(alpha0=0.0, alpha=np.zeros(6), theta_treat=0.0,
+                           beta0=beta0, beta=beta).membership
 
 
 class TestGenCovariates:
@@ -45,13 +50,13 @@ class TestGenCovariates:
 class TestTrialAssignment:
     def test_zero_coefficients_give_half(self):
         X = gen_covariates(10, rng_())
-        p = trial_probabilities_single(X, 0.0, np.zeros(6))
+        p = trial_probabilities(X, *single(0.0, np.zeros(6)))[:, 0]
         np.testing.assert_allclose(p, 0.5)
 
     def test_severe_single_concurrent_count(self):
         # beta0 = -0.9, beta = 0.5 targets roughly 400 of 1200 concurrent
         X = gen_covariates(1200, rng_(7))
-        labels = assign_trials_single(X, -0.9, np.full(6, 0.5), rng_(8))
+        labels = assign_trials(X, *single(-0.9, np.full(6, 0.5)), rng_(8))
         assert abs((labels == 0).sum() - 400) < 40
 
     def test_moderate_single_matches_marginal_oracle(self):
@@ -59,35 +64,52 @@ class TestTrialAssignment:
         # averaged over fresh standard-normal covariates
         oracle_rng = rng_(1234)
         Xo = oracle_rng.standard_normal((1_000_000, 6))
-        p_marg = trial_probabilities_single(Xo, -0.78, np.full(6, 0.3)).mean()
+        p_marg = trial_probabilities(Xo, *single(-0.78, np.full(6, 0.3)))[:, 0].mean()
 
         X = gen_covariates(1200, rng_(9))
-        labels = assign_trials_single(X, -0.78, np.full(6, 0.3), rng_(10))
+        labels = assign_trials(X, *single(-0.78, np.full(6, 0.3)), rng_(10))
         assert abs((labels == 0).mean() - p_marg) < 0.04
+
+    def test_single_form_models_being_concurrent(self):
+        # the scalar beta0 and 6-vector beta give P(concurrent) = expit(beta0 + x . beta),
+        # far into both tails
+        X = gen_covariates(2000, rng_(12)) * 40.0
+        for name in ("single-moderate", "single-severe"):
+            c = preset(name)
+            beta0, beta = c.membership
+            assert beta0.shape == (1,) and beta.shape == (1, 6)
+            probs = trial_probabilities(X, beta0, beta)
+            np.testing.assert_allclose(probs[:, 0], expit(c.beta0 + X @ c.beta), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_pool_form_membership_is_as_given(self):
+        c = preset("multi-severe")
+        beta0, beta = c.membership
+        assert beta0 is c.beta0 and beta is c.beta
 
     def test_multi_zero_coefficients_symmetric(self):
         X = gen_covariates(8, rng_())
-        probs = trial_probabilities_multi(X, np.zeros(3), np.zeros((3, 6)))
+        probs = trial_probabilities(X, np.zeros(3), np.zeros((3, 6)))
         np.testing.assert_allclose(probs, 0.25)
 
     def test_multi_rows_are_simplex_points(self):
         c = preset("multi-severe")
         X = gen_covariates(500, rng_(3))
-        probs = trial_probabilities_multi(X, c.beta0, c.beta)
+        probs = trial_probabilities(X, c.beta0, c.beta)
         assert np.all(probs >= 0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_multi_severe_concurrent_about_quarter(self):
         c = preset("multi-severe")
         X = gen_covariates(1600, rng_(4))
-        labels = assign_trials_multi(X, c.beta0, c.beta, rng_(5))
+        labels = assign_trials(X, c.beta0, c.beta, rng_(5))
         assert abs((labels == 0).sum() - 400) < 60
 
     def test_multi_label_frequencies_match_probabilities(self):
         c = preset("multi-moderate")
         X = gen_covariates(1, rng_(6))
-        probs = trial_probabilities_multi(X, c.beta0, c.beta)[0]
-        draws = assign_trials_multi(np.repeat(X, 200_000, axis=0), c.beta0, c.beta, rng_(11))
+        probs = trial_probabilities(X, c.beta0, c.beta)[0]
+        draws = assign_trials(np.repeat(X, 200_000, axis=0), c.beta0, c.beta, rng_(11))
         freq = np.bincount(draws, minlength=4) / draws.size
         np.testing.assert_allclose(freq, probs, atol=0.005)
 
@@ -196,10 +218,31 @@ class TestBuildReplicate:
         np.testing.assert_array_equal(a.historical[0].ids, b.historical[0].ids)
 
     def test_unsupported_k_rejected(self):
+        # k >= 1 pools: zero pools, or a beta0 that is not a vector, is rejected
+        with pytest.raises(ValueError, match="non-empty vector"):
+            GenCoefficients(alpha0=1.0, alpha=np.zeros(6), theta_treat=0.0,
+                            beta0=np.zeros(0), beta=np.zeros((0, 6)))
+        with pytest.raises(ValueError, match="non-empty vector"):
+            GenCoefficients(alpha0=1.0, alpha=np.zeros(6), theta_treat=0.0,
+                            beta0=np.zeros((2, 1)), beta=np.zeros((2, 6)))
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_any_number_of_pools(self, k):
         c = GenCoefficients(alpha0=1.0, alpha=np.zeros(6), theta_treat=0.0,
-                            beta0=np.zeros(2), beta=np.zeros((2, 6)))
-        with pytest.raises(ValueError, match="historical pools"):
-            build_replicate(c, 1200, rng_())
+                            beta0=np.full(k, -0.5), beta=np.zeros((k, 6)))
+        ds = build_replicate(c, 600, rng_(k))
+        assert ds.k_historical == k
+        assert len(ds.full_concurrent) + sum(len(p) for p in ds.historical) == 600
+        assert all(len(p) > 0 for p in ds.historical)
+
+    def test_one_pool_vector_form_matches_the_scalar_form(self):
+        # a one-entry beta0 and (1, 6) beta are the single-pool model with its sign flipped
+        s = preset("single-moderate")
+        v = GenCoefficients(alpha0=s.alpha0, alpha=s.alpha, theta_treat=s.theta_treat,
+                            beta0=np.array([-s.beta0]), beta=-s.beta[None, :])
+        a, b = build_replicate(s, 1200, rng_(13)), build_replicate(v, 1200, rng_(13))
+        np.testing.assert_array_equal(a.historical[0].ids, b.historical[0].ids)
+        np.testing.assert_array_equal(a.reduced_concurrent.y, b.reduced_concurrent.y)
 
     def test_null_effect_arms_indistinguishable(self):
         """Under theta = 0 the treated and control outcome laws coincide."""
