@@ -46,12 +46,11 @@ from .propensity import (
     stratify,
 )
 from .regress import (
-    FitResult,
+    ArmContrast,
     SeparationError,
     SingularDesignError,
+    arm_contrast,
     fit_logistic,
-    fit_ols,
-    sandwich_se,
 )
 from .trialdata import (
     GenCoefficients,
@@ -74,12 +73,11 @@ __all__ = [
     "build_replicate",
     "load_subjects_csv",
     "preset",
-    "FitResult",
+    "ArmContrast",
     "SeparationError",
     "SingularDesignError",
+    "arm_contrast",
     "fit_logistic",
-    "fit_ols",
-    "sandwich_se",
     "PsFit",
     "MatchSet",
     "estimate_ps",

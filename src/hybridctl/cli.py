@@ -119,7 +119,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         dataset = load_subjects_csv(args.data)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:  # its message names the file
+        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:
         raise ConfigError(f"{args.data}: {exc}") from exc
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:

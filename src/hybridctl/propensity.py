@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import EffectEstimate, wald_estimate
-from .regress import fit_ols, fit_logistic, sandwich_cov, sandwich_se
+from .regress import arm_contrast, fit_logistic
 from .trialdata import SubjectGroup, TrialDataset
 
 __all__ = [
@@ -90,7 +90,7 @@ def estimate_ps(dataset: TrialDataset, covset: int) -> PsFit:
     pooled = dataset.pooled
     cols = covset_columns(covset, pooled.x.shape[1])
     X = np.column_stack([np.ones(len(pooled)), pooled.x[:, cols]])
-    return PsFit(sample=pooled, ps=fit_logistic(X, (pooled.trial == 0).astype(float)).fitted)
+    return PsFit(sample=pooled, ps=fit_logistic(X, (pooled.trial == 0).astype(float))[1])
 
 
 def match_nearest(
@@ -199,10 +199,8 @@ def stratify(psfit: PsFit, n_strata: int = DEFAULT_N_STRATA) -> np.ndarray:
 
 def unadjusted_effect(group: SubjectGroup) -> EffectEstimate:
     """Plain OLS of outcome on treatment within one trial, model-based SE."""
-    X = np.column_stack([np.ones(len(group)), group.z.astype(float)])
-    fit = fit_ols(X, group.y, design_info=("intercept", "treated"))
-    se = float(np.sqrt(fit.cov_model[1, 1]))
-    return wald_estimate(float(fit.coef[1]), se)
+    fit = arm_contrast(group.y, group.z)
+    return wald_estimate(fit.slope, float(np.sqrt(fit.var_model)))
 
 
 def estimate_psm(dataset: TrialDataset, psfit: PsFit, matchset: MatchSet) -> EffectEstimate:
@@ -210,13 +208,15 @@ def estimate_psm(dataset: TrialDataset, psfit: PsFit, matchset: MatchSet) -> Eff
 
     Matched historical subjects enter the control arm once per pair (so
     re-used controls appear as duplicated rows). The treatment SE is
-    two-way cluster-robust over matched pair x subject id,
+    two-way cluster-robust over matched pair x subject,
     V_pair + V_subject - V_HC0: a concurrent row shares a pair cluster
     with the historical row matched to it (their outcomes correlate
     through X), and the duplicated rows of a re-used control share a
     subject cluster (Austin & Cafri 2020, Stat. Med. 39:1623). Should
     that sum not be positive, the subject-cluster variance is used,
-    flagged. With an empty match set the estimate falls back to the
+    flagged. Clusters are labelled by row of the pooled sample, whose
+    first rows are the reduced concurrent trial, so subject ids are
+    never read. With an empty match set the estimate falls back to the
     unadjusted reduced-concurrent fit, flagged.
     """
     red = dataset.reduced_concurrent
@@ -226,22 +226,18 @@ def estimate_psm(dataset: TrialDataset, psfit: PsFit, matchset: MatchSet) -> Eff
         est.flags = ("psm:no_matches_concurrent_only",)
         return est
 
-    ids = psfit.sample.ids
-    y = np.concatenate([red.y, psfit.sample.y[matchset.hist_rows]])
-    z = np.concatenate([red.z.astype(float), np.zeros(n_pairs)])
-    subject_clusters = np.concatenate([red.ids, ids[matchset.hist_rows]])
-    pair_clusters = np.concatenate([red.ids, ids[matchset.conc_rows]])
-    X = np.column_stack([np.ones(y.size), z])
-    fit = fit_ols(X, y, design_info=("intercept", "treated"))
-    v_pair = sandwich_cov(fit, clusters=pair_clusters)[1, 1]
-    v_subject = sandwich_cov(fit, clusters=subject_clusters)[1, 1]
-    var = v_pair + v_subject - sandwich_cov(fit)[1, 1]
+    own = np.arange(len(red))
+    rows = np.r_[own, matchset.hist_rows]  # a subject's row is its cluster label
+    fit = arm_contrast(psfit.sample.y[rows], psfit.sample.z[rows],
+                       clusters=(np.r_[own, matchset.conc_rows], rows))
+    v_pair, v_subject = fit.var_clusters
+    var = v_pair + v_subject - fit.var_hc0
     flags: tuple[str, ...] = ()
     if not var > 0:
         var = v_subject
         flags = ("psm:twoway_var_nonpositive",)
     return wald_estimate(
-        float(fit.coef[1]), float(np.sqrt(var)), flags=flags,
+        fit.slope, float(np.sqrt(var)), flags=flags,
         diagnostics={
             "n_pairs": float(n_pairs),
             "n_unmatched": float(len(red) - n_pairs),
@@ -266,13 +262,9 @@ def estimate_psw(dataset: TrialDataset, psfit: PsFit, weights: np.ndarray) -> Ef
         est = unadjusted_effect(dataset.reduced_concurrent)
         est.flags = ("psw:all_historical_trimmed_concurrent_only",)
         return est
-    y = sample.y[keep]
-    z = sample.z[keep].astype(float)
-    X = np.column_stack([np.ones(y.size), z])
-    fit = fit_ols(X, y, weights=weights[keep], design_info=("intercept", "treated"))
-    se = sandwich_se(fit, 1)
+    fit = arm_contrast(sample.y[keep], sample.z[keep], weights=weights[keep])
     return wald_estimate(
-        float(fit.coef[1]), se,
+        fit.slope, float(np.sqrt(fit.var_hc0)),
         diagnostics={
             "n_hist_kept": float(hist_kept),
             "n_trimmed": float(np.sum(hist & (weights == 0))),

@@ -361,6 +361,17 @@ def build_replicate(
 # ---------------------------------------------------------------------------
 
 
+def _field(line: int, row: dict, col: str, parse):
+    """One CSV field parsed, or a ValueError naming its line and column."""
+    value = row[col]
+    try:
+        return parse(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if parse is int else "a number"
+        what = "missing" if value is None else f"not {kind}: {value!r}"
+        raise ValueError(f"line {line}: column '{col}' is {what}") from None
+
+
 def load_subjects_csv(path: str) -> TrialDataset:
     """Read subject-level data from a CSV file.
 
@@ -369,59 +380,60 @@ def load_subjects_csv(path: str) -> TrialDataset:
     ``x1..xp`` (p >= 1), and optionally ``id``. The ``x<k>`` columns
     must be exactly x1..xp; a gap or a stray number is an error naming
     the missing column.
-    A non-finite ``y`` or covariate (nan, inf) is an error naming the
-    column and the first line that holds one.
+    A field that is missing (a short row) or does not parse, and a
+    non-finite ``y`` or covariate (nan, inf), is an error naming the
+    first line and column that hold one. Error messages leave the file
+    name to the caller.
     The concurrent trial is analyzed as-is, so the full and reduced
     designs coincide for external data.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file")
+            raise ValueError("empty file")
         cols = list(reader.fieldnames)
         for required in ("trial", "z", "y"):
             if required not in cols:
-                raise ValueError(f"{path}: missing required column '{required}'")
+                raise ValueError(f"missing required column '{required}'")
         found = [c for c in cols if re.fullmatch(r"x\d+", c)]
         if not found:
-            raise ValueError(f"{path}: no covariate columns x1..xp found")
+            raise ValueError("no covariate columns x1..xp found")
         xcols = [f"x{j}" for j in range(1, len(found) + 1)]
         gap = next((c for c in xcols if c not in found), None)
         if gap is not None:
-            raise ValueError(f"{path}: covariates must be x1..{xcols[-1]}; '{gap}' is missing")
+            raise ValueError(f"covariates must be x1..{xcols[-1]}; '{gap}' is missing")
         rows = list(reader)
     if not rows:
-        raise ValueError(f"{path}: no subject rows")
+        raise ValueError("no subject rows")
 
-    n = len(rows)
-    ids = np.array(
-        [int(r["id"]) if "id" in cols and r["id"] != "" else i for i, r in enumerate(rows)]
-    )
-    if np.unique(ids).size != n:
-        raise ValueError(f"{path}: subject ids are not unique")
-    trial = np.array([int(r["trial"]) for r in rows])
-    z = np.array([int(r["z"]) for r in rows])
-    y = np.array([float(r["y"]) for r in rows])
-    x = np.array([[float(r[c]) for c in xcols] for r in rows])
+    lines = list(enumerate(rows, start=2))
+    ids = np.array([line - 2 if row.get("id", "") == "" else _field(line, row, "id", int)
+                    for line, row in lines])
+    if np.unique(ids).size != len(rows):
+        raise ValueError("subject ids are not unique")
+    trial = np.array([_field(line, row, "trial", int) for line, row in lines])
+    z = np.array([_field(line, row, "z", int) for line, row in lines])
+    y = np.array([_field(line, row, "y", float) for line, row in lines])
+    x = np.array([[_field(line, row, c, float) for c in xcols] for line, row in lines])
     bad = np.argwhere(~np.isfinite(np.column_stack([y, x])))
     if bad.size:
         i, j = bad[0]
-        raise ValueError(f"{path}: line {i + 2}: column '{(['y'] + xcols)[j]}' is not finite")
+        raise ValueError(f"line {i + 2}: column '{(['y'] + xcols)[j]}' is not finite")
 
     if np.any((z != 0) & (z != 1)):
-        raise ValueError(f"{path}: column 'z' must be 0/1")
+        raise ValueError("column 'z' must be 0/1")
     k = int(trial.max())
     if trial.min() < 0 or k < 1:
-        raise ValueError(f"{path}: need trial labels 0 (concurrent) and 1..k (historical)")
+        raise ValueError("need trial labels 0 (concurrent) and 1..k (historical)")
     everyone = SubjectGroup(ids=ids, x=x, z=z, trial=trial, y=y)
     conc = everyone.take(np.flatnonzero(trial == 0))
     if len(conc) == 0 or not (np.any(conc.z == 1) and np.any(conc.z == 0)):
-        raise ValueError(f"{path}: concurrent trial needs both treated and control subjects")
+        raise ValueError("concurrent trial needs both treated and control subjects")
     pools = []
     for j in range(1, k + 1):
         pool = everyone.take(np.flatnonzero(trial == j))
         if len(pool) == 0:
-            raise ValueError(f"{path}: historical pool {j} is empty")
+            raise ValueError(f"historical pool {j} is empty")
         pools.append(pool)
     return TrialDataset(
         full_concurrent=conc, reduced_concurrent=conc, historical=tuple(pools)

@@ -837,6 +837,19 @@ class TestCli:
         assert cli.main(["analyze", "--data", str(path), "--methods", "PSM"]) == 2
         err = capsys.readouterr().err
         assert f"line 72: column '{column}' is not finite" in err
+        assert err.count(str(path)) == 1
+
+    @pytest.mark.parametrize("row,message", [
+        ("0,0,0.2", "line 3: column 'x1' is missing"),
+        ("0,0,abc,0.2", "line 3: column 'y' is not a number: 'abc'"),
+    ], ids=["short-row", "not-a-number"])
+    def test_analyze_rejects_unreadable_fields(self, tmp_path, capsys, row, message):
+        path = tmp_path / "subjects.csv"
+        path.write_text(f"trial,z,y,x1\n0,1,0.5,0.1\n{row}\n1,0,0.3,0.2\n")
+        assert cli.main(["analyze", "--data", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count(str(path)) == 1
 
     @pytest.mark.parametrize("columns,gap", [
         (["x1", "x2", "x7", "x4", "x5", "x6"], "x3"),
@@ -851,7 +864,11 @@ class TestCli:
                 for x, z, t, y in zip(group.x, group.z, group.trial, group.y):
                     fh.write(f"{t},{z},{y:.10g}," + ",".join("%.10g" % v for v in x) + "\n")
         assert cli.main(["analyze", "--data", str(path), "--covset", "1"]) == 2
-        assert f"'{gap}' is missing" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'{gap}' is missing" in err
+        assert err.count(str(path)) == 1
 
     def test_analyze_missing_file_is_config_error(self, tmp_path, capsys):
-        assert cli.main(["analyze", "--data", str(tmp_path / "nope.csv")]) == 2
+        path = tmp_path / "nope.csv"
+        assert cli.main(["analyze", "--data", str(path)]) == 2
+        assert capsys.readouterr().err.count(str(path)) == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ols_reference as ref
 from hybridctl.propensity import (
     MatchSet,
     PsFit,
@@ -13,7 +14,7 @@ from hybridctl.propensity import (
     stratify,
     unadjusted_effect,
 )
-from hybridctl.regress import fit_logistic, fit_ols, sandwich_cov, sandwich_se
+from hybridctl.regress import fit_logistic
 from hybridctl.trialdata import (
     GenCoefficients,
     SubjectGroup,
@@ -87,10 +88,11 @@ class TestCovsetColumns:
 
 
 def membership_logit(ds, cols):
-    """Logistic fit of concurrent membership on an intercept and columns ``cols``."""
+    """Logistic fit of concurrent membership on an intercept and columns ``cols``:
+    the design, coefficients and fitted probabilities."""
     pooled = ds.pooled
     X = np.column_stack([np.ones(len(pooled)), pooled.x[:, list(cols)]])
-    return fit_logistic(X, (pooled.trial == 0).astype(float))
+    return (X, *fit_logistic(X, (pooled.trial == 0).astype(float)))
 
 
 class TestEstimatePs:
@@ -109,16 +111,17 @@ class TestEstimatePs:
         ds = dataset("single-severe", seed=11)
         fit = estimate_ps(ds, 1)
         assert rank_auc(fit.ps, fit.is_concurrent.astype(float)) > 0.70
-        logit = membership_logit(ds, range(6))
-        np.testing.assert_array_equal(logit.fitted, fit.ps)
-        z = logit.coef[1:] / np.sqrt(np.diag(logit.cov_model))[1:]
+        X, coef, fitted = membership_logit(ds, range(6))
+        np.testing.assert_array_equal(fitted, fit.ps)
+        info = X.T @ (X * (fitted * (1.0 - fitted))[:, None])
+        z = coef[1:] / np.sqrt(np.diag(np.linalg.inv(info)))[1:]
         assert np.all(np.abs(z) > 2)
 
     def test_covset3_uses_three_covariates(self):
         ds = dataset(seed=3)
-        logit = membership_logit(ds, range(3))
-        assert logit.coef.shape == (4,)  # intercept + x1..x3
-        np.testing.assert_array_equal(logit.fitted, estimate_ps(ds, 3).ps)
+        _, coef, fitted = membership_logit(ds, range(3))
+        assert coef.shape == (4,)  # intercept + x1..x3
+        np.testing.assert_array_equal(fitted, estimate_ps(ds, 3).ps)
 
     def test_sample_stacks_reduced_then_historical(self):
         ds = dataset(seed=4)
@@ -331,16 +334,18 @@ class TestEstimatePsm:
         def shift(g, by):
             return SubjectGroup(ids=g.ids + by, x=g.x, z=g.z, trial=g.trial, y=g.y)
 
-        shifted = TrialDataset(
-            full_concurrent=shift(ds.full_concurrent, 10_000),
-            reduced_concurrent=shift(ds.reduced_concurrent, 10_000),
-            historical=tuple(shift(p, 10_000) for p in ds.historical),
-        )
         a = estimate_psm(ds, *psm_inputs(ds, 1, 7))
-        b = estimate_psm(shifted, *psm_inputs(shifted, 1, 7))
-        assert a.estimate == b.estimate
-        assert a.se == b.se
-        assert a.diagnostics == b.diagnostics
+        # ids read from a subjects CSV may be negative
+        for by in (10_000, -10_000):
+            shifted = TrialDataset(
+                full_concurrent=shift(ds.full_concurrent, by),
+                reduced_concurrent=shift(ds.reduced_concurrent, by),
+                historical=tuple(shift(p, by) for p in ds.historical),
+            )
+            b = estimate_psm(shifted, *psm_inputs(shifted, 1, 7))
+            assert a.estimate == b.estimate
+            assert a.se == b.se
+            assert a.diagnostics == b.diagnostics
 
     def test_twoway_variance_over_pairs_and_subjects(self):
         # four treated and two concurrent controls (rows and ids 0-5), each
@@ -352,18 +357,17 @@ class TestEstimatePsm:
         got = estimate_psm(ds, psfit=psfit, matchset=match_set(pairs))
 
         y = np.r_[y_conc, [y_hist[h - 6] for _, h in pairs]]
-        X = np.column_stack([np.ones(12), np.r_[1, 1, 1, 1, 0, 0, np.zeros(6)]])
-        fit = fit_ols(X, y)
+        X = ref.design(np.r_[1, 1, 1, 1, 0, 0, np.zeros(6)])
         pair_cl = np.r_[np.arange(6), np.arange(6)]
         subject_cl = np.r_[np.arange(6), [h for _, h in pairs]]
         want = (
-            sandwich_cov(fit, clusters=pair_cl)[1, 1]
-            + sandwich_cov(fit, clusters=subject_cl)[1, 1]
-            - sandwich_cov(fit)[1, 1]
+            ref.sandwich(X, y, clusters=pair_cl)[1, 1]
+            + ref.sandwich(X, y, clusters=subject_cl)[1, 1]
+            - ref.sandwich(X, y)[1, 1]
         )
-        assert got.estimate == pytest.approx(fit.coef[1])
+        assert got.estimate == pytest.approx(ref.wls(X, y)[0][1])
         assert got.se**2 == pytest.approx(want, rel=1e-12)
-        assert got.se != pytest.approx(sandwich_se(fit, 1, clusters=subject_cl))
+        assert got.se != pytest.approx(np.sqrt(ref.sandwich(X, y, clusters=subject_cl)[1, 1]))
         assert got.flags == ()
 
     def test_nonpositive_twoway_variance_falls_back_to_subject_clusters(self):
@@ -377,10 +381,10 @@ class TestEstimatePsm:
         ds, psfit = hand_built_match(y, [1, 1, 1, 1], y)
         got = estimate_psm(ds, psfit=psfit, matchset=match_set(pairs))
 
-        X = np.column_stack([np.ones(8), [1, 1, 1, 1, 0, 0, 0, 0]])
-        fit = fit_ols(X, np.r_[y, y])
+        X = ref.design([1, 1, 1, 1, 0, 0, 0, 0])
+        subject = ref.sandwich(X, np.r_[y, y], clusters=np.arange(8))[1, 1]
         assert got.flags == ("psm:twoway_var_nonpositive",)
-        assert got.se == pytest.approx(sandwich_se(fit, 1, clusters=np.arange(8)))
+        assert got.se == pytest.approx(np.sqrt(subject))
         assert got.se > 0
 
     def test_reused_controls_shrink_cluster_count(self):
@@ -407,10 +411,10 @@ class TestEstimatePsw:
         psfit = estimate_ps(ds, 1)
         n = len(psfit.sample)
         got = estimate_psw(ds, psfit=psfit, weights=np.ones(n))
-        X = np.column_stack([np.ones(n), psfit.sample.z.astype(float)])
-        fit = fit_ols(X, psfit.sample.y)
-        assert got.estimate == pytest.approx(float(fit.coef[1]), abs=1e-12)
-        assert got.se == pytest.approx(sandwich_se(fit, 1), rel=1e-9)
+        X = ref.design(psfit.sample.z)
+        y = psfit.sample.y
+        assert got.estimate == pytest.approx(ref.wls(X, y)[0][1], abs=1e-12)
+        assert got.se == pytest.approx(np.sqrt(ref.sandwich(X, y)[1, 1]), rel=1e-9)
 
     def test_all_trimmed_falls_back_to_unadjusted(self):
         ds = dataset(seed=52)
