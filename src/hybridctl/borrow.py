@@ -17,11 +17,11 @@ Power-prior borrowing discounts the historical likelihood precision by
 a factor alpha. The two stratified estimators share one front end:
 strata of the pooled sample by concurrent propensity-score quantiles,
 built once per replicate by :func:`build_strata`, and a total number of
-borrowed subjects spread over the strata in proportion to their
-historical counts, which comes to one discount
-min(1, total_borrow / n_hist). They differ only in how a stratum's
-borrowed controls enter: a power prior (PSS+PP) or a composite
-likelihood (PSS+CL).
+borrowed subjects, the concurrent treated surplus that restores 1:1,
+spread over the strata in proportion to their historical counts, which
+comes to one discount min(1, total_borrow / n_hist). They differ only in
+how a stratum's borrowed controls enter: a power prior (PSS+PP) or a
+composite likelihood (PSS+CL).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .metrics import ALPHA, EffectEstimate, wald_estimate
-from .propensity import DEFAULT_N_STRATA, MatchSet, PsFit, stratify
+from .propensity import N_STRATA, MatchSet, PsFit, stratify
 from .trialdata import TrialDataset
 
 __all__ = [
@@ -127,23 +127,19 @@ class StudySummary:
 class MapConfig:
     """Hyperparameters of the robust MAP pipeline.
 
-    ``omega`` is the vague-component weight (1 disables borrowing).
-    ``tau_scale`` fixes the half-normal scale directly; when None it is
-    the empirical scale times the ladder multiplier for
-    ``tau_ladder_label``. The vague component sits at the
-    precision-weighted pooled study mean with the unit-information SD
-    (pooled historical outcome SD).
+    ``omega`` is the vague-component weight (1 disables borrowing). The
+    half-normal tau scale is the empirical scale times the ladder
+    multiplier for ``tau_ladder_label`` (see :func:`_resolve_tau_scale`).
+    The vague component sits at the precision-weighted pooled study mean
+    with the unit-information SD (pooled historical outcome SD).
     """
 
     omega: float
-    tau_scale: float | None = None
     tau_ladder_label: str | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError("omega must lie in [0, 1]")
-        if self.tau_scale is not None and self.tau_scale < 0:
-            raise ValueError("tau_scale must be non-negative")
         if self.tau_ladder_label is not None and self.tau_ladder_label not in TAU_LADDER:
             raise ValueError(f"unknown tau ladder label {self.tau_ladder_label!r}")
 
@@ -351,8 +347,6 @@ def _pooled_mean(studies: list[StudySummary]) -> float:
 
 
 def _resolve_tau_scale(cfg: MapConfig, studies: list[StudySummary]) -> float:
-    if cfg.tau_scale is not None:
-        return float(cfg.tau_scale)
     if cfg.tau_ladder_label is None and len(studies) == 1:
         # A single pool leaves the between-study spread unidentified and
         # its standard error overstates any plausible spread, so the
@@ -513,21 +507,21 @@ class Strata:
     flags: tuple[str, ...]
 
 
-def build_strata(psfit: PsFit, n_strata: int = DEFAULT_N_STRATA) -> Strata:
-    """Split the pooled sample into :func:`stratify` strata, then merge.
+def build_strata(psfit: PsFit) -> Strata:
+    """Split the pooled sample into the :func:`stratify` strata, then merge.
 
     A stratum with under two concurrent treated or control subjects joins
     its left neighbour (the first its right one), the neighbour's
     outcomes first, flagged with its index at the time. Raises
     ``ValueError`` when no stratum has both concurrent arms populated.
     """
-    labels = stratify(psfit, n_strata=n_strata)
+    labels = stratify(psfit)
     sample = psfit.sample
     conc = sample.trial == 0
     arms: list[tuple[np.ndarray, ...]] = []
     flags: list[str] = []
     leading = None  # invalid leading strata, waiting for the next one
-    for s in range(n_strata):
+    for s in range(N_STRATA):
         mask = labels == s
         st = (sample.y[mask & conc & (sample.z == 1)], sample.y[mask & conc & (sample.z == 0)],
               sample.y[mask & ~conc])
@@ -538,7 +532,7 @@ def build_strata(psfit: PsFit, n_strata: int = DEFAULT_N_STRATA) -> Strata:
         elif arms:
             flags.append(f"pss:merged_stratum_{len(arms)}")
             arms[-1] = tuple(map(np.concatenate, zip(arms[-1], st)))
-        elif s < n_strata - 1:
+        elif s < N_STRATA - 1:
             flags.append("pss:merged_stratum_0")
             leading = st
         else:
@@ -546,32 +540,29 @@ def build_strata(psfit: PsFit, n_strata: int = DEFAULT_N_STRATA) -> Strata:
     return Strata(arms=tuple(arms), flags=tuple(flags))
 
 
-def _borrow_shares(strata: Strata, total_borrow: float | None) -> tuple[float, list, np.ndarray]:
-    """Resolve ``total_borrow``; return it, the stratum discounts and concurrent shares."""
+def _borrow_shares(strata: Strata) -> tuple[float, list, np.ndarray]:
+    """The total borrow (the treated surplus), stratum discounts and concurrent shares."""
     n_treated = sum(t.size for t, _, _ in strata.arms)
     n_control = sum(c.size for _, c, _ in strata.arms)
     n_hist = sum(h.size for _, _, h in strata.arms)
-    if total_borrow is None:
-        total_borrow = float(max(n_treated - n_control, 0))
-    if total_borrow < 0:
-        raise ValueError("total_borrow must be non-negative")
+    total_borrow = float(max(n_treated - n_control, 0))
     discount = min(1.0, total_borrow / n_hist) if n_hist else 0.0
     discounts = [discount if h.size >= 2 else 0.0 for _, _, h in strata.arms]
     n_conc = np.array([t.size + c.size for t, c, _ in strata.arms])
     return total_borrow, discounts, n_conc / (n_treated + n_control)
 
 
-def estimate_pss_pp(strata: Strata, total_borrow: float | None = None) -> EffectEstimate:
+def estimate_pss_pp(strata: Strata) -> EffectEstimate:
     """Stratified power-prior borrowing on :func:`build_strata` strata.
 
     Each stratum updates its concurrent-control likelihood with its
     historical likelihood discounted by the one discount
     alpha = min(1, total_borrow / n_hist) (0 in strata with under two
-    historical subjects); ``total_borrow`` defaults to the number that
-    restores 1:1 in the concurrent trial. Stratum effects are combined
+    historical subjects), where total_borrow is the number of treated
+    subjects beyond the concurrent controls, which restores 1:1. Stratum effects are combined
     with concurrent-share weights and their variances with squared ones.
     """
-    total_borrow, alphas, w = _borrow_shares(strata, total_borrow)
+    total_borrow, alphas, w = _borrow_shares(strata)
     effects, variances = [], []
     for (t_y, c_y, h_y), a_s in zip(strata.arms, alphas):
         t_mean, t_se = _mean_se(t_y)
@@ -586,14 +577,14 @@ def estimate_pss_pp(strata: Strata, total_borrow: float | None = None) -> Effect
     return wald_estimate(
         est, se, flags=strata.flags,
         diagnostics={
-            "total_borrow": float(total_borrow),
+            "total_borrow": total_borrow,
             "n_strata_effective": float(len(strata.arms)),
             "mean_alpha": float(np.mean(alphas)),
         },
     )
 
 
-def estimate_pss_cl(strata: Strata, total_borrow: float | None = None) -> EffectEstimate:
+def estimate_pss_cl(strata: Strata) -> EffectEstimate:
     """Stratified composite-likelihood borrowing.
 
     Per stratum the control estimate is the count-weighted mean of
@@ -604,7 +595,7 @@ def estimate_pss_cl(strata: Strata, total_borrow: float | None = None) -> Effect
     variances with linear (not squared) concurrent-share weights, which
     is what makes the method markedly conservative.
     """
-    total_borrow, etas, w = _borrow_shares(strata, total_borrow)
+    total_borrow, etas, w = _borrow_shares(strata)
     effects, variances = [], []
     for (t_y, c_y, h_y), eta in zip(strata.arms, etas):
         t_mean, t_se = _mean_se(t_y)
@@ -628,7 +619,7 @@ def estimate_pss_cl(strata: Strata, total_borrow: float | None = None) -> Effect
     return wald_estimate(
         est, se, flags=strata.flags,
         diagnostics={
-            "total_borrow": float(total_borrow),
+            "total_borrow": total_borrow,
             "n_strata_effective": float(len(strata.arms)),
         },
     )

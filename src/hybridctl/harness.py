@@ -37,9 +37,6 @@ from .metrics import EffectEstimate, SummaryRow, essr, summarize
 from .mixed import estimate_mm
 from .propensity import (
     COVSETS,
-    DEFAULT_CALIPER_MULT,
-    DEFAULT_N_STRATA,
-    DEFAULT_WEIGHT_BOUNDS,
     estimate_ps,
     estimate_psm,
     estimate_psw,
@@ -48,6 +45,7 @@ from .propensity import (
     unadjusted_effect,
 )
 from .trialdata import GenCoefficients, PRESETS, TrialDataset, build_replicate, preset, preset_n_total
+from .trialdata import _field
 
 __all__ = [
     "ConfigError",
@@ -81,27 +79,24 @@ RAW_HEADER = (
 )
 
 
-def _optional(parse: Callable[[str], object]) -> Callable[[str], object]:
-    return lambda text: None if text == "" else parse(text)
-
-
-# summary.csv in column order: (column, SummaryRow field, parser of its text).
-# The header, the writer and the reader all follow this one table.
-_SUMMARY_COLUMNS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
-    ("scenario_id", "scenario_id", str),
-    ("method_id", "method_id", str),
-    ("covset", "covset_id", _optional(int)),
-    ("hyperparam", "hyperparam", str),
-    ("bias", "bias", float),
-    ("rel_bias_pct", "rel_bias_pct", _optional(float)),
-    ("type1_or_power", "reject_rate", float),
-    ("mean_se", "mean_se", float),
-    ("essr_pct", "essr_pct", _optional(float)),
-    ("essr_empirical_pct", "essr_empirical_pct", _optional(float)),
-    ("n_used", "n_used", int),
-    ("n_failed", "n_failed", int),
+# summary.csv in column order: (column, SummaryRow field, parser of its text,
+# whether an empty field reads as None). The header, the writer and the
+# reader all follow this one table.
+_SUMMARY_COLUMNS: tuple[tuple[str, str, Callable[[str], object], bool], ...] = (
+    ("scenario_id", "scenario_id", str, False),
+    ("method_id", "method_id", str, False),
+    ("covset", "covset_id", int, True),
+    ("hyperparam", "hyperparam", str, False),
+    ("bias", "bias", float, False),
+    ("rel_bias_pct", "rel_bias_pct", float, True),
+    ("type1_or_power", "reject_rate", float, False),
+    ("mean_se", "mean_se", float, False),
+    ("essr_pct", "essr_pct", float, True),
+    ("essr_empirical_pct", "essr_empirical_pct", float, True),
+    ("n_used", "n_used", int, False),
+    ("n_failed", "n_failed", int, False),
 )
-SUMMARY_HEADER = ",".join(column for column, _, _ in _SUMMARY_COLUMNS)
+SUMMARY_HEADER = ",".join(column for column, *_ in _SUMMARY_COLUMNS)
 
 DEFAULT_FAILURE_THRESHOLD = 0.05
 
@@ -119,21 +114,18 @@ class ConfigError(ValueError):
 class Cell:
     """One result column: a method with a covariate set and hyper label.
 
-    ``opts`` holds the method's options fully resolved by its ``METHODS``
-    entry, so evaluation applies no defaults of its own.
+    A MAP-family cell carries the ``MapConfig`` its label names; every
+    other method has fixed settings and no label.
     """
 
     method_id: str
     covset: int | None
     hyperparam: str
-    opts: tuple[tuple[str, object], ...] = ()
+    map_cfg: MapConfig | None = None
 
     @property
     def key(self) -> tuple[str, int | None, str]:
         return (self.method_id, self.covset, self.hyperparam)
-
-    def opt(self, key: str):
-        return dict(self.opts)[key]
 
 
 @dataclass(frozen=True)
@@ -167,14 +159,6 @@ class ScenarioResult:
 # Methods
 # ---------------------------------------------------------------------------
 
-# One option variant of a config entry: hyperparameter label parts and
-# resolved (key, value) options.
-Variant = tuple[list[str], list[tuple[str, object]]]
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):g}"
-
 
 # YAML loads true/false as bools (ints) and .nan/.inf as floats; no numeric field
 # takes them, nor an integer too large for a float.
@@ -190,149 +174,81 @@ def _has_bool(x: object) -> bool:
     return isinstance(x, bool) or (isinstance(x, list) and any(map(_has_bool, x)))
 
 
-def _caliper(entry: dict, where: str) -> list[Variant]:
-    mult = entry.get("caliper_mult", DEFAULT_CALIPER_MULT)
-    units = entry.get("caliper_units", "sd")
-    if not _is_number(mult) or mult < 0:
-        raise ConfigError(f"{where}.caliper_mult: expected a non-negative number")
-    if units not in ("sd", "raw"):
-        raise ConfigError(f"{where}.caliper_units: expected 'sd' or 'raw'")
-    parts = []
-    if mult != DEFAULT_CALIPER_MULT or units != "sd":
-        parts.append(f"caliper={_fmt(mult)}:{units}")
-    return [(parts, [("caliper", (float(mult), units))])]
-
-
-def _weight_bounds(entry: dict, where: str) -> list[Variant]:
-    bounds = entry.get("weight_bounds", list(DEFAULT_WEIGHT_BOUNDS))
-    if not (
-        isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_number, bounds))
-        and 0 < bounds[0] < bounds[1]
-    ):
-        raise ConfigError(f"{where}.weight_bounds: expected [lower, upper] with 0 < lower < upper")
-    parts = []
-    if tuple(bounds) != DEFAULT_WEIGHT_BOUNDS:
-        parts.append(f"bounds={_fmt(bounds[0])}:{_fmt(bounds[1])}")
-    return [(parts, [("weight_bounds", (float(bounds[0]), float(bounds[1])))])]
-
-
-def _map(entry: dict, where: str) -> list[Variant]:
-    """One variant per omega and tau-ladder label, each with its MapConfig."""
+def _map(entry: dict, where: str) -> list[tuple[str, MapConfig]]:
+    """One (hyperparameter label, MapConfig) pair per omega and tau-ladder label."""
     if "omega" in entry and "omegas" in entry:
         raise ConfigError(f"{where}: give either omega or omegas, not both")
-    if "tau_ladder" in entry and "tau_scale" in entry:
-        raise ConfigError(f"{where}: give either tau_ladder or tau_scale, not both")
     omegas = entry.get("omegas", [entry.get("omega", 0.5)])
     if not isinstance(omegas, list) or not omegas:
         raise ConfigError(f"{where}.omegas: expected a non-empty list")
     tau_labels = entry.get("tau_ladder")
-    if tau_labels is not None:
-        if not isinstance(tau_labels, list) or not tau_labels:
-            raise ConfigError(f"{where}.tau_ladder: expected a non-empty list")
-        for lab in tau_labels:
-            if lab not in TAU_LADDER:
-                raise ConfigError(
-                    f"{where}.tau_ladder: unknown label {lab!r} "
-                    f"(expected one of {sorted(TAU_LADDER)})"
-                )
-    tau_scale = entry.get("tau_scale")
-    if tau_scale is not None and (not _is_number(tau_scale) or tau_scale < 0):
-        raise ConfigError(f"{where}.tau_scale: expected a non-negative number")
+    if tau_labels is not None and not (isinstance(tau_labels, list) and tau_labels):
+        raise ConfigError(f"{where}.tau_ladder: expected a non-empty list")
+    for lab in tau_labels or ():
+        if lab not in TAU_LADDER:
+            raise ConfigError(f"{where}.tau_ladder: unknown label {lab!r} "
+                              f"(expected one of {sorted(TAU_LADDER)})")
 
-    variants = []
+    pairs = []
     for omega in omegas:
         if not _is_number(omega) or not 0 <= omega <= 1:
             raise ConfigError(f"{where}: omega {omega!r} outside [0, 1]")
         for tau_label in tau_labels or [None]:
-            parts = [f"omega={_fmt(omega)}"]
-            if tau_label is not None:
-                parts.append(f"tau={tau_label}")
-            if tau_scale is not None:
-                parts.append(f"tau={_fmt(tau_scale)}")
-            cfg = MapConfig(
-                omega=float(omega),
-                tau_scale=None if tau_scale is None else float(tau_scale),
-                tau_ladder_label=tau_label,
-            )
-            variants.append((parts, [("map", cfg)]))
-    return variants
+            label = f"omega={float(omega):g}" + ("" if tau_label is None else f",tau={tau_label}")
+            pairs.append((label, MapConfig(omega=float(omega), tau_ladder_label=tau_label)))
+    return pairs
 
 
-def _strata(entry: dict, where: str) -> list[Variant]:
-    n_strata = entry.get("n_strata", DEFAULT_N_STRATA)
-    if not _is_int(n_strata) or n_strata < 2:
-        raise ConfigError(f"{where}.n_strata: expected an integer >= 2")
-    total_borrow = entry.get("total_borrow")
-    if total_borrow is not None and (not _is_number(total_borrow) or total_borrow < 0):
-        raise ConfigError(f"{where}.total_borrow: expected a non-negative number")
-    parts = []
-    if n_strata != DEFAULT_N_STRATA:
-        parts.append(f"strata={n_strata}")
-    if total_borrow is not None:
-        parts.append(f"borrow={_fmt(total_borrow)}")
-        total_borrow = float(total_borrow)
-    return [(parts, [("n_strata", n_strata), ("total_borrow", total_borrow)])]
-
-
-def _reml(entry: dict, where: str) -> list[Variant]:
-    reml = entry.get("reml", True)
-    if not isinstance(reml, bool):
-        raise ConfigError(f"{where}.reml: expected true or false")
-    return [([] if reml else ["ml"], [("reml", reml)])]
+_MAP_KEYS = frozenset({"omega", "omegas", "tau_ladder"})
 
 
 @dataclass(frozen=True)
 class MethodSpec:
     """Everything a method id means to the harness.
 
-    ``keys`` are the config keys an entry may set besides ``method_id``
-    (and ``covsets`` when ``covset`` is true, i.e. the method runs once
-    per covariate set). Each of ``parsers`` validates its options of an
-    entry and returns their variants; an entry expands to every
-    combination of them. ``evaluate`` runs one cell on a replicate.
+    ``covset``: the method runs once per covariate set, and an entry may
+    set ``covsets``. ``map``: a MAP-family method, whose entries may set
+    ``omega``/``omegas`` and ``tau_ladder``, one cell per combination.
+    ``evaluate`` runs one cell on a replicate.
     """
 
-    keys: frozenset[str]
     covset: bool
-    parsers: tuple[Callable[[dict, str], list[Variant]], ...]
+    map: bool
     evaluate: Callable[[Cell, _ReplicateCaches], EffectEstimate]
 
+    @property
+    def keys(self) -> frozenset[str]:
+        """The config keys an entry may set besides ``method_id``."""
+        return frozenset({"covsets"} if self.covset else ()) | (_MAP_KEYS if self.map else set())
 
-_CALIPER_KEYS = frozenset({"caliper_mult", "caliper_units"})
-_BOUNDS_KEYS = frozenset({"weight_bounds"})
-_MAP_KEYS = frozenset({"omega", "omegas", "tau_ladder", "tau_scale"})
-_STRATA_KEYS = frozenset({"n_strata", "total_borrow"})
-_REML_KEYS = frozenset({"reml"})
 
 # The evaluators look each estimator up as a module global when they
 # run, so a wrapper installed on this module's names sees every call.
 METHODS: dict[str, MethodSpec] = {
-    "unadj.rc": MethodSpec(frozenset(), False, (), lambda cell, c:
+    "unadj.rc": MethodSpec(False, False, lambda cell, c:
         unadjusted_effect(c.dataset.reduced_concurrent)),
-    "unadj.fc": MethodSpec(frozenset(), False, (), lambda cell, c:
+    "unadj.fc": MethodSpec(False, False, lambda cell, c:
         unadjusted_effect(c.dataset.full_concurrent)),
-    "PSM": MethodSpec(_CALIPER_KEYS, True, (_caliper,), lambda cell, c:
-        estimate_psm(c.dataset, c.psfit(cell.covset),
-                     c.matchset(cell.covset, cell.opt("caliper")))),
-    "PSW": MethodSpec(_BOUNDS_KEYS, True, (_weight_bounds,), lambda cell, c:
-        estimate_psw(c.dataset, c.psfit(cell.covset),
-                     c.weightset(cell.covset, cell.opt("weight_bounds")))),
-    "MAP": MethodSpec(_MAP_KEYS, False, (_map,), lambda cell, c:
-        estimate_map(c.dataset, cell.opt("map"))),
-    "PSM+MAP": MethodSpec(_MAP_KEYS | _CALIPER_KEYS, True, (_map, _caliper), lambda cell, c:
-        estimate_psm_map(c.dataset, cell.opt("map"), c.psfit(cell.covset),
-                         c.trial_matchsets(cell.covset, cell.opt("caliper")))),
-    "PSW+MAP": MethodSpec(_MAP_KEYS | _BOUNDS_KEYS, True, (_map, _weight_bounds), lambda cell, c:
-        estimate_psw_map(c.dataset, cell.opt("map"), c.psfit(cell.covset),
-                         c.weightset(cell.covset, cell.opt("weight_bounds")))),
-    "PSS+PP": MethodSpec(_STRATA_KEYS, True, (_strata,), lambda cell, c:
-        estimate_pss_pp(c.strata(cell.covset, cell.opt("n_strata")), cell.opt("total_borrow"))),
-    "PSS+CL": MethodSpec(_STRATA_KEYS, True, (_strata,), lambda cell, c:
-        estimate_pss_cl(c.strata(cell.covset, cell.opt("n_strata")), cell.opt("total_borrow"))),
-    "MM": MethodSpec(_REML_KEYS, True, (_reml,), lambda cell, c:
-        estimate_mm(c.dataset, cell.covset, cell.opt("reml"))),
-    "MM.nc": MethodSpec(_REML_KEYS, False, (_reml,), lambda cell, c:
-        estimate_mm(c.dataset, None, cell.opt("reml"))),
+    "PSM": MethodSpec(True, False, lambda cell, c:
+        estimate_psm(c.dataset, c.psfit(cell.covset), c.matchset(cell.covset))),
+    "PSW": MethodSpec(True, False, lambda cell, c:
+        estimate_psw(c.dataset, c.psfit(cell.covset), c.weightset(cell.covset))),
+    "MAP": MethodSpec(False, True, lambda cell, c:
+        estimate_map(c.dataset, cell.map_cfg)),
+    "PSM+MAP": MethodSpec(True, True, lambda cell, c:
+        estimate_psm_map(c.dataset, cell.map_cfg, c.psfit(cell.covset),
+                         c.trial_matchsets(cell.covset))),
+    "PSW+MAP": MethodSpec(True, True, lambda cell, c:
+        estimate_psw_map(c.dataset, cell.map_cfg, c.psfit(cell.covset),
+                         c.weightset(cell.covset))),
+    "PSS+PP": MethodSpec(True, False, lambda cell, c:
+        estimate_pss_pp(c.strata(cell.covset))),
+    "PSS+CL": MethodSpec(True, False, lambda cell, c:
+        estimate_pss_cl(c.strata(cell.covset))),
+    "MM": MethodSpec(True, False, lambda cell, c:
+        estimate_mm(c.dataset, cell.covset)),
+    "MM.nc": MethodSpec(False, False, lambda cell, c:
+        estimate_mm(c.dataset, None)),
 }
 
 # The two unadjusted benchmarks lead every cell list: every other
@@ -370,18 +286,16 @@ def expand_cells(
             raise ConfigError(
                 f"{here}: unknown method {method_id!r} (expected one of {sorted(METHODS)})"
             )
-        unknown = set(entry) - spec.keys - ({"covsets"} if spec.covset else set())
+        unknown = set(entry) - spec.keys
         if unknown:
             raise ConfigError(f"{here}: unknown key(s) {sorted(unknown)} for method {method_id}")
         own_covsets: tuple[int | None, ...] = (None,)
         if spec.covset:
             own_covsets = _parse_covsets(entry.get("covsets", list(covsets)), f"{here}.covsets")
-        variants: list[Variant] = [([], [])]
-        for parse in spec.parsers:
-            variants = [(p + q, o + r) for p, o in variants for q, r in parse(entry, here)]
-        for parts, opts in variants:
+        variants = _map(entry, here) if spec.map else [("", None)]
+        for label, map_cfg in variants:
             for cs in own_covsets:
-                cell = Cell(method_id, cs, ",".join(parts), tuple(opts))
+                cell = Cell(method_id, cs, label, map_cfg)
                 if cell.key in seen:
                     if cell in _BENCHMARK_CELLS:
                         continue
@@ -590,35 +504,32 @@ class _ReplicateCaches:
     def psfit(self, covset: int):
         return self._memo(("ps", covset), lambda: estimate_ps(self.dataset, covset))
 
-    def _match(self, covset: int, caliper: tuple[float, str], label: str, hist_mask):
+    def _match(self, covset: int, label: str, hist_mask):
         """Match the reduced concurrent trial to the pooled rows in
         ``hist_mask``, with its own seeded stream."""
-        return self._memo((label, caliper), lambda: match_nearest(
+        return self._memo((label,), lambda: match_nearest(
             self.psfit(covset), np.flatnonzero(hist_mask),
-            caliper_mult=caliper[0], caliper_units=caliper[1],
             rng=replicate_rng(self.seed, self.sid, self.replicate, label),
         ))
 
-    def matchset(self, covset: int, caliper: tuple[float, str]):
+    def matchset(self, covset: int):
         """Matches against all historical pools together."""
         trial = self.dataset.pooled.trial
-        return self._match(covset, caliper, f"match:c{covset}", trial > 0)
+        return self._match(covset, f"match:c{covset}", trial > 0)
 
-    def trial_matchsets(self, covset: int, caliper: tuple[float, str]):
+    def trial_matchsets(self, covset: int):
         """Matches against each historical pool separately."""
         trial = self.dataset.pooled.trial
         return [
-            self._match(covset, caliper, f"match:c{covset}:trial{j}", trial == j)
+            self._match(covset, f"match:c{covset}:trial{j}", trial == j)
             for j in range(1, self.dataset.k_historical + 1)
         ]
 
-    def weightset(self, covset: int, bounds: tuple[float, float]):
-        return self._memo(("weights", covset, bounds),
-                          lambda: ipw_weights(self.psfit(covset), bounds=bounds))
+    def weightset(self, covset: int):
+        return self._memo(("weights", covset), lambda: ipw_weights(self.psfit(covset)))
 
-    def strata(self, covset: int, n_strata: int):
-        return self._memo(("strata", covset, n_strata),
-                          lambda: build_strata(self.psfit(covset), n_strata))
+    def strata(self, covset: int):
+        return self._memo(("strata", covset), lambda: build_strata(self.psfit(covset)))
 
 
 def _failed_estimate(exc: Exception) -> EffectEstimate:
@@ -752,21 +663,29 @@ def write_summary_csv(path: str, results: list[ScenarioResult]) -> None:
         writer.writerow(SUMMARY_HEADER.split(","))
         for result in results:
             for row in result.summary:
-                values = (getattr(row, field) for _, field, _ in _SUMMARY_COLUMNS)
+                values = (getattr(row, field) for _, field, *_ in _SUMMARY_COLUMNS)
                 writer.writerow([_num(v) if v is None or isinstance(v, float) else v
                                  for v in values])
 
 
 def read_summary_csv(path: str) -> list[SummaryRow]:
+    """Rows of a summary.csv; a ValueError names the file and, for a row
+    that is short, does not parse or is not valid CSV, its line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        got = ",".join(reader.fieldnames or [])
-        if got != SUMMARY_HEADER:
-            raise ValueError(f"{path}: unexpected header {got!r}")
-        return [
-            SummaryRow(**{field: parse(rec[column]) for column, field, parse in _SUMMARY_COLUMNS})
-            for rec in reader
-        ]
+        try:
+            got = ",".join(reader.fieldnames or [])
+            if got != SUMMARY_HEADER:
+                raise ValueError(f"unexpected header {got!r}")
+            return [SummaryRow(**{
+                field: None if optional and rec[column] == ""
+                else _field(reader.line_num, rec, column, parse)
+                for column, field, parse, optional in _SUMMARY_COLUMNS
+            }) for rec in reader]
+        except csv.Error as exc:  # the DictReader's own line_num lags a row behind
+            raise ValueError(f"{path}: line {reader.reader.line_num}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def write_diagnostics(path: str, results: list[ScenarioResult], threshold: float) -> None:

@@ -9,7 +9,8 @@ one-dimensional criterion in lambda because the group covariance
 are X'X - sum_g c_g u_g u_g' with c_g = lambda / (1 + lambda n_g) and
 u_g the column sums of group g. The criterion is evaluated on whole
 vectors of lambda at once (one batched Cholesky) and minimized by a
-grid scan followed by grids that zoom in on the best point.
+grid scan followed by grids that zoom in on the best point. The
+criterion is always the restricted (REML) one.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class LmmFit:
     lambda_hat: float
     sigma2: float
     sigma_b2: float
-    reml: bool
     criterion_value: float
     n_groups: int
     flags: tuple[str, ...] = ()
@@ -77,7 +77,7 @@ def group_stats(X: np.ndarray, y: np.ndarray, groups: np.ndarray) -> GroupStats:
     )
 
 
-def _profile(stats: GroupStats, lam: np.ndarray, reml: bool):
+def _profile(stats: GroupStats, lam: np.ndarray):
     """GLS fit and criterion at every lambda of a 1-d array.
 
     Returns the criterion (L,), the Cholesky factors of the whitened
@@ -95,18 +95,17 @@ def _profile(stats: GroupStats, lam: np.ndarray, reml: bool):
         raise SingularDesignError("whitened design is singular") from exc
     beta = np.linalg.solve(A, b[..., None])[..., 0]
     rss = stats.yty - c @ stats.y_sum**2 - np.einsum("li,li->l", b, beta)
-    dof = n - p if reml else n
+    dof = n - p
     if np.any(rss <= 0) or dof <= 0:
         raise SingularDesignError("no residual variation left to profile")
     sigma2 = rss / dof
-    crit = dof * np.log(sigma2) + np.log1p(lam[:, None] * stats.n).sum(axis=1)
-    if reml:
-        crit += 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    crit = (dof * np.log(sigma2) + np.log1p(lam[:, None] * stats.n).sum(axis=1)
+            + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
     return crit, chol, beta, sigma2
 
 
-def profiled_criterion(stats: GroupStats, lam, reml: bool = True):
-    """Minus twice the profiled (restricted) log-likelihood, up to a constant.
+def profiled_criterion(stats: GroupStats, lam):
+    """Minus twice the profiled restricted log-likelihood, up to a constant.
 
     A scalar lambda gives a float, an array of lambdas an array of the
     same shape.
@@ -114,7 +113,7 @@ def profiled_criterion(stats: GroupStats, lam, reml: bool = True):
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("lambda must be non-negative")
-    crit = _profile(stats, lam.reshape(-1), reml)[0].reshape(lam.shape)
+    crit = _profile(stats, lam.reshape(-1))[0].reshape(lam.shape)
     return float(crit) if crit.ndim == 0 else crit
 
 
@@ -131,13 +130,8 @@ def _zoom(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
             return float(x[k]), float(values[k])
 
 
-def fit_lmm(
-    y: np.ndarray,
-    X: np.ndarray,
-    groups: np.ndarray,
-    reml: bool = True,
-) -> LmmFit:
-    """Fit the random-intercept model by profiled (RE)ML.
+def fit_lmm(y: np.ndarray, X: np.ndarray, groups: np.ndarray) -> LmmFit:
+    """Fit the random-intercept model by profiled REML.
 
     The variance ratio is scanned on {0} union 25 log-spaced points over
     [e^-12, e^12]; a minimum at the upper edge widens the span once, to
@@ -154,7 +148,7 @@ def fit_lmm(
         raise ValueError("need at least two groups to separate the intercept variance")
 
     def crit(lam):
-        return profiled_criterion(stats, lam, reml=reml)
+        return profiled_criterion(stats, lam)
 
     flags: list[str] = []
     span = LOG_LAMBDA_SPAN
@@ -181,7 +175,7 @@ def fit_lmm(
         if values[0] < best:
             lam_hat = 0.0
 
-    crit_hat, chol, beta, sigma2_hat = _profile(stats, np.array([lam_hat]), reml)
+    crit_hat, chol, beta, sigma2_hat = _profile(stats, np.array([lam_hat]))
     sigma2 = float(sigma2_hat[0])
     chol_inv = np.linalg.inv(chol[0])
     return LmmFit(
@@ -190,7 +184,6 @@ def fit_lmm(
         lambda_hat=float(lam_hat),
         sigma2=sigma2,
         sigma_b2=float(lam_hat * sigma2),
-        reml=reml,
         criterion_value=float(crit_hat[0]),
         n_groups=stats.n.size,
         flags=tuple(flags),
@@ -205,7 +198,7 @@ def _stack_for_mm(dataset: TrialDataset, covset: int | None) -> tuple[np.ndarray
     return pooled.y, np.column_stack(cols), pooled.trial
 
 
-def estimate_mm(dataset: TrialDataset, covset: int | None, reml: bool = True) -> EffectEstimate:
+def estimate_mm(dataset: TrialDataset, covset: int | None) -> EffectEstimate:
     """Treatment effect from the trial-level random-intercept model.
 
     Pools the reduced concurrent trial with every historical pool and
@@ -214,7 +207,7 @@ def estimate_mm(dataset: TrialDataset, covset: int | None, reml: bool = True) ->
     is intercept plus treatment only.
     """
     y, X, trial = _stack_for_mm(dataset, covset)
-    fit = fit_lmm(y, X, trial, reml=reml)
+    fit = fit_lmm(y, X, trial)
     return wald_estimate(
         float(fit.coef[1]), fit.se(1),
         flags=fit.flags,

@@ -6,6 +6,11 @@ historical pool. Downstream estimators either match historical controls
 to concurrent subjects (1:1 nearest neighbor with replacement under a
 caliper), reweight them by the odds ps/(1-ps) with symmetric trimming,
 or stratify the pooled sample by concurrent-score quantiles.
+
+The settings are fixed, as in the simulation study: a caliper of
+``CALIPER_MULT`` = 0.2 SD of the pooled score (Austin 2011, Pharm. Stat.
+10:150), trimming of odds weights outside ``WEIGHT_BOUNDS`` = [0.05, 20],
+and ``N_STRATA`` = 5 score strata (Rosenbaum & Rubin 1984, JASA 79:516).
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ __all__ = [
 
 COVSETS = (1, 2, 3)
 
-DEFAULT_CALIPER_MULT = 0.2
-DEFAULT_WEIGHT_BOUNDS = (0.05, 20.0)
-DEFAULT_N_STRATA = 5
+CALIPER_MULT = 0.2
+WEIGHT_BOUNDS = (0.05, 20.0)
+N_STRATA = 5
 
 
 def covset_columns(covset: int, n_cols: int) -> tuple[int, ...]:
@@ -94,27 +99,18 @@ def estimate_ps(dataset: TrialDataset, covset: int) -> PsFit:
 
 
 def match_nearest(
-    psfit: PsFit,
-    historical_rows: np.ndarray,
-    caliper_mult: float = DEFAULT_CALIPER_MULT,
-    rng: np.random.Generator | None = None,
-    caliper_units: str = "sd",
+    psfit: PsFit, historical_rows: np.ndarray, rng: np.random.Generator | None = None
 ) -> MatchSet:
     """1:1 nearest-neighbor matching with replacement under a caliper.
 
     Every concurrent row of the sample is matched to the candidate among
     ``historical_rows`` with the closest propensity score; pairs farther
-    apart than the caliper (``caliper_mult`` times the pooled-score SD,
-    or raw score units when ``caliper_units='raw'``) are discarded and
-    the subject left unmatched. Distance ties go to the candidate drawn
-    earliest in a seeded shuffle, which makes reruns reproducible.
+    apart than the caliper (``CALIPER_MULT`` times the pooled-score SD)
+    are discarded and the subject left unmatched. Distance ties go to the
+    candidate drawn earliest in a seeded shuffle, which makes reruns
+    reproducible.
     """
-    if caliper_units not in ("sd", "raw"):
-        raise ValueError("caliper_units must be 'sd' or 'raw'")
-    if caliper_mult < 0:
-        raise ValueError("caliper_mult must be non-negative")
-    scale = float(np.std(psfit.ps, ddof=1)) if caliper_units == "sd" else 1.0
-    caliper = caliper_mult * scale
+    caliper = CALIPER_MULT * float(np.std(psfit.ps, ddof=1))
 
     c_rows = np.flatnonzero(psfit.is_concurrent)
     h_rows = np.asarray(historical_rows, dtype=np.intp)
@@ -149,19 +145,15 @@ def match_nearest(
     return MatchSet(c_rows[within], sorted_rows[chosen[within]], caliper)
 
 
-def ipw_weights(
-    psfit: PsFit, bounds: tuple[float, float] = DEFAULT_WEIGHT_BOUNDS
-) -> np.ndarray:
+def ipw_weights(psfit: PsFit) -> np.ndarray:
     """Odds weights ps/(1-ps) for historical rows, 1 for concurrent rows.
 
-    Historical weights falling outside ``bounds`` are trimmed (set to
-    zero), which drops score regions with essentially no concurrent
+    Historical weights falling outside ``WEIGHT_BOUNDS`` are trimmed (set
+    to zero), which drops score regions with essentially no concurrent
     support on either side. Every other weight is at least the lower
     bound, so a historical row is trimmed exactly when its weight is 0.
     """
-    lo, hi = bounds
-    if not 0 < lo < hi:
-        raise ValueError("weight bounds must satisfy 0 < lower < upper")
+    lo, hi = WEIGHT_BOUNDS
     conc = psfit.is_concurrent
     with np.errstate(divide="ignore", over="ignore"):
         odds = psfit.ps / (1.0 - psfit.ps)
@@ -170,22 +162,20 @@ def ipw_weights(
     return weights
 
 
-def stratify(psfit: PsFit, n_strata: int = DEFAULT_N_STRATA) -> np.ndarray:
-    """Assign every pooled subject a stratum by concurrent-score quantiles.
+def stratify(psfit: PsFit) -> np.ndarray:
+    """Assign every pooled subject one of ``N_STRATA`` strata by
+    concurrent-score quantiles.
 
     Cut points are the 1/n .. (n-1)/n quantiles of the concurrent
     subjects' scores, so concurrent subjects split evenly. Historical
     subjects outside the concurrent score range get label -1 (excluded).
     """
-    if n_strata < 2:
-        raise ValueError("need at least two strata")
     conc_mask = psfit.is_concurrent
     conc_ps = psfit.ps[conc_mask]
-    if np.unique(conc_ps).size < n_strata:
-        raise ValueError(
-            f"only {np.unique(conc_ps).size} distinct concurrent scores for {n_strata} strata"
-        )
-    cuts = np.quantile(conc_ps, np.arange(1, n_strata) / n_strata)
+    n_distinct = np.unique(conc_ps).size
+    if n_distinct < N_STRATA:
+        raise ValueError(f"only {n_distinct} distinct concurrent scores for {N_STRATA} strata")
+    cuts = np.quantile(conc_ps, np.arange(1, N_STRATA) / N_STRATA)
     labels = np.searchsorted(cuts, psfit.ps, side="left").astype(int)
     outside = ~conc_mask & ((psfit.ps < conc_ps.min()) | (psfit.ps > conc_ps.max()))
     labels[outside] = -1

@@ -364,12 +364,13 @@ def build_replicate(
 def _field(line: int, row: dict, col: str, parse):
     """One CSV field parsed, or a ValueError naming its line and column."""
     value = row[col]
+    if value is None:  # csv.DictReader's filler for the fields a short row lacks
+        raise ValueError(f"line {line}: column '{col}' is missing")
     try:
         return parse(value)
-    except (TypeError, ValueError):
+    except ValueError:
         kind = "an integer" if parse is int else "a number"
-        what = "missing" if value is None else f"not {kind}: {value!r}"
-        raise ValueError(f"line {line}: column '{col}' is {what}") from None
+        raise ValueError(f"line {line}: column '{col}' is not {kind}: {value!r}") from None
 
 
 def load_subjects_csv(path: str) -> TrialDataset:
@@ -382,27 +383,31 @@ def load_subjects_csv(path: str) -> TrialDataset:
     the missing column.
     A field that is missing (a short row) or does not parse, and a
     non-finite ``y`` or covariate (nan, inf), is an error naming the
-    first line and column that hold one. Error messages leave the file
-    name to the caller.
+    first line and column that hold one; a line the CSV reader rejects
+    (such as a field over its size limit) is an error naming the line.
+    Error messages leave the file name to the caller.
     The concurrent trial is analyzed as-is, so the full and reduced
     designs coincide for external data.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError("empty file")
-        cols = list(reader.fieldnames)
-        for required in ("trial", "z", "y"):
-            if required not in cols:
-                raise ValueError(f"missing required column '{required}'")
-        found = [c for c in cols if re.fullmatch(r"x\d+", c)]
-        if not found:
-            raise ValueError("no covariate columns x1..xp found")
-        xcols = [f"x{j}" for j in range(1, len(found) + 1)]
-        gap = next((c for c in xcols if c not in found), None)
-        if gap is not None:
-            raise ValueError(f"covariates must be x1..{xcols[-1]}; '{gap}' is missing")
-        rows = list(reader)
+        try:
+            cols = reader.fieldnames
+            rows = list(reader)
+        except csv.Error as exc:  # the DictReader's own line_num lags a row behind
+            raise ValueError(f"line {reader.reader.line_num}: {exc}") from None
+    if cols is None:
+        raise ValueError("empty file")
+    for required in ("trial", "z", "y"):
+        if required not in cols:
+            raise ValueError(f"missing required column '{required}'")
+    found = [c for c in cols if re.fullmatch(r"x\d+", c)]
+    if not found:
+        raise ValueError("no covariate columns x1..xp found")
+    xcols = [f"x{j}" for j in range(1, len(found) + 1)]
+    gap = next((c for c in xcols if c not in found), None)
+    if gap is not None:
+        raise ValueError(f"covariates must be x1..{xcols[-1]}; '{gap}' is missing")
     if not rows:
         raise ValueError("no subject rows")
 

@@ -424,10 +424,10 @@ def test_c17_lmm_oracle_and_ols_collapse():
     groups = np.repeat([0, 1, 2], 5)
     y = 0.5 + 0.7 * x + np.array([0.9, -0.4, 0.6])[groups] + 0.4 * rng.normal(size=15)
     X = np.column_stack([np.ones(15), x])
-    fit = fit_lmm(y, X, groups, reml=True)
+    fit = fit_lmm(y, X, groups)
     stats = group_stats(X, y, groups)
     grid = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 4001)])
-    oracle = min(profiled_criterion(stats, lam, reml=True) for lam in grid)
+    oracle = min(profiled_criterion(stats, lam) for lam in grid)
     # The grid only upper-bounds the optimum, so the fit may come in
     # slightly below it; only a fit above the grid minimum is a failure.
     gap = fit.criterion_value - oracle
@@ -436,7 +436,7 @@ def test_c17_lmm_oracle_and_ols_collapse():
     g2 = np.repeat([0, 1, 2], 40)
     y2 = 1.0 + 0.7 * x2 + 0.5 * rng.normal(size=120)
     X2 = np.column_stack([np.ones(120), x2])
-    flat = fit_lmm(y2, X2, g2, reml=True)
+    flat = fit_lmm(y2, X2, g2)
     ols = np.linalg.lstsq(X2, y2, rcond=None)[0]
     emit(
         17,

@@ -10,6 +10,7 @@ from hybridctl.borrow import (
     MapConfig,
     NormalMixture,
     SINGLE_POOL_TAU_MULT,
+    Strata,
     StudySummary,
     TAU_LADDER,
     build_strata,
@@ -398,8 +399,6 @@ class TestEstimateMap:
         with pytest.raises(ValueError):
             MapConfig(omega=0.5, tau_ladder_label="XL")
         with pytest.raises(ValueError):
-            MapConfig(omega=0.5, tau_scale=-1.0)
-        with pytest.raises(ValueError):
             StudySummary(0.0, 0.0)
 
 
@@ -521,25 +520,37 @@ def stratum_z(*n_treated):
     return np.concatenate([np.arange(20) < k for k in n_treated]).astype(int)
 
 
+def equal_arms(strata):
+    """The strata with each stratum's larger concurrent arm cut to the
+    size of the smaller: no treated surplus, so nothing is borrowed."""
+    def cut(t, c, h):
+        m = min(t.size, c.size)
+        return t[:m], c[:m], h
+    return Strata(arms=tuple(cut(*arms) for arms in strata.arms), flags=strata.flags)
+
+
+def treated_surplus(strata, at_least):
+    """The strata with each treated arm repeated (its mean unchanged) until
+    the treated arms outnumber the control arms by ``at_least``."""
+    n_t = sum(t.size for t, _, _ in strata.arms)
+    n_c = sum(c.size for _, c, _ in strata.arms)
+    k = math.ceil((n_c + at_least) / n_t)
+    return Strata(arms=tuple((np.tile(t, k), c, h) for t, c, h in strata.arms),
+                  flags=strata.flags)
+
+
 class TestStratifiedBorrowing:
     def test_zero_borrow_equals_stratum_weighted_unadjusted(self):
         ds = dataset(seed=14)
-        psfit = estimate_ps(ds, 1)
-        strata = build_strata(psfit)
-        pp = estimate_pss_pp(strata, total_borrow=0.0)
-        cl = estimate_pss_cl(strata, total_borrow=0.0)
+        strata = equal_arms(build_strata(estimate_ps(ds, 1)))
+        pp = estimate_pss_pp(strata)
+        cl = estimate_pss_cl(strata)
         assert pp.flags == () and cl.flags == ()
+        assert pp.diagnostics["total_borrow"] == cl.diagnostics["total_borrow"] == 0.0
 
-        labels = stratify(psfit)
-        sample = psfit.sample
-        conc = sample.trial == 0
-        effs, sizes = [], []
-        for s in range(5):
-            m = (labels == s) & conc
-            t = sample.y[m & (sample.z == 1)]
-            c = sample.y[m & (sample.z == 0)]
-            effs.append(t.mean() - c.mean())
-            sizes.append(m.sum())
+        effs = [t.mean() - c.mean() for t, c, _ in strata.arms]
+        sizes = [t.size + c.size for t, c, _ in strata.arms]
+        assert len(sizes) == 5
         w = np.asarray(sizes, dtype=float) / sum(sizes)
         oracle = float(w @ np.asarray(effs))
         assert pp.estimate == pytest.approx(oracle, abs=1e-10)
@@ -567,61 +578,52 @@ class TestStratifiedBorrowing:
         new_sample = SubjectGroup(ids=sample.ids, x=sample.x, z=sample.z,
                                   trial=sample.trial, y=y)
         psfit2 = PsFit(sample=new_sample, ps=psfit.ps)
-        tb = float(((labels >= 0) & ~conc).sum())
-        strata = build_strata(psfit2)
-        pp = estimate_pss_pp(strata, total_borrow=tb)
-        cl = estimate_pss_cl(strata, total_borrow=tb)
+        n_hist = int(((labels >= 0) & ~conc).sum())
+        strata = treated_surplus(build_strata(psfit2), at_least=n_hist)
+        pp = estimate_pss_pp(strata)
+        cl = estimate_pss_cl(strata)
         assert pp.flags == () and cl.flags == ()
+        assert pp.diagnostics["total_borrow"] >= n_hist
         assert pp.diagnostics["mean_alpha"] == pytest.approx(1.0, abs=1e-12)
         assert pp.estimate == pytest.approx(cl.estimate, abs=1e-10)
 
     def test_invalid_stratum_merges_into_neighbor(self):
         fit = synthetic_pss_inputs(frac_treated_low=1.0)
-        got = estimate_pss_pp(build_strata(fit), total_borrow=10.0)
+        got = estimate_pss_pp(build_strata(fit))
         assert "pss:merged_stratum_0" in got.flags
         assert got.diagnostics["n_strata_effective"] == 4.0
 
     def test_borrowing_moves_toward_historical(self):
-        fit = synthetic_pss_inputs(frac_treated_low=0.5, seed=16)
+        # 80 treated and 20 controls: the surplus of 60 borrows every one of
+        # the (at most 60) historical subjects; the same concurrent arms
+        # with no historical subjects borrow nothing
+        fit = synthetic_pss_inputs(z=stratum_z(16, 16, 16, 16, 16), seed=16)
         strata = build_strata(fit)
-        none = estimate_pss_pp(strata, total_borrow=0.0)
-        lots = estimate_pss_pp(strata, total_borrow=60.0)
+        lots = estimate_pss_pp(strata)
+        none = estimate_pss_pp(Strata(arms=tuple((t, c, h[:0]) for t, c, h in strata.arms),
+                                      flags=strata.flags))
         assert lots.se < none.se
         assert lots.diagnostics["mean_alpha"] > 0.5
-
-    def test_negative_borrow_rejected(self):
-        fit = synthetic_pss_inputs(frac_treated_low=0.5, seed=17)
-        strata = build_strata(fit)
-        with pytest.raises(ValueError):
-            estimate_pss_pp(strata, total_borrow=-1.0)
-        with pytest.raises(ValueError):
-            estimate_pss_cl(strata, total_borrow=-1.0)
+        assert none.diagnostics["mean_alpha"] == 0.0
 
 
 class TestBuildStrata:
-    # ``expected``: (estimate, se) of PSS+PP and PSS+CL at total_borrow = 10,
-    # then at the default, pinned to 1e-12 (the discount's rounding may move
-    # the last bits)
+    # ``expected``: (estimate, se) of PSS+PP and PSS+CL, pinned to 1e-12
+    # (the discount's rounding may move the last bits)
     @pytest.mark.parametrize(
         "n_treated,flags,kept,expected",
         [
             # stratum 0 has no controls, nor does its merge with stratum 1
             ((20, 20, 10, 10, 10), ("pss:merged_stratum_0",) * 2, [(2, 1, 0), (3,), (4,)],
-             [(0.07381498720930733, 0.22595085362256545),
-              (0.13939757563183863, 0.34451899961643273),
-              (0.009996004153612945, 0.16531147962622034),
+             [(0.009996004153612945, 0.16531147962622034),
               (0.04928749085635367, 0.2881555352273195)]),
             # strata 2 and 3 each have one subject in one arm
             ((10, 10, 19, 1, 10), ("pss:merged_stratum_2",) * 2, [(0,), (1, 2, 3), (4,)],
-             [(0.050438792011665026, 0.19198992111358984),
-              (0.02407046966299576, 0.3336178904982921),
-              (0.04639182789788973, 0.19797351381932995),
+             [(0.04639182789788973, 0.19797351381932995),
               (0.04639182789788973, 0.3438771305589796)]),
             # the last stratum has no treated subject
             ((10, 10, 10, 10, 0), ("pss:merged_stratum_4",), [(0,), (1,), (2,), (3, 4)],
-             [(-0.23537257123217498, 0.18531288967327292),
-              (-0.20804278243407293, 0.37436129961533354),
-              (-0.19762310661781282, 0.20520364720896198),
+             [(-0.19762310661781282, 0.20520364720896198),
               (-0.19762310661781282, 0.4250780555782496)]),
         ],
         ids=["leading-twice", "adjacent", "last"],
@@ -637,12 +639,12 @@ class TestBuildStrata:
                 # neighbour first: the merged arrays concatenate in this order
                 np.testing.assert_array_equal(got, np.concatenate(want))
         n_t, n_c = sum(n_treated), 100 - sum(n_treated)
-        got = [f(strata, tb) for tb in (10.0, None) for f in (estimate_pss_pp, estimate_pss_cl)]
-        for est, (estimate, se) in zip(got, expected):
+        got = [estimate_pss_pp(strata), estimate_pss_cl(strata)]
+        for est, (estimate, se) in zip(got, expected, strict=True):
             assert est.flags == flags
             assert est.estimate == pytest.approx(estimate, rel=1e-12)
             assert est.se == pytest.approx(se, rel=1e-12)
-        assert got[2].diagnostics["total_borrow"] == max(n_t - n_c, 0)
+            assert est.diagnostics["total_borrow"] == max(n_t - n_c, 0)
 
     def test_all_strata_invalid(self):
         fit = synthetic_pss_inputs(z=stratum_z(20, 20, 20, 20, 19))
@@ -650,9 +652,12 @@ class TestBuildStrata:
             build_strata(fit)
 
     def test_one_discount(self):
-        fit = synthetic_pss_inputs(frac_treated_low=0.5, seed=16)
+        # 60 treated and 40 controls: 20 borrowed subjects over every stratum
+        fit = synthetic_pss_inputs(z=stratum_z(12, 12, 12, 12, 12), seed=16)
         strata = build_strata(fit)
         n_hist = sum(h.size for _, _, h in strata.arms)
-        got = estimate_pss_pp(strata, total_borrow=12.0)
-        discounts = [12.0 / n_hist if h.size >= 2 else 0.0 for _, _, h in strata.arms]
+        assert n_hist > 20
+        got = estimate_pss_pp(strata)
+        assert got.diagnostics["total_borrow"] == 20.0
+        discounts = [20.0 / n_hist if h.size >= 2 else 0.0 for _, _, h in strata.arms]
         assert got.diagnostics["mean_alpha"] == pytest.approx(np.mean(discounts), rel=1e-15)

@@ -40,6 +40,7 @@ SUMMARY_HEADER = (
     "scenario_id,method_id,covset,hyperparam,bias,rel_bias_pct,type1_or_power,"
     "mean_se,essr_pct,essr_empirical_pct,n_used,n_failed"
 )
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def small_scenario(methods, reps=4, n_total=400, seed=11, covsets=(1,), name="small"):
@@ -120,73 +121,24 @@ class TestExpandCells:
         (cell,) = [c for c in cells if c.method_id == "PSM+MAP"]
         assert cell.hyperparam == "omega=0.5,tau=XS"
         assert cell.covset == 2
-        assert cell.opt("map").tau_ladder_label == "XS"
-
-    def test_tau_scale_label(self):
-        cells = expand_cells([{"method_id": "MAP", "tau_scale": 0.3}], (1,))
-        (cell,) = [c for c in cells if c.method_id == "MAP"]
-        assert cell.hyperparam == "omega=0.5,tau=0.3"
-
-    def test_pss_labels(self):
-        cells = expand_cells(
-            [{"method_id": "PSS+PP", "n_strata": 4, "total_borrow": 400}], (3,)
-        )
-        (cell,) = [c for c in cells if c.method_id == "PSS+PP"]
-        assert cell.hyperparam == "strata=4,borrow=400"
-        assert cell.opt("total_borrow") == 400.0
-
-    def test_psm_caliper_label(self):
-        cells = expand_cells(
-            [{"method_id": "PSM", "caliper_mult": 0.1, "caliper_units": "raw"}], (1,)
-        )
-        (cell,) = [c for c in cells if c.method_id == "PSM"]
-        assert cell.hyperparam == "caliper=0.1:raw"
-
-    def test_psw_bounds_label(self):
-        cells = expand_cells([{"method_id": "PSW", "weight_bounds": [0.1, 10]}], (1,))
-        (cell,) = [c for c in cells if c.method_id == "PSW"]
-        assert cell.hyperparam == "bounds=0.1:10"
-
-    def test_mm_ml_label(self):
-        cells = expand_cells([{"method_id": "MM.nc", "reml": False}], (1,))
-        (cell,) = [c for c in cells if c.method_id == "MM.nc"]
-        assert cell.hyperparam == "ml"
+        assert cell.map_cfg.tau_ladder_label == "XS"
 
     def test_default_labels_are_empty(self):
-        cells = expand_cells(["PSM", "PSW", "MM"], (1,))
-        assert all(c.hyperparam == "" for c in cells)
-
-    def test_map_family_caliper_gets_its_own_cell(self):
-        sc = small_scenario([
-            {"method_id": "PSM+MAP", "omega": 0.5, "caliper_mult": 0.05},
-            {"method_id": "PSM+MAP", "omega": 0.5, "caliper_mult": 0.5},
-        ], reps=2, n_total=300)
-        by_key = {r.key: r for r in run_scenario(sc).summary}
-        for hyper in ("omega=0.5,caliper=0.05:sd", "omega=0.5,caliper=0.5:sd"):
-            assert by_key[("PSM+MAP", 1, hyper)].n_used == 2
-
-    def test_map_family_weight_bounds_validated_and_labelled(self):
-        with pytest.raises(ConfigError, match="weight_bounds"):
-            expand_cells([{"method_id": "PSW+MAP", "weight_bounds": [20, 0.05]}], (1,))
-        cells = expand_cells([{"method_id": "PSW+MAP", "weight_bounds": [0.1, 10]}], (1,))
-        assert cells[-1].hyperparam == "omega=0.5,bounds=0.1:10"
-
-    def test_map_family_caliper_units_validated(self):
-        with pytest.raises(ConfigError, match="caliper_units"):
-            expand_cells([{"method_id": "PSM+MAP", "caliper_units": "bogus"}], (1,))
+        cells = expand_cells(["PSM", "PSW", "PSS+PP", "PSS+CL", "MM", "MM.nc"], (1,))
+        assert all(c.hyperparam == "" and c.map_cfg is None for c in cells)
 
     def test_duplicate_cells_rejected(self):
         with pytest.raises(ConfigError, match=r"methods\[1\].*duplicate cell"):
-            expand_cells(["PSM", {"method_id": "PSM", "caliper_mult": 0.2}], (1,))
+            expand_cells(["PSM", {"method_id": "PSM", "covsets": [1]}], (1,))
         with pytest.raises(ConfigError, match="duplicate cell"):
             expand_cells([{"method_id": "MAP", "omegas": [0.5, 0.5]}], (1,))
         # listing a benchmark that is always injected is not a duplicate
         assert len(expand_cells(["unadj.rc", "unadj.fc", "unadj.rc"], (1,))) == 2
 
     def test_readme_lists_every_methods_keys(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = README.read_text()
         for method_id, spec in METHODS.items():
-            keys = sorted(spec.keys | ({"covsets"} if spec.covset else set()))
+            keys = sorted(spec.keys)
             row = f"| `{method_id}` | " + (", ".join(f"`{k}`" for k in keys) or "none") + " |"
             assert row in readme
 
@@ -203,8 +155,6 @@ class TestExpandCells:
             expand_cells([{"omega": 0.5}], (1,))
         with pytest.raises(ConfigError, match="covsets"):
             expand_cells([{"method_id": "PSM", "covsets": [7]}], (1,))
-        with pytest.raises(ConfigError, match="n_strata"):
-            expand_cells([{"method_id": "PSS+PP", "n_strata": 1}], (1,))
         with pytest.raises(ConfigError, match="outside"):
             expand_cells([{"method_id": "MAP", "omega": 1.2}], (1,))
         with pytest.raises(ConfigError, match="outside"):
@@ -238,6 +188,23 @@ def write_demo_config(tmp_path, top, scenario):
     p = tmp_path / "demo.yaml"
     p.write_text(yaml.safe_dump(dict({"master_seed": 5, "scenarios": [scen]}, **top)))
     return str(p)
+
+
+# Per-method options whose settings are now fixed, each at a value that the
+# methods which took it used to accept.
+REMOVED_KEYS = [
+    (key, value, method_id)
+    for key, value, methods in [
+        ("caliper_mult", 0.2, ("PSM", "PSM+MAP")),
+        ("caliper_units", "sd", ("PSM", "PSM+MAP")),
+        ("weight_bounds", [0.05, 20], ("PSW", "PSW+MAP")),
+        ("tau_scale", 0.3, ("MAP", "PSM+MAP", "PSW+MAP")),
+        ("n_strata", 5, ("PSS+PP", "PSS+CL")),
+        ("total_borrow", 10, ("PSS+PP", "PSS+CL")),
+        ("reml", True, ("MM", "MM.nc")),
+    ]
+    for method_id in methods
+]
 
 
 class TestLoadConfig:
@@ -306,16 +273,16 @@ class TestLoadConfig:
             ({"failure_threshold": math.nan}, {}, ": failure_threshold"),
             ({}, {"theta_treat": math.nan}, r"scenarios\[0\]\.theta_treat"),
             ({}, {"methods": [{"method_id": "MAP", "tau_scale": math.nan}]},
-             r"methods\[0\]\.tau_scale"),
+             r"methods\[0\]: unknown key\(s\) \['tau_scale'\]"),
             ({}, {"methods": [{"method_id": "MAP", "omega": math.nan}]}, r"methods\[0\].*omega"),
             ({}, {"methods": [{"method_id": "PSM", "caliper_mult": math.nan}]},
-             r"methods\[0\]\.caliper_mult"),
+             r"methods\[0\]: unknown key\(s\) \['caliper_mult'\]"),
             ({}, {"methods": [{"method_id": "PSW", "weight_bounds": [0.05, math.inf]}]},
-             r"methods\[0\]\.weight_bounds"),
+             r"methods\[0\]: unknown key\(s\) \['weight_bounds'\]"),
             ({}, {"methods": [{"method_id": "PSS+PP", "total_borrow": math.inf}]},
-             r"methods\[0\]\.total_borrow"),
+             r"methods\[0\]: unknown key\(s\) \['total_borrow'\]"),
             ({}, {"methods": [{"method_id": "PSS+PP", "total_borrow": 10**400}]},
-             r"methods\[0\]\.total_borrow"),
+             r"methods\[0\]: unknown key\(s\) \['total_borrow'\]"),
             ({}, {"coefficients": {"sigma_e": math.nan}}, r"coefficients\.sigma_e"),
             ({}, {"coefficients": {"theta_treat": -math.inf}}, r"coefficients\.theta_treat"),
             ({}, {"coefficients": {"beta0": math.nan}}, r"coefficients\.beta0"),
@@ -328,9 +295,28 @@ class TestLoadConfig:
     )
     def test_non_finite_numbers_rejected(self, tmp_path, top, scenario, field):
         # YAML .nan and .inf load as floats; an integer past the float range
-        # cannot become one
+        # cannot become one. The removed option keys stay rejected whatever
+        # their value, as unknown keys.
         with pytest.raises(ConfigError, match=field):
             load_config(write_demo_config(tmp_path, top, scenario))
+
+    @pytest.mark.parametrize(
+        "key,value,method_id", REMOVED_KEYS, ids=[f"{k}-{m}" for k, _, m in REMOVED_KEYS]
+    )
+    def test_removed_option_keys_rejected(self, tmp_path, capsys, key, value, method_id):
+        path = write_demo_config(tmp_path, {"replicates": 1},
+                                 {"methods": [{"method_id": method_id, key: value}]})
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert f"methods[0]: unknown key(s) ['{key}'] for method {method_id}" in err
+
+    def test_readme_run_config_example_loads(self, tmp_path):
+        section = README.read_text().split("## Run configs", 1)[1]
+        p = tmp_path / "example.yaml"
+        p.write_text(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+        (scenario,) = load_config(str(p)).scenarios
+        assert scenario.scenario_id == "demo-null"
+        assert {c.method_id for c in scenario.cells} >= {"MAP", "PSM", "PSW", "PSS+PP", "MM"}
 
     def test_missing_master_seed(self, tmp_path):
         p = tmp_path / "bad.yaml"
@@ -429,9 +415,9 @@ class TestRunReplicate:
     def test_strata_built_once_per_covset(self, monkeypatch):
         calls = []
 
-        def counting(psfit, n_strata):
-            calls.append(n_strata)
-            return stratify(psfit, n_strata)
+        def counting(psfit):
+            calls.append(psfit)
+            return stratify(psfit)
 
         monkeypatch.setattr(borrow, "stratify", counting)
         sc = small_scenario(["PSS+PP", "PSS+CL"], covsets=(1, 3))
@@ -439,7 +425,7 @@ class TestRunReplicate:
             calls.clear()
             rows = run_replicate(sc, replicate)
             assert not any(r.failed for r in rows)
-            assert calls == [5, 5]
+            assert len(calls) == 2 and calls[0] is not calls[1]  # one per covset
 
     def test_failed_shared_input_is_not_rebuilt(self, monkeypatch):
         # historical x1 lies entirely below the concurrent x1, so the
@@ -481,17 +467,13 @@ class TestRunReplicate:
                 assert r.essr_pct is not None
 
 
-# Methods with non-default options too, so the shared propensity, match,
-# weight and strata caches hold several entries per covariate set.
+# Every method, with several MAP-family cells per covariate set, so each
+# shared propensity fit, match set, weight set and strata serve many cells.
 INDEPENDENCE_METHODS = [
-    "PSM", {"method_id": "PSM", "caliper_mult": 0.1},
-    "PSW", {"method_id": "PSW", "weight_bounds": [0.1, 10]},
-    {"method_id": "MAP", "omegas": [0.2, 1.0]},
-    {"method_id": "PSM+MAP", "omega": 0.5},
-    {"method_id": "PSM+MAP", "omega": 0.5, "caliper_mult": 0.1},
-    {"method_id": "PSW+MAP", "omega": 0.5},
-    "PSS+PP", "PSS+CL", {"method_id": "PSS+PP", "n_strata": 4},
-    {"method_id": "PSS+CL", "n_strata": 4, "total_borrow": 50}, "MM", "MM.nc",
+    "PSM", "PSW", {"method_id": "MAP", "omegas": [0.2, 1.0]},
+    {"method_id": "PSM+MAP", "omegas": [0.2, 0.5]},
+    {"method_id": "PSW+MAP", "omega": 0.5, "tau_ladder": ["S", "L"]},
+    "PSS+PP", "PSS+CL", "MM", "MM.nc",
 ]
 
 
@@ -787,6 +769,21 @@ class TestCli:
     def test_table_missing_summary_is_config_error(self, tmp_path, capsys):
         assert cli.main(["table", "--in", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("row,message", [
+        ("quick-null,MAP", "line 3: column 'covset' is missing"),
+        ("quick-null,MAP,,omega=0.5,abc,,0.05,0.2,,,20,0", "line 3: column 'bias' is not a number"),
+        ("quick-null,MAP,1.5,omega=0.5,0.1,,0.05,0.2,,,20,0",
+         "line 3: column 'covset' is not an integer: '1.5'"),
+        ("quick-null," + "M" * 200_000, "line 3: field larger than field limit"),
+    ], ids=["short-row", "not-a-number", "not-an-integer", "oversized-field"])
+    def test_table_rejects_unreadable_rows(self, tmp_path, capsys, row, message):
+        good = "quick-null,PSM,1,,0.1,,0.05,0.2,50.5,49.1,20,0"
+        (tmp_path / "summary.csv").write_text(f"{SUMMARY_HEADER}\n{good}\n{row}\n")
+        assert cli.main(["table", "--in", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count(str(tmp_path / "summary.csv")) == 1
+
     def test_analyze_subjects_csv(self, tmp_path, capsys):
         ds = build_replicate(preset("single-moderate"), 300, np.random.default_rng(8))
         path = tmp_path / "subjects.csv"
@@ -842,7 +839,8 @@ class TestCli:
     @pytest.mark.parametrize("row,message", [
         ("0,0,0.2", "line 3: column 'x1' is missing"),
         ("0,0,abc,0.2", "line 3: column 'y' is not a number: 'abc'"),
-    ], ids=["short-row", "not-a-number"])
+        ("0,0,0.2," + "1" * 200_000, "line 3: field larger than field limit"),
+    ], ids=["short-row", "not-a-number", "oversized-field"])
     def test_analyze_rejects_unreadable_fields(self, tmp_path, capsys, row, message):
         path = tmp_path / "subjects.csv"
         path.write_text(f"trial,z,y,x1\n0,1,0.5,0.1\n{row}\n1,0,0.3,0.2\n")

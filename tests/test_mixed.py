@@ -17,8 +17,8 @@ def simulate(n_groups, per_group, sigma_b, sigma, seed, slope=0.7):
     return y, X, groups
 
 
-def dense_criterion(y, X, groups, lam, reml):
-    """Profiled criterion from the dense covariance V = I + lambda ZZ'."""
+def dense_criterion(y, X, groups, lam):
+    """Profiled REML criterion from the dense covariance V = I + lambda ZZ'."""
     n, p = X.shape
     Z = (groups[:, None] == np.unique(groups)[None, :]).astype(float)
     V = np.eye(n) + lam * Z @ Z.T
@@ -29,8 +29,6 @@ def dense_criterion(y, X, groups, lam, reml):
     r = y - X @ beta
     rss = r @ np.linalg.solve(V, r)
     logdet_v = np.linalg.slogdet(V)[1]
-    if not reml:
-        return n * np.log(rss / n) + logdet_v
     return (n - p) * np.log(rss / (n - p)) + logdet_v + np.linalg.slogdet(xtvx)[1]
 
 
@@ -43,23 +41,21 @@ class TestProfiledCriterion:
     X = np.column_stack([np.ones(15), x])
     lams = [0.0, 1e-4, 0.1, 1.0, 10.0, 1e4]
 
-    @pytest.mark.parametrize("reml", [True, False])
     @pytest.mark.parametrize("lam", lams)
-    def test_matches_dense_covariance(self, lam, reml):
-        got = profiled_criterion(group_stats(self.X, self.y, self.groups), lam, reml=reml)
-        want = dense_criterion(self.y, self.X, self.groups, lam, reml)
+    def test_matches_dense_covariance(self, lam):
+        got = profiled_criterion(group_stats(self.X, self.y, self.groups), lam)
+        want = dense_criterion(self.y, self.X, self.groups, lam)
         assert isinstance(got, float)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("reml", [True, False])
-    def test_array_matches_scalar_calls(self, reml):
+    def test_array_matches_scalar_calls(self):
         stats = group_stats(self.X, self.y, self.groups)
         lams = np.array(self.lams)
-        got = profiled_criterion(stats, lams, reml=reml)
+        got = profiled_criterion(stats, lams)
         assert got.shape == lams.shape
-        want = [profiled_criterion(stats, lam, reml=reml) for lam in lams]
+        want = [profiled_criterion(stats, lam) for lam in lams]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-        grid = profiled_criterion(stats, lams.reshape(2, 3), reml=reml)
+        grid = profiled_criterion(stats, lams.reshape(2, 3))
         np.testing.assert_array_equal(grid.reshape(-1), got)
 
     def test_any_negative_lambda_rejected(self):
@@ -114,14 +110,6 @@ class TestFitLmm:
         fit = fit_lmm(y, X, groups)
         assert fit.sigma2 == pytest.approx(1.2**2, rel=0.2)
         assert fit.sigma_b2 == pytest.approx(0.8**2, rel=0.4)
-
-    def test_reml_and_ml_differ_but_agree_roughly(self):
-        y, X, groups = simulate(10, 20, 1.0, 1.0, seed=8)
-        a = fit_lmm(y, X, groups, reml=True)
-        b = fit_lmm(y, X, groups, reml=False)
-        assert a.reml and not b.reml
-        assert a.criterion_value != b.criterion_value
-        assert a.coef[1] == pytest.approx(b.coef[1], rel=0.05)
 
     def test_single_group_rejected(self):
         y, X, _ = simulate(2, 10, 1.0, 1.0, seed=9)

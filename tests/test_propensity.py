@@ -3,6 +3,8 @@ import pytest
 
 import ols_reference as ref
 from hybridctl.propensity import (
+    CALIPER_MULT,
+    N_STRATA,
     MatchSet,
     PsFit,
     covset_columns,
@@ -155,6 +157,11 @@ def unmatched_of(ms, fit):
     return np.setdiff1d(np.flatnonzero(fit.is_concurrent), ms.conc_rows).tolist()
 
 
+def caliper_of(fit):
+    """The caliper in score units: CALIPER_MULT pooled-score SDs."""
+    return CALIPER_MULT * float(np.std(fit.ps, ddof=1))
+
+
 class TestMatchNearest:
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(21)
@@ -162,47 +169,31 @@ class TestMatchNearest:
         ps_h = rng.uniform(0.05, 0.95, size=40)
         fit = make_psfit(ps_c, ps_h)
         hist_rows = np.arange(20, 60)
-        got = match_nearest(fit, hist_rows, caliper_mult=1.0, caliper_units="raw")
-        want_pairs, want_unmatched = brute_nearest(ps_c, ps_h, hist_rows, 1.0)
+        got = match_nearest(fit, hist_rows)
+        assert got.caliper == caliper_of(fit)
+        want_pairs, want_unmatched = brute_nearest(ps_c, ps_h, hist_rows, caliper_of(fit))
         assert pairs_of(got) == [(c, h) for c, h in want_pairs]
-        assert unmatched_of(got, fit) == []
+        assert unmatched_of(got, fit) == want_unmatched
 
     def test_caliper_excludes_far_pairs(self):
+        # historical scores crowd the middle, so concurrent scores near
+        # either end lie more than the caliper from every candidate
         rng = np.random.default_rng(22)
         ps_c = rng.uniform(0.1, 0.9, size=25)
-        ps_h = rng.uniform(0.05, 0.95, size=15)
-        cal = 0.01
+        ps_h = rng.uniform(0.45, 0.55, size=15)
         fit = make_psfit(ps_c, ps_h)
         hist_rows = np.arange(25, 40)
-        got = match_nearest(fit, hist_rows, caliper_mult=cal, caliper_units="raw")
-        want_pairs, want_unmatched = brute_nearest(ps_c, ps_h, hist_rows, cal)
+        got = match_nearest(fit, hist_rows)
+        want_pairs, want_unmatched = brute_nearest(ps_c, ps_h, hist_rows, caliper_of(fit))
         assert pairs_of(got) == want_pairs
         assert unmatched_of(got, fit) == want_unmatched
-        assert unmatched_of(got, fit)  # the tight caliper must actually bite
-
-    def test_zero_caliper_keeps_exact_ties_only(self):
-        fit = make_psfit([0.3, 0.6], [0.3, 0.5])
-        got = match_nearest(fit, np.arange(2, 4), caliper_mult=0.0, caliper_units="raw")
-        assert pairs_of(got) == [(0, 2)]
-        assert unmatched_of(got, fit) == [1]
+        assert unmatched_of(got, fit)  # the caliper must actually bite
 
     def test_empty_historical_leaves_all_unmatched(self):
         fit = make_psfit([0.4, 0.5], [])
         got = match_nearest(fit, np.arange(2, 2))
         assert pairs_of(got) == []
         assert unmatched_of(got, fit) == [0, 1]
-
-    def test_sd_caliper_equals_rescaled_raw_caliper(self):
-        rng = np.random.default_rng(23)
-        ps_c = rng.uniform(0.2, 0.8, size=30)
-        ps_h = rng.uniform(0.1, 0.9, size=30)
-        fit = make_psfit(ps_c, ps_h)
-        sd = float(np.std(fit.ps, ddof=1))
-        a = match_nearest(fit, np.arange(30, 60), caliper_mult=0.2, caliper_units="sd")
-        b = match_nearest(fit, np.arange(30, 60), caliper_mult=0.2 * sd, caliper_units="raw")
-        assert pairs_of(a) == pairs_of(b)
-        assert unmatched_of(a, fit) == unmatched_of(b, fit)
-        assert a.caliper == pytest.approx(b.caliper, rel=1e-12)
 
     def test_tie_break_follows_seeded_shuffle(self):
         fit = make_psfit([0.5], [0.5, 0.5, 0.5])
@@ -216,13 +207,6 @@ class TestMatchNearest:
         fit = make_psfit([0.5], [0.5, 0.5, 0.5])
         got = match_nearest(fit, np.arange(1, 4))
         assert pairs_of(got) == [(0, 1)]
-
-    def test_negative_caliper_rejected(self):
-        fit = make_psfit([0.5], [0.5])
-        with pytest.raises(ValueError, match="non-negative"):
-            match_nearest(fit, np.arange(1, 2), caliper_mult=-0.1)
-        with pytest.raises(ValueError, match="caliper_units"):
-            match_nearest(fit, np.arange(1, 2), caliper_units="logit")
 
 
 def trimmed_rows(fit, w):
@@ -258,20 +242,14 @@ class TestIpwWeights:
         assert w[1] == 0.0
         assert trimmed_rows(fit, w) == [1]
 
-    def test_bad_bounds_rejected(self):
-        fit = make_psfit([0.5], [0.5])
-        for bounds in ((0.0, 20.0), (5.0, 1.0), (-1.0, 2.0)):
-            with pytest.raises(ValueError):
-                ipw_weights(fit, bounds=bounds)
-
 
 class TestStratify:
     def test_concurrent_split_evenly(self):
         rng = np.random.default_rng(31)
         ps_c = rng.uniform(0.1, 0.9, size=100)
         fit = make_psfit(ps_c, [])
-        labels = stratify(fit, n_strata=5)
-        counts = np.bincount(labels, minlength=5)
+        labels = stratify(fit)
+        counts = np.bincount(labels, minlength=N_STRATA)
         np.testing.assert_array_equal(counts, [20, 20, 20, 20, 20])
 
     def test_matches_sort_and_cut_oracle(self):
@@ -279,15 +257,15 @@ class TestStratify:
         rng = np.random.default_rng(32)
         ps_c = rng.uniform(0.1, 0.9, size=100)
         fit = make_psfit(ps_c, [])
-        labels = stratify(fit, n_strata=4)
+        labels = stratify(fit)
         in_order = labels[np.argsort(ps_c)]
-        np.testing.assert_array_equal(in_order, np.repeat([0, 1, 2, 3], 25))
+        np.testing.assert_array_equal(in_order, np.repeat(np.arange(N_STRATA), 100 // N_STRATA))
 
     def test_historical_outside_concurrent_range_excluded(self):
         ps_c = np.linspace(0.3, 0.7, 50)
         ps_h = np.array([0.1, 0.31, 0.69, 0.9])
         fit = make_psfit(ps_c, ps_h)
-        labels = stratify(fit, n_strata=5)
+        labels = stratify(fit)
         hist = labels[50:]
         assert hist[0] == -1 and hist[3] == -1
         assert hist[1] == 0 and hist[2] == 4
@@ -295,12 +273,7 @@ class TestStratify:
     def test_too_few_distinct_scores_raise(self):
         fit = make_psfit(np.full(40, 0.5), [])
         with pytest.raises(ValueError, match="distinct concurrent scores"):
-            stratify(fit, n_strata=5)
-
-    def test_needs_two_strata(self):
-        fit = make_psfit(np.linspace(0.2, 0.8, 20), [])
-        with pytest.raises(ValueError, match="at least two strata"):
-            stratify(fit, n_strata=1)
+            stratify(fit)
 
 
 def psm_inputs(ds, covset, seed):
