@@ -8,9 +8,11 @@ operating characteristics across replicates.
 """
 
 from .borrow import (
+    ArmSummaries,
     MapConfig,
     NormalMixture,
     StudySummary,
+    arm_summaries,
     build_strata,
     effect_posterior,
     estimate_map,
@@ -18,6 +20,7 @@ from .borrow import (
     estimate_pss_cl,
     estimate_pss_pp,
     estimate_psw_map,
+    map_estimates,
     map_prior,
     posterior_update,
     power_prior_update,
@@ -94,6 +97,9 @@ __all__ = [
     "posterior_update",
     "effect_posterior",
     "power_prior_update",
+    "ArmSummaries",
+    "arm_summaries",
+    "map_estimates",
     "build_strata",
     "estimate_map",
     "estimate_psm_map",

@@ -13,6 +13,17 @@ treatment-effect posterior convolves each component with the normal
 treated-arm likelihood in closed form; credible-interval ends come from
 Newton's method on the mixture CDF.
 
+The three MAP-family estimators differ only in their study list: the
+historical pools, or their matched or weighted summaries. One core,
+:func:`map_estimates`, takes the arm summaries (:func:`arm_summaries`),
+one study list and any number of (tau scale, omega) pairs. It stacks
+the pairs' mixtures as (pairs, components) arrays and runs every step
+on all of them at once, row by row and in the order of the one-mixture
+formulas, so each pair's estimate is the same to the last bit whatever
+pairs share its call. :func:`estimate_map`, :func:`estimate_psm_map`,
+:func:`estimate_psw_map`, :func:`robustify`, :func:`posterior_update`
+and :func:`effect_posterior` are one-row calls of the same kernels.
+
 Power-prior borrowing discounts the historical likelihood precision by
 a factor alpha. The two stratified estimators share one front end:
 strata of the pooled sample by concurrent propensity-score quantiles,
@@ -47,6 +58,13 @@ __all__ = [
     "posterior_update",
     "effect_posterior",
     "power_prior_update",
+    "ArmSummaries",
+    "arm_summaries",
+    "pool_studies",
+    "matched_studies",
+    "weighted_studies",
+    "resolve_tau_scale",
+    "map_estimates",
     "estimate_map",
     "estimate_psm_map",
     "estimate_psw_map",
@@ -86,8 +104,7 @@ class NormalMixture:
         w, m, s = self.weights, self.means, self.sds
         if w.ndim != 1 or w.size < 1 or m.shape != w.shape or s.shape != w.shape:
             raise ValueError("weights, means and sds must be 1-d arrays of equal length >= 1")
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(s)) and np.all(s > 0)):
-            raise ValueError("component means must be finite and SDs positive")
+        _check_components(m, s)
         if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-10:
             raise ValueError("weights must be non-negative and sum to 1")
 
@@ -95,12 +112,15 @@ class NormalMixture:
     def normal(mean: float, sd: float) -> "NormalMixture":
         return NormalMixture(np.ones(1), np.array([float(mean)]), np.array([float(sd)]))
 
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weights, means and SDs as one-row arrays, for the stacked kernels."""
+        return self.weights[None], self.means[None], self.sds[None]
+
     def mean(self) -> float:
-        return float(self.weights @ self.means)
+        return float(_moments(*self._rows())[0][0])
 
     def var(self) -> float:
-        mu = self.mean()
-        return float(self.weights @ (self.sds**2 + (self.means - mu) ** 2))
+        return float(_moments(*self._rows())[1][0])
 
     def sd(self) -> float:
         return math.sqrt(max(self.var(), 0.0))
@@ -204,15 +224,139 @@ def map_prior(studies: list[StudySummary], tau_scale: float) -> NormalMixture:
     return NormalMixture(w_tau / w_tau.sum(), mu_hat, np.sqrt(v_mu + taus**2))
 
 
+# ---------------------------------------------------------------------------
+# Stacked mixtures: one row per mixture, one column per component
+# ---------------------------------------------------------------------------
+#
+# Every kernel works row by row and reduces only along a row, in the order
+# of the one-mixture formulas, so a row's bits do not depend on the rows
+# stacked with it.
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two (rows, n) arrays.
+
+    A stacked vector-vector ``matmul`` runs the BLAS dot of a 1-d
+    ``a @ b`` on every row; ``(a * b).sum(1)`` and ``einsum`` add in
+    another order and move last bits.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _moments(w: np.ndarray, m: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of each row's mixture."""
+    mu = _rowdot(w, m)
+    return mu, _rowdot(w, s**2 + (m - mu[:, None]) ** 2)
+
+
+def _check_components(means: np.ndarray, sds: np.ndarray) -> None:
+    if not (np.isfinite(means).all() and np.isfinite(sds).all() and (sds > 0).all()):
+        raise ValueError("component means must be finite and SDs positive")
+
+
+def _robustify_rows(
+    w: np.ndarray, m: np.ndarray, s: np.ndarray, omegas: np.ndarray, mean: float, sd: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Append a vague component N(``mean``, ``sd``) to every row, with row
+    i's weight ``omegas[i]``."""
+    if not np.all((omegas >= 0.0) & (omegas <= 1.0)):
+        raise ValueError("omega must lie in [0, 1]")
+    _check_components(np.asarray(mean), np.asarray(sd))
+    rows = len(w)
+    return (np.hstack([(1.0 - omegas)[:, None] * w, omegas[:, None]]),
+            np.hstack([m, np.full((rows, 1), mean)]), np.hstack([s, np.full((rows, 1), sd)]))
+
+
+def _update_rows(
+    w: np.ndarray, m: np.ndarray, s: np.ndarray, data_mean: float, data_se: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`posterior_update` of every row."""
+    if not (np.isfinite(data_mean) and np.isfinite(data_se) and data_se > 0):
+        raise ValueError("need a finite data mean and positive se")
+    var = s**2
+    marg_var = var + data_se**2
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w) - 0.5 * (data_mean - m) ** 2 / marg_var - 0.5 * np.log(marg_var)
+    post_w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    post_var = var * data_se**2 / marg_var
+    post_mean = (m * data_se**2 + data_mean * var) / marg_var
+    post_sd = np.sqrt(post_var)
+    _check_components(post_mean, post_sd)
+    return post_w / post_w.sum(axis=1, keepdims=True), post_mean, post_sd
+
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _mixture_quantiles(
+    w: np.ndarray, mu: np.ndarray, sd: np.ndarray, q: np.ndarray,
+    mean: np.ndarray, total_sd: np.ndarray,
+) -> np.ndarray:
+    """The q[i]-quantile of row i's normal mixture by bracketed Newton on its CDF.
+
+    Cantelli's inequality puts the quantile within k total SDs of the
+    mean, k = sqrt(1/min(q, 1-q) - 1), which gives the starting bracket;
+    the mixture density is the derivative, and a Newton step that leaves
+    the bracket is replaced by bisection. The CDF and the density are
+    evaluated for all unfinished rows at once; each row's step is taken
+    in Python floats, and each row stops on its own.
+    """
+    k = np.sqrt(1.0 / np.minimum(q, 1.0 - q) - 1.0)
+    lo, hi = (mean - k * total_sd).tolist(), (mean + k * total_sd).tolist()
+    x = (mean + ndtri(q) * total_sd).tolist()
+    tol = (1e-12 * total_sd).tolist()
+    todo = list(range(len(x)))
+    for _ in range(100):
+        if not todo:
+            break
+        w_a, sd_a = w[todo], sd[todo]
+        z = (np.array([x[i] for i in todo])[:, None] - mu[todo]) / sd_a
+        cdfs = (_rowdot(w_a, ndtr(z)) - q[todo]).tolist()
+        densities = (_rowdot(w_a, np.exp(-0.5 * z * z) / sd_a) * _INV_SQRT_2PI).tolist()
+        unfinished = []
+        for i, f, dens in zip(todo, cdfs, densities):
+            if f < 0.0:
+                lo[i] = x[i]
+            else:
+                hi[i] = x[i]
+            step = f / dens if dens > 0.0 else math.inf
+            x[i] -= step
+            if abs(step) < tol[i]:
+                continue
+            if not lo[i] < x[i] < hi[i]:
+                x[i] = 0.5 * (lo[i] + hi[i])
+                if hi[i] - lo[i] < tol[i]:
+                    continue
+            unfinished.append(i)
+        todo = unfinished
+    return np.array(x)
+
+
+def _effect_rows(
+    w: np.ndarray, m: np.ndarray, s: np.ndarray, treated_mean: float, treated_se: float,
+    alpha: float,
+) -> tuple[np.ndarray, ...]:
+    """Effect posterior of each row's control posterior: the estimates, SDs,
+    lower and upper interval ends, and the control posterior variances."""
+    if treated_se <= 0 or not np.isfinite(treated_se):
+        raise ValueError("treated se must be positive and finite")
+    c_mean, c_var = _moments(w, m, s)
+    est = treated_mean - c_mean
+    sd = np.sqrt(treated_se**2 + c_var)
+    mu = treated_mean - m
+    comp_sd = np.sqrt(s**2 + treated_se**2)
+    rows = len(w)
+    ends = _mixture_quantiles(
+        np.concatenate([w, w]), np.concatenate([mu, mu]), np.concatenate([comp_sd, comp_sd]),
+        np.repeat([alpha / 2.0, 1.0 - alpha / 2.0], rows), np.tile(est, 2), np.tile(sd, 2),
+    )
+    return est, sd, ends[:rows], ends[rows:], c_var
+
+
 def robustify(prior: NormalMixture, omega: float, mean: float, sd: float) -> NormalMixture:
     """Append a vague normal component N(``mean``, ``sd``) with weight ``omega``."""
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1]")
-    return NormalMixture(
-        np.append((1.0 - omega) * prior.weights, omega),
-        np.append(prior.means, mean),
-        np.append(prior.sds, sd),
-    )
+    w, m, s = _robustify_rows(*prior._rows(), np.array([omega], dtype=float), mean, sd)
+    return NormalMixture(w[0], m[0], s[0])
 
 
 def posterior_update(prior: NormalMixture, data_mean: float, data_se: float) -> NormalMixture:
@@ -221,56 +365,8 @@ def posterior_update(prior: NormalMixture, data_mean: float, data_se: float) -> 
     Each component is reweighted by its marginal likelihood of the data,
     N(data_mean; m_k, s_k^2 + data_se^2).
     """
-    if not (np.isfinite(data_mean) and np.isfinite(data_se) and data_se > 0):
-        raise ValueError("need a finite data mean and positive se")
-    var = prior.sds**2
-    marg_var = var + data_se**2
-    with np.errstate(divide="ignore"):
-        log_w = (
-            np.log(prior.weights)
-            - 0.5 * (data_mean - prior.means) ** 2 / marg_var
-            - 0.5 * np.log(marg_var)
-        )
-    w = np.exp(log_w - log_w.max())
-    post_var = var * data_se**2 / marg_var
-    post_mean = (prior.means * data_se**2 + data_mean * var) / marg_var
-    return NormalMixture(w / w.sum(), post_mean, np.sqrt(post_var))
-
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _mixture_quantile(
-    w: np.ndarray, mu: np.ndarray, sd: np.ndarray, q: float, mean: float, total_sd: float
-) -> float:
-    """The q-quantile of a normal mixture by bracketed Newton on its CDF.
-
-    Cantelli's inequality puts the quantile within k total SDs of the
-    mean, k = sqrt(1/min(q, 1-q) - 1), which gives the starting bracket;
-    the mixture density is the derivative, and a Newton step that leaves
-    the bracket is replaced by bisection.
-    """
-    k = math.sqrt(1.0 / min(q, 1.0 - q) - 1.0)
-    lo, hi = mean - k * total_sd, mean + k * total_sd
-    x = mean + float(ndtri(q)) * total_sd
-    tol = 1e-12 * total_sd
-    for _ in range(100):
-        z = (x - mu) / sd
-        f = float(w @ ndtr(z)) - q
-        if f < 0.0:
-            lo = x
-        else:
-            hi = x
-        dens = float(w @ (np.exp(-0.5 * z * z) / sd)) * _INV_SQRT_2PI
-        step = f / dens if dens > 0.0 else math.inf
-        if abs(step) < tol:
-            return x - step
-        x -= step
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if hi - lo < tol:
-                return x
-    return x
+    w, m, s = _update_rows(*prior._rows(), data_mean, data_se)
+    return NormalMixture(w[0], m[0], s[0])
 
 
 def effect_posterior(
@@ -284,25 +380,23 @@ def effect_posterior(
     The treated arm contributes an exact normal, so the difference is a
     normal mixture with one component per control component: moments are
     exact and each end of the central credible interval is a quantile of
-    the mixture (:func:`_mixture_quantile`). Rejection means the interval
+    the mixture (:func:`_mixture_quantiles`). Rejection means the interval
     excludes zero.
     """
-    if treated_se <= 0 or not np.isfinite(treated_se):
-        raise ValueError("treated se must be positive and finite")
-    est = treated_mean - control_posterior.mean()
-    sd = math.sqrt(treated_se**2 + control_posterior.var())
+    est, sd, lo, hi, _ = _effect_rows(*control_posterior._rows(), treated_mean, treated_se,
+                                      alpha)
+    return _effect_estimate(est[0], sd[0], lo[0], hi[0])
 
-    w = control_posterior.weights
-    mu = treated_mean - control_posterior.means
-    comp_sd = np.sqrt(control_posterior.sds**2 + treated_se**2)
-    lo_q = _mixture_quantile(w, mu, comp_sd, alpha / 2.0, est, sd)
-    hi_q = _mixture_quantile(w, mu, comp_sd, 1.0 - alpha / 2.0, est, sd)
-    return EffectEstimate(
-        estimate=est,
-        se=sd,
-        reject=bool(lo_q > 0.0 or hi_q < 0.0),
-        interval=(lo_q, hi_q),
-    )
+
+def _effect_estimate(est, sd, lo, hi, **extra) -> EffectEstimate:
+    lo, hi = float(lo), float(hi)
+    return EffectEstimate(estimate=float(est), se=float(sd), reject=bool(lo > 0.0 or hi < 0.0),
+                          interval=(lo, hi), **extra)
+
+
+# ---------------------------------------------------------------------------
+# Power prior
+# ---------------------------------------------------------------------------
 
 
 def power_prior_update(
@@ -340,72 +434,30 @@ def _mean_se(y: np.ndarray) -> tuple[float, float]:
     return float(y.mean()), float(y.std(ddof=1) / math.sqrt(n))
 
 
-def _pooled_mean(studies: list[StudySummary]) -> float:
-    prec = np.array([1.0 / (s.se * s.se) for s in studies])
-    means = np.array([s.mean for s in studies])
-    return float((means * prec).sum() / prec.sum())
+@dataclass(frozen=True)
+class ArmSummaries:
+    """What every MAP-family estimate of one dataset reads besides its
+    studies: mean and SE of the reduced concurrent treated and control
+    arms, and the unit-information SD (the pooled historical outcome SD)."""
+
+    t_mean: float
+    t_se: float
+    c_mean: float
+    c_se: float
+    unit_sd: float
 
 
-def _resolve_tau_scale(cfg: MapConfig, studies: list[StudySummary]) -> float:
-    if cfg.tau_ladder_label is None and len(studies) == 1:
-        # A single pool leaves the between-study spread unidentified and
-        # its standard error overstates any plausible spread, so the
-        # label-less default borrows more aggressively. The multiplier
-        # was calibrated once against the simulation grid and is frozen.
-        return SINGLE_POOL_TAU_MULT * studies[0].se
-    return TAU_LADDER[cfg.tau_ladder_label or "M"] * empirical_tau_scale(studies)
-
-
-def estimate_map(
-    dataset: TrialDataset,
-    cfg: MapConfig,
-    studies: list[StudySummary] | None = None,
-    extra_flags: tuple[str, ...] = (),
-) -> EffectEstimate:
-    """Robust MAP borrowing for the concurrent control arm.
-
-    Historical pools enter as study summaries (mean, sd/sqrt(n)); the
-    MAP prior is robustified with weight omega, updated with the reduced
-    concurrent control arm, and contrasted against the treated arm.
-    Callers may inject their own ``studies`` (matched or weighted
-    summaries); an empty list forces omega = 1, i.e. no borrowing beyond
-    the vague component.
-    """
+def arm_summaries(dataset: TrialDataset) -> ArmSummaries:
     red = dataset.reduced_concurrent
     t_mean, t_se = _mean_se(red.y[red.z == 1])
     c_mean, c_se = _mean_se(red.y[red.z == 0])
     unit_sd = float(np.std(dataset.pooled.y[len(red):], ddof=1))
+    return ArmSummaries(t_mean, t_se, c_mean, c_se, unit_sd)
 
-    flags = list(extra_flags)
-    if studies is None:
-        studies = [StudySummary(*_mean_se(pool.y)) for pool in dataset.historical]
 
-    omega = cfg.omega
-    if not studies:
-        omega = 1.0
-        flags.append("map:no_studies_forced_omega1")
-        prior = NormalMixture.normal(c_mean, unit_sd)
-        tau_scale = 0.0
-        prior_raw_sd = unit_sd
-    else:
-        tau_scale = _resolve_tau_scale(cfg, studies)
-        raw_prior = map_prior(studies, tau_scale)
-        prior_raw_sd = raw_prior.sd()
-        prior = robustify(raw_prior, omega, _pooled_mean(studies), unit_sd)
-
-    posterior = posterior_update(prior, c_mean, c_se)
-    est = effect_posterior(posterior, t_mean, t_se)
-    prior_var = prior.var()
-    est.flags = tuple(flags)
-    est.diagnostics = {
-        "tau_scale": tau_scale,
-        "prior_sd": math.sqrt(prior_var),
-        "prior_ess": (unit_sd * unit_sd) / prior_var if prior_var > 0 else float("inf"),
-        "prior_map_sd": prior_raw_sd,
-        "control_post_sd": posterior.sd(),
-        "n_studies": float(len(studies)),
-    }
-    return est
+def pool_studies(dataset: TrialDataset) -> list[StudySummary]:
+    """One summary (mean, sd/sqrt(n)) per historical pool."""
+    return [StudySummary(*_mean_se(pool.y)) for pool in dataset.historical]
 
 
 def matched_study_summary(
@@ -455,6 +507,128 @@ def weighted_study_summary(
     return StudySummary(mean=mean, se=se)
 
 
+def matched_studies(
+    psfit: PsFit, matchsets: list[MatchSet]
+) -> tuple[list[StudySummary], tuple[str, ...]]:
+    """Summaries of the pools matched separately (``matchsets[j - 1]`` for
+    pool j), and a flag for each pool with under two distinct matches,
+    which is dropped."""
+    summaries = [matched_study_summary(ms, psfit) for ms in matchsets]
+    return _kept(summaries, "psm_map:pool{}_unmatched_dropped")
+
+
+def weighted_studies(
+    dataset: TrialDataset, psfit: PsFit, weights: np.ndarray
+) -> tuple[list[StudySummary], tuple[str, ...]]:
+    """Weighted summaries of the pools, and a flag for each pool that its
+    weights leave without a summary, which is dropped."""
+    trial, y = psfit.sample.trial, psfit.sample.y
+    summaries = [weighted_study_summary(y[trial == j], weights[trial == j])
+                 for j in range(1, dataset.k_historical + 1)]
+    return _kept(summaries, "psw_map:pool{}_trimmed_dropped")
+
+
+def _kept(summaries: list, flag: str) -> tuple[list[StudySummary], tuple[str, ...]]:
+    return ([s for s in summaries if s is not None],
+            tuple(flag.format(j) for j, s in enumerate(summaries, start=1) if s is None))
+
+
+def _pooled_mean(studies: list[StudySummary]) -> float:
+    prec = np.array([1.0 / (s.se * s.se) for s in studies])
+    means = np.array([s.mean for s in studies])
+    return float((means * prec).sum() / prec.sum())
+
+
+def resolve_tau_scale(cfg: MapConfig, studies: list[StudySummary]) -> float:
+    """The half-normal tau scale that ``cfg`` names for ``studies`` (0 for
+    no studies, where the prior is the vague component alone)."""
+    if not studies:
+        return 0.0
+    if cfg.tau_ladder_label is None and len(studies) == 1:
+        # A single pool leaves the between-study spread unidentified and
+        # its standard error overstates any plausible spread, so the
+        # label-less default borrows more aggressively. The multiplier
+        # was calibrated once against the simulation grid and is frozen.
+        return SINGLE_POOL_TAU_MULT * studies[0].se
+    return TAU_LADDER[cfg.tau_ladder_label or "M"] * empirical_tau_scale(studies)
+
+
+def map_estimates(
+    arms: ArmSummaries,
+    studies: list[StudySummary],
+    tau_scales: list[float],
+    omegas: list[float],
+    flags: tuple[str, ...] = (),
+) -> list[EffectEstimate]:
+    """Robust MAP estimates from one study list, one per (tau scale, omega) pair.
+
+    The MAP prior (one :func:`map_prior` per distinct tau scale) is
+    robustified with weight omega by a vague component at the
+    precision-weighted pooled study mean with SD ``arms.unit_sd``,
+    updated with the concurrent control arm and contrasted against the
+    treated arm. The pairs are stacked and evaluated together, row by
+    row, so each estimate equals the one-pair call bit for bit. An empty
+    ``studies`` forces omega = 1: the prior is the vague component alone,
+    at the control mean. ``flags`` go on every estimate.
+    """
+    if len(tau_scales) != len(omegas):
+        raise ValueError("need one omega per tau scale")
+    rows = len(omegas)
+    flags = tuple(flags)
+    if studies:
+        priors = {t: map_prior(studies, t) for t in dict.fromkeys(tau_scales)}
+        if len({p.weights.size for p in priors.values()}) > 1:
+            raise ValueError("tau scales must be all zero or all positive")
+        prior_sds = {t: p.sd() for t, p in priors.items()}
+        map_sds = [prior_sds[t] for t in tau_scales]
+        picked = [priors[t] for t in tau_scales]
+        w, m, s = _robustify_rows(
+            *(np.stack([getattr(p, f) for p in picked]) for f in ("weights", "means", "sds")),
+            np.array(omegas, dtype=float), _pooled_mean(studies), arms.unit_sd)
+    else:
+        flags += ("map:no_studies_forced_omega1",)
+        prior = NormalMixture.normal(arms.c_mean, arms.unit_sd)
+        w, m, s = (np.tile(a, (rows, 1)) for a in (prior.weights, prior.means, prior.sds))
+        tau_scales, map_sds = [0.0] * rows, [arms.unit_sd] * rows
+
+    post = _update_rows(w, m, s, arms.c_mean, arms.c_se)
+    est, sd, lo, hi, post_var = _effect_rows(*post, arms.t_mean, arms.t_se, ALPHA)
+    _, prior_var = _moments(w, m, s)
+    out = []
+    for r in range(rows):
+        pv = float(prior_var[r])
+        out.append(_effect_estimate(est[r], sd[r], lo[r], hi[r], flags=flags, diagnostics={
+            "tau_scale": float(tau_scales[r]),
+            "prior_sd": math.sqrt(pv),
+            "prior_ess": (arms.unit_sd * arms.unit_sd) / pv if pv > 0 else float("inf"),
+            "prior_map_sd": map_sds[r],
+            "control_post_sd": math.sqrt(max(float(post_var[r]), 0.0)),
+            "n_studies": float(len(studies)),
+        }))
+    return out
+
+
+def estimate_map(
+    dataset: TrialDataset,
+    cfg: MapConfig,
+    studies: list[StudySummary] | None = None,
+    extra_flags: tuple[str, ...] = (),
+) -> EffectEstimate:
+    """Robust MAP borrowing for the concurrent control arm: one
+    :func:`map_estimates` pair.
+
+    Historical pools enter as study summaries (:func:`pool_studies`).
+    Callers may inject their own ``studies`` (matched or weighted
+    summaries); an empty list forces omega = 1, i.e. no borrowing beyond
+    the vague component.
+    """
+    arms = arm_summaries(dataset)
+    if studies is None:
+        studies = pool_studies(dataset)
+    return map_estimates(arms, studies, [resolve_tau_scale(cfg, studies)], [cfg.omega],
+                         extra_flags)[0]
+
+
 def estimate_psm_map(
     dataset: TrialDataset, cfg: MapConfig, psfit: PsFit, matchsets: list[MatchSet]
 ) -> EffectEstimate:
@@ -465,32 +639,16 @@ def estimate_psm_map(
     are dropped (flagged), and if every pool drops out omega is forced
     to 1.
     """
-    flags = []
-    studies = []
-    for j, ms in enumerate(matchsets, start=1):
-        summary = matched_study_summary(ms, psfit)
-        if summary is None:
-            flags.append(f"psm_map:pool{j}_unmatched_dropped")
-        else:
-            studies.append(summary)
-    return estimate_map(dataset, cfg, studies=studies, extra_flags=tuple(flags))
+    studies, flags = matched_studies(psfit, matchsets)
+    return estimate_map(dataset, cfg, studies=studies, extra_flags=flags)
 
 
 def estimate_psw_map(
     dataset: TrialDataset, cfg: MapConfig, psfit: PsFit, weights: np.ndarray
 ) -> EffectEstimate:
     """MAP borrowing from per-trial weighted historical summaries."""
-    sample = psfit.sample
-    flags = []
-    studies = []
-    for j in range(1, dataset.k_historical + 1):
-        mask = sample.trial == j
-        summary = weighted_study_summary(sample.y[mask], weights[mask])
-        if summary is None:
-            flags.append(f"psw_map:pool{j}_trimmed_dropped")
-        else:
-            studies.append(summary)
-    return estimate_map(dataset, cfg, studies=studies, extra_flags=tuple(flags))
+    studies, flags = weighted_studies(dataset, psfit, weights)
+    return estimate_map(dataset, cfg, studies=studies, extra_flags=flags)
 
 
 # ---------------------------------------------------------------------------

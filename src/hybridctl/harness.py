@@ -26,12 +26,15 @@ import yaml
 from .borrow import (
     MapConfig,
     TAU_LADDER,
+    arm_summaries,
     build_strata,
-    estimate_map,
-    estimate_psm_map,
     estimate_pss_cl,
     estimate_pss_pp,
-    estimate_psw_map,
+    map_estimates,
+    matched_studies,
+    pool_studies,
+    resolve_tau_scale,
+    weighted_studies,
 )
 from .metrics import EffectEstimate, SummaryRow, essr, summarize
 from .mixed import estimate_mm
@@ -185,7 +188,7 @@ def _map(entry: dict, where: str) -> list[tuple[str, MapConfig]]:
     if tau_labels is not None and not (isinstance(tau_labels, list) and tau_labels):
         raise ConfigError(f"{where}.tau_ladder: expected a non-empty list")
     for lab in tau_labels or ():
-        if lab not in TAU_LADDER:
+        if not isinstance(lab, str) or lab not in TAU_LADDER:
             raise ConfigError(f"{where}.tau_ladder: unknown label {lab!r} "
                               f"(expected one of {sorted(TAU_LADDER)})")
 
@@ -207,14 +210,19 @@ class MethodSpec:
     """Everything a method id means to the harness.
 
     ``covset``: the method runs once per covariate set, and an entry may
-    set ``covsets``. ``map``: a MAP-family method, whose entries may set
+    set ``covsets``. ``evaluate`` runs one cell on a replicate. A
+    MAP-family method sets ``studies``, which builds the study list and
+    drop flags of its source for a covariate set; its entries may set
     ``omega``/``omegas`` and ``tau_ladder``, one cell per combination.
-    ``evaluate`` runs one cell on a replicate.
     """
 
     covset: bool
-    map: bool
     evaluate: Callable[[Cell, _ReplicateCaches], EffectEstimate]
+    studies: Callable[[_ReplicateCaches, int | None], tuple[list, tuple[str, ...]]] | None = None
+
+    @property
+    def map(self) -> bool:
+        return self.studies is not None
 
     @property
     def keys(self) -> frozenset[str]:
@@ -225,29 +233,27 @@ class MethodSpec:
 # The evaluators look each estimator up as a module global when they
 # run, so a wrapper installed on this module's names sees every call.
 METHODS: dict[str, MethodSpec] = {
-    "unadj.rc": MethodSpec(False, False, lambda cell, c:
+    "unadj.rc": MethodSpec(False, lambda cell, c:
         unadjusted_effect(c.dataset.reduced_concurrent)),
-    "unadj.fc": MethodSpec(False, False, lambda cell, c:
+    "unadj.fc": MethodSpec(False, lambda cell, c:
         unadjusted_effect(c.dataset.full_concurrent)),
-    "PSM": MethodSpec(True, False, lambda cell, c:
+    "PSM": MethodSpec(True, lambda cell, c:
         estimate_psm(c.dataset, c.psfit(cell.covset), c.matchset(cell.covset))),
-    "PSW": MethodSpec(True, False, lambda cell, c:
+    "PSW": MethodSpec(True, lambda cell, c:
         estimate_psw(c.dataset, c.psfit(cell.covset), c.weightset(cell.covset))),
-    "MAP": MethodSpec(False, True, lambda cell, c:
-        estimate_map(c.dataset, cell.map_cfg)),
-    "PSM+MAP": MethodSpec(True, True, lambda cell, c:
-        estimate_psm_map(c.dataset, cell.map_cfg, c.psfit(cell.covset),
-                         c.trial_matchsets(cell.covset))),
-    "PSW+MAP": MethodSpec(True, True, lambda cell, c:
-        estimate_psw_map(c.dataset, cell.map_cfg, c.psfit(cell.covset),
-                         c.weightset(cell.covset))),
-    "PSS+PP": MethodSpec(True, False, lambda cell, c:
+    "MAP": MethodSpec(False, lambda cell, c: c.map_row(cell), lambda c, covset:
+        (pool_studies(c.dataset), ())),
+    "PSM+MAP": MethodSpec(True, lambda cell, c: c.map_row(cell), lambda c, covset:
+        matched_studies(c.psfit(covset), c.trial_matchsets(covset))),
+    "PSW+MAP": MethodSpec(True, lambda cell, c: c.map_row(cell), lambda c, covset:
+        weighted_studies(c.dataset, c.psfit(covset), c.weightset(covset))),
+    "PSS+PP": MethodSpec(True, lambda cell, c:
         estimate_pss_pp(c.strata(cell.covset))),
-    "PSS+CL": MethodSpec(True, False, lambda cell, c:
+    "PSS+CL": MethodSpec(True, lambda cell, c:
         estimate_pss_cl(c.strata(cell.covset))),
-    "MM": MethodSpec(True, False, lambda cell, c:
+    "MM": MethodSpec(True, lambda cell, c:
         estimate_mm(c.dataset, cell.covset)),
-    "MM.nc": MethodSpec(False, False, lambda cell, c:
+    "MM.nc": MethodSpec(False, lambda cell, c:
         estimate_mm(c.dataset, None)),
 }
 
@@ -277,15 +283,16 @@ def expand_cells(
     seen = {c.key for c in cells}
     for i, raw in enumerate(methods):
         here = f"{where}[{i}]"
+        if not isinstance(raw, (str, dict, type(None))):
+            raise ConfigError(f"{here}: expected a method id or a mapping, not {raw!r}")
         entry = {"method_id": raw} if isinstance(raw, str) else dict(raw or {})
         if "method_id" not in entry:
             raise ConfigError(f"{here}: missing method_id")
         method_id = entry.pop("method_id")
-        spec = METHODS.get(method_id)
+        spec = METHODS.get(method_id) if isinstance(method_id, str) else None
         if spec is None:
-            raise ConfigError(
-                f"{here}: unknown method {method_id!r} (expected one of {sorted(METHODS)})"
-            )
+            raise ConfigError(f"{here}.method_id: unknown method {method_id!r} "
+                              f"(expected one of {sorted(METHODS)})")
         unknown = set(entry) - spec.keys
         if unknown:
             raise ConfigError(f"{here}: unknown key(s) {sorted(unknown)} for method {method_id}")
@@ -306,6 +313,8 @@ def expand_cells(
 
 
 def _parse_coefficients(raw: dict, where: str) -> GenCoefficients:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a mapping")
     allowed = {"alpha0", "alpha", "theta_treat", "beta0", "beta", "sigma_e"}
     unknown = set(raw) - allowed
     if unknown:
@@ -353,7 +362,7 @@ def _parse_scenario(raw: dict, defaults: dict, where: str) -> ScenarioConfig:
         raise ConfigError(f"{where}: give exactly one of preset or coefficients")
     if "preset" in raw:
         name = raw["preset"]
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             raise ConfigError(
                 f"{where}.preset: unknown preset {name!r} (expected one of {sorted(PRESETS)})"
             )
@@ -483,12 +492,16 @@ def replicate_rng(
 
 class _ReplicateCaches:
     """Inputs shared across a replicate's cells, each built once: propensity
-    fits, match sets, weight sets and strata. A build that fails with a
-    ``ValueError`` (the expected numerical failures) is not retried: every
-    later lookup raises the same error again."""
+    fits, match sets, weight sets, strata, and for the MAP family the arm
+    summaries, each source's study list and each source's batch of rows.
+    A build that fails with a ``ValueError`` (the expected numerical
+    failures) is not retried: every later lookup raises the same error
+    again."""
 
-    def __init__(self, dataset: TrialDataset, sid: str, seed: int, replicate: int):
-        self.dataset, self.sid, self.seed, self.replicate = dataset, sid, seed, replicate
+    def __init__(self, dataset: TrialDataset, cells: tuple[Cell, ...], sid: str, seed: int,
+                 replicate: int):
+        self.dataset, self.cells = dataset, cells
+        self.sid, self.seed, self.replicate = sid, seed, replicate
         self.memo: dict = {}
 
     def _memo(self, key: tuple, build: Callable[[], object]):
@@ -531,6 +544,35 @@ class _ReplicateCaches:
     def strata(self, covset: int):
         return self._memo(("strata", covset), lambda: build_strata(self.psfit(covset)))
 
+    def arms(self):
+        return self._memo(("arms",), lambda: arm_summaries(self.dataset))
+
+    def studies(self, method_id: str, covset: int | None):
+        """The study list and drop flags of a MAP-family source."""
+        return self._memo(("studies", method_id, covset),
+                          lambda: METHODS[method_id].studies(self, covset))
+
+    def map_row(self, cell: Cell):
+        """A MAP-family cell's row. The first cell of a source (method and
+        covariate set) evaluates, in one call, every cell of the
+        replicate's list that reads the source."""
+        source = (cell.method_id, cell.covset)
+        return self._memo(("map", *source), lambda: self._map_batch(*source))[cell.key]
+
+    def _map_batch(self, method_id: str, covset: int | None) -> dict:
+        # A failing source reports the failure its one-cell estimator
+        # meets first: the plain one summarises the arms before its pools,
+        # the matched and weighted ones after their study lists.
+        if method_id == "MAP":
+            self.arms()
+        studies, flags = self.studies(method_id, covset)
+        arms = self.arms()
+        cells = [c for c in self.cells if (c.method_id, c.covset) == (method_id, covset)]
+        rows = map_estimates(arms, studies,
+                             [resolve_tau_scale(c.map_cfg, studies) for c in cells],
+                             [c.map_cfg.omega for c in cells], flags)
+        return {c.key: row for c, row in zip(cells, rows)}
+
 
 def _failed_estimate(exc: Exception) -> EffectEstimate:
     reason = f"error:{type(exc).__name__}:{str(exc)[:120]}"
@@ -551,7 +593,7 @@ def evaluate_cells(
     ``rows[i]`` is the estimate of ``cells[i]``: the estimators return
     unlabelled results, and a row's label is its cell's.
     """
-    caches = _ReplicateCaches(dataset, scenario_id, master_seed, replicate)
+    caches = _ReplicateCaches(dataset, cells, scenario_id, master_seed, replicate)
     rows: list[EffectEstimate] = []
     for cell in cells:
         try:
@@ -670,7 +712,7 @@ def write_summary_csv(path: str, results: list[ScenarioResult]) -> None:
 
 def read_summary_csv(path: str) -> list[SummaryRow]:
     """Rows of a summary.csv; a ValueError names the file and, for a row
-    that is short, does not parse or is not valid CSV, its line."""
+    that is short or long, does not parse or is not valid CSV, its line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:

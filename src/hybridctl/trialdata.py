@@ -362,7 +362,10 @@ def build_replicate(
 
 
 def _field(line: int, row: dict, col: str, parse):
-    """One CSV field parsed, or a ValueError naming its line and column."""
+    """One CSV field parsed, or a ValueError naming its line and column; a
+    row longer than the header is a ValueError naming its line."""
+    if None in row:  # csv.DictReader files the fields beyond the header under None
+        raise ValueError(f"line {line}: {len(row[None])} field(s) beyond the header")
     value = row[col]
     if value is None:  # csv.DictReader's filler for the fields a short row lacks
         raise ValueError(f"line {line}: column '{col}' is missing")
@@ -383,7 +386,8 @@ def load_subjects_csv(path: str) -> TrialDataset:
     the missing column.
     A field that is missing (a short row) or does not parse, and a
     non-finite ``y`` or covariate (nan, inf), is an error naming the
-    first line and column that hold one; a line the CSV reader rejects
+    first line and column that hold one; a row with more fields than the
+    header is an error naming its line; a line the CSV reader rejects
     (such as a field over its size limit) is an error naming the line.
     Error messages leave the file name to the caller.
     The concurrent trial is analyzed as-is, so the full and reduced

@@ -30,7 +30,7 @@ from hybridctl.borrow import (
     StudySummary,
     _mean_se,
     _pooled_mean,
-    _resolve_tau_scale,
+    resolve_tau_scale,
 )
 from hybridctl.metrics import EffectEstimate
 from hybridctl.trialdata import TrialDataset
@@ -304,7 +304,7 @@ def estimate_map(
         tau_scale = 0.0
         prior_raw_sd = vague_sd
     else:
-        tau_scale = _resolve_tau_scale(cfg, studies)
+        tau_scale = resolve_tau_scale(cfg, studies)
         vague_mean = _pooled_mean(studies)
         vague_sd = unit_sd
         grid = _widen(

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +311,29 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert f"methods[0]: unknown key(s) ['{key}'] for method {method_id}" in err
 
+    @pytest.mark.parametrize("scenario,message", [
+        ({"methods": [{"method_id": ["PSM"]}]},
+         "scenarios[0].methods[0].method_id: unknown method ['PSM']"),
+        ({"methods": [{"method_id": "MAP", "tau_ladder": [["M"]]}]},
+         "scenarios[0].methods[0].tau_ladder: unknown label ['M']"),
+        ({"preset": ["single-moderate"]}, "scenarios[0].preset: unknown preset ['single-moderate']"),
+        ({"methods": [["PSM"]]}, "scenarios[0].methods[0]: expected a method id or a mapping"),
+        ({"methods": [5]}, "scenarios[0].methods[0]: expected a method id or a mapping, not 5"),
+    ], ids=["method_id", "tau_ladder", "preset", "method-entry-list", "method-entry-int"])
+    def test_lists_where_a_name_belongs_rejected(self, tmp_path, capsys, scenario, message):
+        # YAML loads [x] as a list, which no dict lookup accepts as a key
+        path = write_demo_config(tmp_path, {"replicates": 1}, scenario)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coefficients", ["[[1.0]]", "5"], ids=["list", "number"])
+    def test_coefficients_must_be_a_mapping(self, tmp_path, capsys, coefficients):
+        p = tmp_path / "bad.yaml"
+        p.write_text("master_seed: 1\nscenarios:\n  - scenario_id: a\n    n_total: 300\n"
+                     f"    coefficients: {coefficients}\n    methods: [PSM]\n")
+        assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "r")]) == 2
+        assert "scenarios[0].coefficients: expected a mapping" in capsys.readouterr().err
+
     def test_readme_run_config_example_loads(self, tmp_path):
         section = README.read_text().split("## Run configs", 1)[1]
         p = tmp_path / "example.yaml"
@@ -458,6 +482,38 @@ class TestRunReplicate:
         assert len({r.flags for r in borrowers}) == 1
         assert borrowers[0].flags[0].startswith("error:SeparationError:")
 
+    def test_map_family_inputs_built_once_per_source(self, monkeypatch):
+        counts = Counter()
+        priors = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in ("arm_summaries", "pool_studies", "matched_studies", "weighted_studies"):
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        map_prior = borrow.map_prior
+
+        def counting_prior(studies, tau_scale):
+            priors.append((tuple(studies), tau_scale))
+            return map_prior(studies, tau_scale)
+
+        monkeypatch.setattr(borrow, "map_prior", counting_prior)
+        sc = small_scenario(MAP_FAMILY_METHODS, covsets=(1, 3))
+        assert len(sc.cells) == 2 + 5 * 20
+        for replicate in range(2):
+            counts.clear()
+            priors.clear()
+            rows = run_replicate(sc, replicate)
+            assert not any(r.failed for r in rows)
+            # sources: the plain pools, and matched and weighted pools per covset
+            assert counts == {"arm_summaries": 1, "pool_studies": 1, "matched_studies": 2,
+                              "weighted_studies": 2}
+            # one prior per (source, tau scale): five sources, five tau labels
+            assert len(priors) == len(set(priors)) == 25
+
     def test_essr_filled_against_benchmark(self):
         sc = small_scenario(["PSM", "MAP"], n_total=300)
         rows = run_replicate(sc, 1)
@@ -465,6 +521,66 @@ class TestRunReplicate:
         for c, r in zip(sc.cells, rows):
             if c.method_id in ("PSM", "MAP") and not r.failed:
                 assert r.essr_pct is not None
+
+
+# Every MAP-family method with omegas 0, 0.2, 0.5 and 1, each without a
+# tau ladder label and with each of L, M, S and XS: 20 cells per source.
+MAP_FAMILY_METHODS = [
+    {"method_id": method_id, "omegas": [0.0, 0.2, 0.5, 1.0], **tau}
+    for method_id in ("MAP", "PSM+MAP", "PSW+MAP")
+    for tau in ({}, {"tau_ladder": ["L", "M", "S", "XS"]})
+]
+
+
+def flat_pools(ds):
+    """``ds`` with every historical outcome set to its pool number: no pool
+    summary has a positive SE, so the plain source fails and the matched
+    and weighted sources keep no study."""
+    pools = tuple(dataclasses.replace(p, y=np.full(len(p.y), float(j)))
+                  for j, p in enumerate(ds.historical, start=1))
+    return TrialDataset(ds.full_concurrent, ds.reduced_concurrent, pools)
+
+
+def one_cell_call(ds, cell, caches):
+    """The library's one-cell estimate of a MAP-family cell, on the
+    replicate's own propensity fit, match sets and weights."""
+    cfg, cs = cell.map_cfg, cell.covset
+    try:
+        if cell.method_id == "MAP":
+            return borrow.estimate_map(ds, cfg)
+        if cell.method_id == "PSM+MAP":
+            return borrow.estimate_psm_map(ds, cfg, caches.psfit(cs), caches.trial_matchsets(cs))
+        return borrow.estimate_psw_map(ds, cfg, caches.psfit(cs), caches.weightset(cs))
+    except ValueError as exc:
+        return harness._failed_estimate(exc)
+
+
+@pytest.mark.parametrize("name,n_total,flat", [
+    ("single-moderate", 400, False), ("multi-moderate", 800, False), ("multi-moderate", 800, True),
+], ids=["single-pool", "three-pool", "three-flat-pools"])
+def test_map_family_rows_equal_one_cell_calls(name, n_total, flat):
+    ds = build_replicate(preset(name), n_total, np.random.default_rng(23))
+    if flat:
+        ds = flat_pools(ds)
+    cells = expand_cells(MAP_FAMILY_METHODS, (1, 3))
+    rows = evaluate_cells(ds, cells, "map-family", 5, 0)
+    caches = harness._ReplicateCaches(ds, cells, "map-family", 5, 0)
+    family = [(c, r) for c, r in zip(cells, rows) if METHODS[c.method_id].map]
+    assert len(family) == 100
+    for cell, row in family:
+        assert row_signature(row) == row_signature(one_cell_call(ds, cell, caches)), cell.key
+        if not row.failed:
+            numbers = [row.estimate, row.se, *row.interval, *row.diagnostics.values()]
+            assert all(type(v) is float for v in numbers) and type(row.reject) is bool
+    forced = {c.method_id for c, r in family if "map:no_studies_forced_omega1" in r.flags}
+    failed = {c.method_id for c, r in family if r.failed}
+    if flat:  # the failed plain source fails its own cells only
+        assert forced == {"PSM+MAP", "PSW+MAP"} and failed == {"MAP"}
+        assert not any(r.failed for r in rows[:2])  # unadj.rc and unadj.fc
+        assert {r.flags for c, r in family if r.failed} == {
+            ("error:ValueError:study summary needs a finite mean and positive se",)}
+    else:
+        assert not forced and not failed
 
 
 # Every method, with several MAP-family cells per covariate set, so each
@@ -775,7 +891,9 @@ class TestCli:
         ("quick-null,MAP,1.5,omega=0.5,0.1,,0.05,0.2,,,20,0",
          "line 3: column 'covset' is not an integer: '1.5'"),
         ("quick-null," + "M" * 200_000, "line 3: field larger than field limit"),
-    ], ids=["short-row", "not-a-number", "not-an-integer", "oversized-field"])
+        ("quick-null,PSM,1,,0.1,,0.05,0.2,50.5,49.1,20,0,7,8",
+         "line 3: 2 field(s) beyond the header"),
+    ], ids=["short-row", "not-a-number", "not-an-integer", "oversized-field", "long-row"])
     def test_table_rejects_unreadable_rows(self, tmp_path, capsys, row, message):
         good = "quick-null,PSM,1,,0.1,,0.05,0.2,50.5,49.1,20,0"
         (tmp_path / "summary.csv").write_text(f"{SUMMARY_HEADER}\n{good}\n{row}\n")
@@ -840,7 +958,8 @@ class TestCli:
         ("0,0,0.2", "line 3: column 'x1' is missing"),
         ("0,0,abc,0.2", "line 3: column 'y' is not a number: 'abc'"),
         ("0,0,0.2," + "1" * 200_000, "line 3: field larger than field limit"),
-    ], ids=["short-row", "not-a-number", "oversized-field"])
+        ("0,0,0.2,0.1,0.3", "line 3: 1 field(s) beyond the header"),
+    ], ids=["short-row", "not-a-number", "oversized-field", "long-row"])
     def test_analyze_rejects_unreadable_fields(self, tmp_path, capsys, row, message):
         path = tmp_path / "subjects.csv"
         path.write_text(f"trial,z,y,x1\n0,1,0.5,0.1\n{row}\n1,0,0.3,0.2\n")
