@@ -15,11 +15,8 @@ from .borrow import (
     arm_summaries,
     build_strata,
     effect_posterior,
-    estimate_map,
-    estimate_psm_map,
     estimate_pss_cl,
     estimate_pss_pp,
-    estimate_psw_map,
     map_estimates,
     map_prior,
     posterior_update,
@@ -101,9 +98,6 @@ __all__ = [
     "arm_summaries",
     "map_estimates",
     "build_strata",
-    "estimate_map",
-    "estimate_psm_map",
-    "estimate_psw_map",
     "estimate_pss_pp",
     "estimate_pss_cl",
     "LmmFit",

@@ -17,12 +17,11 @@ The three MAP-family estimators differ only in their study list: the
 historical pools, or their matched or weighted summaries. One core,
 :func:`map_estimates`, takes the arm summaries (:func:`arm_summaries`),
 one study list and any number of (tau scale, omega) pairs. It stacks
-the pairs' mixtures as (pairs, components) arrays and runs every step
-on all of them at once, row by row and in the order of the one-mixture
-formulas, so each pair's estimate is the same to the last bit whatever
-pairs share its call. :func:`estimate_map`, :func:`estimate_psm_map`,
-:func:`estimate_psw_map`, :func:`robustify`, :func:`posterior_update`
-and :func:`effect_posterior` are one-row calls of the same kernels.
+the pairs' mixtures as (rows, components) arrays of weights, means and
+SDs, one row per pair. :func:`robustify`, :func:`posterior_update` and
+:func:`effect_posterior` each run their step on every row at once, row
+by row and in the order of the one-mixture formulas, so each pair's
+estimate is the same to the last bit whatever pairs share its call.
 
 Power-prior borrowing discounts the historical likelihood precision by
 a factor alpha. The two stratified estimators share one front end:
@@ -65,9 +64,6 @@ __all__ = [
     "weighted_studies",
     "resolve_tau_scale",
     "map_estimates",
-    "estimate_map",
-    "estimate_psm_map",
-    "estimate_psw_map",
     "Strata",
     "build_strata",
     "estimate_pss_pp",
@@ -254,23 +250,25 @@ def _check_components(means: np.ndarray, sds: np.ndarray) -> None:
         raise ValueError("component means must be finite and SDs positive")
 
 
-def _robustify_rows(
+def robustify(
     w: np.ndarray, m: np.ndarray, s: np.ndarray, omegas: np.ndarray, mean: float, sd: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Append a vague component N(``mean``, ``sd``) to every row, with row
-    i's weight ``omegas[i]``."""
-    if not np.all((omegas >= 0.0) & (omegas <= 1.0)):
-        raise ValueError("omega must lie in [0, 1]")
+    i's weight ``omegas[i]`` (in [0, 1]; :func:`map_estimates` checks it)."""
     _check_components(np.asarray(mean), np.asarray(sd))
     rows = len(w)
     return (np.hstack([(1.0 - omegas)[:, None] * w, omegas[:, None]]),
             np.hstack([m, np.full((rows, 1), mean)]), np.hstack([s, np.full((rows, 1), sd)]))
 
 
-def _update_rows(
+def posterior_update(
     w: np.ndarray, m: np.ndarray, s: np.ndarray, data_mean: float, data_se: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`posterior_update` of every row."""
+    """Conjugate normal update of every component of every row.
+
+    Each component is reweighted by its marginal likelihood of the data,
+    N(data_mean; m_k, s_k^2 + data_se^2).
+    """
     if not (np.isfinite(data_mean) and np.isfinite(data_se) and data_se > 0):
         raise ValueError("need a finite data mean and positive se")
     var = s**2
@@ -332,12 +330,20 @@ def _mixture_quantiles(
     return np.array(x)
 
 
-def _effect_rows(
+def effect_posterior(
     w: np.ndarray, m: np.ndarray, s: np.ndarray, treated_mean: float, treated_se: float,
-    alpha: float,
+    alpha: float = ALPHA,
 ) -> tuple[np.ndarray, ...]:
-    """Effect posterior of each row's control posterior: the estimates, SDs,
-    lower and upper interval ends, and the control posterior variances."""
+    """Posterior of treated mean minus control mean, for each row's control
+    posterior.
+
+    The treated arm contributes an exact normal, so the difference is a
+    normal mixture with one component per control component: moments are
+    exact and each end of the central credible interval is a quantile of
+    the mixture (:func:`_mixture_quantiles`). Returns per-row arrays: the
+    estimates, SDs, lower and upper interval ends, and the control
+    posterior variances.
+    """
     if treated_se <= 0 or not np.isfinite(treated_se):
         raise ValueError("treated se must be positive and finite")
     c_mean, c_var = _moments(w, m, s)
@@ -351,47 +357,6 @@ def _effect_rows(
         np.repeat([alpha / 2.0, 1.0 - alpha / 2.0], rows), np.tile(est, 2), np.tile(sd, 2),
     )
     return est, sd, ends[:rows], ends[rows:], c_var
-
-
-def robustify(prior: NormalMixture, omega: float, mean: float, sd: float) -> NormalMixture:
-    """Append a vague normal component N(``mean``, ``sd``) with weight ``omega``."""
-    w, m, s = _robustify_rows(*prior._rows(), np.array([omega], dtype=float), mean, sd)
-    return NormalMixture(w[0], m[0], s[0])
-
-
-def posterior_update(prior: NormalMixture, data_mean: float, data_se: float) -> NormalMixture:
-    """Conjugate normal update of every component.
-
-    Each component is reweighted by its marginal likelihood of the data,
-    N(data_mean; m_k, s_k^2 + data_se^2).
-    """
-    w, m, s = _update_rows(*prior._rows(), data_mean, data_se)
-    return NormalMixture(w[0], m[0], s[0])
-
-
-def effect_posterior(
-    control_posterior: NormalMixture,
-    treated_mean: float,
-    treated_se: float,
-    alpha: float = ALPHA,
-) -> EffectEstimate:
-    """Posterior of treated mean minus control mean.
-
-    The treated arm contributes an exact normal, so the difference is a
-    normal mixture with one component per control component: moments are
-    exact and each end of the central credible interval is a quantile of
-    the mixture (:func:`_mixture_quantiles`). Rejection means the interval
-    excludes zero.
-    """
-    est, sd, lo, hi, _ = _effect_rows(*control_posterior._rows(), treated_mean, treated_se,
-                                      alpha)
-    return _effect_estimate(est[0], sd[0], lo[0], hi[0])
-
-
-def _effect_estimate(est, sd, lo, hi, **extra) -> EffectEstimate:
-    lo, hi = float(lo), float(hi)
-    return EffectEstimate(estimate=float(est), se=float(sd), reject=bool(lo > 0.0 or hi < 0.0),
-                          interval=(lo, hi), **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +531,20 @@ def map_estimates(
     robustified with weight omega by a vague component at the
     precision-weighted pooled study mean with SD ``arms.unit_sd``,
     updated with the concurrent control arm and contrasted against the
-    treated arm. The pairs are stacked and evaluated together, row by
-    row, so each estimate equals the one-pair call bit for bit. An empty
-    ``studies`` forces omega = 1: the prior is the vague component alone,
-    at the control mean. ``flags`` go on every estimate.
+    treated arm; an estimate rejects when its credible interval excludes
+    zero. The pairs are stacked and evaluated together, row by row, so
+    each estimate equals the one-pair call bit for bit. Every tau scale
+    must be finite and non-negative and every omega in [0, 1], with
+    studies or without. An empty ``studies`` forces omega = 1: the prior
+    is the vague component alone, at the control mean. ``flags`` go on
+    every estimate.
     """
     if len(tau_scales) != len(omegas):
         raise ValueError("need one omega per tau scale")
+    if not all(math.isfinite(t) and t >= 0.0 for t in tau_scales):
+        raise ValueError("tau_scale must be finite and non-negative")
+    if not all(0.0 <= o <= 1.0 for o in omegas):
+        raise ValueError("omega must lie in [0, 1]")
     rows = len(omegas)
     flags = tuple(flags)
     if studies:
@@ -582,7 +554,7 @@ def map_estimates(
         prior_sds = {t: p.sd() for t, p in priors.items()}
         map_sds = [prior_sds[t] for t in tau_scales]
         picked = [priors[t] for t in tau_scales]
-        w, m, s = _robustify_rows(
+        w, m, s = robustify(
             *(np.stack([getattr(p, f) for p in picked]) for f in ("weights", "means", "sds")),
             np.array(omegas, dtype=float), _pooled_mean(studies), arms.unit_sd)
     else:
@@ -591,64 +563,23 @@ def map_estimates(
         w, m, s = (np.tile(a, (rows, 1)) for a in (prior.weights, prior.means, prior.sds))
         tau_scales, map_sds = [0.0] * rows, [arms.unit_sd] * rows
 
-    post = _update_rows(w, m, s, arms.c_mean, arms.c_se)
-    est, sd, lo, hi, post_var = _effect_rows(*post, arms.t_mean, arms.t_se, ALPHA)
+    post = posterior_update(w, m, s, arms.c_mean, arms.c_se)
+    est, sd, lo, hi, post_var = effect_posterior(*post, arms.t_mean, arms.t_se)
     _, prior_var = _moments(w, m, s)
     out = []
     for r in range(rows):
-        pv = float(prior_var[r])
-        out.append(_effect_estimate(est[r], sd[r], lo[r], hi[r], flags=flags, diagnostics={
-            "tau_scale": float(tau_scales[r]),
-            "prior_sd": math.sqrt(pv),
-            "prior_ess": (arms.unit_sd * arms.unit_sd) / pv if pv > 0 else float("inf"),
-            "prior_map_sd": map_sds[r],
-            "control_post_sd": math.sqrt(max(float(post_var[r]), 0.0)),
-            "n_studies": float(len(studies)),
-        }))
+        pv, lo_r, hi_r = float(prior_var[r]), float(lo[r]), float(hi[r])
+        out.append(EffectEstimate(
+            estimate=float(est[r]), se=float(sd[r]), reject=lo_r > 0.0 or hi_r < 0.0,
+            interval=(lo_r, hi_r), flags=flags, diagnostics={
+                "tau_scale": float(tau_scales[r]),
+                "prior_sd": math.sqrt(pv),
+                "prior_ess": (arms.unit_sd * arms.unit_sd) / pv if pv > 0 else float("inf"),
+                "prior_map_sd": map_sds[r],
+                "control_post_sd": math.sqrt(max(float(post_var[r]), 0.0)),
+                "n_studies": float(len(studies)),
+            }))
     return out
-
-
-def estimate_map(
-    dataset: TrialDataset,
-    cfg: MapConfig,
-    studies: list[StudySummary] | None = None,
-    extra_flags: tuple[str, ...] = (),
-) -> EffectEstimate:
-    """Robust MAP borrowing for the concurrent control arm: one
-    :func:`map_estimates` pair.
-
-    Historical pools enter as study summaries (:func:`pool_studies`).
-    Callers may inject their own ``studies`` (matched or weighted
-    summaries); an empty list forces omega = 1, i.e. no borrowing beyond
-    the vague component.
-    """
-    arms = arm_summaries(dataset)
-    if studies is None:
-        studies = pool_studies(dataset)
-    return map_estimates(arms, studies, [resolve_tau_scale(cfg, studies)], [cfg.omega],
-                         extra_flags)[0]
-
-
-def estimate_psm_map(
-    dataset: TrialDataset, cfg: MapConfig, psfit: PsFit, matchsets: list[MatchSet]
-) -> EffectEstimate:
-    """MAP borrowing from per-trial matched historical summaries.
-
-    ``matchsets[j - 1]`` matches historical pool j separately against all
-    reduced concurrent subjects; pools with under two distinct matches
-    are dropped (flagged), and if every pool drops out omega is forced
-    to 1.
-    """
-    studies, flags = matched_studies(psfit, matchsets)
-    return estimate_map(dataset, cfg, studies=studies, extra_flags=flags)
-
-
-def estimate_psw_map(
-    dataset: TrialDataset, cfg: MapConfig, psfit: PsFit, weights: np.ndarray
-) -> EffectEstimate:
-    """MAP borrowing from per-trial weighted historical summaries."""
-    studies, flags = weighted_studies(dataset, psfit, weights)
-    return estimate_map(dataset, cfg, studies=studies, extra_flags=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -560,9 +560,9 @@ class _ReplicateCaches:
         return self._memo(("map", *source), lambda: self._map_batch(*source))[cell.key]
 
     def _map_batch(self, method_id: str, covset: int | None) -> dict:
-        # A failing source reports the failure its one-cell estimator
-        # meets first: the plain one summarises the arms before its pools,
-        # the matched and weighted ones after their study lists.
+        # The order of arms and studies fixes which error text a failing
+        # source's rows carry: the plain source summarises the arms before
+        # its pools, the matched and weighted ones after their study lists.
         if method_id == "MAP":
             self.arms()
         studies, flags = self.studies(method_id, covset)

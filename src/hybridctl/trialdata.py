@@ -376,6 +376,15 @@ def _field(line: int, row: dict, col: str, parse):
         raise ValueError(f"line {line}: column '{col}' is not {kind}: {value!r}") from None
 
 
+def _record(cols: list[str], fields: list[str]) -> dict:
+    """``fields`` keyed as ``csv.DictReader`` keys them: fields beyond the
+    header under None, and None for the columns a short row lacks."""
+    row = dict(zip(cols, fields + [None] * (len(cols) - len(fields))))
+    if len(fields) > len(cols):
+        row[None] = fields[len(cols):]
+    return row
+
+
 def load_subjects_csv(path: str) -> TrialDataset:
     """Read subject-level data from a CSV file.
 
@@ -394,12 +403,17 @@ def load_subjects_csv(path: str) -> TrialDataset:
     designs coincide for external data.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        records = []  # (first physical line, row): a quoted field may span lines
         try:
-            cols = reader.fieldnames
-            rows = list(reader)
-        except csv.Error as exc:  # the DictReader's own line_num lags a row behind
-            raise ValueError(f"line {reader.reader.line_num}: {exc}") from None
+            cols = next(reader, None)
+            end = reader.line_num
+            for fields in reader:
+                if fields:  # a blank line holds no record
+                    records.append((end + 1, _record(cols, fields)))
+                end = reader.line_num
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     if cols is None:
         raise ValueError("empty file")
     for required in ("trial", "z", "y"):
@@ -412,22 +426,21 @@ def load_subjects_csv(path: str) -> TrialDataset:
     gap = next((c for c in xcols if c not in found), None)
     if gap is not None:
         raise ValueError(f"covariates must be x1..{xcols[-1]}; '{gap}' is missing")
-    if not rows:
+    if not records:
         raise ValueError("no subject rows")
 
-    lines = list(enumerate(rows, start=2))
-    ids = np.array([line - 2 if row.get("id", "") == "" else _field(line, row, "id", int)
-                    for line, row in lines])
-    if np.unique(ids).size != len(rows):
+    ids = np.array([i if row.get("id", "") == "" else _field(line, row, "id", int)
+                    for i, (line, row) in enumerate(records)])
+    if np.unique(ids).size != len(records):
         raise ValueError("subject ids are not unique")
-    trial = np.array([_field(line, row, "trial", int) for line, row in lines])
-    z = np.array([_field(line, row, "z", int) for line, row in lines])
-    y = np.array([_field(line, row, "y", float) for line, row in lines])
-    x = np.array([[_field(line, row, c, float) for c in xcols] for line, row in lines])
+    trial = np.array([_field(line, row, "trial", int) for line, row in records])
+    z = np.array([_field(line, row, "z", int) for line, row in records])
+    y = np.array([_field(line, row, "y", float) for line, row in records])
+    x = np.array([[_field(line, row, c, float) for c in xcols] for line, row in records])
     bad = np.argwhere(~np.isfinite(np.column_stack([y, x])))
     if bad.size:
         i, j = bad[0]
-        raise ValueError(f"line {i + 2}: column '{(['y'] + xcols)[j]}' is not finite")
+        raise ValueError(f"line {records[i][0]}: column '{(['y'] + xcols)[j]}' is not finite")
 
     if np.any((z != 0) & (z != 1)):
         raise ValueError("column 'z' must be 0/1")

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,21 +14,25 @@ from hybridctl.borrow import (
     Strata,
     StudySummary,
     TAU_LADDER,
+    arm_summaries,
     build_strata,
     effect_posterior,
     empirical_tau_scale,
-    estimate_map,
-    estimate_psm_map,
-    estimate_psw_map,
     estimate_pss_cl,
     estimate_pss_pp,
+    map_estimates,
     map_prior,
+    matched_studies,
     matched_study_summary,
+    pool_studies,
     posterior_update,
     power_prior_update,
+    resolve_tau_scale,
     robustify,
+    weighted_studies,
     weighted_study_summary,
 )
+from hybridctl.metrics import ALPHA
 from hybridctl.propensity import (
     MatchSet, PsFit, estimate_ps, ipw_weights, match_nearest, stratify, unadjusted_effect,
 )
@@ -41,6 +46,46 @@ def dataset(name="single-moderate", seed=0, n=1200):
 def mixture(weights, means, sds):
     return NormalMixture(np.asarray(weights, dtype=float), np.asarray(means, dtype=float),
                          np.asarray(sds, dtype=float))
+
+
+def rows(*mixtures):
+    """Mixtures of one size stacked as the (rows, components) weights,
+    means and SDs that the kernels take."""
+    return tuple(np.stack([getattr(mix, f) for mix in mixtures])
+                 for f in ("weights", "means", "sds"))
+
+
+def mixture_row(w, m, s):
+    """The first row of a kernel's stacked output, as a mixture."""
+    return NormalMixture(w[0], m[0], s[0])
+
+
+def robustify_one(prior, omega, mean, sd):
+    return mixture_row(*robustify(*rows(prior), np.array([omega]), mean, sd))
+
+
+def update_one(prior, data_mean, data_se):
+    return mixture_row(*posterior_update(*rows(prior), data_mean, data_se))
+
+
+def effect_one(control, treated_mean, treated_se, alpha=ALPHA):
+    est, sd, lo, hi, _ = effect_posterior(*rows(control), treated_mean, treated_se, alpha)
+    return SimpleNamespace(estimate=float(est[0]), se=float(sd[0]),
+                           interval=(float(lo[0]), float(hi[0])))
+
+
+def exact_repr(arrays, row):
+    """Row ``row`` of every array, as the repr of its floats."""
+    return [repr(np.atleast_1d(a[row]).tolist()) for a in arrays]
+
+
+def map_fit(ds, cfg, studies=None, flags=()):
+    """The one-pair :func:`map_estimates` call for ``cfg``, on the
+    historical pools unless ``studies`` is given."""
+    if studies is None:
+        studies = pool_studies(ds)
+    return map_estimates(arm_summaries(ds), studies, [resolve_tau_scale(cfg, studies)],
+                         [cfg.omega], flags)[0]
 
 
 def bisect_quantile(mix, q):
@@ -164,50 +209,61 @@ class TestEmpiricalTauScale:
 class TestRobustify:
     def test_omega_zero_keeps_prior(self):
         prior = mixture([0.6, 0.4], [0.5, 1.0], [0.4, 0.3])
-        out = robustify(prior, 0.0, 0.0, 2.0)
+        out = robustify_one(prior, 0.0, 0.0, 2.0)
         np.testing.assert_array_equal(out.weights, [0.6, 0.4, 0.0])
         assert out.mean() == prior.mean()
         assert out.var() == pytest.approx(prior.var(), rel=1e-15)
 
     def test_omega_one_is_pure_vague(self):
         prior = NormalMixture.normal(0.5, 0.4)
-        out = robustify(prior, 1.0, -1.0, 2.0)
+        out = robustify_one(prior, 1.0, -1.0, 2.0)
         np.testing.assert_array_equal(out.weights, [0.0, 1.0])
         assert out.mean() == -1.0
         assert out.sd() == 2.0
 
     def test_mixture_mean_is_linear(self):
         prior = NormalMixture.normal(0.5, 0.4)
-        out = robustify(prior, 0.3, -1.0, 2.0)
+        out = robustify_one(prior, 0.3, -1.0, 2.0)
         want_mean = 0.7 * 0.5 + 0.3 * -1.0
         want_var = 0.7 * (0.16 + 0.25) + 0.3 * (4.0 + 1.0) - want_mean**2
         assert out.mean() == pytest.approx(want_mean, abs=1e-15)
         assert out.var() == pytest.approx(want_var, rel=1e-14)
 
     def test_bad_omega_rejected(self):
-        prior = NormalMixture.normal(0.0, 1.0)
+        # map_estimates checks omega on entry; the kernel checks the component
+        ds = dataset(seed=77)
+        with pytest.raises(ValueError, match="omega"):
+            map_estimates(arm_summaries(ds), pool_studies(ds), [0.1], [1.5])
         with pytest.raises(ValueError):
-            robustify(prior, 1.5, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            robustify(prior, 0.5, 0.0, 0.0)
+            robustify_one(NormalMixture.normal(0.0, 1.0), 0.5, 0.0, 0.0)
+
+    def test_rows_equal_one_row_calls(self):
+        priors = [mixture([0.6, 0.4], [0.5, 1.0], [0.4, 0.3]),
+                  mixture([0.1, 0.9], [-2.0, 0.3], [1.5, 0.2]),
+                  mixture([0.5, 0.5], [0.0, 10.0], [0.5, 0.5])]
+        omegas = np.array([0.0, 0.3, 1.0])
+        stacked = robustify(*rows(*priors), omegas, -1.0, 2.0)
+        for i, prior in enumerate(priors):
+            one = robustify(*rows(prior), omegas[i:i + 1], -1.0, 2.0)
+            assert exact_repr(stacked, i) == exact_repr(one, 0)
 
 
 class TestPosteriorUpdate:
     def test_conjugate_normal_case(self):
-        post = posterior_update(NormalMixture.normal(0.0, 1.0), 1.0, 1.0)
+        post = update_one(NormalMixture.normal(0.0, 1.0), 1.0, 1.0)
         assert post.mean() == pytest.approx(0.5, abs=1e-12)
         assert post.sd() == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_flat_prior_returns_likelihood(self):
         # a normal prior 3e4 data SEs wide moves the mean by under 1e-9
-        post = posterior_update(NormalMixture.normal(0.0, 1e4), 0.8, 0.3)
+        post = update_one(NormalMixture.normal(0.0, 1e4), 0.8, 0.3)
         assert post.mean() == pytest.approx(0.8, abs=1e-6)
         assert post.sd() == pytest.approx(0.3, rel=1e-6)
 
     def test_bimodal_prior_reweights_analytically(self):
         # two-component normal prior has a closed-form posterior mixture
         prior = mixture([0.5, 0.5], [0.0, 10.0], [0.5, 0.5])
-        post = posterior_update(prior, 0.0, 0.5)
+        post = update_one(prior, 0.0, 0.5)
         lw = np.array([norm.logpdf(0.0, 0.0, math.sqrt(0.5)),
                        norm.logpdf(0.0, 10.0, math.sqrt(0.5))])
         wts = np.exp(lw - lw.max())
@@ -220,17 +276,25 @@ class TestPosteriorUpdate:
         assert post.mean() == pytest.approx(float(wts @ [0.0, 5.0]), abs=1e-12)
 
     def test_zero_weight_component_stays_zero(self):
-        prior = robustify(NormalMixture.normal(0.0, 0.5), 1.0, 2.0, 3.0)
-        post = posterior_update(prior, 0.4, 0.2)
+        prior = robustify_one(NormalMixture.normal(0.0, 0.5), 1.0, 2.0, 3.0)
+        post = update_one(prior, 0.4, 0.2)
         assert post.weights[0] == 0.0
         assert post.weights[1] == 1.0
 
     def test_bad_data_rejected(self):
         prior = NormalMixture.normal(0.0, 1.0)
         with pytest.raises(ValueError):
-            posterior_update(prior, 0.0, 0.0)
+            update_one(prior, 0.0, 0.0)
         with pytest.raises(ValueError):
-            posterior_update(prior, math.nan, 1.0)
+            update_one(prior, math.nan, 1.0)
+
+    def test_rows_equal_one_row_calls(self):
+        priors = [mixture([0.5, 0.5], [0.0, 10.0], [0.5, 0.5]),
+                  mixture([0.0, 1.0], [0.3, -1.0], [0.2, 2.0]),
+                  mixture([0.9, 0.1], [1.2, 0.4], [0.05, 3.0])]
+        stacked = posterior_update(*rows(*priors), 0.4, 0.2)
+        for i, prior in enumerate(priors):
+            assert exact_repr(stacked, i) == exact_repr(posterior_update(*rows(prior), 0.4, 0.2), 0)
 
 
 def bimodal_control():
@@ -239,23 +303,23 @@ def bimodal_control():
 
 class TestEffectPosterior:
     def test_normal_control_gives_normal_difference(self):
-        got = effect_posterior(NormalMixture.normal(1.0, 0.3), 2.0, 0.4)
+        got = effect_one(NormalMixture.normal(1.0, 0.3), 2.0, 0.4)
         assert got.estimate == pytest.approx(1.0, abs=1e-12)
         assert got.se == pytest.approx(0.5, rel=1e-12)
         half = float(ndtri(0.975)) * 0.5
         assert got.interval[0] == pytest.approx(1.0 - half, abs=1e-11)
         assert got.interval[1] == pytest.approx(1.0 + half, abs=1e-11)
-        assert got.reject is True
+        assert got.interval[0] > 0.0  # the interval excludes zero: reject
 
     def test_point_mass_control_shifts_treated_normal(self):
-        got = effect_posterior(NormalMixture.normal(0.5, 1e-9), 1.2, 0.3)
+        got = effect_one(NormalMixture.normal(0.5, 1e-9), 1.2, 0.3)
         assert got.estimate == pytest.approx(0.7, abs=1e-12)
         assert got.se == pytest.approx(0.3, rel=1e-12)
         half = float(ndtri(0.975)) * 0.3
         assert got.interval[0] == pytest.approx(0.7 - half, abs=1e-11)
 
     def test_bimodal_control_matches_analytic_mixture(self):
-        got = effect_posterior(bimodal_control(), 1.0, 0.5)
+        got = effect_one(bimodal_control(), 1.0, 0.5)
         s1, s2 = math.sqrt(0.25 + 0.04), math.sqrt(0.25 + 0.16)
 
         def cdf(d):
@@ -273,7 +337,7 @@ class TestEffectPosterior:
     def test_monte_carlo_cross_check(self):
         # same bimodal setup, verified by simulation instead of algebra
         control = bimodal_control()
-        got = effect_posterior(control, 1.0, 0.5)
+        got = effect_one(control, 1.0, 0.5)
         rng = np.random.default_rng(99)
         comp = rng.choice(2, size=10**6, p=control.weights)
         theta = rng.normal(control.means[comp], control.sds[comp])
@@ -294,7 +358,7 @@ class TestEffectPosterior:
         ],
     )
     def test_newton_ends_match_plain_bisection(self, control, alpha):
-        got = effect_posterior(control, 0.5, 0.3, alpha=alpha)
+        got = effect_one(control, 0.5, 0.3, alpha=alpha)
         effect = mixture(control.weights, 0.5 - control.means,
                          np.sqrt(control.sds**2 + 0.09))
         assert got.interval[0] == pytest.approx(
@@ -305,7 +369,15 @@ class TestEffectPosterior:
     def test_bad_treated_se_rejected(self):
         control = NormalMixture.normal(0.0, 1.0)
         with pytest.raises(ValueError):
-            effect_posterior(control, 1.0, 0.0)
+            effect_one(control, 1.0, 0.0)
+
+    def test_rows_equal_one_row_calls(self):
+        controls = [bimodal_control(), mixture([0.97, 0.03], [0.0, 10.0], [0.1, 0.1]),
+                    mixture([0.5, 0.5], [-0.4, 0.4], [1e-6, 2.0])]
+        stacked = effect_posterior(*rows(*controls), 0.5, 0.3)
+        for i, control in enumerate(controls):
+            one = effect_posterior(*rows(control), 0.5, 0.3)
+            assert exact_repr(stacked, i) == exact_repr(one, 0)
 
 
 class TestPowerPrior:
@@ -350,7 +422,7 @@ class TestPowerPrior:
 class TestEstimateMap:
     def test_omega_one_tracks_unadjusted(self):
         ds = dataset(seed=77)
-        got = estimate_map(ds, MapConfig(omega=1.0))
+        got = map_fit(ds, MapConfig(omega=1.0))
         ref = unadjusted_effect(ds.reduced_concurrent)
         assert got.estimate == pytest.approx(ref.estimate, abs=0.02)
         assert got.se == pytest.approx(ref.se, rel=0.05)
@@ -359,8 +431,8 @@ class TestEstimateMap:
 
     def test_borrowing_tightens_the_posterior(self):
         ds = dataset(seed=77)
-        full = estimate_map(ds, MapConfig(omega=0.2))
-        none = estimate_map(ds, MapConfig(omega=1.0))
+        full = map_fit(ds, MapConfig(omega=0.2))
+        none = map_fit(ds, MapConfig(omega=1.0))
         assert full.se < none.se
         assert full.diagnostics["prior_ess"] > none.diagnostics["prior_ess"]
 
@@ -370,28 +442,38 @@ class TestEstimateMap:
         ds = dataset(seed=77)
         pool = ds.historical[0].y
         pool_se = float(np.std(pool, ddof=1)) / math.sqrt(len(pool))
-        got = estimate_map(ds, MapConfig(omega=0.5))
+        got = map_fit(ds, MapConfig(omega=0.5))
         assert got.diagnostics["tau_scale"] == pytest.approx(
             SINGLE_POOL_TAU_MULT * pool_se, rel=1e-12
         )
-        labelled = estimate_map(ds, MapConfig(omega=0.5, tau_ladder_label="M"))
+        labelled = map_fit(ds, MapConfig(omega=0.5, tau_ladder_label="M"))
         assert labelled.diagnostics["tau_scale"] == pytest.approx(pool_se, rel=1e-12)
 
         # Several pools: the default is the SD of the pool means.
         multi = dataset("multi-moderate", seed=78, n=1600)
         means = [float(np.mean(p.y)) for p in multi.historical]
-        got = estimate_map(multi, MapConfig(omega=0.5))
+        got = map_fit(multi, MapConfig(omega=0.5))
         assert got.diagnostics["tau_scale"] == pytest.approx(
             float(np.std(means, ddof=1)), rel=1e-12
         )
 
     def test_no_studies_forces_vague_only(self):
         ds = dataset(seed=78)
-        got = estimate_map(ds, MapConfig(omega=0.2), studies=[])
+        got = map_fit(ds, MapConfig(omega=0.2), studies=[])
         assert "map:no_studies_forced_omega1" in got.flags
         assert got.diagnostics["n_studies"] == 0.0
         ref = unadjusted_effect(ds.reduced_concurrent)
         assert got.estimate == pytest.approx(ref.estimate, abs=0.05)
+
+    @pytest.mark.parametrize("studies", [[], [StudySummary(0.1, 0.2)]], ids=["none", "one"])
+    @pytest.mark.parametrize("tau_scale,omega,what", [
+        (0.1, 1.5, "omega"), (0.1, -0.1, "omega"), (0.1, math.nan, "omega"),
+        (-3.0, 0.5, "tau_scale"), (math.nan, 0.5, "tau_scale"), (math.inf, 0.5, "tau_scale"),
+    ])
+    def test_inputs_checked_with_or_without_studies(self, studies, tau_scale, omega, what):
+        arms = arm_summaries(dataset(seed=78))
+        with pytest.raises(ValueError, match=what):
+            map_estimates(arms, studies, [0.1, tau_scale], [0.5, omega])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -472,14 +554,14 @@ class TestMapCombinations:
         ]
         none = np.zeros(0, dtype=int)
         real[1] = MatchSet(conc_rows=none, hist_rows=none, caliper=0.0)
-        got = estimate_psm_map(ds, MapConfig(omega=0.5), psfit=psfit, matchsets=real)
+        got = map_fit(ds, MapConfig(omega=0.5), *matched_studies(psfit, real))
         assert got.flags == ("psm_map:pool2_unmatched_dropped",)
         assert got.diagnostics["n_studies"] == 2.0
 
     def test_psw_map_smoke(self):
         ds = dataset(seed=10)
         psfit = estimate_ps(ds, 2)
-        got = estimate_psw_map(ds, MapConfig(omega=0.5), psfit, ipw_weights(psfit))
+        got = map_fit(ds, MapConfig(omega=0.5), *weighted_studies(ds, psfit, ipw_weights(psfit)))
         assert got.diagnostics["n_studies"] == 1.0
         assert np.isfinite(got.se) and got.se > 0
 

@@ -72,10 +72,10 @@ def test_scipy_optimize_stays_unloaded():
         "import sys, hybridctl.harness\n"
         "before = 'scipy.optimize' in sys.modules\n"
         "import numpy as np\n"
-        "from hybridctl.borrow import MapConfig, estimate_map\n"
+        "from hybridctl.borrow import arm_summaries, map_estimates, pool_studies\n"
         "from hybridctl.trialdata import build_replicate, preset\n"
         "ds = build_replicate(preset('single-moderate'), 400, np.random.default_rng(0))\n"
-        "estimate_map(ds, MapConfig(omega=0.5))\n"
+        "map_estimates(arm_summaries(ds), pool_studies(ds), [0.1], [0.5])\n"
         "print(before, 'scipy.optimize' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -541,16 +541,20 @@ def flat_pools(ds):
     return TrialDataset(ds.full_concurrent, ds.reduced_concurrent, pools)
 
 
-def one_cell_call(ds, cell, caches):
-    """The library's one-cell estimate of a MAP-family cell, on the
-    replicate's own propensity fit, match sets and weights."""
+def one_pair_call(ds, cell, caches):
+    """A MAP-family cell's one-pair :func:`borrow.map_estimates` call, on
+    the replicate's own propensity fit, match sets and weights."""
     cfg, cs = cell.map_cfg, cell.covset
     try:
         if cell.method_id == "MAP":
-            return borrow.estimate_map(ds, cfg)
-        if cell.method_id == "PSM+MAP":
-            return borrow.estimate_psm_map(ds, cfg, caches.psfit(cs), caches.trial_matchsets(cs))
-        return borrow.estimate_psw_map(ds, cfg, caches.psfit(cs), caches.weightset(cs))
+            studies, flags = borrow.pool_studies(ds), ()
+        elif cell.method_id == "PSM+MAP":
+            studies, flags = borrow.matched_studies(caches.psfit(cs), caches.trial_matchsets(cs))
+        else:
+            studies, flags = borrow.weighted_studies(ds, caches.psfit(cs), caches.weightset(cs))
+        return borrow.map_estimates(borrow.arm_summaries(ds), studies,
+                                    [borrow.resolve_tau_scale(cfg, studies)], [cfg.omega],
+                                    flags)[0]
     except ValueError as exc:
         return harness._failed_estimate(exc)
 
@@ -568,7 +572,7 @@ def test_map_family_rows_equal_one_cell_calls(name, n_total, flat):
     family = [(c, r) for c, r in zip(cells, rows) if METHODS[c.method_id].map]
     assert len(family) == 100
     for cell, row in family:
-        assert row_signature(row) == row_signature(one_cell_call(ds, cell, caches)), cell.key
+        assert row_signature(row) == row_signature(one_pair_call(ds, cell, caches)), cell.key
         if not row.failed:
             numbers = [row.estimate, row.se, *row.interval, *row.diagnostics.values()]
             assert all(type(v) is float for v in numbers) and type(row.reject) is bool
@@ -807,6 +811,18 @@ scenarios:
 """
 
 
+def write_subjects_csv(path, ds):
+    """``ds`` as a subjects CSV with ids, its concurrent trial first."""
+    with open(path, "w") as fh:
+        fh.write("id,trial,z,y," + ",".join(f"x{j+1}" for j in range(ds.full_concurrent.x.shape[1]))
+                 + "\n")
+        for group in (ds.full_concurrent, *ds.historical):
+            for i, x, z, t, y in zip(group.ids, group.x, group.z, group.trial, group.y):
+                xs = ",".join("%.10g" % v for v in x)
+                fh.write(f"{i},{t},{z},{y:.10g},{xs}\n")
+    return path
+
+
 class TestCli:
     def test_presets_list(self, capsys):
         assert cli.main(["presets", "list"]) == 0
@@ -904,19 +920,22 @@ class TestCli:
 
     def test_analyze_subjects_csv(self, tmp_path, capsys):
         ds = build_replicate(preset("single-moderate"), 300, np.random.default_rng(8))
-        path = tmp_path / "subjects.csv"
-        with open(path, "w") as fh:
-            fh.write("id,trial,z,y," + ",".join(f"x{j+1}" for j in range(6)) + "\n")
-            for group in (ds.full_concurrent, *ds.historical):
-                for i, x, z, t, y in zip(group.ids, group.x, group.z, group.trial, group.y):
-                    xs = ",".join("%.10g" % v for v in x)
-                    fh.write(f"{i},{t},{z},{y:.10g},{xs}\n")
+        path = write_subjects_csv(tmp_path / "subjects.csv", ds)
         code = cli.main(["analyze", "--data", str(path),
                          "--methods", "unadj.rc,PSM,MAP", "--covset", "1"])
         assert code == 0
         out = capsys.readouterr().out
         assert "unadj.rc" in out and "PSM [c1]" in out and "MAP(omega=0.5)" in out
         assert "estimate=" in out and "reject=" in out
+
+    def test_analyze_every_method_id(self, tmp_path, capsys):
+        ds = build_replicate(preset("multi-moderate"), 800, np.random.default_rng(12))
+        path = write_subjects_csv(tmp_path / "subjects.csv", ds)
+        assert cli.main(["analyze", "--data", str(path), "--methods", ",".join(METHODS)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(METHODS) == 11
+        assert all(line.startswith(m) for line, m in zip(lines, METHODS)), lines
+        assert all("estimate=" in line and "failed" not in line for line in lines), lines
 
     def test_analyze_binary_outcomes_reports_failed_cell(self, tmp_path, capsys):
         # every concurrent control has y = 0, so each propensity stratum's
@@ -967,6 +986,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err
         assert err.count(str(path)) == 1
+
+    @pytest.mark.parametrize("row,message", [
+        ("0,0,abc,0.2", "line 4: column 'y' is not a number: 'abc'"),
+        ("0,0,0.4,inf", "line 4: column 'x1' is not finite"),
+    ], ids=["not-a-number", "not-finite"])
+    def test_analyze_errors_name_physical_lines(self, tmp_path, capsys, row, message):
+        # the quoted y of the first record spans lines 2 and 3
+        path = tmp_path / "subjects.csv"
+        path.write_text(f'trial,z,y,x1\n0,1,"0.5\n",0.1\n{row}\n1,0,0.3,0.2\n')
+        assert cli.main(["analyze", "--data", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("columns,gap", [
         (["x1", "x2", "x7", "x4", "x5", "x6"], "x3"),

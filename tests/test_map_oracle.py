@@ -2,10 +2,12 @@
 
 ``grid_reference`` keeps the MAP pipeline as it was computed on a
 4001-point theta grid, with the same tau quadrature. Every MAP-family
-estimator runs once through the package and once with
-``borrow.estimate_map`` swapped for the grid version (the matched and
-weighted variants look it up by name), over single- and multi-pool data,
-every omega in OMEGAS, every tau ladder label and the label-less default.
+study source (the plain pools, and the matched and the weighted pools)
+goes once through ``borrow.map_estimates``, all of its (tau scale,
+omega) pairs in one call, and once through ``grid_reference.estimate_map``
+per pair, fed the same study list and flags. That covers single- and
+multi-pool data, every omega in OMEGAS, every tau ladder label and the
+label-less default, plus one fit with no studies.
 
 The grid as it was spans 10 (se + tau) about each study, which cuts off
 the tails of the widest tau components: on single-pool matched and
@@ -15,14 +17,14 @@ paths agree to about 2e-9 SD, so the tolerance is checked there; on the
 grid as it was every reject decision must still agree.
 """
 
-import functools
-
 import numpy as np
 import pytest
 
 import grid_reference
-from hybridctl import borrow
-from hybridctl.borrow import MapConfig
+from hybridctl.borrow import (
+    MapConfig, arm_summaries, map_estimates, matched_studies, pool_studies, resolve_tau_scale,
+    weighted_studies,
+)
 from hybridctl.propensity import estimate_ps, ipw_weights, match_nearest
 from hybridctl.trialdata import build_replicate, preset, preset_n_total
 
@@ -30,18 +32,8 @@ OMEGAS = (0.0, 0.2, 0.5, 1.0)
 TAU_LABELS = (None, "L", "M", "S", "XS")
 DATASETS = (("single-moderate", 1), ("single-severe", 2), ("multi-severe", 3))
 TOL_SD = 1e-6
-
-
-def all_fits(ds, psfit, matchsets, weights):
-    """Every MAP-family fit of one dataset, through ``borrow.estimate_map``."""
-    out = [borrow.estimate_map(ds, MapConfig(omega=0.5), studies=[])]
-    for omega in OMEGAS:
-        for label in TAU_LABELS:
-            cfg = MapConfig(omega=omega, tau_ladder_label=label)
-            out.append(borrow.estimate_map(ds, cfg))
-            out.append(borrow.estimate_psm_map(ds, cfg, psfit=psfit, matchsets=matchsets))
-            out.append(borrow.estimate_psw_map(ds, cfg, psfit=psfit, weights=weights))
-    return out
+CONFIGS = [MapConfig(omega=omega, tau_ladder_label=label)
+           for omega in OMEGAS for label in TAU_LABELS]
 
 
 @pytest.fixture(scope="module")
@@ -59,16 +51,21 @@ def fit_inputs():
     return inputs
 
 
-def paired_fits(fit_inputs, monkeypatch, support):
+def paired_fits(fit_inputs, support):
+    """(map_estimates row, grid fit) pairs over every source of every dataset."""
     pairs = []
-    for args in fit_inputs:
-        exact = all_fits(*args)
-        with monkeypatch.context() as m:
-            m.setattr(borrow, "estimate_map",
-                      functools.partial(grid_reference.estimate_map, support=support))
-            grid = all_fits(*args)
-        pairs += zip(exact, grid)
-    assert len(pairs) >= 150
+    for ds, psfit, matchsets, weights in fit_inputs:
+        arms = arm_summaries(ds)
+        sources = [(([], ()), [MapConfig(omega=0.5)]), ((pool_studies(ds), ()), CONFIGS),
+                   (matched_studies(psfit, matchsets), CONFIGS),
+                   (weighted_studies(ds, psfit, weights), CONFIGS)]
+        for (studies, flags), cfgs in sources:
+            exact = map_estimates(arms, studies, [resolve_tau_scale(c, studies) for c in cfgs],
+                                  [c.omega for c in cfgs], flags)
+            grid = [grid_reference.estimate_map(ds, c, studies=studies, extra_flags=flags,
+                                                support=support) for c in cfgs]
+            pairs += zip(exact, grid, strict=True)
+    assert len(pairs) == 183
     return pairs
 
 
@@ -95,8 +92,8 @@ def worst_deviation(pairs):
     return worst
 
 
-def test_mixture_path_within_tolerance_of_wide_grid(fit_inputs, monkeypatch):
-    pairs = paired_fits(fit_inputs, monkeypatch, support=2.0)
+def test_mixture_path_within_tolerance_of_wide_grid(fit_inputs):
+    pairs = paired_fits(fit_inputs, support=2.0)
     check_decisions(pairs)
     worst = worst_deviation(pairs)
     print(f"\n{len(pairs)} fits against the wide grid, worst |diff| in SD: {worst}")
@@ -104,8 +101,8 @@ def test_mixture_path_within_tolerance_of_wide_grid(fit_inputs, monkeypatch):
         assert value <= TOL_SD, f"{what} differs by {value:.2e} SD"
 
 
-def test_mixture_path_keeps_grid_decisions(fit_inputs, monkeypatch):
-    pairs = paired_fits(fit_inputs, monkeypatch, support=1.0)
+def test_mixture_path_keeps_grid_decisions(fit_inputs):
+    pairs = paired_fits(fit_inputs, support=1.0)
     check_decisions(pairs)
     print(f"\n{len(pairs)} fits against the grid as it was, worst |diff| in SD: "
           f"{worst_deviation(pairs)}")
