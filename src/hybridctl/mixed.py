@@ -2,15 +2,15 @@
 
 Treats each trial (the concurrent one plus every historical pool) as a
 group with its own intercept deviation: y = X beta + b_g + e with
-b_g ~ N(0, sigma_b^2) and e ~ N(0, sigma^2). Writing lambda for the
-variance ratio sigma_b^2 / sigma^2, everything profiles down to a
-one-dimensional criterion in lambda because the group covariance
-(I + lambda 11') inverts in closed form: the whitened normal equations
-are X'X - sum_g c_g u_g u_g' with c_g = lambda / (1 + lambda n_g) and
-u_g the column sums of group g. The criterion is evaluated on whole
-vectors of lambda at once (one batched Cholesky) and minimized by a
-grid scan followed by grids that zoom in on the best point. The
-criterion is always the restricted (REML) one.
+b_g ~ N(0, sigma_b^2) and e ~ N(0, sigma^2). The restricted (REML)
+criterion profiles down to the variance ratio lambda = sigma_b^2 / sigma^2
+and is written in the eigenvalues kappa of the G x G matrix Z'QZ, with
+Q = I - X (X'X)^-1 X' and e the coordinates of Z'Qy on its eigenvectors
+(Crainiceanu & Ruppert 2004, JRSS-B 66:165; Bates et al. 2015, JSS 67(1)):
+rss = y'Qy - sum lambda e^2 / (1 + lambda kappa), and the criterion is
+dof log(rss / dof) + sum log(1 + lambda kappa) + log|X'X|. Each lambda
+costs O(G) scalar operations; a scan brackets the minimum and a
+safeguarded Newton step in log lambda refines it.
 """
 
 from __future__ import annotations
@@ -25,14 +25,8 @@ from .propensity import covset_columns
 from .regress import SingularDesignError
 from .trialdata import TrialDataset
 
-__all__ = [
-    "GroupStats",
-    "LmmFit",
-    "group_stats",
-    "profiled_criterion",
-    "fit_lmm",
-    "estimate_mm",
-]
+__all__ = ["GroupStats", "LmmFit", "group_stats", "profiled_criterion", "fit_lmm",
+           "estimate_mm"]
 
 LOG_LAMBDA_SPAN = 12.0
 
@@ -47,6 +41,7 @@ class GroupStats:
     xtx: np.ndarray  # (p, p)
     xty: np.ndarray  # (p,)
     yty: float
+    has_constant: bool  # X has a non-zero constant column
 
 
 @dataclass(frozen=True)
@@ -67,41 +62,71 @@ class LmmFit:
 def group_stats(X: np.ndarray, y: np.ndarray, groups: np.ndarray) -> GroupStats:
     _, inverse = np.unique(groups, return_inverse=True)
     onehot = (inverse == np.arange(inverse.max() + 1)[:, None]).astype(float)
-    return GroupStats(
-        n=np.bincount(inverse),
-        U=onehot @ X,
-        y_sum=onehot @ y,
-        xtx=X.T @ X,
-        xty=X.T @ y,
-        yty=float(y @ y),
-    )
+    has_constant = bool(np.any(np.all(X == X[0], axis=0) & (X[0] != 0)))
+    return GroupStats(np.bincount(inverse), onehot @ X, onehot @ y, X.T @ X, X.T @ y,
+                      float(y @ y), has_constant)
 
 
-def _profile(stats: GroupStats, lam: np.ndarray):
-    """GLS fit and criterion at every lambda of a 1-d array.
-
-    Returns the criterion (L,), the Cholesky factors of the whitened
-    X'V^-1 X (L, p, p), the coefficients (L, p) and the residual variance
-    estimates (L,); V = I + lambda ZZ' is the covariance over sigma^2.
-    """
-    n = int(stats.n.sum())
-    p = stats.xtx.shape[0]
-    c = lam[:, None] / (1.0 + lam[:, None] * stats.n)
-    A = stats.xtx - np.einsum("lg,gi,gj->lij", c, stats.U, stats.U)
-    b = stats.xty - (c * stats.y_sum) @ stats.U
-    try:
-        chol = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("whitened design is singular") from exc
-    beta = np.linalg.solve(A, b[..., None])[..., 0]
-    rss = stats.yty - c @ stats.y_sum**2 - np.einsum("li,li->l", b, beta)
-    dof = n - p
-    if np.any(rss <= 0) or dof <= 0:
+def _spectrum(stats: GroupStats) -> tuple:
+    """kappa, e^2, y'Qy, dof and log|X'X| from one p x p solve. A constant
+    column of X puts the all-ones vector in the null space of Z'QZ; that
+    direction is projected out exactly, not by a threshold."""
+    dof = int(stats.n.sum()) - stats.xtx.shape[0]
+    if dof <= 0:
         raise SingularDesignError("no residual variation left to profile")
-    sigma2 = rss / dof
-    crit = (dof * np.log(sigma2) + np.log1p(lam[:, None] * stats.n).sum(axis=1)
-            + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
-    return crit, chol, beta, sigma2
+    try:
+        chol = np.linalg.cholesky(stats.xtx)
+        sol = np.linalg.solve(stats.xtx, np.column_stack([stats.xty, stats.U.T]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError("design is singular") from exc
+    K = np.diag(stats.n.astype(float)) - stats.U @ sol[:, 1:]
+    r = stats.y_sum - stats.U @ sol[:, 0]
+    if stats.has_constant:
+        i, j = np.arange(stats.n.size)[:, None], np.arange(1, stats.n.size)
+        basis = ((i < j) - j * (i == j)) / np.sqrt(j * (j + 1.0))  # Helmert contrasts
+        K, r = basis.T @ K @ basis, r @ basis
+    kappa, vecs = np.linalg.eigh(K)
+    return (kappa, (r @ vecs) ** 2, stats.yty - stats.xty @ sol[:, 0], dof,
+            2.0 * np.log(np.diagonal(chol)).sum())
+
+
+def _criterion(spec: tuple, lam, slopes: bool = False):
+    """The criterion at every lambda of an array or, with ``slopes``, its
+    first and second derivatives in log lambda."""
+    kappa, e2, yqy, dof, logdet_xtx = spec
+    lam = np.asarray(lam, dtype=float)[..., None]
+    d = 1.0 + lam * kappa
+    rss = yqy - (lam * e2 / d).sum(axis=-1)
+    if np.any(rss <= 0):
+        raise SingularDesignError("no residual variation left to profile")
+    if not slopes:
+        return dof * np.log(rss / dof) + np.log1p(lam * kappa).sum(axis=-1) + logdet_xtx
+    s = lam * kappa / d
+    r1 = -(lam * e2 / d**2).sum(axis=-1) / rss
+    r2 = r1 + 2.0 * (lam * e2 / d**2 * s).sum(axis=-1) / rss
+    return float(dof * r1 + s.sum()), float(dof * (r2 - r1**2) + (s * (1.0 - s)).sum())
+
+
+def _newton(slopes, lo: float, hi: float) -> float:
+    """Minimize on [lo, hi] from the first and second derivatives: Newton
+    steps on the first, kept inside a bracket where it goes from - to +,
+    with bisection for a step that leaves it or a concave point. An end
+    where the first derivative does not change sign is returned as is."""
+    if slopes(lo)[0] >= 0:
+        return lo
+    if slopes(hi)[0] <= 0:
+        return hi
+    x, tol = 0.5 * (lo + hi), 1e-10 * (hi - lo)
+    for _ in range(200):
+        g, h = slopes(x)
+        lo, hi = (x, hi) if g < 0 else (lo, x)
+        step = g / h if h > 0 else math.inf
+        if abs(step) <= tol:
+            return x - step
+        if hi - lo <= tol:
+            return x
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+    return x
 
 
 def profiled_criterion(stats: GroupStats, lam):
@@ -113,21 +138,8 @@ def profiled_criterion(stats: GroupStats, lam):
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("lambda must be non-negative")
-    crit = _profile(stats, lam.reshape(-1))[0].reshape(lam.shape)
+    crit = _criterion(_spectrum(stats), lam)
     return float(crit) if crit.ndim == 0 else crit
-
-
-def _zoom(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize f on [lo, hi] by 25-point grids, each spanning the
-    neighbours of the previous grid's best point, until that span is
-    below tol. Returns the best point and its value."""
-    while True:
-        x = np.linspace(lo, hi, 25)
-        values = f(x)
-        k = int(values.argmin())
-        lo, hi = x[max(k - 1, 0)], x[min(k + 1, x.size - 1)]
-        if hi - lo <= tol:
-            return float(x[k]), float(values[k])
 
 
 def fit_lmm(y: np.ndarray, X: np.ndarray, groups: np.ndarray) -> LmmFit:
@@ -135,67 +147,52 @@ def fit_lmm(y: np.ndarray, X: np.ndarray, groups: np.ndarray) -> LmmFit:
 
     The variance ratio is scanned on {0} union 25 log-spaced points over
     [e^-12, e^12]; a minimum at the upper edge widens the span once, to
-    e^18, and flags the fit. Zooming grids then refine the minimum on the
-    log scale between the best point's grid neighbours, or on [0, lambda_1]
-    when lambda = 0 is best, and lambda = 0 is kept if no point beats it.
+    e^18, and flags the fit. A safeguarded Newton step in log lambda then
+    refines the minimum between the best point's scan neighbours, or below
+    lambda_1 when lambda = 0 is best and the slope there is negative.
+    lambda = 0 is kept if the refined point does not beat it.
     """
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
+    y, X, groups = np.asarray(y, dtype=float), np.asarray(X, dtype=float), np.asarray(groups)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size or groups.shape != y.shape:
         raise ValueError("y, X, and groups must have matching first dimensions")
+    for name, values in (("y", y), ("X", X)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} has non-finite values")
     stats = group_stats(X, y, groups)
     if stats.n.size < 2:
         raise ValueError("need at least two groups to separate the intercept variance")
-
-    def crit(lam):
-        return profiled_criterion(stats, lam)
+    spec = kappa, e2, yqy, dof, _ = _spectrum(stats)
 
     flags: list[str] = []
-    span = LOG_LAMBDA_SPAN
-    for attempt in range(2):
-        lams = np.concatenate([[0.0], np.exp(np.linspace(-span, span, 25))])
-        values = crit(lams)
+    for span in (LOG_LAMBDA_SPAN, 1.5 * LOG_LAMBDA_SPAN):
+        t = np.linspace(-span, span, 25)
+        values = _criterion(spec, np.concatenate([[0.0], np.exp(t)]))
         k = int(values.argmin())
-        if k == lams.size - 1 and attempt == 0:
-            span = 1.5 * LOG_LAMBDA_SPAN
-            flags.append("mm:lambda_span_widened")
-            continue
-        break
+        if k < t.size or flags:
+            break
+        flags.append("mm:lambda_span_widened")
 
-    if k == 0:
-        # boundary minimum at lambda = 0; refine against the smallest grid point
-        lam_hat, best = _zoom(crit, 0.0, lams[1], tol=1e-10)
-        if values[0] <= best:
-            lam_hat = 0.0
-    else:
-        lo = math.log(lams[k - 1]) if k > 1 else math.log(lams[1]) - 2.0
-        hi = math.log(lams[min(k + 1, lams.size - 1)])
-        t_hat, best = _zoom(lambda t: crit(np.exp(t)), lo, hi, tol=1e-8)
-        lam_hat = math.exp(t_hat)
-        if values[0] < best:
-            lam_hat = 0.0
+    lam_hat, crit_hat = 0.0, float(values[0])
+    if k > 0 or dof * e2.sum() / yqy > kappa.sum():  # else the slope at 0 is >= 0
+        lo = t[k - 2] if k > 1 else t[0] - (2.0 if k else 30.0)
+        t_hat = _newton(lambda s: _criterion(spec, math.exp(s), True), lo, t[min(k, t.size - 1)])
+        crit = float(_criterion(spec, math.exp(t_hat)))
+        if crit < crit_hat:
+            lam_hat, crit_hat = math.exp(t_hat), crit
 
-    crit_hat, chol, beta, sigma2_hat = _profile(stats, np.array([lam_hat]))
-    sigma2 = float(sigma2_hat[0])
-    chol_inv = np.linalg.inv(chol[0])
-    return LmmFit(
-        coef=beta[0],
-        cov=sigma2 * (chol_inv.T @ chol_inv),
-        lambda_hat=float(lam_hat),
-        sigma2=sigma2,
-        sigma_b2=float(lam_hat * sigma2),
-        criterion_value=float(crit_hat[0]),
-        n_groups=stats.n.size,
-        flags=tuple(flags),
-    )
-
-
-def _stack_for_mm(dataset: TrialDataset, covset: int | None) -> tuple[np.ndarray, ...]:
-    pooled = dataset.pooled
-    cols: list[np.ndarray] = [np.ones(len(pooled)), pooled.z.astype(float)]
-    if covset is not None:
-        cols.extend(pooled.x[:, c] for c in covset_columns(covset, pooled.x.shape[1]))
-    return pooled.y, np.column_stack(cols), pooled.trial
+    # GLS at lambda_hat through the Cholesky factor of X'V^-1 X
+    c = lam_hat / (1.0 + lam_hat * stats.n)
+    A = stats.xtx - (stats.U.T * c) @ stats.U
+    b = stats.xty - stats.U.T @ (c * stats.y_sum)
+    try:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(A))
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError("whitened design is singular") from exc
+    beta = np.linalg.solve(A, b)
+    sigma2 = float(stats.yty - c @ stats.y_sum**2 - b @ beta) / dof
+    return LmmFit(coef=beta, cov=sigma2 * (chol_inv.T @ chol_inv), lambda_hat=lam_hat,
+                  sigma2=sigma2, sigma_b2=lam_hat * sigma2, criterion_value=crit_hat,
+                  n_groups=stats.n.size, flags=tuple(flags))
 
 
 def estimate_mm(dataset: TrialDataset, covset: int | None) -> EffectEstimate:
@@ -206,15 +203,13 @@ def estimate_mm(dataset: TrialDataset, covset: int | None) -> EffectEstimate:
     as fixed effects when a covariate set is given, otherwise the model
     is intercept plus treatment only.
     """
-    y, X, trial = _stack_for_mm(dataset, covset)
-    fit = fit_lmm(y, X, trial)
+    pooled = dataset.pooled
+    cols: list[np.ndarray] = [np.ones(len(pooled)), pooled.z.astype(float)]
+    if covset is not None:
+        cols.extend(pooled.x[:, c] for c in covset_columns(covset, pooled.x.shape[1]))
+    fit = fit_lmm(pooled.y, np.column_stack(cols), pooled.trial)
     return wald_estimate(
-        float(fit.coef[1]), fit.se(1),
-        flags=fit.flags,
-        diagnostics={
-            "lambda_hat": fit.lambda_hat,
-            "sigma2": fit.sigma2,
-            "sigma_b2": fit.sigma_b2,
-            "n_groups": float(fit.n_groups),
-        },
+        float(fit.coef[1]), fit.se(1), flags=fit.flags,
+        diagnostics={"lambda_hat": fit.lambda_hat, "sigma2": fit.sigma2,
+                     "sigma_b2": fit.sigma_b2, "n_groups": float(fit.n_groups)},
     )

@@ -1,5 +1,8 @@
+import lmm_reference as ref
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridctl.mixed import estimate_mm, fit_lmm, group_stats, profiled_criterion
 from hybridctl.regress import SingularDesignError
@@ -17,19 +20,17 @@ def simulate(n_groups, per_group, sigma_b, sigma, seed, slope=0.7):
     return y, X, groups
 
 
-def dense_criterion(y, X, groups, lam):
-    """Profiled REML criterion from the dense covariance V = I + lambda ZZ'."""
-    n, p = X.shape
-    Z = (groups[:, None] == np.unique(groups)[None, :]).astype(float)
-    V = np.eye(n) + lam * Z @ Z.T
-    Vinv_X = np.linalg.solve(V, X)
-    Vinv_y = np.linalg.solve(V, y)
-    xtvx = X.T @ Vinv_X
-    beta = np.linalg.solve(xtvx, X.T @ Vinv_y)
-    r = y - X @ beta
-    rss = r @ np.linalg.solve(V, r)
-    logdet_v = np.linalg.slogdet(V)[1]
-    return (n - p) * np.log(rss / (n - p)) + logdet_v + np.linalg.slogdet(xtvx)[1]
+def design(sizes, p, sigma_b, seed, constant=True):
+    """Unequal groups; the covariates drift with the group, and the first
+    column is the intercept unless ``constant`` is false."""
+    rng = np.random.default_rng(seed)
+    groups = np.repeat(np.arange(len(sizes)), sizes)
+    n = groups.size
+    cols = [np.ones(n)] if constant else []
+    cols += [rng.standard_normal(n) + 0.5 * groups for _ in range(p - len(cols))]
+    X = np.column_stack(cols)
+    b = rng.normal(0.0, sigma_b, size=len(sizes))
+    return X @ rng.normal(size=p) + b[groups] + rng.standard_normal(n), X, groups
 
 
 class TestProfiledCriterion:
@@ -44,7 +45,7 @@ class TestProfiledCriterion:
     @pytest.mark.parametrize("lam", lams)
     def test_matches_dense_covariance(self, lam):
         got = profiled_criterion(group_stats(self.X, self.y, self.groups), lam)
-        want = dense_criterion(self.y, self.X, self.groups, lam)
+        want = ref.criterion(self.y, self.X, self.groups, [lam])[0]
         assert isinstance(got, float)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
@@ -122,10 +123,106 @@ class TestFitLmm:
         with pytest.raises(SingularDesignError):
             fit_lmm(y, X2, groups)
 
+    @pytest.mark.parametrize("where", ["y", "X"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, where, bad):
+        y, X, groups = simulate(3, 10, 1.0, 1.0, seed=12)
+        if where == "y":
+            y[4] = bad
+        else:
+            X[7, 1] = bad
+        with pytest.raises(ValueError, match=f"^{where} has non-finite"):
+            fit_lmm(y, X, groups)
+
+    def test_groups_may_be_a_list(self):
+        y, X, groups = simulate(3, 10, 1.0, 1.0, seed=13)
+        a = fit_lmm(y, X, groups)
+        b = fit_lmm(y, X, groups.tolist())
+        np.testing.assert_array_equal(a.coef, b.coef)
+        assert a.lambda_hat == b.lambda_hat
+
     def test_negative_lambda_rejected(self):
         y, X, groups = simulate(3, 10, 1.0, 1.0, seed=11)
         with pytest.raises(ValueError):
             profiled_criterion(group_stats(X, y, groups), -0.1)
+
+
+# The fine grid the dense reference scans: lambda = 0 and e^-20 .. e^20.
+REFERENCE_GRID = np.concatenate([[0.0], np.exp(np.linspace(-20.0, 20.0, 2001))])
+
+
+class TestDenseReference:
+    """fit_lmm against the dense-V REML of tests/lmm_reference.py."""
+
+    # (group sizes, p, sigma_b, seed, intercept column, regime of lambda_hat)
+    cases = [
+        ((12, 30), 2, 0.0, 3, True, "zero"),
+        ((7, 13, 21, 33), 5, 0.0, 2, True, "zero"),
+        ((10, 25, 40), 4, 1.0, 2, True, "interior"),
+        ((8, 15, 22, 35), 8, 1.0, 3, True, "interior"),
+        # lambda_hat is about 3e5 here. From about 1e6 up, the final GLS
+        # (X'X minus the group terms, then Cholesky) cancels in the
+        # intercept direction and drifts past 1e-8 against this reference.
+        ((9, 14, 27), 3, 500.0, 2, True, "widened"),
+        ((11, 17, 29), 2, 1.0, 5, False, "interior"),
+    ]
+
+    @pytest.mark.parametrize("sizes,p,sigma_b,seed,constant,regime", cases)
+    def test_matches_dense_reml(self, sizes, p, sigma_b, seed, constant, regime):
+        y, X, groups = design(sizes, p, sigma_b, seed, constant)
+        fit = fit_lmm(y, X, groups)
+        assert {"zero": fit.lambda_hat == 0.0,
+                "interior": 0.0 < fit.lambda_hat < np.exp(12.0) and not fit.flags,
+                "widened": fit.flags == ("mm:lambda_span_widened",)}[regime]
+        # the fit's lambda is no worse than any point of the fine grid
+        coef, cov, _, crit = ref.gls(y, X, groups, [fit.lambda_hat])
+        best = ref.grid_minimum(y, X, groups, REFERENCE_GRID)
+        assert crit[0] <= best + 1e-9 * abs(best)
+        # and the GLS fit at that lambda is the dense one
+        np.testing.assert_allclose(fit.coef, coef[0], rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(fit.cov, cov[0], rtol=1e-8, atol=0.0)
+
+
+def assert_same_fit(a, b, skip_coef=()):
+    keep = [i for i in range(a.coef.size) if i not in skip_coef]
+    scale = np.abs(a.cov).max()
+    np.testing.assert_allclose(b.coef[keep], a.coef[keep], rtol=1e-10, atol=1e-10 * np.sqrt(scale))
+    np.testing.assert_allclose(b.cov, a.cov, rtol=1e-10, atol=1e-10 * scale)
+    assert b.lambda_hat == pytest.approx(a.lambda_hat, rel=1e-10, abs=0.0)
+    assert b.flags == a.flags
+
+
+@st.composite
+def lmm_designs(draw):
+    sizes = tuple(draw(st.lists(st.integers(3, 40), min_size=2, max_size=4)))
+    p = draw(st.integers(1, 4))
+    sigma_b = draw(st.sampled_from([0.0, 0.3, 1.0, 3.0]))
+    y, X, groups = design(sizes, p, sigma_b, draw(st.integers(0, 2**32 - 1)))
+    return y, X, groups, draw(st.integers(0, 2**32 - 1))
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(lmm_designs())
+    def test_row_permutation(self, data):
+        y, X, groups, seed = data
+        perm = np.random.default_rng(seed).permutation(y.size)
+        assert_same_fit(fit_lmm(y, X, groups), fit_lmm(y[perm], X[perm], groups[perm]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(lmm_designs())
+    def test_group_relabelling(self, data):
+        y, X, groups, seed = data
+        labels = np.random.default_rng(seed).choice(1000, size=4, replace=False)
+        assert_same_fit(fit_lmm(y, X, groups), fit_lmm(y, X, labels[groups]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(lmm_designs(), st.floats(-5.0, 5.0))
+    def test_shifting_y_moves_only_the_intercept(self, data, shift):
+        y, X, groups, _ = data
+        a, b = fit_lmm(y, X, groups), fit_lmm(y + shift, X, groups)
+        assert_same_fit(a, b, skip_coef=(0,))
+        assert b.coef[0] == pytest.approx(a.coef[0] + shift, rel=1e-10, abs=1e-10)
 
 
 class TestEstimateMm:
