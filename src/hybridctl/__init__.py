@@ -9,8 +9,6 @@ operating characteristics across replicates.
 
 from .borrow import (
     ArmSummaries,
-    MapConfig,
-    NormalMixture,
     StudySummary,
     arm_summaries,
     build_strata,
@@ -86,8 +84,6 @@ __all__ = [
     "stratify",
     "estimate_psm",
     "estimate_psw",
-    "MapConfig",
-    "NormalMixture",
     "StudySummary",
     "map_prior",
     "robustify",

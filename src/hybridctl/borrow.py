@@ -16,12 +16,15 @@ Newton's method on the mixture CDF.
 The three MAP-family estimators differ only in their study list: the
 historical pools, or their matched or weighted summaries. One core,
 :func:`map_estimates`, takes the arm summaries (:func:`arm_summaries`),
-one study list and any number of (tau scale, omega) pairs. It stacks
-the pairs' mixtures as (rows, components) arrays of weights, means and
-SDs, one row per pair. :func:`robustify`, :func:`posterior_update` and
-:func:`effect_posterior` each run their step on every row at once, row
-by row and in the order of the one-mixture formulas, so each pair's
-estimate is the same to the last bit whatever pairs share its call.
+one study list and any number of (tau scale, omega) pairs; a cell's
+tau-ladder label becomes its tau scale through :func:`resolve_tau_scale`.
+A mixture is always given as arrays of weights, means and SDs:
+:func:`map_prior` returns 1-d arrays, one per tau scale, and the core
+stacks them as (rows, components) arrays, one row per pair.
+:func:`robustify`, :func:`posterior_update` and :func:`effect_posterior`
+each run their step on every row at once, row by row and in the order
+of the one-mixture formulas, so each pair's estimate is the same to the
+last bit whatever pairs share its call.
 
 Power-prior borrowing discounts the historical likelihood precision by
 a factor alpha. The two stratified estimators share one front end:
@@ -47,9 +50,7 @@ from .propensity import N_STRATA, MatchSet, PsFit, stratify
 from .trialdata import TrialDataset
 
 __all__ = [
-    "NormalMixture",
     "StudySummary",
-    "MapConfig",
     "SINGLE_POOL_TAU_MULT",
     "TAU_LADDER",
     "map_prior",
@@ -76,7 +77,7 @@ __all__ = [
 TAU_LADDER = {"L": 10.0, "M": 1.0, "S": 0.1, "XS": 0.01}
 
 # Label-less default for a single historical pool, as a fraction of that
-# pool's standard error (see _resolve_tau_scale).
+# pool's standard error (see resolve_tau_scale).
 SINGLE_POOL_TAU_MULT = 0.25
 
 # Quadrature nodes over the between-study SD tau in map_prior.
@@ -84,46 +85,7 @@ N_TAU = 201
 
 
 # ---------------------------------------------------------------------------
-# Normal mixtures
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormalMixture:
-    """Finite mixture of normals: aligned weights, means and SDs."""
-
-    weights: np.ndarray
-    means: np.ndarray
-    sds: np.ndarray
-
-    def __post_init__(self) -> None:
-        w, m, s = self.weights, self.means, self.sds
-        if w.ndim != 1 or w.size < 1 or m.shape != w.shape or s.shape != w.shape:
-            raise ValueError("weights, means and sds must be 1-d arrays of equal length >= 1")
-        _check_components(m, s)
-        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-10:
-            raise ValueError("weights must be non-negative and sum to 1")
-
-    @staticmethod
-    def normal(mean: float, sd: float) -> "NormalMixture":
-        return NormalMixture(np.ones(1), np.array([float(mean)]), np.array([float(sd)]))
-
-    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Weights, means and SDs as one-row arrays, for the stacked kernels."""
-        return self.weights[None], self.means[None], self.sds[None]
-
-    def mean(self) -> float:
-        return float(_moments(*self._rows())[0][0])
-
-    def var(self) -> float:
-        return float(_moments(*self._rows())[1][0])
-
-    def sd(self) -> float:
-        return math.sqrt(max(self.var(), 0.0))
-
-
-# ---------------------------------------------------------------------------
-# Study summaries and MAP configuration
+# Study summaries and the MAP prior
 # ---------------------------------------------------------------------------
 
 
@@ -139,41 +101,6 @@ class StudySummary:
             raise ValueError("study summary needs a finite mean and positive se")
 
 
-@dataclass(frozen=True)
-class MapConfig:
-    """Hyperparameters of the robust MAP pipeline.
-
-    ``omega`` is the vague-component weight (1 disables borrowing). The
-    half-normal tau scale is the empirical scale times the ladder
-    multiplier for ``tau_ladder_label`` (see :func:`_resolve_tau_scale`).
-    The vague component sits at the precision-weighted pooled study mean
-    with the unit-information SD (pooled historical outcome SD).
-    """
-
-    omega: float
-    tau_ladder_label: str | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError("omega must lie in [0, 1]")
-        if self.tau_ladder_label is not None and self.tau_ladder_label not in TAU_LADDER:
-            raise ValueError(f"unknown tau ladder label {self.tau_ladder_label!r}")
-
-
-def empirical_tau_scale(studies: list[StudySummary]) -> float:
-    """Data-driven tau scale: SD of study means, or the single study SE."""
-    if not studies:
-        raise ValueError("need at least one study")
-    if len(studies) == 1:
-        return studies[0].se
-    return float(np.std([s.mean for s in studies], ddof=1))
-
-
-# ---------------------------------------------------------------------------
-# MAP prior construction
-# ---------------------------------------------------------------------------
-
-
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     w = np.empty_like(grid)
     w[1:-1] = (grid[2:] - grid[:-2]) / 2.0
@@ -182,14 +109,17 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def map_prior(studies: list[StudySummary], tau_scale: float) -> NormalMixture:
+def map_prior(
+    studies: list[StudySummary], tau_scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Meta-analytic predictive prior for a new study mean.
 
     For each tau on an ``N_TAU``-node grid the location parameter
     integrates out under a flat prior, giving a normal predictive with
     the profiled marginal likelihood of tau; the half-normal(tau_scale) prior then weights the
     tau grid, so the prior is a normal mixture with one component per
-    tau node. ``tau_scale = 0`` collapses to fixed-effect pooling.
+    tau node, returned as 1-d arrays of weights, means and SDs.
+    ``tau_scale = 0`` collapses to fixed-effect pooling.
     """
     if tau_scale < 0 or not np.isfinite(tau_scale):
         raise ValueError("tau_scale must be finite and non-negative")
@@ -217,7 +147,9 @@ def map_prior(studies: list[StudySummary], tau_scale: float) -> NormalMixture:
         quad = ((means[None, :] - mu_hat[:, None]) ** 2 * prec).sum(axis=1)
         log_w = log_w - 0.5 * (np.log(v).sum(axis=1) + np.log(pressum) + quad)
     w_tau = np.exp(log_w - log_w.max())
-    return NormalMixture(w_tau / w_tau.sum(), mu_hat, np.sqrt(v_mu + taus**2))
+    sds = np.sqrt(v_mu + taus**2)
+    _check_components(mu_hat, sds)
+    return w_tau / w_tau.sum(), mu_hat, sds
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +158,10 @@ def map_prior(studies: list[StudySummary], tau_scale: float) -> NormalMixture:
 #
 # Every kernel works row by row and reduces only along a row, in the order
 # of the one-mixture formulas, so a row's bits do not depend on the rows
-# stacked with it.
+# stacked with it, as long as the stacks are C-ordered (each row
+# contiguous), as ``np.stack`` of 1-d arrays and row indexing make them. On
+# an F-ordered stack the BLAS row sums add in another order: a row sum of
+# 201 weights then moved in its last bit.
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -504,18 +439,23 @@ def _pooled_mean(studies: list[StudySummary]) -> float:
     return float((means * prec).sum() / prec.sum())
 
 
-def resolve_tau_scale(cfg: MapConfig, studies: list[StudySummary]) -> float:
-    """The half-normal tau scale that ``cfg`` names for ``studies`` (0 for
-    no studies, where the prior is the vague component alone)."""
+def resolve_tau_scale(tau_label: str | None, studies: list[StudySummary]) -> float:
+    """The half-normal tau scale that a ``TAU_LADDER`` label (None for the
+    default) names for ``studies`` (0 for no studies, where the prior is
+    the vague component alone)."""
+    if tau_label is not None and tau_label not in TAU_LADDER:
+        raise ValueError(f"unknown tau ladder label {tau_label!r}")
     if not studies:
         return 0.0
-    if cfg.tau_ladder_label is None and len(studies) == 1:
+    if len(studies) > 1:
+        return TAU_LADDER[tau_label or "M"] * float(np.std([s.mean for s in studies], ddof=1))
+    if tau_label is None:
         # A single pool leaves the between-study spread unidentified and
         # its standard error overstates any plausible spread, so the
         # label-less default borrows more aggressively. The multiplier
         # was calibrated once against the simulation grid and is frozen.
         return SINGLE_POOL_TAU_MULT * studies[0].se
-    return TAU_LADDER[cfg.tau_ladder_label or "M"] * empirical_tau_scale(studies)
+    return TAU_LADDER[tau_label] * studies[0].se
 
 
 def map_estimates(
@@ -548,19 +488,20 @@ def map_estimates(
     rows = len(omegas)
     flags = tuple(flags)
     if studies:
-        priors = {t: map_prior(studies, t) for t in dict.fromkeys(tau_scales)}
-        if len({p.weights.size for p in priors.values()}) > 1:
+        distinct = list(dict.fromkeys(tau_scales))
+        priors = [map_prior(studies, t) for t in distinct]
+        if len({w.size for w, _, _ in priors}) > 1:
             raise ValueError("tau scales must be all zero or all positive")
-        prior_sds = {t: p.sd() for t, p in priors.items()}
-        map_sds = [prior_sds[t] for t in tau_scales]
-        picked = [priors[t] for t in tau_scales]
-        w, m, s = robustify(
-            *(np.stack([getattr(p, f) for p in picked]) for f in ("weights", "means", "sds")),
-            np.array(omegas, dtype=float), _pooled_mean(studies), arms.unit_sd)
+        stacks = [np.stack(a) for a in zip(*priors)]
+        map_vars = _moments(*stacks)[1].tolist()
+        picked = [distinct.index(t) for t in tau_scales]
+        map_sds = [math.sqrt(max(map_vars[i], 0.0)) for i in picked]
+        w, m, s = robustify(*(a[picked] for a in stacks), np.array(omegas, dtype=float),
+                            _pooled_mean(studies), arms.unit_sd)
     else:
         flags += ("map:no_studies_forced_omega1",)
-        prior = NormalMixture.normal(arms.c_mean, arms.unit_sd)
-        w, m, s = (np.tile(a, (rows, 1)) for a in (prior.weights, prior.means, prior.sds))
+        w = np.ones((rows, 1))
+        m, s = np.full((rows, 1), arms.c_mean), np.full((rows, 1), arms.unit_sd)
         tau_scales, map_sds = [0.0] * rows, [arms.unit_sd] * rows
 
     post = posterior_update(w, m, s, arms.c_mean, arms.c_se)

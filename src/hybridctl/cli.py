@@ -117,6 +117,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    harness.check_seed(args.seed, "--seed")
     try:
         dataset = load_subjects_csv(args.data)
     except OSError as exc:  # its message names the file

@@ -24,7 +24,6 @@ import numpy as np
 import yaml
 
 from .borrow import (
-    MapConfig,
     TAU_LADDER,
     arm_summaries,
     build_strata,
@@ -61,6 +60,7 @@ __all__ = [
     "load_config",
     "apply_overrides",
     "expand_cells",
+    "check_seed",
     "replicate_rng",
     "run_replicate",
     "run_scenario",
@@ -74,8 +74,6 @@ __all__ = [
     "RAW_HEADER",
     "SUMMARY_HEADER",
 ]
-
-_MASK64 = (1 << 64) - 1
 
 RAW_HEADER = (
     "scenario_id,replicate,method_id,covset,hyperparam,estimate,se,reject,essr_pct,flags"
@@ -115,16 +113,24 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Cell:
-    """One result column: a method with a covariate set and hyper label.
-
-    A MAP-family cell carries the ``MapConfig`` its label names; every
-    other method has fixed settings and no label.
+    """One result column: a method with a covariate set and, for a
+    MAP-family cell, its vague-component weight ``omega`` and tau-ladder
+    label (None for the default tau scale). Every other method has fixed
+    settings and an empty hyperparameter label.
     """
 
     method_id: str
     covset: int | None
-    hyperparam: str
-    map_cfg: MapConfig | None = None
+    omega: float | None = None
+    tau_label: str | None = None
+
+    @property
+    def hyperparam(self) -> str:
+        """The label of the MAP settings, e.g. ``omega=0.5,tau=XS``."""
+        if self.omega is None:
+            return ""
+        tau = "" if self.tau_label is None else f",tau={self.tau_label}"
+        return f"omega={self.omega:g}{tau}"
 
     @property
     def key(self) -> tuple[str, int | None, str]:
@@ -177,8 +183,8 @@ def _has_bool(x: object) -> bool:
     return isinstance(x, bool) or (isinstance(x, list) and any(map(_has_bool, x)))
 
 
-def _map(entry: dict, where: str) -> list[tuple[str, MapConfig]]:
-    """One (hyperparameter label, MapConfig) pair per omega and tau-ladder label."""
+def _map(entry: dict, where: str) -> list[tuple[float, str | None]]:
+    """One (omega, tau-ladder label) pair per omega and label."""
     if "omega" in entry and "omegas" in entry:
         raise ConfigError(f"{where}: give either omega or omegas, not both")
     omegas = entry.get("omegas", [entry.get("omega", 0.5)])
@@ -192,14 +198,10 @@ def _map(entry: dict, where: str) -> list[tuple[str, MapConfig]]:
             raise ConfigError(f"{where}.tau_ladder: unknown label {lab!r} "
                               f"(expected one of {sorted(TAU_LADDER)})")
 
-    pairs = []
     for omega in omegas:
         if not _is_number(omega) or not 0 <= omega <= 1:
             raise ConfigError(f"{where}: omega {omega!r} outside [0, 1]")
-        for tau_label in tau_labels or [None]:
-            label = f"omega={float(omega):g}" + ("" if tau_label is None else f",tau={tau_label}")
-            pairs.append((label, MapConfig(omega=float(omega), tau_ladder_label=tau_label)))
-    return pairs
+    return [(float(omega), label) for omega in omegas for label in tau_labels or [None]]
 
 
 _MAP_KEYS = frozenset({"omega", "omegas", "tau_ladder"})
@@ -259,7 +261,7 @@ METHODS: dict[str, MethodSpec] = {
 
 # The two unadjusted benchmarks lead every cell list: every other
 # method's effective sample size is reported relative to unadj.rc.
-_BENCHMARK_CELLS = (Cell("unadj.rc", None, ""), Cell("unadj.fc", None, ""))
+_BENCHMARK_CELLS = (Cell("unadj.rc", None), Cell("unadj.fc", None))
 
 
 def _parse_covsets(covsets: object, where: str) -> tuple[int, ...]:
@@ -299,10 +301,10 @@ def expand_cells(
         own_covsets: tuple[int | None, ...] = (None,)
         if spec.covset:
             own_covsets = _parse_covsets(entry.get("covsets", list(covsets)), f"{here}.covsets")
-        variants = _map(entry, here) if spec.map else [("", None)]
-        for label, map_cfg in variants:
+        variants = _map(entry, here) if spec.map else [(None, None)]
+        for omega, tau_label in variants:
             for cs in own_covsets:
-                cell = Cell(method_id, cs, label, map_cfg)
+                cell = Cell(method_id, cs, omega, tau_label)
                 if cell.key in seen:
                     if cell in _BENCHMARK_CELLS:
                         continue
@@ -385,9 +387,8 @@ def _parse_scenario(raw: dict, defaults: dict, where: str) -> ScenarioConfig:
     if not _is_int(replicates) or replicates < 1:
         raise ConfigError(f"{where}.replicates: expected an integer >= 1")
 
-    master_seed = raw.get("master_seed", defaults["master_seed"])
-    if not _is_int(master_seed):
-        raise ConfigError(f"{where}.master_seed: expected an integer")
+    master_seed = check_seed(raw.get("master_seed", defaults["master_seed"]),
+                             f"{where}.master_seed")
 
     covsets = _parse_covsets(raw.get("covsets", list(COVSETS)), f"{where}.covsets")
 
@@ -424,8 +425,7 @@ def load_config(path: str) -> RunConfig:
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"{path}: unknown top-level key(s) {sorted(unknown)}")
-    if not _is_int(raw.get("master_seed")):
-        raise ConfigError(f"{path}: master_seed: required integer")
+    check_seed(raw.get("master_seed"), f"{path}: master_seed")
     replicates = raw.get("replicates", 2000)
     if not _is_int(replicates) or replicates < 1:
         raise ConfigError(f"{path}: replicates: expected an integer >= 1")
@@ -467,6 +467,7 @@ def apply_overrides(
             raise ConfigError("replicates override must be >= 1")
         scenarios = tuple(replace(s, replicates=replicates) for s in scenarios)
     if master_seed is not None:
+        check_seed(master_seed, "seed override")
         scenarios = tuple(replace(s, master_seed=master_seed) for s in scenarios)
     return replace(cfg, scenarios=scenarios)
 
@@ -480,12 +481,21 @@ def _hash64(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
+def check_seed(seed: object, where: str) -> int:
+    """``seed`` if it is a master seed: an integer in [0, 2**64), the 64
+    bits of entropy that :func:`replicate_rng` takes, so distinct seeds
+    give distinct streams. Otherwise a ``ConfigError`` naming ``where``."""
+    if not _is_int(seed) or not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{where}: expected an integer in [0, 2**64), not {seed!r}")
+    return seed
+
+
 def replicate_rng(
     master_seed: int, scenario_id: str, replicate: int, label: str
 ) -> np.random.Generator:
     """Independent stream for one purpose within one replicate."""
     seq = np.random.SeedSequence(
-        entropy=(master_seed & _MASK64, _hash64(scenario_id), int(replicate), _hash64(label))
+        entropy=(master_seed, _hash64(scenario_id), int(replicate), _hash64(label))
     )
     return np.random.default_rng(seq)
 
@@ -557,7 +567,7 @@ class _ReplicateCaches:
         covariate set) evaluates, in one call, every cell of the
         replicate's list that reads the source."""
         source = (cell.method_id, cell.covset)
-        return self._memo(("map", *source), lambda: self._map_batch(*source))[cell.key]
+        return self._memo(("map", *source), lambda: self._map_batch(*source))[cell]
 
     def _map_batch(self, method_id: str, covset: int | None) -> dict:
         # The order of arms and studies fixes which error text a failing
@@ -569,9 +579,9 @@ class _ReplicateCaches:
         arms = self.arms()
         cells = [c for c in self.cells if (c.method_id, c.covset) == (method_id, covset)]
         rows = map_estimates(arms, studies,
-                             [resolve_tau_scale(c.map_cfg, studies) for c in cells],
-                             [c.map_cfg.omega for c in cells], flags)
-        return {c.key: row for c, row in zip(cells, rows)}
+                             [resolve_tau_scale(c.tau_label, studies) for c in cells],
+                             [c.omega for c in cells], flags)
+        return dict(zip(cells, rows))
 
 
 def _failed_estimate(exc: Exception) -> EffectEstimate:
@@ -614,9 +624,14 @@ def evaluate_cells(
 
 
 def run_replicate(scenario: ScenarioConfig, replicate: int) -> list[EffectEstimate]:
-    """Generate one dataset and evaluate every method cell on it."""
+    """Generate one dataset and evaluate every method cell on it. A
+    dataset that cannot be generated (a ``ValueError``, such as too few
+    concurrent subjects) fails every cell of the replicate."""
     rng = replicate_rng(scenario.master_seed, scenario.scenario_id, replicate, "data")
-    dataset = build_replicate(scenario.coeffs, scenario.n_total, rng)
+    try:
+        dataset = build_replicate(scenario.coeffs, scenario.n_total, rng)
+    except ValueError as exc:
+        return [_failed_estimate(exc) for _ in scenario.cells]
     return evaluate_cells(
         dataset, scenario.cells, scenario.scenario_id, scenario.master_seed, replicate
     )

@@ -9,9 +9,9 @@ is the grid's discretisation error. ``tests/test_map_oracle.py`` compares
 them; nothing else should import this module.
 
 The functions are unchanged from the grid code except that
-``estimate_map`` takes the grid size as its own argument, since the
-package's ``MapConfig`` no longer has one, and a ``support`` factor that
-stretches the grid about its centre (1 is the grid as it was). The
+``estimate_map`` takes omega, the tau-ladder label and the grid size as
+arguments, and a ``support`` factor that stretches the grid about its
+centre (1 is the grid as it was). The
 grid's support of 10 (se + tau) about each study truncates the widest
 tau components of the prior; stretching it shows how much of a
 difference from the exact mixture is that truncation.
@@ -26,7 +26,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from hybridctl.borrow import (
-    MapConfig,
     StudySummary,
     _mean_se,
     _pooled_mean,
@@ -265,7 +264,8 @@ def _widen(grid: np.ndarray, support: float) -> np.ndarray:
 
 def estimate_map(
     dataset: TrialDataset,
-    cfg: MapConfig,
+    omega: float,
+    tau_label: str | None = None,
     studies: list[StudySummary] | None = None,
     extra_flags: tuple[str, ...] = (),
     n_theta: int = N_THETA,
@@ -289,7 +289,6 @@ def estimate_map(
     if studies is None:
         studies = [StudySummary(*_mean_se(pool.y)) for pool in dataset.historical]
 
-    omega = cfg.omega
     if not studies:
         omega = 1.0
         flags.append("map:no_studies_forced_omega1")
@@ -304,7 +303,7 @@ def estimate_map(
         tau_scale = 0.0
         prior_raw_sd = vague_sd
     else:
-        tau_scale = resolve_tau_scale(cfg, studies)
+        tau_scale = resolve_tau_scale(tau_label, studies)
         vague_mean = _pooled_mean(studies)
         vague_sd = unit_sd
         grid = _widen(

@@ -8,16 +8,14 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 from hybridctl.borrow import (
-    MapConfig,
-    NormalMixture,
     SINGLE_POOL_TAU_MULT,
     Strata,
     StudySummary,
     TAU_LADDER,
     arm_summaries,
     build_strata,
+    _moments,
     effect_posterior,
-    empirical_tau_scale,
     estimate_pss_cl,
     estimate_pss_pp,
     map_estimates,
@@ -44,20 +42,35 @@ def dataset(name="single-moderate", seed=0, n=1200):
 
 
 def mixture(weights, means, sds):
-    return NormalMixture(np.asarray(weights, dtype=float), np.asarray(means, dtype=float),
-                         np.asarray(sds, dtype=float))
+    """A mixture as the 1-d weights, means and SDs that map_prior returns."""
+    return tuple(np.asarray(a, dtype=float) for a in (weights, means, sds))
+
+
+def normal(mean, sd):
+    return mixture([1.0], [mean], [sd])
 
 
 def rows(*mixtures):
     """Mixtures of one size stacked as the (rows, components) weights,
     means and SDs that the kernels take."""
-    return tuple(np.stack([getattr(mix, f) for mix in mixtures])
-                 for f in ("weights", "means", "sds"))
+    return tuple(np.stack(a) for a in zip(*mixtures))
 
 
 def mixture_row(w, m, s):
     """The first row of a kernel's stacked output, as a mixture."""
-    return NormalMixture(w[0], m[0], s[0])
+    return w[0], m[0], s[0]
+
+
+def mix_mean(mix):
+    return float(_moments(*rows(mix))[0][0])
+
+
+def mix_var(mix):
+    return float(_moments(*rows(mix))[1][0])
+
+
+def mix_sd(mix):
+    return math.sqrt(max(mix_var(mix), 0.0))
 
 
 def robustify_one(prior, omega, mean, sd):
@@ -79,52 +92,47 @@ def exact_repr(arrays, row):
     return [repr(np.atleast_1d(a[row]).tolist()) for a in arrays]
 
 
-def map_fit(ds, cfg, studies=None, flags=()):
-    """The one-pair :func:`map_estimates` call for ``cfg``, on the
-    historical pools unless ``studies`` is given."""
+def map_fit(ds, omega, tau_label=None, studies=None, flags=()):
+    """The one-pair :func:`map_estimates` call for ``omega`` and
+    ``tau_label``, on the historical pools unless ``studies`` is given."""
     if studies is None:
         studies = pool_studies(ds)
-    return map_estimates(arm_summaries(ds), studies, [resolve_tau_scale(cfg, studies)],
-                         [cfg.omega], flags)[0]
+    return map_estimates(arm_summaries(ds), studies, [resolve_tau_scale(tau_label, studies)],
+                         [omega], flags)[0]
 
 
 def bisect_quantile(mix, q):
     """Plain bisection on the mixture CDF: the slow reference for Newton."""
-    lo, hi = mix.mean() - 50.0 * mix.sd(), mix.mean() + 50.0 * mix.sd()
+    w, m, s = mix
+    lo, hi = mix_mean(mix) - 50.0 * mix_sd(mix), mix_mean(mix) + 50.0 * mix_sd(mix)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if float(mix.weights @ norm.cdf(mid, mix.means, mix.sds)) < q:
+        if float(w @ norm.cdf(mid, m, s)) < q:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-class TestNormalMixture:
+class TestMoments:
     def test_normal_moments(self):
-        d = NormalMixture.normal(1.3, 0.7)
-        assert d.mean() == 1.3
-        assert d.sd() == pytest.approx(0.7, rel=1e-15)
-        assert d.weights.sum() == 1.0
+        d = normal(1.3, 0.7)
+        assert mix_mean(d) == 1.3
+        assert mix_sd(d) == pytest.approx(0.7, rel=1e-15)
 
     def test_mixture_moments(self):
         d = mixture([0.7, 0.3], [0.0, 3.0], [0.2, 0.4])
         want_mean = 0.3 * 3.0
         want_var = 0.7 * (0.04 + want_mean**2) + 0.3 * (0.16 + (3.0 - want_mean) ** 2)
-        assert d.mean() == pytest.approx(want_mean, abs=1e-15)
-        assert d.var() == pytest.approx(want_var, rel=1e-14)
+        assert mix_mean(d) == pytest.approx(want_mean, abs=1e-15)
+        assert mix_var(d) == pytest.approx(want_var, rel=1e-14)
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="equal length"):
-            mixture([0.5, 0.5], [0.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="sum to 1"):
-            mixture([0.9, 0.2], [0.0, 1.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="sum to 1"):
-            mixture([1.5, -0.5], [0.0, 1.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="SDs positive"):
-            NormalMixture.normal(0.0, 0.0)
-        with pytest.raises(ValueError, match="finite"):
-            NormalMixture.normal(math.nan, 1.0)
+    def test_rows_equal_one_row_calls(self):
+        mixes = [mixture([0.7, 0.3], [0.0, 3.0], [0.2, 0.4]),
+                 mixture([0.1, 0.9], [-2.0, 0.3], [1.5, 0.2])]
+        stacked = _moments(*rows(*mixes))
+        for i, mix in enumerate(mixes):
+            assert exact_repr(stacked, i) == exact_repr(_moments(*rows(mix)), 0)
 
 
 class TestMapPrior:
@@ -137,13 +145,13 @@ class TestMapPrior:
         prior = map_prior(studies, 0.0)
         prec = np.array([1 / s.se**2 for s in studies])
         means = np.array([s.mean for s in studies])
-        assert prior.mean() == pytest.approx(float(prec @ means / prec.sum()), abs=1e-8)
-        assert prior.sd() == pytest.approx(1 / math.sqrt(prec.sum()), rel=1e-6)
+        assert mix_mean(prior) == pytest.approx(float(prec @ means / prec.sum()), abs=1e-8)
+        assert mix_sd(prior) == pytest.approx(1 / math.sqrt(prec.sum()), rel=1e-6)
 
     def test_three_equal_studies_pool_as_root_three(self):
         studies = [StudySummary(0.0, 0.2)] * 3
         prior = map_prior(studies, 1e-9)
-        assert prior.sd() == pytest.approx(0.2 / math.sqrt(3), rel=5e-3)
+        assert mix_sd(prior) == pytest.approx(0.2 / math.sqrt(3), rel=5e-3)
 
     def test_matches_dense_joint_quadrature(self):
         # independent oracle: integrate the (location, tau) joint on a dense
@@ -172,8 +180,8 @@ class TestMapPrior:
 
         studies = [StudySummary(float(m), se) for m in means]
         prior = map_prior(studies, tau_scale)
-        assert prior.mean() == pytest.approx(oracle_mean, abs=1e-4)
-        assert prior.sd() == pytest.approx(math.sqrt(oracle_var), rel=1e-3)
+        assert mix_mean(prior) == pytest.approx(oracle_mean, abs=1e-4)
+        assert mix_sd(prior) == pytest.approx(math.sqrt(oracle_var), rel=1e-3)
 
     def test_prior_sd_non_decreasing_in_tau_ladder(self):
         studies = [
@@ -181,8 +189,8 @@ class TestMapPrior:
             StudySummary(0.4, 0.25),
             StudySummary(1.0, 0.25),
         ]
-        scale = empirical_tau_scale(studies)
-        sds = [map_prior(studies, TAU_LADDER[l] * scale).sd() for l in ("XS", "S", "M", "L")]
+        sds = [mix_sd(map_prior(studies, resolve_tau_scale(label, studies)))
+               for label in ("XS", "S", "M", "L")]
         assert all(b >= a - 1e-12 for a, b in zip(sds, sds[1:]))
         assert sds[-1] > sds[0]
 
@@ -192,42 +200,72 @@ class TestMapPrior:
         with pytest.raises(ValueError):
             map_prior([StudySummary(0.0, 1.0)], -0.5)
 
+    def test_returns_one_mixture_as_arrays(self):
+        studies = [StudySummary(0.2, 0.1), StudySummary(0.5, 0.2)]
+        w, m, s = map_prior(studies, 0.3)
+        assert w.shape == m.shape == s.shape == (201,)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12) and (w >= 0).all()
+        assert map_prior(studies, 0.0)[0].tolist() == [1.0]
+
+    def test_component_validation(self):
+        # a study that StudySummary would refuse gives a non-finite component
+        with pytest.raises(ValueError, match="finite"):
+            map_prior([SimpleNamespace(mean=math.nan, se=0.1)], 0.2)
+        with pytest.raises(ValueError, match="SDs positive"):
+            robustify_one(normal(0.0, 1.0), 0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            robustify_one(normal(0.0, 1.0), 0.5, math.nan, 1.0)
+
 
 class TestEmpiricalTauScale:
+    # The empirical scale is what ladder label M names; other labels scale it.
     def test_single_study_uses_its_se(self):
-        assert empirical_tau_scale([StudySummary(0.3, 0.17)]) == 0.17
+        study = [StudySummary(0.3, 0.17)]
+        assert resolve_tau_scale("M", study) == 0.17
+        assert resolve_tau_scale("XS", study) == 0.01 * 0.17
+        assert resolve_tau_scale(None, study) == SINGLE_POOL_TAU_MULT * 0.17
 
     def test_multiple_studies_use_sd_of_means(self):
         studies = [StudySummary(m, 0.5) for m in (0.0, 0.4, 1.0)]
         want = float(np.std([0.0, 0.4, 1.0], ddof=1))
-        assert empirical_tau_scale(studies) == pytest.approx(want, rel=1e-12)
+        assert resolve_tau_scale("M", studies) == pytest.approx(want, rel=1e-12)
+        assert resolve_tau_scale(None, studies) == resolve_tau_scale("M", studies)
+        assert resolve_tau_scale("L", studies) == 10.0 * resolve_tau_scale("M", studies)
 
     def test_ladder_values(self):
         assert TAU_LADDER == {"L": 10.0, "M": 1.0, "S": 0.1, "XS": 0.01}
+
+    def test_no_studies_and_unknown_labels(self):
+        assert resolve_tau_scale("S", []) == resolve_tau_scale(None, []) == 0.0
+        for label in ("XL", "m", ""):
+            with pytest.raises(ValueError, match="unknown tau ladder label"):
+                resolve_tau_scale(label, [StudySummary(0.3, 0.17)])
+            with pytest.raises(ValueError, match="unknown tau ladder label"):
+                resolve_tau_scale(label, [])
 
 
 class TestRobustify:
     def test_omega_zero_keeps_prior(self):
         prior = mixture([0.6, 0.4], [0.5, 1.0], [0.4, 0.3])
         out = robustify_one(prior, 0.0, 0.0, 2.0)
-        np.testing.assert_array_equal(out.weights, [0.6, 0.4, 0.0])
-        assert out.mean() == prior.mean()
-        assert out.var() == pytest.approx(prior.var(), rel=1e-15)
+        np.testing.assert_array_equal(out[0], [0.6, 0.4, 0.0])
+        assert mix_mean(out) == mix_mean(prior)
+        assert mix_var(out) == pytest.approx(mix_var(prior), rel=1e-15)
 
     def test_omega_one_is_pure_vague(self):
-        prior = NormalMixture.normal(0.5, 0.4)
+        prior = normal(0.5, 0.4)
         out = robustify_one(prior, 1.0, -1.0, 2.0)
-        np.testing.assert_array_equal(out.weights, [0.0, 1.0])
-        assert out.mean() == -1.0
-        assert out.sd() == 2.0
+        np.testing.assert_array_equal(out[0], [0.0, 1.0])
+        assert mix_mean(out) == -1.0
+        assert mix_sd(out) == 2.0
 
     def test_mixture_mean_is_linear(self):
-        prior = NormalMixture.normal(0.5, 0.4)
+        prior = normal(0.5, 0.4)
         out = robustify_one(prior, 0.3, -1.0, 2.0)
         want_mean = 0.7 * 0.5 + 0.3 * -1.0
         want_var = 0.7 * (0.16 + 0.25) + 0.3 * (4.0 + 1.0) - want_mean**2
-        assert out.mean() == pytest.approx(want_mean, abs=1e-15)
-        assert out.var() == pytest.approx(want_var, rel=1e-14)
+        assert mix_mean(out) == pytest.approx(want_mean, abs=1e-15)
+        assert mix_var(out) == pytest.approx(want_var, rel=1e-14)
 
     def test_bad_omega_rejected(self):
         # map_estimates checks omega on entry; the kernel checks the component
@@ -235,7 +273,7 @@ class TestRobustify:
         with pytest.raises(ValueError, match="omega"):
             map_estimates(arm_summaries(ds), pool_studies(ds), [0.1], [1.5])
         with pytest.raises(ValueError):
-            robustify_one(NormalMixture.normal(0.0, 1.0), 0.5, 0.0, 0.0)
+            robustify_one(normal(0.0, 1.0), 0.5, 0.0, 0.0)
 
     def test_rows_equal_one_row_calls(self):
         priors = [mixture([0.6, 0.4], [0.5, 1.0], [0.4, 0.3]),
@@ -250,15 +288,15 @@ class TestRobustify:
 
 class TestPosteriorUpdate:
     def test_conjugate_normal_case(self):
-        post = update_one(NormalMixture.normal(0.0, 1.0), 1.0, 1.0)
-        assert post.mean() == pytest.approx(0.5, abs=1e-12)
-        assert post.sd() == pytest.approx(math.sqrt(0.5), rel=1e-12)
+        post = update_one(normal(0.0, 1.0), 1.0, 1.0)
+        assert mix_mean(post) == pytest.approx(0.5, abs=1e-12)
+        assert mix_sd(post) == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_flat_prior_returns_likelihood(self):
         # a normal prior 3e4 data SEs wide moves the mean by under 1e-9
-        post = update_one(NormalMixture.normal(0.0, 1e4), 0.8, 0.3)
-        assert post.mean() == pytest.approx(0.8, abs=1e-6)
-        assert post.sd() == pytest.approx(0.3, rel=1e-6)
+        post = update_one(normal(0.0, 1e4), 0.8, 0.3)
+        assert mix_mean(post) == pytest.approx(0.8, abs=1e-6)
+        assert mix_sd(post) == pytest.approx(0.3, rel=1e-6)
 
     def test_bimodal_prior_reweights_analytically(self):
         # two-component normal prior has a closed-form posterior mixture
@@ -269,20 +307,21 @@ class TestPosteriorUpdate:
         wts = np.exp(lw - lw.max())
         wts /= wts.sum()
         assert wts[1] < 1e-3
-        np.testing.assert_allclose(post.weights, wts, rtol=1e-12, atol=1e-300)
+        post_w, post_m, post_s = post
+        np.testing.assert_allclose(post_w, wts, rtol=1e-12, atol=1e-300)
         # each component shrinks halfway, to the same SD
-        np.testing.assert_allclose(post.means, [0.0, 5.0], atol=1e-12)
-        np.testing.assert_allclose(post.sds, [math.sqrt(0.125)] * 2, rtol=1e-12)
-        assert post.mean() == pytest.approx(float(wts @ [0.0, 5.0]), abs=1e-12)
+        np.testing.assert_allclose(post_m, [0.0, 5.0], atol=1e-12)
+        np.testing.assert_allclose(post_s, [math.sqrt(0.125)] * 2, rtol=1e-12)
+        assert mix_mean(post) == pytest.approx(float(wts @ [0.0, 5.0]), abs=1e-12)
 
     def test_zero_weight_component_stays_zero(self):
-        prior = robustify_one(NormalMixture.normal(0.0, 0.5), 1.0, 2.0, 3.0)
-        post = update_one(prior, 0.4, 0.2)
-        assert post.weights[0] == 0.0
-        assert post.weights[1] == 1.0
+        prior = robustify_one(normal(0.0, 0.5), 1.0, 2.0, 3.0)
+        post_w = update_one(prior, 0.4, 0.2)[0]
+        assert post_w[0] == 0.0
+        assert post_w[1] == 1.0
 
     def test_bad_data_rejected(self):
-        prior = NormalMixture.normal(0.0, 1.0)
+        prior = normal(0.0, 1.0)
         with pytest.raises(ValueError):
             update_one(prior, 0.0, 0.0)
         with pytest.raises(ValueError):
@@ -303,7 +342,7 @@ def bimodal_control():
 
 class TestEffectPosterior:
     def test_normal_control_gives_normal_difference(self):
-        got = effect_one(NormalMixture.normal(1.0, 0.3), 2.0, 0.4)
+        got = effect_one(normal(1.0, 0.3), 2.0, 0.4)
         assert got.estimate == pytest.approx(1.0, abs=1e-12)
         assert got.se == pytest.approx(0.5, rel=1e-12)
         half = float(ndtri(0.975)) * 0.5
@@ -312,7 +351,7 @@ class TestEffectPosterior:
         assert got.interval[0] > 0.0  # the interval excludes zero: reject
 
     def test_point_mass_control_shifts_treated_normal(self):
-        got = effect_one(NormalMixture.normal(0.5, 1e-9), 1.2, 0.3)
+        got = effect_one(normal(0.5, 1e-9), 1.2, 0.3)
         assert got.estimate == pytest.approx(0.7, abs=1e-12)
         assert got.se == pytest.approx(0.3, rel=1e-12)
         half = float(ndtri(0.975)) * 0.3
@@ -336,11 +375,11 @@ class TestEffectPosterior:
 
     def test_monte_carlo_cross_check(self):
         # same bimodal setup, verified by simulation instead of algebra
-        control = bimodal_control()
-        got = effect_one(control, 1.0, 0.5)
+        w, m, s = bimodal_control()
+        got = effect_one((w, m, s), 1.0, 0.5)
         rng = np.random.default_rng(99)
-        comp = rng.choice(2, size=10**6, p=control.weights)
-        theta = rng.normal(control.means[comp], control.sds[comp])
+        comp = rng.choice(2, size=10**6, p=w)
+        theta = rng.normal(m[comp], s[comp])
         draws = rng.normal(1.0, 0.5, size=10**6) - theta
         assert got.estimate == pytest.approx(float(draws.mean()), abs=0.01)
         assert got.interval[0] == pytest.approx(float(np.quantile(draws, 0.025)), abs=0.02)
@@ -354,22 +393,21 @@ class TestEffectPosterior:
             # the 97.5 % point of the effect sits in the gap between modes
             mixture([0.97, 0.03], [0.0, 10.0], [0.1, 0.1]),
             mixture([0.02, 0.96, 0.02], [-30.0, 0.0, 30.0], [0.05, 1.0, 0.05]),
-            NormalMixture.normal(-2.0, 1e-6),
+            normal(-2.0, 1e-6),
         ],
     )
     def test_newton_ends_match_plain_bisection(self, control, alpha):
         got = effect_one(control, 0.5, 0.3, alpha=alpha)
-        effect = mixture(control.weights, 0.5 - control.means,
-                         np.sqrt(control.sds**2 + 0.09))
+        w, m, s = control
+        effect = mixture(w, 0.5 - m, np.sqrt(s**2 + 0.09))
         assert got.interval[0] == pytest.approx(
             bisect_quantile(effect, alpha / 2), abs=1e-10 * got.se)
         assert got.interval[1] == pytest.approx(
             bisect_quantile(effect, 1 - alpha / 2), abs=1e-10 * got.se)
 
     def test_bad_treated_se_rejected(self):
-        control = NormalMixture.normal(0.0, 1.0)
         with pytest.raises(ValueError):
-            effect_one(control, 1.0, 0.0)
+            effect_one(normal(0.0, 1.0), 1.0, 0.0)
 
     def test_rows_equal_one_row_calls(self):
         controls = [bimodal_control(), mixture([0.97, 0.03], [0.0, 10.0], [0.1, 0.1]),
@@ -422,7 +460,7 @@ class TestPowerPrior:
 class TestEstimateMap:
     def test_omega_one_tracks_unadjusted(self):
         ds = dataset(seed=77)
-        got = map_fit(ds, MapConfig(omega=1.0))
+        got = map_fit(ds, 1.0)
         ref = unadjusted_effect(ds.reduced_concurrent)
         assert got.estimate == pytest.approx(ref.estimate, abs=0.02)
         assert got.se == pytest.approx(ref.se, rel=0.05)
@@ -431,8 +469,8 @@ class TestEstimateMap:
 
     def test_borrowing_tightens_the_posterior(self):
         ds = dataset(seed=77)
-        full = map_fit(ds, MapConfig(omega=0.2))
-        none = map_fit(ds, MapConfig(omega=1.0))
+        full = map_fit(ds, 0.2)
+        none = map_fit(ds, 1.0)
         assert full.se < none.se
         assert full.diagnostics["prior_ess"] > none.diagnostics["prior_ess"]
 
@@ -442,24 +480,24 @@ class TestEstimateMap:
         ds = dataset(seed=77)
         pool = ds.historical[0].y
         pool_se = float(np.std(pool, ddof=1)) / math.sqrt(len(pool))
-        got = map_fit(ds, MapConfig(omega=0.5))
+        got = map_fit(ds, 0.5)
         assert got.diagnostics["tau_scale"] == pytest.approx(
             SINGLE_POOL_TAU_MULT * pool_se, rel=1e-12
         )
-        labelled = map_fit(ds, MapConfig(omega=0.5, tau_ladder_label="M"))
+        labelled = map_fit(ds, 0.5, "M")
         assert labelled.diagnostics["tau_scale"] == pytest.approx(pool_se, rel=1e-12)
 
         # Several pools: the default is the SD of the pool means.
         multi = dataset("multi-moderate", seed=78, n=1600)
         means = [float(np.mean(p.y)) for p in multi.historical]
-        got = map_fit(multi, MapConfig(omega=0.5))
+        got = map_fit(multi, 0.5)
         assert got.diagnostics["tau_scale"] == pytest.approx(
             float(np.std(means, ddof=1)), rel=1e-12
         )
 
     def test_no_studies_forces_vague_only(self):
         ds = dataset(seed=78)
-        got = map_fit(ds, MapConfig(omega=0.2), studies=[])
+        got = map_fit(ds, 0.2, studies=[])
         assert "map:no_studies_forced_omega1" in got.flags
         assert got.diagnostics["n_studies"] == 0.0
         ref = unadjusted_effect(ds.reduced_concurrent)
@@ -476,10 +514,11 @@ class TestEstimateMap:
             map_estimates(arms, studies, [0.1, tau_scale], [0.5, omega])
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MapConfig(omega=-0.1)
-        with pytest.raises(ValueError):
-            MapConfig(omega=0.5, tau_ladder_label="XL")
+        ds = dataset(seed=78)
+        with pytest.raises(ValueError, match="omega"):
+            map_fit(ds, -0.1)
+        with pytest.raises(ValueError, match="unknown tau ladder label"):
+            map_fit(ds, 0.5, "XL")
         with pytest.raises(ValueError):
             StudySummary(0.0, 0.0)
 
@@ -554,14 +593,14 @@ class TestMapCombinations:
         ]
         none = np.zeros(0, dtype=int)
         real[1] = MatchSet(conc_rows=none, hist_rows=none, caliper=0.0)
-        got = map_fit(ds, MapConfig(omega=0.5), *matched_studies(psfit, real))
+        got = map_fit(ds, 0.5, None, *matched_studies(psfit, real))
         assert got.flags == ("psm_map:pool2_unmatched_dropped",)
         assert got.diagnostics["n_studies"] == 2.0
 
     def test_psw_map_smoke(self):
         ds = dataset(seed=10)
         psfit = estimate_ps(ds, 2)
-        got = map_fit(ds, MapConfig(omega=0.5), *weighted_studies(ds, psfit, ipw_weights(psfit)))
+        got = map_fit(ds, 0.5, None, *weighted_studies(ds, psfit, ipw_weights(psfit)))
         assert got.diagnostics["n_studies"] == 1.0
         assert np.isfinite(got.se) and got.se > 0
 

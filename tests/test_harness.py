@@ -122,11 +122,27 @@ class TestExpandCells:
         (cell,) = [c for c in cells if c.method_id == "PSM+MAP"]
         assert cell.hyperparam == "omega=0.5,tau=XS"
         assert cell.covset == 2
-        assert cell.map_cfg.tau_ladder_label == "XS"
+        assert (cell.omega, cell.tau_label) == (0.5, "XS")
 
     def test_default_labels_are_empty(self):
         cells = expand_cells(["PSM", "PSW", "PSS+PP", "PSS+CL", "MM", "MM.nc"], (1,))
-        assert all(c.hyperparam == "" and c.map_cfg is None for c in cells)
+        assert all(c.hyperparam == "" and c.omega is c.tau_label is None for c in cells)
+
+    def test_map_cells_carry_their_settings_and_labels(self):
+        cells = expand_cells([{"method_id": "MAP", "omegas": [0, 0.25, 1]},
+                              {"method_id": "PSW+MAP", "omega": 0.5, "tau_ladder": ["L", "XS"]}],
+                             (1,))
+        got = [(c.method_id, c.covset, c.omega, c.tau_label, c.hyperparam) for c in cells[2:]]
+        assert got == [
+            ("MAP", None, 0.0, None, "omega=0"),
+            ("MAP", None, 0.25, None, "omega=0.25"),
+            ("MAP", None, 1.0, None, "omega=1"),
+            ("PSW+MAP", 1, 0.5, "L", "omega=0.5,tau=L"),
+            ("PSW+MAP", 1, 0.5, "XS", "omega=0.5,tau=XS"),
+        ]
+        assert all(type(c.omega) is float for c in cells[2:])
+        assert [c.key for c in cells[2:4]] == [("MAP", None, "omega=0"),
+                                               ("MAP", None, "omega=0.25")]
 
     def test_duplicate_cells_rejected(self):
         with pytest.raises(ConfigError, match=r"methods\[1\].*duplicate cell"):
@@ -397,6 +413,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown scenario"):
             apply_overrides(cfg, scenario_id="missing")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, -(2**64) + 1])
+    def test_seeds_outside_64_bits_rejected(self, tmp_path, seed):
+        # replicate_rng takes the seed as 64 bits of entropy, so a seed
+        # outside them would give the streams of one inside
+        with pytest.raises(ConfigError,
+                           match=r": master_seed: expected an integer in \[0, 2\*\*64\)"):
+            load_config(write_demo_config(tmp_path, {"master_seed": seed}, {}))
+        with pytest.raises(ConfigError, match=r"scenarios\[0\]\.master_seed: expected an integer"):
+            load_config(write_demo_config(tmp_path, {}, {"master_seed": seed}))
+        cfg = load_config(write_demo_config(tmp_path, {}, {}))
+        with pytest.raises(ConfigError, match="seed override"):
+            apply_overrides(cfg, master_seed=seed)
+
+    def test_seed_range_ends_accepted(self, tmp_path):
+        for seed in (0, 2**64 - 1):
+            cfg = load_config(write_demo_config(tmp_path, {"master_seed": seed}, {}))
+            assert cfg.scenarios[0].master_seed == seed
+
 
 class TestReplicateRng:
     def test_same_coordinates_same_stream(self):
@@ -544,7 +578,7 @@ def flat_pools(ds):
 def one_pair_call(ds, cell, caches):
     """A MAP-family cell's one-pair :func:`borrow.map_estimates` call, on
     the replicate's own propensity fit, match sets and weights."""
-    cfg, cs = cell.map_cfg, cell.covset
+    cs = cell.covset
     try:
         if cell.method_id == "MAP":
             studies, flags = borrow.pool_studies(ds), ()
@@ -553,8 +587,8 @@ def one_pair_call(ds, cell, caches):
         else:
             studies, flags = borrow.weighted_studies(ds, caches.psfit(cs), caches.weightset(cs))
         return borrow.map_estimates(borrow.arm_summaries(ds), studies,
-                                    [borrow.resolve_tau_scale(cfg, studies)], [cfg.omega],
-                                    flags)[0]
+                                    [borrow.resolve_tau_scale(cell.tau_label, studies)],
+                                    [cell.omega], flags)[0]
     except ValueError as exc:
         return harness._failed_estimate(exc)
 
@@ -676,6 +710,20 @@ class TestRunScenario:
         assert map_row.n_used == 0 and map_row.n_failed == 3
         assert math.isnan(map_row.bias)
         assert any(k.startswith("MAP|error:") for k in res.flag_counts)
+
+    def test_degenerate_replicate_fails_its_cells(self):
+        # replicate 11 draws 2 concurrent subjects out of 24, too few to
+        # randomise: every cell of that replicate fails, and the run goes on
+        sc = small_scenario(["PSM", "MAP"], reps=12, n_total=24)
+        res = run_scenario(sc)
+        rows = res.replicate_rows[11]
+        assert len(rows) == len(sc.cells) and all(r.failed for r in rows)
+        assert {r.flags for r in rows} == {
+            ("error:ValueError:degenerate replicate: 2 concurrent subjects out of 24",)}
+        assert res.flag_counts["MAP|error:ValueError:degenerate replicate: 2 concurrent "
+                               "subjects out of 24"] == 1
+        assert res.failure_fraction >= 1 / 12
+        assert all(r.n_failed >= 1 for r in res.summary)
 
     def test_full_concurrent_benchmark_is_tighter(self):
         sc = small_scenario([], reps=30, n_total=300)
@@ -897,6 +945,43 @@ class TestCli:
         diag = json.loads((out / "diagnostics.json").read_text())
         fractions = {s["scenario_id"]: s["failure_fraction"] for s in diag["scenarios"]}
         assert fractions["clean"] == 0.0 and fractions["flat-outcomes"] > 0.05
+
+    def test_run_survives_degenerate_replicates(self, tmp_path, capsys):
+        # 100 replicates of 24 subjects: several draw under 4 concurrent
+        # subjects. Their rows fail, count toward the failure fraction and
+        # come out the same with one and two workers.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("master_seed: 11\nreplicates: 100\nscenarios:\n"
+                       "  - scenario_id: small\n    preset: single-moderate\n"
+                       "    n_total: 24\n    covsets: [1]\n    methods: [PSM]\n")
+        files = {}
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            code = cli.main(["run", "--config", str(cfg), "--threads", str(threads),
+                             "--out", str(out)])
+            assert code == 3
+            assert "exceeds threshold" in capsys.readouterr().err
+            files[threads] = [(out / f).read_bytes()
+                              for f in ("raw.csv", "summary.csv", "diagnostics.json")]
+        assert files[1] == files[2]
+        raw = files[1][0].decode().splitlines()
+        assert len(raw) == 1 + 100 * 3
+        degenerate = [line for line in raw if "degenerate replicate" in line]
+        assert len(degenerate) == 3 * 5  # replicates 11, 16, 21, 29 and 63
+
+    @pytest.mark.parametrize("argv", [["run", "--config", "CFG", "--seed", "-1"],
+                                      ["run", "--config", "CFG", "--seed", str(2**64)],
+                                      ["analyze", "--data", "DATA", "--seed", "-1"],
+                                      ["analyze", "--data", "DATA", "--seed", str(2**64)]])
+    def test_seed_outside_64_bits_is_config_error(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(CLI_CONFIG)
+        ds = build_replicate(preset("single-moderate"), 300, np.random.default_rng(8))
+        data = write_subjects_csv(tmp_path / "subjects.csv", ds)
+        argv = [{"CFG": str(cfg), "DATA": str(data)}.get(a, a) for a in argv]
+        assert cli.main(argv + (["--out", str(tmp_path / "r")] if argv[0] == "run" else [])) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_table_missing_summary_is_config_error(self, tmp_path, capsys):
         assert cli.main(["table", "--in", str(tmp_path)]) == 2

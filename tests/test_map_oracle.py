@@ -22,7 +22,7 @@ import pytest
 
 import grid_reference
 from hybridctl.borrow import (
-    MapConfig, arm_summaries, map_estimates, matched_studies, pool_studies, resolve_tau_scale,
+    arm_summaries, map_estimates, matched_studies, pool_studies, resolve_tau_scale,
     weighted_studies,
 )
 from hybridctl.propensity import estimate_ps, ipw_weights, match_nearest
@@ -32,8 +32,7 @@ OMEGAS = (0.0, 0.2, 0.5, 1.0)
 TAU_LABELS = (None, "L", "M", "S", "XS")
 DATASETS = (("single-moderate", 1), ("single-severe", 2), ("multi-severe", 3))
 TOL_SD = 1e-6
-CONFIGS = [MapConfig(omega=omega, tau_ladder_label=label)
-           for omega in OMEGAS for label in TAU_LABELS]
+CONFIGS = [(omega, label) for omega in OMEGAS for label in TAU_LABELS]
 
 
 @pytest.fixture(scope="module")
@@ -56,14 +55,15 @@ def paired_fits(fit_inputs, support):
     pairs = []
     for ds, psfit, matchsets, weights in fit_inputs:
         arms = arm_summaries(ds)
-        sources = [(([], ()), [MapConfig(omega=0.5)]), ((pool_studies(ds), ()), CONFIGS),
+        sources = [(([], ()), [(0.5, None)]), ((pool_studies(ds), ()), CONFIGS),
                    (matched_studies(psfit, matchsets), CONFIGS),
                    (weighted_studies(ds, psfit, weights), CONFIGS)]
         for (studies, flags), cfgs in sources:
-            exact = map_estimates(arms, studies, [resolve_tau_scale(c, studies) for c in cfgs],
-                                  [c.omega for c in cfgs], flags)
-            grid = [grid_reference.estimate_map(ds, c, studies=studies, extra_flags=flags,
-                                                support=support) for c in cfgs]
+            exact = map_estimates(arms, studies, [resolve_tau_scale(t, studies) for _, t in cfgs],
+                                  [omega for omega, _ in cfgs], flags)
+            grid = [grid_reference.estimate_map(ds, omega, label, studies=studies,
+                                                extra_flags=flags, support=support)
+                    for omega, label in cfgs]
             pairs += zip(exact, grid, strict=True)
     assert len(pairs) == 183
     return pairs
