@@ -9,7 +9,6 @@ operating characteristics across replicates.
 
 from .borrow import (
     ArmSummaries,
-    StudySummary,
     arm_summaries,
     build_strata,
     effect_posterior,
@@ -84,7 +83,6 @@ __all__ = [
     "stratify",
     "estimate_psm",
     "estimate_psw",
-    "StudySummary",
     "map_prior",
     "robustify",
     "posterior_update",

@@ -13,11 +13,12 @@ treatment-effect posterior convolves each component with the normal
 treated-arm likelihood in closed form; credible-interval ends come from
 Newton's method on the mixture CDF.
 
-The three MAP-family estimators differ only in their study list: the
-historical pools, or their matched or weighted summaries. One core,
-:func:`map_estimates`, takes the arm summaries (:func:`arm_summaries`),
-one study list and any number of (tau scale, omega) pairs; a cell's
-tau-ladder label becomes its tau scale through :func:`resolve_tau_scale`.
+The three MAP-family estimators differ only in their studies, a (k, 2)
+array of means and SEs: the historical pools, or their matched or
+weighted summaries. One core, :func:`map_estimates`, takes the arm
+summaries (:func:`arm_summaries`), one study array and any number of
+(tau-ladder label, omega) pairs, each label naming a tau scale
+(:func:`resolve_tau_scale`).
 A mixture is always given as arrays of weights, means and SDs:
 :func:`map_prior` returns 1-d arrays, one per tau scale, and the core
 stacks them as (rows, components) arrays, one row per pair.
@@ -50,7 +51,6 @@ from .propensity import N_STRATA, MatchSet, PsFit, stratify
 from .trialdata import TrialDataset
 
 __all__ = [
-    "StudySummary",
     "SINGLE_POOL_TAU_MULT",
     "TAU_LADDER",
     "map_prior",
@@ -89,16 +89,14 @@ N_TAU = 201
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StudySummary:
-    """Mean and standard error of one historical study."""
-
-    mean: float
-    se: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.mean) and np.isfinite(self.se) and self.se > 0):
+def _studies(rows) -> np.ndarray:
+    """The (k, 2) array of (mean, se) ``rows``, each checked as it is read."""
+    kept = []
+    for mean, se in rows:
+        if not (math.isfinite(mean) and math.isfinite(se) and se > 0):
             raise ValueError("study summary needs a finite mean and positive se")
+        kept.append((mean, se))
+    return np.array(kept, dtype=float).reshape(-1, 2)
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -110,9 +108,9 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 
 
 def map_prior(
-    studies: list[StudySummary], tau_scale: float
+    studies: np.ndarray, tau_scale: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Meta-analytic predictive prior for a new study mean.
+    """Meta-analytic predictive prior for a new study mean from (k, 2) studies.
 
     For each tau on an ``N_TAU``-node grid the location parameter
     integrates out under a flat prior, giving a normal predictive with
@@ -123,8 +121,7 @@ def map_prior(
     """
     if tau_scale < 0 or not np.isfinite(tau_scale):
         raise ValueError("tau_scale must be finite and non-negative")
-    means = np.array([s.mean for s in studies], dtype=float)
-    ses = np.array([s.se for s in studies], dtype=float)
+    means, ses = _studies(studies).T
     if means.size == 0:
         raise ValueError("need at least one study")
 
@@ -355,14 +352,12 @@ def arm_summaries(dataset: TrialDataset) -> ArmSummaries:
     return ArmSummaries(t_mean, t_se, c_mean, c_se, unit_sd)
 
 
-def pool_studies(dataset: TrialDataset) -> list[StudySummary]:
-    """One summary (mean, sd/sqrt(n)) per historical pool."""
-    return [StudySummary(*_mean_se(pool.y)) for pool in dataset.historical]
+def pool_studies(dataset: TrialDataset) -> np.ndarray:
+    """One study (mean, sd/sqrt(n)) per historical pool."""
+    return _studies(_mean_se(pool.y) for pool in dataset.historical)
 
 
-def matched_study_summary(
-    matchset: MatchSet, psfit: PsFit
-) -> StudySummary | None:
+def matched_study_summary(matchset: MatchSet, psfit: PsFit) -> tuple[float, float] | None:
     """Mean and cluster-aware SE of a matched historical multiset.
 
     Re-used subjects count once per pair in the mean; the SE treats each
@@ -382,12 +377,10 @@ def matched_study_summary(
     se = float(np.sqrt(((counts * (y_u - mean)) ** 2).sum() * u / (u - 1)) / m)
     if se <= 0:
         return None
-    return StudySummary(mean=mean, se=se)
+    return mean, se
 
 
-def weighted_study_summary(
-    y: np.ndarray, weights: np.ndarray
-) -> StudySummary | None:
+def weighted_study_summary(y: np.ndarray, weights: np.ndarray) -> tuple[float, float] | None:
     """Weighted mean and robust SE of one pool's retained subjects."""
     keep = weights > 0
     if keep.sum() < 2:
@@ -404,12 +397,12 @@ def weighted_study_summary(
     se = float(np.sqrt((w * w * (y - mean) ** 2).sum() * n_eff / (n_eff - 1)) / total)
     if se <= 0:
         return None
-    return StudySummary(mean=mean, se=se)
+    return mean, se
 
 
 def matched_studies(
     psfit: PsFit, matchsets: list[MatchSet]
-) -> tuple[list[StudySummary], tuple[str, ...]]:
+) -> tuple[np.ndarray, tuple[str, ...]]:
     """Summaries of the pools matched separately (``matchsets[j - 1]`` for
     pool j), and a flag for each pool with under two distinct matches,
     which is dropped."""
@@ -419,7 +412,7 @@ def matched_studies(
 
 def weighted_studies(
     dataset: TrialDataset, psfit: PsFit, weights: np.ndarray
-) -> tuple[list[StudySummary], tuple[str, ...]]:
+) -> tuple[np.ndarray, tuple[str, ...]]:
     """Weighted summaries of the pools, and a flag for each pool that its
     weights leave without a summary, which is dropped."""
     trial, y = psfit.sample.trial, psfit.sample.y
@@ -428,66 +421,58 @@ def weighted_studies(
     return _kept(summaries, "psw_map:pool{}_trimmed_dropped")
 
 
-def _kept(summaries: list, flag: str) -> tuple[list[StudySummary], tuple[str, ...]]:
-    return ([s for s in summaries if s is not None],
+def _kept(summaries: list, flag: str) -> tuple[np.ndarray, tuple[str, ...]]:
+    return (_studies(s for s in summaries if s is not None),
             tuple(flag.format(j) for j, s in enumerate(summaries, start=1) if s is None))
 
 
-def _pooled_mean(studies: list[StudySummary]) -> float:
-    prec = np.array([1.0 / (s.se * s.se) for s in studies])
-    means = np.array([s.mean for s in studies])
-    return float((means * prec).sum() / prec.sum())
-
-
-def resolve_tau_scale(tau_label: str | None, studies: list[StudySummary]) -> float:
+def resolve_tau_scale(tau_label: str | None, studies: np.ndarray) -> float:
     """The half-normal tau scale that a ``TAU_LADDER`` label (None for the
-    default) names for ``studies`` (0 for no studies, where the prior is
-    the vague component alone)."""
+    default) names for a (k, 2) study array (0 for no studies, where the
+    prior is the vague component alone)."""
     if tau_label is not None and tau_label not in TAU_LADDER:
         raise ValueError(f"unknown tau ladder label {tau_label!r}")
-    if not studies:
+    if len(studies) == 0:
         return 0.0
     if len(studies) > 1:
-        return TAU_LADDER[tau_label or "M"] * float(np.std([s.mean for s in studies], ddof=1))
+        return TAU_LADDER[tau_label or "M"] * float(np.std(studies[:, 0], ddof=1))
     if tau_label is None:
         # A single pool leaves the between-study spread unidentified and
         # its standard error overstates any plausible spread, so the
         # label-less default borrows more aggressively. The multiplier
         # was calibrated once against the simulation grid and is frozen.
-        return SINGLE_POOL_TAU_MULT * studies[0].se
-    return TAU_LADDER[tau_label] * studies[0].se
+        return SINGLE_POOL_TAU_MULT * float(studies[0, 1])
+    return TAU_LADDER[tau_label] * float(studies[0, 1])
 
 
 def map_estimates(
     arms: ArmSummaries,
-    studies: list[StudySummary],
-    tau_scales: list[float],
+    studies: np.ndarray,
+    tau_labels: list[str | None],
     omegas: list[float],
     flags: tuple[str, ...] = (),
 ) -> list[EffectEstimate]:
-    """Robust MAP estimates from one study list, one per (tau scale, omega) pair.
+    """Robust MAP estimates from (k, 2) studies, one per (tau label, omega) pair.
 
-    The MAP prior (one :func:`map_prior` per distinct tau scale) is
-    robustified with weight omega by a vague component at the
-    precision-weighted pooled study mean with SD ``arms.unit_sd``,
+    The MAP prior (one :func:`map_prior` per distinct tau scale that the
+    labels name) is robustified with weight omega by a vague component at
+    the precision-weighted pooled study mean with SD ``arms.unit_sd``,
     updated with the concurrent control arm and contrasted against the
     treated arm; an estimate rejects when its credible interval excludes
     zero. The pairs are stacked and evaluated together, row by row, so
-    each estimate equals the one-pair call bit for bit. Every tau scale
-    must be finite and non-negative and every omega in [0, 1], with
-    studies or without. An empty ``studies`` forces omega = 1: the prior
-    is the vague component alone, at the control mean. ``flags`` go on
-    every estimate.
+    each estimate equals the one-pair call bit for bit. Every label must
+    be known and every omega in [0, 1], with studies or without. No
+    studies force omega = 1: the prior is the vague component alone, at
+    the control mean. ``flags`` go on every estimate.
     """
-    if len(tau_scales) != len(omegas):
-        raise ValueError("need one omega per tau scale")
-    if not all(math.isfinite(t) and t >= 0.0 for t in tau_scales):
-        raise ValueError("tau_scale must be finite and non-negative")
+    if len(tau_labels) != len(omegas):
+        raise ValueError("need one omega per tau label")
+    tau_scales = [resolve_tau_scale(t, studies) for t in tau_labels]
     if not all(0.0 <= o <= 1.0 for o in omegas):
         raise ValueError("omega must lie in [0, 1]")
     rows = len(omegas)
     flags = tuple(flags)
-    if studies:
+    if len(studies):
         distinct = list(dict.fromkeys(tau_scales))
         priors = [map_prior(studies, t) for t in distinct]
         if len({w.size for w, _, _ in priors}) > 1:
@@ -496,13 +481,14 @@ def map_estimates(
         map_vars = _moments(*stacks)[1].tolist()
         picked = [distinct.index(t) for t in tau_scales]
         map_sds = [math.sqrt(max(map_vars[i], 0.0)) for i in picked]
+        prec = 1.0 / studies[:, 1] ** 2  # the vague component sits at the pooled mean
         w, m, s = robustify(*(a[picked] for a in stacks), np.array(omegas, dtype=float),
-                            _pooled_mean(studies), arms.unit_sd)
+                            float((studies[:, 0] * prec).sum() / prec.sum()), arms.unit_sd)
     else:
         flags += ("map:no_studies_forced_omega1",)
         w = np.ones((rows, 1))
         m, s = np.full((rows, 1), arms.c_mean), np.full((rows, 1), arms.unit_sd)
-        tau_scales, map_sds = [0.0] * rows, [arms.unit_sd] * rows
+        map_sds = [arms.unit_sd] * rows
 
     post = posterior_update(w, m, s, arms.c_mean, arms.c_se)
     est, sd, lo, hi, post_var = effect_posterior(*post, arms.t_mean, arms.t_se)

@@ -64,7 +64,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if args.threads < 1:
         raise ConfigError("--threads must be >= 1")
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # its message names the path
+        raise ConfigError(f"--out: {exc}") from exc
 
     results = []
     for scenario in cfg.scenarios:

@@ -32,7 +32,6 @@ from .borrow import (
     map_estimates,
     matched_studies,
     pool_studies,
-    resolve_tau_scale,
     weighted_studies,
 )
 from .metrics import EffectEstimate, SummaryRow, essr, summarize
@@ -213,14 +212,14 @@ class MethodSpec:
 
     ``covset``: the method runs once per covariate set, and an entry may
     set ``covsets``. ``evaluate`` runs one cell on a replicate. A
-    MAP-family method sets ``studies``, which builds the study list and
-    drop flags of its source for a covariate set; its entries may set
+    MAP-family method sets ``studies``, which builds the (k, 2) studies
+    and drop flags of its source for a covariate set; its entries may set
     ``omega``/``omegas`` and ``tau_ladder``, one cell per combination.
     """
 
     covset: bool
     evaluate: Callable[[Cell, _ReplicateCaches], EffectEstimate]
-    studies: Callable[[_ReplicateCaches, int | None], tuple[list, tuple[str, ...]]] | None = None
+    studies: Callable[[_ReplicateCaches, int | None], tuple[np.ndarray, tuple]] | None = None
 
     @property
     def map(self) -> bool:
@@ -503,7 +502,7 @@ def replicate_rng(
 class _ReplicateCaches:
     """Inputs shared across a replicate's cells, each built once: propensity
     fits, match sets, weight sets, strata, and for the MAP family the arm
-    summaries, each source's study list and each source's batch of rows.
+    summaries and each source's batch of rows, which builds its studies.
     A build that fails with a ``ValueError`` (the expected numerical
     failures) is not retried: every later lookup raises the same error
     again."""
@@ -557,11 +556,6 @@ class _ReplicateCaches:
     def arms(self):
         return self._memo(("arms",), lambda: arm_summaries(self.dataset))
 
-    def studies(self, method_id: str, covset: int | None):
-        """The study list and drop flags of a MAP-family source."""
-        return self._memo(("studies", method_id, covset),
-                          lambda: METHODS[method_id].studies(self, covset))
-
     def map_row(self, cell: Cell):
         """A MAP-family cell's row. The first cell of a source (method and
         covariate set) evaluates, in one call, every cell of the
@@ -572,14 +566,13 @@ class _ReplicateCaches:
     def _map_batch(self, method_id: str, covset: int | None) -> dict:
         # The order of arms and studies fixes which error text a failing
         # source's rows carry: the plain source summarises the arms before
-        # its pools, the matched and weighted ones after their study lists.
+        # its pools, the matched and weighted ones after building their studies.
         if method_id == "MAP":
             self.arms()
-        studies, flags = self.studies(method_id, covset)
+        studies, flags = METHODS[method_id].studies(self, covset)
         arms = self.arms()
         cells = [c for c in self.cells if (c.method_id, c.covset) == (method_id, covset)]
-        rows = map_estimates(arms, studies,
-                             [resolve_tau_scale(c.tau_label, studies) for c in cells],
+        rows = map_estimates(arms, studies, [c.tau_label for c in cells],
                              [c.omega for c in cells], flags)
         return dict(zip(cells, rows))
 

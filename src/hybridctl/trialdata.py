@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -392,7 +393,8 @@ def load_subjects_csv(path: str) -> TrialDataset:
     ``z`` (0/1; must be 0 for historical subjects), ``y``, covariates
     ``x1..xp`` (p >= 1), and optionally ``id``. The ``x<k>`` columns
     must be exactly x1..xp; a gap or a stray number is an error naming
-    the missing column.
+    the missing column. A column name that the header repeats is an error
+    naming it.
     A field that is missing (a short row) or does not parse, and a
     non-finite ``y`` or covariate (nan, inf), is an error naming the
     first line and column that hold one; a row with more fields than the
@@ -416,6 +418,9 @@ def load_subjects_csv(path: str) -> TrialDataset:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
     if cols is None:
         raise ValueError("empty file")
+    repeated = [c for c, n in Counter(cols).items() if n > 1]
+    if repeated:
+        raise ValueError(f"line 1: column '{repeated[0]}' is repeated")
     for required in ("trial", "z", "y"):
         if required not in cols:
             raise ValueError(f"missing required column '{required}'")

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from hybridctl.borrow import (
-    StudySummary,
-    _mean_se,
-    _pooled_mean,
-    resolve_tau_scale,
-)
+from hybridctl.borrow import _mean_se, resolve_tau_scale
 from hybridctl.metrics import EffectEstimate
 from hybridctl.trialdata import TrialDataset
 
@@ -102,7 +97,7 @@ class GridDensity:
 
 
 def map_prior(
-    studies: list[StudySummary],
+    studies: np.ndarray,
     tau_scale: float,
     theta_grid: np.ndarray | None = None,
     n_theta: int = 4001,
@@ -117,8 +112,7 @@ def map_prior(
     """
     if tau_scale < 0 or not np.isfinite(tau_scale):
         raise ValueError("tau_scale must be finite and non-negative")
-    means = np.array([s.mean for s in studies], dtype=float)
-    ses = np.array([s.se for s in studies], dtype=float)
+    means, ses = np.asarray(studies, dtype=float).reshape(-1, 2).T
     if means.size == 0:
         raise ValueError("need at least one study")
 
@@ -238,7 +232,7 @@ def effect_posterior(
 
 
 def _theta_grid_for(
-    studies: list[StudySummary],
+    studies: np.ndarray,
     tau_scale: float,
     data_mean: float,
     data_se: float,
@@ -248,9 +242,9 @@ def _theta_grid_for(
 ) -> np.ndarray:
     lows = [data_mean - 10.0 * data_se, vague_mean - 6.0 * vague_sd]
     highs = [data_mean + 10.0 * data_se, vague_mean + 6.0 * vague_sd]
-    for s in studies:
-        lows.append(s.mean - 10.0 * (s.se + tau_scale))
-        highs.append(s.mean + 10.0 * (s.se + tau_scale))
+    for mean, se in studies:
+        lows.append(mean - 10.0 * (se + tau_scale))
+        highs.append(mean + 10.0 * (se + tau_scale))
     return np.linspace(min(lows), max(highs), n_theta)
 
 
@@ -266,7 +260,7 @@ def estimate_map(
     dataset: TrialDataset,
     omega: float,
     tau_label: str | None = None,
-    studies: list[StudySummary] | None = None,
+    studies: np.ndarray | None = None,
     extra_flags: tuple[str, ...] = (),
     n_theta: int = N_THETA,
     support: float = 1.0,
@@ -276,9 +270,9 @@ def estimate_map(
     Historical pools enter as study summaries (mean, sd/sqrt(n)); the
     MAP prior is robustified with weight omega, updated with the reduced
     concurrent control arm, and contrasted against the treated arm.
-    Callers may inject their own ``studies`` (matched or weighted
-    summaries); an empty list forces omega = 1, i.e. no borrowing beyond
-    the vague component.
+    Callers may inject their own ``studies``, a (k, 2) array of means and
+    SEs (matched or weighted summaries); no studies force omega = 1, i.e.
+    no borrowing beyond the vague component.
     """
     red = dataset.reduced_concurrent
     t_mean, t_se = _mean_se(red.y[red.z == 1])
@@ -287,9 +281,9 @@ def estimate_map(
 
     flags = list(extra_flags)
     if studies is None:
-        studies = [StudySummary(*_mean_se(pool.y)) for pool in dataset.historical]
+        studies = np.array([_mean_se(pool.y) for pool in dataset.historical])
 
-    if not studies:
+    if len(studies) == 0:
         omega = 1.0
         flags.append("map:no_studies_forced_omega1")
         vague_mean = c_mean
@@ -304,7 +298,9 @@ def estimate_map(
         prior_raw_sd = vague_sd
     else:
         tau_scale = resolve_tau_scale(tau_label, studies)
-        vague_mean = _pooled_mean(studies)
+        means, ses = studies.T
+        prec = 1.0 / (ses * ses)
+        vague_mean = float((means * prec).sum() / prec.sum())
         vague_sd = unit_sd
         grid = _widen(
             _theta_grid_for(studies, tau_scale, c_mean, c_se, vague_mean, vague_sd, n_theta),

@@ -30,7 +30,6 @@ from hybridctl.borrow import (
     pool_studies,
     posterior_update,
     power_prior_update,
-    resolve_tau_scale,
 )
 from hybridctl.harness import (
     ScenarioConfig,
@@ -348,9 +347,7 @@ def test_c14_power_prior_limits():
 def prior_ess(ds, pairs):
     """The MAP prior ESS on the historical pools of ``ds``, one per
     (omega, tau-ladder label) pair."""
-    studies = pool_studies(ds)
-    fits = map_estimates(arm_summaries(ds), studies,
-                         [resolve_tau_scale(label, studies) for _, label in pairs],
+    fits = map_estimates(arm_summaries(ds), pool_studies(ds), [label for _, label in pairs],
                          [omega for omega, _ in pairs])
     return [fit.diagnostics["prior_ess"] for fit in fits]
 

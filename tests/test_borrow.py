@@ -1,16 +1,19 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtri
 from scipy.stats import norm
 
 from hybridctl.borrow import (
     SINGLE_POOL_TAU_MULT,
+    ArmSummaries,
     Strata,
-    StudySummary,
     TAU_LADDER,
     arm_summaries,
     build_strata,
@@ -39,6 +42,14 @@ from hybridctl.trialdata import SubjectGroup, build_replicate, preset
 
 def dataset(name="single-moderate", seed=0, n=1200):
     return build_replicate(preset(name), n, np.random.default_rng(seed))
+
+
+def study_array(*pairs):
+    """The (k, 2) study array of (mean, se) pairs."""
+    return np.array(pairs, dtype=float).reshape(-1, 2)
+
+
+NO_STUDIES = study_array()
 
 
 def mixture(weights, means, sds):
@@ -97,8 +108,7 @@ def map_fit(ds, omega, tau_label=None, studies=None, flags=()):
     ``tau_label``, on the historical pools unless ``studies`` is given."""
     if studies is None:
         studies = pool_studies(ds)
-    return map_estimates(arm_summaries(ds), studies, [resolve_tau_scale(tau_label, studies)],
-                         [omega], flags)[0]
+    return map_estimates(arm_summaries(ds), studies, [tau_label], [omega], flags)[0]
 
 
 def bisect_quantile(mix, q):
@@ -137,19 +147,15 @@ class TestMoments:
 
 class TestMapPrior:
     def test_zero_tau_collapses_to_fixed_effect_pooling(self):
-        studies = [
-            StudySummary(0.2, 0.10),
-            StudySummary(0.5, 0.20),
-            StudySummary(-0.1, 0.25),
-        ]
+        studies = study_array((0.2, 0.10), (0.5, 0.20), (-0.1, 0.25))
         prior = map_prior(studies, 0.0)
-        prec = np.array([1 / s.se**2 for s in studies])
-        means = np.array([s.mean for s in studies])
+        prec = 1 / studies[:, 1] ** 2
+        means = studies[:, 0]
         assert mix_mean(prior) == pytest.approx(float(prec @ means / prec.sum()), abs=1e-8)
         assert mix_sd(prior) == pytest.approx(1 / math.sqrt(prec.sum()), rel=1e-6)
 
     def test_three_equal_studies_pool_as_root_three(self):
-        studies = [StudySummary(0.0, 0.2)] * 3
+        studies = study_array(*[(0.0, 0.2)] * 3)
         prior = map_prior(studies, 1e-9)
         assert mix_sd(prior) == pytest.approx(0.2 / math.sqrt(3), rel=5e-3)
 
@@ -178,17 +184,13 @@ class TestMapPrior:
         oracle_mean = e_mu
         oracle_var = float((w * TAU**2).sum() + (w * (MU - e_mu) ** 2).sum())
 
-        studies = [StudySummary(float(m), se) for m in means]
+        studies = study_array(*[(m, se) for m in means])
         prior = map_prior(studies, tau_scale)
         assert mix_mean(prior) == pytest.approx(oracle_mean, abs=1e-4)
         assert mix_sd(prior) == pytest.approx(math.sqrt(oracle_var), rel=1e-3)
 
     def test_prior_sd_non_decreasing_in_tau_ladder(self):
-        studies = [
-            StudySummary(0.0, 0.25),
-            StudySummary(0.4, 0.25),
-            StudySummary(1.0, 0.25),
-        ]
+        studies = study_array((0.0, 0.25), (0.4, 0.25), (1.0, 0.25))
         sds = [mix_sd(map_prior(studies, resolve_tau_scale(label, studies)))
                for label in ("XS", "S", "M", "L")]
         assert all(b >= a - 1e-12 for a, b in zip(sds, sds[1:]))
@@ -196,21 +198,28 @@ class TestMapPrior:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            map_prior([], 1.0)
+            map_prior(NO_STUDIES, 1.0)
         with pytest.raises(ValueError):
-            map_prior([StudySummary(0.0, 1.0)], -0.5)
+            map_prior(study_array((0.0, 1.0)), -0.5)
 
     def test_returns_one_mixture_as_arrays(self):
-        studies = [StudySummary(0.2, 0.1), StudySummary(0.5, 0.2)]
+        studies = study_array((0.2, 0.1), (0.5, 0.2))
         w, m, s = map_prior(studies, 0.3)
         assert w.shape == m.shape == s.shape == (201,)
         assert w.sum() == pytest.approx(1.0, abs=1e-12) and (w >= 0).all()
         assert map_prior(studies, 0.0)[0].tolist() == [1.0]
 
+    @pytest.mark.parametrize("bad", [(math.nan, 0.1), (math.inf, 0.1), (0.0, 0.0), (0.0, -0.1),
+                                     (0.0, math.inf), (0.0, math.nan)])
+    def test_study_validation(self, bad):
+        with pytest.raises(ValueError, match="^study summary needs a finite mean and positive se$"):
+            map_prior(study_array((0.3, 0.2), bad), 0.2)
+
     def test_component_validation(self):
-        # a study that StudySummary would refuse gives a non-finite component
-        with pytest.raises(ValueError, match="finite"):
-            map_prior([SimpleNamespace(mean=math.nan, se=0.1)], 0.2)
+        # finite studies whose precision-weighted mean overflows
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="component means must be finite"):
+            map_prior(study_array((1e308, 1.0), (1e308, 1.0)), 0.0)
         with pytest.raises(ValueError, match="SDs positive"):
             robustify_one(normal(0.0, 1.0), 0.5, 0.0, 0.0)
         with pytest.raises(ValueError, match="finite"):
@@ -220,13 +229,13 @@ class TestMapPrior:
 class TestEmpiricalTauScale:
     # The empirical scale is what ladder label M names; other labels scale it.
     def test_single_study_uses_its_se(self):
-        study = [StudySummary(0.3, 0.17)]
+        study = study_array((0.3, 0.17))
         assert resolve_tau_scale("M", study) == 0.17
         assert resolve_tau_scale("XS", study) == 0.01 * 0.17
         assert resolve_tau_scale(None, study) == SINGLE_POOL_TAU_MULT * 0.17
 
     def test_multiple_studies_use_sd_of_means(self):
-        studies = [StudySummary(m, 0.5) for m in (0.0, 0.4, 1.0)]
+        studies = study_array(*[(m, 0.5) for m in (0.0, 0.4, 1.0)])
         want = float(np.std([0.0, 0.4, 1.0], ddof=1))
         assert resolve_tau_scale("M", studies) == pytest.approx(want, rel=1e-12)
         assert resolve_tau_scale(None, studies) == resolve_tau_scale("M", studies)
@@ -236,12 +245,12 @@ class TestEmpiricalTauScale:
         assert TAU_LADDER == {"L": 10.0, "M": 1.0, "S": 0.1, "XS": 0.01}
 
     def test_no_studies_and_unknown_labels(self):
-        assert resolve_tau_scale("S", []) == resolve_tau_scale(None, []) == 0.0
+        assert resolve_tau_scale("S", NO_STUDIES) == resolve_tau_scale(None, NO_STUDIES) == 0.0
         for label in ("XL", "m", ""):
             with pytest.raises(ValueError, match="unknown tau ladder label"):
-                resolve_tau_scale(label, [StudySummary(0.3, 0.17)])
+                resolve_tau_scale(label, study_array((0.3, 0.17)))
             with pytest.raises(ValueError, match="unknown tau ladder label"):
-                resolve_tau_scale(label, [])
+                resolve_tau_scale(label, NO_STUDIES)
 
 
 class TestRobustify:
@@ -271,7 +280,7 @@ class TestRobustify:
         # map_estimates checks omega on entry; the kernel checks the component
         ds = dataset(seed=77)
         with pytest.raises(ValueError, match="omega"):
-            map_estimates(arm_summaries(ds), pool_studies(ds), [0.1], [1.5])
+            map_estimates(arm_summaries(ds), pool_studies(ds), ["M"], [1.5])
         with pytest.raises(ValueError):
             robustify_one(normal(0.0, 1.0), 0.5, 0.0, 0.0)
 
@@ -457,6 +466,14 @@ class TestPowerPrior:
             power_prior_update(0.0, prior_se, 1.0, 1.0, alpha)
 
 
+@st.composite
+def permuted_studies(draw):
+    """A study array of 2-5 studies and a permutation of its rows."""
+    pairs = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 1.0)),
+                          min_size=2, max_size=5))
+    return study_array(*pairs), np.array(draw(st.permutations(range(len(pairs)))))
+
+
 class TestEstimateMap:
     def test_omega_one_tracks_unadjusted(self):
         ds = dataset(seed=77)
@@ -497,21 +514,38 @@ class TestEstimateMap:
 
     def test_no_studies_forces_vague_only(self):
         ds = dataset(seed=78)
-        got = map_fit(ds, 0.2, studies=[])
+        got = map_fit(ds, 0.2, studies=NO_STUDIES)
         assert "map:no_studies_forced_omega1" in got.flags
         assert got.diagnostics["n_studies"] == 0.0
         ref = unadjusted_effect(ds.reduced_concurrent)
         assert got.estimate == pytest.approx(ref.estimate, abs=0.05)
 
-    @pytest.mark.parametrize("studies", [[], [StudySummary(0.1, 0.2)]], ids=["none", "one"])
-    @pytest.mark.parametrize("tau_scale,omega,what", [
-        (0.1, 1.5, "omega"), (0.1, -0.1, "omega"), (0.1, math.nan, "omega"),
-        (-3.0, 0.5, "tau_scale"), (math.nan, 0.5, "tau_scale"), (math.inf, 0.5, "tau_scale"),
+    @pytest.mark.parametrize("studies", [NO_STUDIES, study_array((0.1, 0.2))],
+                             ids=["none", "one"])
+    @pytest.mark.parametrize("tau_label,omega,what", [
+        ("S", 1.5, "omega"), ("S", -0.1, "omega"), ("S", math.nan, "omega"),
+        ("XL", 0.5, "unknown"), ("m", 0.5, "unknown"), ("", 0.5, "unknown"),
     ])
-    def test_inputs_checked_with_or_without_studies(self, studies, tau_scale, omega, what):
+    def test_inputs_checked_with_or_without_studies(self, studies, tau_label, omega, what):
         arms = arm_summaries(dataset(seed=78))
         with pytest.raises(ValueError, match=what):
-            map_estimates(arms, studies, [0.1, tau_scale], [0.5, omega])
+            map_estimates(arms, studies, ["S", tau_label], [0.5, omega])
+
+    @settings(max_examples=60, deadline=None)
+    @given(permuted_studies(), st.lists(
+        st.tuples(st.sampled_from([None, *TAU_LADDER]), st.sampled_from([0.0, 0.2, 0.5, 1.0])),
+        min_size=1, max_size=4))
+    def test_rows_do_not_depend_on_study_order(self, studies_perm, pairs):
+        studies, perm = studies_perm
+        arms = ArmSummaries(t_mean=0.6, t_se=0.15, c_mean=0.1, c_se=0.14, unit_sd=1.0)
+        labels, omegas = [t for t, _ in pairs], [o for _, o in pairs]
+        got = map_estimates(arms, studies, labels, omegas)
+        permuted = map_estimates(arms, studies[perm], labels, omegas)
+        for a, b in zip(got, permuted):
+            assert b.se == pytest.approx(a.se, rel=1e-12, abs=0.0)
+            assert b.estimate == pytest.approx(a.estimate, rel=1e-12, abs=1e-12 * a.se)
+            if min(abs(a.interval[0]), abs(a.interval[1])) > 1e-9 * a.se:
+                assert b.reject == a.reject
 
     def test_config_validation(self):
         ds = dataset(seed=78)
@@ -519,8 +553,11 @@ class TestEstimateMap:
             map_fit(ds, -0.1)
         with pytest.raises(ValueError, match="unknown tau ladder label"):
             map_fit(ds, 0.5, "XL")
-        with pytest.raises(ValueError):
-            StudySummary(0.0, 0.0)
+        # a constant-outcome pool has no positive se
+        pool = ds.historical[0]
+        flat = replace(ds, historical=(replace(pool, y=np.full(len(pool), 1.25)),))
+        with pytest.raises(ValueError, match="finite mean and positive se"):
+            pool_studies(flat)
 
 
 class TestStudySummaries:
@@ -534,9 +571,9 @@ class TestStudySummaries:
         )
         fit = PsFit(sample=sample, ps=np.full(n, 0.5))
         ms = MatchSet(conc_rows=1000 + np.arange(n), hist_rows=np.arange(n), caliper=0.1)
-        got = matched_study_summary(ms, fit)
-        assert got.mean == pytest.approx(float(y.mean()), rel=1e-12)
-        assert got.se == pytest.approx(float(y.std(ddof=1) / math.sqrt(n)), rel=1e-12)
+        mean, se = matched_study_summary(ms, fit)
+        assert mean == pytest.approx(float(y.mean()), rel=1e-12)
+        assert se == pytest.approx(float(y.std(ddof=1) / math.sqrt(n)), rel=1e-12)
 
     def test_matched_duplication_widens_se(self):
         rng = np.random.default_rng(6)
@@ -552,7 +589,7 @@ class TestStudySummaries:
                        hist_rows=np.r_[once.hist_rows, np.zeros(n, dtype=int)], caliper=0.1)
         # re-using subject 0 for half the pairs must not shrink the SE the
         # way n independent extra controls would
-        assert matched_study_summary(dup, fit).se > matched_study_summary(once, fit).se / math.sqrt(2)
+        assert matched_study_summary(dup, fit)[1] > matched_study_summary(once, fit)[1] / math.sqrt(2)
 
     def test_matched_degenerate_cases_return_none(self):
         sample = SubjectGroup(
@@ -568,18 +605,29 @@ class TestStudySummaries:
     def test_weighted_unit_weights_reduce_to_plain_se(self):
         rng = np.random.default_rng(7)
         y = rng.normal(size=25)
-        got = weighted_study_summary(y, np.ones(25))
-        assert got.mean == pytest.approx(float(y.mean()), rel=1e-12)
-        assert got.se == pytest.approx(float(y.std(ddof=1) / 5.0), rel=1e-12)
+        mean, se = weighted_study_summary(y, np.ones(25))
+        assert mean == pytest.approx(float(y.mean()), rel=1e-12)
+        assert se == pytest.approx(float(y.std(ddof=1) / 5.0), rel=1e-12)
 
     def test_weighted_zero_weights_are_dropped(self):
         y = np.array([1.0, 2.0, 3.0, 100.0])
         w = np.array([1.0, 1.0, 1.0, 0.0])
-        got = weighted_study_summary(y, w)
-        assert got.mean == pytest.approx(2.0, rel=1e-12)
+        mean, _ = weighted_study_summary(y, w)
+        assert mean == pytest.approx(2.0, rel=1e-12)
 
     def test_weighted_needs_two_positive_weights(self):
         assert weighted_study_summary(np.array([1.0, 2.0]), np.array([1.0, 0.0])) is None
+
+    def test_builders_return_k_by_2_arrays(self):
+        ds = dataset("multi-moderate", seed=9, n=1600)
+        studies = pool_studies(ds)
+        assert studies.shape == (3, 2) and studies.dtype == float
+        assert studies[:, 0].tolist() == [float(np.mean(p.y)) for p in ds.historical]
+        psfit = estimate_ps(ds, 1)
+        none = np.zeros(0, dtype=int)
+        unmatched = [MatchSet(conc_rows=none, hist_rows=none, caliper=0.0)] * 3
+        studies, flags = matched_studies(psfit, unmatched)
+        assert studies.shape == (0, 2) and len(flags) == 3
 
 
 class TestMapCombinations:

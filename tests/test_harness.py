@@ -75,7 +75,7 @@ def test_scipy_optimize_stays_unloaded():
         "from hybridctl.borrow import arm_summaries, map_estimates, pool_studies\n"
         "from hybridctl.trialdata import build_replicate, preset\n"
         "ds = build_replicate(preset('single-moderate'), 400, np.random.default_rng(0))\n"
-        "map_estimates(arm_summaries(ds), pool_studies(ds), [0.1], [0.5])\n"
+        "map_estimates(arm_summaries(ds), pool_studies(ds), ['S'], [0.5])\n"
         "print(before, 'scipy.optimize' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -531,7 +531,7 @@ class TestRunReplicate:
         map_prior = borrow.map_prior
 
         def counting_prior(studies, tau_scale):
-            priors.append((tuple(studies), tau_scale))
+            priors.append((studies.tobytes(), tau_scale))
             return map_prior(studies, tau_scale)
 
         monkeypatch.setattr(borrow, "map_prior", counting_prior)
@@ -586,8 +586,7 @@ def one_pair_call(ds, cell, caches):
             studies, flags = borrow.matched_studies(caches.psfit(cs), caches.trial_matchsets(cs))
         else:
             studies, flags = borrow.weighted_studies(ds, caches.psfit(cs), caches.weightset(cs))
-        return borrow.map_estimates(borrow.arm_summaries(ds), studies,
-                                    [borrow.resolve_tau_scale(cell.tau_label, studies)],
+        return borrow.map_estimates(borrow.arm_summaries(ds), studies, [cell.tau_label],
                                     [cell.omega], flags)[0]
     except ValueError as exc:
         return harness._failed_estimate(exc)
@@ -1099,6 +1098,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"'{gap}' is missing" in err
         assert err.count(str(path)) == 1
+
+    @pytest.mark.parametrize("column", ["y", "x1", "trial"])
+    def test_analyze_rejects_repeated_column(self, tmp_path, capsys, column):
+        # a trailing copy of a column would otherwise shadow the first one
+        ds = build_replicate(preset("multi-moderate"), 800, np.random.default_rng(12))
+        path = write_subjects_csv(tmp_path / "subjects.csv", ds)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([f"{header},{column}"] + [f"{r},0" for r in rows]) + "\n")
+        assert cli.main(["analyze", "--data", str(path),
+                         "--methods", "unadj.rc,PSM,MAP,MM"]) == 2
+        err = capsys.readouterr().err
+        assert f"line 1: column '{column}' is repeated" in err
+        assert err.count(str(path)) == 1
+
+    def test_run_out_that_cannot_be_created_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(CLI_CONFIG)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        for out in (taken, taken / "sub"):
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error: --out: ")
+            assert str(taken) in captured.err
+            assert "running" not in captured.out
+        assert taken.read_text() == "not a directory\n"
 
     def test_analyze_missing_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "nope.csv"

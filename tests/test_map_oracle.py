@@ -3,9 +3,9 @@
 ``grid_reference`` keeps the MAP pipeline as it was computed on a
 4001-point theta grid, with the same tau quadrature. Every MAP-family
 study source (the plain pools, and the matched and the weighted pools)
-goes once through ``borrow.map_estimates``, all of its (tau scale,
-omega) pairs in one call, and once through ``grid_reference.estimate_map``
-per pair, fed the same study list and flags. That covers single- and
+goes once through ``borrow.map_estimates``, all of its (tau-ladder
+label, omega) pairs in one call, and once through ``grid_reference.estimate_map``
+per pair, fed the same study array and flags. That covers single- and
 multi-pool data, every omega in OMEGAS, every tau ladder label and the
 label-less default, plus one fit with no studies.
 
@@ -22,8 +22,7 @@ import pytest
 
 import grid_reference
 from hybridctl.borrow import (
-    arm_summaries, map_estimates, matched_studies, pool_studies, resolve_tau_scale,
-    weighted_studies,
+    arm_summaries, map_estimates, matched_studies, pool_studies, weighted_studies,
 )
 from hybridctl.propensity import estimate_ps, ipw_weights, match_nearest
 from hybridctl.trialdata import build_replicate, preset, preset_n_total
@@ -55,11 +54,11 @@ def paired_fits(fit_inputs, support):
     pairs = []
     for ds, psfit, matchsets, weights in fit_inputs:
         arms = arm_summaries(ds)
-        sources = [(([], ()), [(0.5, None)]), ((pool_studies(ds), ()), CONFIGS),
+        sources = [((np.empty((0, 2)), ()), [(0.5, None)]), ((pool_studies(ds), ()), CONFIGS),
                    (matched_studies(psfit, matchsets), CONFIGS),
                    (weighted_studies(ds, psfit, weights), CONFIGS)]
         for (studies, flags), cfgs in sources:
-            exact = map_estimates(arms, studies, [resolve_tau_scale(t, studies) for _, t in cfgs],
+            exact = map_estimates(arms, studies, [t for _, t in cfgs],
                                   [omega for omega, _ in cfgs], flags)
             grid = [grid_reference.estimate_map(ds, omega, label, studies=studies,
                                                 extra_flags=flags, support=support)

@@ -305,6 +305,12 @@ class TestSubjectsCsv:
         with pytest.raises(ValueError):
             load_subjects_csv(str(path))
 
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("trial,z,y,x1,y\n0,1,1.0,0.1,0\n0,0,0.2,0.0,0\n1,0,0.5,0.2,0\n")
+        with pytest.raises(ValueError, match="^line 1: column 'y' is repeated$"):
+            load_subjects_csv(str(path))
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("trial,y,x1\n0,1.0,0.1\n")
