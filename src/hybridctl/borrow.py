@@ -16,16 +16,17 @@ Newton's method on the mixture CDF.
 The three MAP-family estimators differ only in their studies, a (k, 2)
 array of means and SEs: the historical pools, or their matched or
 weighted summaries. One core, :func:`map_estimates`, takes the arm
-summaries (:func:`arm_summaries`), one study array and any number of
-(tau-ladder label, omega) pairs, each label naming a tau scale
-(:func:`resolve_tau_scale`).
-A mixture is always given as arrays of weights, means and SDs:
-:func:`map_prior` returns 1-d arrays, one per tau scale, and the core
-stacks them as (rows, components) arrays, one row per pair.
+summaries (:func:`arm_summaries`) and every study source of a dataset,
+each a study array with any number of (tau-ladder label, omega) pairs,
+each label naming a tau scale (:func:`resolve_tau_scale`). A mixture is
+always given as (rows, components) arrays of weights, means and SDs, a
+row per mixture. :func:`map_prior` builds the priors of every (source,
+tau scale) row with the same study count in one call, and
 :func:`robustify`, :func:`posterior_update` and :func:`effect_posterior`
-each run their step on every row at once, row by row and in the order
-of the one-mixture formulas, so each pair's estimate is the same to the
-last bit whatever pairs share its call.
+run their step on every (source, pair) row of one mixture width at
+once. Each works row by row, in the order of the one-mixture formulas,
+so each pair's estimate is the same to the last bit whatever rows share
+its calls, and a bad row fails its own source only.
 
 Power-prior borrowing discounts the historical likelihood precision by
 a factor alpha. The two stratified estimators share one front end:
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -100,53 +102,66 @@ def _studies(rows) -> np.ndarray:
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
+    """Trapezoid weights of each row of a (rows, nodes) grid."""
     w = np.empty_like(grid)
-    w[1:-1] = (grid[2:] - grid[:-2]) / 2.0
-    w[0] = (grid[1] - grid[0]) / 2.0
-    w[-1] = (grid[-1] - grid[-2]) / 2.0
+    w[:, 1:-1] = (grid[:, 2:] - grid[:, :-2]) / 2.0
+    w[:, 0] = (grid[:, 1] - grid[:, 0]) / 2.0
+    w[:, -1] = (grid[:, -1] - grid[:, -2]) / 2.0
     return w
 
 
 def map_prior(
-    studies: np.ndarray, tau_scale: float
+    studies: np.ndarray, tau_scales: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Meta-analytic predictive prior for a new study mean from (k, 2) studies.
+    """Meta-analytic predictive priors for a new study mean, one per row of
+    an (S, k, 2) stack of study arrays with the same k and its S tau scales.
 
     For each tau on an ``N_TAU``-node grid the location parameter
     integrates out under a flat prior, giving a normal predictive with
-    the profiled marginal likelihood of tau; the half-normal(tau_scale) prior then weights the
-    tau grid, so the prior is a normal mixture with one component per
-    tau node, returned as 1-d arrays of weights, means and SDs.
-    ``tau_scale = 0`` collapses to fixed-effect pooling.
+    the profiled marginal likelihood of tau; the half-normal(tau scale)
+    prior then weights the tau grid, so each prior is a normal mixture
+    with one component per tau node, returned as (S, ``N_TAU``) arrays of
+    weights, means and SDs. Scales that are all 0 collapse to
+    fixed-effect pooling, with (S, 1) arrays. Each row is computed on its
+    own, as the one-prior formulas give it; a bad scale, study or
+    component raises a ``ValueError`` that names its rows.
     """
-    if tau_scale < 0 or not np.isfinite(tau_scale):
-        raise ValueError("tau_scale must be finite and non-negative")
-    means, ses = _studies(studies).T
-    if means.size == 0:
+    studies, tau_scales = np.asarray(studies, dtype=float), np.asarray(tau_scales, dtype=float)
+    _check_rows(np.isfinite(tau_scales) & (tau_scales >= 0),
+                "tau_scale must be finite and non-negative")
+    means, ses = studies[:, :, 0], studies[:, :, 1]
+    _check_rows(np.isfinite(means) & np.isfinite(ses) & (ses > 0),
+                "study summary needs a finite mean and positive se")
+    if studies.shape[1] == 0:
         raise ValueError("need at least one study")
 
-    if tau_scale == 0.0:
-        taus = np.zeros(1)
-        log_w = np.zeros(1)
-    else:
-        taus = np.concatenate(
-            [[0.0], np.geomspace(tau_scale * 1e-3, tau_scale * 10.0, N_TAU - 1)]
-        )
+    rows = len(tau_scales)
+    if not tau_scales.any():
+        taus = np.zeros((rows, 1))
+        log_w = np.zeros((rows, 1))
+    elif tau_scales.all():
+        taus = np.zeros((rows, N_TAU))  # C-ordered, so each row sums on its own
+        taus[:, 1:] = np.geomspace(tau_scales * 1e-3, tau_scales * 10.0, N_TAU - 1, axis=1)
         # half-normal prior density and trapezoid quadrature in tau
-        log_w = -0.5 * (taus / tau_scale) ** 2 + np.log(_trapezoid_weights(taus))
+        log_w = -0.5 * (taus / tau_scales[:, None]) ** 2 + np.log(_trapezoid_weights(taus))
+    else:
+        raise ValueError("tau scales must be all zero or all positive")
 
-    v = ses[None, :] ** 2 + taus[:, None] ** 2  # (tau nodes, k)
-    prec = 1.0 / v
-    pressum = prec.sum(axis=1)
-    mu_hat = (means[None, :] * prec).sum(axis=1) / pressum
-    v_mu = 1.0 / pressum
-    if means.size > 1:
-        quad = ((means[None, :] - mu_hat[:, None]) ** 2 * prec).sum(axis=1)
-        log_w = log_w - 0.5 * (np.log(v).sum(axis=1) + np.log(pressum) + quad)
-    w_tau = np.exp(log_w - log_w.max())
-    sds = np.sqrt(v_mu + taus**2)
+    # far-off studies overflow here; the checks below fail their rows
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = ses[:, None, :] ** 2 + taus[:, :, None] ** 2  # (rows, tau nodes, k)
+        prec = 1.0 / v
+        pressum = prec.sum(axis=2)
+        mu_hat = (means[:, None, :] * prec).sum(axis=2) / pressum
+        v_mu = 1.0 / pressum
+        if studies.shape[1] > 1:
+            quad = ((means[:, None, :] - mu_hat[:, :, None]) ** 2 * prec).sum(axis=2)
+            log_w = log_w - 0.5 * (np.log(v).sum(axis=2) + np.log(pressum) + quad)
+        w_tau = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        sds = np.sqrt(v_mu + taus**2)
     _check_components(mu_hat, sds)
-    return w_tau / w_tau.sum(), mu_hat, sds
+    _check_rows(np.isfinite(w_tau), "prior weights must be finite")
+    return w_tau / w_tau.sum(axis=1, keepdims=True), mu_hat, sds
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +192,38 @@ def _moments(w: np.ndarray, m: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, n
     return mu, _rowdot(w, s**2 + (m - mu[:, None]) ** 2)
 
 
+class _RowError(ValueError):
+    """A check failed on some rows of a stack; ``rows`` indexes them."""
+
+    def __init__(self, message: str, rows: np.ndarray):
+        super().__init__(message)
+        self.rows = rows
+
+
+def _check_rows(ok: np.ndarray, message: str) -> None:
+    """Raise a :class:`_RowError` naming each row where ``ok``, a (rows, ...)
+    boolean array, is not true throughout."""
+    bad = ~ok.all(axis=tuple(range(1, ok.ndim)))
+    if bad.any():
+        raise _RowError(message, np.flatnonzero(bad))
+
+
 def _check_components(means: np.ndarray, sds: np.ndarray) -> None:
-    if not (np.isfinite(means).all() and np.isfinite(sds).all() and (sds > 0).all()):
-        raise ValueError("component means must be finite and SDs positive")
+    _check_rows(np.isfinite(means) & np.isfinite(sds) & (sds > 0),
+                "component means must be finite and SDs positive")
 
 
 def robustify(
-    w: np.ndarray, m: np.ndarray, s: np.ndarray, omegas: np.ndarray, mean: float, sd: float
+    w: np.ndarray, m: np.ndarray, s: np.ndarray, omegas: np.ndarray, mean, sd: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Append a vague component N(``mean``, ``sd``) to every row, with row
-    i's weight ``omegas[i]`` (in [0, 1]; :func:`map_estimates` checks it)."""
-    _check_components(np.asarray(mean), np.asarray(sd))
+    i's weight ``omegas[i]`` (in [0, 1]; :func:`map_estimates` checks it).
+    ``mean`` is one number, or one per row."""
     rows = len(w)
+    means = np.broadcast_to(np.asarray(mean, dtype=float), (rows,))
+    _check_components(means, np.full(rows, sd))
     return (np.hstack([(1.0 - omegas)[:, None] * w, omegas[:, None]]),
-            np.hstack([m, np.full((rows, 1), mean)]), np.hstack([s, np.full((rows, 1), sd)]))
+            np.hstack([m, means[:, None]]), np.hstack([s, np.full((rows, 1), sd)]))
 
 
 def posterior_update(
@@ -199,19 +232,22 @@ def posterior_update(
     """Conjugate normal update of every component of every row.
 
     Each component is reweighted by its marginal likelihood of the data,
-    N(data_mean; m_k, s_k^2 + data_se^2).
+    N(data_mean; m_k, s_k^2 + data_se^2). A row whose components the data
+    all rule out (every likelihood underflows to 0) has no posterior
+    weights and fails as a bad row.
     """
     if not (np.isfinite(data_mean) and np.isfinite(data_se) and data_se > 0):
         raise ValueError("need a finite data mean and positive se")
     var = s**2
     marg_var = var + data_se**2
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_w = np.log(w) - 0.5 * (data_mean - m) ** 2 / marg_var - 0.5 * np.log(marg_var)
-    post_w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-    post_var = var * data_se**2 / marg_var
-    post_mean = (m * data_se**2 + data_mean * var) / marg_var
+        post_w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        post_var = var * data_se**2 / marg_var
+        post_mean = (m * data_se**2 + data_mean * var) / marg_var
     post_sd = np.sqrt(post_var)
     _check_components(post_mean, post_sd)
+    _check_rows(np.isfinite(post_w), "posterior weights must be finite")
     return post_w / post_w.sum(axis=1, keepdims=True), post_mean, post_sd
 
 
@@ -274,13 +310,15 @@ def effect_posterior(
     exact and each end of the central credible interval is a quantile of
     the mixture (:func:`_mixture_quantiles`). Returns per-row arrays: the
     estimates, SDs, lower and upper interval ends, and the control
-    posterior variances.
+    posterior variances. A row whose estimate or SD overflows fails as a
+    bad row.
     """
     if treated_se <= 0 or not np.isfinite(treated_se):
         raise ValueError("treated se must be positive and finite")
     c_mean, c_var = _moments(w, m, s)
     est = treated_mean - c_mean
     sd = np.sqrt(treated_se**2 + c_var)
+    _check_rows(np.isfinite(est) & np.isfinite(sd), "effect posterior must be finite")
     mu = treated_mean - m
     comp_sd = np.sqrt(s**2 + treated_se**2)
     rows = len(w)
@@ -328,7 +366,10 @@ def _mean_se(y: np.ndarray) -> tuple[float, float]:
     n = y.size
     if n < 2:
         raise ValueError("need at least two observations for a mean and se")
-    return float(y.mean()), float(y.std(ddof=1) / math.sqrt(n))
+    # y.mean() and y.std(ddof=1) as numpy computes them, without their wrappers
+    mean = np.add.reduce(y) / n
+    d = y - mean
+    return float(mean), math.sqrt(np.add.reduce(d * d) / (n - 1)) / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -430,83 +471,163 @@ def resolve_tau_scale(tau_label: str | None, studies: np.ndarray) -> float:
     """The half-normal tau scale that a ``TAU_LADDER`` label (None for the
     default) names for a (k, 2) study array (0 for no studies, where the
     prior is the vague component alone)."""
-    if tau_label is not None and tau_label not in TAU_LADDER:
-        raise ValueError(f"unknown tau ladder label {tau_label!r}")
+    return _tau_scales([tau_label], studies)[0]
+
+
+def _tau_scales(tau_labels: list[str | None], studies: np.ndarray) -> list[float]:
+    """The tau scale of each label (see :func:`resolve_tau_scale`), with the
+    empirical scale of ``studies`` computed once."""
+    for label in tau_labels:
+        if label is not None and label not in TAU_LADDER:
+            raise ValueError(f"unknown tau ladder label {label!r}")
     if len(studies) == 0:
-        return 0.0
+        return [0.0] * len(tau_labels)
     if len(studies) > 1:
-        return TAU_LADDER[tau_label or "M"] * float(np.std(studies[:, 0], ddof=1))
-    if tau_label is None:
-        # A single pool leaves the between-study spread unidentified and
-        # its standard error overstates any plausible spread, so the
-        # label-less default borrows more aggressively. The multiplier
-        # was calibrated once against the simulation grid and is frozen.
-        return SINGLE_POOL_TAU_MULT * float(studies[0, 1])
-    return TAU_LADDER[tau_label] * float(studies[0, 1])
+        sd = float(np.std(studies[:, 0], ddof=1))
+        return [TAU_LADDER[label or "M"] * sd for label in tau_labels]
+    # A single pool leaves the between-study spread unidentified and its
+    # standard error overstates any plausible spread, so the label-less
+    # default borrows more aggressively. The multiplier was calibrated
+    # once against the simulation grid and is frozen.
+    se = float(studies[0, 1])
+    return [SINGLE_POOL_TAU_MULT * se if label is None else TAU_LADDER[label] * se
+            for label in tau_labels]
+
+
+def _stage(keys: list[tuple], failed: dict, kernel: Callable, *stacks, **kwargs):
+    """``kernel(*stacks, **kwargs)`` on the rows of the stacks whose source
+    (``keys[r][0]``) has not failed, with those rows' keys.
+
+    A ``ValueError`` fails the sources of the rows it names (every row's,
+    if it names none), and the other rows run again: each row is computed
+    on its own, so a bad source fails alone and leaves every other row's
+    bits as they were. Returns ``([], None)`` when no row is left.
+    """
+    while True:
+        rows = [r for r, key in enumerate(keys) if key[0] not in failed]
+        if not rows:
+            return [], None
+        pick = slice(None) if len(rows) == len(keys) else rows
+        try:
+            return [keys[r] for r in rows], kernel(*(a[pick] for a in stacks), **kwargs)
+        except ValueError as exc:
+            named = [rows[j] for j in exc.rows] if isinstance(exc, _RowError) else rows
+            for r in named:
+                failed[keys[r][0]] = ValueError(*exc.args)
+
+
+MapSource = tuple[np.ndarray, list[str | None], list[float], tuple[str, ...]]
 
 
 def map_estimates(
-    arms: ArmSummaries,
-    studies: np.ndarray,
-    tau_labels: list[str | None],
-    omegas: list[float],
-    flags: tuple[str, ...] = (),
-) -> list[EffectEstimate]:
-    """Robust MAP estimates from (k, 2) studies, one per (tau label, omega) pair.
+    arms: ArmSummaries, sources: list[MapSource]
+) -> list[list[EffectEstimate] | ValueError]:
+    """Robust MAP estimates of one dataset, for every study source at once.
 
-    The MAP prior (one :func:`map_prior` per distinct tau scale that the
-    labels name) is robustified with weight omega by a vague component at
-    the precision-weighted pooled study mean with SD ``arms.unit_sd``,
-    updated with the concurrent control arm and contrasted against the
-    treated arm; an estimate rejects when its credible interval excludes
-    zero. The pairs are stacked and evaluated together, row by row, so
-    each estimate equals the one-pair call bit for bit. Every label must
-    be known and every omega in [0, 1], with studies or without. No
-    studies force omega = 1: the prior is the vague component alone, at
-    the control mean. ``flags`` go on every estimate.
+    A source is ``(studies, tau_labels, omegas, flags)``: a (k, 2) study
+    array and one estimate per (tau label, omega) pair, each with the
+    source's ``flags``. The MAP prior (one per distinct tau scale that the
+    source's labels name) is robustified with weight omega by a vague
+    component at the precision-weighted pooled study mean with SD
+    ``arms.unit_sd``, updated with the concurrent control arm and
+    contrasted against the treated arm; an estimate rejects when its
+    credible interval excludes zero. Every label must be known and every
+    omega in [0, 1], with studies or without. No studies force omega = 1:
+    the prior is the vague component alone, at the control mean.
+
+    The priors of every source are stacked into one :func:`map_prior`
+    call per study count (and zero scale), and the rows of every source
+    into one :func:`robustify`, :func:`posterior_update` and
+    :func:`effect_posterior` call per mixture width. Each row is computed
+    on its own, so each estimate equals that of a call with its pair
+    alone, bit for bit. Returns, for each source, its estimates in pair
+    order, or the ``ValueError`` that a call with that source alone
+    raises; a failing source leaves the others as they were.
     """
-    if len(tau_labels) != len(omegas):
-        raise ValueError("need one omega per tau label")
-    tau_scales = [resolve_tau_scale(t, studies) for t in tau_labels]
-    if not all(0.0 <= o <= 1.0 for o in omegas):
-        raise ValueError("omega must lie in [0, 1]")
-    rows = len(omegas)
-    flags = tuple(flags)
-    if len(studies):
-        distinct = list(dict.fromkeys(tau_scales))
-        priors = [map_prior(studies, t) for t in distinct]
-        if len({w.size for w, _, _ in priors}) > 1:
-            raise ValueError("tau scales must be all zero or all positive")
-        stacks = [np.stack(a) for a in zip(*priors)]
-        map_vars = _moments(*stacks)[1].tolist()
-        picked = [distinct.index(t) for t in tau_scales]
-        map_sds = [math.sqrt(max(map_vars[i], 0.0)) for i in picked]
-        prec = 1.0 / studies[:, 1] ** 2  # the vague component sits at the pooled mean
-        w, m, s = robustify(*(a[picked] for a in stacks), np.array(omegas, dtype=float),
-                            float((studies[:, 0] * prec).sum() / prec.sum()), arms.unit_sd)
-    else:
-        flags += ("map:no_studies_forced_omega1",)
-        w = np.ones((rows, 1))
-        m, s = np.full((rows, 1), arms.c_mean), np.full((rows, 1), arms.unit_sd)
-        map_sds = [arms.unit_sd] * rows
+    failed: dict[int, ValueError] = {}
+    scales: dict[int, list[float]] = {}
+    for i, (studies, tau_labels, omegas, _) in enumerate(sources):
+        try:
+            if len(tau_labels) != len(omegas):
+                raise ValueError("need one omega per tau label")
+            scales[i] = _tau_scales(tau_labels, studies)
+            if not all(0.0 <= o <= 1.0 for o in omegas):
+                raise ValueError("omega must lie in [0, 1]")
+        except ValueError as exc:
+            failed[i] = exc
 
-    post = posterior_update(w, m, s, arms.c_mean, arms.c_se)
-    est, sd, lo, hi, post_var = effect_posterior(*post, arms.t_mean, arms.t_se)
-    _, prior_var = _moments(w, m, s)
-    out = []
-    for r in range(rows):
-        pv, lo_r, hi_r = float(prior_var[r]), float(lo[r]), float(hi[r])
-        out.append(EffectEstimate(
-            estimate=float(est[r]), se=float(sd[r]), reject=lo_r > 0.0 or hi_r < 0.0,
-            interval=(lo_r, hi_r), flags=flags, diagnostics={
-                "tau_scale": float(tau_scales[r]),
-                "prior_sd": math.sqrt(pv),
-                "prior_ess": (arms.unit_sd * arms.unit_sd) / pv if pv > 0 else float("inf"),
-                "prior_map_sd": map_sds[r],
-                "control_post_sd": math.sqrt(max(float(post_var[r]), 0.0)),
-                "n_studies": float(len(studies)),
-            }))
-    return out
+    # One prior per (source, distinct tau scale), stacked by study count
+    # and zero scale, and the priors stacked again by their width.
+    groups: dict[tuple[int, bool], list[tuple[int, float]]] = {}
+    for i, sc in scales.items():
+        k = len(sources[i][0])
+        if k and i not in failed:
+            for t in dict.fromkeys(sc):
+                groups.setdefault((k, t == 0.0), []).append((i, t))
+    priors: dict[int, list] = {}
+    for pairs in groups.values():
+        keys, prior = _stage(pairs, failed, map_prior,
+                             np.stack([sources[i][0] for i, _ in pairs]),
+                             np.array([t for _, t in pairs]))
+        if keys:
+            priors.setdefault(prior[0].shape[1], []).append((keys, prior))
+    for i, sc in scales.items():
+        if i not in failed and len({t == 0.0 for t in sc}) > 1:
+            failed[i] = ValueError("tau scales must be all zero or all positive")
+
+    # Every live source's pairs as (source, pair) rows, one stack per width.
+    # The vague component sits at the pooled study mean, which is each
+    # prior's first component: the one at tau = 0.
+    stacks, map_sd = [], {}
+    for parts in priors.values():
+        at = {key: r for r, key in enumerate(key for keys, _ in parts for key in keys)}
+        pw, pm, ps = (np.concatenate(a) for a in zip(*(prior for _, prior in parts)))
+        live = [i for i in dict.fromkeys(i for i, _ in at) if i not in failed]
+        pairs = [(i, j) for i in live for j in range(len(scales[i]))]
+        pick = np.array([at[i, scales[i][j]] for i, j in pairs], dtype=np.intp)
+        map_sd.update(zip(pairs, np.sqrt(np.maximum(_moments(pw, pm, ps)[1][pick], 0.0)).tolist()))
+        keys, mix = _stage(pairs, failed, robustify, pw[pick], pm[pick], ps[pick],
+                           np.array([sources[i][2][j] for i, j in pairs], dtype=float),
+                           pm[pick, 0], sd=arms.unit_sd)
+        if keys:
+            stacks.append((keys, mix))
+    bare = [(i, j) for i in scales if i not in failed and not len(sources[i][0])
+            for j in range(len(scales[i]))]
+    if bare:
+        n = len(bare)
+        map_sd.update(dict.fromkeys(bare, arms.unit_sd))
+        stacks.append((bare, (np.ones((n, 1)), np.full((n, 1), arms.c_mean),
+                              np.full((n, 1), arms.unit_sd))))
+
+    rows: dict[tuple[int, int], EffectEstimate] = {}
+    for keys, (w, m, s) in stacks:
+        at = {key: r for r, key in enumerate(keys)}
+        keys, post = _stage(keys, failed, posterior_update, w, m, s,
+                            data_mean=arms.c_mean, data_se=arms.c_se)
+        keys, eff = _stage(keys, failed, effect_posterior, *(post or ()),
+                           treated_mean=arms.t_mean, treated_se=arms.t_se)
+        if not keys:
+            continue
+        kept = [at[key] for key in keys]
+        prior_var = _moments(w[kept], m[kept], s[kept])[1].tolist()
+        for key, pv, est, sd, lo, hi, post_var in zip(
+                keys, prior_var, *(a.tolist() for a in eff)):
+            i, j = key
+            studies, flags = sources[i][0], tuple(sources[i][3])
+            if not len(studies):
+                flags += ("map:no_studies_forced_omega1",)
+            rows[key] = EffectEstimate(
+                estimate=est, se=sd, reject=lo > 0.0 or hi < 0.0, interval=(lo, hi),
+                flags=flags, diagnostics={
+                    "tau_scale": float(scales[i][j]),
+                    "prior_sd": math.sqrt(pv),
+                    "prior_ess": (arms.unit_sd * arms.unit_sd) / pv if pv > 0 else float("inf"),
+                    "prior_map_sd": map_sd[key],
+                    "control_post_sd": math.sqrt(max(post_var, 0.0)),
+                    "n_studies": float(len(studies)),
+                })
+    return [failed[i] if i in failed else [rows[i, j] for j in range(len(scales[i]))]
+            for i in range(len(sources))]
 
 
 # ---------------------------------------------------------------------------

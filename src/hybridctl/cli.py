@@ -68,6 +68,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:  # its message names the path
         raise ConfigError(f"--out: {exc}") from exc
+    # Checked, not opened: a run that cannot write its files fails before
+    # its first replicate, and no earlier output is truncated until then.
+    raw_path, summary_path, diagnostics_path = paths = [
+        os.path.join(args.out, name) for name in ("raw.csv", "summary.csv", "diagnostics.json")]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"--out: {path} is a directory")
+        if not os.access(path if os.path.exists(path) else args.out, os.W_OK):
+            raise ConfigError(f"--out: {path} is not writable")
 
     results = []
     for scenario in cfg.scenarios:
@@ -78,11 +87,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         results.append(harness.run_scenario(scenario, workers=args.threads))
 
-    harness.write_raw_csv(os.path.join(args.out, "raw.csv"), results)
-    harness.write_summary_csv(os.path.join(args.out, "summary.csv"), results)
-    harness.write_diagnostics(
-        os.path.join(args.out, "diagnostics.json"), results, cfg.failure_threshold
-    )
+    harness.write_raw_csv(raw_path, results)
+    harness.write_summary_csv(summary_path, results)
+    harness.write_diagnostics(diagnostics_path, results, cfg.failure_threshold)
 
     rows = [row for r in results for row in r.summary]
     print()

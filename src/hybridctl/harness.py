@@ -232,7 +232,10 @@ class MethodSpec:
 
 
 # The evaluators look each estimator up as a module global when they
-# run, so a wrapper installed on this module's names sees every call.
+# run, so a wrapper installed on this module's names sees every call. The
+# MAP-family cells all read one replicate-wide batch: the first of them
+# builds the studies of every MAP-family source in cell order, and one
+# map_estimates call evaluates them all (see _ReplicateCaches.map_row).
 METHODS: dict[str, MethodSpec] = {
     "unadj.rc": MethodSpec(False, lambda cell, c:
         unadjusted_effect(c.dataset.reduced_concurrent)),
@@ -502,7 +505,7 @@ def replicate_rng(
 class _ReplicateCaches:
     """Inputs shared across a replicate's cells, each built once: propensity
     fits, match sets, weight sets, strata, and for the MAP family the arm
-    summaries and each source's batch of rows, which builds its studies.
+    summaries and one batch of the rows of every study source.
     A build that fails with a ``ValueError`` (the expected numerical
     failures) is not retried: every later lookup raises the same error
     again."""
@@ -557,24 +560,39 @@ class _ReplicateCaches:
         return self._memo(("arms",), lambda: arm_summaries(self.dataset))
 
     def map_row(self, cell: Cell):
-        """A MAP-family cell's row. The first cell of a source (method and
-        covariate set) evaluates, in one call, every cell of the
-        replicate's list that reads the source."""
-        source = (cell.method_id, cell.covset)
-        return self._memo(("map", *source), lambda: self._map_batch(*source))[cell]
+        """A MAP-family cell's row. The first MAP-family cell evaluates, in
+        one core call, every MAP-family cell of the replicate's list."""
+        row = self._memo(("map",), self._map_rows)[cell]
+        if isinstance(row, ValueError):
+            raise row
+        return row
 
-    def _map_batch(self, method_id: str, covset: int | None) -> dict:
-        # The order of arms and studies fixes which error text a failing
-        # source's rows carry: the plain source summarises the arms before
-        # its pools, the matched and weighted ones after building their studies.
-        if method_id == "MAP":
-            self.arms()
-        studies, flags = METHODS[method_id].studies(self, covset)
-        arms = self.arms()
-        cells = [c for c in self.cells if (c.method_id, c.covset) == (method_id, covset)]
-        rows = map_estimates(arms, studies, [c.tau_label for c in cells],
-                             [c.omega for c in cells], flags)
-        return dict(zip(cells, rows))
+    def _map_rows(self) -> dict:
+        sources: dict[tuple, list[Cell]] = {}
+        for c in self.cells:
+            if METHODS[c.method_id].map:
+                sources.setdefault((c.method_id, c.covset), []).append(c)
+        rows: dict[Cell, EffectEstimate | ValueError] = {}
+        inputs, batched = [], []
+        for (method_id, covset), cells in sources.items():
+            # The order of arms and studies fixes which error text a failing
+            # source's rows carry: the plain source summarises the arms before
+            # its pools, the matched and weighted ones after building their studies.
+            try:
+                if method_id == "MAP":
+                    self.arms()
+                studies, flags = METHODS[method_id].studies(self, covset)
+                self.arms()
+            except ValueError as exc:
+                rows.update(dict.fromkeys(cells, exc))
+                continue
+            inputs.append((studies, [c.tau_label for c in cells], [c.omega for c in cells], flags))
+            batched.append(cells)
+        if inputs:
+            for cells, got in zip(batched, map_estimates(self.arms(), inputs)):
+                rows.update(dict.fromkeys(cells, got) if isinstance(got, ValueError)
+                            else zip(cells, got))
+        return rows
 
 
 def _failed_estimate(exc: Exception) -> EffectEstimate:

@@ -347,8 +347,8 @@ def test_c14_power_prior_limits():
 def prior_ess(ds, pairs):
     """The MAP prior ESS on the historical pools of ``ds``, one per
     (omega, tau-ladder label) pair."""
-    fits = map_estimates(arm_summaries(ds), pool_studies(ds), [label for _, label in pairs],
-                         [omega for omega, _ in pairs])
+    [fits] = map_estimates(arm_summaries(ds), [(pool_studies(ds), [label for _, label in pairs],
+                                                [omega for omega, _ in pairs], ())])
     return [fit.diagnostics["prior_ess"] for fit in fits]
 
 

@@ -17,6 +17,7 @@ from hybridctl.borrow import (
     TAU_LADDER,
     arm_summaries,
     build_strata,
+    _mean_se,
     _moments,
     effect_posterior,
     estimate_pss_cl,
@@ -53,7 +54,7 @@ NO_STUDIES = study_array()
 
 
 def mixture(weights, means, sds):
-    """A mixture as the 1-d weights, means and SDs that map_prior returns."""
+    """A mixture as 1-d weights, means and SDs, as :func:`prior_one` returns it."""
     return tuple(np.asarray(a, dtype=float) for a in (weights, means, sds))
 
 
@@ -103,12 +104,26 @@ def exact_repr(arrays, row):
     return [repr(np.atleast_1d(a[row]).tolist()) for a in arrays]
 
 
+def prior_one(studies, tau_scale):
+    """The one-row :func:`map_prior` call: one mixture as 1-d arrays."""
+    return mixture_row(*map_prior(studies[None], np.array([tau_scale])))
+
+
+def map_source(arms, studies, tau_labels, omegas, flags=()):
+    """The one-source :func:`map_estimates` call: the source's rows, or
+    its error raised."""
+    [got] = map_estimates(arms, [(studies, tau_labels, omegas, flags)])
+    if isinstance(got, ValueError):
+        raise got
+    return got
+
+
 def map_fit(ds, omega, tau_label=None, studies=None, flags=()):
     """The one-pair :func:`map_estimates` call for ``omega`` and
     ``tau_label``, on the historical pools unless ``studies`` is given."""
     if studies is None:
         studies = pool_studies(ds)
-    return map_estimates(arm_summaries(ds), studies, [tau_label], [omega], flags)[0]
+    return map_source(arm_summaries(ds), studies, [tau_label], [omega], flags)[0]
 
 
 def bisect_quantile(mix, q):
@@ -148,7 +163,7 @@ class TestMoments:
 class TestMapPrior:
     def test_zero_tau_collapses_to_fixed_effect_pooling(self):
         studies = study_array((0.2, 0.10), (0.5, 0.20), (-0.1, 0.25))
-        prior = map_prior(studies, 0.0)
+        prior = prior_one(studies, 0.0)
         prec = 1 / studies[:, 1] ** 2
         means = studies[:, 0]
         assert mix_mean(prior) == pytest.approx(float(prec @ means / prec.sum()), abs=1e-8)
@@ -156,7 +171,7 @@ class TestMapPrior:
 
     def test_three_equal_studies_pool_as_root_three(self):
         studies = study_array(*[(0.0, 0.2)] * 3)
-        prior = map_prior(studies, 1e-9)
+        prior = prior_one(studies, 1e-9)
         assert mix_sd(prior) == pytest.approx(0.2 / math.sqrt(3), rel=5e-3)
 
     def test_matches_dense_joint_quadrature(self):
@@ -185,41 +200,58 @@ class TestMapPrior:
         oracle_var = float((w * TAU**2).sum() + (w * (MU - e_mu) ** 2).sum())
 
         studies = study_array(*[(m, se) for m in means])
-        prior = map_prior(studies, tau_scale)
+        prior = prior_one(studies, tau_scale)
         assert mix_mean(prior) == pytest.approx(oracle_mean, abs=1e-4)
         assert mix_sd(prior) == pytest.approx(math.sqrt(oracle_var), rel=1e-3)
 
     def test_prior_sd_non_decreasing_in_tau_ladder(self):
         studies = study_array((0.0, 0.25), (0.4, 0.25), (1.0, 0.25))
-        sds = [mix_sd(map_prior(studies, resolve_tau_scale(label, studies)))
+        sds = [mix_sd(prior_one(studies, resolve_tau_scale(label, studies)))
                for label in ("XS", "S", "M", "L")]
         assert all(b >= a - 1e-12 for a, b in zip(sds, sds[1:]))
         assert sds[-1] > sds[0]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            map_prior(NO_STUDIES, 1.0)
+            prior_one(NO_STUDIES, 1.0)
         with pytest.raises(ValueError):
-            map_prior(study_array((0.0, 1.0)), -0.5)
+            prior_one(study_array((0.0, 1.0)), -0.5)
 
     def test_returns_one_mixture_as_arrays(self):
         studies = study_array((0.2, 0.1), (0.5, 0.2))
-        w, m, s = map_prior(studies, 0.3)
+        w, m, s = prior_one(studies, 0.3)
         assert w.shape == m.shape == s.shape == (201,)
         assert w.sum() == pytest.approx(1.0, abs=1e-12) and (w >= 0).all()
-        assert map_prior(studies, 0.0)[0].tolist() == [1.0]
+        assert prior_one(studies, 0.0)[0].tolist() == [1.0]
+
+    @pytest.mark.parametrize("scales", [[0.3, 0.05, 2.0, 0.3], [0.0, 0.0, 0.0, 0.0]],
+                             ids=["positive", "zero"])
+    def test_rows_equal_one_row_calls(self, scales):
+        studies = [study_array((0.2, 0.1), (0.5, 0.2), (-0.4, 0.3)),
+                   study_array((1.0, 0.05), (1.1, 0.07), (0.9, 0.06)),
+                   study_array((0.0, 0.5), (3.0, 0.5), (-3.0, 0.5)),
+                   study_array((0.2, 0.3), (0.2, 0.1), (0.2, 0.2))]
+        stacked = map_prior(np.stack(studies), np.array(scales))
+        assert stacked[0].shape == (4, 201 if scales[0] else 1)
+        for i, (st_i, sc) in enumerate(zip(studies, scales)):
+            assert exact_repr(stacked, i) == exact_repr(rows(prior_one(st_i, sc)), 0)
+
+    def test_scales_all_zero_or_all_positive(self):
+        studies = np.stack([study_array((0.2, 0.1), (0.5, 0.2))] * 2)
+        with pytest.raises(ValueError, match="all zero or all positive"):
+            map_prior(studies, np.array([0.0, 0.3]))
 
     @pytest.mark.parametrize("bad", [(math.nan, 0.1), (math.inf, 0.1), (0.0, 0.0), (0.0, -0.1),
                                      (0.0, math.inf), (0.0, math.nan)])
     def test_study_validation(self, bad):
         with pytest.raises(ValueError, match="^study summary needs a finite mean and positive se$"):
-            map_prior(study_array((0.3, 0.2), bad), 0.2)
+            prior_one(study_array((0.3, 0.2), bad), 0.2)
 
     def test_component_validation(self):
         # finite studies whose precision-weighted mean overflows
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="component means must be finite"):
-            map_prior(study_array((1e308, 1.0), (1e308, 1.0)), 0.0)
+            prior_one(study_array((1e308, 1.0), (1e308, 1.0)), 0.0)
         with pytest.raises(ValueError, match="SDs positive"):
             robustify_one(normal(0.0, 1.0), 0.5, 0.0, 0.0)
         with pytest.raises(ValueError, match="finite"):
@@ -280,7 +312,7 @@ class TestRobustify:
         # map_estimates checks omega on entry; the kernel checks the component
         ds = dataset(seed=77)
         with pytest.raises(ValueError, match="omega"):
-            map_estimates(arm_summaries(ds), pool_studies(ds), ["M"], [1.5])
+            map_source(arm_summaries(ds), pool_studies(ds), ["M"], [1.5])
         with pytest.raises(ValueError):
             robustify_one(normal(0.0, 1.0), 0.5, 0.0, 0.0)
 
@@ -418,6 +450,12 @@ class TestEffectPosterior:
         with pytest.raises(ValueError):
             effect_one(normal(0.0, 1.0), 1.0, 0.0)
 
+    def test_overflowing_control_variance_rejected(self):
+        control = mixture([0.5, 0.5], [0.0, 1e200], [1.0, 1.0])
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="^effect posterior must be finite$"):
+            effect_one(control, 1.0, 0.5)
+
     def test_rows_equal_one_row_calls(self):
         controls = [bimodal_control(), mixture([0.97, 0.03], [0.0, 10.0], [0.1, 0.1]),
                     mixture([0.5, 0.5], [-0.4, 0.4], [1e-6, 2.0])]
@@ -529,7 +567,7 @@ class TestEstimateMap:
     def test_inputs_checked_with_or_without_studies(self, studies, tau_label, omega, what):
         arms = arm_summaries(dataset(seed=78))
         with pytest.raises(ValueError, match=what):
-            map_estimates(arms, studies, ["S", tau_label], [0.5, omega])
+            map_source(arms, studies, ["S", tau_label], [0.5, omega])
 
     @settings(max_examples=60, deadline=None)
     @given(permuted_studies(), st.lists(
@@ -539,8 +577,8 @@ class TestEstimateMap:
         studies, perm = studies_perm
         arms = ArmSummaries(t_mean=0.6, t_se=0.15, c_mean=0.1, c_se=0.14, unit_sd=1.0)
         labels, omegas = [t for t, _ in pairs], [o for _, o in pairs]
-        got = map_estimates(arms, studies, labels, omegas)
-        permuted = map_estimates(arms, studies[perm], labels, omegas)
+        got = map_source(arms, studies, labels, omegas)
+        permuted = map_source(arms, studies[perm], labels, omegas)
         for a, b in zip(got, permuted):
             assert b.se == pytest.approx(a.se, rel=1e-12, abs=0.0)
             assert b.estimate == pytest.approx(a.estimate, rel=1e-12, abs=1e-12 * a.se)
@@ -558,6 +596,62 @@ class TestEstimateMap:
         flat = replace(ds, historical=(replace(pool, y=np.full(len(pool), 1.25)),))
         with pytest.raises(ValueError, match="finite mean and positive se"):
             pool_studies(flat)
+
+    def test_no_pairs_give_no_rows(self):
+        arms = arm_summaries(dataset(seed=78))
+        got = map_estimates(arms, [(study_array((0.1, 0.2), (0.3, 0.2)), [], [], ()),
+                                   (NO_STUDIES, [], [], ())])
+        assert got == [[], []]
+
+    def test_posterior_that_rules_out_every_component_fails(self):
+        # the control arm rules out both prior components of far-off
+        # studies, so no posterior weight is finite: the row must fail,
+        # not come back as a NaN estimate
+        arms = arm_summaries(dataset(seed=78))
+        with pytest.raises(ValueError, match="^posterior weights must be finite$"):
+            map_source(arms, study_array((1e200, 0.1), (1e200, 0.1)), ["M"], [0.5])
+        # with unequal SEs the tau likelihood itself overflows
+        with pytest.raises(ValueError, match="^prior weights must be finite$"):
+            map_source(arms, study_array((1e200, 0.1), (1e200, 0.2)), ["M"], [0.5])
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="weights must be finite"):
+            update_one(mixture([0.5, 0.5], [1e200, -1e200], [1.0, 1.0]), 0.0, 1.0)
+
+    def test_bad_source_leaves_the_others_bit_identical(self):
+        ds = dataset("multi-moderate", seed=78, n=1600)
+        arms = arm_summaries(ds)
+        good = [(pool_studies(ds), ["L", None, "S", "XS"], [0.5, 0.2, 0.5, 1.0], ("a",)),
+                (study_array((0.4, 0.2)), ["M", None], [0.0, 0.5], ()),
+                (study_array((0.1, 0.1), (0.3, 0.1)), ["S"], [0.5], ()),
+                (NO_STUDIES, ["M"], [0.3], ("b",))]
+        bad = [(study_array((1e200, 0.1), (1e200, 0.2)), ["M", "S"], [0.5, 0.5], ()),
+               (study_array((math.nan, 0.1)), ["M"], [0.5], ()),
+               (study_array((0.1, 0.1), (0.2, 0.2)), ["S", "XL"], [0.5, 0.5], ()),
+               (NO_STUDIES, ["M"], [1.5], ()),
+               (pool_studies(ds), ["M"], [0.5, 0.2], ())]
+        alone = [map_estimates(arms, [src])[0] for src in good + bad]
+        assert not any(isinstance(a, ValueError) for a in alone[:len(good)])
+        assert all(isinstance(a, ValueError) for a in alone[len(good):])
+        mixed = [*bad[:2], good[0], *bad[2:], *good[1:]]
+        for order in (mixed, mixed[::-1]):
+            together = map_estimates(arms, order)
+            for src, got in zip(order, together):
+                want = alone[[id(x) for x in good + bad].index(id(src))]
+                if isinstance(want, ValueError):
+                    assert type(got) is ValueError and str(got) == str(want)
+                else:
+                    assert [exact_row(r) for r in got] == [exact_row(r) for r in want]
+
+
+def exact_row(est):
+    return repr((est.estimate, est.se, est.reject, est.interval, est.flags, est.diagnostics))
+
+
+class TestMeanSe:
+    def test_equals_numpy_mean_and_std(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            y = rng.normal(rng.uniform(-5, 5), rng.uniform(0.01, 10), rng.integers(2, 401))
+            assert _mean_se(y) == (float(y.mean()), float(y.std(ddof=1) / math.sqrt(y.size)))
 
 
 class TestStudySummaries:

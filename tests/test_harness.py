@@ -75,7 +75,7 @@ def test_scipy_optimize_stays_unloaded():
         "from hybridctl.borrow import arm_summaries, map_estimates, pool_studies\n"
         "from hybridctl.trialdata import build_replicate, preset\n"
         "ds = build_replicate(preset('single-moderate'), 400, np.random.default_rng(0))\n"
-        "map_estimates(arm_summaries(ds), pool_studies(ds), ['S'], [0.5])\n"
+        "map_estimates(arm_summaries(ds), [(pool_studies(ds), ['S'], [0.5], ())])\n"
         "print(before, 'scipy.optimize' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -529,10 +529,12 @@ class TestRunReplicate:
         for name in ("arm_summaries", "pool_studies", "matched_studies", "weighted_studies"):
             monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
         map_prior = borrow.map_prior
+        stacked_calls = []
 
-        def counting_prior(studies, tau_scale):
-            priors.append((studies.tobytes(), tau_scale))
-            return map_prior(studies, tau_scale)
+        def counting_prior(studies, tau_scales):
+            stacked_calls.append(studies.shape[1])
+            priors.extend(zip((s.tobytes() for s in studies), tau_scales.tolist()))
+            return map_prior(studies, tau_scales)
 
         monkeypatch.setattr(borrow, "map_prior", counting_prior)
         sc = small_scenario(MAP_FAMILY_METHODS, covsets=(1, 3))
@@ -540,13 +542,16 @@ class TestRunReplicate:
         for replicate in range(2):
             counts.clear()
             priors.clear()
+            stacked_calls.clear()
             rows = run_replicate(sc, replicate)
             assert not any(r.failed for r in rows)
             # sources: the plain pools, and matched and weighted pools per covset
             assert counts == {"arm_summaries": 1, "pool_studies": 1, "matched_studies": 2,
                               "weighted_studies": 2}
-            # one prior per (source, tau scale): five sources, five tau labels
+            # one prior per (source, tau scale): five sources, five tau labels,
+            # as the rows of one stacked call per study count
             assert len(priors) == len(set(priors)) == 25
+            assert sorted(stacked_calls) == sorted(set(stacked_calls))
 
     def test_essr_filled_against_benchmark(self):
         sc = small_scenario(["PSM", "MAP"], n_total=300)
@@ -575,21 +580,25 @@ def flat_pools(ds):
     return TrialDataset(ds.full_concurrent, ds.reduced_concurrent, pools)
 
 
+def source_studies(ds, method_id, covset, caches):
+    """A MAP-family source's (studies, flags), built with the library
+    calls on the replicate's own propensity fit, match sets and weights."""
+    if method_id == "MAP":
+        return borrow.pool_studies(ds), ()
+    if method_id == "PSM+MAP":
+        return borrow.matched_studies(caches.psfit(covset), caches.trial_matchsets(covset))
+    return borrow.weighted_studies(ds, caches.psfit(covset), caches.weightset(covset))
+
+
 def one_pair_call(ds, cell, caches):
-    """A MAP-family cell's one-pair :func:`borrow.map_estimates` call, on
-    the replicate's own propensity fit, match sets and weights."""
-    cs = cell.covset
+    """A MAP-family cell's one-pair :func:`borrow.map_estimates` call."""
     try:
-        if cell.method_id == "MAP":
-            studies, flags = borrow.pool_studies(ds), ()
-        elif cell.method_id == "PSM+MAP":
-            studies, flags = borrow.matched_studies(caches.psfit(cs), caches.trial_matchsets(cs))
-        else:
-            studies, flags = borrow.weighted_studies(ds, caches.psfit(cs), caches.weightset(cs))
-        return borrow.map_estimates(borrow.arm_summaries(ds), studies, [cell.tau_label],
-                                    [cell.omega], flags)[0]
+        studies, flags = source_studies(ds, cell.method_id, cell.covset, caches)
+        [got] = borrow.map_estimates(borrow.arm_summaries(ds),
+                                     [(studies, [cell.tau_label], [cell.omega], flags)])
     except ValueError as exc:
-        return harness._failed_estimate(exc)
+        got = exc
+    return harness._failed_estimate(got) if isinstance(got, ValueError) else got[0]
 
 
 @pytest.mark.parametrize("name,n_total,flat", [
@@ -618,6 +627,46 @@ def test_map_family_rows_equal_one_cell_calls(name, n_total, flat):
             ("error:ValueError:study summary needs a finite mean and positive se",)}
     else:
         assert not forced and not failed
+
+
+@pytest.mark.parametrize("config,scenario_id,reps", [
+    ("tests/data/golden.yaml", "single-moderate-alt", 3),
+    ("tests/data/golden.yaml", "multi-severe-null", 3),
+    ("configs/full_grid.yaml", "multi-moderate-null", 1),
+])
+def test_replicate_wide_pass_equals_one_source_calls(config, scenario_id, reps):
+    # The harness evaluates every MAP-family source of a replicate in one
+    # core call; each row must equal, to the last bit, the call with its
+    # source alone, whichever order the sources come in.
+    root = Path(__file__).resolve().parents[1]
+    sc = next(s for s in load_config(str(root / config)).scenarios
+              if s.scenario_id == scenario_id)
+    for replicate in range(reps):
+        rng = replicate_rng(sc.master_seed, sc.scenario_id, replicate, "data")
+        ds = build_replicate(sc.coeffs, sc.n_total, rng)
+        caches = harness._ReplicateCaches(ds, sc.cells, sc.scenario_id, sc.master_seed, replicate)
+        by_source: dict = {}
+        for c in sc.cells:
+            if METHODS[c.method_id].map:
+                by_source.setdefault((c.method_id, c.covset), []).append(c)
+        sources = [(*source_studies(ds, *source, caches), cells)
+                   for source, cells in by_source.items()]
+        inputs = [(studies, [c.tau_label for c in cells], [c.omega for c in cells], flags)
+                  for studies, flags, cells in sources]
+        arms = borrow.arm_summaries(ds)
+        alone = [borrow.map_estimates(arms, [src])[0] for src in inputs]
+        want = {c: row_signature(r) for (*_, cells), got in zip(sources, alone)
+                for c, r in zip(cells, got, strict=True)}
+        assert len(want) == sum(METHODS[c.method_id].map for c in sc.cells) >= 10
+        for order in (list(range(len(inputs))), list(range(len(inputs)))[::-1]):
+            together = borrow.map_estimates(arms, [inputs[i] for i in order])
+            for i, got in zip(order, together, strict=True):
+                assert [row_signature(r) for r in got] == \
+                    [want[c] for c in sources[i][2]], sources[i][2][0].key
+        rows = run_replicate(sc, replicate)
+        for cell, row in zip(sc.cells, rows):
+            if cell in want:
+                assert row_signature(row) == want[cell], cell.key
 
 
 # Every method, with several MAP-family cells per covariate set, so each
@@ -1124,6 +1173,28 @@ class TestCli:
             assert str(taken) in captured.err
             assert "running" not in captured.out
         assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("name", ["raw.csv", "summary.csv", "diagnostics.json"])
+    def test_run_output_path_that_is_a_directory_is_config_error(
+            self, tmp_path, capsys, monkeypatch, name):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(CLI_CONFIG)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        earlier = {other: f"earlier {other}\n" for other in ("raw.csv", "summary.csv",
+                                                             "diagnostics.json") if other != name}
+        for other, text in earlier.items():
+            (out / other).write_text(text)
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran before the output paths were checked")
+
+        monkeypatch.setattr(harness, "run_scenario", no_replicates)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --out: {out / name} is a directory\n"
+        assert "running" not in captured.out
+        assert {p.name: p.read_text() for p in out.iterdir() if p.is_file()} == earlier
 
     def test_analyze_missing_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "nope.csv"

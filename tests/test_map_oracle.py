@@ -3,8 +3,8 @@
 ``grid_reference`` keeps the MAP pipeline as it was computed on a
 4001-point theta grid, with the same tau quadrature. Every MAP-family
 study source (the plain pools, and the matched and the weighted pools)
-goes once through ``borrow.map_estimates``, all of its (tau-ladder
-label, omega) pairs in one call, and once through ``grid_reference.estimate_map``
+of a dataset goes through one ``borrow.map_estimates`` call, with all of
+its (tau-ladder label, omega) pairs, and once through ``grid_reference.estimate_map``
 per pair, fed the same study array and flags. That covers single- and
 multi-pool data, every omega in OMEGAS, every tau ladder label and the
 label-less default, plus one fit with no studies.
@@ -57,9 +57,10 @@ def paired_fits(fit_inputs, support):
         sources = [((np.empty((0, 2)), ()), [(0.5, None)]), ((pool_studies(ds), ()), CONFIGS),
                    (matched_studies(psfit, matchsets), CONFIGS),
                    (weighted_studies(ds, psfit, weights), CONFIGS)]
-        for (studies, flags), cfgs in sources:
-            exact = map_estimates(arms, studies, [t for _, t in cfgs],
-                                  [omega for omega, _ in cfgs], flags)
+        batch = map_estimates(arms, [(studies, [t for _, t in cfgs],
+                                      [omega for omega, _ in cfgs], flags)
+                                     for (studies, flags), cfgs in sources])
+        for ((studies, flags), cfgs), exact in zip(sources, batch, strict=True):
             grid = [grid_reference.estimate_map(ds, omega, label, studies=studies,
                                                 extra_flags=flags, support=support)
                     for omega, label in cfgs]
