@@ -11,6 +11,7 @@ from .borrow import (
     ArmSummaries,
     arm_summaries,
     build_strata,
+    credible_interval,
     effect_posterior,
     estimate_pss_cl,
     estimate_pss_pp,
@@ -87,6 +88,7 @@ __all__ = [
     "robustify",
     "posterior_update",
     "effect_posterior",
+    "credible_interval",
     "power_prior_update",
     "ArmSummaries",
     "arm_summaries",

@@ -10,8 +10,10 @@ per tau node. Robustification appends a unit-information vague normal
 component with weight omega, the concurrent-control update is conjugate
 per component (each reweighted by its marginal likelihood), and the
 treatment-effect posterior convolves each component with the normal
-treated-arm likelihood in closed form; credible-interval ends come from
-Newton's method on the mixture CDF.
+treated-arm likelihood in closed form. An estimate rejects when the
+posterior CDF of the effect at 0 lies in either alpha/2 tail, which is
+when its central credible interval excludes 0; the interval ends
+themselves are solved only on request, by bisection on the same CDF.
 
 The three MAP-family estimators differ only in their studies, a (k, 2)
 array of means and SEs: the historical pools, or their matched or
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .metrics import ALPHA, EffectEstimate, wald_estimate
 from .propensity import N_STRATA, MatchSet, PsFit, stratify
@@ -59,6 +61,7 @@ __all__ = [
     "robustify",
     "posterior_update",
     "effect_posterior",
+    "credible_interval",
     "power_prior_update",
     "ArmSummaries",
     "arm_summaries",
@@ -251,67 +254,20 @@ def posterior_update(
     return post_w / post_w.sum(axis=1, keepdims=True), post_mean, post_sd
 
 
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _mixture_quantiles(
-    w: np.ndarray, mu: np.ndarray, sd: np.ndarray, q: np.ndarray,
-    mean: np.ndarray, total_sd: np.ndarray,
-) -> np.ndarray:
-    """The q[i]-quantile of row i's normal mixture by bracketed Newton on its CDF.
-
-    Cantelli's inequality puts the quantile within k total SDs of the
-    mean, k = sqrt(1/min(q, 1-q) - 1), which gives the starting bracket;
-    the mixture density is the derivative, and a Newton step that leaves
-    the bracket is replaced by bisection. The CDF and the density are
-    evaluated for all unfinished rows at once; each row's step is taken
-    in Python floats, and each row stops on its own.
-    """
-    k = np.sqrt(1.0 / np.minimum(q, 1.0 - q) - 1.0)
-    lo, hi = (mean - k * total_sd).tolist(), (mean + k * total_sd).tolist()
-    x = (mean + ndtri(q) * total_sd).tolist()
-    tol = (1e-12 * total_sd).tolist()
-    todo = list(range(len(x)))
-    for _ in range(100):
-        if not todo:
-            break
-        w_a, sd_a = w[todo], sd[todo]
-        z = (np.array([x[i] for i in todo])[:, None] - mu[todo]) / sd_a
-        cdfs = (_rowdot(w_a, ndtr(z)) - q[todo]).tolist()
-        densities = (_rowdot(w_a, np.exp(-0.5 * z * z) / sd_a) * _INV_SQRT_2PI).tolist()
-        unfinished = []
-        for i, f, dens in zip(todo, cdfs, densities):
-            if f < 0.0:
-                lo[i] = x[i]
-            else:
-                hi[i] = x[i]
-            step = f / dens if dens > 0.0 else math.inf
-            x[i] -= step
-            if abs(step) < tol[i]:
-                continue
-            if not lo[i] < x[i] < hi[i]:
-                x[i] = 0.5 * (lo[i] + hi[i])
-                if hi[i] - lo[i] < tol[i]:
-                    continue
-            unfinished.append(i)
-        todo = unfinished
-    return np.array(x)
-
-
 def effect_posterior(
     w: np.ndarray, m: np.ndarray, s: np.ndarray, treated_mean: float, treated_se: float,
-    alpha: float = ALPHA,
 ) -> tuple[np.ndarray, ...]:
     """Posterior of treated mean minus control mean, for each row's control
     posterior.
 
     The treated arm contributes an exact normal, so the difference is a
-    normal mixture with one component per control component: moments are
-    exact and each end of the central credible interval is a quantile of
-    the mixture (:func:`_mixture_quantiles`). Returns per-row arrays: the
-    estimates, SDs, lower and upper interval ends, and the control
-    posterior variances. A row whose estimate or SD overflows fails as a
-    bad row.
+    normal mixture with one component per control component: its moments
+    and its CDF are exact. Returns per-row arrays: the estimates, SDs,
+    F(0) = P(difference <= 0) and the control posterior variances. The
+    central 1 - alpha credible interval excludes 0 exactly when F(0) <
+    alpha/2 or F(0) > 1 - alpha/2, so no end is solved here (see
+    :func:`credible_interval`). A row whose estimate or SD overflows
+    fails as a bad row.
     """
     if treated_se <= 0 or not np.isfinite(treated_se):
         raise ValueError("treated se must be positive and finite")
@@ -319,14 +275,37 @@ def effect_posterior(
     est = treated_mean - c_mean
     sd = np.sqrt(treated_se**2 + c_var)
     _check_rows(np.isfinite(est) & np.isfinite(sd), "effect posterior must be finite")
-    mu = treated_mean - m
-    comp_sd = np.sqrt(s**2 + treated_se**2)
+    mu, comp_sd = treated_mean - m, np.sqrt(s**2 + treated_se**2)
+    return est, sd, _rowdot(w, ndtr(-mu / comp_sd)), c_var
+
+
+def credible_interval(
+    w: np.ndarray, m: np.ndarray, s: np.ndarray, treated_mean: float, treated_se: float,
+    alpha: float = ALPHA,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends of each row's central 1 - alpha credible
+    interval for the difference of :func:`effect_posterior`.
+
+    Each end is a quantile q of the mixture, found by bisection on the
+    same CDF that gives F(0). Cantelli's inequality puts it within k total
+    SDs of the mean, k = sqrt(1/min(q, 1-q) - 1) = sqrt(2/alpha - 1),
+    which is the starting bracket; a fixed ceil(log2(2k / 1e-12))
+    halvings leave every row's bracket under 1e-12 of its total SD, and
+    its midpoint is the end.
+    """
+    est, sd, _, _ = effect_posterior(w, m, s, treated_mean, treated_se)
+    mu, comp_sd = treated_mean - m, np.sqrt(s**2 + treated_se**2)
     rows = len(w)
-    ends = _mixture_quantiles(
-        np.concatenate([w, w]), np.concatenate([mu, mu]), np.concatenate([comp_sd, comp_sd]),
-        np.repeat([alpha / 2.0, 1.0 - alpha / 2.0], rows), np.tile(est, 2), np.tile(sd, 2),
-    )
-    return est, sd, ends[:rows], ends[rows:], c_var
+    k = math.sqrt(2.0 / alpha - 1.0)
+    w2, mu2, sd2 = (np.concatenate([a, a]) for a in (w, mu, comp_sd))
+    q = np.repeat([alpha / 2.0, 1.0 - alpha / 2.0], rows)
+    lo, hi = np.tile(est - k * sd, 2), np.tile(est + k * sd, 2)
+    for _ in range(math.ceil(math.log2(2.0 * k / 1e-12))):
+        mid = 0.5 * (lo + hi)
+        below = _rowdot(w2, ndtr((mid[:, None] - mu2) / sd2)) < q
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    ends = 0.5 * (lo + hi)
+    return ends[:rows], ends[rows:]
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +499,7 @@ MapSource = tuple[np.ndarray, list[str | None], list[float], tuple[str, ...]]
 
 
 def map_estimates(
-    arms: ArmSummaries, sources: list[MapSource]
+    arms: ArmSummaries, sources: list[MapSource], intervals: bool = False
 ) -> list[list[EffectEstimate] | ValueError]:
     """Robust MAP estimates of one dataset, for every study source at once.
 
@@ -531,9 +510,13 @@ def map_estimates(
     component at the precision-weighted pooled study mean with SD
     ``arms.unit_sd``, updated with the concurrent control arm and
     contrasted against the treated arm; an estimate rejects when its
-    credible interval excludes zero. Every label must be known and every
-    omega in [0, 1], with studies or without. No studies force omega = 1:
-    the prior is the vague component alone, at the control mean.
+    central credible interval at level ``ALPHA`` excludes zero, decided
+    from F(0) (:func:`effect_posterior`), kept as the ``post_prob_le0``
+    diagnostic. The interval ends (:func:`credible_interval`) are solved
+    only when ``intervals`` is true, else ``interval`` is None. Every
+    label must be known and every omega in [0, 1], with studies or
+    without. No studies force omega = 1: the prior is the vague
+    component alone, at the control mean.
 
     The priors of every source are stacked into one :func:`map_prior`
     call per study count (and zero scale), and the rows of every source
@@ -604,27 +587,34 @@ def map_estimates(
         at = {key: r for r, key in enumerate(keys)}
         keys, post = _stage(keys, failed, posterior_update, w, m, s,
                             data_mean=arms.c_mean, data_se=arms.c_se)
+        post_at = {key: r for r, key in enumerate(keys)}
         keys, eff = _stage(keys, failed, effect_posterior, *(post or ()),
                            treated_mean=arms.t_mean, treated_se=arms.t_se)
         if not keys:
             continue
         kept = [at[key] for key in keys]
         prior_var = _moments(w[kept], m[kept], s[kept])[1].tolist()
-        for key, pv, est, sd, lo, hi, post_var in zip(
-                keys, prior_var, *(a.tolist() for a in eff)):
+        ends = [None] * len(keys)
+        if intervals:
+            pick = [post_at[key] for key in keys]
+            ends = list(zip(*(a.tolist() for a in credible_interval(
+                *(a[pick] for a in post), arms.t_mean, arms.t_se))))
+        for key, pv, interval, est, sd, f0, post_var in zip(
+                keys, prior_var, ends, *(a.tolist() for a in eff)):
             i, j = key
             studies, flags = sources[i][0], tuple(sources[i][3])
             if not len(studies):
                 flags += ("map:no_studies_forced_omega1",)
             rows[key] = EffectEstimate(
-                estimate=est, se=sd, reject=lo > 0.0 or hi < 0.0, interval=(lo, hi),
-                flags=flags, diagnostics={
+                estimate=est, se=sd, reject=f0 < ALPHA / 2.0 or f0 > 1.0 - ALPHA / 2.0,
+                interval=interval, flags=flags, diagnostics={
                     "tau_scale": float(scales[i][j]),
                     "prior_sd": math.sqrt(pv),
                     "prior_ess": (arms.unit_sd * arms.unit_sd) / pv if pv > 0 else float("inf"),
                     "prior_map_sd": map_sd[key],
                     "control_post_sd": math.sqrt(max(post_var, 0.0)),
                     "n_studies": float(len(studies)),
+                    "post_prob_le0": f0,
                 })
     return [failed[i] if i in failed else [rows[i, j] for j in range(len(scales[i]))]
             for i in range(len(sources))]

@@ -139,7 +139,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError("--methods is empty")
     cells = harness.expand_cells(methods, (args.covset,), where="--methods")
     name = os.path.basename(args.data)
-    rows = harness.evaluate_cells(dataset, cells, name, args.seed, 0)
+    rows = harness.evaluate_cells(dataset, cells, name, args.seed, 0, intervals=True)
     width = max(len(harness.cell_label(c.key)) for c in cells)
     for cell, est in zip(cells, rows):
         label = harness.cell_label(cell.key).ljust(width)

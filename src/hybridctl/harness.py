@@ -511,9 +511,9 @@ class _ReplicateCaches:
     again."""
 
     def __init__(self, dataset: TrialDataset, cells: tuple[Cell, ...], sid: str, seed: int,
-                 replicate: int):
+                 replicate: int, intervals: bool = False):
         self.dataset, self.cells = dataset, cells
-        self.sid, self.seed, self.replicate = sid, seed, replicate
+        self.sid, self.seed, self.replicate, self.intervals = sid, seed, replicate, intervals
         self.memo: dict = {}
 
     def _memo(self, key: tuple, build: Callable[[], object]):
@@ -589,7 +589,7 @@ class _ReplicateCaches:
             inputs.append((studies, [c.tau_label for c in cells], [c.omega for c in cells], flags))
             batched.append(cells)
         if inputs:
-            for cells, got in zip(batched, map_estimates(self.arms(), inputs)):
+            for cells, got in zip(batched, map_estimates(self.arms(), inputs, self.intervals)):
                 rows.update(dict.fromkeys(cells, got) if isinstance(got, ValueError)
                             else zip(cells, got))
         return rows
@@ -608,13 +608,15 @@ def evaluate_cells(
     scenario_id: str,
     master_seed: int,
     replicate: int,
+    intervals: bool = False,
 ) -> list[EffectEstimate]:
     """Run every cell on one dataset; failures become flagged rows.
 
     ``rows[i]`` is the estimate of ``cells[i]``: the estimators return
-    unlabelled results, and a row's label is its cell's.
+    unlabelled results, and a row's label is its cell's. MAP-family rows
+    carry their credible-interval ends only when ``intervals`` is true.
     """
-    caches = _ReplicateCaches(dataset, cells, scenario_id, master_seed, replicate)
+    caches = _ReplicateCaches(dataset, cells, scenario_id, master_seed, replicate, intervals)
     rows: list[EffectEstimate] = []
     for cell in cells:
         try:

@@ -33,7 +33,8 @@ __all__ = [
     "summarize",
 ]
 
-# Two-sided level of every test and credible interval the estimators report.
+# Two-sided level of every test and credible interval the estimators report
+# (a MAP-family row decides from F(0): see borrow.effect_posterior).
 ALPHA = 0.05
 
 UNADJ_RC_KEY = ("unadj.rc", None, "")
@@ -46,13 +47,14 @@ class EffectEstimate:
     ``essr_pct`` is filled in by the harness from the squared standard
     errors once the replicate's no-borrowing benchmark is known. Failed
     evaluations keep a row (``failed=True``) with NaN numerics and an
-    explanatory flag.
+    explanatory flag. A MAP-family row's ``interval`` is None unless its
+    ends were asked for (``harness.evaluate_cells``).
     """
 
     estimate: float
     se: float
     reject: bool
-    interval: tuple[float, float]
+    interval: tuple[float, float] | None
     flags: tuple[str, ...] = ()
     diagnostics: dict = field(default_factory=dict)
     essr_pct: float | None = None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from hybridctl.borrow import (
@@ -19,6 +19,7 @@ from hybridctl.borrow import (
     build_strata,
     _mean_se,
     _moments,
+    credible_interval,
     effect_posterior,
     estimate_pss_cl,
     estimate_pss_pp,
@@ -94,7 +95,9 @@ def update_one(prior, data_mean, data_se):
 
 
 def effect_one(control, treated_mean, treated_se, alpha=ALPHA):
-    est, sd, lo, hi, _ = effect_posterior(*rows(control), treated_mean, treated_se, alpha)
+    """The one-row :func:`effect_posterior` and :func:`credible_interval` calls."""
+    est, sd, _, _ = effect_posterior(*rows(control), treated_mean, treated_se)
+    lo, hi = credible_interval(*rows(control), treated_mean, treated_se, alpha)
     return SimpleNamespace(estimate=float(est[0]), se=float(sd[0]),
                            interval=(float(lo[0]), float(hi[0])))
 
@@ -109,10 +112,10 @@ def prior_one(studies, tau_scale):
     return mixture_row(*map_prior(studies[None], np.array([tau_scale])))
 
 
-def map_source(arms, studies, tau_labels, omegas, flags=()):
+def map_source(arms, studies, tau_labels, omegas, flags=(), intervals=False):
     """The one-source :func:`map_estimates` call: the source's rows, or
     its error raised."""
-    [got] = map_estimates(arms, [(studies, tau_labels, omegas, flags)])
+    [got] = map_estimates(arms, [(studies, tau_labels, omegas, flags)], intervals)
     if isinstance(got, ValueError):
         raise got
     return got
@@ -127,7 +130,8 @@ def map_fit(ds, omega, tau_label=None, studies=None, flags=()):
 
 
 def bisect_quantile(mix, q):
-    """Plain bisection on the mixture CDF: the slow reference for Newton."""
+    """Plain bisection on the mixture CDF from a wide bracket: the slow
+    reference for :func:`credible_interval`."""
     w, m, s = mix
     lo, hi = mix_mean(mix) - 50.0 * mix_sd(mix), mix_mean(mix) + 50.0 * mix_sd(mix)
     for _ in range(200):
@@ -381,6 +385,16 @@ def bimodal_control():
     return mixture([0.7, 0.3], [0.0, 3.0], [0.2, 0.4])
 
 
+@st.composite
+def effect_inputs(draw):
+    """A control mixture of 1 to 202 components, and a treated mean and SE."""
+    comps = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-5.0, 5.0),
+                                    st.floats(1e-3, 5.0)), min_size=1, max_size=202))
+    w, m, s = (np.array(a) for a in zip(*comps))
+    w[draw(st.integers(0, len(w) - 1))] += 1e-3  # some weight is positive
+    return (w / w.sum(), m, s), draw(st.floats(-3.0, 3.0)), draw(st.floats(0.01, 2.0))
+
+
 class TestEffectPosterior:
     def test_normal_control_gives_normal_difference(self):
         got = effect_one(normal(1.0, 0.3), 2.0, 0.4)
@@ -438,6 +452,8 @@ class TestEffectPosterior:
         ],
     )
     def test_newton_ends_match_plain_bisection(self, control, alpha):
+        # credible_interval's ends (the test id keeps the name of the Newton
+        # solver it replaced) against plain bisection with scipy's CDF
         got = effect_one(control, 0.5, 0.3, alpha=alpha)
         w, m, s = control
         effect = mixture(w, 0.5 - m, np.sqrt(s**2 + 0.09))
@@ -459,10 +475,41 @@ class TestEffectPosterior:
     def test_rows_equal_one_row_calls(self):
         controls = [bimodal_control(), mixture([0.97, 0.03], [0.0, 10.0], [0.1, 0.1]),
                     mixture([0.5, 0.5], [-0.4, 0.4], [1e-6, 2.0])]
-        stacked = effect_posterior(*rows(*controls), 0.5, 0.3)
-        for i, control in enumerate(controls):
-            one = effect_posterior(*rows(control), 0.5, 0.3)
-            assert exact_repr(stacked, i) == exact_repr(one, 0)
+        for kernel in (effect_posterior, credible_interval):
+            stacked = kernel(*rows(*controls), 0.5, 0.3)
+            for i, control in enumerate(controls):
+                one = kernel(*rows(control), 0.5, 0.3)
+                assert exact_repr(stacked, i) == exact_repr(one, 0)
+
+    def test_cdf_at_zero_is_the_effect_mixture_cdf(self):
+        w, m, s = bimodal_control()
+        [f0] = effect_posterior(*rows((w, m, s)), 1.0, 0.5)[2]
+        want = (0.7 * norm.cdf(0.0, 1.0, math.sqrt(0.29))
+                + 0.3 * norm.cdf(0.0, -2.0, math.sqrt(0.41)))
+        assert f0 == pytest.approx(want, rel=1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(effect_inputs(), st.sampled_from([0.001, 0.05, 0.2]))
+    def test_ends_solve_the_cdf_and_decide_as_the_cdf_at_zero(self, inputs, alpha):
+        # Each end lies within 1e-12 total SD of its quantile: the CDF
+        # brackets alpha/2 (1 - alpha/2) across 1e-12 SD about it. Where both
+        # ends are clear of 0, "the interval excludes 0" and "F(0) lies in
+        # an alpha/2 tail" are the same decision.
+        control, t_mean, t_se = inputs
+        w, m, s = control
+        [est], [sd], [f0], _ = effect_posterior(*rows(control), t_mean, t_se)
+        [lo], [hi] = credible_interval(*rows(control), t_mean, t_se, alpha)
+        mu, comp_sd = t_mean - m, np.sqrt(s**2 + t_se**2)
+
+        def cdf(x):
+            return float(w @ ndtr((x - mu) / comp_sd))
+
+        tol = 1e-12 * sd
+        for end, q in ((lo, alpha / 2.0), (hi, 1.0 - alpha / 2.0)):
+            assert cdf(end - tol) <= q <= cdf(end + tol), (end, q)
+        assert cdf(0.0) == f0
+        if min(abs(lo), abs(hi)) > 1e-9 * sd:
+            assert (lo > 0.0 or hi < 0.0) == (f0 < alpha / 2.0 or f0 > 1.0 - alpha / 2.0)
 
 
 class TestPowerPrior:
@@ -577,8 +624,8 @@ class TestEstimateMap:
         studies, perm = studies_perm
         arms = ArmSummaries(t_mean=0.6, t_se=0.15, c_mean=0.1, c_se=0.14, unit_sd=1.0)
         labels, omegas = [t for t, _ in pairs], [o for _, o in pairs]
-        got = map_source(arms, studies, labels, omegas)
-        permuted = map_source(arms, studies[perm], labels, omegas)
+        got = map_source(arms, studies, labels, omegas, intervals=True)
+        permuted = map_source(arms, studies[perm], labels, omegas, intervals=True)
         for a, b in zip(got, permuted):
             assert b.se == pytest.approx(a.se, rel=1e-12, abs=0.0)
             assert b.estimate == pytest.approx(a.estimate, rel=1e-12, abs=1e-12 * a.se)
@@ -628,12 +675,12 @@ class TestEstimateMap:
                (study_array((0.1, 0.1), (0.2, 0.2)), ["S", "XL"], [0.5, 0.5], ()),
                (NO_STUDIES, ["M"], [1.5], ()),
                (pool_studies(ds), ["M"], [0.5, 0.2], ())]
-        alone = [map_estimates(arms, [src])[0] for src in good + bad]
+        alone = [map_estimates(arms, [src], intervals=True)[0] for src in good + bad]
         assert not any(isinstance(a, ValueError) for a in alone[:len(good)])
         assert all(isinstance(a, ValueError) for a in alone[len(good):])
         mixed = [*bad[:2], good[0], *bad[2:], *good[1:]]
         for order in (mixed, mixed[::-1]):
-            together = map_estimates(arms, order)
+            together = map_estimates(arms, order, intervals=True)
             for src, got in zip(order, together):
                 want = alone[[id(x) for x in good + bad].index(id(src))]
                 if isinstance(want, ValueError):

@@ -616,8 +616,9 @@ def test_map_family_rows_equal_one_cell_calls(name, n_total, flat):
     for cell, row in family:
         assert row_signature(row) == row_signature(one_pair_call(ds, cell, caches)), cell.key
         if not row.failed:
-            numbers = [row.estimate, row.se, *row.interval, *row.diagnostics.values()]
+            numbers = [row.estimate, row.se, *row.diagnostics.values()]
             assert all(type(v) is float for v in numbers) and type(row.reject) is bool
+            assert row.interval is None  # no ends were asked for
     forced = {c.method_id for c, r in family if "map:no_studies_forced_omega1" in r.flags}
     failed = {c.method_id for c, r in family if r.failed}
     if flat:  # the failed plain source fails its own cells only
@@ -667,6 +668,42 @@ def test_replicate_wide_pass_equals_one_source_calls(config, scenario_id, reps):
         for cell, row in zip(sc.cells, rows):
             if cell in want:
                 assert row_signature(row) == want[cell], cell.key
+
+
+@pytest.mark.parametrize("config,scenario_ids,reps,n_map_rows", [
+    ("tests/data/golden.yaml", None, 3, 60),
+    ("configs/full_grid.yaml", ("multi-moderate-null",), 1, 28),
+], ids=["golden", "tau-ladder"])
+def test_cdf_at_zero_decides_as_the_interval_ends(config, scenario_ids, reps, n_map_rows):
+    # A MAP-family row rejects from F(0), the posterior CDF of the effect
+    # at 0. Asking for the credible-interval ends adds them and moves
+    # nothing else, and the interval excludes 0 exactly when the row
+    # rejects, wherever an end is not within 1e-9 SD of 0.
+    root = Path(__file__).resolve().parents[1]
+    scenarios = [s for s in load_config(str(root / config)).scenarios
+                 if scenario_ids is None or s.scenario_id in scenario_ids]
+    n_rows = n_near = 0
+    for sc in scenarios:
+        for replicate in range(reps):
+            rng = replicate_rng(sc.master_seed, sc.scenario_id, replicate, "data")
+            ds = build_replicate(sc.coeffs, sc.n_total, rng)
+            args = (ds, sc.cells, sc.scenario_id, sc.master_seed, replicate)
+            plain, with_ends = evaluate_cells(*args), evaluate_cells(*args, intervals=True)
+            for cell, a, b in zip(sc.cells, plain, with_ends, strict=True):
+                if not METHODS[cell.method_id].map or a.failed:
+                    assert row_signature(a) == row_signature(b), cell.key
+                    continue
+                assert a.interval is None and b.interval is not None
+                assert row_signature(dataclasses.replace(a, interval=b.interval)) == \
+                    row_signature(b)
+                lo, hi = b.interval
+                n_rows += 1
+                if min(abs(lo), abs(hi)) <= 1e-9 * b.se:
+                    n_near += 1
+                else:
+                    assert b.reject == (lo > 0.0 or hi < 0.0), (cell.key, b)
+    print(f"\n{n_rows} MAP-family rows, {n_near} with an interval end within 1e-9 SD of 0")
+    assert n_rows == n_map_rows and n_near == 0
 
 
 # Every method, with several MAP-family cells per covariate set, so each
@@ -1069,6 +1106,21 @@ class TestCli:
         assert len(lines) == len(METHODS) == 11
         assert all(line.startswith(m) for line, m in zip(lines, METHODS)), lines
         assert all("estimate=" in line and "failed" not in line for line in lines), lines
+
+    @pytest.mark.parametrize("name,n_total,seed", [
+        ("multi-moderate", 800, 12), ("single-moderate", 400, 8),
+    ], ids=["three-pool", "single-pool"])
+    def test_analyze_text_is_pinned(self, tmp_path, capsys, name, n_total, seed):
+        # tests/data/analyze_<name>.txt is the text of `analyze` with all 11
+        # method ids when the MAP-family interval ends were solved by
+        # Newton's method; the bisection that solves them now prints it
+        # byte for byte. The file name seeds the match tie-breaking.
+        ds = build_replicate(preset(name), n_total, np.random.default_rng(seed))
+        path = write_subjects_csv(tmp_path / "subjects.csv", ds)
+        code = cli.main(["analyze", "--data", str(path), "--methods", ",".join(METHODS)])
+        assert code == 0
+        want = (Path(__file__).parent / "data" / f"analyze_{name}.txt").read_text()
+        assert capsys.readouterr().out == want
 
     def test_analyze_binary_outcomes_reports_failed_cell(self, tmp_path, capsys):
         # every concurrent control has y = 0, so each propensity stratum's

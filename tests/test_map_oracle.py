@@ -4,7 +4,8 @@
 4001-point theta grid, with the same tau quadrature. Every MAP-family
 study source (the plain pools, and the matched and the weighted pools)
 of a dataset goes through one ``borrow.map_estimates`` call, with all of
-its (tau-ladder label, omega) pairs, and once through ``grid_reference.estimate_map``
+its (tau-ladder label, omega) pairs and their credible-interval ends
+(``borrow.credible_interval``), and once through ``grid_reference.estimate_map``
 per pair, fed the same study array and flags. That covers single- and
 multi-pool data, every omega in OMEGAS, every tau ladder label and the
 label-less default, plus one fit with no studies.
@@ -59,7 +60,7 @@ def paired_fits(fit_inputs, support):
                    (weighted_studies(ds, psfit, weights), CONFIGS)]
         batch = map_estimates(arms, [(studies, [t for _, t in cfgs],
                                       [omega for omega, _ in cfgs], flags)
-                                     for (studies, flags), cfgs in sources])
+                                     for (studies, flags), cfgs in sources], intervals=True)
         for ((studies, flags), cfgs), exact in zip(sources, batch, strict=True):
             grid = [grid_reference.estimate_map(ds, omega, label, studies=studies,
                                                 extra_flags=flags, support=support)

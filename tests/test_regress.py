@@ -212,15 +212,6 @@ def test_arm_contrast_matches_dense_reference(inputs):
         assert got == pytest.approx(ref.sandwich(X, y, w, lab)[1, 1],
                                     rel=1e-10, abs=1e-12 * fit.var_hc0)
 
-    perm = np.random.default_rng(n).permutation(n)
-    moved = arm_contrast(y[perm], z[perm], weights=None if w is None else w[perm],
-                         clusters=tuple(lab[perm] for lab in labels))
-    assert moved.slope == pytest.approx(fit.slope, rel=1e-12, abs=1e-12 * scale)
-    assert moved.var_model == pytest.approx(fit.var_model, rel=1e-10)
-    assert moved.var_hc0 == pytest.approx(fit.var_hc0, rel=1e-10)
-    assert moved.var_clusters == pytest.approx(fit.var_clusters, rel=1e-10,
-                                               abs=1e-12 * fit.var_hc0)
-
     singletons = arm_contrast(y, z, weights=w, clusters=(np.arange(n),))
     assert singletons.var_clusters[0] == pytest.approx(fit.var_hc0, rel=1e-12)
 
@@ -229,6 +220,25 @@ def test_arm_contrast_matches_dense_reference(inputs):
                            clusters=tuple(np.r_[lab, lab] for lab in labels))
     assert doubled.var_clusters == pytest.approx(fit.var_clusters, rel=1e-10,
                                                  abs=1e-12 * fit.var_hc0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_arm_contrast_does_not_depend_on_row_order(data):
+    # Rows permuted with their weights and cluster labels: only the order
+    # of the sums moves, so every number agrees to 1e-12 of its scale (a
+    # slope or a cluster sum near 0 to 1e-12 of the HC0 scale).
+    y, z, w, labels = data.draw(contrast_inputs())
+    perm = np.array(data.draw(st.permutations(range(y.size))))
+    fit = arm_contrast(y, z, weights=w, clusters=labels)
+    moved = arm_contrast(y[perm], z[perm], weights=None if w is None else w[perm],
+                         clusters=tuple(lab[perm] for lab in labels))
+    scale = np.sqrt(fit.var_hc0) + abs(fit.slope)
+    assert moved.slope == pytest.approx(fit.slope, rel=1e-12, abs=1e-12 * scale)
+    assert moved.var_model == pytest.approx(fit.var_model, rel=1e-12)
+    assert moved.var_hc0 == pytest.approx(fit.var_hc0, rel=1e-12)
+    assert moved.var_clusters == pytest.approx(fit.var_clusters, rel=1e-12,
+                                               abs=1e-12 * fit.var_hc0)
 
 
 class TestWaldDecision:
