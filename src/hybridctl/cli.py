@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from . import harness
 from .harness import ConfigError
@@ -78,14 +80,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if not os.access(path if os.path.exists(path) else args.out, os.W_OK):
             raise ConfigError(f"--out: {path} is not writable")
 
+    # One pool for the whole run. It forks its workers at the first chunk
+    # it is given and is closed, on success or failure, before any file
+    # is written.
     results = []
-    for scenario in cfg.scenarios:
-        print(
-            f"running {scenario.scenario_id}: {scenario.replicates} replicates, "
-            f"{len(scenario.cells)} cells",
-            flush=True,
-        )
-        results.append(harness.run_scenario(scenario, workers=args.threads))
+    with ProcessPoolExecutor(args.threads) if args.threads > 1 else nullcontext() as pool:
+        for scenario in cfg.scenarios:
+            print(
+                f"running {scenario.scenario_id}: {scenario.replicates} replicates, "
+                f"{len(scenario.cells)} cells",
+                flush=True,
+            )
+            results.append(harness.run_scenario(scenario, workers=args.threads, pool=pool))
 
     harness.write_raw_csv(raw_path, results)
     harness.write_summary_csv(summary_path, results)
@@ -171,7 +177,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed stdout fails here, inside the try
+    except BrokenPipeError:
+        # A reader such as `head` closed stdout. Point it at devnull so the
+        # flush at exit does not fail again, and exit non-zero quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import math
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -654,13 +655,16 @@ def _run_chunk(scenario: ScenarioConfig, lo: int, hi: int) -> list[list[EffectEs
     return [run_replicate(scenario, r) for r in range(lo, hi)]
 
 
-def run_scenario(scenario: ScenarioConfig, workers: int = 1) -> ScenarioResult:
+def run_scenario(scenario: ScenarioConfig, workers: int = 1,
+                 pool: ProcessPoolExecutor | None = None) -> ScenarioResult:
     """Run all replicates of one scenario and summarize.
 
     Replicates are independent and self-contained, so they can be split
     across processes; rows are reassembled in replicate order and
     summarized in one pass, making the output identical for any worker
-    count.
+    count. The ``workers`` chunks run on ``pool`` when one is given,
+    which stays open for the caller's next scenario; otherwise on a pool
+    opened and closed here.
     """
     reps = scenario.replicates
     if workers <= 1 or reps < 2 * workers:
@@ -668,7 +672,8 @@ def run_scenario(scenario: ScenarioConfig, workers: int = 1) -> ScenarioResult:
     else:
         bounds = np.linspace(0, reps, workers + 1).astype(int)
         chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with (ProcessPoolExecutor(max_workers=workers) if pool is None
+              else nullcontext(pool)) as pool:
             parts = list(pool.map(_run_chunk, [scenario] * len(chunks),
                                   [lo for lo, _ in chunks], [hi for _, hi in chunks]))
         per_rep = [rows for part in parts for rows in part]

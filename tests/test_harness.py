@@ -2,10 +2,12 @@ import dataclasses
 import functools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -763,14 +765,34 @@ def test_rows_do_not_depend_on_subject_id_order():
         assert (b.reject, b.flags) == (a.reject, a.flags)
 
 
+def row_reprs(result):
+    """Every replicate row at repr precision: estimate, se, reject,
+    interval, flags, diagnostics, essr_pct and the failed mark."""
+    return [[repr(est) for est in rows] for rows in result.replicate_rows]
+
+
 class TestRunScenario:
     def test_worker_count_does_not_change_results(self):
+        # 6 replicates: one, two and three chunks
         sc = small_scenario(["PSM", "MAP"], reps=6, n_total=300)
         a = run_scenario(sc, workers=1)
-        b = run_scenario(sc, workers=2)
-        assert a.summary == b.summary
-        assert a.failure_fraction == b.failure_fraction
-        assert a.flag_counts == b.flag_counts
+        for workers in (2, 3):
+            b = run_scenario(sc, workers=workers)
+            assert row_reprs(b) == row_reprs(a)
+            assert a.summary == b.summary
+            assert a.failure_fraction == b.failure_fraction
+            assert a.flag_counts == b.flag_counts
+
+    def test_shared_pool_equals_a_pool_per_scenario(self):
+        # long-lived workers carry nothing from one scenario into the next
+        scenarios = [small_scenario(["PSM", "MAP"], reps=6, n_total=300),
+                     small_scenario(["PSW", "MAP"], reps=5, n_total=400, seed=12, name="next")]
+        fresh = [run_scenario(sc, workers=2) for sc in scenarios]
+        with ProcessPoolExecutor(2) as pool:
+            shared = [run_scenario(sc, workers=2, pool=pool) for sc in scenarios]
+        for a, b in zip(fresh, shared):
+            assert row_reprs(b) == row_reprs(a)
+            assert (b.summary, b.flag_counts) == (a.summary, a.flag_counts)
 
     def test_zero_variance_outcomes_fail_borrowers(self):
         # constant outcomes make the historical pool summary degenerate
@@ -944,6 +966,25 @@ scenarios:
 """
 
 
+TWO_SCENARIO_CONFIG = """
+master_seed: 12
+replicates: 4
+scenarios:
+  - scenario_id: first
+    preset: single-moderate
+    n_total: 300
+    covsets: [1]
+    methods: [PSM, MAP]
+  - scenario_id: second
+    preset: multi-moderate
+    n_total: 400
+    covsets: [1]
+    methods: [PSW, MAP]
+"""
+
+OUTPUT_FILES = ("raw.csv", "summary.csv", "diagnostics.json")
+
+
 def write_subjects_csv(path, ds):
     """``ds`` as a subjects CSV with ids, its concurrent trial first."""
     with open(path, "w") as fh:
@@ -1053,6 +1094,65 @@ class TestCli:
         assert len(raw) == 1 + 100 * 3
         degenerate = [line for line in raw if "degenerate replicate" in line]
         assert len(degenerate) == 3 * 5  # replicates 11, 16, 21, 29 and 63
+
+    def test_one_pool_per_run(self, tmp_path, monkeypatch, capsys):
+        opened = []
+
+        class Counting(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Counting)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Counting)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(TWO_SCENARIO_CONFIG)
+        out = tmp_path / "r"
+        assert cli.main(["run", "--config", str(cfg), "--reps", "4", "--threads", "2",
+                         "--out", str(out)]) == 0
+        assert len(opened) == 1
+        assert multiprocessing.active_children() == []
+        assert all((out / name).exists() for name in OUTPUT_FILES)
+
+    def test_worker_bug_fails_loudly_and_cleans_up(self, tmp_path, monkeypatch, capsys):
+        # the workers fork after the patch, so they inherit it
+        real = harness.run_replicate
+
+        def buggy(scenario, replicate):
+            if (scenario.scenario_id, replicate) == ("second", 3):
+                raise RuntimeError("bug in replicate 3")
+            return real(scenario, replicate)
+
+        monkeypatch.setattr(harness, "run_replicate", buggy)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(TWO_SCENARIO_CONFIG)
+        out = tmp_path / "r"
+        with pytest.raises(RuntimeError, match="bug in replicate 3"):
+            cli.main(["run", "--config", str(cfg), "--threads", "2", "--out", str(out)])
+        assert capsys.readouterr().out.count("running ") == 2
+        assert not any((out / name).exists() for name in OUTPUT_FILES)
+        assert multiprocessing.active_children() == []
+
+    def test_closed_stdout_ends_the_run_quietly(self, tmp_path):
+        # as under `hybridctl run ... | head -1`: the second progress line
+        # meets a closed pipe once the first scenario's workers are forked
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(TWO_SCENARIO_CONFIG)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen(
+                [sys.executable, "-m", "hybridctl.cli", "run", "--config", str(cfg),
+                 "--threads", "2", "--out", str(tmp_path / "r")],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                start_new_session=True) as proc:
+            assert proc.stdout.readline().startswith(b"running first:")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode != 0
+        assert b"Traceback" not in err
+        with pytest.raises(ProcessLookupError):  # no process is left in its group
+            os.killpg(proc.pid, 0)
 
     @pytest.mark.parametrize("argv", [["run", "--config", "CFG", "--seed", "-1"],
                                       ["run", "--config", "CFG", "--seed", str(2**64)],
