@@ -28,7 +28,9 @@ tau scale) row with the same study count in one call, and
 run their step on every (source, pair) row of one mixture width at
 once. Each works row by row, in the order of the one-mixture formulas,
 so each pair's estimate is the same to the last bit whatever rows share
-its calls, and a bad row fails its own source only.
+its calls. A kernel does not raise for a bad row: it computes every row
+and returns its checks, each a message and a per-row mask, and the core
+fails the sources of the rows that a check marks, each source alone.
 
 Power-prior borrowing discounts the historical likelihood precision by
 a factor alpha. The two stratified estimators share one front end:
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
@@ -113,9 +114,12 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
+Checks = list[tuple[str, np.ndarray]]  # (message, per-row mask true where a row passes)
+
+
 def map_prior(
     studies: np.ndarray, tau_scales: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], Checks]:
     """Meta-analytic predictive priors for a new study mean, one per row of
     an (S, k, 2) stack of study arrays with the same k and its S tau scales.
 
@@ -126,32 +130,27 @@ def map_prior(
     with one component per tau node, returned as (S, ``N_TAU``) arrays of
     weights, means and SDs. Scales that are all 0 collapse to
     fixed-effect pooling, with (S, 1) arrays. Each row is computed on its
-    own, as the one-prior formulas give it; a bad scale, study or
-    component raises a ``ValueError`` that names its rows.
+    own, as the one-prior formulas give it, and the checks mark the rows
+    with a bad scale, study, component or weight. No studies, or scales
+    neither all zero nor all positive, raise a ``ValueError``.
     """
     studies, tau_scales = np.asarray(studies, dtype=float), np.asarray(tau_scales, dtype=float)
-    _check_rows(np.isfinite(tau_scales) & (tau_scales >= 0),
-                "tau_scale must be finite and non-negative")
-    means, ses = studies[:, :, 0], studies[:, :, 1]
-    _check_rows(np.isfinite(means) & np.isfinite(ses) & (ses > 0),
-                "study summary needs a finite mean and positive se")
     if studies.shape[1] == 0:
         raise ValueError("need at least one study")
-
+    means, ses = studies[:, :, 0], studies[:, :, 1]
     rows = len(tau_scales)
-    if not tau_scales.any():
-        taus = np.zeros((rows, 1))
-        log_w = np.zeros((rows, 1))
-    elif tau_scales.all():
-        taus = np.zeros((rows, N_TAU))  # C-ordered, so each row sums on its own
-        taus[:, 1:] = np.geomspace(tau_scales * 1e-3, tau_scales * 10.0, N_TAU - 1, axis=1)
-        # half-normal prior density and trapezoid quadrature in tau
-        log_w = -0.5 * (taus / tau_scales[:, None]) ** 2 + np.log(_trapezoid_weights(taus))
-    else:
-        raise ValueError("tau scales must be all zero or all positive")
-
-    # far-off studies overflow here; the checks below fail their rows
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        if not tau_scales.any():
+            taus, log_w = np.zeros((rows, 1)), np.zeros((rows, 1))
+        elif tau_scales.all():
+            taus = np.zeros((rows, N_TAU))  # C-ordered, so each row sums on its own
+            # a scale too small for its grid to start above 0 runs as NaN: its row fails
+            scales = np.where(tau_scales * 1e-3 != 0, tau_scales, np.nan)
+            taus[:, 1:] = np.geomspace(scales * 1e-3, scales * 10.0, N_TAU - 1, axis=1)
+            # half-normal prior density and trapezoid quadrature in tau
+            log_w = -0.5 * (taus / tau_scales[:, None]) ** 2 + np.log(_trapezoid_weights(taus))
+        else:
+            raise ValueError("tau scales must be all zero or all positive")
         v = ses[:, None, :] ** 2 + taus[:, :, None] ** 2  # (rows, tau nodes, k)
         prec = 1.0 / v
         pressum = prec.sum(axis=2)
@@ -162,9 +161,14 @@ def map_prior(
             log_w = log_w - 0.5 * (np.log(v).sum(axis=2) + np.log(pressum) + quad)
         w_tau = np.exp(log_w - log_w.max(axis=1, keepdims=True))
         sds = np.sqrt(v_mu + taus**2)
-    _check_components(mu_hat, sds)
-    _check_rows(np.isfinite(w_tau), "prior weights must be finite")
-    return w_tau / w_tau.sum(axis=1, keepdims=True), mu_hat, sds
+        w = w_tau / w_tau.sum(axis=1, keepdims=True)
+    return (w, mu_hat, sds), [
+        ("tau_scale must be finite and non-negative", np.isfinite(tau_scales) & (tau_scales >= 0)),
+        ("study summary needs a finite mean and positive se",
+         (np.isfinite(means) & np.isfinite(ses) & (ses > 0)).all(axis=1)),
+        _components_ok(mu_hat, sds),
+        ("prior weights must be finite", np.isfinite(w_tau).all(axis=1)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +180,9 @@ def map_prior(
 # stacked with it, as long as the stacks are C-ordered (each row
 # contiguous), as ``np.stack`` of 1-d arrays and row indexing make them. On
 # an F-ordered stack the BLAS row sums add in another order: a row sum of
-# 201 weights then moved in its last bit.
+# 201 weights then moved in its last bit. Bad rows are computed too, with
+# floating-point warnings off: only the checks mark them, and a check of an
+# argument that all rows share, such as the data SE, marks every row.
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,68 +201,58 @@ def _moments(w: np.ndarray, m: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, n
     return mu, _rowdot(w, s**2 + (m - mu[:, None]) ** 2)
 
 
-class _RowError(ValueError):
-    """A check failed on some rows of a stack; ``rows`` indexes them."""
-
-    def __init__(self, message: str, rows: np.ndarray):
-        super().__init__(message)
-        self.rows = rows
-
-
-def _check_rows(ok: np.ndarray, message: str) -> None:
-    """Raise a :class:`_RowError` naming each row where ``ok``, a (rows, ...)
-    boolean array, is not true throughout."""
-    bad = ~ok.all(axis=tuple(range(1, ok.ndim)))
-    if bad.any():
-        raise _RowError(message, np.flatnonzero(bad))
-
-
-def _check_components(means: np.ndarray, sds: np.ndarray) -> None:
-    _check_rows(np.isfinite(means) & np.isfinite(sds) & (sds > 0),
-                "component means must be finite and SDs positive")
+def _components_ok(means: np.ndarray, sds: np.ndarray | float) -> tuple[str, np.ndarray]:
+    """The check of (rows, components) means and SDs, or of 1-d means and any SDs."""
+    ok = np.isfinite(means) & np.isfinite(sds) & (sds > 0)
+    return "component means must be finite and SDs positive", ok.reshape(len(ok), -1).all(axis=1)
 
 
 def robustify(
     w: np.ndarray, m: np.ndarray, s: np.ndarray, omegas: np.ndarray, mean, sd: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], Checks]:
     """Append a vague component N(``mean``, ``sd``) to every row, with row
     i's weight ``omegas[i]`` (in [0, 1]; :func:`map_estimates` checks it).
-    ``mean`` is one number, or one per row."""
+    ``mean`` is one number, or one per row; the check marks the rows whose
+    vague component is bad."""
     rows = len(w)
     means = np.broadcast_to(np.asarray(mean, dtype=float), (rows,))
-    _check_components(means, np.full(rows, sd))
-    return (np.hstack([(1.0 - omegas)[:, None] * w, omegas[:, None]]),
-            np.hstack([m, means[:, None]]), np.hstack([s, np.full((rows, 1), sd)]))
+    with np.errstate(all="ignore"):
+        w = np.hstack([(1.0 - omegas)[:, None] * w, omegas[:, None]])
+    return ((w, np.hstack([m, means[:, None]]), np.hstack([s, np.full((rows, 1), sd)])),
+            [_components_ok(means, sd)])
 
 
 def posterior_update(
     w: np.ndarray, m: np.ndarray, s: np.ndarray, data_mean: float, data_se: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], Checks]:
     """Conjugate normal update of every component of every row.
 
     Each component is reweighted by its marginal likelihood of the data,
-    N(data_mean; m_k, s_k^2 + data_se^2). A row whose components the data
-    all rule out (every likelihood underflows to 0) has no posterior
-    weights and fails as a bad row.
+    N(data_mean; m_k, s_k^2 + data_se^2). The checks are of the data (the
+    same for every row), the components and the weights: a row whose
+    components the data all rule out (every likelihood underflows to 0)
+    has no posterior weights and fails as a bad row.
     """
-    if not (np.isfinite(data_mean) and np.isfinite(data_se) and data_se > 0):
-        raise ValueError("need a finite data mean and positive se")
-    var = s**2
-    marg_var = var + data_se**2
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        var = s**2
+        marg_var = var + data_se**2
         log_w = np.log(w) - 0.5 * (data_mean - m) ** 2 / marg_var - 0.5 * np.log(marg_var)
         post_w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
         post_var = var * data_se**2 / marg_var
         post_mean = (m * data_se**2 + data_mean * var) / marg_var
-    post_sd = np.sqrt(post_var)
-    _check_components(post_mean, post_sd)
-    _check_rows(np.isfinite(post_w), "posterior weights must be finite")
-    return post_w / post_w.sum(axis=1, keepdims=True), post_mean, post_sd
+        post_sd = np.sqrt(post_var)
+        post = post_w / post_w.sum(axis=1, keepdims=True), post_mean, post_sd
+    return post, [
+        ("need a finite data mean and positive se",
+         np.full(len(w), np.isfinite(data_mean) and np.isfinite(data_se) and data_se > 0)),
+        _components_ok(post_mean, post_sd),
+        ("posterior weights must be finite", np.isfinite(post_w).all(axis=1)),
+    ]
 
 
 def effect_posterior(
     w: np.ndarray, m: np.ndarray, s: np.ndarray, treated_mean: float, treated_se: float,
-) -> tuple[np.ndarray, ...]:
+) -> tuple[tuple[np.ndarray, ...], Checks]:
     """Posterior of treated mean minus control mean, for each row's control
     posterior.
 
@@ -266,17 +262,21 @@ def effect_posterior(
     F(0) = P(difference <= 0) and the control posterior variances. The
     central 1 - alpha credible interval excludes 0 exactly when F(0) <
     alpha/2 or F(0) > 1 - alpha/2, so no end is solved here (see
-    :func:`credible_interval`). A row whose estimate or SD overflows
-    fails as a bad row.
+    :func:`credible_interval`). The checks are of the treated SE (the
+    same for every row) and of each row's estimate and SD, which may
+    overflow.
     """
-    if treated_se <= 0 or not np.isfinite(treated_se):
-        raise ValueError("treated se must be positive and finite")
-    c_mean, c_var = _moments(w, m, s)
-    est = treated_mean - c_mean
-    sd = np.sqrt(treated_se**2 + c_var)
-    _check_rows(np.isfinite(est) & np.isfinite(sd), "effect posterior must be finite")
-    mu, comp_sd = treated_mean - m, np.sqrt(s**2 + treated_se**2)
-    return est, sd, _rowdot(w, ndtr(-mu / comp_sd)), c_var
+    with np.errstate(all="ignore"):
+        c_mean, c_var = _moments(w, m, s)
+        est = treated_mean - c_mean
+        sd = np.sqrt(treated_se**2 + c_var)
+        mu, comp_sd = treated_mean - m, np.sqrt(s**2 + treated_se**2)
+        f0 = _rowdot(w, ndtr(-mu / comp_sd))
+    return (est, sd, f0, c_var), [
+        ("treated se must be positive and finite",
+         np.full(len(w), treated_se > 0 and np.isfinite(treated_se))),
+        ("effect posterior must be finite", np.isfinite(est) & np.isfinite(sd)),
+    ]
 
 
 def credible_interval(
@@ -291,9 +291,10 @@ def credible_interval(
     SDs of the mean, k = sqrt(1/min(q, 1-q) - 1) = sqrt(2/alpha - 1),
     which is the starting bracket; a fixed ceil(log2(2k / 1e-12))
     halvings leave every row's bracket under 1e-12 of its total SD, and
-    its midpoint is the end.
+    its midpoint is the end. The rows must pass :func:`effect_posterior`'s
+    checks.
     """
-    est, sd, _, _ = effect_posterior(w, m, s, treated_mean, treated_se)
+    (est, sd, _, _), _ = effect_posterior(w, m, s, treated_mean, treated_se)
     mu, comp_sd = treated_mean - m, np.sqrt(s**2 + treated_se**2)
     rows = len(w)
     k = math.sqrt(2.0 / alpha - 1.0)
@@ -473,26 +474,15 @@ def _tau_scales(tau_labels: list[str | None], studies: np.ndarray) -> list[float
             for label in tau_labels]
 
 
-def _stage(keys: list[tuple], failed: dict, kernel: Callable, *stacks, **kwargs):
-    """``kernel(*stacks, **kwargs)`` on the rows of the stacks whose source
-    (``keys[r][0]``) has not failed, with those rows' keys.
-
-    A ``ValueError`` fails the sources of the rows it names (every row's,
-    if it names none), and the other rows run again: each row is computed
-    on its own, so a bad source fails alone and leaves every other row's
-    bits as they were. Returns ``([], None)`` when no row is left.
-    """
-    while True:
-        rows = [r for r, key in enumerate(keys) if key[0] not in failed]
-        if not rows:
-            return [], None
-        pick = slice(None) if len(rows) == len(keys) else rows
-        try:
-            return [keys[r] for r in rows], kernel(*(a[pick] for a in stacks), **kwargs)
-        except ValueError as exc:
-            named = [rows[j] for j in exc.rows] if isinstance(exc, _RowError) else rows
-            for r in named:
-                failed[keys[r][0]] = ValueError(*exc.args)
+def _fail(failed: dict, calls: list[tuple[list[tuple], Checks]]) -> None:
+    """Fail the sources of the rows that the ``calls`` of one step mark,
+    each call as its rows' keys (source first) and its checks. A source
+    takes the first check, in check order, that any of its rows fails; a
+    source failed before keeps its message."""
+    for column in zip(*(checks for _, checks in calls)):
+        for (keys, _), (message, ok) in zip(calls, column):
+            for r in np.flatnonzero(~ok).tolist():
+                failed.setdefault(keys[r][0], ValueError(message))
 
 
 MapSource = tuple[np.ndarray, list[str | None], list[float], tuple[str, ...]]
@@ -524,8 +514,9 @@ def map_estimates(
     :func:`effect_posterior` call per mixture width. Each row is computed
     on its own, so each estimate equals that of a call with its pair
     alone, bit for bit. Returns, for each source, its estimates in pair
-    order, or the ``ValueError`` that a call with that source alone
-    raises; a failing source leaves the others as they were.
+    order, or a ``ValueError`` with the first check (by step, then by
+    check) that any of its rows fails, as with that source alone; a
+    failing source leaves the others as they were.
     """
     failed: dict[int, ValueError] = {}
     scales: dict[int, list[float]] = {}
@@ -547,13 +538,13 @@ def map_estimates(
         if k and i not in failed:
             for t in dict.fromkeys(sc):
                 groups.setdefault((k, t == 0.0), []).append((i, t))
-    priors: dict[int, list] = {}
+    calls, priors = [], {}
     for pairs in groups.values():
-        keys, prior = _stage(pairs, failed, map_prior,
-                             np.stack([sources[i][0] for i, _ in pairs]),
-                             np.array([t for _, t in pairs]))
-        if keys:
-            priors.setdefault(prior[0].shape[1], []).append((keys, prior))
+        prior, checks = map_prior(np.stack([sources[i][0] for i, _ in pairs]),
+                                  np.array([t for _, t in pairs]))
+        calls.append((pairs, checks))
+        priors.setdefault(prior[0].shape[1], []).append((pairs, prior))
+    _fail(failed, calls)
     for i, sc in scales.items():
         if i not in failed and len({t == 0.0 for t in sc}) > 1:
             failed[i] = ValueError("tau scales must be all zero or all positive")
@@ -564,43 +555,38 @@ def map_estimates(
     stacks, map_sd = [], {}
     for parts in priors.values():
         at = {key: r for r, key in enumerate(key for keys, _ in parts for key in keys)}
-        pw, pm, ps = (np.concatenate(a) for a in zip(*(prior for _, prior in parts)))
         live = [i for i in dict.fromkeys(i for i, _ in at) if i not in failed]
         pairs = [(i, j) for i in live for j in range(len(scales[i]))]
+        if not pairs:
+            continue
         pick = np.array([at[i, scales[i][j]] for i, j in pairs], dtype=np.intp)
-        map_sd.update(zip(pairs, np.sqrt(np.maximum(_moments(pw, pm, ps)[1][pick], 0.0)).tolist()))
-        keys, mix = _stage(pairs, failed, robustify, pw[pick], pm[pick], ps[pick],
-                           np.array([sources[i][2][j] for i, j in pairs], dtype=float),
-                           pm[pick, 0], sd=arms.unit_sd)
-        if keys:
-            stacks.append((keys, mix))
+        w, m, s = (np.concatenate(a)[pick] for a in zip(*(prior for _, prior in parts)))
+        map_sd.update(zip(pairs, np.sqrt(np.maximum(_moments(w, m, s)[1], 0.0)).tolist()))
+        omegas = np.array([sources[i][2][j] for i, j in pairs], dtype=float)
+        stacks.append((pairs, *robustify(w, m, s, omegas, m[:, 0], sd=arms.unit_sd)))
     bare = [(i, j) for i in scales if i not in failed and not len(sources[i][0])
             for j in range(len(scales[i]))]
     if bare:
         n = len(bare)
         map_sd.update(dict.fromkeys(bare, arms.unit_sd))
         stacks.append((bare, (np.ones((n, 1)), np.full((n, 1), arms.c_mean),
-                              np.full((n, 1), arms.unit_sd))))
+                              np.full((n, 1), arms.unit_sd)), []))
 
+    # Each stack runs whole, and only the rows of live sources become estimates.
     rows: dict[tuple[int, int], EffectEstimate] = {}
-    for keys, (w, m, s) in stacks:
-        at = {key: r for r, key in enumerate(keys)}
-        keys, post = _stage(keys, failed, posterior_update, w, m, s,
-                            data_mean=arms.c_mean, data_se=arms.c_se)
-        post_at = {key: r for r, key in enumerate(keys)}
-        keys, eff = _stage(keys, failed, effect_posterior, *(post or ()),
-                           treated_mean=arms.t_mean, treated_se=arms.t_se)
-        if not keys:
-            continue
-        kept = [at[key] for key in keys]
-        prior_var = _moments(w[kept], m[kept], s[kept])[1].tolist()
-        ends = [None] * len(keys)
+    for keys, (w, m, s), checks in stacks:
+        post, post_checks = posterior_update(w, m, s, data_mean=arms.c_mean, data_se=arms.c_se)
+        eff, eff_checks = effect_posterior(*post, treated_mean=arms.t_mean, treated_se=arms.t_se)
+        _fail(failed, [(keys, checks + post_checks + eff_checks)])
+        live = np.array([i not in failed for i, _ in keys], dtype=bool)
+        prior_var = _moments(w[live], m[live], s[live])[1].tolist()
+        ends = [None] * len(prior_var)
         if intervals:
-            pick = [post_at[key] for key in keys]
             ends = list(zip(*(a.tolist() for a in credible_interval(
-                *(a[pick] for a in post), arms.t_mean, arms.t_se))))
+                *(a[live] for a in post), arms.t_mean, arms.t_se))))
         for key, pv, interval, est, sd, f0, post_var in zip(
-                keys, prior_var, ends, *(a.tolist() for a in eff)):
+                (key for key in keys if key[0] not in failed), prior_var, ends,
+                *(a[live].tolist() for a in eff)):
             i, j = key
             studies, flags = sources[i][0], tuple(sources[i][3])
             if not len(studies):

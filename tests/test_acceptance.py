@@ -307,7 +307,7 @@ def test_c13_conjugate_posterior_identities():
         ybar = rng.uniform(-3, 3)
         se = rng.uniform(0.05, 1.5)
         post_mean, post_var = (float(a[0]) for a in _moments(*posterior_update(
-            np.ones((1, 1)), np.array([[m0]]), np.array([[s0]]), ybar, se)))
+            np.ones((1, 1)), np.array([[m0]]), np.array([[s0]]), ybar, se)[0]))
         prec = 1 / s0**2 + 1 / se**2
         mean_cf = (m0 / s0**2 + ybar / se**2) / prec
         sd_cf = math.sqrt(1 / prec)

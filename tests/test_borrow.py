@@ -69,9 +69,14 @@ def rows(*mixtures):
     return tuple(np.stack(a) for a in zip(*mixtures))
 
 
-def mixture_row(w, m, s):
-    """The first row of a kernel's stacked output, as a mixture."""
-    return w[0], m[0], s[0]
+def first_row(out):
+    """Row 0 of a kernel's ``(arrays, checks)`` output, or the first check
+    that row fails, raised as a ``ValueError``."""
+    arrays, checks = out
+    for message, ok in checks:
+        if not ok[0]:
+            raise ValueError(message)
+    return tuple(a[0] for a in arrays)
 
 
 def mix_mean(mix):
@@ -87,18 +92,18 @@ def mix_sd(mix):
 
 
 def robustify_one(prior, omega, mean, sd):
-    return mixture_row(*robustify(*rows(prior), np.array([omega]), mean, sd))
+    return first_row(robustify(*rows(prior), np.array([omega]), mean, sd))
 
 
 def update_one(prior, data_mean, data_se):
-    return mixture_row(*posterior_update(*rows(prior), data_mean, data_se))
+    return first_row(posterior_update(*rows(prior), data_mean, data_se))
 
 
 def effect_one(control, treated_mean, treated_se, alpha=ALPHA):
     """The one-row :func:`effect_posterior` and :func:`credible_interval` calls."""
-    est, sd, _, _ = effect_posterior(*rows(control), treated_mean, treated_se)
+    est, sd, _, _ = first_row(effect_posterior(*rows(control), treated_mean, treated_se))
     lo, hi = credible_interval(*rows(control), treated_mean, treated_se, alpha)
-    return SimpleNamespace(estimate=float(est[0]), se=float(sd[0]),
+    return SimpleNamespace(estimate=float(est), se=float(sd),
                            interval=(float(lo[0]), float(hi[0])))
 
 
@@ -109,7 +114,7 @@ def exact_repr(arrays, row):
 
 def prior_one(studies, tau_scale):
     """The one-row :func:`map_prior` call: one mixture as 1-d arrays."""
-    return mixture_row(*map_prior(studies[None], np.array([tau_scale])))
+    return first_row(map_prior(studies[None], np.array([tau_scale])))
 
 
 def map_source(arms, studies, tau_labels, omegas, flags=(), intervals=False):
@@ -235,7 +240,7 @@ class TestMapPrior:
                    study_array((1.0, 0.05), (1.1, 0.07), (0.9, 0.06)),
                    study_array((0.0, 0.5), (3.0, 0.5), (-3.0, 0.5)),
                    study_array((0.2, 0.3), (0.2, 0.1), (0.2, 0.2))]
-        stacked = map_prior(np.stack(studies), np.array(scales))
+        stacked, _ = map_prior(np.stack(studies), np.array(scales))
         assert stacked[0].shape == (4, 201 if scales[0] else 1)
         for i, (st_i, sc) in enumerate(zip(studies, scales)):
             assert exact_repr(stacked, i) == exact_repr(rows(prior_one(st_i, sc)), 0)
@@ -325,9 +330,9 @@ class TestRobustify:
                   mixture([0.1, 0.9], [-2.0, 0.3], [1.5, 0.2]),
                   mixture([0.5, 0.5], [0.0, 10.0], [0.5, 0.5])]
         omegas = np.array([0.0, 0.3, 1.0])
-        stacked = robustify(*rows(*priors), omegas, -1.0, 2.0)
+        stacked, _ = robustify(*rows(*priors), omegas, -1.0, 2.0)
         for i, prior in enumerate(priors):
-            one = robustify(*rows(prior), omegas[i:i + 1], -1.0, 2.0)
+            one, _ = robustify(*rows(prior), omegas[i:i + 1], -1.0, 2.0)
             assert exact_repr(stacked, i) == exact_repr(one, 0)
 
 
@@ -376,9 +381,10 @@ class TestPosteriorUpdate:
         priors = [mixture([0.5, 0.5], [0.0, 10.0], [0.5, 0.5]),
                   mixture([0.0, 1.0], [0.3, -1.0], [0.2, 2.0]),
                   mixture([0.9, 0.1], [1.2, 0.4], [0.05, 3.0])]
-        stacked = posterior_update(*rows(*priors), 0.4, 0.2)
+        stacked, _ = posterior_update(*rows(*priors), 0.4, 0.2)
         for i, prior in enumerate(priors):
-            assert exact_repr(stacked, i) == exact_repr(posterior_update(*rows(prior), 0.4, 0.2), 0)
+            one, _ = posterior_update(*rows(prior), 0.4, 0.2)
+            assert exact_repr(stacked, i) == exact_repr(one, 0)
 
 
 def bimodal_control():
@@ -475,7 +481,7 @@ class TestEffectPosterior:
     def test_rows_equal_one_row_calls(self):
         controls = [bimodal_control(), mixture([0.97, 0.03], [0.0, 10.0], [0.1, 0.1]),
                     mixture([0.5, 0.5], [-0.4, 0.4], [1e-6, 2.0])]
-        for kernel in (effect_posterior, credible_interval):
+        for kernel in (lambda *a: effect_posterior(*a)[0], credible_interval):
             stacked = kernel(*rows(*controls), 0.5, 0.3)
             for i, control in enumerate(controls):
                 one = kernel(*rows(control), 0.5, 0.3)
@@ -483,7 +489,7 @@ class TestEffectPosterior:
 
     def test_cdf_at_zero_is_the_effect_mixture_cdf(self):
         w, m, s = bimodal_control()
-        [f0] = effect_posterior(*rows((w, m, s)), 1.0, 0.5)[2]
+        [f0] = effect_posterior(*rows((w, m, s)), 1.0, 0.5)[0][2]
         want = (0.7 * norm.cdf(0.0, 1.0, math.sqrt(0.29))
                 + 0.3 * norm.cdf(0.0, -2.0, math.sqrt(0.41)))
         assert f0 == pytest.approx(want, rel=1e-13)
@@ -497,7 +503,7 @@ class TestEffectPosterior:
         # an alpha/2 tail" are the same decision.
         control, t_mean, t_se = inputs
         w, m, s = control
-        [est], [sd], [f0], _ = effect_posterior(*rows(control), t_mean, t_se)
+        ([est], [sd], [f0], _), _ = effect_posterior(*rows(control), t_mean, t_se)
         [lo], [hi] = credible_interval(*rows(control), t_mean, t_se, alpha)
         mu, comp_sd = t_mean - m, np.sqrt(s**2 + t_se**2)
 
@@ -510,6 +516,92 @@ class TestEffectPosterior:
         assert cdf(0.0) == f0
         if min(abs(lo), abs(hi)) > 1e-9 * sd:
             assert (lo > 0.0 or hi < 0.0) == (f0 < alpha / 2.0 or f0 > 1.0 - alpha / 2.0)
+
+
+TAU = "tau_scale must be finite and non-negative"
+STUDY = "study summary needs a finite mean and positive se"
+COMPONENTS = "component means must be finite and SDs positive"
+PRIOR_WEIGHTS = "prior weights must be finite"
+DATA = "need a finite data mean and positive se"
+POST_WEIGHTS = "posterior weights must be finite"
+TREATED = "treated se must be positive and finite"
+EFFECT = "effect posterior must be finite"
+
+
+def failed_checks(checks, row):
+    return [message for message, ok in checks if not ok[row]]
+
+
+class TestCheckMasks:
+    """One stacked call of each kernel on good rows and rows that fail its
+    checks: the good rows equal their one-row calls bit for bit, and each
+    row is marked by the checks that its one-row call marks, no others."""
+
+    @staticmethod
+    def check_stack(kernel, row_args, shared, want):
+        # row_args[i] holds row i's own arguments; want[i] the checks it fails
+        stacked, checks = kernel(*(np.stack(a) for a in zip(*row_args)), *shared)
+        assert [failed_checks(checks, i) for i in range(len(row_args))] == want
+        for i, args in enumerate(row_args):
+            one, one_checks = kernel(*(np.stack([a]) for a in args), *shared)
+            assert failed_checks(one_checks, 0) == want[i]
+            if not want[i]:
+                assert exact_repr(stacked, i) == exact_repr(one, 0)
+
+    def test_map_prior(self):
+        good = study_array((0.2, 0.1), (0.5, 0.2))
+        self.check_stack(map_prior, [
+            (good, 0.3),
+            (good, -0.3),
+            (study_array((0.2, 0.1), (math.nan, 0.2)), 0.3),
+            (study_array((1e308, 1.0), (1e308, 1.0)), 0.3),  # the pooled mean overflows
+            (study_array((1e200, 0.1), (-1e200, 0.1)), 0.3),  # so does every tau likelihood
+            (good, 1e-322),  # its tau grid would start at 0
+            (study_array((1.0, 0.05), (1.1, 0.07)), 0.05),
+        ], (), [[], [TAU, PRIOR_WEIGHTS], [STUDY, COMPONENTS, PRIOR_WEIGHTS], [COMPONENTS],
+                [PRIOR_WEIGHTS], [COMPONENTS, PRIOR_WEIGHTS], []])
+
+    def test_robustify(self):
+        priors = [mixture([0.6, 0.4], [0.5, 1.0], [0.4, 0.3]),
+                  mixture([0.1, 0.9], [-2.0, 0.3], [1.5, 0.2]),
+                  mixture([0.5, 0.5], [0.0, 10.0], [0.5, 0.5])]
+        row_args = [(*p, omega, mean) for p, omega, mean in zip(
+            priors, [0.3, 0.5, 1.0], [-1.0, math.nan, 0.0])]
+        self.check_stack(robustify, row_args, (2.0,), [[], [COMPONENTS], []])
+        self.check_stack(robustify, row_args, (0.0,), [[COMPONENTS]] * 3)
+
+    def test_posterior_update(self):
+        row_args = [mixture([0.5, 0.5], [0.0, 10.0], [0.5, 0.5]),
+                    mixture([0.5, 0.5], [0.0, math.inf], [1.0, 1.0]),
+                    mixture([0.5, 0.5], [1e200, -1e200], [1.0, 1.0]),  # the data rule both out
+                    mixture([0.9, 0.1], [1.2, 0.4], [0.05, 3.0])]
+        self.check_stack(posterior_update, row_args, (0.4, 0.2),
+                         [[], [COMPONENTS], [POST_WEIGHTS], []])
+        for data_mean, data_se in ((0.4, 0.0), (math.nan, 0.2)):
+            _, [(message, ok), *_] = posterior_update(*rows(*row_args), data_mean, data_se)
+            assert message == DATA and not ok.any()
+
+    def test_effect_posterior(self):
+        row_args = [bimodal_control(), mixture([0.5, 0.5], [0.0, 1e200], [1.0, 1.0]),
+                    mixture([0.97, 0.03], [0.0, 10.0], [0.1, 0.1])]
+        self.check_stack(effect_posterior, row_args, (0.5, 0.3), [[], [EFFECT], []])
+        for treated_se in (0.0, math.nan, math.inf):
+            _, [(message, ok), *_] = effect_posterior(*rows(*row_args), 0.5, treated_se)
+            assert message == TREATED and not ok.any()
+
+    def test_source_takes_its_earliest_check(self):
+        # the source's XS prior fails only its weights, the L prior its
+        # components, an earlier check: whichever pair comes first, the
+        # source fails with the components' text
+        arms = ArmSummaries(t_mean=0.6, t_se=0.15, c_mean=0.1, c_se=0.14, unit_sd=1.0)
+        studies = study_array((1.5e154, 1.0), (0.0, 1e160))
+        good = (study_array((0.1, 0.1), (0.3, 0.1)), ["S"], [0.5], ())
+        for labels, want in ((["XS"], PRIOR_WEIGHTS), (["L"], COMPONENTS),
+                             (["XS", "L"], COMPONENTS), (["L", "XS"], COMPONENTS)):
+            got, other = map_estimates(arms, [(studies, labels, [0.5] * len(labels), ()), good])
+            assert type(got) is ValueError and str(got) == want
+            assert [exact_row(r) for r in other] == [
+                exact_row(r) for r in map_estimates(arms, [good])[0]]
 
 
 class TestPowerPrior:
