@@ -14,6 +14,8 @@ treated-arm likelihood in closed form. An estimate rejects when the
 posterior CDF of the effect at 0 lies in either alpha/2 tail, which is
 when its central credible interval excludes 0; the interval ends
 themselves are solved only on request, by bisection on the same CDF.
+That CDF sums normal CDFs, which come from a numpy port of cephes
+``ndtr`` (the routine behind scipy.special.ndtr).
 
 The three MAP-family estimators differ only in their studies, a (k, 2)
 array of means and SEs: the historical pools, or their matched or
@@ -49,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .metrics import ALPHA, EffectEstimate, wald_estimate
 from .propensity import N_STRATA, MatchSet, PsFit, stratify
@@ -185,6 +186,79 @@ def map_prior(
 # argument that all rows share, such as the data SE, marks every row.
 
 
+# The rationals of cephes ``ndtr`` (as in scipy.special.ndtr), highest power
+# first: erf(x) = x T(x^2) / U(x^2) for |x| < 1, and erfc(x) = exp(-x^2) P(x) /
+# Q(x) for 1 <= x < 8 and exp(-x^2) R(x) / S(x) above. U, Q and S are monic;
+# their leading 1 is left out.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # erfc(x) is 0 once x^2 exceeds it
+
+
+def _polevl(v: np.ndarray, coefs: tuple[float, ...], monic: bool = False) -> np.ndarray:
+    """Horner's rule in cephes' order: ``coefs`` highest power first, after a
+    leading 1 when ``monic``."""
+    acc = v + coefs[0] if monic else v * coefs[0] + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        acc *= v
+        acc += c
+    return acc
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, a numpy port of cephes ``ndtr``.
+
+    Each branch runs on its own elements only. Below |x| = 1 (x = a /
+    sqrt(2)) the result is 0.5 + 0.5 erf(x); cephes' erfc form for |x| in
+    [sqrt(1/2), 1) is the same double. Above it is 0.5 erfc(|x|), reflected
+    for x > 0, with |x| capped at 27, where erfc is already 0. The only
+    difference from scipy.special.ndtr is numpy's ``exp``, which may differ
+    from the C library's in the last bit.
+    """
+    x = np.multiply(a, math.sqrt(0.5))
+    z = np.abs(x)
+    y = np.empty_like(z)
+    near = z < 1.0
+    xn = x[near]
+    t = xn * xn
+    e = _polevl(t, _ERF_T)
+    e *= xn
+    e /= _polevl(t, _ERF_U, monic=True)
+    e *= 0.5
+    e += 0.5
+    y[near] = e
+    far = ~near
+    zf = np.minimum(z[far], 27.0)
+    big = zf >= 8.0
+    if big.any():
+        p, q = np.empty_like(zf), np.empty_like(zf)
+        for sel, num, den in ((~big, _ERFC_P, _ERFC_Q), (big, _ERFC_R, _ERFC_S)):
+            p[sel], q[sel] = _polevl(zf[sel], num), _polevl(zf[sel], den, monic=True)
+    else:
+        p, q = _polevl(zf, _ERFC_P), _polevl(zf, _ERFC_Q, monic=True)
+    zz = zf * zf
+    g = np.exp(-zz)
+    g[zz > _MAXLOG] = 0.0
+    g *= p
+    g /= q
+    g *= 0.5
+    np.subtract(1.0, g, out=g, where=x[far] > 0.0)
+    y[far] = g
+    return y
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row pair of two (rows, n) arrays.
 
@@ -271,7 +345,7 @@ def effect_posterior(
         est = treated_mean - c_mean
         sd = np.sqrt(treated_se**2 + c_var)
         mu, comp_sd = treated_mean - m, np.sqrt(s**2 + treated_se**2)
-        f0 = _rowdot(w, ndtr(-mu / comp_sd))
+        f0 = _rowdot(w, _ndtr(-mu / comp_sd))
     return (est, sd, f0, c_var), [
         ("treated se must be positive and finite",
          np.full(len(w), treated_se > 0 and np.isfinite(treated_se))),
@@ -303,7 +377,7 @@ def credible_interval(
     lo, hi = np.tile(est - k * sd, 2), np.tile(est + k * sd, 2)
     for _ in range(math.ceil(math.log2(2.0 * k / 1e-12))):
         mid = 0.5 * (lo + hi)
-        below = _rowdot(w2, ndtr((mid[:, None] - mu2) / sd2)) < q
+        below = _rowdot(w2, _ndtr((mid[:, None] - mu2) / sd2)) < q
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     ends = 0.5 * (lo + hi)
     return ends[:rows], ends[rows:]
@@ -384,13 +458,16 @@ def matched_study_summary(matchset: MatchSet, psfit: PsFit) -> tuple[float, floa
     Re-used subjects count once per pair in the mean; the SE treats each
     unique subject as a cluster, so duplication widens rather than
     shrinks it. Returns None when fewer than two distinct subjects are
-    matched.
+    matched, or when their outcomes are all equal: the SE would then be 0
+    or rounding noise.
     """
     uniq, counts = np.unique(matchset.hist_rows, return_counts=True)
     u = uniq.size
     if u < 2:
         return None
     y_u = psfit.sample.y[uniq]
+    if y_u.min() == y_u.max():
+        return None
     m = counts.sum()
     mean = float((counts * y_u).sum() / m)
     # u/(u-1) degrees-of-freedom factor: with every subject matched once
@@ -402,11 +479,15 @@ def matched_study_summary(matchset: MatchSet, psfit: PsFit) -> tuple[float, floa
 
 
 def weighted_study_summary(y: np.ndarray, weights: np.ndarray) -> tuple[float, float] | None:
-    """Weighted mean and robust SE of one pool's retained subjects."""
+    """Weighted mean and robust SE of one pool's retained subjects, or None
+    when under two are retained or their outcomes are all equal (the SE
+    would then be 0 or rounding noise)."""
     keep = weights > 0
     if keep.sum() < 2:
         return None
     y = y[keep]
+    if y.min() == y.max():
+        return None
     w = weights[keep]
     total = w.sum()
     mean = float((w * y).sum() / total)
@@ -463,7 +544,10 @@ def _tau_scales(tau_labels: list[str | None], studies: np.ndarray) -> list[float
     if len(studies) == 0:
         return [0.0] * len(tau_labels)
     if len(studies) > 1:
-        sd = float(np.std(studies[:, 0], ddof=1))
+        # means too large to square give an inf or NaN scale, which fails
+        # the source in map_prior's checks instead of warning here
+        with np.errstate(over="ignore", invalid="ignore"):
+            sd = float(np.std(studies[:, 0], ddof=1))
         return [TAU_LADDER[label or "M"] * sd for label in tau_labels]
     # A single pool leaves the between-study spread unidentified and its
     # standard error overstates any plausible spread, so the label-less

@@ -22,6 +22,10 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+# numpy loads these on first use. Loaded here, they stay out of the first
+# replicate: np.unique calls np.ma.is_masked, and replicate_rng is np.random's.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 import yaml
 
 from .borrow import (

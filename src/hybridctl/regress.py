@@ -4,7 +4,8 @@ Every linear fit in the package has the design [1, z]: the slope is the
 difference of the (weighted) arm means, so :func:`arm_contrast` returns
 it with its model-based, HC0 and cluster-robust variances in closed
 form. Propensity scores come from :func:`fit_logistic`, Newton steps
-with step halving. The Wald test on a standard error is
+with step halving on the logistic function, computed in numpy as
+scipy.special.expit computes it. The Wald test on a standard error is
 ``metrics.wald_estimate``.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "SingularDesignError",
@@ -97,6 +97,14 @@ def arm_contrast(y, z, weights=None, clusters=()) -> ArmContrast:
     )
 
 
+def _expit(eta: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-eta)), as scipy.special.expit
+    computes it; below eta of about -709 exp(-eta) overflows to inf and the
+    result is 0, with no warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-eta))
+
+
 def _bernoulli_loglik(eta: np.ndarray, t: np.ndarray) -> float:
     # sum of t * eta - log(1 + exp(eta)), stable in both tails
     return float(np.sum(t * eta - np.logaddexp(0.0, eta)))
@@ -129,7 +137,7 @@ def fit_logistic(X: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ll = _bernoulli_loglik(X @ coef, t)
     for _ in range(LOGISTIC_MAX_ITER):
         eta = X @ coef
-        mu = expit(eta)
+        mu = _expit(eta)
         irls_w = np.clip(mu * (1.0 - mu), 1e-10, None)
         grad = X.T @ (t - mu)
         H = X.T @ (X * irls_w[:, None])
@@ -155,9 +163,9 @@ def fit_logistic(X: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if np.max(np.abs(scale * step)) < LOGISTIC_TOL:
             break
     else:
-        if np.all(np.abs(t - expit(X @ coef)) < 1e-3):
+        if np.all(np.abs(t - _expit(X @ coef)) < 1e-3):
             raise SeparationError(
                 "logistic fit did not converge and classifies every "
                 "observation perfectly; data are likely separated"
             )
-    return coef, expit(X @ coef)
+    return coef, _expit(X @ coef)

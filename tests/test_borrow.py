@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from hybridctl.borrow import (
     build_strata,
     _mean_se,
     _moments,
+    _ndtr,
     credible_interval,
     effect_posterior,
     estimate_pss_cl,
@@ -285,6 +287,16 @@ class TestEmpiricalTauScale:
     def test_ladder_values(self):
         assert TAU_LADDER == {"L": 10.0, "M": 1.0, "S": 0.1, "XS": 0.01}
 
+    def test_means_too_large_to_square_fail_the_source(self):
+        # the spread of (2e154, 0) overflows: the source fails the tau
+        # check with its ValueError, and no floating-point warning escapes
+        arms = ArmSummaries(1.0, 0.2, 0.5, 0.2, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [got] = map_estimates(arms, [(study_array((2e154, 1.0), (0.0, 1e160)), ["M"], [0.5], ())])
+        assert isinstance(got, ValueError)
+        assert str(got) == "tau_scale must be finite and non-negative"
+
     def test_no_studies_and_unknown_labels(self):
         assert resolve_tau_scale("S", NO_STUDIES) == resolve_tau_scale(None, NO_STUDIES) == 0.0
         for label in ("XL", "m", ""):
@@ -507,8 +519,8 @@ class TestEffectPosterior:
         [lo], [hi] = credible_interval(*rows(control), t_mean, t_se, alpha)
         mu, comp_sd = t_mean - m, np.sqrt(s**2 + t_se**2)
 
-        def cdf(x):
-            return float(w @ ndtr((x - mu) / comp_sd))
+        def cdf(x):  # F(0) must be this sum to the last bit: the program's Phi
+            return float(w @ _ndtr((x - mu) / comp_sd))
 
         tol = 1e-12 * sd
         for end, q in ((lo, alpha / 2.0), (hi, 1.0 - alpha / 2.0)):
@@ -516,6 +528,38 @@ class TestEffectPosterior:
         assert cdf(0.0) == f0
         if min(abs(lo), abs(hi)) > 1e-9 * sd:
             assert (lo > 0.0 or hi < 0.0) == (f0 < alpha / 2.0 or f0 > 1.0 - alpha / 2.0)
+
+
+class TestNormalCdf:
+    # borrow._ndtr, the program's Phi, against scipy.special.ndtr
+    def test_matches_scipy_ndtr(self):
+        rng = np.random.default_rng(2025)
+        x = np.concatenate([rng.uniform(-40.0, 40.0, 10**6), rng.normal(0.0, 3.0, 10**6)])
+        got, want = _ndtr(x), ndtr(x)
+        assert np.abs(got - want).max() <= 2.0**-52
+        # the lower tail keeps its relative precision down to the smallest normal double
+        tail = (want < 0.5) & (want >= np.finfo(float).tiny)
+        assert (np.abs(got - want)[tail] / want[tail]).max() <= 8 * 2.0**-52
+
+    def test_special_values_without_warnings(self):
+        x = np.array([[-np.inf, -1e300, -40.0, -8.0, -math.sqrt(2.0), -0.0],
+                      [0.0, math.sqrt(2.0), 8.0, 40.0, 1e300, np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _ndtr(x)
+            nan = _ndtr(np.array([np.nan, 1.0]))
+        assert got.shape == x.shape
+        assert got[0, :3].tolist() == [0.0] * 3 and got[1, 3:].tolist() == [1.0] * 3
+        assert got[0, 5] == got[1, 0] == 0.5
+        np.testing.assert_allclose(got, ndtr(x), rtol=8 * 2.0**-52, atol=0.0)
+        assert math.isnan(nan[0]) and nan[1] == pytest.approx(ndtr(1.0), rel=8 * 2.0**-52)
+
+    def test_each_element_on_its_own(self):
+        # the branches run on subsets; an element's value must not depend on
+        # the array it is in
+        x = np.random.default_rng(4).normal(0.0, 6.0, 500)
+        whole = _ndtr(x)
+        assert [float(_ndtr(x[i:i + 1])[0]) for i in range(500)] == whole.tolist()
 
 
 TAU = "tau_scale must be finite and non-negative"
@@ -847,6 +891,23 @@ class TestStudySummaries:
         w = np.array([1.0, 1.0, 1.0, 0.0])
         mean, _ = weighted_study_summary(y, w)
         assert mean == pytest.approx(2.0, rel=1e-12)
+
+    def test_constant_outcomes_give_no_study(self):
+        # y = 0.1 has no spread, but its weighted mean may round off 0.1,
+        # which left an SE of about 1e-18: a study of pure rounding noise
+        rng = np.random.default_rng(3)
+        y = np.full(40, 0.1)
+        for _ in range(200):
+            assert weighted_study_summary(y, rng.uniform(0.05, 20.0, 40)) is None
+        sample = SubjectGroup(
+            ids=np.arange(40), x=np.zeros((40, 1)), z=np.zeros(40, dtype=int),
+            trial=np.ones(40, dtype=int), y=y,
+        )
+        fit = PsFit(sample=sample, ps=np.full(40, 0.5))
+        for _ in range(200):
+            hist = rng.integers(0, 40, 60)
+            ms = MatchSet(conc_rows=1000 + np.arange(60), hist_rows=hist, caliper=0.1)
+            assert matched_study_summary(ms, fit) is None
 
     def test_weighted_needs_two_positive_weights(self):
         assert weighted_study_summary(np.array([1.0, 2.0]), np.array([1.0, 0.0])) is None

@@ -65,24 +65,69 @@ def by_key(cells, rows):
     return {c.key: r for c, r in zip(cells, rows, strict=True)}
 
 
-def test_scipy_optimize_stays_unloaded():
-    # scipy.optimize adds about a quarter second to every start of the
-    # program; neither the import nor a MAP fit may reach for it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env(**extra):
+    """The environment with this checkout's ``src`` leading PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+@functools.cache
+def replicate_imports():
+    """The modules of a fresh process after ``import hybridctl.cli`` and
+    loading tests/data/golden.yaml, and those that one replicate of each of
+    its scenarios (every method id, one and three pools) imports besides."""
     probe = (
-        "import sys, hybridctl.harness\n"
-        "before = 'scipy.optimize' in sys.modules\n"
-        "import numpy as np\n"
-        "from hybridctl.borrow import arm_summaries, map_estimates, pool_studies\n"
-        "from hybridctl.trialdata import build_replicate, preset\n"
-        "ds = build_replicate(preset('single-moderate'), 400, np.random.default_rng(0))\n"
-        "map_estimates(arm_summaries(ds), [(pool_studies(ds), ['S'], [0.5], ())])\n"
-        "print(before, 'scipy.optimize' in sys.modules)\n"
+        "import json, sys\n"
+        "from hybridctl import cli, harness\n"
+        f"cfg = harness.load_config({str(ROOT / 'tests' / 'data' / 'golden.yaml')!r})\n"
+        "assert {c.method_id for s in cfg.scenarios for c in s.cells} == set(harness.METHODS)\n"
+        "before = set(sys.modules)\n"
+        "for scenario in cfg.scenarios:\n"
+        "    harness.run_replicate(scenario, 0)\n"
+        "print(json.dumps([sorted(before), sorted(set(sys.modules) - before)]))\n"
     )
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["False", "False"]
+    return json.loads(out.stdout)
+
+
+def test_scipy_stays_unloaded():
+    # scipy.special alone was about half of every start of the program, and
+    # scipy.optimize a quarter second more; scipy is a test dependency only
+    loaded, new = replicate_imports()
+    assert [m for m in loaded + new if m.split(".")[0] == "scipy"] == []
+
+
+def test_a_replicate_imports_no_module():
+    # Whatever a replicate needs is imported with the program, so no import
+    # falls inside the timed loop. numpy loads numpy.random and numpy.ma on
+    # first use; the harness imports both.
+    _, new = replicate_imports()
+    assert new == []
+
+
+def test_run_and_analyze_with_scipy_blocked(tmp_path):
+    # With ``import scipy`` failing, configs/quick.yaml runs and `analyze`
+    # with all 11 method ids prints its pinned text, warnings as errors.
+    ds = build_replicate(preset("multi-moderate"), 800, np.random.default_rng(12))
+    data = write_subjects_csv(tmp_path / "subjects.csv", ds)
+    blocked = "import sys; sys.modules['scipy'] = None; from hybridctl.cli import entry; entry()"
+    env = src_env(PYTHONWARNINGS="error::RuntimeWarning")
+
+    def hybridctl(*args):
+        return subprocess.run([sys.executable, "-c", blocked, *args], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=300)
+
+    run = hybridctl("run", "--config", "configs/quick.yaml", "--out", str(tmp_path / "out"))
+    assert run.returncode == 0, run.stderr
+    assert all((tmp_path / "out" / f).is_file() for f in OUTPUT_FILES)
+    out = hybridctl("analyze", "--data", str(data), "--methods", ",".join(METHODS))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (ROOT / "tests" / "data" / "analyze_multi-moderate.txt").read_text()
+    assert run.stderr == out.stderr == ""
 
 
 def test_every_exported_name_resolves():
@@ -1140,13 +1185,10 @@ class TestCli:
         # meets a closed pipe once the first scenario's workers are forked
         cfg = tmp_path / "c.yaml"
         cfg.write_text(TWO_SCENARIO_CONFIG)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         with subprocess.Popen(
                 [sys.executable, "-m", "hybridctl.cli", "run", "--config", str(cfg),
                  "--threads", "2", "--out", str(tmp_path / "r")],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
                 start_new_session=True) as proc:
             assert proc.stdout.readline().startswith(b"running first:")
             proc.stdout.close()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.special import expit, ndtri
 
 import ols_reference as ref
-from hybridctl.metrics import wald_estimate
+from hybridctl.metrics import ALPHA, Z_CRIT, wald_estimate
 from hybridctl.regress import (
     SeparationError,
     SingularDesignError,
+    _expit,
     arm_contrast,
     fit_logistic,
 )
@@ -131,6 +134,18 @@ class TestLogistic:
         with pytest.raises(SingularDesignError, match="rank deficient"):
             fit_logistic(np.column_stack([X, 2.0 * X[:, 1]]), t)
 
+    def test_expit_matches_scipy(self):
+        # within 4 ulp over |x| <= 800, and no overflow warning where exp(-x)
+        # overflows (x below about -709) and the result is 0
+        rng = rng_(14)
+        x = np.concatenate([rng.uniform(-800.0, 800.0, 10**6), rng.normal(0.0, 5.0, 10**6),
+                            [-800.0, -710.0, 0.0, 710.0, 800.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _expit(x)
+        want = expit(x)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
     def test_complete_separation_raises(self):
         x = np.linspace(-2, 2, 30)
         t = (x > 0).astype(float)
@@ -244,6 +259,9 @@ def test_arm_contrast_does_not_depend_on_row_order(data):
 class TestWaldDecision:
     """The two-sided Wald test every frequentist estimator reports, at
     level 0.05, on its estimate and standard error."""
+
+    def test_critical_value_is_scipy_ndtri(self):
+        assert Z_CRIT == float(ndtri(1.0 - ALPHA / 2.0))
 
     def test_zero_estimate(self):
         d = wald_estimate(0.0, 1.0)
