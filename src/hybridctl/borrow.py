@@ -37,12 +37,13 @@ fails the sources of the rows that a check marks, each source alone.
 Power-prior borrowing discounts the historical likelihood precision by
 a factor alpha. The two stratified estimators share one front end:
 strata of the pooled sample by concurrent propensity-score quantiles,
-built once per replicate by :func:`build_strata`, and a total number of
-borrowed subjects, the concurrent treated surplus that restores 1:1,
-spread over the strata in proportion to their historical counts, which
-comes to one discount min(1, total_borrow / n_hist). They differ only in
-how a stratum's borrowed controls enter: a power prior (PSS+PP) or a
-composite likelihood (PSS+CL).
+built once per replicate and covariate set by :func:`build_strata` as a
+table of each stratum's arm counts, outcome means and centred sums of
+squares, and a total number of borrowed subjects, the concurrent treated
+surplus that restores 1:1, spread over the strata in proportion to their
+historical counts, which comes to one discount min(1, total_borrow /
+n_hist). They differ only in how a stratum's borrowed controls enter: a
+power prior (PSS+PP) or a composite likelihood (PSS+CL).
 """
 
 from __future__ import annotations
@@ -697,10 +698,14 @@ def map_estimates(
 
 @dataclass(frozen=True)
 class Strata:
-    """Merged strata, each as (concurrent treated, concurrent control,
-    historical) outcomes, and the merge flags."""
+    """Merged strata as a table: a row per stratum and a column per arm
+    (concurrent treated, concurrent control, historical), holding the
+    number of subjects and the mean and centred sum of squares of their
+    outcomes (0 and 0 for an empty arm); and the merge flags."""
 
-    arms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    n: np.ndarray  # (S, 3) counts
+    mean: np.ndarray  # (S, 3)
+    ss: np.ndarray  # (S, 3)
     flags: tuple[str, ...]
 
 
@@ -708,45 +713,57 @@ def build_strata(psfit: PsFit) -> Strata:
     """Split the pooled sample into the :func:`stratify` strata, then merge.
 
     A stratum with under two concurrent treated or control subjects joins
-    its left neighbour (the first its right one), the neighbour's
-    outcomes first, flagged with its index at the time. Raises
-    ``ValueError`` when no stratum has both concurrent arms populated.
+    its left neighbour (the first its right one), flagged with its index
+    at the time; the merges are decided on the counts, and the table is
+    then summed over the merged labels. Raises ``ValueError`` when no
+    stratum has both concurrent arms populated.
     """
     labels = stratify(psfit)
     sample = psfit.sample
-    conc = sample.trial == 0
-    arms: list[tuple[np.ndarray, ...]] = []
+    keep = labels >= 0
+    labels, y = labels[keep], sample.y[keep]
+    arm = np.where(sample.trial == 0, 1 - sample.z, 2)[keep]  # treated, control, historical
+    counts = np.bincount(labels * 3 + arm, minlength=3 * N_STRATA).reshape(N_STRATA, 3)
+    merged = np.zeros(N_STRATA, dtype=np.intp)  # the merged stratum of each stratum
     flags: list[str] = []
-    leading = None  # invalid leading strata, waiting for the next one
-    for s in range(N_STRATA):
-        mask = labels == s
-        st = (sample.y[mask & conc & (sample.z == 1)], sample.y[mask & conc & (sample.z == 0)],
-              sample.y[mask & ~conc])
-        if leading is not None:
-            st, leading = tuple(map(np.concatenate, zip(st, leading))), None
-        if st[0].size >= 2 and st[1].size >= 2:
-            arms.append(st)
-        elif arms:
-            flags.append(f"pss:merged_stratum_{len(arms)}")
-            arms[-1] = tuple(map(np.concatenate, zip(arms[-1], st)))
+    kept = waiting_t = waiting_c = 0  # waiting: invalid leading strata's counts
+    for s, (n_t, n_c) in enumerate(counts[:, :2].tolist()):
+        n_t, n_c = n_t + waiting_t, n_c + waiting_c
+        if n_t >= 2 and n_c >= 2:
+            kept, waiting_t, waiting_c = kept + 1, 0, 0
+        elif kept:
+            flags.append(f"pss:merged_stratum_{kept}")
         elif s < N_STRATA - 1:
             flags.append("pss:merged_stratum_0")
-            leading = st
+            waiting_t, waiting_c = n_t, n_c
         else:
             raise ValueError("cannot form any stratum with both concurrent arms populated")
-    return Strata(arms=tuple(arms), flags=tuple(flags))
+        merged[s] = max(kept - 1, 0)
+    key = merged[labels] * 3 + arm
+    n = np.bincount(key, minlength=3 * kept)
+    mean = np.bincount(key, y, 3 * kept) / np.maximum(n, 1)
+    d = y - mean[key]
+    ss = np.bincount(key, d * d, 3 * kept)
+    return Strata(n.reshape(kept, 3), mean.reshape(kept, 3), ss.reshape(kept, 3), tuple(flags))
 
 
-def _borrow_shares(strata: Strata) -> tuple[float, list, np.ndarray]:
+def _borrow_shares(strata: Strata) -> tuple[float, np.ndarray, np.ndarray]:
     """The total borrow (the treated surplus), stratum discounts and concurrent shares."""
-    n_treated = sum(t.size for t, _, _ in strata.arms)
-    n_control = sum(c.size for _, c, _ in strata.arms)
-    n_hist = sum(h.size for _, _, h in strata.arms)
+    n_treated, n_control, n_hist = strata.n.sum(axis=0).tolist()
     total_borrow = float(max(n_treated - n_control, 0))
     discount = min(1.0, total_borrow / n_hist) if n_hist else 0.0
-    discounts = [discount if h.size >= 2 else 0.0 for _, _, h in strata.arms]
-    n_conc = np.array([t.size + c.size for t, c, _ in strata.arms])
-    return total_borrow, discounts, n_conc / (n_treated + n_control)
+    discounts = np.where(strata.n[:, 2] >= 2, discount, 0.0)
+    return total_borrow, discounts, strata.n[:, :2].sum(axis=1) / (n_treated + n_control)
+
+
+def _stratum_se(strata: Strata) -> np.ndarray:
+    """The SE of each stratum and arm mean, as :func:`_mean_se` gives it.
+    Only a historical arm may have under two subjects; its entry is then
+    a placeholder that neither estimator reads."""
+    if np.any(strata.n[:, :2] < 2):
+        raise ValueError("need at least two observations for a mean and se")
+    n = np.maximum(strata.n, 2)
+    return np.sqrt(strata.ss / (n - 1)) / np.sqrt(n)
 
 
 def estimate_pss_pp(strata: Strata) -> EffectEstimate:
@@ -761,10 +778,10 @@ def estimate_pss_pp(strata: Strata) -> EffectEstimate:
     """
     total_borrow, alphas, w = _borrow_shares(strata)
     effects, variances = [], []
-    for (t_y, c_y, h_y), a_s in zip(strata.arms, alphas):
-        t_mean, t_se = _mean_se(t_y)
-        c_mean, c_se = _mean_se(c_y)
-        h_mean, h_se = _mean_se(h_y) if a_s > 0 else (0.0, 1.0)
+    for (t_mean, c_mean, h_mean), (t_se, c_se, h_se), a_s in zip(
+            strata.mean.tolist(), _stratum_se(strata).tolist(), alphas.tolist()):
+        if a_s == 0:
+            h_mean, h_se = 0.0, 1.0
         p_mean, p_se = power_prior_update(c_mean, c_se, h_mean, h_se, a_s)
         effects.append(t_mean - p_mean)
         variances.append(t_se * t_se + p_se * p_se)
@@ -775,7 +792,7 @@ def estimate_pss_pp(strata: Strata) -> EffectEstimate:
         est, se, flags=strata.flags,
         diagnostics={
             "total_borrow": total_borrow,
-            "n_strata_effective": float(len(strata.arms)),
+            "n_strata_effective": float(len(strata.n)),
             "mean_alpha": float(np.mean(alphas)),
         },
     )
@@ -794,17 +811,14 @@ def estimate_pss_cl(strata: Strata) -> EffectEstimate:
     """
     total_borrow, etas, w = _borrow_shares(strata)
     effects, variances = [], []
-    for (t_y, c_y, h_y), eta in zip(strata.arms, etas):
-        t_mean, t_se = _mean_se(t_y)
-        n_c, n_h = c_y.size, h_y.size
-        c_mean = float(c_y.mean())
+    for (_, n_c, n_h), (t_mean, c_mean, h_mean), (_, ss_c, ss_h), t_se, eta in zip(
+            strata.n.tolist(), strata.mean.tolist(), strata.ss.tolist(),
+            _stratum_se(strata)[:, 0].tolist(), etas.tolist()):
         if eta > 0:
-            h_mean = float(h_y.mean())
-            ss = float(((c_y - c_mean) ** 2).sum() + ((h_y - h_mean) ** 2).sum())
-            sigma = math.sqrt(ss / (n_c + n_h - 2))
+            sigma = math.sqrt((ss_c + ss_h) / (n_c + n_h - 2))
         else:
             h_mean = 0.0
-            sigma = float(c_y.std(ddof=1))
+            sigma = math.sqrt(ss_c / (n_c - 1))
         denom = n_c + eta * n_h
         ctrl_est = (n_c * c_mean + eta * n_h * h_mean) / denom
         ctrl_se = sigma / math.sqrt(denom)
@@ -817,6 +831,6 @@ def estimate_pss_cl(strata: Strata) -> EffectEstimate:
         est, se, flags=strata.flags,
         diagnostics={
             "total_borrow": total_borrow,
-            "n_strata_effective": float(len(strata.arms)),
+            "n_strata_effective": float(len(strata.n)),
         },
     )

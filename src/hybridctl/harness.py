@@ -40,7 +40,7 @@ from .borrow import (
     weighted_studies,
 )
 from .metrics import EffectEstimate, SummaryRow, essr, summarize
-from .mixed import estimate_mm
+from .mixed import estimate_mm, pooled_stats
 from .propensity import (
     COVSETS,
     estimate_ps,
@@ -261,9 +261,9 @@ METHODS: dict[str, MethodSpec] = {
     "PSS+CL": MethodSpec(True, lambda cell, c:
         estimate_pss_cl(c.strata(cell.covset))),
     "MM": MethodSpec(True, lambda cell, c:
-        estimate_mm(c.dataset, cell.covset)),
+        estimate_mm(c.mm_stats(), cell.covset)),
     "MM.nc": MethodSpec(False, lambda cell, c:
-        estimate_mm(c.dataset, None)),
+        estimate_mm(c.mm_stats(), None)),
 }
 
 # The two unadjusted benchmarks lead every cell list: every other
@@ -509,8 +509,9 @@ def replicate_rng(
 
 class _ReplicateCaches:
     """Inputs shared across a replicate's cells, each built once: propensity
-    fits, match sets, weight sets, strata, and for the MAP family the arm
-    summaries and one batch of the rows of every study source.
+    fits, match sets, weight sets, strata, the mixed models' per-trial
+    statistics, and for the MAP family the arm summaries and one batch of
+    the rows of every study source.
     A build that fails with a ``ValueError`` (the expected numerical
     failures) is not retried: every later lookup raises the same error
     again."""
@@ -560,6 +561,9 @@ class _ReplicateCaches:
 
     def strata(self, covset: int):
         return self._memo(("strata", covset), lambda: build_strata(self.psfit(covset)))
+
+    def mm_stats(self):
+        return self._memo(("mm",), lambda: pooled_stats(self.dataset))
 
     def arms(self):
         return self._memo(("arms",), lambda: arm_summaries(self.dataset))

@@ -11,6 +11,16 @@ rss = y'Qy - sum lambda e^2 / (1 + lambda kappa), and the criterion is
 dof log(rss / dof) + sum log(1 + lambda kappa) + log|X'X|. Each lambda
 costs O(G) scalar operations; a scan brackets the minimum and a
 safeguarded Newton step in log lambda refines it.
+
+Everything a fit reads comes from :class:`GroupStats` of the data matrix
+[X, y]: the group sizes n_g, the group means and the within-group cross
+products W of the group-centred columns. The cross products in the V^-1
+metric are then W + sum n_g / (1 + lambda n_g) m_g m_g' with m_g the
+group means, a sum of positive terms that does not cancel however large
+lambda grows (at lambda = 0 it is [X, y]'[X, y]). The statistics of a
+design are a column slice of those of any wider design, so
+:func:`estimate_mm` slices every MM cell of a replicate from one pass
+over the pooled sample (:func:`pooled_stats`).
 """
 
 from __future__ import annotations
@@ -25,23 +35,33 @@ from .propensity import covset_columns
 from .regress import SingularDesignError
 from .trialdata import TrialDataset
 
-__all__ = ["GroupStats", "LmmFit", "group_stats", "profiled_criterion", "fit_lmm",
-           "estimate_mm"]
+__all__ = ["LmmFit", "fit_lmm", "pooled_stats", "estimate_mm"]
 
 LOG_LAMBDA_SPAN = 12.0
+
+# The scans of fit_lmm, as (log lambda, lambda) with lambda = 0 first:
+# 25 points over [e^-span, e^span], then over the span widened by half.
+_SCANS = tuple((t, np.concatenate([[0.0], np.exp(t)]))
+               for t in (np.linspace(-span, span, 25)
+                         for span in (LOG_LAMBDA_SPAN, 1.5 * LOG_LAMBDA_SPAN)))
 
 
 @dataclass(frozen=True)
 class GroupStats:
-    """Sufficient statistics for the profiled criterion, stacked over G groups."""
+    """Per-group statistics of the columns of a data matrix [X, y], the
+    outcome last. A column with a non-finite value makes only its own
+    entries non-finite."""
 
     n: np.ndarray  # (G,) group sizes
-    U: np.ndarray  # (G, p) column sums of X per group
-    y_sum: np.ndarray  # (G,) outcome sums per group
-    xtx: np.ndarray  # (p, p)
-    xty: np.ndarray  # (p,)
-    yty: float
-    has_constant: bool  # X has a non-zero constant column
+    means: np.ndarray  # (G, q) column means per group
+    within: np.ndarray  # (q, q) cross products of the group-centred columns
+    constant: np.ndarray  # (q,) the column holds one non-zero value throughout
+    finite: np.ndarray  # (q,) the column has no non-finite value
+
+    def select(self, cols: list[int]) -> GroupStats:
+        """The statistics of the data matrix's columns ``cols``."""
+        return GroupStats(self.n, self.means[:, cols], self.within[np.ix_(cols, cols)],
+                          self.constant[cols], self.finite[cols])
 
 
 @dataclass(frozen=True)
@@ -59,34 +79,59 @@ class LmmFit:
         return math.sqrt(self.cov[index, index])
 
 
-def group_stats(X: np.ndarray, y: np.ndarray, groups: np.ndarray) -> GroupStats:
+def group_stats(data: np.ndarray, groups: np.ndarray) -> GroupStats:
+    """The statistics of the columns of ``data`` over the groups that
+    ``groups`` labels: the group means in one product with the group
+    indicators, the centred cross products in one more."""
     _, inverse = np.unique(groups, return_inverse=True)
     onehot = (inverse == np.arange(inverse.max() + 1)[:, None]).astype(float)
-    has_constant = bool(np.any(np.all(X == X[0], axis=0) & (X[0] != 0)))
-    return GroupStats(np.bincount(inverse), onehot @ X, onehot @ y, X.T @ X, X.T @ y,
-                      float(y @ y), has_constant)
+    n = np.bincount(inverse)
+    with np.errstate(invalid="ignore", over="ignore"):
+        means = (onehot @ data) / n[:, None]
+        centred = data - means[inverse]
+        within = centred.T @ centred
+    return GroupStats(n, means, within, np.all(data == data[0], axis=0) & (data[0] != 0),
+                      np.isfinite(data).all(axis=0))
+
+
+def pooled_stats(dataset: TrialDataset) -> GroupStats:
+    """:func:`group_stats` of [1, z, x1..xd, y] over the trials of the
+    pooled sample, which every MM cell of a replicate slices."""
+    pooled = dataset.pooled
+    return group_stats(np.column_stack([np.ones(len(pooled)), pooled.z, pooled.x, pooled.y]),
+                       pooled.trial)
+
+
+def _cross(stats: GroupStats, w: np.ndarray) -> np.ndarray:
+    """[X, y]' V^-1 [X, y] over sigma^2, for the group weights
+    w = n / (1 + lambda n)."""
+    return stats.within + (stats.means.T * w) @ stats.means
 
 
 def _spectrum(stats: GroupStats) -> tuple:
     """kappa, e^2, y'Qy, dof and log|X'X| from one p x p solve. A constant
     column of X puts the all-ones vector in the null space of Z'QZ; that
     direction is projected out exactly, not by a threshold."""
-    dof = int(stats.n.sum()) - stats.xtx.shape[0]
+    p = stats.means.shape[1] - 1
+    dof = int(stats.n.sum()) - p
     if dof <= 0:
         raise SingularDesignError("no residual variation left to profile")
+    cross = _cross(stats, stats.n)
+    xtx = cross[:p, :p]
+    sums = stats.means * stats.n[:, None]  # group sums of [X, y]
     try:
-        chol = np.linalg.cholesky(stats.xtx)
-        sol = np.linalg.solve(stats.xtx, np.column_stack([stats.xty, stats.U.T]))
+        chol = np.linalg.cholesky(xtx)
+        sol = np.linalg.solve(xtx, np.column_stack([cross[:p, p], sums[:, :p].T]))
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("design is singular") from exc
-    K = np.diag(stats.n.astype(float)) - stats.U @ sol[:, 1:]
-    r = stats.y_sum - stats.U @ sol[:, 0]
-    if stats.has_constant:
+    K = np.diag(stats.n.astype(float)) - sums[:, :p] @ sol[:, 1:]
+    r = sums[:, p] - sums[:, :p] @ sol[:, 0]
+    if stats.constant[:p].any():
         i, j = np.arange(stats.n.size)[:, None], np.arange(1, stats.n.size)
         basis = ((i < j) - j * (i == j)) / np.sqrt(j * (j + 1.0))  # Helmert contrasts
         K, r = basis.T @ K @ basis, r @ basis
     kappa, vecs = np.linalg.eigh(K)
-    return (kappa, (r @ vecs) ** 2, stats.yty - stats.xty @ sol[:, 0], dof,
+    return (kappa, (r @ vecs) ** 2, cross[p, p] - cross[:p, p] @ sol[:, 0], dof,
             2.0 * np.log(np.diagonal(chol)).sum())
 
 
@@ -129,17 +174,46 @@ def _newton(slopes, lo: float, hi: float) -> float:
     return x
 
 
-def profiled_criterion(stats: GroupStats, lam):
-    """Minus twice the profiled restricted log-likelihood, up to a constant.
+def _fit(stats: GroupStats) -> LmmFit:
+    """Fit the model to the design whose statistics are ``stats``: see
+    :func:`fit_lmm`."""
+    if not stats.finite[-1]:
+        raise ValueError("y has non-finite values")
+    if not stats.finite[:-1].all():
+        raise ValueError("X has non-finite values")
+    if stats.n.size < 2:
+        raise ValueError("need at least two groups to separate the intercept variance")
+    spec = kappa, e2, yqy, dof, _ = _spectrum(stats)
 
-    A scalar lambda gives a float, an array of lambdas an array of the
-    same shape.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("lambda must be non-negative")
-    crit = _criterion(_spectrum(stats), lam)
-    return float(crit) if crit.ndim == 0 else crit
+    flags: list[str] = []
+    for t, lams in _SCANS:
+        values = _criterion(spec, lams)
+        k = int(values.argmin())
+        if k < t.size or flags:
+            break
+        flags.append("mm:lambda_span_widened")
+
+    lam_hat, crit_hat = 0.0, float(values[0])
+    if k > 0 or dof * e2.sum() / yqy > kappa.sum():  # else the slope at 0 is >= 0
+        lo = t[k - 2] if k > 1 else t[0] - (2.0 if k else 30.0)
+        t_hat = _newton(lambda s: _criterion(spec, math.exp(s), True), lo, t[min(k, t.size - 1)])
+        crit = float(_criterion(spec, math.exp(t_hat)))
+        if crit < crit_hat:
+            lam_hat, crit_hat = math.exp(t_hat), crit
+
+    # GLS at lambda_hat through the Cholesky factor of X'V^-1 X
+    cross = _cross(stats, stats.n / (1.0 + lam_hat * stats.n))
+    p = cross.shape[0] - 1
+    A, b = cross[:p, :p], cross[:p, p]
+    try:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(A))
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError("whitened design is singular") from exc
+    beta = np.linalg.solve(A, b)
+    sigma2 = float(cross[p, p] - b @ beta) / dof
+    return LmmFit(coef=beta, cov=sigma2 * (chol_inv.T @ chol_inv), lambda_hat=lam_hat,
+                  sigma2=sigma2, sigma_b2=lam_hat * sigma2, criterion_value=crit_hat,
+                  n_groups=stats.n.size, flags=tuple(flags))
 
 
 def fit_lmm(y: np.ndarray, X: np.ndarray, groups: np.ndarray) -> LmmFit:
@@ -155,59 +229,21 @@ def fit_lmm(y: np.ndarray, X: np.ndarray, groups: np.ndarray) -> LmmFit:
     y, X, groups = np.asarray(y, dtype=float), np.asarray(X, dtype=float), np.asarray(groups)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size or groups.shape != y.shape:
         raise ValueError("y, X, and groups must have matching first dimensions")
-    for name, values in (("y", y), ("X", X)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} has non-finite values")
-    stats = group_stats(X, y, groups)
-    if stats.n.size < 2:
-        raise ValueError("need at least two groups to separate the intercept variance")
-    spec = kappa, e2, yqy, dof, _ = _spectrum(stats)
-
-    flags: list[str] = []
-    for span in (LOG_LAMBDA_SPAN, 1.5 * LOG_LAMBDA_SPAN):
-        t = np.linspace(-span, span, 25)
-        values = _criterion(spec, np.concatenate([[0.0], np.exp(t)]))
-        k = int(values.argmin())
-        if k < t.size or flags:
-            break
-        flags.append("mm:lambda_span_widened")
-
-    lam_hat, crit_hat = 0.0, float(values[0])
-    if k > 0 or dof * e2.sum() / yqy > kappa.sum():  # else the slope at 0 is >= 0
-        lo = t[k - 2] if k > 1 else t[0] - (2.0 if k else 30.0)
-        t_hat = _newton(lambda s: _criterion(spec, math.exp(s), True), lo, t[min(k, t.size - 1)])
-        crit = float(_criterion(spec, math.exp(t_hat)))
-        if crit < crit_hat:
-            lam_hat, crit_hat = math.exp(t_hat), crit
-
-    # GLS at lambda_hat through the Cholesky factor of X'V^-1 X
-    c = lam_hat / (1.0 + lam_hat * stats.n)
-    A = stats.xtx - (stats.U.T * c) @ stats.U
-    b = stats.xty - stats.U.T @ (c * stats.y_sum)
-    try:
-        chol_inv = np.linalg.inv(np.linalg.cholesky(A))
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("whitened design is singular") from exc
-    beta = np.linalg.solve(A, b)
-    sigma2 = float(stats.yty - c @ stats.y_sum**2 - b @ beta) / dof
-    return LmmFit(coef=beta, cov=sigma2 * (chol_inv.T @ chol_inv), lambda_hat=lam_hat,
-                  sigma2=sigma2, sigma_b2=lam_hat * sigma2, criterion_value=crit_hat,
-                  n_groups=stats.n.size, flags=tuple(flags))
+    return _fit(group_stats(np.column_stack([X, y]), groups))
 
 
-def estimate_mm(dataset: TrialDataset, covset: int | None) -> EffectEstimate:
+def estimate_mm(stats: GroupStats, covset: int | None) -> EffectEstimate:
     """Treatment effect from the trial-level random-intercept model.
 
     Pools the reduced concurrent trial with every historical pool and
     lets each trial carry its own intercept deviation; covariates enter
     as fixed effects when a covariate set is given, otherwise the model
-    is intercept plus treatment only.
+    is intercept plus treatment only. ``stats`` is the dataset's
+    :func:`pooled_stats`, from which the design's columns are sliced.
     """
-    pooled = dataset.pooled
-    cols: list[np.ndarray] = [np.ones(len(pooled)), pooled.z.astype(float)]
-    if covset is not None:
-        cols.extend(pooled.x[:, c] for c in covset_columns(covset, pooled.x.shape[1]))
-    fit = fit_lmm(pooled.y, np.column_stack(cols), pooled.trial)
+    n_x = stats.means.shape[1] - 3
+    cols = [0, 1] + ([] if covset is None else [2 + c for c in covset_columns(covset, n_x)])
+    fit = _fit(stats.select(cols + [n_x + 2]))
     return wald_estimate(
         float(fit.coef[1]), fit.se(1), flags=fit.flags,
         diagnostics={"lambda_hat": fit.lambda_hat, "sigma2": fit.sigma2,

@@ -125,18 +125,17 @@ def match_nearest(
     priority = sort_in_shuffled  # position in the shuffle; lower wins ties
 
     m = sorted_ps.size
-    # first index of each run of equal scores; the run head has the best priority
-    run_start = np.flatnonzero(np.r_[True, sorted_ps[1:] != sorted_ps[:-1]])
-    first_of_run = run_start[np.searchsorted(run_start, np.arange(m), side="right") - 1]
-
     j = np.searchsorted(sorted_ps, ps_c)
     left = np.clip(j - 1, 0, m - 1)
     right = np.clip(j, 0, m - 1)
     dist_left = np.where(j > 0, np.abs(ps_c - sorted_ps[left]), np.inf)
     dist_right = np.where(j < m, np.abs(sorted_ps[right] - ps_c), np.inf)
 
-    rep_left = first_of_run[left]
-    rep_right = first_of_run[right]
+    # each neighbour's run of equal scores is represented by its head, the
+    # first of the run in the stable sort and so the best priority; the
+    # right neighbour, the first score >= ps_c, is one already
+    rep_left = np.searchsorted(sorted_ps, sorted_ps[left])
+    rep_right = right
     take_right = (dist_right < dist_left) | (
         (dist_right == dist_left) & (priority[rep_right] < priority[rep_left])
     )

@@ -106,8 +106,9 @@ def _expit(eta: np.ndarray) -> np.ndarray:
 
 
 def _bernoulli_loglik(eta: np.ndarray, t: np.ndarray) -> float:
-    # sum of t * eta - log(1 + exp(eta)), stable in both tails
-    return float(np.sum(t * eta - np.logaddexp(0.0, eta)))
+    # sum of t * eta - log(1 + exp(eta)), stable in both tails: the terms
+    # np.logaddexp(0, eta) adds, without its per-element branches
+    return float(np.sum(t * eta - (np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta))))))
 
 
 def fit_logistic(X: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,38 +135,41 @@ def fit_logistic(X: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise SingularDesignError("logistic design is rank deficient")
 
     coef = np.zeros(p)
-    ll = _bernoulli_loglik(X @ coef, t)
-    for _ in range(LOGISTIC_MAX_ITER):
-        eta = X @ coef
-        mu = _expit(eta)
-        irls_w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        grad = X.T @ (t - mu)
-        H = X.T @ (X * irls_w[:, None])
-        try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError(f"logistic information matrix is singular: {exc}")
-        scale = 1.0
-        new_coef = coef + step
-        new_ll = _bernoulli_loglik(X @ new_coef, t)
-        for _ in range(20):
-            if new_ll >= ll - 1e-12:
+    eta = X @ coef
+    ll = _bernoulli_loglik(eta, t)
+    with np.errstate(over="ignore"):  # _expit's, held once for the whole loop
+        for _ in range(LOGISTIC_MAX_ITER):
+            mu = 1.0 / (1.0 + np.exp(-eta))
+            irls_w = np.clip(mu * (1.0 - mu), 1e-10, None)
+            grad = X.T @ (t - mu)
+            H = X.T @ (X * irls_w[:, None])
+            try:
+                step = np.linalg.solve(H, grad)
+            except np.linalg.LinAlgError as exc:
+                raise SingularDesignError(f"logistic information matrix is singular: {exc}")
+            scale = 1.0
+            new_coef = coef + step
+            new_eta = X @ new_coef
+            new_ll = _bernoulli_loglik(new_eta, t)
+            for _ in range(20):
+                if new_ll >= ll - 1e-12:
+                    break
+                scale *= 0.5
+                new_coef = coef + scale * step
+                new_eta = X @ new_coef
+                new_ll = _bernoulli_loglik(new_eta, t)
+            coef, eta, ll = new_coef, new_eta, new_ll
+            if np.max(np.abs(coef)) > LOGISTIC_MAX_COEF:
+                raise SeparationError(
+                    "logistic fit diverged (coefficient magnitude exceeds "
+                    f"{LOGISTIC_MAX_COEF:g}); data are likely separated"
+                )
+            if np.max(np.abs(scale * step)) < LOGISTIC_TOL:
                 break
-            scale *= 0.5
-            new_coef = coef + scale * step
-            new_ll = _bernoulli_loglik(X @ new_coef, t)
-        coef, ll = new_coef, new_ll
-        if np.max(np.abs(coef)) > LOGISTIC_MAX_COEF:
-            raise SeparationError(
-                "logistic fit diverged (coefficient magnitude exceeds "
-                f"{LOGISTIC_MAX_COEF:g}); data are likely separated"
-            )
-        if np.max(np.abs(scale * step)) < LOGISTIC_TOL:
-            break
-    else:
-        if np.all(np.abs(t - _expit(X @ coef)) < 1e-3):
-            raise SeparationError(
-                "logistic fit did not converge and classifies every "
-                "observation perfectly; data are likely separated"
-            )
-    return coef, _expit(X @ coef)
+        else:
+            if np.all(np.abs(t - _expit(eta)) < 1e-3):
+                raise SeparationError(
+                    "logistic fit did not converge and classifies every "
+                    "observation perfectly; data are likely separated"
+                )
+    return coef, _expit(eta)

@@ -20,6 +20,7 @@ bands are calibrated for 2000 and will misfire at low replicate counts.
 import math
 import os
 
+import lmm_reference
 import numpy as np
 import pytest
 
@@ -39,7 +40,7 @@ from hybridctl.harness import (
     write_raw_csv,
     write_summary_csv,
 )
-from hybridctl.mixed import fit_lmm, group_stats, profiled_criterion
+from hybridctl.mixed import fit_lmm
 from hybridctl.propensity import estimate_ps, ipw_weights, match_nearest
 from hybridctl.trialdata import build_replicate, preset, preset_n_total
 
@@ -427,12 +428,12 @@ def test_c17_lmm_oracle_and_ols_collapse():
     y = 0.5 + 0.7 * x + np.array([0.9, -0.4, 0.6])[groups] + 0.4 * rng.normal(size=15)
     X = np.column_stack([np.ones(15), x])
     fit = fit_lmm(y, X, groups)
-    stats = group_stats(X, y, groups)
+    # The dense-V criterion scores both the fit's lambda and the grid.
     grid = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 4001)])
-    oracle = min(profiled_criterion(stats, lam) for lam in grid)
+    oracle = lmm_reference.grid_minimum(y, X, groups, grid)
     # The grid only upper-bounds the optimum, so the fit may come in
     # slightly below it; only a fit above the grid minimum is a failure.
-    gap = fit.criterion_value - oracle
+    gap = lmm_reference.criterion(y, X, groups, [fit.lambda_hat])[0] - oracle
 
     x2 = rng.normal(size=120)
     g2 = np.repeat([0, 1, 2], 40)

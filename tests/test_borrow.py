@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import strata_reference as sref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -14,7 +15,6 @@ from scipy.stats import norm
 from hybridctl.borrow import (
     SINGLE_POOL_TAU_MULT,
     ArmSummaries,
-    Strata,
     TAU_LADDER,
     arm_summaries,
     build_strata,
@@ -947,18 +947,20 @@ class TestMapCombinations:
         assert np.isfinite(got.se) and got.se > 0
 
 
-def synthetic_pss_inputs(frac_treated_low=1.0, seed=13, z=None):
+def synthetic_pss_inputs(frac_treated_low=1.0, seed=13, z=None, ps_h=None):
     """Hand-built strata: 100 concurrent on a ps ladder plus historical.
 
     The five default strata hold 20 concurrent subjects each; ``z``
-    overrides their treatment indicators."""
+    overrides their treatment indicators and ``ps_h`` the scores of the
+    60 historical subjects."""
     rng = np.random.default_rng(seed)
     ps_c = np.linspace(0.2, 0.8, 100)
     if z is None:
         z = np.zeros(100, dtype=int)
         z[:int(20 * frac_treated_low)] = 1
         z[20::2] = 1
-    ps_h = rng.uniform(0.25, 0.75, size=60)
+    drawn = rng.uniform(0.25, 0.75, size=60)
+    ps_h = drawn if ps_h is None else np.asarray(ps_h, dtype=float)
     n = 160
     sample = SubjectGroup(
         ids=np.arange(n),
@@ -983,23 +985,38 @@ def stratum_z(*n_treated):
     return np.concatenate([np.arange(20) < k for k in n_treated]).astype(int)
 
 
+def assert_table(got, want):
+    """Two strata tables agree: counts and flags exactly, means and
+    sums of squares to rounding."""
+    assert got.flags == want.flags
+    np.testing.assert_array_equal(got.n, want.n)
+    np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(got.ss, want.ss, rtol=1e-12, atol=1e-15)
+
+
 def equal_arms(strata):
-    """The strata with each stratum's larger concurrent arm cut to the
-    size of the smaller: no treated surplus, so nothing is borrowed."""
-    def cut(t, c, h):
-        m = min(t.size, c.size)
-        return t[:m], c[:m], h
-    return Strata(arms=tuple(cut(*arms) for arms in strata.arms), flags=strata.flags)
+    """The table with each stratum's larger concurrent arm shrunk to the
+    size of the smaller, its mean and SD kept: no treated surplus, so
+    nothing is borrowed."""
+    m = strata.n[:, :2].min(axis=1)
+    n = np.column_stack([m, m, strata.n[:, 2]])
+    ss = strata.ss.copy()
+    ss[:, :2] *= (m[:, None] - 1) / (strata.n[:, :2] - 1)
+    return replace(strata, n=n, ss=ss)
 
 
 def treated_surplus(strata, at_least):
-    """The strata with each treated arm repeated (its mean unchanged) until
+    """The table with each treated arm repeated (its mean unchanged) until
     the treated arms outnumber the control arms by ``at_least``."""
-    n_t = sum(t.size for t, _, _ in strata.arms)
-    n_c = sum(c.size for _, c, _ in strata.arms)
-    k = math.ceil((n_c + at_least) / n_t)
-    return Strata(arms=tuple((np.tile(t, k), c, h) for t, c, h in strata.arms),
-                  flags=strata.flags)
+    n_t, n_c = strata.n[:, 0].sum(), strata.n[:, 1].sum()
+    k = np.array([math.ceil((n_c + at_least) / n_t), 1, 1])
+    return replace(strata, n=strata.n * k, ss=strata.ss * k)
+
+
+def without_historical(strata):
+    """The table with every historical arm emptied."""
+    keep = np.array([1, 1, 0])
+    return replace(strata, n=strata.n * keep, mean=strata.mean * keep, ss=strata.ss * keep)
 
 
 class TestStratifiedBorrowing:
@@ -1011,8 +1028,8 @@ class TestStratifiedBorrowing:
         assert pp.flags == () and cl.flags == ()
         assert pp.diagnostics["total_borrow"] == cl.diagnostics["total_borrow"] == 0.0
 
-        effs = [t.mean() - c.mean() for t, c, _ in strata.arms]
-        sizes = [t.size + c.size for t, c, _ in strata.arms]
+        effs = strata.mean[:, 0] - strata.mean[:, 1]
+        sizes = strata.n[:, 0] + strata.n[:, 1]
         assert len(sizes) == 5
         w = np.asarray(sizes, dtype=float) / sum(sizes)
         oracle = float(w @ np.asarray(effs))
@@ -1063,8 +1080,7 @@ class TestStratifiedBorrowing:
         fit = synthetic_pss_inputs(z=stratum_z(16, 16, 16, 16, 16), seed=16)
         strata = build_strata(fit)
         lots = estimate_pss_pp(strata)
-        none = estimate_pss_pp(Strata(arms=tuple((t, c, h[:0]) for t, c, h in strata.arms),
-                                      flags=strata.flags))
+        none = estimate_pss_pp(without_historical(strata))
         assert lots.se < none.se
         assert lots.diagnostics["mean_alpha"] > 0.5
         assert none.diagnostics["mean_alpha"] == 0.0
@@ -1094,13 +1110,15 @@ class TestBuildStrata:
     def test_merges(self, n_treated, flags, kept, expected):
         fit = synthetic_pss_inputs(z=stratum_z(*n_treated))
         raw = raw_strata(fit)
-        strata = build_strata(fit)
-        assert strata.flags == flags
-        assert len(strata.arms) == len(kept)
-        for arms, parts in zip(strata.arms, kept):
-            for got, want in zip(arms, zip(*(raw[k] for k in parts))):
+        arms, ref_flags = sref.gathered_strata(fit)
+        assert ref_flags == flags
+        assert len(arms) == len(kept)
+        for st, parts in zip(arms, kept):
+            for got, want in zip(st, zip(*(raw[k] for k in parts))):
                 # neighbour first: the merged arrays concatenate in this order
                 np.testing.assert_array_equal(got, np.concatenate(want))
+        strata = build_strata(fit)
+        assert_table(strata, sref.table(arms, flags))
         n_t, n_c = sum(n_treated), 100 - sum(n_treated)
         got = [estimate_pss_pp(strata), estimate_pss_cl(strata)]
         for est, (estimate, se) in zip(got, expected, strict=True):
@@ -1109,18 +1127,56 @@ class TestBuildStrata:
             assert est.se == pytest.approx(se, rel=1e-12)
             assert est.diagnostics["total_borrow"] == max(n_t - n_c, 0)
 
+    @pytest.mark.parametrize("name", ["single-moderate", "multi-severe"])
+    @pytest.mark.parametrize("covset", [1, 3])
+    def test_table_matches_gathered_arms(self, name, covset):
+        fit = estimate_ps(dataset(name, seed=17), covset)
+        assert_table(build_strata(fit), sref.table(*sref.gathered_strata(fit)))
+
+    def test_historical_arms_of_under_two(self):
+        # one historical subject in stratum 0, none in stratum 1: no
+        # discount there, and no 0/0 for the empty arm's mean
+        ps_h = np.r_[0.25, np.linspace(0.46, 0.75, 59)]
+        fit = synthetic_pss_inputs(z=stratum_z(12, 12, 12, 12, 12), ps_h=ps_h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            strata = build_strata(fit)
+            got = [estimate_pss_pp(strata), estimate_pss_cl(strata)]
+        assert strata.n[:2, 2].tolist() == [1, 0]
+        assert strata.mean[1, 2] == strata.ss[1, 2] == strata.ss[0, 2] == 0.0
+        assert_table(strata, sref.table(*sref.gathered_strata(fit)))
+        assert got[0].diagnostics["total_borrow"] == 20.0
+        assert got[0].diagnostics["mean_alpha"] == pytest.approx(0.6 * 20.0 / 60, rel=1e-15)
+        for est in got:
+            assert np.isfinite(est.estimate) and est.se > 0
+
+    def test_failure_texts(self):
+        # the texts that a failed row's flag carries into raw.csv
+        strata = build_strata(synthetic_pss_inputs(z=stratum_z(12, 12, 12, 12, 12), seed=16))
+        n = strata.n.copy()
+        n[2, 0] = 1
+        for estimate in (estimate_pss_pp, estimate_pss_cl):
+            with pytest.raises(ValueError, match="^need at least two observations for a mean"):
+                estimate(replace(strata, n=n))
+        ss = strata.ss.copy()
+        ss[2, 1] = 0.0
+        with pytest.raises(ValueError, match=r"^prior se must be positive \(math.inf"):
+            estimate_pss_pp(replace(strata, ss=ss))
+
     def test_all_strata_invalid(self):
         fit = synthetic_pss_inputs(z=stratum_z(20, 20, 20, 20, 19))
         with pytest.raises(ValueError, match="cannot form any stratum"):
             build_strata(fit)
+        with pytest.raises(ValueError, match="cannot form any stratum"):
+            sref.gathered_strata(fit)
 
     def test_one_discount(self):
         # 60 treated and 40 controls: 20 borrowed subjects over every stratum
         fit = synthetic_pss_inputs(z=stratum_z(12, 12, 12, 12, 12), seed=16)
         strata = build_strata(fit)
-        n_hist = sum(h.size for _, _, h in strata.arms)
+        n_hist = int(strata.n[:, 2].sum())
         assert n_hist > 20
         got = estimate_pss_pp(strata)
         assert got.diagnostics["total_borrow"] == 20.0
-        discounts = [20.0 / n_hist if h.size >= 2 else 0.0 for _, _, h in strata.arms]
+        discounts = [20.0 / n_hist if h >= 2 else 0.0 for h in strata.n[:, 2]]
         assert got.diagnostics["mean_alpha"] == pytest.approx(np.mean(discounts), rel=1e-15)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridctl.mixed import estimate_mm, fit_lmm, group_stats, profiled_criterion
+from hybridctl import mixed
+from hybridctl.mixed import estimate_mm, fit_lmm, pooled_stats
 from hybridctl.regress import SingularDesignError
 from hybridctl.trialdata import build_replicate, preset
 
@@ -33,6 +34,12 @@ def design(sizes, p, sigma_b, seed, constant=True):
     return X @ rng.normal(size=p) + b[groups] + rng.standard_normal(n), X, groups
 
 
+def spectral_criterion(y, X, groups, lam):
+    """The criterion that fit_lmm minimizes, at lambda = ``lam``."""
+    stats = mixed.group_stats(np.column_stack([X, y]), groups)
+    return mixed._criterion(mixed._spectrum(stats), lam)
+
+
 class TestProfiledCriterion:
     # C17's design: 15 observations in three groups of five
     rng = np.random.default_rng(20260825 + 17)
@@ -44,36 +51,34 @@ class TestProfiledCriterion:
 
     @pytest.mark.parametrize("lam", lams)
     def test_matches_dense_covariance(self, lam):
-        got = profiled_criterion(group_stats(self.X, self.y, self.groups), lam)
+        got = float(spectral_criterion(self.y, self.X, self.groups, lam))
         want = ref.criterion(self.y, self.X, self.groups, [lam])[0]
-        assert isinstance(got, float)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_array_matches_scalar_calls(self):
-        stats = group_stats(self.X, self.y, self.groups)
         lams = np.array(self.lams)
-        got = profiled_criterion(stats, lams)
+        got = spectral_criterion(self.y, self.X, self.groups, lams)
         assert got.shape == lams.shape
-        want = [profiled_criterion(stats, lam) for lam in lams]
+        want = [float(spectral_criterion(self.y, self.X, self.groups, lam)) for lam in lams]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-        grid = profiled_criterion(stats, lams.reshape(2, 3))
+        grid = spectral_criterion(self.y, self.X, self.groups, lams.reshape(2, 3))
         np.testing.assert_array_equal(grid.reshape(-1), got)
 
-    def test_any_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            profiled_criterion(group_stats(self.X, self.y, self.groups), np.array([1.0, -0.1]))
+    def test_fit_reports_the_dense_criterion(self):
+        fit = fit_lmm(self.y, self.X, self.groups)
+        want = ref.criterion(self.y, self.X, self.groups, [fit.lambda_hat])[0]
+        assert fit.criterion_value == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 class TestFitLmm:
     def test_beats_dense_lambda_scan(self):
-        # oracle: brute-force the profiled criterion on a dense grid; the
+        # oracle: brute-force the dense-V criterion on a dense grid; the
         # fitted lambda can do no worse than any scanned point
         y, X, groups = simulate(3, 5, 1.0, 0.5, seed=1)
         fit = fit_lmm(y, X, groups)
-        stats = group_stats(X, y, groups)
         lams = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 20001)])
-        scan = profiled_criterion(stats, lams).min()
-        assert fit.criterion_value <= scan + 1e-7
+        scan = ref.grid_minimum(y, X, groups, lams)
+        assert ref.criterion(y, X, groups, [fit.lambda_hat])[0] <= scan + 1e-7
 
     def test_no_group_effect_collapses_to_ols(self):
         y, X, groups = simulate(20, 500, 0.0, 1.0, seed=2)
@@ -141,11 +146,6 @@ class TestFitLmm:
         np.testing.assert_array_equal(a.coef, b.coef)
         assert a.lambda_hat == b.lambda_hat
 
-    def test_negative_lambda_rejected(self):
-        y, X, groups = simulate(3, 10, 1.0, 1.0, seed=11)
-        with pytest.raises(ValueError):
-            profiled_criterion(group_stats(X, y, groups), -0.1)
-
 
 # The fine grid the dense reference scans: lambda = 0 and e^-20 .. e^20.
 REFERENCE_GRID = np.concatenate([[0.0], np.exp(np.linspace(-20.0, 20.0, 2001))])
@@ -160,11 +160,13 @@ class TestDenseReference:
         ((7, 13, 21, 33), 5, 0.0, 2, True, "zero"),
         ((10, 25, 40), 4, 1.0, 2, True, "interior"),
         ((8, 15, 22, 35), 8, 1.0, 3, True, "interior"),
-        # lambda_hat is about 3e5 here. From about 1e6 up, the final GLS
-        # (X'X minus the group terms, then Cholesky) cancels in the
-        # intercept direction and drifts past 1e-8 against this reference.
+        # lambda_hat is about 3e5 here and 2.4e6 in the last case. The
+        # final GLS adds the group terms to the within-group cross products,
+        # so it does not cancel in the intercept direction as lambda_hat
+        # grows; subtracting them from X'X drifted past 1e-8 from about 1e6 up.
         ((9, 14, 27), 3, 500.0, 2, True, "widened"),
         ((11, 17, 29), 2, 1.0, 5, False, "interior"),
+        ((9, 14, 27), 3, 2000.0, 1, True, "widened"),
     ]
 
     @pytest.mark.parametrize("sizes,p,sigma_b,seed,constant,regime", cases)
@@ -228,20 +230,50 @@ class TestProperties:
 class TestEstimateMm:
     def test_with_covariates(self):
         ds = build_replicate(preset("single-moderate"), 1200, np.random.default_rng(20))
-        got = estimate_mm(ds, 1)
+        got = estimate_mm(pooled_stats(ds), 1)
         assert got.diagnostics["n_groups"] == 2.0
         assert got.diagnostics["lambda_hat"] >= 0.0
         assert np.isfinite(got.se) and got.se > 0
 
     def test_without_covariates(self):
         ds = build_replicate(preset("multi-moderate"), 1600, np.random.default_rng(21))
-        got = estimate_mm(ds, None)
+        got = estimate_mm(pooled_stats(ds), None)
         assert got.diagnostics["n_groups"] == 4.0
 
     def test_covariate_adjustment_tightens_se(self):
         # outcome covariates are strong in every preset, so adjusting for
         # them must soak up residual variance
         ds = build_replicate(preset("single-severe"), 1200, np.random.default_rng(22))
-        adj = estimate_mm(ds, 1)
-        raw = estimate_mm(ds, None)
+        stats = pooled_stats(ds)
+        adj = estimate_mm(stats, 1)
+        raw = estimate_mm(stats, None)
         assert adj.se < raw.se
+
+
+class TestSharedPass:
+    """Every MM cell of a replicate slices its design's statistics from one
+    pass over the pooled sample; the fit equals fit_lmm on that design."""
+
+    @pytest.mark.parametrize("name", ["single-moderate", "multi-severe"])
+    @pytest.mark.parametrize("seed", [30, 31, 32])
+    def test_sliced_designs_equal_their_own_fits(self, name, seed):
+        ds = build_replicate(preset(name), 1200, np.random.default_rng(seed))
+        pooled = ds.pooled
+        data = np.column_stack([np.ones(len(pooled)), pooled.z, pooled.x])
+        stats = pooled_stats(ds)
+        y_col = data.shape[1]
+        # MM.nc, covsets 1-3, and two designs without a constant column
+        for cols in ([0, 1], [0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 5, 6, 7], [0, 1, 2, 3, 4],
+                     [1, 2, 3, 4], [1, 2, 3, 4, 5, 6, 7]):
+            got = mixed._fit(stats.select(cols + [y_col]))
+            want = fit_lmm(pooled.y, data[:, cols], pooled.trial)
+            # relative to each matrix's scale: a near-zero covariance moves more
+            np.testing.assert_allclose(got.coef, want.coef, rtol=0.0,
+                                       atol=1e-12 * np.abs(want.coef).max())
+            np.testing.assert_allclose(got.cov, want.cov, rtol=0.0,
+                                       atol=1e-12 * np.abs(want.cov).max())
+            np.testing.assert_allclose(np.diag(got.cov), np.diag(want.cov), rtol=1e-12, atol=0.0)
+            assert got.lambda_hat == pytest.approx(want.lambda_hat, rel=1e-12, abs=0.0)
+            assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-12, abs=0.0)
+            assert got.criterion_value == pytest.approx(want.criterion_value, rel=1e-12)
+            assert got.flags == want.flags

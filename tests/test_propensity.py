@@ -203,6 +203,28 @@ class TestMatchNearest:
             got = match_nearest(fit, hist_rows, rng=np.random.default_rng(seed))
             assert pairs_of(got) == [(0, int(expected))]
 
+    def test_ties_across_a_run_boundary_follow_the_shuffle(self):
+        # 0.5 lies exactly halfway between a run of three 0.484375 scores and
+        # a run of three 0.515625 ones (both binary fractions), so all six
+        # candidates tie; 0.484375 ties within its run only
+        lo, hi = 0.484375, 0.515625
+        ps_c = [0.5, lo, 0.1, 0.9]
+        ps_h = [hi, lo, hi, lo, lo, hi]
+        fit = make_psfit(ps_c, ps_h)
+        hist_rows = np.arange(4, 10)
+        runs = set()
+        for seed in range(12):
+            shuffled = hist_rows[np.random.default_rng(seed).permutation(6)]
+            want = []
+            for i, p in enumerate(ps_c):
+                d = np.abs(fit.ps[shuffled] - p)
+                if d.min() <= caliper_of(fit):
+                    want.append((i, int(shuffled[np.flatnonzero(d == d.min())[0]])))
+            got = match_nearest(fit, hist_rows, rng=np.random.default_rng(seed))
+            assert pairs_of(got) == want
+            runs.add(fit.ps[want[0][1]])
+        assert runs == {lo, hi}
+
     def test_without_rng_earliest_candidate_wins_ties(self):
         fit = make_psfit([0.5], [0.5, 0.5, 0.5])
         got = match_nearest(fit, np.arange(1, 4))
