@@ -509,9 +509,10 @@ def replicate_rng(
 
 class _ReplicateCaches:
     """Inputs shared across a replicate's cells, each built once: propensity
-    fits, match sets, weight sets, strata, the mixed models' per-trial
-    statistics, and for the MAP family the arm summaries and one batch of
-    the rows of every study source.
+    fits, weight sets, strata, the mixed models' per-trial statistics, and
+    for the MAP family the arm summaries and one batch of the rows of every
+    study source. Match sets come from each fit's one matching pass, which
+    keeps every set that no tie can change.
     A build that fails with a ``ValueError`` (the expected numerical
     failures) is not retried: every later lookup raises the same error
     again."""
@@ -535,24 +536,21 @@ class _ReplicateCaches:
     def psfit(self, covset: int):
         return self._memo(("ps", covset), lambda: estimate_ps(self.dataset, covset))
 
-    def _match(self, covset: int, label: str, hist_mask):
-        """Match the reduced concurrent trial to the pooled rows in
-        ``hist_mask``, with its own seeded stream."""
-        return self._memo((label,), lambda: match_nearest(
-            self.psfit(covset), np.flatnonzero(hist_mask),
-            rng=replicate_rng(self.seed, self.sid, self.replicate, label),
-        ))
+    def _match(self, covset: int, label: str, pool: int | None):
+        """Match the reduced concurrent trial to historical pool ``pool``
+        (every pool if None) in the fit's one matching pass; a tie draws
+        the set's own seeded stream."""
+        return match_nearest(self.psfit(covset), pool, rng=lambda: replicate_rng(
+            self.seed, self.sid, self.replicate, label))
 
     def matchset(self, covset: int):
         """Matches against all historical pools together."""
-        trial = self.dataset.pooled.trial
-        return self._match(covset, f"match:c{covset}", trial > 0)
+        return self._match(covset, f"match:c{covset}", None)
 
     def trial_matchsets(self, covset: int):
         """Matches against each historical pool separately."""
-        trial = self.dataset.pooled.trial
         return [
-            self._match(covset, f"match:c{covset}:trial{j}", trial == j)
+            self._match(covset, f"match:c{covset}:trial{j}", j)
             for j in range(1, self.dataset.k_historical + 1)
         ]
 

@@ -90,8 +90,12 @@ def group_stats(data: np.ndarray, groups: np.ndarray) -> GroupStats:
         means = (onehot @ data) / n[:, None]
         centred = data - means[inverse]
         within = centred.T @ centred
-    return GroupStats(n, means, within, np.all(data == data[0], axis=0) & (data[0] != 0),
-                      np.isfinite(data).all(axis=0))
+    # each column's extremes, NaN if it holds one: reduced along the rows of
+    # a transposed copy, as numpy reduces a narrow array along axis 0 slowly
+    columns = np.ascontiguousarray(data.T)
+    lo, hi = columns.min(axis=1), columns.max(axis=1)
+    return GroupStats(n, means, within, (lo == hi) & (data[0] != 0),
+                      np.isfinite(lo) & np.isfinite(hi))
 
 
 def pooled_stats(dataset: TrialDataset) -> GroupStats:

@@ -7,6 +7,13 @@ to concurrent subjects (1:1 nearest neighbor with replacement under a
 caliper), reweight them by the odds ps/(1-ps) with symmetric trimming,
 or stratify the pooled sample by concurrent-score quantiles.
 
+Matching makes one pass per fit: the caliper, the concurrent scores and
+one stable sort of the historical scores are computed once, and every
+candidate set (all pools, or one pool) reads its rows from that sort.
+The seeded shuffle that breaks distance ties is drawn only when an exact
+score tie or an equidistant pair can decide a match; with continuous
+covariates there are none.
+
 The settings are fixed, as in the simulation study: a caliper of
 ``CALIPER_MULT`` = 0.2 SD of the pooled score (Austin 2011, Pharm. Stat.
 10:150), trimming of odds weights outside ``WEIGHT_BOUNDS`` = [0.05, 20],
@@ -16,6 +23,8 @@ and ``N_STRATA`` = 5 score strata (Rosenbaum & Rubin 1984, JASA 79:516).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -80,6 +89,15 @@ class PsFit:
     def is_concurrent(self) -> np.ndarray:
         return self.sample.trial == 0
 
+    @cached_property
+    def _by_score(self) -> _ByScore:
+        """What every match set of this fit shares, computed once."""
+        conc = self.is_concurrent
+        conc_rows, hist = np.flatnonzero(conc), np.flatnonzero(~conc)
+        rows = hist[np.argsort(self.ps[hist], kind="stable")]
+        return _ByScore(CALIPER_MULT * float(np.std(self.ps, ddof=1)), conc_rows,
+                        self.ps[conc_rows], rows, self.ps[rows], self.sample.trial[rows], {})
+
 
 @dataclass(frozen=True)
 class MatchSet:
@@ -88,6 +106,22 @@ class MatchSet:
     conc_rows: np.ndarray
     hist_rows: np.ndarray
     caliper: float
+
+
+@dataclass(frozen=True)
+class _ByScore:
+    """The caliper, the concurrent rows and their scores, and every
+    historical row in one stable sort by score (equal scores by row),
+    with its score and pool; ``tie_free`` holds the match sets that no
+    shuffle can change, by pool (None for every pool)."""
+
+    caliper: float
+    conc_rows: np.ndarray
+    conc_ps: np.ndarray
+    rows: np.ndarray
+    ps: np.ndarray
+    trial: np.ndarray
+    tie_free: dict
 
 
 def estimate_ps(dataset: TrialDataset, covset: int) -> PsFit:
@@ -99,49 +133,67 @@ def estimate_ps(dataset: TrialDataset, covset: int) -> PsFit:
 
 
 def match_nearest(
-    psfit: PsFit, historical_rows: np.ndarray, rng: np.random.Generator | None = None
+    psfit: PsFit, pool: int | None = None,
+    rng: Callable[[], np.random.Generator] | None = None,
 ) -> MatchSet:
     """1:1 nearest-neighbor matching with replacement under a caliper.
 
-    Every concurrent row of the sample is matched to the candidate among
-    ``historical_rows`` with the closest propensity score; pairs farther
-    apart than the caliper (``CALIPER_MULT`` times the pooled-score SD)
-    are discarded and the subject left unmatched. Distance ties go to the
-    candidate drawn earliest in a seeded shuffle, which makes reruns
-    reproducible.
+    Every concurrent row of the sample is matched to the candidate with
+    the closest propensity score: any historical row when ``pool`` is
+    None, else a row of pool ``pool``. Pairs farther apart than the
+    caliper (``CALIPER_MULT`` times the pooled-score SD) are discarded
+    and the subject left unmatched.
+
+    Distance ties go to the candidate drawn earliest in a seeded shuffle
+    of the candidates in ascending row order, which makes reruns
+    reproducible. ``rng`` makes that shuffle's generator and is called
+    only when a tie can decide a match: an exact score tie among the
+    candidates, or a concurrent score equidistant from its two
+    neighbors. Without ``rng`` the lowest row wins a tie. A set no
+    shuffle can change is kept on the fit and served to every later
+    call for the same candidates.
     """
-    caliper = CALIPER_MULT * float(np.std(psfit.ps, ddof=1))
+    byscore = psfit._by_score
+    rows, scores, key = byscore.rows, byscore.ps, None
+    if pool is not None:
+        keep = byscore.trial == pool
+        if not keep.all():  # with a single pool, pool 1 is every pool
+            rows, scores, key = rows[keep], scores[keep], pool
+    if key in byscore.tie_free:
+        return byscore.tie_free[key]
+    c_rows, ps_c, caliper = byscore.conc_rows, byscore.conc_ps, byscore.caliper
+    m = rows.size
+    if m == 0:
+        byscore.tie_free[key] = MatchSet(c_rows[:0], rows, caliper)
+        return byscore.tie_free[key]
 
-    c_rows = np.flatnonzero(psfit.is_concurrent)
-    h_rows = np.asarray(historical_rows, dtype=np.intp)
-    if h_rows.size == 0:
-        return MatchSet(c_rows[:0], h_rows, caliper)
-    ps_c = psfit.ps[c_rows]
-
-    shuffled = h_rows[rng.permutation(h_rows.size)] if rng is not None else h_rows
-    sort_in_shuffled = np.argsort(psfit.ps[shuffled], kind="stable")
-    sorted_rows = shuffled[sort_in_shuffled]
-    sorted_ps = psfit.ps[sorted_rows]
-    priority = sort_in_shuffled  # position in the shuffle; lower wins ties
-
-    m = sorted_ps.size
-    j = np.searchsorted(sorted_ps, ps_c)
-    left = np.clip(j - 1, 0, m - 1)
-    right = np.clip(j, 0, m - 1)
-    dist_left = np.where(j > 0, np.abs(ps_c - sorted_ps[left]), np.inf)
-    dist_right = np.where(j < m, np.abs(sorted_ps[right] - ps_c), np.inf)
-
-    # each neighbour's run of equal scores is represented by its head, the
-    # first of the run in the stable sort and so the best priority; the
-    # right neighbour, the first score >= ps_c, is one already
-    rep_left = np.searchsorted(sorted_ps, sorted_ps[left])
-    rep_right = right
-    take_right = (dist_right < dist_left) | (
-        (dist_right == dist_left) & (priority[rep_right] < priority[rep_left])
-    )
-    chosen = np.where(take_right, rep_right, rep_left)
+    j = np.searchsorted(scores, ps_c)
+    # the neighbours either side; past either end the score is -inf or +inf
+    padded = np.concatenate(([-np.inf], scores, [np.inf]))
+    dist_left, dist_right = ps_c - padded[j], padded[j + 1] - ps_c
+    take_right, even = dist_right < dist_left, dist_right == dist_left
+    left, right = j - 1, j
+    tied = bool(even.any() or (scores[1:] == scores[:-1]).any())
+    if tied:
+        # order each run of equal scores by position in the shuffle (by row
+        # without one); a run is represented by its head, the first of the
+        # run and so the best priority. The right neighbour, the first score
+        # >= ps_c, is one already.
+        priority = rows
+        if rng is not None:
+            priority = np.empty(m, dtype=np.intp)
+            priority[np.argsort(rows)[rng().permutation(m)]] = np.arange(m)
+            order = np.lexsort((priority, scores))
+            rows, priority = rows[order], priority[order]
+        right = np.minimum(j, m - 1)
+        left = np.searchsorted(scores, scores[np.maximum(j - 1, 0)])
+        take_right |= even & (priority[right] < priority[left])
+    chosen = np.where(take_right, right, left)
     within = np.where(take_right, dist_right, dist_left) <= caliper
-    return MatchSet(c_rows[within], sorted_rows[chosen[within]], caliper)
+    matchset = MatchSet(c_rows[within], rows[chosen[within]], caliper)
+    if not tied:
+        byscore.tie_free[key] = matchset
+    return matchset
 
 
 def ipw_weights(psfit: PsFit) -> np.ndarray:

@@ -396,9 +396,7 @@ def test_c16_matching_and_trimming_audit():
         for covset in (1, 3):
             psfit = estimate_ps(ds, covset)
             ms = match_nearest(
-                psfit,
-                hist_rows,
-                rng=replicate_rng(SEED, "audit", r, f"match:c{covset}"),
+                psfit, rng=lambda: replicate_rng(SEED, "audit", r, f"match:c{covset}"),
             )
             for pc, ph in zip(ms.conc_rows, ms.hist_rows):
                 if int(ph) not in hist_set or not psfit.is_concurrent[pc]:

@@ -929,8 +929,7 @@ class TestMapCombinations:
         ds = dataset("multi-moderate", seed=9, n=1600)
         psfit = estimate_ps(ds, 1)
         real = [
-            match_nearest(psfit, np.flatnonzero(psfit.sample.trial == j),
-                          rng=np.random.default_rng(3))
+            match_nearest(psfit, j, rng=lambda: np.random.default_rng(3))
             for j in range(1, ds.k_historical + 1)
         ]
         none = np.zeros(0, dtype=int)

@@ -620,6 +620,56 @@ MAP_FAMILY_METHODS = [
 ]
 
 
+def rounded_covariates(ds):
+    """``ds`` with every covariate rounded to an integer: subjects that share
+    x1..x3 share their covariate-set-3 score exactly."""
+    def rounded(group):
+        return dataclasses.replace(group, x=np.round(group.x))
+    return TrialDataset(rounded(ds.full_concurrent), rounded(ds.reduced_concurrent),
+                        tuple(rounded(p) for p in ds.historical))
+
+
+def match_streams(monkeypatch):
+    """A Counter of the ``match:*`` labels whose generator the harness makes."""
+    labels = Counter()
+    make = harness.replicate_rng
+
+    def counting(seed, sid, replicate, label):
+        if label.startswith("match:"):
+            labels[label] += 1
+        return make(seed, sid, replicate, label)
+
+    monkeypatch.setattr(harness, "replicate_rng", counting)
+    return labels
+
+
+class TestMatchPass:
+    """A replicate's match sets come from one pass per propensity fit; a set
+    draws its seeded tie-break stream only when a tie can decide a match."""
+
+    @pytest.mark.parametrize("name", ["single-moderate", "multi-moderate"])
+    def test_continuous_scores_draw_no_stream(self, monkeypatch, name):
+        labels = match_streams(monkeypatch)
+        ds = build_replicate(preset(name), 800, np.random.default_rng(14))
+        caches = harness._ReplicateCaches(ds, (), "s", 1, 0)
+        for covset in (1, 2, 3):
+            every, pools = caches.matchset(covset), caches.trial_matchsets(covset)
+            assert len(pools) == ds.k_historical
+            if ds.k_historical == 1:  # one computation serves both labels
+                assert pools[0] is every
+        assert labels == Counter()
+
+    @pytest.mark.parametrize("name", ["single-moderate", "multi-moderate"])
+    def test_tied_scores_draw_each_sets_own_stream(self, monkeypatch, name):
+        labels = match_streams(monkeypatch)
+        ds = rounded_covariates(build_replicate(preset(name), 800, np.random.default_rng(12)))
+        caches = harness._ReplicateCaches(ds, (), "s", 1, 0)
+        every, pools = caches.matchset(3), caches.trial_matchsets(3)
+        assert all(p is not every for p in pools)
+        want = ["match:c3"] + [f"match:c3:trial{j}" for j in range(1, ds.k_historical + 1)]
+        assert labels == Counter(want)
+
+
 def flat_pools(ds):
     """``ds`` with every historical outcome set to its pool number: no pool
     summary has a positive SE, so the plain source fails and the matched
@@ -1265,6 +1315,22 @@ class TestCli:
         assert code == 0
         want = (Path(__file__).parent / "data" / f"analyze_{name}.txt").read_text()
         assert capsys.readouterr().out == want
+
+    def test_analyze_tied_scores_text_is_pinned(self, tmp_path, capsys, monkeypatch):
+        # Covariates rounded to integers make the covariate-set-3 scores tie
+        # exactly, so every match set takes the tie step and draws its stream.
+        # tests/data/analyze_ties.txt is the text of the matcher that shuffled
+        # every set, whether or not a tie could decide a match.
+        ds = build_replicate(preset("multi-moderate"), 800, np.random.default_rng(12))
+        path = write_subjects_csv(tmp_path / "subjects.csv", rounded_covariates(ds))
+        labels = match_streams(monkeypatch)
+        code = cli.main(["analyze", "--data", str(path), "--covset", "3",
+                         "--methods", "unadj.rc,PSM,PSM+MAP,PSW"])
+        assert code == 0
+        want = (Path(__file__).parent / "data" / "analyze_ties.txt").read_text()
+        assert capsys.readouterr().out == want
+        assert labels == Counter(["match:c3", "match:c3:trial1", "match:c3:trial2",
+                                  "match:c3:trial3"])
 
     def test_analyze_binary_outcomes_reports_failed_cell(self, tmp_path, capsys):
         # every concurrent control has y = 0, so each propensity stratum's

@@ -42,8 +42,7 @@ def fit_inputs():
         ds = build_replicate(preset(name), preset_n_total(name), np.random.default_rng(40 + i))
         psfit = estimate_ps(ds, covset)
         matchsets = [
-            match_nearest(psfit, np.flatnonzero(psfit.sample.trial == j),
-                          rng=np.random.default_rng(50 + i))
+            match_nearest(psfit, j, rng=lambda: np.random.default_rng(50 + i))
             for j in range(1, ds.k_historical + 1)
         ]
         inputs.append((ds, psfit, matchsets, ipw_weights(psfit)))

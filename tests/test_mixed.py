@@ -277,3 +277,31 @@ class TestSharedPass:
             assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-12, abs=0.0)
             assert got.criterion_value == pytest.approx(want.criterion_value, rel=1e-12)
             assert got.flags == want.flags
+
+    def test_column_flags_equal_the_elementwise_checks(self):
+        # constant, finite: what np.all(data == data[0], axis=0) & (data[0] != 0)
+        # and np.isfinite(data).all(axis=0) give, column by column
+        inf, nan = np.inf, np.nan
+        rng = np.random.default_rng(5)
+        cols = {
+            "constant": [2.5] * 6, "zero": [0.0] * 6, "signed zero": [0.0, -0.0] * 3,
+            "varying": rng.normal(size=6), "nan": [1.0, nan, 1.0, 1.0, 1.0, 1.0],
+            "all nan": [nan] * 6, "+inf": [inf] * 6, "-inf": [-inf] * 6,
+            "mixed inf": [inf, -inf] * 3, "inf among finite": [1.0, 2.0, inf, 3.0, 4.0, 5.0],
+            "nan and inf": [nan, inf, 1.0, 1.0, 1.0, 1.0], "huge": [1e308, -1e308] * 3,
+        }
+        data = np.column_stack(list(cols.values()))
+        groups = np.array([0, 0, 1, 1, 2, 2])
+        with np.errstate(invalid="ignore", over="ignore"):
+            stats = mixed.group_stats(data, groups)
+            for rows in (data, data[:1]):
+                got = mixed.group_stats(rows, groups[:len(rows)])
+                want_constant = np.all(rows == rows[0], axis=0) & (rows[0] != 0)
+                want_finite = np.isfinite(rows).all(axis=0)
+                np.testing.assert_array_equal(got.constant, want_constant)
+                np.testing.assert_array_equal(got.finite, want_finite)
+        assert dict(zip(cols, stats.constant)) == {
+            name: name in ("constant", "+inf", "-inf") for name in cols}
+        assert dict(zip(cols, stats.finite)) == {
+            name: name in ("constant", "zero", "signed zero", "varying", "huge")
+            for name in cols}

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import match_reference
 import ols_reference as ref
 from hybridctl.propensity import (
     CALIPER_MULT,
@@ -28,17 +31,23 @@ from hybridctl.trialdata import (
 
 def make_psfit(ps_conc, ps_hist):
     """PsFit with prescribed scores; covariates and outcomes are filler."""
-    ps_conc = np.asarray(ps_conc, dtype=float)
-    ps_hist = np.asarray(ps_hist, dtype=float)
-    n = ps_conc.size + ps_hist.size
+    return make_pools_psfit(ps_conc, [ps_hist])
+
+
+def make_pools_psfit(ps_conc, pools):
+    """PsFit with prescribed scores for the concurrent rows, then for
+    historical pools 1..k in turn; an empty pool has no rows."""
+    scores = [np.asarray(ps, dtype=float) for ps in (ps_conc, *pools)]
+    trial = np.repeat(np.arange(len(scores)), [ps.size for ps in scores])
+    n = trial.size
     group = SubjectGroup(
         ids=np.arange(n),
         x=np.zeros((n, 1)),
         z=np.zeros(n, dtype=int),
-        trial=np.r_[np.zeros(ps_conc.size, dtype=int), np.ones(ps_hist.size, dtype=int)],
+        trial=trial,
         y=np.zeros(n),
     )
-    return PsFit(sample=group, ps=np.r_[ps_conc, ps_hist])
+    return PsFit(sample=group, ps=np.concatenate(scores))
 
 
 def hand_built_match(y_conc, z_conc, y_hist):
@@ -169,7 +178,7 @@ class TestMatchNearest:
         ps_h = rng.uniform(0.05, 0.95, size=40)
         fit = make_psfit(ps_c, ps_h)
         hist_rows = np.arange(20, 60)
-        got = match_nearest(fit, hist_rows)
+        got = match_nearest(fit)
         assert got.caliper == caliper_of(fit)
         want_pairs, want_unmatched = brute_nearest(ps_c, ps_h, hist_rows, caliper_of(fit))
         assert pairs_of(got) == [(c, h) for c, h in want_pairs]
@@ -183,7 +192,7 @@ class TestMatchNearest:
         ps_h = rng.uniform(0.45, 0.55, size=15)
         fit = make_psfit(ps_c, ps_h)
         hist_rows = np.arange(25, 40)
-        got = match_nearest(fit, hist_rows)
+        got = match_nearest(fit)
         want_pairs, want_unmatched = brute_nearest(ps_c, ps_h, hist_rows, caliper_of(fit))
         assert pairs_of(got) == want_pairs
         assert unmatched_of(got, fit) == want_unmatched
@@ -191,7 +200,7 @@ class TestMatchNearest:
 
     def test_empty_historical_leaves_all_unmatched(self):
         fit = make_psfit([0.4, 0.5], [])
-        got = match_nearest(fit, np.arange(2, 2))
+        got = match_nearest(fit)
         assert pairs_of(got) == []
         assert unmatched_of(got, fit) == [0, 1]
 
@@ -200,7 +209,7 @@ class TestMatchNearest:
         hist_rows = np.arange(1, 4)
         for seed in range(5):
             expected = hist_rows[np.random.default_rng(seed).permutation(3)][0]
-            got = match_nearest(fit, hist_rows, rng=np.random.default_rng(seed))
+            got = match_nearest(fit, rng=lambda: np.random.default_rng(seed))
             assert pairs_of(got) == [(0, int(expected))]
 
     def test_ties_across_a_run_boundary_follow_the_shuffle(self):
@@ -220,15 +229,126 @@ class TestMatchNearest:
                 d = np.abs(fit.ps[shuffled] - p)
                 if d.min() <= caliper_of(fit):
                     want.append((i, int(shuffled[np.flatnonzero(d == d.min())[0]])))
-            got = match_nearest(fit, hist_rows, rng=np.random.default_rng(seed))
+            got = match_nearest(fit, rng=lambda: np.random.default_rng(seed))
             assert pairs_of(got) == want
             runs.add(fit.ps[want[0][1]])
         assert runs == {lo, hi}
 
     def test_without_rng_earliest_candidate_wins_ties(self):
         fit = make_psfit([0.5], [0.5, 0.5, 0.5])
-        got = match_nearest(fit, np.arange(1, 4))
+        got = match_nearest(fit)
         assert pairs_of(got) == [(0, 1)]
+
+
+def counting(calls, label, seed):
+    """A generator factory that records ``label`` each time it is called."""
+    def make():
+        calls.append(label)
+        return np.random.default_rng(seed)
+    return make
+
+
+def random_fit(kind, seed):
+    """A PsFit over k = 1 or 3 historical pools, some of them empty, with
+    seeded scores of one kind:
+
+    - continuous: uniform scores, so no tie can decide a match;
+    - equidistant: distinct historical scores on a 1/64 grid and concurrent
+      ones on a 1/128 grid, so many lie exactly halfway between two
+      candidates (binary fractions), with no exact score tie;
+    - tied: historical scores on the 1/64 grid drawn with replacement, so
+      scores tie exactly within and across pools;
+    - crowded: historical scores crowd the middle, so the caliper excludes
+      concurrent rows near either end, and a third of them copy another
+      historical score.
+    """
+    g = np.random.default_rng(seed)
+    k = 1 if seed % 2 else 3
+    sizes = g.integers(0, 15, size=k)
+    n_h = int(sizes.sum())
+    n_c = int(g.integers(2, 25))
+    if kind == "continuous":
+        ps_c, ps_h = g.uniform(0.05, 0.95, n_c), g.uniform(0.05, 0.95, n_h)
+    elif kind == "equidistant":
+        ps_c = g.integers(8, 120, n_c) / 128
+        ps_h = g.choice(np.arange(4, 60), size=n_h, replace=False) / 64
+    elif kind == "tied":
+        ps_c, ps_h = g.integers(8, 120, n_c) / 128, g.integers(4, 60, n_h) / 64
+    else:
+        ps_c, ps_h = g.uniform(0.05, 0.95, n_c), g.uniform(0.45, 0.55, n_h)
+        if n_h > 1:
+            ps_h[g.integers(0, n_h, n_h // 3)] = ps_h[g.integers(0, n_h, n_h // 3)]
+    return make_pools_psfit(ps_c, np.split(ps_h, np.cumsum(sizes)[:-1])), k
+
+
+class TestMatchReference:
+    """The one-pass matcher against the shuffle-first one it replaced
+    (tests/match_reference.py), on seeded random score sets: the same
+    pairs and caliper for every candidate set, with and without a
+    shuffle, drawing a generator only when a tie can decide a match."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "equidistant", "tied", "crowded"])
+    def test_equals_the_reference(self, kind):
+        seen = Counter()
+        for seed in range(80):
+            fit, k = random_fit(kind, seed)
+            seen[f"k={k}"] += 1
+            for pool in (None, *range(1, k + 1)):
+                rows = np.flatnonzero(fit.sample.trial > 0 if pool is None
+                                      else fit.sample.trial == pool)
+                seen["empty"] += rows.size == 0
+                for shuffle_seed in (None, seed):
+                    calls = []
+                    got = match_nearest(fit, pool, rng=None if shuffle_seed is None
+                                        else counting(calls, pool, shuffle_seed))
+                    want = match_reference.match_nearest(
+                        fit, rows, rng=None if shuffle_seed is None
+                        else np.random.default_rng(shuffle_seed))
+                    np.testing.assert_array_equal(got.conc_rows, want.conc_rows)
+                    np.testing.assert_array_equal(got.hist_rows, want.hist_rows)
+                    assert got.caliper == want.caliper
+                    assert len(calls) <= 1
+                    seen["draws"] += len(calls)
+                    seen["unmatched"] += int(fit.is_concurrent.sum()) - got.conc_rows.size
+        assert seen["k=1"] and seen["k=3"] and seen["empty"] and seen["unmatched"]
+        assert (seen["draws"] == 0) == (kind == "continuous")
+
+
+class TestMatchStreams:
+    """The tie-break generator is made only for a set in which a tie can
+    decide a match, once, from that set's own factory."""
+
+    def test_tie_free_set_makes_no_generator(self):
+        fit, k = random_fit("continuous", 4)
+        calls = []
+        for pool in (None, *range(1, k + 1)):
+            match_nearest(fit, pool, rng=counting(calls, pool, 0))
+        assert calls == []
+
+    def test_tied_sets_each_make_one_generator(self):
+        # pool 2 holds an exact tie; pool 1 and pool 3 are tie-free, but a
+        # concurrent score lies halfway between two of pool 3's candidates
+        fit = make_pools_psfit([0.3, 0.5, 0.7], [[0.2, 0.61], [0.4, 0.4, 0.9], [0.25, 0.75]])
+        calls = []
+        for pool in (None, 1, 2, 3):
+            match_nearest(fit, pool, rng=counting(calls, pool, 0))
+        assert calls == [None, 2, 3]
+
+    def test_single_pool_sets_share_one_computation(self):
+        fit, k = random_fit("continuous", 5)
+        assert k == 1
+        calls = []
+        every = match_nearest(fit, rng=counting(calls, None, 0))
+        assert match_nearest(fit, 1, rng=counting(calls, 1, 0)) is every
+        assert calls == []
+
+    def test_single_pool_tied_sets_keep_their_own_streams(self):
+        fit = make_psfit([0.5], [0.5] * 8)
+        calls = []
+        every = match_nearest(fit, rng=counting(calls, None, 1))
+        pool = match_nearest(fit, 1, rng=counting(calls, 1, 2))
+        assert calls == [None, 1]
+        assert pairs_of(every) != pairs_of(pool)  # the two streams pick different rows
 
 
 def trimmed_rows(fit, w):
@@ -301,8 +421,7 @@ class TestStratify:
 def psm_inputs(ds, covset, seed):
     """Propensity fit and a default-caliper match against all pooled controls."""
     psfit = estimate_ps(ds, covset)
-    matchset = match_nearest(psfit, np.flatnonzero(~psfit.is_concurrent),
-                             rng=np.random.default_rng(seed))
+    matchset = match_nearest(psfit, rng=lambda: np.random.default_rng(seed))
     return psfit, matchset
 
 
