@@ -24,15 +24,18 @@ summaries (:func:`arm_summaries`) and every study source of a dataset,
 each a study array with any number of (tau-ladder label, omega) pairs,
 each label naming a tau scale (:func:`resolve_tau_scale`). A mixture is
 always given as (rows, components) arrays of weights, means and SDs, a
-row per mixture. :func:`map_prior` builds the priors of every (source,
-tau scale) row with the same study count in one call, and
-:func:`robustify`, :func:`posterior_update` and :func:`effect_posterior`
-run their step on every (source, pair) row of one mixture width at
-once. Each works row by row, in the order of the one-mixture formulas,
-so each pair's estimate is the same to the last bit whatever rows share
-its calls. A kernel does not raise for a bad row: it computes every row
-and returns its checks, each a message and a per-row mask, and the core
-fails the sources of the rows that a check marks, each source alone.
+row per mixture. The core makes one pass per group of (source, pair)
+rows with the same study count and zero scale: :func:`map_prior` builds
+the group's priors in one call, and :func:`robustify`,
+:func:`posterior_update` and :func:`effect_posterior` run their step on
+all its rows at once. A source without studies takes the same steps
+from a prior with no components, so robustifying leaves the vague
+component alone. Each kernel works row by row, in the order of the
+one-mixture formulas, so each pair's estimate is the same to the last
+bit whatever rows share its calls. A kernel does not raise for a bad
+row: it computes every row and returns its checks, each a message and a
+per-row mask, and the core fails the sources of the rows that a check
+marks, each source alone.
 
 Power-prior borrowing discounts the historical likelihood precision by
 a factor alpha. The two stratified estimators share one front end:
@@ -65,7 +68,6 @@ __all__ = [
     "posterior_update",
     "effect_posterior",
     "credible_interval",
-    "power_prior_update",
     "ArmSummaries",
     "arm_summaries",
     "pool_studies",
@@ -288,7 +290,8 @@ def robustify(
     """Append a vague component N(``mean``, ``sd``) to every row, with row
     i's weight ``omegas[i]`` (in [0, 1]; :func:`map_estimates` checks it).
     ``mean`` is one number, or one per row; the check marks the rows whose
-    vague component is bad."""
+    vague component is bad. Rows with no components and omega 1 come back
+    as the vague component alone."""
     rows = len(w)
     means = np.broadcast_to(np.asarray(mean, dtype=float), (rows,))
     with np.errstate(all="ignore"):
@@ -444,7 +447,10 @@ def arm_summaries(dataset: TrialDataset) -> ArmSummaries:
     red = dataset.reduced_concurrent
     t_mean, t_se = _mean_se(red.y[red.z == 1])
     c_mean, c_se = _mean_se(red.y[red.z == 0])
-    unit_sd = float(np.std(dataset.pooled.y[len(red):], ddof=1))
+    historical = dataset.pooled.y[len(red):]
+    if historical.size < 2:
+        raise ValueError("need at least two observations for a mean and se")
+    unit_sd = float(np.std(historical, ddof=1))
     return ArmSummaries(t_mean, t_se, c_mean, c_se, unit_sd)
 
 
@@ -559,13 +565,13 @@ def _tau_scales(tau_labels: list[str | None], studies: np.ndarray) -> list[float
             for label in tau_labels]
 
 
-def _fail(failed: dict, calls: list[tuple[list[tuple], Checks]]) -> None:
-    """Fail the sources of the rows that the ``calls`` of one step mark,
-    each call as its rows' keys (source first) and its checks. A source
-    takes the first check, in check order, that any of its rows fails; a
-    source failed before keeps its message."""
-    for column in zip(*(checks for _, checks in calls)):
-        for (keys, _), (message, ok) in zip(calls, column):
+def _fail(failed: dict, steps: list[tuple[list[tuple], Checks]]) -> None:
+    """Fail the sources of the rows that the checks of each step mark, a
+    step given as its rows' keys (source first) and its checks, in step
+    order. A source takes the first check, by step and then by check, that
+    any of its rows fails; a source failed before keeps its message."""
+    for keys, checks in steps:
+        for message, ok in checks:
             for r in np.flatnonzero(~ok).tolist():
                 failed.setdefault(keys[r][0], ValueError(message))
 
@@ -589,21 +595,24 @@ def map_estimates(
     from F(0) (:func:`effect_posterior`), kept as the ``post_prob_le0``
     diagnostic. The interval ends (:func:`credible_interval`) are solved
     only when ``intervals`` is true, else ``interval`` is None. Every
-    label must be known and every omega in [0, 1], with studies or
-    without. No studies force omega = 1: the prior is the vague
-    component alone, at the control mean.
+    label must be known, every omega in [0, 1] and a source's tau scales
+    all zero or all positive, with studies or without. No studies force
+    omega = 1: the prior has no components, so the vague component at the
+    control mean is all there is.
 
-    The priors of every source are stacked into one :func:`map_prior`
-    call per study count (and zero scale), and the rows of every source
-    into one :func:`robustify`, :func:`posterior_update` and
-    :func:`effect_posterior` call per mixture width. Each row is computed
-    on its own, so each estimate equals that of a call with its pair
-    alone, bit for bit. Returns, for each source, its estimates in pair
-    order, or a ``ValueError`` with the first check (by step, then by
-    check) that any of its rows fails, as with that source alone; a
-    failing source leaves the others as they were.
+    The (source, pair) rows are grouped by study count and zero scale, so
+    each source falls in one group, and each group makes one
+    :func:`map_prior` call (none without studies) and one
+    :func:`robustify`, :func:`posterior_update` and
+    :func:`effect_posterior` call. Each row is computed on its own, so
+    each estimate equals that of a call with its pair alone, bit for bit.
+    Returns, for each source, its estimates in pair order, or a
+    ``ValueError`` with the first check (by step, then by check) that any
+    of its rows fails, as with that source alone; a failing source leaves
+    the others as they were.
     """
     failed: dict[int, ValueError] = {}
+    groups: dict[tuple[int, bool], list[tuple[int, int]]] = {}
     scales: dict[int, list[float]] = {}
     for i, (studies, tau_labels, omegas, _) in enumerate(sources):
         try:
@@ -612,79 +621,59 @@ def map_estimates(
             scales[i] = _tau_scales(tau_labels, studies)
             if not all(0.0 <= o <= 1.0 for o in omegas):
                 raise ValueError("omega must lie in [0, 1]")
+            if len({t == 0.0 for t in scales[i]}) > 1:
+                raise ValueError("tau scales must be all zero or all positive")
         except ValueError as exc:
             failed[i] = exc
-
-    # One prior per (source, distinct tau scale), stacked by study count
-    # and zero scale, and the priors stacked again by their width.
-    groups: dict[tuple[int, bool], list[tuple[int, float]]] = {}
-    for i, sc in scales.items():
-        k = len(sources[i][0])
-        if k and i not in failed:
-            for t in dict.fromkeys(sc):
-                groups.setdefault((k, t == 0.0), []).append((i, t))
-    calls, priors = [], {}
-    for pairs in groups.values():
-        prior, checks = map_prior(np.stack([sources[i][0] for i, _ in pairs]),
-                                  np.array([t for _, t in pairs]))
-        calls.append((pairs, checks))
-        priors.setdefault(prior[0].shape[1], []).append((pairs, prior))
-    _fail(failed, calls)
-    for i, sc in scales.items():
-        if i not in failed and len({t == 0.0 for t in sc}) > 1:
-            failed[i] = ValueError("tau scales must be all zero or all positive")
-
-    # Every live source's pairs as (source, pair) rows, one stack per width.
-    # The vague component sits at the pooled study mean, which is each
-    # prior's first component: the one at tau = 0.
-    stacks, map_sd = [], {}
-    for parts in priors.values():
-        at = {key: r for r, key in enumerate(key for keys, _ in parts for key in keys)}
-        live = [i for i in dict.fromkeys(i for i, _ in at) if i not in failed]
-        pairs = [(i, j) for i in live for j in range(len(scales[i]))]
-        if not pairs:
             continue
-        pick = np.array([at[i, scales[i][j]] for i, j in pairs], dtype=np.intp)
-        w, m, s = (np.concatenate(a)[pick] for a in zip(*(prior for _, prior in parts)))
-        map_sd.update(zip(pairs, np.sqrt(np.maximum(_moments(w, m, s)[1], 0.0)).tolist()))
-        omegas = np.array([sources[i][2][j] for i, j in pairs], dtype=float)
-        stacks.append((pairs, *robustify(w, m, s, omegas, m[:, 0], sd=arms.unit_sd)))
-    bare = [(i, j) for i in scales if i not in failed and not len(sources[i][0])
-            for j in range(len(scales[i]))]
-    if bare:
-        n = len(bare)
-        map_sd.update(dict.fromkeys(bare, arms.unit_sd))
-        stacks.append((bare, (np.ones((n, 1)), np.full((n, 1), arms.c_mean),
-                              np.full((n, 1), arms.unit_sd)), []))
+        for j, t in enumerate(scales[i]):
+            groups.setdefault((len(studies), t == 0.0), []).append((i, j))
 
-    # Each stack runs whole, and only the rows of live sources become estimates.
     rows: dict[tuple[int, int], EffectEstimate] = {}
-    for keys, (w, m, s), checks in stacks:
-        post, post_checks = posterior_update(w, m, s, data_mean=arms.c_mean, data_se=arms.c_se)
+    for (k, _), keys in groups.items():
+        # One prior per (source, distinct tau scale), picked for each pair.
+        # The vague component sits at the pooled study mean, each prior's
+        # first component (the one at tau = 0); without studies, at the
+        # control mean.
+        at = {key: r for r, key in enumerate(dict.fromkeys((i, scales[i][j]) for i, j in keys))}
+        if k:
+            prior, prior_checks = map_prior(np.stack([sources[i][0] for i, _ in at]),
+                                            np.array([t for _, t in at]))
+            pick = np.array([at[i, scales[i][j]] for i, j in keys], dtype=np.intp)
+            w, m, s = (a[pick] for a in prior)
+            vague = m[:, 0]
+        else:
+            prior_checks, (w, m, s), vague = [], [np.empty((len(keys), 0))] * 3, arms.c_mean
+        omegas = np.array([sources[i][2][j] if k else 1.0 for i, j in keys], dtype=float)
+        robust, robust_checks = robustify(w, m, s, omegas, vague, sd=arms.unit_sd)
+        post, post_checks = posterior_update(*robust, data_mean=arms.c_mean, data_se=arms.c_se)
         eff, eff_checks = effect_posterior(*post, treated_mean=arms.t_mean, treated_se=arms.t_se)
-        _fail(failed, [(keys, checks + post_checks + eff_checks)])
+        _fail(failed, [(list(at), prior_checks), (keys, robust_checks),
+                       (keys, post_checks), (keys, eff_checks)])
+
+        # Only the rows of live sources become estimates.
         live = np.array([i not in failed for i, _ in keys], dtype=bool)
-        prior_var = _moments(w[live], m[live], s[live])[1].tolist()
+        map_sd = (np.sqrt(np.maximum(_moments(w[live], m[live], s[live])[1], 0.0)).tolist()
+                  if k else [arms.unit_sd] * int(live.sum()))
+        prior_var = _moments(*(a[live] for a in robust))[1].tolist()
         ends = [None] * len(prior_var)
         if intervals:
             ends = list(zip(*(a.tolist() for a in credible_interval(
                 *(a[live] for a in post), arms.t_mean, arms.t_se))))
-        for key, pv, interval, est, sd, f0, post_var in zip(
-                (key for key in keys if key[0] not in failed), prior_var, ends,
+        flags = () if k else ("map:no_studies_forced_omega1",)
+        for key, msd, pv, interval, est, sd, f0, post_var in zip(
+                (key for key in keys if key[0] not in failed), map_sd, prior_var, ends,
                 *(a[live].tolist() for a in eff)):
             i, j = key
-            studies, flags = sources[i][0], tuple(sources[i][3])
-            if not len(studies):
-                flags += ("map:no_studies_forced_omega1",)
             rows[key] = EffectEstimate(
                 estimate=est, se=sd, reject=f0 < ALPHA / 2.0 or f0 > 1.0 - ALPHA / 2.0,
-                interval=interval, flags=flags, diagnostics={
+                interval=interval, flags=tuple(sources[i][3]) + flags, diagnostics={
                     "tau_scale": float(scales[i][j]),
                     "prior_sd": math.sqrt(pv),
                     "prior_ess": (arms.unit_sd * arms.unit_sd) / pv if pv > 0 else float("inf"),
-                    "prior_map_sd": map_sd[key],
+                    "prior_map_sd": msd,
                     "control_post_sd": math.sqrt(max(post_var, 0.0)),
-                    "n_studies": float(len(studies)),
+                    "n_studies": float(k),
                     "post_prob_le0": f0,
                 })
     return [failed[i] if i in failed else [rows[i, j] for j in range(len(scales[i]))]

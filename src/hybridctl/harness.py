@@ -56,17 +56,12 @@ from .trialdata import _field
 __all__ = [
     "ConfigError",
     "Cell",
-    "MethodSpec",
     "METHODS",
     "ScenarioConfig",
-    "RunConfig",
-    "ScenarioResult",
     "load_config",
     "apply_overrides",
     "expand_cells",
     "check_seed",
-    "replicate_rng",
-    "run_replicate",
     "run_scenario",
     "evaluate_cells",
     "write_raw_csv",
@@ -75,8 +70,6 @@ __all__ = [
     "write_diagnostics",
     "render_summary_table",
     "cell_label",
-    "RAW_HEADER",
-    "SUMMARY_HEADER",
 ]
 
 RAW_HEADER = (

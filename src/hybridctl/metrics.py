@@ -25,11 +25,9 @@ import numpy as np
 
 __all__ = [
     "ALPHA",
-    "Z_CRIT",
     "EffectEstimate",
     "SummaryRow",
     "wald_estimate",
-    "bias",
     "rel_bias_pct",
     "reject_rate",
     "essr",

@@ -35,7 +35,7 @@ from .propensity import covset_columns
 from .regress import SingularDesignError
 from .trialdata import TrialDataset
 
-__all__ = ["LmmFit", "fit_lmm", "pooled_stats", "estimate_mm"]
+__all__ = ["fit_lmm", "pooled_stats", "estimate_mm"]
 
 LOG_LAMBDA_SPAN = 12.0
 

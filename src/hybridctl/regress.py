@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "SingularDesignError",
-    "SeparationError",
     "ArmContrast",
     "arm_contrast",
     "fit_logistic",

@@ -27,17 +27,12 @@ import numpy as np
 N_COVARIATES = 6
 
 __all__ = [
-    "N_COVARIATES",
     "SubjectGroup",
     "TrialDataset",
     "GenCoefficients",
     "PRESETS",
     "preset",
     "preset_n_total",
-    "gen_covariates",
-    "trial_probabilities",
-    "assign_trials",
-    "gen_outcomes",
     "build_replicate",
     "load_subjects_csv",
 ]

@@ -824,6 +824,17 @@ class TestEstimateMap:
                 else:
                     assert [exact_row(r) for r in got] == [exact_row(r) for r in want]
 
+    def test_sources_with_and_without_studies_take_the_same_steps(self):
+        # a zero unit SD makes every vague component bad and a zero control
+        # SE the data: both sources fail robustify's check, the earlier step,
+        # whether or not they have studies
+        arms = ArmSummaries(1.0, 0.2, 0.5, 0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = map_estimates(arms, [(study_array((0.4, 0.2), (0.6, 0.2)), ["M"], [0.5], ()),
+                                       (NO_STUDIES, ["M"], [0.5], ())])
+        assert [(type(g), str(g)) for g in got] == [(ValueError, COMPONENTS)] * 2
+
 
 def exact_row(est):
     return repr((est.estimate, est.se, est.reject, est.interval, est.flags, est.diagnostics))
@@ -835,6 +846,17 @@ class TestMeanSe:
         for _ in range(500):
             y = rng.normal(rng.uniform(-5, 5), rng.uniform(0.01, 10), rng.integers(2, 401))
             assert _mean_se(y) == (float(y.mean()), float(y.std(ddof=1) / math.sqrt(y.size)))
+
+    @pytest.mark.parametrize("n_hist", [0, 1])
+    def test_arm_summaries_need_two_historical_subjects(self, n_hist):
+        # the unit SD is a ddof-1 SD of the historical outcomes: under two
+        # subjects it fails with _mean_se's text, not a numpy warning
+        ds = dataset(seed=78)
+        few = replace(ds, historical=(ds.historical[0].take(np.arange(n_hist)),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^need at least two observations for a mean and se$"):
+                arm_summaries(few)
 
 
 class TestStudySummaries:

@@ -148,6 +148,37 @@ def test_every_exported_name_resolves():
         assert [name for name in mod.__all__ if not hasattr(mod, name)] == [], mod.__name__
 
 
+def test_every_exported_name_is_imported_or_documented():
+    # __all__ holds what another module imports (``from .mod import name``
+    # or ``mod.name`` after ``from . import mod``) or README.md names; a
+    # name that only tests use stays defined, but not exported
+    import ast
+    import importlib
+    import re
+
+    src = ROOT / "src" / "hybridctl"
+    used = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module:
+                        used.add((node.module, alias.name))
+                    else:
+                        modules[alias.asname or alias.name] = alias.name
+        used.update((modules[node.value.id], node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules)
+    readme = (ROOT / "README.md").read_text()
+    for path in sorted(src.glob("*.py")):
+        mod = importlib.import_module(f"hybridctl.{path.stem}")
+        assert [name for name in getattr(mod, "__all__", ())
+                if (path.stem, name) not in used
+                and not re.search(rf"\b{re.escape(name)}\b", readme)] == [], mod.__name__
+
+
 class TestExpandCells:
     def test_benchmarks_always_lead(self):
         cells = expand_cells(["PSM"], (1, 2))
@@ -1350,6 +1381,22 @@ class TestCli:
         pss_pp = [line for line in lines if line.startswith("PSS+PP [c1]")]
         assert len(pss_pp) == 1
         assert pss_pp[0].split(maxsplit=2)[2].startswith("failed: error:ValueError:")
+
+    def test_analyze_one_historical_subject_fails_the_map_family(self, tmp_path):
+        # the unit SD needs two historical subjects: with one, the three
+        # MAP-family rows fail with that reason, and no numpy warning
+        # reaches stderr or, as an error, ends the run
+        path = tmp_path / "one.csv"
+        path.write_text("trial,z,y,x1\n0,1,1.2,0.3\n0,1,0.7,-0.4\n0,1,1.9,1.1\n"
+                        "0,0,0.1,0.5\n0,0,-0.3,-1.2\n0,0,0.4,0.2\n1,0,0.2,0.1\n")
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hybridctl.cli", "analyze",
+             "--data", str(path), "--methods", "unadj.rc,MAP,PSM+MAP,PSW+MAP"],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0 and out.stderr == ""
+        failed = [line.split()[0] for line in out.stdout.splitlines()
+                  if "failed: error:ValueError:need at least two observations" in line]
+        assert failed == ["MAP(omega=0.5)", "PSM+MAP(omega=0.5)", "PSW+MAP(omega=0.5)"]
 
     @pytest.mark.parametrize("column,value", [("y", "nan"), ("x2", "inf"), ("x1", "-inf")])
     def test_analyze_rejects_non_finite_values(self, tmp_path, capsys, column, value):
