@@ -10,7 +10,9 @@ Q = I - X (X'X)^-1 X' and e the coordinates of Z'Qy on its eigenvectors
 rss = y'Qy - sum lambda e^2 / (1 + lambda kappa), and the criterion is
 dof log(rss / dof) + sum log(1 + lambda kappa) + log|X'X|. Each lambda
 costs O(G) scalar operations; a scan brackets the minimum and a
-safeguarded Newton step in log lambda refines it.
+safeguarded Newton step in log lambda refines it. G is at most a few
+groups, so the scan is one numpy pass over its grid while the Newton
+step's two slopes are summed on Python floats.
 
 Everything a fit reads comes from :class:`GroupStats` of the data matrix
 [X, y]: the group sizes n_g, the group means and the within-group cross
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -139,28 +142,54 @@ def _spectrum(stats: GroupStats) -> tuple:
             2.0 * np.log(np.diagonal(chol)).sum())
 
 
-def _criterion(spec: tuple, lam, slopes: bool = False):
-    """The criterion at every lambda of an array or, with ``slopes``, its
-    first and second derivatives in log lambda."""
+def _criterion(spec: tuple, lam):
+    """The criterion at every lambda of an array."""
     kappa, e2, yqy, dof, logdet_xtx = spec
     lam = np.asarray(lam, dtype=float)[..., None]
     d = 1.0 + lam * kappa
     rss = yqy - (lam * e2 / d).sum(axis=-1)
     if np.any(rss <= 0):
         raise SingularDesignError("no residual variation left to profile")
-    if not slopes:
-        return dof * np.log(rss / dof) + np.log1p(lam * kappa).sum(axis=-1) + logdet_xtx
-    s = lam * kappa / d
-    r1 = -(lam * e2 / d**2).sum(axis=-1) / rss
-    r2 = r1 + 2.0 * (lam * e2 / d**2 * s).sum(axis=-1) / rss
-    return float(dof * r1 + s.sum()), float(dof * (r2 - r1**2) + (s * (1.0 - s)).sum())
+    return dof * np.log(rss / dof) + np.log1p(lam * kappa).sum(axis=-1) + logdet_xtx
 
 
-def _newton(slopes, lo: float, hi: float) -> float:
-    """Minimize on [lo, hi] from the first and second derivatives: Newton
-    steps on the first, kept inside a bracket where it goes from - to +,
-    with bisection for a step that leaves it or a concave point. An end
-    where the first derivative does not change sign is returned as is."""
+def _slopes(spec: tuple) -> Callable[[float], tuple[float, float]]:
+    """The first and second derivatives of the criterion in log lambda,
+    as a function of log lambda. G is a few groups, so each is summed on
+    Python floats, term by term in the order numpy sums them; a numpy
+    call per step would cost more than the arithmetic."""
+    kappa, e2, yqy, dof, _ = spec
+    terms = list(zip(kappa.tolist(), e2.tolist()))
+    yqy = float(yqy)
+
+    def slopes(t: float) -> tuple[float, float]:
+        lam = math.exp(t)
+        fitted = sum1 = sum2 = s_sum = s_var = 0.0
+        for k, e in terms:
+            d = 1.0 + lam * k
+            s = lam * k / d
+            u = lam * e / (d * d)
+            fitted += lam * e / d
+            sum1 += u
+            sum2 += u * s
+            s_sum += s
+            s_var += s * (1.0 - s)
+        rss = yqy - fitted
+        if rss <= 0:
+            raise SingularDesignError("no residual variation left to profile")
+        r1 = -sum1 / rss
+        r2 = r1 + 2.0 * sum2 / rss
+        return dof * r1 + s_sum, dof * (r2 - r1 * r1) + s_var
+
+    return slopes
+
+
+def _newton(slopes: Callable[[float], tuple[float, float]], lo: float, hi: float) -> float:
+    """Minimize on [lo, hi] from the first and second derivatives
+    (:func:`_slopes`, on Python floats): Newton steps on the first, kept
+    inside a bracket where it goes from - to +, with bisection for a step
+    that leaves it or a concave point. An end where the first derivative
+    does not change sign is returned as is."""
     if slopes(lo)[0] >= 0:
         return lo
     if slopes(hi)[0] <= 0:
@@ -200,7 +229,7 @@ def _fit(stats: GroupStats) -> LmmFit:
     lam_hat, crit_hat = 0.0, float(values[0])
     if k > 0 or dof * e2.sum() / yqy > kappa.sum():  # else the slope at 0 is >= 0
         lo = t[k - 2] if k > 1 else t[0] - (2.0 if k else 30.0)
-        t_hat = _newton(lambda s: _criterion(spec, math.exp(s), True), lo, t[min(k, t.size - 1)])
+        t_hat = _newton(_slopes(spec), lo, t[min(k, t.size - 1)])
         crit = float(_criterion(spec, math.exp(t_hat)))
         if crit < crit_hat:
             lam_hat, crit_hat = math.exp(t_hat), crit

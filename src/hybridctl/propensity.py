@@ -9,7 +9,8 @@ or stratify the pooled sample by concurrent-score quantiles.
 
 Matching makes one pass per fit: the caliper, the concurrent scores and
 one stable sort of the historical scores are computed once, and every
-candidate set (all pools, or one pool) reads its rows from that sort.
+candidate set (all pools, or one pool) reads its rows from that sort
+(numpy's default sort, redone stably only if two scores tie exactly).
 The seeded shuffle that breaks distance ties is drawn only when an exact
 score tie or an equidistant pair can decide a match; with continuous
 covariates there are none.
@@ -94,9 +95,12 @@ class PsFit:
         """What every match set of this fit shares, computed once."""
         conc = self.is_concurrent
         conc_rows, hist = np.flatnonzero(conc), np.flatnonzero(~conc)
-        rows = hist[np.argsort(self.ps[hist], kind="stable")]
+        rows = hist[np.argsort(self.ps[hist])]
+        ps = self.ps[rows]
+        if (ps[1:] == ps[:-1]).any():  # distinct scores have one order under any sort
+            rows = hist[np.argsort(self.ps[hist], kind="stable")]
         return _ByScore(CALIPER_MULT * float(np.std(self.ps, ddof=1)), conc_rows,
-                        self.ps[conc_rows], rows, self.ps[rows], self.sample.trial[rows], {})
+                        self.ps[conc_rows], rows, ps, self.sample.trial[rows], {})
 
 
 @dataclass(frozen=True)
@@ -218,19 +222,38 @@ def stratify(psfit: PsFit) -> np.ndarray:
     concurrent-score quantiles.
 
     Cut points are the 1/n .. (n-1)/n quantiles of the concurrent
-    subjects' scores, so concurrent subjects split evenly. Historical
-    subjects outside the concurrent score range get label -1 (excluded).
+    subjects' scores by numpy's ``linear`` rule (``np.quantile``'s
+    default), so concurrent subjects split evenly; one sort of those
+    scores gives the cut points, their distinct count and their range.
+    Historical subjects outside the concurrent score range get label -1
+    (excluded).
     """
     conc_mask = psfit.is_concurrent
-    conc_ps = psfit.ps[conc_mask]
-    n_distinct = np.unique(conc_ps).size
+    conc_ps = np.sort(psfit.ps[conc_mask])
+    n_distinct = int(conc_ps.size > 0) + int(np.count_nonzero(conc_ps[1:] != conc_ps[:-1]))
     if n_distinct < N_STRATA:
         raise ValueError(f"only {n_distinct} distinct concurrent scores for {N_STRATA} strata")
-    cuts = np.quantile(conc_ps, np.arange(1, N_STRATA) / N_STRATA)
-    labels = np.searchsorted(cuts, psfit.ps, side="left").astype(int)
-    outside = ~conc_mask & ((psfit.ps < conc_ps.min()) | (psfit.ps > conc_ps.max()))
+    labels = np.searchsorted(_cut_points(conc_ps), psfit.ps, side="left").astype(int)
+    outside = ~conc_mask & ((psfit.ps < conc_ps[0]) | (psfit.ps > conc_ps[-1]))
     labels[outside] = -1
     return labels
+
+
+def _cut_points(sorted_ps: np.ndarray) -> list[float]:
+    """The 1/n .. (n-1)/n quantiles of ascending scores by numpy's
+    ``linear`` rule, as ``np.quantile`` computes them: at index
+    i + g = (size - 1) q the lerp a + (b - a) g of the scores a and b at
+    i and i + 1, taken as b - (b - a)(1 - g) when g >= 1/2."""
+    last = sorted_ps.size - 1
+    cuts = []
+    for k in range(1, N_STRATA):
+        index = last * (k / N_STRATA)
+        i = int(index)
+        g = index - i
+        a, b = float(sorted_ps[i]), float(sorted_ps[i + 1])
+        diff = b - a
+        cuts.append(b - diff * (1 - g) if g >= 0.5 else a + diff * g)
+    return cuts
 
 
 # ---------------------------------------------------------------------------

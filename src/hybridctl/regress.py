@@ -133,15 +133,15 @@ def fit_logistic(X: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.linalg.matrix_rank(X) < p:
         raise SingularDesignError("logistic design is rank deficient")
 
+    XT = np.ascontiguousarray(X.T)  # one copy whose rows are X's columns, for X'r and X'WX
     coef = np.zeros(p)
     eta = X @ coef
     ll = _bernoulli_loglik(eta, t)
     with np.errstate(over="ignore"):  # _expit's, held once for the whole loop
         for _ in range(LOGISTIC_MAX_ITER):
             mu = 1.0 / (1.0 + np.exp(-eta))
-            irls_w = np.clip(mu * (1.0 - mu), 1e-10, None)
-            grad = X.T @ (t - mu)
-            H = X.T @ (X * irls_w[:, None])
+            grad = XT @ (t - mu)
+            H = (XT * np.maximum(mu * (1.0 - mu), 1e-10)) @ X
             try:
                 step = np.linalg.solve(H, grad)
             except np.linalg.LinAlgError as exc:
@@ -158,12 +158,12 @@ def fit_logistic(X: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 new_eta = X @ new_coef
                 new_ll = _bernoulli_loglik(new_eta, t)
             coef, eta, ll = new_coef, new_eta, new_ll
-            if np.max(np.abs(coef)) > LOGISTIC_MAX_COEF:
+            if np.abs(coef).max() > LOGISTIC_MAX_COEF:
                 raise SeparationError(
                     "logistic fit diverged (coefficient magnitude exceeds "
                     f"{LOGISTIC_MAX_COEF:g}); data are likely separated"
                 )
-            if np.max(np.abs(scale * step)) < LOGISTIC_TOL:
+            if np.abs(scale * step).max() < LOGISTIC_TOL:
                 break
         else:
             if np.all(np.abs(t - _expit(eta)) < 1e-3):

@@ -1,3 +1,5 @@
+import math
+
 import lmm_reference as ref
 import numpy as np
 import pytest
@@ -68,6 +70,73 @@ class TestProfiledCriterion:
         fit = fit_lmm(self.y, self.X, self.groups)
         want = ref.criterion(self.y, self.X, self.groups, [fit.lambda_hat])[0]
         assert fit.criterion_value == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def numpy_slopes(spec, lam):
+    """The numpy form of the criterion's first and second derivatives in
+    log lambda that the float slopes replaced, kept as their reference."""
+    kappa, e2, yqy, dof, _ = spec
+    lam = np.asarray(lam, dtype=float)[..., None]
+    d = 1.0 + lam * kappa
+    rss = yqy - (lam * e2 / d).sum(axis=-1)
+    if np.any(rss <= 0):
+        raise SingularDesignError("no residual variation left to profile")
+    s = lam * kappa / d
+    r1 = -(lam * e2 / d**2).sum(axis=-1) / rss
+    r2 = r1 + 2.0 * (lam * e2 / d**2 * s).sum(axis=-1) / rss
+    return float(dof * r1 + s.sum()), float(dof * (r2 - r1**2) + (s * (1.0 - s)).sum())
+
+
+def spec_of(sizes, p, sigma_b, seed, constant=True):
+    y, X, groups = design(sizes, p, sigma_b, seed, constant)
+    return mixed._spectrum(mixed.group_stats(np.column_stack([X, y]), groups))
+
+
+class TestSlopes:
+    """The Newton step's float slopes against the numpy form they replaced
+    and against central differences of the criterion, over the log-lambda
+    range the fit searches."""
+
+    specs = {
+        "G=1": ((40, 25), 3, 0.8, 71, True),
+        "G=3": ((60, 15, 30, 45), 4, 0.5, 72, True),
+        "G=3 no constant": ((20, 35, 50), 3, 2.0, 73, False),
+        "G=3 small effect": ((300, 200, 250, 150), 5, 0.01, 74, True),
+    }
+    ts = np.linspace(-30.0, 18.0, 97)
+
+    @pytest.mark.parametrize("name", specs)
+    def test_equal_the_numpy_form(self, name):
+        spec = spec_of(*self.specs[name])
+        assert spec[0].size == (1 if name == "G=1" else 3)
+        slopes = mixed._slopes(spec)
+        for t in self.ts:
+            got, want = slopes(t), numpy_slopes(spec, math.exp(t))
+            for g, w in zip(got, want):
+                assert type(g) is float
+                assert g == pytest.approx(w, rel=1e-13, abs=1e-13 * spec[3])
+
+    @pytest.mark.parametrize("name", specs)
+    def test_equal_central_differences(self, name):
+        spec = spec_of(*self.specs[name])
+        slopes = mixed._slopes(spec)
+        h = 1e-3
+        for t in self.ts:
+            f_lo, f_0, f_hi = (float(mixed._criterion(spec, np.exp(t + dt))) for dt in (-h, 0.0, h))
+            first, second = slopes(t)
+            scale = 1.0 + abs(first) + abs(second)
+            assert first == pytest.approx((f_hi - f_lo) / (2 * h), abs=1e-6 * scale)
+            assert second == pytest.approx((f_hi - 2 * f_0 + f_lo) / h**2, abs=2e-6 * scale)
+
+    @pytest.mark.parametrize("yqy", [2.0, 1.0])  # rss = 0 and rss < 0 at lambda = 1
+    def test_no_residual_variation_raises_the_same_text(self, yqy):
+        spec = (np.array([1.0]), np.array([4.0]), yqy, 5, 0.0)
+        for evaluate in (lambda: mixed._slopes(spec)(0.0), lambda: mixed._criterion(spec, 1.0),
+                         lambda: numpy_slopes(spec, 1.0)):
+            with pytest.raises(SingularDesignError) as info:
+                evaluate()
+            assert str(info.value) == "no residual variation left to profile"
+        assert mixed._slopes(spec)(-30.0)[0] < 0  # far below, rss is positive
 
 
 class TestFitLmm:

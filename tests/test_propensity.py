@@ -16,6 +16,7 @@ from hybridctl.propensity import (
     estimate_psw,
     ipw_weights,
     match_nearest,
+    _cut_points,
     stratify,
     unadjusted_effect,
 )
@@ -416,6 +417,66 @@ class TestStratify:
         fit = make_psfit(np.full(40, 0.5), [])
         with pytest.raises(ValueError, match="distinct concurrent scores"):
             stratify(fit)
+
+    @pytest.mark.parametrize("scores, n_distinct", [
+        (np.array([]), 0),
+        (np.full(40, 0.5), 1),
+        (np.repeat([0.2, 0.4, 0.6, 0.8], [1, 7, 3, 9]), 4),
+        (np.array([0.3, 0.1, 0.3, 0.2]), 3),
+    ])
+    def test_failure_text_counts_distinct_scores(self, scores, n_distinct):
+        fit = make_psfit(scores, [0.5])
+        with pytest.raises(ValueError) as info:
+            stratify(fit)
+        assert str(info.value) == (f"only {n_distinct} distinct concurrent scores "
+                                   f"for {N_STRATA} strata")
+
+    def test_cut_points_equal_numpy_quantile(self):
+        # numpy's linear rule, bit for bit: continuous scores of many sizes,
+        # scores on a 1/64 grid with exact ties, and exactly N_STRATA scores
+        g = np.random.default_rng(29)
+        sets = [g.uniform(0.0, 1.0, int(g.integers(N_STRATA, 2000))) for _ in range(150)]
+        sets += [g.integers(0, 65, int(g.integers(N_STRATA, 400))) / 64 for _ in range(150)]
+        sets += [g.uniform(0.0, 1.0, N_STRATA) for _ in range(50)]
+        sets += [np.arange(N_STRATA) / 64, g.lognormal(-8.0, 3.0, 999)]
+        for scores in sets:
+            want = np.quantile(scores, np.arange(1, N_STRATA) / N_STRATA)
+            np.testing.assert_array_equal(_cut_points(np.sort(scores)), want)
+
+    def test_labels_equal_the_quantile_rule(self):
+        def reference(fit):
+            conc = fit.is_concurrent
+            conc_ps = fit.ps[conc]
+            cuts = np.quantile(conc_ps, np.arange(1, N_STRATA) / N_STRATA)
+            labels = np.searchsorted(cuts, fit.ps, side="left")
+            labels[~conc & ((fit.ps < conc_ps.min()) | (fit.ps > conc_ps.max()))] = -1
+            return labels
+
+        for seed in range(60):
+            fit, _ = random_fit("tied" if seed % 2 else "continuous", seed)
+            if np.unique(fit.ps[fit.is_concurrent]).size >= N_STRATA:
+                np.testing.assert_array_equal(stratify(fit), reference(fit))
+
+
+class TestByScore:
+    """The fit's one sort of the historical scores is the stable order
+    (equal scores by row), whether or not the scores tie."""
+
+    @staticmethod
+    def stable(fit):
+        hist = np.flatnonzero(~fit.is_concurrent)
+        return hist[np.argsort(fit.ps[hist], kind="stable")]
+
+    def test_tie_free_scores_take_the_stable_order(self):
+        g = np.random.default_rng(30)
+        fit = make_pools_psfit(g.uniform(0, 1, 60), [g.uniform(0, 1, n) for n in (500, 400, 306)])
+        np.testing.assert_array_equal(fit._by_score.rows, self.stable(fit))
+        np.testing.assert_array_equal(fit._by_score.ps, np.sort(fit.ps[~fit.is_concurrent]))
+
+    def test_tied_scores_take_the_stable_order(self):
+        g = np.random.default_rng(31)
+        fit = make_pools_psfit(g.uniform(0, 1, 60), [g.integers(0, 65, n) / 64 for n in (500, 706)])
+        np.testing.assert_array_equal(fit._by_score.rows, self.stable(fit))
 
 
 def psm_inputs(ds, covset, seed):
