@@ -58,6 +58,7 @@ import numpy as np
 
 from .metrics import ALPHA, EffectEstimate, wald_estimate
 from .propensity import N_STRATA, MatchSet, PsFit, stratify
+from .regress import mean_sd
 from .trialdata import TrialDataset
 
 __all__ = [
@@ -424,10 +425,8 @@ def _mean_se(y: np.ndarray) -> tuple[float, float]:
     n = y.size
     if n < 2:
         raise ValueError("need at least two observations for a mean and se")
-    # y.mean() and y.std(ddof=1) as numpy computes them, without their wrappers
-    mean = np.add.reduce(y) / n
-    d = y - mean
-    return float(mean), math.sqrt(np.add.reduce(d * d) / (n - 1)) / math.sqrt(n)
+    mean, sd = mean_sd(y)
+    return mean, sd / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -450,7 +449,7 @@ def arm_summaries(dataset: TrialDataset) -> ArmSummaries:
     historical = dataset.pooled.y[len(red):]
     if historical.size < 2:
         raise ValueError("need at least two observations for a mean and se")
-    unit_sd = float(np.std(historical, ddof=1))
+    unit_sd = mean_sd(historical)[1]
     return ArmSummaries(t_mean, t_se, c_mean, c_se, unit_sd)
 
 

@@ -11,15 +11,18 @@ rerun with the same seed is byte-identical regardless of worker count.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import io
 import json
 import math
+import operator
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 # numpy loads these on first use. Loaded here, they stay out of the first
@@ -39,13 +42,14 @@ from .borrow import (
     pool_studies,
     weighted_studies,
 )
-from .metrics import EffectEstimate, SummaryRow, essr, summarize
+from .metrics import EffectEstimate, ReplicateColumns, SummaryRow, essr, summarize
 from .mixed import estimate_mm, pooled_stats
 from .propensity import (
     COVSETS,
     estimate_ps,
     estimate_psm,
     estimate_psw,
+    full_rank_design,
     ipw_weights,
     match_nearest,
     unadjusted_effect,
@@ -154,9 +158,16 @@ class RunConfig:
 
 @dataclass
 class ScenarioResult:
+    """One scenario's run. ``columns`` holds every replicate row, row i
+    of each array being ``scenario.cells[i]`` and column r replicate r
+    (see ``metrics.ReplicateColumns``); ``summary`` has one row per cell,
+    in cell order. ``flag_counts`` counts each "method_id|flag" over the
+    rows, and ``failure_fraction`` is the share of rows that failed.
+    """
+
     scenario: ScenarioConfig
     summary: list[SummaryRow]
-    replicate_rows: list[list[EffectEstimate]]
+    columns: ReplicateColumns
     flag_counts: dict[str, int]
     failure_fraction: float
 
@@ -527,7 +538,10 @@ class _ReplicateCaches:
         return self.memo[key]
 
     def psfit(self, covset: int):
-        return self._memo(("ps", covset), lambda: estimate_ps(self.dataset, covset))
+        """The covariate set's fit. Whether [1, x] has full rank is found
+        once per replicate; if so, no fit checks its own design's rank."""
+        return self._memo(("ps", covset), lambda: estimate_ps(
+            self.dataset, covset, self._memo(("rank",), lambda: full_rank_design(self.dataset))))
 
     def _match(self, covset: int, label: str, pool: int | None):
         """Match the reduced concurrent trial to historical pool ``pool``
@@ -650,8 +664,11 @@ def run_replicate(scenario: ScenarioConfig, replicate: int) -> list[EffectEstima
     )
 
 
-def _run_chunk(scenario: ScenarioConfig, lo: int, hi: int) -> list[list[EffectEstimate]]:
-    return [run_replicate(scenario, r) for r in range(lo, hi)]
+def _run_chunk(scenario: ScenarioConfig, lo: int, hi: int) -> ReplicateColumns:
+    """Replicates ``lo`` to ``hi - 1`` of a scenario, each folded into
+    columns as it finishes: a pool worker sends columns, not rows."""
+    return ReplicateColumns.from_rows(
+        (run_replicate(scenario, r) for r in range(lo, hi)), len(scenario.cells), hi - lo)
 
 
 def run_scenario(scenario: ScenarioConfig, workers: int = 1,
@@ -659,41 +676,43 @@ def run_scenario(scenario: ScenarioConfig, workers: int = 1,
     """Run all replicates of one scenario and summarize.
 
     Replicates are independent and self-contained, so they can be split
-    across processes; rows are reassembled in replicate order and
+    across processes; each replicate's rows are folded into the
+    scenario's columns as soon as it finishes, in replicate order, and
     summarized in one pass, making the output identical for any worker
     count. The ``workers`` chunks run on ``pool`` when one is given,
     which stays open for the caller's next scenario; otherwise on a pool
     opened and closed here.
     """
     reps = scenario.replicates
+    n_cells = len(scenario.cells)
     if workers <= 1 or reps < 2 * workers:
-        per_rep = [run_replicate(scenario, r) for r in range(reps)]
+        columns = ReplicateColumns.from_rows(
+            (run_replicate(scenario, r) for r in range(reps)), n_cells, reps)
     else:
         bounds = np.linspace(0, reps, workers + 1).astype(int)
         chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        columns = ReplicateColumns(n_cells, reps)
         with (ProcessPoolExecutor(max_workers=workers) if pool is None
               else nullcontext(pool)) as pool:
-            parts = list(pool.map(_run_chunk, [scenario] * len(chunks),
-                                  [lo for lo, _ in chunks], [hi for _, hi in chunks]))
-        per_rep = [rows for part in parts for rows in part]
+            for (lo, _), part in zip(chunks, pool.map(
+                    _run_chunk, [scenario] * len(chunks),
+                    [lo for lo, _ in chunks], [hi for _, hi in chunks])):
+                columns.put_block(lo, part)
 
-    summary = summarize([c.key for c in scenario.cells], per_rep, scenario.theta_true,
+    summary = summarize([c.key for c in scenario.cells], columns, scenario.theta_true,
                         scenario.scenario_id)
     flag_counts: Counter[str] = Counter()
-    n_rows = 0
-    n_failed = 0
-    for rows in per_rep:
-        for cell, est in zip(scenario.cells, rows):
-            n_rows += 1
-            n_failed += est.failed
-            for f in est.flags:
-                flag_counts[f"{cell.method_id}|{f}"] += 1
+    for (i, _), flags in columns.flags.items():
+        method_id = scenario.cells[i].method_id
+        for f in flags:
+            flag_counts[f"{method_id}|{f}"] += 1
+    failed = columns.failed
     return ScenarioResult(
         scenario=scenario,
         summary=summary,
-        replicate_rows=per_rep,
+        columns=columns,
         flag_counts=dict(sorted(flag_counts.items())),
-        failure_fraction=(n_failed / n_rows) if n_rows else 0.0,
+        failure_fraction=(int(np.count_nonzero(failed)) / failed.size) if failed.size else 0.0,
     )
 
 
@@ -702,44 +721,65 @@ def run_scenario(scenario: ScenarioConfig, workers: int = 1,
 # ---------------------------------------------------------------------------
 
 
-def _num(x: float | None) -> str:
-    if x is None:
-        return ""
-    return "%.10g" % x
+def _csv_fields(*fields: object) -> str:
+    """``fields`` as csv.writer writes them inside a row: each one
+    quoted where it must be, comma-separated, without the line end."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((0, *fields))  # a leading field: a lone "" would be quoted
+    return buf.getvalue()[2:-2]
+
+
+# Replicates per write of raw.csv: the text of one batch is held at a time.
+_RAW_BATCH = 64
+
+
+def _raw_batches(result: ScenarioResult, quote: Callable[[str], str]) -> Iterator[str]:
+    """The raw.csv lines of a scenario, ``_RAW_BATCH`` replicates to a
+    string, formatted from the columns as csv.writer formats each row;
+    ``quote`` gives a text field's CSV text."""
+    def label(text: str) -> str:  # inside a %-format
+        return quote(text).replace("%", "%%")
+
+    cols = result.columns
+    sid = label(result.scenario.scenario_id)
+    heads = [f"{sid},%d,{label(c.method_id)},{'' if c.covset is None else c.covset},"
+             f"{label(c.hyperparam)},%.10g,%.10g,%d," for c in result.scenario.cells]
+    flags = cols.flags
+    for lo in range(0, cols.n_reps, _RAW_BATCH):
+        hi = min(lo + _RAW_BATCH, cols.n_reps)
+        lines = []
+        for r, ests, ses, rejects, essrs, has_essrs in zip(
+                range(lo, hi), *(a[:, lo:hi].T.tolist() for a in (
+                    cols.estimate, cols.se, cols.reject, cols.essr, cols.has_essr))):
+            for i, (head, e, s, j, v, h) in enumerate(zip(heads, ests, ses, rejects, essrs,
+                                                          has_essrs)):
+                f = flags.get((i, r)) if flags else None
+                lines.append(head % (r, e, s, j) + ("%.10g" % v if h else "")
+                             + ("," if f is None else "," + quote(";".join(f))) + "\r\n")
+        yield "".join(lines)
 
 
 def write_raw_csv(path: str, results: list[ScenarioResult]) -> None:
+    """One row per (scenario, replicate, cell), in that order."""
+    quote = functools.cache(_csv_fields)  # each distinct text once per file
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RAW_HEADER.split(","))
+        fh.write(_csv_fields(*RAW_HEADER.split(",")) + "\r\n")
         for result in results:
-            sid = result.scenario.scenario_id
-            for r, rows in enumerate(result.replicate_rows):
-                for cell, est in zip(result.scenario.cells, rows):
-                    writer.writerow([
-                        sid,
-                        r,
-                        cell.method_id,
-                        "" if cell.covset is None else cell.covset,
-                        cell.hyperparam,
-                        _num(est.estimate),
-                        _num(est.se),
-                        int(est.reject),
-                        _num(est.essr_pct),
-                        ";".join(est.flags),
-                    ])
+            fh.writelines(_raw_batches(result, quote))
 
 
 def write_summary_csv(path: str, results: list[ScenarioResult]) -> None:
-    """None is written as an empty field, floats as %.10g, ints and strings as they are."""
+    """None is written as an empty field, floats as %.10g, ints as they
+    are and strings as csv.writer writes them."""
+    quote = functools.cache(_csv_fields)
+    values = operator.attrgetter(*(field for _, field, *_ in _SUMMARY_COLUMNS))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER.split(","))
+        fh.write(_csv_fields(*SUMMARY_HEADER.split(",")) + "\r\n")
         for result in results:
-            for row in result.summary:
-                values = (getattr(row, field) for _, field, *_ in _SUMMARY_COLUMNS)
-                writer.writerow([_num(v) if v is None or isinstance(v, float) else v
-                                 for v in values])
+            fh.write("".join(",".join(
+                "" if v is None else "%.10g" % v if isinstance(v, float)
+                else quote(v) if isinstance(v, str) else str(v) for v in values(row)) + "\r\n"
+                for row in result.summary))
 
 
 def read_summary_csv(path: str) -> list[SummaryRow]:

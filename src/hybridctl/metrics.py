@@ -3,7 +3,9 @@
 An ``EffectEstimate`` is what an estimator computes on one replicate;
 it carries no method label. The harness fixes each cell's label
 (method id, covariate set, hyperparameter label) and lines estimates
-up with it, so ``summarize`` takes the labels as its ``keys``.
+up with it, then folds each replicate's estimates into a scenario's
+``ReplicateColumns``, one row of each array per cell; ``summarize``
+takes the labels as its ``keys`` and reads those columns.
 
 Bias, rejection rate, and the effective sample size ratio (ESSR). The
 primary ESSR is computed per replicate from the squared standard errors
@@ -18,7 +20,7 @@ The Wald test (:func:`wald_estimate`) compares |estimate / se| with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ import numpy as np
 __all__ = [
     "ALPHA",
     "EffectEstimate",
+    "ReplicateColumns",
     "SummaryRow",
     "wald_estimate",
     "rel_bias_pct",
@@ -136,74 +139,184 @@ def essr(var_no_borrow: float, var_borrow: float) -> float:
     return (var_no_borrow / var_borrow - 1.0) * 100.0
 
 
-def _empirical_var(vals: Sequence[float]) -> float | None:
-    if len(vals) < 2:
+class ReplicateColumns:
+    """One scenario's replicate rows, folded into per-cell columns.
+
+    Every array is C-ordered, replicates along its second axis:
+    ``estimate[i, r]`` is cell i on replicate r, and so are ``se``,
+    ``reject`` and ``failed``. A failed row keeps its NaN estimate and
+    SE. ``essr`` is NaN where ``has_essr`` is False, the rows without an
+    ESSR. ``flags`` holds only the rows that have flags, by (cell,
+    replicate). Each diagnostic a cell reported is one float64 row of
+    ``diag_values``, ``diag_slots[cell, name]`` its index, NaN where a
+    row lacks it (see :meth:`diagnostics`). A row takes 27 bytes, plus 8
+    for each diagnostic of its cell and a dict entry when it has flags.
+    A new instance holds ``n_reps`` replicates of ``n_cells`` cells,
+    every one NaN and unflagged until it is put.
+    """
+
+    def __init__(self, n_cells: int, n_reps: int):
+        shape = (n_cells, n_reps)
+        self.estimate, self.se, self.essr = (np.full(shape, np.nan) for _ in range(3))
+        self.has_essr, self.reject, self.failed = (np.zeros(shape, dtype=bool) for _ in range(3))
+        self.flags: dict[tuple[int, int], tuple[str, ...]] = {}
+        self.diag_slots: dict[tuple[int, str], int] = {}
+        self.diag_values = np.empty((0, n_reps))
+        # the diagnostic names of each row of the last replicate put, and
+        # the diag_values row of each of its values in that order
+        self._layout: list[tuple[str, ...]] | None = None
+        self._index = np.empty(0, dtype=np.intp)
+
+    @classmethod
+    def from_rows(cls, per_replicate: Iterable[Sequence[EffectEstimate]], n_cells: int,
+                  n_reps: int) -> ReplicateColumns:
+        """Fold ``per_replicate[r][i]``, cell i on replicate r, replicate
+        by replicate, so a generator's rows are dropped as they are folded."""
+        columns = cls(n_cells, n_reps)
+        count = 0
+        for count, rows in enumerate(per_replicate, 1):
+            if count > n_reps:
+                raise ValueError(f"more than {n_reps} replicates")
+            columns.put(count - 1, rows)
+        if count != n_reps:
+            raise ValueError(f"{count} replicates for {n_reps} columns")
+        return columns
+
+    @property
+    def n_cells(self) -> int:
+        return self.estimate.shape[0]
+
+    @property
+    def n_reps(self) -> int:
+        return self.estimate.shape[1]
+
+    def diagnostics(self, cell: int) -> dict[str, np.ndarray]:
+        """Each diagnostic of ``cell``, by name: its column over the
+        replicates, NaN where a row lacks it."""
+        return {name: self.diag_values[slot]
+                for (i, name), slot in self.diag_slots.items() if i == cell}
+
+    def _slots(self, keys: list[tuple[int, str]]) -> np.ndarray:
+        """The diag_values row of each (cell, name), a new one added as NaN."""
+        new = [key for key in keys if key not in self.diag_slots]
+        if new:
+            for key in new:
+                self.diag_slots[key] = len(self.diag_slots)
+            self.diag_values = np.vstack([self.diag_values,
+                                          np.full((len(new), self.n_reps), np.nan)])
+        return np.array([self.diag_slots[key] for key in keys], dtype=np.intp)
+
+    def put(self, r: int, rows: Sequence[EffectEstimate]) -> None:
+        """Fold one replicate's rows, ``rows[i]`` being cell i, into column r."""
+        if len(rows) != self.n_cells:
+            raise ValueError(f"replicate has {len(rows)} rows for {self.n_cells} cells")
+        self.estimate[:, r] = [e.estimate for e in rows]
+        self.se[:, r] = [e.se for e in rows]
+        self.reject[:, r] = [e.reject for e in rows]
+        self.failed[:, r] = [e.failed for e in rows]
+        essr_pct = [e.essr_pct for e in rows]
+        self.has_essr[:, r] = [v is not None for v in essr_pct]
+        self.essr[:, r] = [math.nan if v is None else v for v in essr_pct]
+        for i, e in enumerate(rows):
+            if e.flags:
+                self.flags[i, r] = e.flags
+        # Rows keep their diagnostic names from one replicate to the next,
+        # so the slots are looked up only when the names change.
+        layout = [tuple(e.diagnostics) for e in rows]
+        if layout != self._layout:
+            self._index = self._slots([(i, name) for i, names in enumerate(layout)
+                                       for name in names])
+            self._layout = layout
+        self.diag_values[self._index, r] = [v for e in rows for v in e.diagnostics.values()]
+
+    def put_block(self, lo: int, block: ReplicateColumns) -> None:
+        """Copy ``block``'s replicates into columns ``lo`` onwards."""
+        hi = lo + block.n_reps
+        for name in ("estimate", "se", "essr", "has_essr", "reject", "failed"):
+            getattr(self, name)[:, lo:hi] = getattr(block, name)
+        self.flags.update(((i, lo + r), f) for (i, r), f in block.flags.items())
+        slots = self._slots(list(block.diag_slots))  # may grow diag_values
+        self.diag_values[slots, lo:hi] = block.diag_values[list(block.diag_slots.values())]
+
+
+def _empirical_var(vals: np.ndarray) -> float | None:
+    if vals.size < 2:
         return None
-    return float(np.var(np.asarray(vals), ddof=1))
+    return float(np.var(vals, ddof=1))
 
 
 def summarize(
     keys: Sequence[tuple[str, int | None, str]],
-    per_replicate: Sequence[Sequence[EffectEstimate]],
+    columns: ReplicateColumns,
     theta_true: float,
     scenario_id: str,
 ) -> list[SummaryRow]:
-    """Aggregate replicate-level rows into one summary row per method cell.
+    """Aggregate a scenario's columns into one summary row per method cell.
 
     ``keys`` are the cells' (method_id, covset_id, hyperparam) labels;
-    ``per_replicate[r][i]`` is cell ``keys[i]`` on replicate r, and the
-    rows come out in ``keys`` order. Sums use ``math.fsum`` so the result
-    does not depend on replicate ordering. The empirical ESSR compares
-    across-replicate estimate variances against the unadjusted
-    reduced-concurrent cell (``UNADJ_RC_KEY``), each over its own
-    non-failed replicates.
+    row i of every column is cell ``keys[i]``, and the summary rows come
+    out in ``keys`` order. A row is used when it did not fail and its
+    estimate is finite; the others count in ``n_failed``. Sums use
+    ``math.fsum`` so the result does not depend on replicate ordering.
+    The empirical ESSR compares across-replicate estimate variances
+    (``ddof=1``) against the unadjusted reduced-concurrent cell
+    (``UNADJ_RC_KEY``), each over its own used replicates: one
+    ``np.var`` call takes every cell whose replicates are all used, and
+    each other cell is compressed to its used replicates first.
     """
-    used: list[list[EffectEstimate]] = [[] for _ in keys]
-    n_failed = [0] * len(keys)
-    for rows in per_replicate:
-        if len(rows) != len(keys):
-            raise ValueError(f"replicate has {len(rows)} rows for {len(keys)} cells")
-        for i, est in enumerate(rows):
-            if est.failed or not np.isfinite(est.estimate):
-                n_failed[i] += 1
-            else:
-                used[i].append(est)
+    est = columns.estimate
+    n_cells, n_reps = columns.n_cells, columns.n_reps
+    if n_cells != len(keys):
+        raise ValueError(f"columns hold {n_cells} cells for {len(keys)} keys")
+    used = ~columns.failed & np.isfinite(est)
+    n_used = np.count_nonzero(used, axis=1).tolist()
+    whole = [n == n_reps for n in n_used]
+    var: list[float | None] = [None] * n_cells
+    if n_reps >= 2 and any(whole):
+        rows = [i for i in range(n_cells) if whole[i]]
+        block = est if len(rows) == n_cells else est[rows]
+        for i, v in zip(rows, np.var(block, axis=1, ddof=1).tolist()):
+            var[i] = v
+    for i in range(n_cells):
+        if not whole[i]:
+            var[i] = _empirical_var(est[i, used[i]])
+    rc_var = var[keys.index(UNADJ_RC_KEY)] if UNADJ_RC_KEY in keys else None
 
-    rc_var = None
-    if UNADJ_RC_KEY in keys:
-        rc_var = _empirical_var([e.estimate for e in used[keys.index(UNADJ_RC_KEY)]])
-
+    n_reject = np.count_nonzero(columns.reject & used, axis=1).tolist()
+    with_essr = columns.has_essr & used
+    n_essr = np.count_nonzero(with_essr, axis=1).tolist()
+    nan = float("nan")
     out = []
-    for (method_id, covset, hyperparam), cell_used, cell_failed in zip(keys, used, n_failed):
-        row = SummaryRow(
+    for i, (method_id, covset, hyperparam) in enumerate(keys):
+        n = n_used[i]
+        if not n:
+            out.append(SummaryRow(scenario_id, method_id, covset, hyperparam, bias=nan,
+                                  rel_bias_pct=None, reject_rate=nan, mean_se=nan,
+                                  essr_pct=None, essr_empirical_pct=None, n_used=0,
+                                  n_failed=n_reps))
+            continue
+        m = slice(None) if whole[i] else used[i]
+        b = math.fsum((est[i, m] - theta_true).tolist()) / n
+        essr_pct = None
+        if n_essr[i]:
+            vals = columns.essr[i, slice(None) if n_essr[i] == n_reps else with_essr[i]]
+            essr_pct = math.fsum(vals.tolist()) / n_essr[i]
+        own_var = var[i]
+        emp = None
+        if rc_var is not None and own_var is not None and own_var > 0:
+            emp = (rc_var / own_var - 1.0) * 100.0
+        out.append(SummaryRow(
             scenario_id=scenario_id,
             method_id=method_id,
             covset_id=covset,
             hyperparam=hyperparam,
-            bias=float("nan"),
-            rel_bias_pct=None,
-            reject_rate=float("nan"),
-            mean_se=float("nan"),
-            essr_pct=None,
-            essr_empirical_pct=None,
-            n_used=len(cell_used),
-            n_failed=cell_failed,
-        )
-        if cell_used:
-            b = bias([e.estimate for e in cell_used], theta_true)
-            essr_vals = [e.essr_pct for e in cell_used if e.essr_pct is not None]
-            own_var = _empirical_var([e.estimate for e in cell_used])
-            emp = None
-            if rc_var is not None and own_var is not None and own_var > 0:
-                emp = (rc_var / own_var - 1.0) * 100.0
-            row = replace(
-                row,
-                bias=b,
-                rel_bias_pct=rel_bias_pct(b, theta_true),
-                reject_rate=reject_rate([e.reject for e in cell_used]),
-                mean_se=math.fsum(e.se for e in cell_used) / len(cell_used),
-                essr_pct=(math.fsum(essr_vals) / len(essr_vals)) if essr_vals else None,
-                essr_empirical_pct=emp,
-            )
-        out.append(row)
+            bias=b,
+            rel_bias_pct=rel_bias_pct(b, theta_true),
+            reject_rate=n_reject[i] / n,
+            mean_se=math.fsum(columns.se[i, m].tolist()) / n,
+            essr_pct=essr_pct,
+            essr_empirical_pct=emp,
+            n_used=n,
+            n_failed=n_reps - n,
+        ))
     return out

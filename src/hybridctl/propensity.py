@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .metrics import EffectEstimate, wald_estimate
-from .regress import arm_contrast, fit_logistic
+from .regress import arm_contrast, fit_logistic, mean_sd
 from .trialdata import SubjectGroup, TrialDataset
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "covset_columns",
     "PsFit",
     "MatchSet",
+    "full_rank_design",
     "estimate_ps",
     "match_nearest",
     "ipw_weights",
@@ -99,7 +100,7 @@ class PsFit:
         ps = self.ps[rows]
         if (ps[1:] == ps[:-1]).any():  # distinct scores have one order under any sort
             rows = hist[np.argsort(self.ps[hist], kind="stable")]
-        return _ByScore(CALIPER_MULT * float(np.std(self.ps, ddof=1)), conc_rows,
+        return _ByScore(CALIPER_MULT * mean_sd(self.ps)[1], conc_rows,
                         self.ps[conc_rows], rows, ps, self.sample.trial[rows], {})
 
 
@@ -128,12 +129,31 @@ class _ByScore:
     tie_free: dict
 
 
-def estimate_ps(dataset: TrialDataset, covset: int) -> PsFit:
-    """Fit the concurrent-membership logistic model on the pooled sample."""
+def full_rank_design(dataset: TrialDataset) -> bool:
+    """Whether the pooled sample's design [1, x] has full column rank.
+
+    Every covariate set's design is a column subset of it, whose smallest
+    singular value is no smaller and largest no larger (interlacing), so
+    under ``matrix_rank``'s tolerance a subset of a full-rank design is
+    full rank too. False also where the rank cannot be computed: each
+    fit then checks its own design and raises as it would alone."""
+    pooled = dataset.pooled
+    X = np.column_stack([np.ones(len(pooled)), pooled.x])
+    try:
+        return bool(np.linalg.matrix_rank(X) == X.shape[1])
+    except ValueError:  # numpy.linalg.LinAlgError is one
+        return False
+
+
+def estimate_ps(dataset: TrialDataset, covset: int, full_rank: bool = False) -> PsFit:
+    """Fit the concurrent-membership logistic model on the pooled sample.
+    ``full_rank``: :func:`full_rank_design` holds for ``dataset``, so the
+    fit skips the rank check of its own design."""
     pooled = dataset.pooled
     cols = covset_columns(covset, pooled.x.shape[1])
     X = np.column_stack([np.ones(len(pooled)), pooled.x[:, cols]])
-    return PsFit(sample=pooled, ps=fit_logistic(X, (pooled.trial == 0).astype(float))[1])
+    t = (pooled.trial == 0).astype(float)
+    return PsFit(sample=pooled, ps=fit_logistic(X, t, check_rank=not full_rank)[1])
 
 
 def match_nearest(

@@ -11,6 +11,7 @@ scipy.special.expit computes it. The Wald test on a standard error is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "ArmContrast",
     "arm_contrast",
     "fit_logistic",
+    "mean_sd",
 ]
 
 # Newton budget, step tolerance and divergence bound of fit_logistic.
@@ -96,6 +98,16 @@ def arm_contrast(y, z, weights=None, clusters=()) -> ArmContrast:
     )
 
 
+def mean_sd(y: np.ndarray) -> tuple[float, float]:
+    """Mean and sample SD (ddof=1) of a 1-d float array of two or more
+    values, bit-equal to ``y.mean()`` and ``y.std(ddof=1)``: the same
+    numpy reductions in the same order, without their wrappers."""
+    n = y.size
+    mean = np.add.reduce(y) / n
+    d = y - mean
+    return float(mean), math.sqrt(np.add.reduce(d * d) / (n - 1))
+
+
 def _expit(eta: np.ndarray) -> np.ndarray:
     """The logistic function 1 / (1 + exp(-eta)), as scipy.special.expit
     computes it; below eta of about -709 exp(-eta) overflows to inf and the
@@ -110,8 +122,14 @@ def _bernoulli_loglik(eta: np.ndarray, t: np.ndarray) -> float:
     return float(np.sum(t * eta - (np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta))))))
 
 
-def fit_logistic(X: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def fit_logistic(X: np.ndarray, t: np.ndarray,
+                 check_rank: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Logistic regression by Newton steps with step halving.
+
+    A rank-deficient design raises :class:`SingularDesignError`; a
+    caller that knows ``X`` has full column rank (see
+    ``propensity.full_rank_design``) passes ``check_rank=False`` and
+    skips that SVD.
 
     Convergence is declared when the largest coefficient step falls
     below ``LOGISTIC_TOL``. Separation raises :class:`SeparationError`,
@@ -130,7 +148,7 @@ def fit_logistic(X: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("labels must be 0/1")
     if not (np.any(t == 1) and np.any(t == 0)):
         raise ValueError("both outcome classes must be present")
-    if np.linalg.matrix_rank(X) < p:
+    if check_rank and np.linalg.matrix_rank(X) < p:
         raise SingularDesignError("logistic design is rank deficient")
 
     XT = np.ascontiguousarray(X.T)  # one copy whose rows are X's columns, for X'r and X'WX

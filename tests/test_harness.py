@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -13,13 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import output_reference
 
 from hybridctl import borrow, cli, harness
 from hybridctl.harness import (
     METHODS,
+    Cell,
     ConfigError,
     ScenarioConfig,
+    ScenarioResult,
     apply_overrides,
     cell_label,
     evaluate_cells,
@@ -34,7 +39,7 @@ from hybridctl.harness import (
     write_raw_csv,
     write_summary_csv,
 )
-from hybridctl.metrics import SummaryRow
+from hybridctl.metrics import EffectEstimate, ReplicateColumns, SummaryRow, summarize
 from hybridctl.propensity import estimate_ps, stratify
 from hybridctl.trialdata import SubjectGroup, TrialDataset, build_replicate, preset
 
@@ -580,9 +585,9 @@ class TestRunReplicate:
                           (shift(ds.historical[0], -1),))
         calls = []
 
-        def counting(dataset, covset):
+        def counting(dataset, covset, full_rank=False):
             calls.append(covset)
-            return estimate_ps(dataset, covset)
+            return estimate_ps(dataset, covset, full_rank)
 
         monkeypatch.setattr(harness, "estimate_ps", counting)
         methods = ["PSM", "PSW", "PSS+PP", "PSS+CL", {"method_id": "PSM+MAP", "omega": 0.5},
@@ -894,9 +899,12 @@ def test_rows_do_not_depend_on_subject_id_order():
 
 
 def row_reprs(result):
-    """Every replicate row at repr precision: estimate, se, reject,
-    interval, flags, diagnostics, essr_pct and the failed mark."""
-    return [[repr(est) for est in rows] for rows in result.replicate_rows]
+    """Every replicate row to the last bit, from the columns: estimate,
+    se, essr and its mask, reject, the failed mark, flags and diagnostics."""
+    c = result.columns
+    return ([a.tobytes() for a in (c.estimate, c.se, c.essr, c.has_essr, c.reject, c.failed)],
+            c.flags, [{name: col.tobytes() for name, col in c.diagnostics(i).items()}
+                      for i in range(c.n_cells)])
 
 
 class TestRunScenario:
@@ -951,23 +959,23 @@ class TestRunScenario:
         # randomise: every cell of that replicate fails, and the run goes on
         sc = small_scenario(["PSM", "MAP"], reps=12, n_total=24)
         res = run_scenario(sc)
-        rows = res.replicate_rows[11]
-        assert len(rows) == len(sc.cells) and all(r.failed for r in rows)
-        assert {r.flags for r in rows} == {
+        assert res.columns.failed.shape == (len(sc.cells), 12)
+        assert res.columns.failed[:, 11].all()
+        assert {res.columns.flags[i, 11] for i in range(len(sc.cells))} == {
             ("error:ValueError:degenerate replicate: 2 concurrent subjects out of 24",)}
         assert res.flag_counts["MAP|error:ValueError:degenerate replicate: 2 concurrent "
                                "subjects out of 24"] == 1
         assert res.failure_fraction >= 1 / 12
         assert all(r.n_failed >= 1 for r in res.summary)
+        # the failed replicate lies in the second of two chunks
+        split = run_scenario(sc, workers=2)
+        assert row_reprs(split) == row_reprs(res) and split.flag_counts == res.flag_counts
 
     def test_full_concurrent_benchmark_is_tighter(self):
         sc = small_scenario([], reps=30, n_total=300)
         res = run_scenario(sc)
-        wins = 0
-        for rows in res.replicate_rows:
-            row = by_key(sc.cells, rows)
-            wins += row[("unadj.fc", None, "")].se < row[("unadj.rc", None, "")].se
-        assert wins >= 28
+        se = by_key(sc.cells, res.columns.se)
+        assert np.count_nonzero(se[("unadj.fc", None, "")] < se[("unadj.rc", None, "")]) >= 28
 
 
 @pytest.fixture(scope="module")
@@ -1027,6 +1035,100 @@ class TestCsvIo:
         assert entry["scenario_id"] == "small"
         assert entry["replicates"] == 3
         assert "flag_counts" in entry
+
+
+# Label and flag text with every character csv.writer quotes for, and "%".
+LABEL_TEXT = st.text(alphabet=st.sampled_from(list('ab,"%; =\r\n0.')), max_size=8)
+
+
+def synthetic_rows(cells, n_reps, flag, rng):
+    """Rows of ``cells`` on ``n_reps`` replicates: a failed row carrying
+    ``flag`` in its error text, flagged rows, rows with and without an
+    ESSR."""
+    per_replicate = []
+    for _ in range(n_reps):
+        rows = []
+        for i in range(len(cells)):
+            kind = rng.integers(4)
+            if kind == 0:
+                rows.append(harness._failed_estimate(ValueError(flag)))
+                continue
+            est = float(rng.normal(0.3, 0.2)) * 10.0 ** int(rng.integers(-6, 6))
+            rows.append(EffectEstimate(
+                est, float(rng.uniform(0.01, 2.0)), bool(rng.integers(2)), None,
+                flags=(flag, "map:no_studies_forced_omega1") if kind == 1 else (),
+                essr_pct=None if i == 0 or kind == 2 else float(rng.normal(20.0, 30.0))))
+        per_replicate.append(rows)
+    return per_replicate
+
+
+@settings(max_examples=60, deadline=None)
+@given(sid=LABEL_TEXT, tau=LABEL_TEXT, flag=LABEL_TEXT, seed=st.integers(0, 2**32 - 1))
+@example(sid='multi,"severe" 5%', tau="L,caliper=0.2", flag='psm:dropped, "k=3"', seed=0)
+def test_writers_equal_the_per_object_writers(sid, tau, flag, seed):
+    # raw.csv and summary.csv, formatted from the columns, equal the files
+    # the per-object writers make, byte for byte, whatever the labels and
+    # flags hold; the second scenario spans three raw.csv batches
+    rng = np.random.default_rng(seed)
+    cells = (Cell("unadj.rc", None), Cell("PSM+MAP", 1, 0.5, tau), Cell("PSW", 2))
+    results, reference = [], []
+    for scenario_id, n_reps in ((sid, 3), (sid + ",2", 2 * harness._RAW_BATCH + 1)):
+        sc = dataclasses.replace(small_scenario([], reps=n_reps), scenario_id=scenario_id,
+                                 cells=cells)
+        per_replicate = synthetic_rows(cells, n_reps, flag, rng)
+        columns = ReplicateColumns.from_rows(per_replicate, len(cells), n_reps)
+        summary = summarize([c.key for c in cells], columns, sc.theta_true, scenario_id)
+        results.append(ScenarioResult(sc, summary, columns, {}, 0.0))
+        reference.append((sc, per_replicate, summary))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("a", "b", "c", "d")]
+        write_raw_csv(paths[0], results)
+        output_reference.write_raw_csv(paths[1], [(sc, rows) for sc, rows, _ in reference])
+        write_summary_csv(paths[2], results)
+        output_reference.write_summary_csv(paths[3], [summary for *_, summary in reference])
+        raw, raw_want, summ, summ_want = (Path(p).read_bytes() for p in paths)
+    assert raw == raw_want
+    assert summ == summ_want
+
+
+# A parent that holds next to nothing spawns `hybridctl run` (its output to
+# /dev/null) and prints the run's peak RSS in KiB from wait4. A child's
+# ru_maxrss starts from what its parent held when it was spawned, so the
+# parent must be bare for the figure to be the run's own.
+BARE_PARENT = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "hybridctl.cli", *sys.argv[1:]],
+                     os.environ, file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_peak_memory_grows_by_under_150_bytes_a_raw_row(tmp_path):
+    # One single-pool scenario of 46 cheap MAP-family cells: a second run
+    # with 450 more replicates writes 20 700 more raw rows. Both runs fill
+    # a whole raw.csv batch, so only the held rows differ. Each row is
+    # held as per-cell columns: 27 bytes and 8 per diagnostic (7 for MAP).
+    config = tmp_path / "mem.yaml"
+    config.write_text(yaml.safe_dump({"master_seed": 3, "scenarios": [{
+        "scenario_id": "mem", "preset": "single-moderate", "n_total": 120, "covsets": [1],
+        "methods": [{"method_id": "MAP", "omegas": [i / 10 for i in range(11)],
+                     "tau_ladder": ["L", "M", "S", "XS"]}]}]}))
+    peak = {}
+    for reps in (70, 520):
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", BARE_PARENT, "run", "--config", str(config),
+             "--reps", str(reps), "--out", str(tmp_path / f"out{reps}")],
+            env=src_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=60)
+        kib, rc = map(int, out.stdout.split())
+        assert rc == 0, out.stderr
+        peak[reps] = kib * 1024
+    rows = (520 - 70) * 46
+    assert len((tmp_path / "out520" / "raw.csv").read_text().splitlines()) == 1 + 520 * 46
+    per_row = (peak[520] - peak[70]) / rows
+    print(f"\npeak RSS {peak[70] / 2**20:.1f} -> {peak[520] / 2**20:.1f} MiB, "
+          f"{per_row:.0f} B per raw row")
+    assert per_row < 150
 
 
 def summary_row(scenario_id, method="MAP", hyper="omega=0.5", covset=None,

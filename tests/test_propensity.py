@@ -5,8 +5,11 @@ import pytest
 
 import match_reference
 import ols_reference as ref
+from hybridctl import harness
+from hybridctl.harness import evaluate_cells, expand_cells
 from hybridctl.propensity import (
     CALIPER_MULT,
+    COVSETS,
     N_STRATA,
     MatchSet,
     PsFit,
@@ -14,6 +17,7 @@ from hybridctl.propensity import (
     estimate_ps,
     estimate_psm,
     estimate_psw,
+    full_rank_design,
     ipw_weights,
     match_nearest,
     _cut_points,
@@ -458,6 +462,64 @@ class TestStratify:
                 np.testing.assert_array_equal(stratify(fit), reference(fit))
 
 
+def with_x4_equal_x1(ds):
+    """``ds`` with every subject's x4 replaced by its x1."""
+    def copy_x1(g):
+        x = g.x.copy()
+        x[:, 3] = x[:, 0]
+        return SubjectGroup(ids=g.ids, x=x, z=g.z, trial=g.trial, y=g.y)
+
+    return TrialDataset(copy_x1(ds.full_concurrent), copy_x1(ds.reduced_concurrent),
+                        tuple(copy_x1(p) for p in ds.historical))
+
+
+class TestFullRankDesign:
+    """A replicate checks the rank of the full design [1, x] once; its
+    covariate sets' designs, column subsets of it, then skip their own
+    check. Only when the full design is deficient does each fit check its
+    own design, as a fit alone would."""
+
+    @staticmethod
+    def rank_calls(monkeypatch):
+        calls = []
+        rank = np.linalg.matrix_rank
+
+        def counting(X, *args, **kwargs):
+            calls.append(X.shape[1])
+            return rank(X, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+        return calls
+
+    def test_full_rank_fits_skip_their_check_and_agree(self, monkeypatch):
+        ds = dataset(seed=5)
+        assert full_rank_design(ds)
+        for covset in COVSETS:
+            np.testing.assert_array_equal(estimate_ps(ds, covset, full_rank=True).ps,
+                                          estimate_ps(ds, covset).ps)
+        calls = self.rank_calls(monkeypatch)
+        cells = expand_cells(["PSM", "PSW"], COVSETS)
+        rows = evaluate_cells(ds, cells, "full-rank", 5, 0)
+        assert not any(r.failed for r in rows)
+        assert calls == [7]  # the full design, once
+
+    def test_deficient_full_design_checks_each_fit(self, monkeypatch):
+        ds = with_x4_equal_x1(dataset(seed=5))
+        assert not full_rank_design(ds)
+        calls = self.rank_calls(monkeypatch)
+        cells = expand_cells(["PSM"], COVSETS)
+        caches = harness._ReplicateCaches(ds, cells, "x4=x1", 5, 0)
+        rows = evaluate_cells(ds, cells, "x4=x1", 5, 0)
+        assert calls == [7, 7, 6, 4]  # the full design, then each fit's own
+        psm = {c.covset: r for c, r in zip(cells, rows) if c.method_id == "PSM"}
+        assert psm[1].failed
+        assert psm[1].flags == ("error:SingularDesignError:logistic design is rank deficient",)
+        for covset in (2, 3):
+            assert not psm[covset].failed
+            _, _, fitted = membership_logit(ds, covset_columns(covset, 6))
+            np.testing.assert_array_equal(caches.psfit(covset).ps, fitted)
+
+
 class TestByScore:
     """The fit's one sort of the historical scores is the stable order
     (equal scores by row), whether or not the scores tie."""
@@ -466,6 +528,10 @@ class TestByScore:
     def stable(fit):
         hist = np.flatnonzero(~fit.is_concurrent)
         return hist[np.argsort(fit.ps[hist], kind="stable")]
+
+    def test_caliper_is_numpy_sd(self):
+        fit = estimate_ps(dataset(seed=6), 1)
+        assert fit._by_score.caliper == CALIPER_MULT * float(np.std(fit.ps, ddof=1))
 
     def test_tie_free_scores_take_the_stable_order(self):
         g = np.random.default_rng(30)

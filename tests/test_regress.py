@@ -14,6 +14,7 @@ from hybridctl.regress import (
     _expit,
     arm_contrast,
     fit_logistic,
+    mean_sd,
 )
 
 
@@ -286,3 +287,10 @@ class TestWaldDecision:
         for se in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="standard error"):
                 wald_estimate(1.0, se)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=400))
+def test_mean_sd_is_bit_equal_to_numpy(values):
+    y = np.asarray(values)
+    assert mean_sd(y) == (float(np.mean(y)), float(np.std(y, ddof=1)))
