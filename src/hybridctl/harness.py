@@ -42,7 +42,7 @@ from .borrow import (
     pool_studies,
     weighted_studies,
 )
-from .metrics import EffectEstimate, ReplicateColumns, SummaryRow, essr, summarize
+from .metrics import EffectEstimate, ReplicateColumns, SummaryRow, row_essr, summarize
 from .mixed import estimate_mm, pooled_stats
 from .propensity import (
     COVSETS,
@@ -343,11 +343,7 @@ def _parse_coefficients(raw: dict, where: str) -> GenCoefficients:
             alpha0=float(raw["alpha0"]),
             alpha=np.asarray(raw["alpha"], dtype=float),
             theta_treat=float(raw["theta_treat"]),
-            beta0=(
-                float(raw["beta0"])
-                if _is_number(raw["beta0"])
-                else np.asarray(raw["beta0"], dtype=float)
-            ),
+            beta0=np.asarray(raw["beta0"], dtype=float),
             beta=np.asarray(raw["beta"], dtype=float),
             sigma_e=float(raw.get("sigma_e", 1.0)),
         )
@@ -640,13 +636,6 @@ def evaluate_cells(
             # degenerate data) all raise ValueError; anything else is a bug
             est = _failed_estimate(exc)
         rows.append(est)
-
-    rc = next((r for c, r in zip(cells, rows) if c.method_id == "unadj.rc"), None)
-    if rc is not None and not rc.failed and rc.se * rc.se > 0:
-        for est in rows:
-            if est is rc or est.failed or not est.se * est.se > 0:
-                continue
-            est.essr_pct = essr(rc.se * rc.se, est.se * est.se)
     return rows
 
 
@@ -740,21 +729,20 @@ def _raw_batches(result: ScenarioResult, quote: Callable[[str], str]) -> Iterato
     def label(text: str) -> str:  # inside a %-format
         return quote(text).replace("%", "%%")
 
-    cols = result.columns
+    cols, cells = result.columns, result.scenario.cells
     sid = label(result.scenario.scenario_id)
     heads = [f"{sid},%d,{label(c.method_id)},{'' if c.covset is None else c.covset},"
-             f"{label(c.hyperparam)},%.10g,%.10g,%d," for c in result.scenario.cells]
+             f"{label(c.hyperparam)},%.10g,%.10g,%d," for c in cells]
+    essr = row_essr([c.key for c in cells], cols)
     flags = cols.flags
     for lo in range(0, cols.n_reps, _RAW_BATCH):
         hi = min(lo + _RAW_BATCH, cols.n_reps)
         lines = []
-        for r, ests, ses, rejects, essrs, has_essrs in zip(
-                range(lo, hi), *(a[:, lo:hi].T.tolist() for a in (
-                    cols.estimate, cols.se, cols.reject, cols.essr, cols.has_essr))):
-            for i, (head, e, s, j, v, h) in enumerate(zip(heads, ests, ses, rejects, essrs,
-                                                          has_essrs)):
+        for r, ests, ses, rejects, essrs in zip(range(lo, hi), *(a[:, lo:hi].T.tolist() for a in (
+                cols.estimate, cols.se, cols.reject, essr))):
+            for i, (head, e, s, j, v) in enumerate(zip(heads, ests, ses, rejects, essrs)):
                 f = flags.get((i, r)) if flags else None
-                lines.append(head % (r, e, s, j) + ("%.10g" % v if h else "")
+                lines.append(head % (r, e, s, j) + ("" if v != v else "%.10g" % v)  # NaN: no ESSR
                              + ("," if f is None else "," + quote(";".join(f))) + "\r\n")
         yield "".join(lines)
 

@@ -7,11 +7,12 @@ up with it, then folds each replicate's estimates into a scenario's
 ``ReplicateColumns``, one row of each array per cell; ``summarize``
 takes the labels as its ``keys`` and reads those columns.
 
-Bias, rejection rate, and the effective sample size ratio (ESSR). The
-primary ESSR is computed per replicate from the squared standard errors
-of a method and of the unadjusted reduced-concurrent benchmark on the
-same data, then averaged; an across-replicate empirical-variance
-variant is reported alongside it.
+Bias, rejection rate, and the effective sample size ratio (ESSR). A
+row's ESSR is not stored: :func:`row_essr` derives it from the squared
+standard errors of the row and of the unadjusted reduced-concurrent
+benchmark on the same replicate, and ``summarize`` averages it over the
+replicates; an across-replicate empirical-variance variant is reported
+alongside it.
 
 The Wald test (:func:`wald_estimate`) compares |estimate / se| with
 ``Z_CRIT``, the normal quantile at 1 - ``ALPHA``/2, held as a constant.
@@ -32,8 +33,8 @@ __all__ = [
     "SummaryRow",
     "wald_estimate",
     "rel_bias_pct",
-    "reject_rate",
     "essr",
+    "row_essr",
     "summarize",
 ]
 
@@ -52,8 +53,8 @@ UNADJ_RC_KEY = ("unadj.rc", None, "")
 class EffectEstimate:
     """One method's result on one replicate, without its cell label.
 
-    ``essr_pct`` is filled in by the harness from the squared standard
-    errors once the replicate's no-borrowing benchmark is known. Failed
+    Its ESSR depends on the replicate's benchmark row, so it is derived
+    from the columns (:func:`row_essr`), not kept here. Failed
     evaluations keep a row (``failed=True``) with NaN numerics and an
     explanatory flag. A MAP-family row's ``interval`` is None unless its
     ends were asked for (``harness.evaluate_cells``).
@@ -65,7 +66,6 @@ class EffectEstimate:
     interval: tuple[float, float] | None
     flags: tuple[str, ...] = ()
     diagnostics: dict = field(default_factory=dict)
-    essr_pct: float | None = None
     failed: bool = False
 
 
@@ -111,13 +111,6 @@ class SummaryRow:
         return (self.method_id, self.covset_id, self.hyperparam)
 
 
-def bias(estimates: Iterable[float], theta_true: float) -> float:
-    vals = [float(e) for e in estimates]
-    if not vals:
-        raise ValueError("need at least one estimate")
-    return math.fsum(v - theta_true for v in vals) / len(vals)
-
-
 def rel_bias_pct(bias_value: float, theta_true: float) -> float | None:
     """Relative bias in percent; undefined (None) when the true effect is zero."""
     if theta_true == 0:
@@ -125,16 +118,10 @@ def rel_bias_pct(bias_value: float, theta_true: float) -> float | None:
     return 100.0 * bias_value / theta_true
 
 
-def reject_rate(rejections: Iterable[bool]) -> float:
-    flags = [bool(r) for r in rejections]
-    if not flags:
-        raise ValueError("need at least one decision")
-    return sum(flags) / len(flags)
-
-
-def essr(var_no_borrow: float, var_borrow: float) -> float:
-    """Effective sample size ratio in percent: (var_nb / var_b - 1) * 100."""
-    if not (var_no_borrow > 0 and var_borrow > 0):
+def essr(var_no_borrow: float | np.ndarray, var_borrow: float | np.ndarray) -> float | np.ndarray:
+    """Effective sample size ratio in percent: (var_nb / var_b - 1) * 100,
+    elementwise for arrays; NaN where a variance is NaN."""
+    if np.any(var_no_borrow <= 0) or np.any(var_borrow <= 0):
         raise ValueError("variances must be positive")
     return (var_no_borrow / var_borrow - 1.0) * 100.0
 
@@ -145,20 +132,20 @@ class ReplicateColumns:
     Every array is C-ordered, replicates along its second axis:
     ``estimate[i, r]`` is cell i on replicate r, and so are ``se``,
     ``reject`` and ``failed``. A failed row keeps its NaN estimate and
-    SE. ``essr`` is NaN where ``has_essr`` is False, the rows without an
-    ESSR. ``flags`` holds only the rows that have flags, by (cell,
+    SE. ``flags`` holds only the rows that have flags, by (cell,
     replicate). Each diagnostic a cell reported is one float64 row of
     ``diag_values``, ``diag_slots[cell, name]`` its index, NaN where a
-    row lacks it (see :meth:`diagnostics`). A row takes 27 bytes, plus 8
-    for each diagnostic of its cell and a dict entry when it has flags.
+    row lacks it (see :meth:`diagnostics`). A row takes 18 bytes, plus 8
+    for each diagnostic of its cell and a dict entry when it has flags;
+    its ESSR is derived from ``se`` and ``failed`` (:func:`row_essr`).
     A new instance holds ``n_reps`` replicates of ``n_cells`` cells,
     every one NaN and unflagged until it is put.
     """
 
     def __init__(self, n_cells: int, n_reps: int):
         shape = (n_cells, n_reps)
-        self.estimate, self.se, self.essr = (np.full(shape, np.nan) for _ in range(3))
-        self.has_essr, self.reject, self.failed = (np.zeros(shape, dtype=bool) for _ in range(3))
+        self.estimate, self.se = np.full(shape, np.nan), np.full(shape, np.nan)
+        self.reject, self.failed = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
         self.flags: dict[tuple[int, int], tuple[str, ...]] = {}
         self.diag_slots: dict[tuple[int, str], int] = {}
         self.diag_values = np.empty((0, n_reps))
@@ -214,9 +201,6 @@ class ReplicateColumns:
         self.se[:, r] = [e.se for e in rows]
         self.reject[:, r] = [e.reject for e in rows]
         self.failed[:, r] = [e.failed for e in rows]
-        essr_pct = [e.essr_pct for e in rows]
-        self.has_essr[:, r] = [v is not None for v in essr_pct]
-        self.essr[:, r] = [math.nan if v is None else v for v in essr_pct]
         for i, e in enumerate(rows):
             if e.flags:
                 self.flags[i, r] = e.flags
@@ -232,11 +216,29 @@ class ReplicateColumns:
     def put_block(self, lo: int, block: ReplicateColumns) -> None:
         """Copy ``block``'s replicates into columns ``lo`` onwards."""
         hi = lo + block.n_reps
-        for name in ("estimate", "se", "essr", "has_essr", "reject", "failed"):
+        for name in ("estimate", "se", "reject", "failed"):
             getattr(self, name)[:, lo:hi] = getattr(block, name)
         self.flags.update(((i, lo + r), f) for (i, r), f in block.flags.items())
         slots = self._slots(list(block.diag_slots))  # may grow diag_values
         self.diag_values[slots, lo:hi] = block.diag_values[list(block.diag_slots.values())]
+
+
+def row_essr(keys: Sequence[tuple[str, int | None, str]], columns: ReplicateColumns) -> np.ndarray:
+    """Every row's ESSR, ``essr(se_rc^2, se^2)`` against the replicate's
+    unadjusted reduced-concurrent row (``UNADJ_RC_KEY`` of ``keys``), as
+    an array shaped like the columns. It is NaN on the benchmark's own
+    row, on failed rows, on rows whose SE^2 is not positive (NaN
+    included), and on every row of a replicate whose benchmark failed or
+    has no positive SE^2, or of a scenario without the benchmark.
+    """
+    if UNADJ_RC_KEY not in keys:
+        return np.full(columns.se.shape, np.nan)
+    rc = keys.index(UNADJ_RC_KEY)
+    var = columns.se * columns.se
+    var[columns.failed | ~(var > 0)] = np.nan  # the rows that have no ESSR
+    rc_var = var[rc].copy()
+    var[rc] = np.nan
+    return essr(rc_var, var)
 
 
 def _empirical_var(vals: np.ndarray) -> float | None:
@@ -262,7 +264,8 @@ def summarize(
     (``ddof=1``) against the unadjusted reduced-concurrent cell
     (``UNADJ_RC_KEY``), each over its own used replicates: one
     ``np.var`` call takes every cell whose replicates are all used, and
-    each other cell is compressed to its used replicates first.
+    each other cell is compressed to its used replicates first. The mean
+    ESSR of a cell is over its used rows that have one (:func:`row_essr`).
     """
     est = columns.estimate
     n_cells, n_reps = columns.n_cells, columns.n_reps
@@ -283,7 +286,8 @@ def summarize(
     rc_var = var[keys.index(UNADJ_RC_KEY)] if UNADJ_RC_KEY in keys else None
 
     n_reject = np.count_nonzero(columns.reject & used, axis=1).tolist()
-    with_essr = columns.has_essr & used
+    essr_rows = row_essr(keys, columns)
+    with_essr = ~np.isnan(essr_rows) & used
     n_essr = np.count_nonzero(with_essr, axis=1).tolist()
     nan = float("nan")
     out = []
@@ -299,7 +303,7 @@ def summarize(
         b = math.fsum((est[i, m] - theta_true).tolist()) / n
         essr_pct = None
         if n_essr[i]:
-            vals = columns.essr[i, slice(None) if n_essr[i] == n_reps else with_essr[i]]
+            vals = essr_rows[i, slice(None) if n_essr[i] == n_reps else with_essr[i]]
             essr_pct = math.fsum(vals.tolist()) / n_essr[i]
         own_var = var[i]
         emp = None

@@ -144,50 +144,44 @@ class TrialDataset:
 class GenCoefficients:
     """Coefficients of the outcome and trial-membership models.
 
-    ``beta0``/``beta`` are the selection-model coefficients: a scalar and
-    a (6,) vector for a single historical pool (logistic model of being
-    concurrent, P(concurrent) = expit(beta0 + x . beta)), or a (k,)
-    vector and (k, 6) matrix for k >= 1 pools (each pool's log-odds
-    against the concurrent trial). ``membership`` gives both forms as
-    the latter.
+    ``beta0`` (k,) and ``beta`` (k, 6) are the selection model: row j is
+    historical pool j's log-odds against the concurrent trial, for k >= 1
+    pools. The single-pool spelling, a scalar ``beta0`` and a (6,)
+    ``beta``, is the logistic model of being concurrent, P(concurrent) =
+    expit(beta0 + x . beta); it is stored in the first form, k = 1, by
+    exact negation.
     """
 
     alpha0: float
     alpha: np.ndarray
     theta_treat: float
-    beta0: float | np.ndarray
+    beta0: np.ndarray
     beta: np.ndarray
     sigma_e: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        if np.ndim(self.beta0) > 0:
+        scalar = np.ndim(self.beta0) == 0
+        if not scalar:
             object.__setattr__(self, "beta0", np.asarray(self.beta0, dtype=float))
         if self.alpha.shape != (N_COVARIATES,):
             raise ValueError("alpha must have one entry per covariate")
         if self.sigma_e < 0:
             raise ValueError("sigma_e must be non-negative")
-        if np.ndim(self.beta0) == 0:
+        if scalar:
             if self.beta.shape != (N_COVARIATES,):
                 raise ValueError("beta must be a 6-vector when beta0 is scalar")
-        elif np.ndim(self.beta0) != 1 or self.k_historical < 1:
+            object.__setattr__(self, "beta0", -np.array([self.beta0], dtype=float))
+            object.__setattr__(self, "beta", -self.beta[None, :])
+        elif self.beta0.ndim != 1 or self.k_historical < 1:
             raise ValueError("beta0 must be a scalar or a non-empty vector")
         elif self.beta.shape != (self.k_historical, N_COVARIATES):
             raise ValueError("beta must be (k, 6) when beta0 is a k-vector")
 
     @property
     def k_historical(self) -> int:
-        return 1 if np.ndim(self.beta0) == 0 else int(np.shape(self.beta0)[0])
-
-    @property
-    def membership(self) -> tuple[np.ndarray, np.ndarray]:
-        """(k,) intercepts and (k, 6) slopes of each pool's log-odds
-        against the concurrent trial; the single-pool form models the
-        concurrent trial's log-odds, hence the sign flip."""
-        if np.ndim(self.beta0) == 0:
-            return -np.array([self.beta0], dtype=float), -self.beta[None, :]
-        return self.beta0, self.beta
+        return self.beta0.size
 
     def with_theta(self, theta: float) -> "GenCoefficients":
         return replace(self, theta_treat=float(theta))
@@ -320,7 +314,7 @@ def build_replicate(
     """
     k = coeffs.k_historical
     X = gen_covariates(n_total, rng)
-    labels = assign_trials(X, *coeffs.membership, rng)
+    labels = assign_trials(X, coeffs.beta0, coeffs.beta, rng)
 
     conc_idx = np.flatnonzero(labels == 0)
     n_conc = conc_idx.size

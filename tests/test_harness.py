@@ -39,7 +39,7 @@ from hybridctl.harness import (
     write_raw_csv,
     write_summary_csv,
 )
-from hybridctl.metrics import EffectEstimate, ReplicateColumns, SummaryRow, summarize
+from hybridctl.metrics import EffectEstimate, ReplicateColumns, SummaryRow, row_essr, summarize
 from hybridctl.propensity import estimate_ps, stratify
 from hybridctl.trialdata import SubjectGroup, TrialDataset, build_replicate, preset
 
@@ -156,32 +156,58 @@ def test_every_exported_name_resolves():
 def test_every_exported_name_is_imported_or_documented():
     # __all__ holds what another module imports (``from .mod import name``
     # or ``mod.name`` after ``from . import mod``) or README.md names; a
-    # name that only tests use stays defined, but not exported
+    # name that only tests use stays defined, but not exported. And every
+    # public module-level function and class is read by program code
+    # outside its own definition, or README.md names it as code (a code
+    # span of the name, bare or module-qualified, or a ``from
+    # hybridctl.mod import`` line): one that only tests read is dead code.
     import ast
     import importlib
     import re
 
     src = ROOT / "src" / "hybridctl"
-    used = set()
+    readme = (ROOT / "README.md").read_text()
+    used, read, public = set(), set(), []
     for path in src.glob("*.py"):
         tree = ast.parse(path.read_text())
-        modules = {}
+        # what each local name stands for: (module, name) of a definition
+        # here or of a name imported from a sibling, or a sibling module
+        names, modules, own = {}, {}, {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names[node.name] = (path.stem, node.name)
+                own.update((id(sub), node.name) for sub in ast.walk(node))
+                if not node.name.startswith("_"):
+                    public.append((path.stem, node.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     if node.module:
                         used.add((node.module, alias.name))
+                        names[alias.asname or alias.name] = (node.module, alias.name)
                     else:
                         modules[alias.asname or alias.name] = alias.name
-        used.update((modules[node.value.id], node.attr) for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in modules)
-    readme = (ROOT / "README.md").read_text()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                used.add((modules[node.value.id], node.attr))
+                read.add((modules[node.value.id], node.attr))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                    and node.id in names and own.get(id(node)) != node.id:
+                read.add(names[node.id])
     for path in sorted(src.glob("*.py")):
         mod = importlib.import_module(f"hybridctl.{path.stem}")
         assert [name for name in getattr(mod, "__all__", ())
                 if (path.stem, name) not in used
                 and not re.search(rf"\b{re.escape(name)}\b", readme)] == [], mod.__name__
+
+    def named_in_readme(module, name):
+        return re.search(rf"`(?:hybridctl\.)?(?:{module}\.)?{name}\b", readme) or re.search(
+            rf"^from hybridctl\.{module} import .*\b{name}\b", readme, re.MULTILINE)
+
+    assert len(public) > 50
+    assert [f"{module}.{name}" for module, name in sorted(public)
+            if (module, name) not in read and not named_in_readme(module, name)] == []
 
 
 class TestExpandCells:
@@ -427,6 +453,39 @@ class TestLoadConfig:
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 2
         assert message in capsys.readouterr().err
 
+    def test_single_pool_coefficients_are_stored_in_the_pool_form(self, tmp_path):
+        # a scalar beta0 and six numbers beta are kept as the one pool's
+        # log-odds against the concurrent trial, both signs flipped bit for
+        # bit, and draw the preset's datasets when they spell the preset
+        s = preset("single-moderate")
+        spelled = {"alpha0": s.alpha0, "alpha": s.alpha.tolist(), "theta_treat": s.theta_treat,
+                   "beta0": -0.78, "beta": [0.3] * 6}
+        (scenario,) = load_config(write_demo_config(tmp_path, {}, {"coefficients": spelled})
+                                  ).scenarios
+        c = scenario.coeffs
+        assert c.beta0.tobytes() == (-np.array([-0.78])).tobytes()
+        assert c.beta.tobytes() == (-np.full((1, 6), 0.3)).tobytes()
+        assert c.k_historical == 1
+
+        def arrays(coeffs, seed):
+            ds = build_replicate(coeffs, 1200, np.random.default_rng(seed))
+            return [getattr(g, f).tobytes() for g in (ds.full_concurrent, ds.reduced_concurrent,
+                                                      *ds.historical)
+                    for f in ("ids", "x", "z", "trial", "y")]
+
+        assert all(arrays(c, seed) == arrays(s, seed) for seed in range(3))
+
+    @pytest.mark.parametrize("coefficients,message", [
+        ({"beta": [[0.3] * 6]}, "beta must be a 6-vector when beta0 is scalar"),
+        ({"beta0": [0.1, -0.2]}, r"beta must be \(k, 6\) when beta0 is a k-vector"),
+        ({"beta0": [], "beta": []}, "beta0 must be a scalar or a non-empty vector"),
+        ({"alpha": [0.2] * 5, "beta": [[0.3] * 6]}, "alpha must have one entry per covariate"),
+        ({"sigma_e": -1.0, "beta": [[0.3] * 6]}, "sigma_e must be non-negative"),
+    ], ids=["scalar-beta0", "vector-beta0", "empty", "alpha-first", "sigma_e-next"])
+    def test_coefficient_shape_errors(self, tmp_path, coefficients, message):
+        with pytest.raises(ConfigError, match=r"scenarios\[0\]\.coefficients: " + message):
+            load_config(write_demo_config(tmp_path, {}, {"coefficients": coefficients}))
+
     @pytest.mark.parametrize("coefficients", ["[[1.0]]", "5"], ids=["list", "number"])
     def test_coefficients_must_be_a_mapping(self, tmp_path, capsys, coefficients):
         p = tmp_path / "bad.yaml"
@@ -641,10 +700,14 @@ class TestRunReplicate:
     def test_essr_filled_against_benchmark(self):
         sc = small_scenario(["PSM", "MAP"], n_total=300)
         rows = run_replicate(sc, 1)
-        assert by_key(sc.cells, rows)[("unadj.rc", None, "")].essr_pct is None
-        for c, r in zip(sc.cells, rows):
+        keys = [c.key for c in sc.cells]
+        essr = row_essr(keys, ReplicateColumns.from_rows([rows], len(keys), 1))[:, 0].tolist()
+        assert math.isnan(by_key(sc.cells, essr)[("unadj.rc", None, "")])
+        for c, r, v in zip(sc.cells, rows, essr):
             if c.method_id in ("PSM", "MAP") and not r.failed:
-                assert r.essr_pct is not None
+                assert not math.isnan(v)
+        assert [repr(v) for v in essr] == [
+            repr(math.nan if v is None else v) for v in output_reference.essr_rows(keys, rows)]
 
 
 # Every MAP-family method with omegas 0, 0.2, 0.5 and 1, each without a
@@ -872,7 +935,15 @@ def test_cell_rows_do_not_depend_on_the_other_cells(data):
     with_benchmark = 0 in picked  # unadj.rc leads the cell list
     for i, row in zip(picked, rows):
         assert row_signature(row) == row_signature(want[i])
-        assert row.essr_pct == (want[i].essr_pct if with_benchmark else None)
+    # a row's ESSR, derived from its SE and the benchmark's, is the same
+    # among any other cells that keep the benchmark, and absent without it
+    keys = [c.key for c in cells]
+    want_essr = row_essr(keys, ReplicateColumns.from_rows([want], len(keys), 1))[picked]
+    if not with_benchmark:
+        want_essr[:] = np.nan
+    got_essr = row_essr([keys[i] for i in picked],
+                        ReplicateColumns.from_rows([rows], len(picked), 1))
+    assert got_essr.tobytes() == want_essr.tobytes()
 
 
 def test_rows_do_not_depend_on_subject_id_order():
@@ -900,9 +971,11 @@ def test_rows_do_not_depend_on_subject_id_order():
 
 def row_reprs(result):
     """Every replicate row to the last bit, from the columns: estimate,
-    se, essr and its mask, reject, the failed mark, flags and diagnostics."""
+    se, the ESSR derived from them, reject, the failed mark, flags and
+    diagnostics."""
     c = result.columns
-    return ([a.tobytes() for a in (c.estimate, c.se, c.essr, c.has_essr, c.reject, c.failed)],
+    essr = row_essr([cell.key for cell in result.scenario.cells], c)
+    return ([a.tobytes() for a in (c.estimate, c.se, essr, c.reject, c.failed)],
             c.flags, [{name: col.tobytes() for name, col in c.diagnostics(i).items()}
                       for i in range(c.n_cells)])
 
@@ -970,6 +1043,32 @@ class TestRunScenario:
         # the failed replicate lies in the second of two chunks
         split = run_scenario(sc, workers=2)
         assert row_reprs(split) == row_reprs(res) and split.flag_counts == res.flag_counts
+
+    def test_a_failed_benchmark_in_the_second_chunk(self, monkeypatch):
+        # unadj.rc fails on replicate 4 of 6, in the second of two chunks: no
+        # row of that replicate has an ESSR, every other row keeps the one the
+        # per-row reference gives, and neither depends on the chunks
+        spec = METHODS["unadj.rc"]
+
+        def failing(cell, caches):
+            if caches.replicate == 4:
+                raise ValueError("no benchmark")
+            return spec.evaluate(cell, caches)
+
+        # the workers fork after the patch, so they inherit it
+        monkeypatch.setitem(METHODS, "unadj.rc", dataclasses.replace(spec, evaluate=failing))
+        sc = small_scenario(["PSM", "MAP"], reps=6, n_total=300)
+        serial, split = run_scenario(sc), run_scenario(sc, workers=2)
+        assert row_reprs(split) == row_reprs(serial) and split.summary == serial.summary
+        keys = [c.key for c in sc.cells]
+        failed, essr = split.columns.failed, row_essr(keys, split.columns)
+        assert failed[0, 4] and not failed[1:].any() and not failed[0, :4].any()
+        assert np.isnan(essr[:, 4]).all() and not np.isnan(essr[1:, :4]).any()
+        want = [output_reference.essr_rows(keys, run_replicate(sc, r)) for r in range(6)]
+        assert [[repr(v) for v in cell] for cell in essr.tolist()] == [
+            [repr(math.nan if v is None else v) for v in cell] for cell in zip(*want)]
+        by_cell = {row.key: row for row in split.summary}
+        assert by_cell[keys[0]].n_failed == 1 and by_cell[("PSM", 1, "")].n_failed == 0
 
     def test_full_concurrent_benchmark_is_tighter(self):
         sc = small_scenario([], reps=30, n_total=300)
@@ -1044,20 +1143,19 @@ LABEL_TEXT = st.text(alphabet=st.sampled_from(list('ab,"%; =\r\n0.')), max_size=
 def synthetic_rows(cells, n_reps, flag, rng):
     """Rows of ``cells`` on ``n_reps`` replicates: a failed row carrying
     ``flag`` in its error text, flagged rows, rows with and without an
-    ESSR."""
+    ESSR (a zero SE has none)."""
     per_replicate = []
     for _ in range(n_reps):
         rows = []
-        for i in range(len(cells)):
+        for _ in cells:
             kind = rng.integers(4)
             if kind == 0:
                 rows.append(harness._failed_estimate(ValueError(flag)))
                 continue
             est = float(rng.normal(0.3, 0.2)) * 10.0 ** int(rng.integers(-6, 6))
             rows.append(EffectEstimate(
-                est, float(rng.uniform(0.01, 2.0)), bool(rng.integers(2)), None,
-                flags=(flag, "map:no_studies_forced_omega1") if kind == 1 else (),
-                essr_pct=None if i == 0 or kind == 2 else float(rng.normal(20.0, 30.0))))
+                est, 0.0 if kind == 2 else float(rng.uniform(0.01, 2.0)), bool(rng.integers(2)),
+                None, flags=(flag, "map:no_studies_forced_omega1") if kind == 1 else ()))
         per_replicate.append(rows)
     return per_replicate
 
@@ -1108,7 +1206,7 @@ def test_peak_memory_grows_by_under_150_bytes_a_raw_row(tmp_path):
     # One single-pool scenario of 46 cheap MAP-family cells: a second run
     # with 450 more replicates writes 20 700 more raw rows. Both runs fill
     # a whole raw.csv batch, so only the held rows differ. Each row is
-    # held as per-cell columns: 27 bytes and 8 per diagnostic (7 for MAP).
+    # held as per-cell columns: 18 bytes and 8 per diagnostic (7 for MAP).
     config = tmp_path / "mem.yaml"
     config.write_text(yaml.safe_dump({"master_seed": 3, "scenarios": [{
         "scenario_id": "mem", "preset": "single-moderate", "n_total": 120, "covsets": [1],
@@ -1129,6 +1227,24 @@ def test_peak_memory_grows_by_under_150_bytes_a_raw_row(tmp_path):
     print(f"\npeak RSS {peak[70] / 2**20:.1f} -> {peak[520] / 2**20:.1f} MiB, "
           f"{per_row:.0f} B per raw row")
     assert per_row < 150
+
+
+def test_readme_states_what_a_held_row_takes():
+    # README "Outputs" and the ReplicateColumns docstring give a row's bytes:
+    # the itemsizes of the per-row arrays, plus one diagnostic's per
+    # diagnostic, of which every MAP-family row has the same number
+    columns = ReplicateColumns(2, 3)
+    per_row = [a for a in vars(columns).values() if isinstance(a, np.ndarray) and a.shape == (2, 3)]
+    row, diag = sum(a.itemsize for a in per_row), columns.diag_values.itemsize
+    sc = small_scenario(["MAP", "PSM+MAP", "PSW+MAP"], n_total=300)
+    (n_diag,) = {len(r.diagnostics) for c, r in zip(sc.cells, run_replicate(sc, 0))
+                 if METHODS[c.method_id].map}
+    count = "one two three four five six seven eight nine".split()[n_diag - 1]
+    outputs = README.read_text().split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+    assert (f"A row takes {row} bytes plus {diag} for each diagnostic of its method: "
+            f"{row + n_diag * diag} bytes for a MAP-family row, whose method reports {count}."
+            ) in " ".join(outputs.split())
+    assert f"A row takes {row} bytes, plus {diag}" in " ".join(ReplicateColumns.__doc__.split())
 
 
 def summary_row(scenario_id, method="MAP", hyper="omega=0.5", covset=None,

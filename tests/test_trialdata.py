@@ -24,10 +24,36 @@ def rng_(seed=0):
     return np.random.default_rng(seed)
 
 
+def dataset_bytes(ds):
+    """Every array of a dataset's groups, as bytes."""
+    return [getattr(g, name).tobytes() for g in (ds.full_concurrent, ds.reduced_concurrent,
+                                                 *ds.historical)
+            for name in ("ids", "x", "z", "trial", "y")]
+
+
 def single(beta0, beta):
-    """The membership model of one pool given in the single-pool form."""
-    return GenCoefficients(alpha0=0.0, alpha=np.zeros(6), theta_treat=0.0,
-                           beta0=beta0, beta=beta).membership
+    """The stored selection model of one pool given in the single-pool form."""
+    c = GenCoefficients(alpha0=0.0, alpha=np.zeros(6), theta_treat=0.0, beta0=beta0, beta=beta)
+    return c.beta0, c.beta
+
+
+def membership(beta0, beta):
+    """The (k,) intercepts and (k, 6) slopes of each pool's log-odds
+    against the concurrent trial, from either spelling: the single-pool
+    form models the concurrent trial's log-odds, hence the sign flip."""
+    if np.ndim(beta0) == 0:
+        return -np.array([beta0], dtype=float), -np.asarray(beta, dtype=float)[None, :]
+    return np.asarray(beta0, dtype=float), np.asarray(beta, dtype=float)
+
+
+# Each preset's selection model as it is spelled: (scalar, 6-vector) for
+# one pool, (k-vector, (k, 6)) for k.
+SPELLED = {
+    "single-moderate": (-0.78, np.full(6, 0.3)),
+    "single-severe": (-0.9, np.full(6, 0.5)),
+    "multi-moderate": ([0.8, -1.0, -0.7], [[0.1] * 6, [0.0] * 6, [-0.1] * 6]),
+    "multi-severe": ([-1.0, -0.1, 0.2], [[0.1] * 6, [0.4] * 6, [-0.2] * 6]),
+}
 
 
 class TestGenCovariates:
@@ -76,16 +102,16 @@ class TestTrialAssignment:
         X = gen_covariates(2000, rng_(12)) * 40.0
         for name in ("single-moderate", "single-severe"):
             c = preset(name)
-            beta0, beta = c.membership
-            assert beta0.shape == (1,) and beta.shape == (1, 6)
-            probs = trial_probabilities(X, beta0, beta)
-            np.testing.assert_allclose(probs[:, 0], expit(c.beta0 + X @ c.beta), rtol=0, atol=1e-15)
+            assert c.beta0.shape == (1,) and c.beta.shape == (1, 6)
+            probs = trial_probabilities(X, c.beta0, c.beta)
+            beta0, beta = SPELLED[name]
+            np.testing.assert_allclose(probs[:, 0], expit(beta0 + X @ beta), rtol=0, atol=1e-15)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_pool_form_membership_is_as_given(self):
-        c = preset("multi-severe")
-        beta0, beta = c.membership
-        assert beta0 is c.beta0 and beta is c.beta
+        beta0, beta = np.array([-1.0, -0.1, 0.2]), np.zeros((3, 6))
+        c = GenCoefficients(alpha0=1.0, alpha=np.zeros(6), theta_treat=0.0, beta0=beta0, beta=beta)
+        assert c.beta0 is beta0 and c.beta is beta
 
     def test_multi_zero_coefficients_symmetric(self):
         X = gen_covariates(8, rng_())
@@ -142,15 +168,15 @@ class TestPresets:
         c = preset("single-moderate")
         assert c.alpha0 == 1.0 and c.theta_treat == 0.35
         np.testing.assert_allclose(c.alpha, 0.2)
-        assert c.beta0 == -0.78
-        np.testing.assert_allclose(c.beta, 0.3)
+        # spelled as P(concurrent) = expit(-0.78 + 0.3 x1 + ... + 0.3 x6)
+        assert c.beta0.tolist() == [0.78] and c.beta.tolist() == [[-0.3] * 6]
         assert preset_n_total("single-moderate") == 1200
 
     def test_single_severe_values(self):
         c = preset("single-severe")
-        assert (c.alpha0, c.theta_treat, c.beta0) == (1.0, 0.5, -0.9)
+        assert (c.alpha0, c.theta_treat, c.beta0.tolist()) == (1.0, 0.5, [0.9])
         np.testing.assert_allclose(c.alpha, 0.5)
-        np.testing.assert_allclose(c.beta, 0.5)
+        assert c.beta.tolist() == [[-0.5] * 6]
 
     def test_multi_presets_shapes(self):
         for name in ("multi-moderate", "multi-severe"):
@@ -170,6 +196,16 @@ class TestPresets:
         c = preset("single-severe").with_theta(0.0)
         assert c.theta_treat == 0.0
         assert preset("single-severe").theta_treat == 0.5
+        # the stored selection model is taken as it is, not converted again
+        assert (c.beta0 is preset("single-severe").beta0) and c.beta is preset("single-severe").beta
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_stored_selection_model_is_the_pool_form(self, name):
+        # bit for bit what the pool form of the preset's spelling is
+        c = preset(name)
+        beta0, beta = membership(*SPELLED[name])
+        assert (c.beta0.tobytes(), c.beta.tobytes()) == (beta0.tobytes(), beta.tobytes())
+        assert c.beta0.shape == (c.k_historical,) and c.beta.shape == (c.k_historical, 6)
 
 
 class TestBuildReplicate:
@@ -236,13 +272,31 @@ class TestBuildReplicate:
         assert all(len(p) > 0 for p in ds.historical)
 
     def test_one_pool_vector_form_matches_the_scalar_form(self):
-        # a one-entry beta0 and (1, 6) beta are the single-pool model with its sign flipped
-        s = preset("single-moderate")
-        v = GenCoefficients(alpha0=s.alpha0, alpha=s.alpha, theta_treat=s.theta_treat,
-                            beta0=np.array([-s.beta0]), beta=-s.beta[None, :])
-        a, b = build_replicate(s, 1200, rng_(13)), build_replicate(v, 1200, rng_(13))
-        np.testing.assert_array_equal(a.historical[0].ids, b.historical[0].ids)
-        np.testing.assert_array_equal(a.reduced_concurrent.y, b.reduced_concurrent.y)
+        # a one-entry beta0 and (1, 6) beta are the single-pool model with its
+        # sign flipped: for every preset, either spelling of its model and the
+        # preset itself draw the same dataset
+        for name, spelled in SPELLED.items():
+            s = preset(name)
+            want = dataset_bytes(build_replicate(s, 1200, rng_(13)))
+            for beta0, beta in (spelled, membership(*spelled)):
+                c = GenCoefficients(alpha0=s.alpha0, alpha=s.alpha, theta_treat=s.theta_treat,
+                                    beta0=beta0, beta=beta)
+                assert dataset_bytes(build_replicate(c, 1200, rng_(13))) == want, name
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"alpha": np.zeros(5), "beta": np.zeros((1, 6))}, "alpha must have one entry"),
+        ({"sigma_e": -1.0, "beta": np.zeros((1, 6))}, "sigma_e must be non-negative"),
+        ({"beta": np.zeros((1, 6))}, "beta must be a 6-vector when beta0 is scalar"),
+        ({"beta0": np.zeros(2)}, r"beta must be \(k, 6\) when beta0 is a k-vector"),
+        ({"beta0": np.zeros(0), "beta": np.zeros(6)}, "non-empty vector"),
+        ({"beta0": np.zeros((1, 1)), "beta": np.zeros((1, 6))}, "non-empty vector"),
+    ], ids=["alpha-first", "sigma_e-next", "scalar-beta0", "vector-beta0", "empty", "matrix"])
+    def test_coefficient_errors_in_order(self, kwargs, message):
+        # each shape error names the first check that fails, in the order
+        # alpha, sigma_e, then the selection model in its given spelling
+        fields = dict(alpha0=1.0, alpha=np.zeros(6), theta_treat=0.0, beta0=-0.5, beta=np.zeros(6))
+        with pytest.raises(ValueError, match=message):
+            GenCoefficients(**{**fields, **kwargs})
 
     def test_null_effect_arms_indistinguishable(self):
         """Under theta = 0 the treated and control outcome laws coincide."""
