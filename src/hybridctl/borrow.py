@@ -35,7 +35,7 @@ one-mixture formulas, so each pair's estimate is the same to the last
 bit whatever rows share its calls. A kernel does not raise for a bad
 row: it computes every row and returns its checks, each a message and a
 per-row mask, and the core fails the sources of the rows that a check
-marks, each source alone.
+marks, each source alone, with one failed row per pair.
 
 Power-prior borrowing discounts the historical likelihood precision by
 a factor alpha. The two stratified estimators share one front end:
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import ALPHA, EffectEstimate, wald_estimate
+from .metrics import ALPHA, EffectEstimate, failed_estimate, wald_estimate
 from .propensity import N_STRATA, MatchSet, PsFit, stratify
 from .regress import mean_sd
 from .trialdata import TrialDataset
@@ -565,10 +565,11 @@ def _tau_scales(tau_labels: list[str | None], studies: np.ndarray) -> list[float
 
 
 def _fail(failed: dict, steps: list[tuple[list[tuple], Checks]]) -> None:
-    """Fail the sources of the rows that the checks of each step mark, a
-    step given as its rows' keys (source first) and its checks, in step
-    order. A source takes the first check, by step and then by check, that
-    any of its rows fails; a source failed before keeps its message."""
+    """Set ``failed[i]`` to the error that source i's failed rows carry, for
+    the sources of the rows the checks of each step mark, a step given as
+    its rows' keys (source first) and its checks, in step order: a source
+    takes the first check, by step and then by check, that any of its rows
+    fails; a source failed before keeps its error."""
     for keys, checks in steps:
         for message, ok in checks:
             for r in np.flatnonzero(~ok).tolist():
@@ -580,7 +581,7 @@ MapSource = tuple[np.ndarray, list[str | None], list[float], tuple[str, ...]]
 
 def map_estimates(
     arms: ArmSummaries, sources: list[MapSource], intervals: bool = False
-) -> list[list[EffectEstimate] | ValueError]:
+) -> list[list[EffectEstimate]]:
     """Robust MAP estimates of one dataset, for every study source at once.
 
     A source is ``(studies, tau_labels, omegas, flags)``: a (k, 2) study
@@ -605,10 +606,10 @@ def map_estimates(
     :func:`robustify`, :func:`posterior_update` and
     :func:`effect_posterior` call. Each row is computed on its own, so
     each estimate equals that of a call with its pair alone, bit for bit.
-    Returns, for each source, its estimates in pair order, or a
-    ``ValueError`` with the first check (by step, then by check) that any
-    of its rows fails, as with that source alone; a failing source leaves
-    the others as they were.
+    Returns, for each source, one row per pair in pair order. A failing
+    source's rows are failed rows (:func:`metrics.failed_estimate`) of the
+    ``ValueError`` of the first check (by step, then by check) that any of
+    them fails, as with that source alone; it leaves the others as they were.
     """
     failed: dict[int, ValueError] = {}
     groups: dict[tuple[int, bool], list[tuple[int, int]]] = {}
@@ -675,8 +676,9 @@ def map_estimates(
                     "n_studies": float(k),
                     "post_prob_le0": f0,
                 })
-    return [failed[i] if i in failed else [rows[i, j] for j in range(len(scales[i]))]
-            for i in range(len(sources))]
+    return [[failed_estimate(failed[i]) for _ in labels] if i in failed
+            else [rows[i, j] for j in range(len(labels))]
+            for i, (_, labels, _, _) in enumerate(sources)]
 
 
 # ---------------------------------------------------------------------------

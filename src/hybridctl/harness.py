@@ -42,7 +42,8 @@ from .borrow import (
     pool_studies,
     weighted_studies,
 )
-from .metrics import EffectEstimate, ReplicateColumns, SummaryRow, row_essr, summarize
+from .metrics import EffectEstimate, ReplicateColumns, SummaryRow, failed_estimate
+from .metrics import row_essr, summarize
 from .mixed import estimate_mm, pooled_stats
 from .propensity import (
     COVSETS,
@@ -220,14 +221,15 @@ class MethodSpec:
     """Everything a method id means to the harness.
 
     ``covset``: the method runs once per covariate set, and an entry may
-    set ``covsets``. ``evaluate`` runs one cell on a replicate. A
-    MAP-family method sets ``studies``, which builds the (k, 2) studies
-    and drop flags of its source for a covariate set; its entries may set
-    ``omega``/``omegas`` and ``tau_ladder``, one cell per combination.
+    set ``covsets``. A method sets exactly one of ``evaluate``, which runs
+    one cell on a replicate, and ``studies``, which a MAP-family method
+    sets: it builds the (k, 2) studies and drop flags of its source for a
+    covariate set. A MAP-family entry may set ``omega``/``omegas`` and
+    ``tau_ladder``, one cell per combination.
     """
 
     covset: bool
-    evaluate: Callable[[Cell, _ReplicateCaches], EffectEstimate]
+    evaluate: Callable[[Cell, _ReplicateCaches], EffectEstimate] | None = None
     studies: Callable[[_ReplicateCaches, int | None], tuple[np.ndarray, tuple]] | None = None
 
     @property
@@ -242,9 +244,9 @@ class MethodSpec:
 
 # The evaluators look each estimator up as a module global when they
 # run, so a wrapper installed on this module's names sees every call. The
-# MAP-family cells all read one replicate-wide batch: the first of them
-# builds the studies of every MAP-family source in cell order, and one
-# map_estimates call evaluates them all (see _ReplicateCaches.map_row).
+# MAP-family methods give only their studies: evaluate_cells builds those
+# of every MAP-family source of a replicate in cell order, and one
+# map_estimates call evaluates them all.
 METHODS: dict[str, MethodSpec] = {
     "unadj.rc": MethodSpec(False, lambda cell, c:
         unadjusted_effect(c.dataset.reduced_concurrent)),
@@ -254,11 +256,11 @@ METHODS: dict[str, MethodSpec] = {
         estimate_psm(c.dataset, c.psfit(cell.covset), c.matchset(cell.covset))),
     "PSW": MethodSpec(True, lambda cell, c:
         estimate_psw(c.dataset, c.psfit(cell.covset), c.weightset(cell.covset))),
-    "MAP": MethodSpec(False, lambda cell, c: c.map_row(cell), lambda c, covset:
+    "MAP": MethodSpec(False, studies=lambda c, covset:
         (pool_studies(c.dataset), ())),
-    "PSM+MAP": MethodSpec(True, lambda cell, c: c.map_row(cell), lambda c, covset:
+    "PSM+MAP": MethodSpec(True, studies=lambda c, covset:
         matched_studies(c.psfit(covset), c.trial_matchsets(covset))),
-    "PSW+MAP": MethodSpec(True, lambda cell, c: c.map_row(cell), lambda c, covset:
+    "PSW+MAP": MethodSpec(True, studies=lambda c, covset:
         weighted_studies(c.dataset, c.psfit(covset), c.weightset(covset))),
     "PSS+PP": MethodSpec(True, lambda cell, c:
         estimate_pss_pp(c.strata(cell.covset))),
@@ -509,18 +511,16 @@ def replicate_rng(
 
 class _ReplicateCaches:
     """Inputs shared across a replicate's cells, each built once: propensity
-    fits, weight sets, strata, the mixed models' per-trial statistics, and
-    for the MAP family the arm summaries and one batch of the rows of every
-    study source. Match sets come from each fit's one matching pass, which
-    keeps every set that no tie can change.
+    fits, weight sets, strata, the mixed models' per-trial statistics and
+    the MAP family's arm summaries. Match sets come from each fit's one
+    matching pass, which keeps every set that no tie can change.
     A build that fails with a ``ValueError`` (the expected numerical
     failures) is not retried: every later lookup raises the same error
     again."""
 
-    def __init__(self, dataset: TrialDataset, cells: tuple[Cell, ...], sid: str, seed: int,
-                 replicate: int, intervals: bool = False):
-        self.dataset, self.cells = dataset, cells
-        self.sid, self.seed, self.replicate, self.intervals = sid, seed, replicate, intervals
+    def __init__(self, dataset: TrialDataset, sid: str, seed: int, replicate: int):
+        self.dataset = dataset
+        self.sid, self.seed, self.replicate = sid, seed, replicate
         self.memo: dict = {}
 
     def _memo(self, key: tuple, build: Callable[[], object]):
@@ -569,48 +569,6 @@ class _ReplicateCaches:
     def arms(self):
         return self._memo(("arms",), lambda: arm_summaries(self.dataset))
 
-    def map_row(self, cell: Cell):
-        """A MAP-family cell's row. The first MAP-family cell evaluates, in
-        one core call, every MAP-family cell of the replicate's list."""
-        row = self._memo(("map",), self._map_rows)[cell]
-        if isinstance(row, ValueError):
-            raise row
-        return row
-
-    def _map_rows(self) -> dict:
-        sources: dict[tuple, list[Cell]] = {}
-        for c in self.cells:
-            if METHODS[c.method_id].map:
-                sources.setdefault((c.method_id, c.covset), []).append(c)
-        rows: dict[Cell, EffectEstimate | ValueError] = {}
-        inputs, batched = [], []
-        for (method_id, covset), cells in sources.items():
-            # The order of arms and studies fixes which error text a failing
-            # source's rows carry: the plain source summarises the arms before
-            # its pools, the matched and weighted ones after building their studies.
-            try:
-                if method_id == "MAP":
-                    self.arms()
-                studies, flags = METHODS[method_id].studies(self, covset)
-                self.arms()
-            except ValueError as exc:
-                rows.update(dict.fromkeys(cells, exc))
-                continue
-            inputs.append((studies, [c.tau_label for c in cells], [c.omega for c in cells], flags))
-            batched.append(cells)
-        if inputs:
-            for cells, got in zip(batched, map_estimates(self.arms(), inputs, self.intervals)):
-                rows.update(dict.fromkeys(cells, got) if isinstance(got, ValueError)
-                            else zip(cells, got))
-        return rows
-
-
-def _failed_estimate(exc: Exception) -> EffectEstimate:
-    reason = f"error:{type(exc).__name__}:{str(exc)[:120]}"
-    nan = float("nan")
-    return EffectEstimate(estimate=nan, se=nan, reject=False, interval=(nan, nan),
-                          flags=(reason,), failed=True)
-
 
 def evaluate_cells(
     dataset: TrialDataset,
@@ -620,23 +578,50 @@ def evaluate_cells(
     replicate: int,
     intervals: bool = False,
 ) -> list[EffectEstimate]:
-    """Run every cell on one dataset; failures become flagged rows.
+    """Run every cell on one dataset; failures become flagged rows
+    (:func:`metrics.failed_estimate`), each cell its own row object.
 
     ``rows[i]`` is the estimate of ``cells[i]``: the estimators return
-    unlabelled results, and a row's label is its cell's. MAP-family rows
-    carry their credible-interval ends only when ``intervals`` is true.
+    unlabelled results, and a row's label is its cell's. One
+    ``map_estimates`` call gives every MAP-family row, from the studies of
+    each (method, covariate set) source, built in cell order; then the
+    other cells run. MAP-family rows carry their credible-interval ends
+    only when ``intervals`` is true.
     """
-    caches = _ReplicateCaches(dataset, cells, scenario_id, master_seed, replicate, intervals)
-    rows: list[EffectEstimate] = []
-    for cell in cells:
+    caches = _ReplicateCaches(dataset, scenario_id, master_seed, replicate)
+    # the expected numerical failures (separation, singular designs,
+    # degenerate data) all raise ValueError; anything else is a bug
+    rows: dict[int, EffectEstimate] = {}
+    sources: dict[tuple, list[int]] = {}
+    for i, cell in enumerate(cells):
+        if METHODS[cell.method_id].map:
+            sources.setdefault((cell.method_id, cell.covset), []).append(i)
+    inputs, batched = [], []
+    for (method_id, covset), at in sources.items():
+        # The order of arms and studies fixes which error text a failing
+        # source's rows carry: the plain source summarises the arms before
+        # its pools, the matched and weighted ones after building their studies.
         try:
-            est = METHODS[cell.method_id].evaluate(cell, caches)
+            if method_id == "MAP":
+                caches.arms()
+            studies, flags = METHODS[method_id].studies(caches, covset)
+            caches.arms()
         except ValueError as exc:
-            # the expected numerical failures (separation, singular designs,
-            # degenerate data) all raise ValueError; anything else is a bug
-            est = _failed_estimate(exc)
-        rows.append(est)
-    return rows
+            rows.update((i, failed_estimate(exc)) for i in at)
+            continue
+        inputs.append((studies, [cells[i].tau_label for i in at], [cells[i].omega for i in at],
+                       flags))
+        batched.append(at)
+    if inputs:
+        for at, got in zip(batched, map_estimates(caches.arms(), inputs, intervals)):
+            rows.update(zip(at, got))
+    for i, cell in enumerate(cells):
+        if not METHODS[cell.method_id].map:
+            try:
+                rows[i] = METHODS[cell.method_id].evaluate(cell, caches)
+            except ValueError as exc:
+                rows[i] = failed_estimate(exc)
+    return [rows[i] for i in range(len(cells))]
 
 
 def run_replicate(scenario: ScenarioConfig, replicate: int) -> list[EffectEstimate]:
@@ -647,7 +632,7 @@ def run_replicate(scenario: ScenarioConfig, replicate: int) -> list[EffectEstima
     try:
         dataset = build_replicate(scenario.coeffs, scenario.n_total, rng)
     except ValueError as exc:
-        return [_failed_estimate(exc) for _ in scenario.cells]
+        return [failed_estimate(exc) for _ in scenario.cells]
     return evaluate_cells(
         dataset, scenario.cells, scenario.scenario_id, scenario.master_seed, replicate
     )

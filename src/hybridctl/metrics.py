@@ -32,6 +32,7 @@ __all__ = [
     "ReplicateColumns",
     "SummaryRow",
     "wald_estimate",
+    "failed_estimate",
     "rel_bias_pct",
     "essr",
     "row_essr",
@@ -54,10 +55,10 @@ class EffectEstimate:
     """One method's result on one replicate, without its cell label.
 
     Its ESSR depends on the replicate's benchmark row, so it is derived
-    from the columns (:func:`row_essr`), not kept here. Failed
-    evaluations keep a row (``failed=True``) with NaN numerics and an
-    explanatory flag. A MAP-family row's ``interval`` is None unless its
-    ends were asked for (``harness.evaluate_cells``).
+    from the columns (:func:`row_essr`), not kept here. A failed
+    evaluation keeps a row, which :func:`failed_estimate` builds. A
+    MAP-family row's ``interval`` is None unless its ends were asked for
+    (``harness.evaluate_cells``).
     """
 
     estimate: float
@@ -89,6 +90,15 @@ def wald_estimate(
         flags=flags,
         diagnostics=diagnostics or {},
     )
+
+
+def failed_estimate(exc: Exception) -> EffectEstimate:
+    """The row of an evaluation that raised ``exc``: NaN estimate and SE,
+    no rejection, a NaN interval, ``failed`` set and the one flag
+    ``error:<exception type>:<first 120 characters of the message>``."""
+    nan = float("nan")
+    return EffectEstimate(estimate=nan, se=nan, reject=False, interval=(nan, nan),
+                          flags=(f"error:{type(exc).__name__}:{str(exc)[:120]}",), failed=True)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,14 @@ from hybridctl.harness import (
     write_raw_csv,
     write_summary_csv,
 )
-from hybridctl.metrics import EffectEstimate, ReplicateColumns, SummaryRow, row_essr, summarize
+from hybridctl.metrics import (
+    EffectEstimate,
+    ReplicateColumns,
+    SummaryRow,
+    failed_estimate,
+    row_essr,
+    summarize,
+)
 from hybridctl.propensity import estimate_ps, stratify
 from hybridctl.trialdata import SubjectGroup, TrialDataset, build_replicate, preset
 
@@ -208,6 +215,13 @@ def test_every_exported_name_is_imported_or_documented():
     assert len(public) > 50
     assert [f"{module}.{name}" for module, name in sorted(public)
             if (module, name) not in read and not named_in_readme(module, name)] == []
+
+
+def test_every_method_sets_evaluate_or_studies():
+    # a MAP-family method gives only its studies; evaluate_cells fills its rows
+    for method_id, spec in METHODS.items():
+        assert (spec.evaluate is None) != (spec.studies is None), method_id
+    assert {m for m, spec in METHODS.items() if spec.map} == {"MAP", "PSM+MAP", "PSW+MAP"}
 
 
 class TestExpandCells:
@@ -750,7 +764,7 @@ class TestMatchPass:
     def test_continuous_scores_draw_no_stream(self, monkeypatch, name):
         labels = match_streams(monkeypatch)
         ds = build_replicate(preset(name), 800, np.random.default_rng(14))
-        caches = harness._ReplicateCaches(ds, (), "s", 1, 0)
+        caches = harness._ReplicateCaches(ds, "s", 1, 0)
         for covset in (1, 2, 3):
             every, pools = caches.matchset(covset), caches.trial_matchsets(covset)
             assert len(pools) == ds.k_historical
@@ -762,7 +776,7 @@ class TestMatchPass:
     def test_tied_scores_draw_each_sets_own_stream(self, monkeypatch, name):
         labels = match_streams(monkeypatch)
         ds = rounded_covariates(build_replicate(preset(name), 800, np.random.default_rng(12)))
-        caches = harness._ReplicateCaches(ds, (), "s", 1, 0)
+        caches = harness._ReplicateCaches(ds, "s", 1, 0)
         every, pools = caches.matchset(3), caches.trial_matchsets(3)
         assert all(p is not every for p in pools)
         want = ["match:c3"] + [f"match:c3:trial{j}" for j in range(1, ds.k_historical + 1)]
@@ -792,11 +806,11 @@ def one_pair_call(ds, cell, caches):
     """A MAP-family cell's one-pair :func:`borrow.map_estimates` call."""
     try:
         studies, flags = source_studies(ds, cell.method_id, cell.covset, caches)
-        [got] = borrow.map_estimates(borrow.arm_summaries(ds),
-                                     [(studies, [cell.tau_label], [cell.omega], flags)])
+        arms = borrow.arm_summaries(ds)
     except ValueError as exc:
-        got = exc
-    return harness._failed_estimate(got) if isinstance(got, ValueError) else got[0]
+        return failed_estimate(exc)
+    [[row]] = borrow.map_estimates(arms, [(studies, [cell.tau_label], [cell.omega], flags)])
+    return row
 
 
 @pytest.mark.parametrize("name,n_total,flat", [
@@ -808,9 +822,10 @@ def test_map_family_rows_equal_one_cell_calls(name, n_total, flat):
         ds = flat_pools(ds)
     cells = expand_cells(MAP_FAMILY_METHODS, (1, 3))
     rows = evaluate_cells(ds, cells, "map-family", 5, 0)
-    caches = harness._ReplicateCaches(ds, cells, "map-family", 5, 0)
+    caches = harness._ReplicateCaches(ds, "map-family", 5, 0)
     family = [(c, r) for c, r in zip(cells, rows) if METHODS[c.method_id].map]
     assert len(family) == 100
+    assert len({id(r) for r in rows}) == len(rows)  # no two cells share a row object
     for cell, row in family:
         assert row_signature(row) == row_signature(one_pair_call(ds, cell, caches)), cell.key
         if not row.failed:
@@ -843,7 +858,7 @@ def test_replicate_wide_pass_equals_one_source_calls(config, scenario_id, reps):
     for replicate in range(reps):
         rng = replicate_rng(sc.master_seed, sc.scenario_id, replicate, "data")
         ds = build_replicate(sc.coeffs, sc.n_total, rng)
-        caches = harness._ReplicateCaches(ds, sc.cells, sc.scenario_id, sc.master_seed, replicate)
+        caches = harness._ReplicateCaches(ds, sc.scenario_id, sc.master_seed, replicate)
         by_source: dict = {}
         for c in sc.cells:
             if METHODS[c.method_id].map:
@@ -1150,7 +1165,7 @@ def synthetic_rows(cells, n_reps, flag, rng):
         for _ in cells:
             kind = rng.integers(4)
             if kind == 0:
-                rows.append(harness._failed_estimate(ValueError(flag)))
+                rows.append(failed_estimate(ValueError(flag)))
                 continue
             est = float(rng.normal(0.3, 0.2)) * 10.0 ** int(rng.integers(-6, 6))
             rows.append(EffectEstimate(
@@ -1459,6 +1474,35 @@ class TestCli:
         assert len(opened) == 1
         assert multiprocessing.active_children() == []
         assert all((out / name).exists() for name in OUTPUT_FILES)
+
+    def test_serial_run_calls_the_timed_hooks_in_order(self, tmp_path, monkeypatch):
+        # bench/launch.py times a run from its first harness.run_scenario to
+        # the return of harness.write_diagnostics, the last file written, and
+        # bench/tracer.py dumps the spans of each harness._run_chunk call on
+        # its own, so a serial run that went through it would count them twice.
+        calls = []
+
+        def record(name):
+            real = getattr(harness, name)
+
+            def recorder(*args, **kwargs):
+                calls.append((name, args[0].scenario_id if name == "run_scenario" else None))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, recorder)
+
+        writers = ("write_raw_csv", "write_summary_csv", "write_diagnostics")
+        for name in ("run_scenario", "_run_chunk", *writers):
+            record(name)
+        cfg = Path(__file__).resolve().parent / "data" / "golden.yaml"
+        assert cli.main(["run", "--config", str(cfg), "--reps", "2", "--threads", "1",
+                         "--out", str(tmp_path / "r")]) == 0
+        ids = [s.scenario_id for s in load_config(str(cfg)).scenarios]
+        assert len(ids) >= 2
+        assert calls[:len(ids)] == [("run_scenario", sid) for sid in ids]
+        assert {name for name, _ in calls[len(ids):]} == set(writers)
+        assert calls[-1] == ("write_diagnostics", None)
+        assert ("_run_chunk", None) not in calls
 
     def test_worker_bug_fails_loudly_and_cleans_up(self, tmp_path, monkeypatch, capsys):
         # the workers fork after the patch, so they inherit it

@@ -14,11 +14,13 @@ from hybridctl.metrics import (
     ReplicateColumns,
     UNADJ_RC_KEY,
     essr,
+    failed_estimate,
     rel_bias_pct,
     row_essr,
     summarize,
     wald_estimate,
 )
+from hybridctl.regress import SeparationError
 
 
 M = ("m", None, "")
@@ -92,6 +94,22 @@ class TestWaldEstimate:
         assert e.se * e.se == 0.2 * 0.2
         assert (e.flags, e.diagnostics) == (("f",), {"d": 1.0})
         assert not wald_estimate(0.39, 0.2).reject  # 1.95 < z
+
+
+class TestFailedEstimate:
+    def test_row(self):
+        e = failed_estimate(ValueError("need at least two observations"))
+        assert math.isnan(e.estimate) and math.isnan(e.se)
+        assert e.reject is False and e.failed is True and e.diagnostics == {}
+        assert len(e.interval) == 2 and all(math.isnan(end) for end in e.interval)
+        assert e.flags == ("error:ValueError:need at least two observations",)
+
+    def test_subclass_name_and_cut_message(self):
+        assert failed_estimate(SeparationError("complete separation")).flags == (
+            "error:SeparationError:complete separation",)
+        message = "".join(chr(ord("a") + i % 26) for i in range(200))
+        (flag,) = failed_estimate(ValueError(message)).flags
+        assert flag == "error:ValueError:" + message[:120]
 
 
 class TestSummarize:

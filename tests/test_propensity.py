@@ -508,7 +508,7 @@ class TestFullRankDesign:
         assert not full_rank_design(ds)
         calls = self.rank_calls(monkeypatch)
         cells = expand_cells(["PSM"], COVSETS)
-        caches = harness._ReplicateCaches(ds, cells, "x4=x1", 5, 0)
+        caches = harness._ReplicateCaches(ds, "x4=x1", 5, 0)
         rows = evaluate_cells(ds, cells, "x4=x1", 5, 0)
         assert calls == [7, 7, 6, 4]  # the full design, then each fit's own
         psm = {c.covset: r for c, r in zip(cells, rows) if c.method_id == "PSM"}
