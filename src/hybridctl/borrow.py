@@ -22,7 +22,7 @@ array of means and SEs: the historical pools, or their matched or
 weighted summaries. One core, :func:`map_estimates`, takes the arm
 summaries (:func:`arm_summaries`) and every study source of a dataset,
 each a study array with any number of (tau-ladder label, omega) pairs,
-each label naming a tau scale (:func:`resolve_tau_scale`). A mixture is
+each label naming a tau scale (:func:`_tau_scales`). A mixture is
 always given as (rows, components) arrays of weights, means and SDs, a
 row per mixture. The core makes one pass per group of (source, pair)
 rows with the same study count and zero scale: :func:`map_prior` builds
@@ -74,7 +74,6 @@ __all__ = [
     "pool_studies",
     "matched_studies",
     "weighted_studies",
-    "resolve_tau_scale",
     "map_estimates",
     "Strata",
     "build_strata",
@@ -88,7 +87,7 @@ __all__ = [
 TAU_LADDER = {"L": 10.0, "M": 1.0, "S": 0.1, "XS": 0.01}
 
 # Label-less default for a single historical pool, as a fraction of that
-# pool's standard error (see resolve_tau_scale).
+# pool's standard error (see _tau_scales).
 SINGLE_POOL_TAU_MULT = 0.25
 
 # Quadrature nodes over the between-study SD tau in map_prior.
@@ -534,16 +533,11 @@ def _kept(summaries: list, flag: str) -> tuple[np.ndarray, tuple[str, ...]]:
             tuple(flag.format(j) for j, s in enumerate(summaries, start=1) if s is None))
 
 
-def resolve_tau_scale(tau_label: str | None, studies: np.ndarray) -> float:
-    """The half-normal tau scale that a ``TAU_LADDER`` label (None for the
-    default) names for a (k, 2) study array (0 for no studies, where the
-    prior is the vague component alone)."""
-    return _tau_scales([tau_label], studies)[0]
-
-
 def _tau_scales(tau_labels: list[str | None], studies: np.ndarray) -> list[float]:
-    """The tau scale of each label (see :func:`resolve_tau_scale`), with the
-    empirical scale of ``studies`` computed once."""
+    """The half-normal tau scale that each ``TAU_LADDER`` label (None for
+    the default) names for a (k, 2) study array, with the empirical scale
+    of ``studies`` computed once (0 for no studies, where the prior is the
+    vague component alone)."""
     for label in tau_labels:
         if label is not None and label not in TAU_LADDER:
             raise ValueError(f"unknown tau ladder label {label!r}")

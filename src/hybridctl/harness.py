@@ -25,9 +25,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
-# numpy loads these on first use. Loaded here, they stay out of the first
-# replicate: np.unique calls np.ma.is_masked, and replicate_rng is np.random's.
-import numpy.ma  # noqa: F401
+# numpy loads this on first use. Loaded here, it stays out of the first
+# replicate: replicate_rng is np.random's.
 import numpy.random  # noqa: F401
 import yaml
 
@@ -141,13 +140,16 @@ class Cell:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario of a run. The true effect, which the data are
+    generated with and bias, type I error and power are measured
+    against, is ``coeffs.theta_treat``. Each cell carries its own
+    covariate set."""
+
     scenario_id: str
     coeffs: GenCoefficients
     n_total: int
-    theta_true: float
     replicates: int
     master_seed: int
-    covsets: tuple[int, ...]
     cells: tuple[Cell, ...]
 
 
@@ -410,10 +412,8 @@ def _parse_scenario(raw: dict, defaults: dict, where: str) -> ScenarioConfig:
         scenario_id=sid,
         coeffs=coeffs,
         n_total=int(n_total),
-        theta_true=float(theta),
         replicates=int(replicates),
         master_seed=int(master_seed),
-        covsets=covsets,
         cells=cells,
     )
 
@@ -673,7 +673,7 @@ def run_scenario(scenario: ScenarioConfig, workers: int = 1,
                     [lo for lo, _ in chunks], [hi for _, hi in chunks])):
                 columns.put_block(lo, part)
 
-    summary = summarize([c.key for c in scenario.cells], columns, scenario.theta_true,
+    summary = summarize([c.key for c in scenario.cells], columns, scenario.coeffs.theta_treat,
                         scenario.scenario_id)
     flag_counts: Counter[str] = Counter()
     for (i, _), flags in columns.flags.items():
@@ -784,7 +784,7 @@ def write_diagnostics(path: str, results: list[ScenarioResult], threshold: float
                 "scenario_id": r.scenario.scenario_id,
                 "replicates": r.scenario.replicates,
                 "master_seed": r.scenario.master_seed,
-                "theta_true": r.scenario.theta_true,
+                "theta_true": r.scenario.coeffs.theta_treat,
                 "failure_fraction": r.failure_fraction,
                 "flag_counts": r.flag_counts,
             }

@@ -38,11 +38,11 @@ from .propensity import covset_columns
 from .regress import SingularDesignError
 from .trialdata import TrialDataset
 
-__all__ = ["fit_lmm", "pooled_stats", "estimate_mm"]
+__all__ = ["pooled_stats", "estimate_mm"]
 
 LOG_LAMBDA_SPAN = 12.0
 
-# The scans of fit_lmm, as (log lambda, lambda) with lambda = 0 first:
+# The scans of _fit, as (log lambda, lambda) with lambda = 0 first:
 # 25 points over [e^-span, e^span], then over the span widened by half.
 _SCANS = tuple((t, np.concatenate([[0.0], np.exp(t)]))
                for t in (np.linspace(-span, span, 25)
@@ -208,8 +208,16 @@ def _newton(slopes: Callable[[float], tuple[float, float]], lo: float, hi: float
 
 
 def _fit(stats: GroupStats) -> LmmFit:
-    """Fit the model to the design whose statistics are ``stats``: see
-    :func:`fit_lmm`."""
+    """Fit the random-intercept model by profiled REML to the design whose
+    statistics are ``stats`` (:func:`group_stats` of [X, y]).
+
+    The variance ratio is scanned on {0} union 25 log-spaced points over
+    [e^-12, e^12]; a minimum at the upper edge widens the span once, to
+    e^18, and flags the fit. A safeguarded Newton step in log lambda then
+    refines the minimum between the best point's scan neighbours, or below
+    lambda_1 when lambda = 0 is best and the slope there is negative.
+    lambda = 0 is kept if the refined point does not beat it.
+    """
     if not stats.finite[-1]:
         raise ValueError("y has non-finite values")
     if not stats.finite[:-1].all():
@@ -247,22 +255,6 @@ def _fit(stats: GroupStats) -> LmmFit:
     return LmmFit(coef=beta, cov=sigma2 * (chol_inv.T @ chol_inv), lambda_hat=lam_hat,
                   sigma2=sigma2, sigma_b2=lam_hat * sigma2, criterion_value=crit_hat,
                   n_groups=stats.n.size, flags=tuple(flags))
-
-
-def fit_lmm(y: np.ndarray, X: np.ndarray, groups: np.ndarray) -> LmmFit:
-    """Fit the random-intercept model by profiled REML.
-
-    The variance ratio is scanned on {0} union 25 log-spaced points over
-    [e^-12, e^12]; a minimum at the upper edge widens the span once, to
-    e^18, and flags the fit. A safeguarded Newton step in log lambda then
-    refines the minimum between the best point's scan neighbours, or below
-    lambda_1 when lambda = 0 is best and the slope there is negative.
-    lambda = 0 is kept if the refined point does not beat it.
-    """
-    y, X, groups = np.asarray(y, dtype=float), np.asarray(X, dtype=float), np.asarray(groups)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size or groups.shape != y.shape:
-        raise ValueError("y, X, and groups must have matching first dimensions")
-    return _fit(group_stats(np.column_stack([X, y]), groups))
 
 
 def estimate_mm(stats: GroupStats, covset: int | None) -> EffectEstimate:

@@ -299,9 +299,9 @@ def estimate_psm(dataset: TrialDataset, psfit: PsFit, matchset: MatchSet) -> Eff
     subject cluster (Austin & Cafri 2020, Stat. Med. 39:1623). Should
     that sum not be positive, the subject-cluster variance is used,
     flagged. Clusters are labelled by row of the pooled sample, whose
-    first rows are the reduced concurrent trial, so subject ids are
-    never read. With an empty match set the estimate falls back to the
-    unadjusted reduced-concurrent fit, flagged.
+    first rows are the reduced concurrent trial (subjects carry no ids).
+    With an empty match set the estimate falls back to the unadjusted
+    reduced-concurrent fit, flagged.
     """
     red = dataset.reduced_concurrent
     n_pairs = matchset.hist_rows.size
@@ -325,7 +325,7 @@ def estimate_psm(dataset: TrialDataset, psfit: PsFit, matchset: MatchSet) -> Eff
         diagnostics={
             "n_pairs": float(n_pairs),
             "n_unmatched": float(len(red) - n_pairs),
-            "n_unique_matched": float(np.unique(matchset.hist_rows).size),
+            "n_unique_matched": float(np.count_nonzero(np.bincount(matchset.hist_rows))),
         },
     )
 

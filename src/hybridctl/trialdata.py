@@ -45,25 +45,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SubjectGroup:
-    """Column-oriented collection of subjects.
+    """Column-oriented collection of subjects, one row per subject.
+    Subjects carry no ids: a subject is its row.
 
     Attributes
     ----------
-    ids : (n,) int array of globally unique subject ids.
     x : (n, p) float array of covariates.
     z : (n,) int array, 1 = treated, 0 = control.
     trial : (n,) int array, 0 = concurrent, 1..k = historical pool.
     y : (n,) float array of outcomes.
     """
 
-    ids: np.ndarray
     x: np.ndarray
     z: np.ndarray
     trial: np.ndarray
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.ids.shape[0]
+        n = self.y.shape[0]
         if self.x.ndim != 2 or self.x.shape[0] != n:
             raise ValueError("covariate matrix does not match subject count")
         for name in ("z", "trial", "y"):
@@ -71,11 +70,10 @@ class SubjectGroup:
                 raise ValueError(f"column '{name}' does not match subject count")
 
     def __len__(self) -> int:
-        return int(self.ids.shape[0])
+        return int(self.y.shape[0])
 
     def take(self, index: np.ndarray) -> "SubjectGroup":
         return SubjectGroup(
-            ids=self.ids[index],
             x=self.x[index],
             z=self.z[index],
             trial=self.trial[index],
@@ -87,7 +85,6 @@ class SubjectGroup:
         if not groups:
             raise ValueError("cannot concatenate zero subject groups")
         return SubjectGroup(
-            ids=np.concatenate([g.ids for g in groups]),
             x=np.vstack([g.x for g in groups]),
             z=np.concatenate([g.z for g in groups]),
             trial=np.concatenate([g.trial for g in groups]),
@@ -328,8 +325,7 @@ def build_replicate(
     z[perm[:n_treat]] = 1
 
     y = gen_outcomes(X, z, coeffs, rng)
-    ids = np.arange(n_total)
-    everyone = SubjectGroup(ids=ids, x=X, z=z, trial=labels, y=y)
+    everyone = SubjectGroup(x=X, z=z, trial=labels, y=y)
 
     full_concurrent = everyone.take(conc_idx)
     ctrl_idx = conc_idx[z[conc_idx] == 0]
@@ -380,9 +376,10 @@ def load_subjects_csv(path: str) -> TrialDataset:
 
     Expected columns: ``trial`` (0 = concurrent, 1..k = historical pool),
     ``z`` (0/1; must be 0 for historical subjects), ``y``, covariates
-    ``x1..xp`` (p >= 1), and optionally ``id``. The ``x<k>`` columns
-    must be exactly x1..xp; a gap or a stray number is an error naming
-    the missing column. A column name that the header repeats is an error
+    ``x1..xp`` (p >= 1), and optionally ``id``: integers that must be
+    unique (a blank id stands for the row's index), checked and then not
+    kept. The ``x<k>`` columns must be exactly x1..xp; a gap or a stray
+    number is an error naming the missing column. A column name that the header repeats is an error
     naming it.
     A field that is missing (a short row) or does not parse, and a
     non-finite ``y`` or covariate (nan, inf), is an error naming the
@@ -423,9 +420,9 @@ def load_subjects_csv(path: str) -> TrialDataset:
     if not records:
         raise ValueError("no subject rows")
 
-    ids = np.array([i if row.get("id", "") == "" else _field(line, row, "id", int)
-                    for i, (line, row) in enumerate(records)])
-    if np.unique(ids).size != len(records):
+    ids = {i if row.get("id", "") == "" else _field(line, row, "id", int)
+           for i, (line, row) in enumerate(records)}
+    if len(ids) != len(records):
         raise ValueError("subject ids are not unique")
     trial = np.array([_field(line, row, "trial", int) for line, row in records])
     z = np.array([_field(line, row, "z", int) for line, row in records])
@@ -441,7 +438,7 @@ def load_subjects_csv(path: str) -> TrialDataset:
     k = int(trial.max())
     if trial.min() < 0 or k < 1:
         raise ValueError("need trial labels 0 (concurrent) and 1..k (historical)")
-    everyone = SubjectGroup(ids=ids, x=x, z=z, trial=trial, y=y)
+    everyone = SubjectGroup(x=x, z=z, trial=trial, y=y)
     conc = everyone.take(np.flatnonzero(trial == 0))
     if len(conc) == 0 or not (np.any(conc.z == 1) and np.any(conc.z == 0)):
         raise ValueError("concurrent trial needs both treated and control subjects")

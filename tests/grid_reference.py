@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from hybridctl.borrow import _mean_se, resolve_tau_scale
+from hybridctl.borrow import _mean_se, _tau_scales
 from hybridctl.metrics import EffectEstimate
 from hybridctl.trialdata import TrialDataset
 
@@ -297,7 +297,7 @@ def estimate_map(
         tau_scale = 0.0
         prior_raw_sd = vague_sd
     else:
-        tau_scale = resolve_tau_scale(tau_label, studies)
+        tau_scale = _tau_scales([tau_label], studies)[0]
         means, ses = studies.T
         prec = 1.0 / (ses * ses)
         vague_mean = float((means * prec).sum() / prec.sum())

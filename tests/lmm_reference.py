@@ -1,4 +1,4 @@
-"""Dense-covariance REML reference for ``mixed.fit_lmm``.
+"""Dense-covariance REML reference for ``mixed._fit``.
 
 General-design algebra, sharing no code with the spectral form: every
 quantity comes from ``np.linalg.slogdet`` and ``np.linalg.solve`` on the

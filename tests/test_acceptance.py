@@ -24,6 +24,7 @@ import lmm_reference
 import numpy as np
 import pytest
 
+from hybridctl import mixed
 from hybridctl.borrow import (
     _moments,
     arm_summaries,
@@ -40,7 +41,6 @@ from hybridctl.harness import (
     write_raw_csv,
     write_summary_csv,
 )
-from hybridctl.mixed import fit_lmm
 from hybridctl.propensity import estimate_ps, ipw_weights, match_nearest
 from hybridctl.trialdata import build_replicate, preset, preset_n_total
 
@@ -112,10 +112,8 @@ def arm(scenario_id: str):
             scenario_id=scenario_id,
             coeffs=coeffs,
             n_total=preset_n_total(name),
-            theta_true=coeffs.theta_treat,
             replicates=REPS,
             master_seed=SEED,
-            covsets=(1, 2, 3),
             cells=expand_cells(methods, (1, 2, 3)),
         )
         _ARMS[scenario_id] = run_scenario(scenario, workers=1)
@@ -425,7 +423,7 @@ def test_c17_lmm_oracle_and_ols_collapse():
     groups = np.repeat([0, 1, 2], 5)
     y = 0.5 + 0.7 * x + np.array([0.9, -0.4, 0.6])[groups] + 0.4 * rng.normal(size=15)
     X = np.column_stack([np.ones(15), x])
-    fit = fit_lmm(y, X, groups)
+    fit = mixed._fit(mixed.group_stats(np.column_stack([X, y]), groups))
     # The dense-V criterion scores both the fit's lambda and the grid.
     grid = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 4001)])
     oracle = lmm_reference.grid_minimum(y, X, groups, grid)
@@ -437,7 +435,7 @@ def test_c17_lmm_oracle_and_ols_collapse():
     g2 = np.repeat([0, 1, 2], 40)
     y2 = 1.0 + 0.7 * x2 + 0.5 * rng.normal(size=120)
     X2 = np.column_stack([np.ones(120), x2])
-    flat = fit_lmm(y2, X2, g2)
+    flat = mixed._fit(mixed.group_stats(np.column_stack([X2, y2]), g2))
     ols = np.linalg.lstsq(X2, y2, rcond=None)[0]
     emit(
         17,
@@ -453,10 +451,8 @@ def test_c18_determinism(tmp_path):
         scenario_id="determinism-check",
         coeffs=coeffs,
         n_total=400,
-        theta_true=coeffs.theta_treat,
         replicates=40,
         master_seed=99,
-        covsets=(1,),
         cells=expand_cells(
             [{"method_id": "PSM", "covsets": [1]}, {"method_id": "MAP", "omega": 0.5}],
             (1,),

@@ -21,6 +21,7 @@ from hybridctl.borrow import (
     _mean_se,
     _moments,
     _ndtr,
+    _tau_scales,
     credible_interval,
     effect_posterior,
     estimate_pss_cl,
@@ -32,7 +33,6 @@ from hybridctl.borrow import (
     pool_studies,
     posterior_update,
     power_prior_update,
-    resolve_tau_scale,
     robustify,
     weighted_studies,
     weighted_study_summary,
@@ -221,7 +221,7 @@ class TestMapPrior:
 
     def test_prior_sd_non_decreasing_in_tau_ladder(self):
         studies = study_array((0.0, 0.25), (0.4, 0.25), (1.0, 0.25))
-        sds = [mix_sd(prior_one(studies, resolve_tau_scale(label, studies)))
+        sds = [mix_sd(prior_one(studies, _tau_scales([label], studies)[0]))
                for label in ("XS", "S", "M", "L")]
         assert all(b >= a - 1e-12 for a, b in zip(sds, sds[1:]))
         assert sds[-1] > sds[0]
@@ -277,16 +277,16 @@ class TestEmpiricalTauScale:
     # The empirical scale is what ladder label M names; other labels scale it.
     def test_single_study_uses_its_se(self):
         study = study_array((0.3, 0.17))
-        assert resolve_tau_scale("M", study) == 0.17
-        assert resolve_tau_scale("XS", study) == 0.01 * 0.17
-        assert resolve_tau_scale(None, study) == SINGLE_POOL_TAU_MULT * 0.17
+        assert _tau_scales(["M"], study)[0] == 0.17
+        assert _tau_scales(["XS"], study)[0] == 0.01 * 0.17
+        assert _tau_scales([None], study)[0] == SINGLE_POOL_TAU_MULT * 0.17
 
     def test_multiple_studies_use_sd_of_means(self):
         studies = study_array(*[(m, 0.5) for m in (0.0, 0.4, 1.0)])
         want = float(np.std([0.0, 0.4, 1.0], ddof=1))
-        assert resolve_tau_scale("M", studies) == pytest.approx(want, rel=1e-12)
-        assert resolve_tau_scale(None, studies) == resolve_tau_scale("M", studies)
-        assert resolve_tau_scale("L", studies) == 10.0 * resolve_tau_scale("M", studies)
+        assert _tau_scales(["M"], studies)[0] == pytest.approx(want, rel=1e-12)
+        assert _tau_scales([None], studies)[0] == _tau_scales(["M"], studies)[0]
+        assert _tau_scales(["L"], studies)[0] == 10.0 * _tau_scales(["M"], studies)[0]
 
     def test_ladder_values(self):
         assert TAU_LADDER == {"L": 10.0, "M": 1.0, "S": 0.1, "XS": 0.01}
@@ -301,12 +301,12 @@ class TestEmpiricalTauScale:
         assert len(got) == 1 and failed_with("tau_scale must be finite and non-negative", got)
 
     def test_no_studies_and_unknown_labels(self):
-        assert resolve_tau_scale("S", NO_STUDIES) == resolve_tau_scale(None, NO_STUDIES) == 0.0
+        assert _tau_scales(["S"], NO_STUDIES)[0] == _tau_scales([None], NO_STUDIES)[0] == 0.0
         for label in ("XL", "m", ""):
             with pytest.raises(ValueError, match="unknown tau ladder label"):
-                resolve_tau_scale(label, study_array((0.3, 0.17)))
+                _tau_scales([label], study_array((0.3, 0.17)))
             with pytest.raises(ValueError, match="unknown tau ladder label"):
-                resolve_tau_scale(label, NO_STUDIES)
+                _tau_scales([label], NO_STUDIES)
 
 
 class TestRobustify:
@@ -867,7 +867,7 @@ class TestStudySummaries:
         n = 40
         y = rng.normal(size=n)
         sample = SubjectGroup(
-            ids=np.arange(n), x=np.zeros((n, 1)), z=np.zeros(n, dtype=int),
+            x=np.zeros((n, 1)), z=np.zeros(n, dtype=int),
             trial=np.ones(n, dtype=int), y=y,
         )
         fit = PsFit(sample=sample, ps=np.full(n, 0.5))
@@ -881,7 +881,7 @@ class TestStudySummaries:
         n = 30
         y = rng.normal(size=n)
         sample = SubjectGroup(
-            ids=np.arange(n), x=np.zeros((n, 1)), z=np.zeros(n, dtype=int),
+            x=np.zeros((n, 1)), z=np.zeros(n, dtype=int),
             trial=np.ones(n, dtype=int), y=y,
         )
         fit = PsFit(sample=sample, ps=np.full(n, 0.5))
@@ -894,7 +894,7 @@ class TestStudySummaries:
 
     def test_matched_degenerate_cases_return_none(self):
         sample = SubjectGroup(
-            ids=np.arange(3), x=np.zeros((3, 1)), z=np.zeros(3, dtype=int),
+            x=np.zeros((3, 1)), z=np.zeros(3, dtype=int),
             trial=np.ones(3, dtype=int), y=np.array([1.0, 2.0, 3.0]),
         )
         fit = PsFit(sample=sample, ps=np.full(3, 0.5))
@@ -924,7 +924,7 @@ class TestStudySummaries:
         for _ in range(200):
             assert weighted_study_summary(y, rng.uniform(0.05, 20.0, 40)) is None
         sample = SubjectGroup(
-            ids=np.arange(40), x=np.zeros((40, 1)), z=np.zeros(40, dtype=int),
+            x=np.zeros((40, 1)), z=np.zeros(40, dtype=int),
             trial=np.ones(40, dtype=int), y=y,
         )
         fit = PsFit(sample=sample, ps=np.full(40, 0.5))
@@ -986,7 +986,6 @@ def synthetic_pss_inputs(frac_treated_low=1.0, seed=13, z=None, ps_h=None):
     ps_h = drawn if ps_h is None else np.asarray(ps_h, dtype=float)
     n = 160
     sample = SubjectGroup(
-        ids=np.arange(n),
         x=rng.normal(size=(n, 1)),
         z=np.r_[z, np.zeros(60, dtype=int)],
         trial=np.r_[np.zeros(100, dtype=int), np.ones(60, dtype=int)],
@@ -1078,8 +1077,7 @@ class TestStratifiedBorrowing:
                 if mask.sum() >= 2 and y[mask].std(ddof=1) > 0:
                     mu = y[mask].mean()
                     y[mask] = (y[mask] - mu) / y[mask].std(ddof=1) + mu
-        new_sample = SubjectGroup(ids=sample.ids, x=sample.x, z=sample.z,
-                                  trial=sample.trial, y=y)
+        new_sample = SubjectGroup(x=sample.x, z=sample.z, trial=sample.trial, y=y)
         psfit2 = PsFit(sample=new_sample, ps=psfit.ps)
         n_hist = int(((labels >= 0) & ~conc).sum())
         strata = treated_surplus(build_strata(psfit2), at_least=n_hist)

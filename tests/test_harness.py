@@ -48,7 +48,9 @@ from hybridctl.metrics import (
     summarize,
 )
 from hybridctl.propensity import estimate_ps, stratify
-from hybridctl.trialdata import SubjectGroup, TrialDataset, build_replicate, preset
+from hybridctl.trialdata import (
+    SubjectGroup, TrialDataset, build_replicate, load_subjects_csv, preset,
+)
 
 RAW_HEADER = "scenario_id,replicate,method_id,covset,hyperparam,estimate,se,reject,essr_pct,flags"
 SUMMARY_HEADER = (
@@ -59,15 +61,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def small_scenario(methods, reps=4, n_total=400, seed=11, covsets=(1,), name="small"):
-    coeffs = preset("single-moderate")
     return ScenarioConfig(
         scenario_id=name,
-        coeffs=coeffs,
+        coeffs=preset("single-moderate"),
         n_total=n_total,
-        theta_true=coeffs.theta_treat,
         replicates=reps,
         master_seed=seed,
-        covsets=covsets,
         cells=expand_cells(methods, covsets),
     )
 
@@ -115,10 +114,25 @@ def test_scipy_stays_unloaded():
 
 def test_a_replicate_imports_no_module():
     # Whatever a replicate needs is imported with the program, so no import
-    # falls inside the timed loop. numpy loads numpy.random and numpy.ma on
-    # first use; the harness imports both.
+    # falls inside the timed loop. numpy loads numpy.random on first use;
+    # the harness imports it.
     _, new = replicate_imports()
     assert new == []
+
+
+def test_run_and_analyze_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs about 12 ms of start-up; plain np.unique loads it, so
+    # a run and `analyze` count distinct values without it
+    ds = build_replicate(preset("multi-moderate"), 800, np.random.default_rng(12))
+    data = write_subjects_csv(tmp_path / "subjects.csv", ds)
+    probe = ("import sys; from hybridctl.cli import main; code = main(sys.argv[1:]); "
+             "print('numpy.ma' in sys.modules, file=sys.stderr); sys.exit(code)")
+    for args in (["run", "--config", "tests/data/golden.yaml", "--reps", "2",
+                  "--out", str(tmp_path / "out")],
+                 ["analyze", "--data", str(data), "--methods", ",".join(METHODS)]):
+        done = subprocess.run([sys.executable, "-c", probe, *args], env=src_env(), cwd=ROOT,
+                              capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, "False\n"), args
 
 
 def test_run_and_analyze_with_scipy_blocked(tmp_path):
@@ -356,7 +370,7 @@ class TestLoadConfig:
         assert ids == ["quick-null", "quick-alt"]
         assert all(s.replicates == 20 for s in cfg.scenarios)
         assert cfg.scenarios[0].master_seed == 7
-        assert cfg.scenarios[0].theta_true == 0.0
+        assert cfg.scenarios[0].coeffs.theta_treat == 0.0
 
     def test_shipped_full_grid_config(self):
         cfg = load_config("configs/full_grid.yaml")
@@ -370,7 +384,7 @@ class TestLoadConfig:
         (sc,) = cfg.scenarios
         assert sc.n_total == 300
         assert sc.replicates == 3
-        assert sc.theta_true == preset("single-moderate").theta_treat
+        assert sc.coeffs.theta_treat == preset("single-moderate").theta_treat
         assert cfg.failure_threshold == 0.05
 
     @pytest.mark.parametrize(
@@ -485,7 +499,7 @@ class TestLoadConfig:
             ds = build_replicate(coeffs, 1200, np.random.default_rng(seed))
             return [getattr(g, f).tobytes() for g in (ds.full_concurrent, ds.reduced_concurrent,
                                                       *ds.historical)
-                    for f in ("ids", "x", "z", "trial", "y")]
+                    for f in ("x", "z", "trial", "y")]
 
         assert all(arrays(c, seed) == arrays(s, seed) for seed in range(3))
 
@@ -652,7 +666,7 @@ class TestRunReplicate:
         def shift(g, sign):
             x = g.x.copy()
             x[:, 0] = sign * (np.abs(x[:, 0]) + 0.5)
-            return SubjectGroup(ids=g.ids, x=x, z=g.z, trial=g.trial, y=g.y)
+            return SubjectGroup(x=x, z=g.z, trial=g.trial, y=g.y)
 
         ds = TrialDataset(shift(ds.full_concurrent, 1), shift(ds.reduced_concurrent, 1),
                           (shift(ds.historical[0], -1),))
@@ -961,27 +975,24 @@ def test_cell_rows_do_not_depend_on_the_other_cells(data):
     assert got_essr.tobytes() == want_essr.tobytes()
 
 
-def test_rows_do_not_depend_on_subject_id_order():
-    # Reversing the ids (id -> n - 1 - id) keeps every row where it is;
-    # estimators address subjects by row, so only the order of PSM's
-    # cluster sums may move the last bits.
+def test_rows_do_not_depend_on_subject_id_order(tmp_path):
+    # A subjects file's id column is checked, then not kept: estimators
+    # address subjects by row, so the ids in reverse order, or no
+    # id column, give every row to the last bit.
     n = 800
     ds = build_replicate(preset("multi-moderate"), n, np.random.default_rng(22))
-
-    def reverse(g):
-        return SubjectGroup(ids=n - 1 - g.ids, x=g.x, z=g.z, trial=g.trial, y=g.y)
-
-    rev = TrialDataset(reverse(ds.full_concurrent), reverse(ds.reduced_concurrent),
-                       tuple(reverse(p) for p in ds.historical))
+    lines = write_subjects_csv(tmp_path / "ids.csv", ds).read_text().splitlines()
+    fields = [line.split(",", 1) for line in lines]
+    (tmp_path / "reversed.csv").write_text("\n".join(
+        ["id," + fields[0][1]] + [f"{n - int(i)},{rest}" for i, rest in fields[1:]]) + "\n")
+    (tmp_path / "none.csv").write_text("\n".join(rest for _, rest in fields) + "\n")
     cells = expand_cells(sorted(METHODS), (1, 3))
-    want = evaluate_cells(ds, cells, "order", 5, 0)
-    got = evaluate_cells(rev, cells, "order", 5, 0)
     assert {c.method_id for c in cells} == set(METHODS) and len(METHODS) == 11
-    for a, b in zip(want, got, strict=True):
-        assert not a.failed, a.flags
-        assert b.estimate == pytest.approx(a.estimate, rel=1e-12, abs=0)
-        assert b.se == pytest.approx(a.se, rel=1e-12, abs=0)
-        assert (b.reject, b.flags) == (a.reject, a.flags)
+    want = evaluate_cells(load_subjects_csv(str(tmp_path / "ids.csv")), cells, "order", 5, 0)
+    assert not any(r.failed for r in want)
+    for name in ("reversed.csv", "none.csv"):
+        got = evaluate_cells(load_subjects_csv(str(tmp_path / name)), cells, "order", 5, 0)
+        assert repr(got) == repr(want)
 
 
 def row_reprs(result):
@@ -1018,6 +1029,24 @@ class TestRunScenario:
             assert row_reprs(b) == row_reprs(a)
             assert (b.summary, b.flag_counts) == (a.summary, a.flag_counts)
 
+    def test_theta_lives_in_the_coefficients(self, tmp_path):
+        # the data are generated with coeffs.theta_treat, and the summary
+        # and diagnostics.json measure against that same value
+        sc = ScenarioConfig(
+            scenario_id="theta", coeffs=preset("single-moderate").with_theta(0.25),
+            n_total=300, replicates=5, master_seed=3,
+            cells=expand_cells(["PSM", "MAP"], (1,)),
+        )
+        res = run_scenario(sc)
+        c = res.columns
+        assert not c.failed.any()
+        for i, row in enumerate(res.summary):
+            assert row.bias == pytest.approx(c.estimate[i].mean() - 0.25, rel=1e-12, abs=1e-15)
+            assert row.rel_bias_pct == pytest.approx(100.0 * row.bias / 0.25, rel=1e-12)
+        write_diagnostics(str(tmp_path / "diagnostics.json"), [res], 0.05)
+        (entry,) = json.loads((tmp_path / "diagnostics.json").read_text())["scenarios"]
+        assert entry["theta_true"] == 0.25
+
     def test_zero_variance_outcomes_fail_borrowers(self):
         # constant outcomes make the historical pool summary degenerate
         # (zero standard error), which MAP must refuse rather than use
@@ -1028,10 +1057,8 @@ class TestRunScenario:
             scenario_id="flat-outcomes",
             coeffs=coeffs,
             n_total=120,
-            theta_true=coeffs.theta_treat,
             replicates=3,
             master_seed=4,
-            covsets=(1,),
             cells=expand_cells(["MAP"], (1,)),
         )
         res = run_scenario(sc)
@@ -1109,8 +1136,7 @@ class TestCsvIo:
         # an alternative and a null (theta = 0) scenario: together their rows
         # hold every field both set and None
         sc = small_scenario(["PSM"], reps=3, n_total=300, name="null")
-        null = run_scenario(dataclasses.replace(sc, coeffs=sc.coeffs.with_theta(0.0),
-                                                theta_true=0.0))
+        null = run_scenario(dataclasses.replace(sc, coeffs=sc.coeffs.with_theta(0.0)))
         both = results + [null]
         path = tmp_path / "summary.csv"
         write_summary_csv(str(path), both)
@@ -1190,7 +1216,7 @@ def test_writers_equal_the_per_object_writers(sid, tau, flag, seed):
                                  cells=cells)
         per_replicate = synthetic_rows(cells, n_reps, flag, rng)
         columns = ReplicateColumns.from_rows(per_replicate, len(cells), n_reps)
-        summary = summarize([c.key for c in cells], columns, sc.theta_true, scenario_id)
+        summary = summarize([c.key for c in cells], columns, sc.coeffs.theta_treat, scenario_id)
         results.append(ScenarioResult(sc, summary, columns, {}, 0.0))
         reference.append((sc, per_replicate, summary))
     with tempfile.TemporaryDirectory() as tmp:
@@ -1242,6 +1268,20 @@ def test_peak_memory_grows_by_under_150_bytes_a_raw_row(tmp_path):
     print(f"\npeak RSS {peak[70] / 2**20:.1f} -> {peak[520] / 2**20:.1f} MiB, "
           f"{per_row:.0f} B per raw row")
     assert per_row < 150
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    # the first Python block of README "Library use", executed verbatim,
+    # prints one line per summary row
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    summary = namespace["result"].summary
+    lines = capsys.readouterr().out.splitlines()
+    assert len(summary) == 3 and len(lines) == len(summary)
+    for line, row in zip(lines, summary):
+        assert line.split()[0] == row.method_id
 
 
 def test_readme_states_what_a_held_row_takes():
@@ -1347,14 +1387,13 @@ OUTPUT_FILES = ("raw.csv", "summary.csv", "diagnostics.json")
 
 
 def write_subjects_csv(path, ds):
-    """``ds`` as a subjects CSV with ids, its concurrent trial first."""
+    """``ds`` as a subjects CSV with ids 1..n, its concurrent trial first."""
+    group = SubjectGroup.concat([ds.full_concurrent, *ds.historical])
     with open(path, "w") as fh:
-        fh.write("id,trial,z,y," + ",".join(f"x{j+1}" for j in range(ds.full_concurrent.x.shape[1]))
-                 + "\n")
-        for group in (ds.full_concurrent, *ds.historical):
-            for i, x, z, t, y in zip(group.ids, group.x, group.z, group.trial, group.y):
-                xs = ",".join("%.10g" % v for v in x)
-                fh.write(f"{i},{t},{z},{y:.10g},{xs}\n")
+        fh.write("id,trial,z,y," + ",".join(f"x{j+1}" for j in range(group.x.shape[1])) + "\n")
+        for i, (x, z, t, y) in enumerate(zip(group.x, group.z, group.trial, group.y), start=1):
+            xs = ",".join("%.10g" % v for v in x)
+            fh.write(f"{i},{t},{z},{y:.10g},{xs}\n")
     return path
 
 

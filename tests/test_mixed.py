@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridctl import mixed
-from hybridctl.mixed import estimate_mm, fit_lmm, pooled_stats
+from hybridctl.mixed import estimate_mm, pooled_stats
 from hybridctl.regress import SingularDesignError
 from hybridctl.trialdata import build_replicate, preset
 
@@ -36,8 +36,13 @@ def design(sizes, p, sigma_b, seed, constant=True):
     return X @ rng.normal(size=p) + b[groups] + rng.standard_normal(n), X, groups
 
 
+def lmm_fit(y, X, groups):
+    """The model fitted to the design [X, y] over ``groups``."""
+    return mixed._fit(mixed.group_stats(np.column_stack([X, y]), groups))
+
+
 def spectral_criterion(y, X, groups, lam):
-    """The criterion that fit_lmm minimizes, at lambda = ``lam``."""
+    """The criterion that the fit minimizes, at lambda = ``lam``."""
     stats = mixed.group_stats(np.column_stack([X, y]), groups)
     return mixed._criterion(mixed._spectrum(stats), lam)
 
@@ -67,7 +72,7 @@ class TestProfiledCriterion:
         np.testing.assert_array_equal(grid.reshape(-1), got)
 
     def test_fit_reports_the_dense_criterion(self):
-        fit = fit_lmm(self.y, self.X, self.groups)
+        fit = lmm_fit(self.y, self.X, self.groups)
         want = ref.criterion(self.y, self.X, self.groups, [fit.lambda_hat])[0]
         assert fit.criterion_value == pytest.approx(want, rel=1e-10, abs=0.0)
 
@@ -144,21 +149,21 @@ class TestFitLmm:
         # oracle: brute-force the dense-V criterion on a dense grid; the
         # fitted lambda can do no worse than any scanned point
         y, X, groups = simulate(3, 5, 1.0, 0.5, seed=1)
-        fit = fit_lmm(y, X, groups)
+        fit = lmm_fit(y, X, groups)
         lams = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 20001)])
         scan = ref.grid_minimum(y, X, groups, lams)
         assert ref.criterion(y, X, groups, [fit.lambda_hat])[0] <= scan + 1e-7
 
     def test_no_group_effect_collapses_to_ols(self):
         y, X, groups = simulate(20, 500, 0.0, 1.0, seed=2)
-        fit = fit_lmm(y, X, groups)
+        fit = lmm_fit(y, X, groups)
         ols = np.linalg.lstsq(X, y, rcond=None)[0]
         assert np.max(np.abs(fit.coef - ols)) < 1e-3
         assert fit.sigma_b2 < 0.01
 
     def test_huge_group_variance_approaches_within_estimator(self):
         y, X, groups = simulate(6, 100, 50.0, 1.0, seed=3)
-        fit = fit_lmm(y, X, groups)
+        fit = lmm_fit(y, X, groups)
         dummies = np.column_stack([(groups == g).astype(float) for g in range(6)])
         within = np.linalg.lstsq(np.column_stack([dummies, X[:, 1]]), y, rcond=None)[0]
         assert fit.coef[1] == pytest.approx(float(within[-1]), rel=1e-2)
@@ -166,8 +171,8 @@ class TestFitLmm:
 
     def test_translation_leaves_slope_alone(self):
         y, X, groups = simulate(5, 30, 1.0, 1.0, seed=4)
-        a = fit_lmm(y, X, groups)
-        b = fit_lmm(y + 5.0, X, groups)
+        a = lmm_fit(y, X, groups)
+        b = lmm_fit(y + 5.0, X, groups)
         assert b.coef[0] == pytest.approx(a.coef[0] + 5.0, abs=1e-8)
         assert b.coef[1] == pytest.approx(a.coef[1], abs=1e-8)
         assert b.lambda_hat == pytest.approx(a.lambda_hat, rel=1e-6, abs=1e-12)
@@ -175,27 +180,27 @@ class TestFitLmm:
     def test_row_permutation_invariance(self):
         y, X, groups = simulate(5, 30, 1.0, 1.0, seed=5)
         perm = np.random.default_rng(6).permutation(y.size)
-        a = fit_lmm(y, X, groups)
-        b = fit_lmm(y[perm], X[perm], groups[perm])
+        a = lmm_fit(y, X, groups)
+        b = lmm_fit(y[perm], X[perm], groups[perm])
         np.testing.assert_allclose(a.coef, b.coef, atol=1e-8)
         assert a.lambda_hat == pytest.approx(b.lambda_hat, rel=1e-6, abs=1e-12)
 
     def test_recovers_variance_components(self):
         y, X, groups = simulate(60, 50, 0.8, 1.2, seed=7)
-        fit = fit_lmm(y, X, groups)
+        fit = lmm_fit(y, X, groups)
         assert fit.sigma2 == pytest.approx(1.2**2, rel=0.2)
         assert fit.sigma_b2 == pytest.approx(0.8**2, rel=0.4)
 
     def test_single_group_rejected(self):
         y, X, _ = simulate(2, 10, 1.0, 1.0, seed=9)
         with pytest.raises(ValueError, match="two groups"):
-            fit_lmm(y, X, np.zeros(y.size, dtype=int))
+            lmm_fit(y, X, np.zeros(y.size, dtype=int))
 
     def test_rank_deficient_design_rejected(self):
         y, X, groups = simulate(4, 10, 1.0, 1.0, seed=10)
         X2 = np.column_stack([X, X[:, 1]])
         with pytest.raises(SingularDesignError):
-            fit_lmm(y, X2, groups)
+            lmm_fit(y, X2, groups)
 
     @pytest.mark.parametrize("where", ["y", "X"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -206,14 +211,7 @@ class TestFitLmm:
         else:
             X[7, 1] = bad
         with pytest.raises(ValueError, match=f"^{where} has non-finite"):
-            fit_lmm(y, X, groups)
-
-    def test_groups_may_be_a_list(self):
-        y, X, groups = simulate(3, 10, 1.0, 1.0, seed=13)
-        a = fit_lmm(y, X, groups)
-        b = fit_lmm(y, X, groups.tolist())
-        np.testing.assert_array_equal(a.coef, b.coef)
-        assert a.lambda_hat == b.lambda_hat
+            lmm_fit(y, X, groups)
 
 
 # The fine grid the dense reference scans: lambda = 0 and e^-20 .. e^20.
@@ -221,7 +219,7 @@ REFERENCE_GRID = np.concatenate([[0.0], np.exp(np.linspace(-20.0, 20.0, 2001))])
 
 
 class TestDenseReference:
-    """fit_lmm against the dense-V REML of tests/lmm_reference.py."""
+    """The fit against the dense-V REML of tests/lmm_reference.py."""
 
     # (group sizes, p, sigma_b, seed, intercept column, regime of lambda_hat)
     cases = [
@@ -241,7 +239,7 @@ class TestDenseReference:
     @pytest.mark.parametrize("sizes,p,sigma_b,seed,constant,regime", cases)
     def test_matches_dense_reml(self, sizes, p, sigma_b, seed, constant, regime):
         y, X, groups = design(sizes, p, sigma_b, seed, constant)
-        fit = fit_lmm(y, X, groups)
+        fit = lmm_fit(y, X, groups)
         assert {"zero": fit.lambda_hat == 0.0,
                 "interior": 0.0 < fit.lambda_hat < np.exp(12.0) and not fit.flags,
                 "widened": fit.flags == ("mm:lambda_span_widened",)}[regime]
@@ -278,20 +276,20 @@ class TestProperties:
     def test_row_permutation(self, data):
         y, X, groups, seed = data
         perm = np.random.default_rng(seed).permutation(y.size)
-        assert_same_fit(fit_lmm(y, X, groups), fit_lmm(y[perm], X[perm], groups[perm]))
+        assert_same_fit(lmm_fit(y, X, groups), lmm_fit(y[perm], X[perm], groups[perm]))
 
     @settings(max_examples=60, deadline=None)
     @given(lmm_designs())
     def test_group_relabelling(self, data):
         y, X, groups, seed = data
         labels = np.random.default_rng(seed).choice(1000, size=4, replace=False)
-        assert_same_fit(fit_lmm(y, X, groups), fit_lmm(y, X, labels[groups]))
+        assert_same_fit(lmm_fit(y, X, groups), lmm_fit(y, X, labels[groups]))
 
     @settings(max_examples=60, deadline=None)
     @given(lmm_designs(), st.floats(-5.0, 5.0))
     def test_shifting_y_moves_only_the_intercept(self, data, shift):
         y, X, groups, _ = data
-        a, b = fit_lmm(y, X, groups), fit_lmm(y + shift, X, groups)
+        a, b = lmm_fit(y, X, groups), lmm_fit(y + shift, X, groups)
         assert_same_fit(a, b, skip_coef=(0,))
         assert b.coef[0] == pytest.approx(a.coef[0] + shift, rel=1e-10, abs=1e-10)
 
@@ -321,7 +319,8 @@ class TestEstimateMm:
 
 class TestSharedPass:
     """Every MM cell of a replicate slices its design's statistics from one
-    pass over the pooled sample; the fit equals fit_lmm on that design."""
+    pass over the pooled sample; the fit equals the fit of that design
+    from its own statistics."""
 
     @pytest.mark.parametrize("name", ["single-moderate", "multi-severe"])
     @pytest.mark.parametrize("seed", [30, 31, 32])
@@ -335,7 +334,7 @@ class TestSharedPass:
         for cols in ([0, 1], [0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 5, 6, 7], [0, 1, 2, 3, 4],
                      [1, 2, 3, 4], [1, 2, 3, 4, 5, 6, 7]):
             got = mixed._fit(stats.select(cols + [y_col]))
-            want = fit_lmm(pooled.y, data[:, cols], pooled.trial)
+            want = lmm_fit(pooled.y, data[:, cols], pooled.trial)
             # relative to each matrix's scale: a near-zero covariance moves more
             np.testing.assert_allclose(got.coef, want.coef, rtol=0.0,
                                        atol=1e-12 * np.abs(want.coef).max())

@@ -46,7 +46,6 @@ def make_pools_psfit(ps_conc, pools):
     trial = np.repeat(np.arange(len(scores)), [ps.size for ps in scores])
     n = trial.size
     group = SubjectGroup(
-        ids=np.arange(n),
         x=np.zeros((n, 1)),
         z=np.zeros(n, dtype=int),
         trial=trial,
@@ -56,17 +55,17 @@ def make_pools_psfit(ps_conc, pools):
 
 
 def hand_built_match(y_conc, z_conc, y_hist):
-    """Reduced concurrent trial (ids and rows 0..) and one historical pool
+    """Reduced concurrent trial (rows 0..) and one historical pool
     (continuing after it) with prescribed outcomes, plus a PsFit over
     them; scores and covariates are filler since the match set is
     supplied."""
     n_c, n_h = len(y_conc), len(y_hist)
     conc = SubjectGroup(
-        ids=np.arange(n_c), x=np.zeros((n_c, 1)), z=np.asarray(z_conc),
+        x=np.zeros((n_c, 1)), z=np.asarray(z_conc),
         trial=np.zeros(n_c, dtype=int), y=np.asarray(y_conc, dtype=float),
     )
     hist = SubjectGroup(
-        ids=np.arange(n_c, n_c + n_h), x=np.zeros((n_h, 1)), z=np.zeros(n_h, dtype=int),
+        x=np.zeros((n_h, 1)), z=np.zeros(n_h, dtype=int),
         trial=np.ones(n_h, dtype=int), y=np.asarray(y_hist, dtype=float),
     )
     ds = TrialDataset(full_concurrent=conc, reduced_concurrent=conc, historical=(hist,))
@@ -143,7 +142,7 @@ class TestEstimatePs:
         ds = dataset(seed=4)
         fit = estimate_ps(ds, 1)
         nr = len(ds.reduced_concurrent)
-        np.testing.assert_array_equal(fit.sample.ids[:nr], ds.reduced_concurrent.ids)
+        np.testing.assert_array_equal(fit.sample.x[:nr], ds.reduced_concurrent.x)
         assert np.all(fit.sample.trial[nr:] > 0)
         assert fit.is_concurrent.sum() == nr
         assert fit.sample is ds.pooled
@@ -467,7 +466,7 @@ def with_x4_equal_x1(ds):
     def copy_x1(g):
         x = g.x.copy()
         x[:, 3] = x[:, 0]
-        return SubjectGroup(ids=g.ids, x=x, z=g.z, trial=g.trial, y=g.y)
+        return SubjectGroup(x=x, z=g.z, trial=g.trial, y=g.y)
 
     return TrialDataset(copy_x1(ds.full_concurrent), copy_x1(ds.reduced_concurrent),
                         tuple(copy_x1(p) for p in ds.historical))
@@ -569,27 +568,8 @@ class TestEstimatePsm:
         assert got.estimate == ref.estimate
         assert got.se == ref.se
 
-    def test_invariant_to_id_relabeling(self):
-        ds = dataset(seed=42)
-
-        def shift(g, by):
-            return SubjectGroup(ids=g.ids + by, x=g.x, z=g.z, trial=g.trial, y=g.y)
-
-        a = estimate_psm(ds, *psm_inputs(ds, 1, 7))
-        # ids read from a subjects CSV may be negative
-        for by in (10_000, -10_000):
-            shifted = TrialDataset(
-                full_concurrent=shift(ds.full_concurrent, by),
-                reduced_concurrent=shift(ds.reduced_concurrent, by),
-                historical=tuple(shift(p, by) for p in ds.historical),
-            )
-            b = estimate_psm(shifted, *psm_inputs(shifted, 1, 7))
-            assert a.estimate == b.estimate
-            assert a.se == b.se
-            assert a.diagnostics == b.diagnostics
-
     def test_twoway_variance_over_pairs_and_subjects(self):
-        # four treated and two concurrent controls (rows and ids 0-5), each
+        # four treated and two concurrent controls (rows 0-5), each
         # matched to one of historical rows 6-10; row 9 is re-used by rows 3 and 4
         y_conc = [1.2, -0.3, 0.8, 2.1, 0.4, -1.0]
         y_hist = [0.5, 1.7, -0.6, 0.9, 0.1]

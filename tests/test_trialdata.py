@@ -28,7 +28,7 @@ def dataset_bytes(ds):
     """Every array of a dataset's groups, as bytes."""
     return [getattr(g, name).tobytes() for g in (ds.full_concurrent, ds.reduced_concurrent,
                                                  *ds.historical)
-            for name in ("ids", "x", "z", "trial", "y")]
+            for name in ("x", "z", "trial", "y")]
 
 
 def single(beta0, beta):
@@ -228,12 +228,13 @@ class TestBuildReplicate:
     def test_treated_sets_identical(self):
         ds = build_replicate(preset("single-moderate"), 1200, rng_(4))
         full, red = ds.full_concurrent, ds.reduced_concurrent
-        np.testing.assert_array_equal(full.ids[full.z == 1], red.ids[red.z == 1])
+        np.testing.assert_array_equal(full.x[full.z == 1], red.x[red.z == 1])
+        np.testing.assert_array_equal(full.y[full.z == 1], red.y[red.z == 1])
 
     def test_reduced_controls_subset_of_full(self):
         ds = build_replicate(preset("multi-severe"), 1600, rng_(5))
-        full = set(ds.full_concurrent.ids[ds.full_concurrent.z == 0].tolist())
-        red = set(ds.reduced_concurrent.ids[ds.reduced_concurrent.z == 0].tolist())
+        full, red = ({tuple(row) for row in np.column_stack([g.x, g.y])[g.z == 0].tolist()}
+                     for g in (ds.full_concurrent, ds.reduced_concurrent))
         assert red <= full
 
     def test_historical_untreated(self):
@@ -251,7 +252,7 @@ class TestBuildReplicate:
         a = build_replicate(preset("single-moderate"), 1200, rng_(99))
         b = build_replicate(preset("single-moderate"), 1200, rng_(99))
         np.testing.assert_array_equal(a.reduced_concurrent.y, b.reduced_concurrent.y)
-        np.testing.assert_array_equal(a.historical[0].ids, b.historical[0].ids)
+        np.testing.assert_array_equal(a.historical[0].x, b.historical[0].x)
 
     def test_unsupported_k_rejected(self):
         # k >= 1 pools: zero pools, or a beta0 that is not a vector, is rejected
@@ -317,7 +318,8 @@ class TestTrialDataset:
         ds = build_replicate(preset("multi-moderate"), 1600, rng_(8))
         pooled = ds.pooled
         parts = [ds.reduced_concurrent, *ds.historical]
-        np.testing.assert_array_equal(pooled.ids, np.concatenate([g.ids for g in parts]))
+        np.testing.assert_array_equal(pooled.x, np.vstack([g.x for g in parts]))
+        np.testing.assert_array_equal(pooled.y, np.concatenate([g.y for g in parts]))
         np.testing.assert_array_equal(pooled.trial, np.repeat(range(4), [len(g) for g in parts]))
         assert ds.pooled is pooled
 
@@ -325,7 +327,7 @@ class TestTrialDataset:
         ds = build_replicate(preset("multi-moderate"), 1600, rng_(9))
 
         def relabel(g, label):
-            return SubjectGroup(ids=g.ids, x=g.x, z=g.z, trial=np.full(len(g), label), y=g.y)
+            return SubjectGroup(x=g.x, z=g.z, trial=np.full(len(g), label), y=g.y)
 
         pools = list(ds.historical)
         pools[1] = relabel(pools[1], 3)
@@ -353,6 +355,23 @@ class TestSubjectsCsv:
         assert ds.k_historical == 1
         assert len(ds.historical[0]) == 2
 
+    def test_ids_are_checked_then_dropped(self, tmp_path):
+        rows = ["0,1,1.2,0.1", "0,1,0.8,0.0", "0,0,0.3,-0.2", "0,0,0.1,0.4", "1,0,0.2,0.3"]
+        plain, ids = tmp_path / "plain.csv", tmp_path / "ids.csv"
+        plain.write_text("trial,z,y,x1\n" + "".join(r + "\n" for r in rows))
+        # a blank id stands for the row's index; ids may be negative
+        given = ["7", "-3", "", "10", "5"]
+        ids.write_text("id,trial,z,y,x1\n" + "".join(f"{i},{r}\n" for i, r in zip(given, rows)))
+        a, b = load_subjects_csv(str(plain)), load_subjects_csv(str(ids))
+        for name in ("x", "z", "trial", "y"):
+            np.testing.assert_array_equal(getattr(b.pooled, name), getattr(a.pooled, name))
+        for bad, message in (("7", "^subject ids are not unique$"),
+                             ("1.5", "^line 5: column 'id' is not an integer: '1.5'$")):
+            ids.write_text("id,trial,z,y,x1\n" + "".join(
+                f"{i},{r}\n" for i, r in zip(given[:3] + [bad] + given[4:], rows)))
+            with pytest.raises(ValueError, match=message):
+                load_subjects_csv(str(ids))
+
     def test_treated_historical_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("trial,z,y,x1\n0,1,1.0,0.1\n0,0,0.2,0.0\n1,1,0.5,0.2\n")
@@ -375,18 +394,18 @@ class TestSubjectsCsv:
 def test_subject_group_validation():
     with pytest.raises(ValueError):
         SubjectGroup(
-            ids=np.arange(3), x=np.zeros((2, 6)), z=np.zeros(3, dtype=int),
+            x=np.zeros((2, 6)), z=np.zeros(3, dtype=int),
             trial=np.zeros(3, dtype=int), y=np.zeros(3),
         )
 
 
 def test_dataset_rejects_treated_pool():
     g = SubjectGroup(
-        ids=np.arange(4), x=np.zeros((4, 6)), z=np.array([1, 1, 0, 0]),
+        x=np.zeros((4, 6)), z=np.array([1, 1, 0, 0]),
         trial=np.zeros(4, dtype=int), y=np.zeros(4),
     )
     bad_pool = SubjectGroup(
-        ids=np.arange(4, 6), x=np.zeros((2, 6)), z=np.array([0, 1]),
+        x=np.zeros((2, 6)), z=np.array([0, 1]),
         trial=np.ones(2, dtype=int), y=np.zeros(2),
     )
     with pytest.raises(ValueError):
